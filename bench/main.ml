@@ -328,11 +328,7 @@ let drift_fixture =
      let benchmarks = Driftrun.small_benchmarks () in
      Feam_core.Bdc.set_describe_memo ();
      let sites0, binaries0 = Driftrun.build_world params specs benchmarks [] in
-     let cells0 =
-       List.map
-         (fun (b, t) -> Driftrun.predict_cell b t)
-         (Driftrun.all_cells sites0 binaries0)
-     in
+     let cells0 = Driftrun.predict_all sites0 binaries0 in
      let base =
        Driftrun.snapshot_of_world ~epoch:0 ~seed:42 ~label:"" sites0 binaries0
          ~cells:cells0
@@ -359,9 +355,7 @@ let bench_drift_full =
   ( "drift/full-reeval",
     fun () ->
       let _, _, sites, binaries = Lazy.force drift_fixture in
-      List.iter
-        (fun (b, t) -> ignore (Driftrun.predict_cell b t))
-        (Driftrun.all_cells sites binaries) )
+      ignore (Driftrun.predict_all sites binaries) )
 
 let bench_drift_incremental =
   ( "drift/incremental-reeval",
@@ -369,15 +363,11 @@ let bench_drift_incremental =
       let base, candidate, sites, binaries = Lazy.force drift_fixture in
       let plan = Feam_drift.Invalidate.affected base candidate in
       let reevaluated =
+        let binary = Testset.by_id binaries in
         List.map
           (fun (c : Feam_drift.Invalidate.cell_id) ->
-            let binary =
-              List.find
-                (fun (b : Testset.binary) ->
-                  b.Testset.id = c.Feam_drift.Invalidate.ci_binary)
-                binaries
-            in
-            Driftrun.predict_cell binary
+            Driftrun.predict_cell
+              (binary c.Feam_drift.Invalidate.ci_binary)
               (Sites.find_by_name sites c.Feam_drift.Invalidate.ci_target))
           plan.Feam_drift.Invalidate.pl_affected
       in

@@ -38,8 +38,6 @@ let disagrees r =
   in
   List.exists (fun b -> b <> List.hd bits) bits
 
-let staged_dir = "/home/user/migrated"
-
 (* Journal one scenario and its verdicts; no-op unless recording. *)
 let record_run r =
   if Feam_flightrec.Recorder.enabled () then begin
@@ -100,7 +98,9 @@ let run_one (sc : Scengen.t) =
       failwith (Printf.sprintf "agree %s: source phase failed: %s" (id sc) e)
   in
   (* The binary migrates: staged at the target, judged there. *)
-  let staged = staged_dir ^ "/" ^ sc.sc_program.Feam_toolchain.Compile.prog_name in
+  let staged =
+    Migrate.migrated_dir ^ "/" ^ sc.sc_program.Feam_toolchain.Compile.prog_name
+  in
   Vfs.add
     ~declared_size:(Feam_toolchain.Compile.declared_size sc.sc_program)
     (Site.vfs sc.sc_target) staged (Vfs.Elf sc.sc_binary_bytes);
@@ -196,16 +196,13 @@ let run_one (sc : Scengen.t) =
 
 let run_corpus ~seed ~count () =
   Feam_core.Bdc.set_describe_memo ();
-  let runs =
-    List.init count (fun index ->
-        let r = run_one (Scengen.build ~seed ~index ()) in
-        Feam_obs.Metrics.incr "agree.scenarios";
-        if disagrees r then Feam_obs.Metrics.incr "agree.disagreements";
-        if r.r_unsound <> [] then Feam_obs.Metrics.incr "agree.unsound";
-        r)
-  in
-  Feam_core.Bdc.clear_describe_memo ();
-  runs
+  Fun.protect ~finally:Feam_core.Bdc.clear_describe_memo @@ fun () ->
+  List.init count (fun index ->
+      let r = run_one (Scengen.build ~seed ~index ()) in
+      Feam_obs.Metrics.incr "agree.scenarios";
+      if disagrees r then Feam_obs.Metrics.incr "agree.disagreements";
+      if r.r_unsound <> [] then Feam_obs.Metrics.incr "agree.unsound";
+      r)
 
 let rerun ~seed ~index ~keep = run_one (Scengen.build ~seed ~index ~keep ())
 

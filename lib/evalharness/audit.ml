@@ -47,7 +47,6 @@ let cell_of (m : Migrate.migration) =
   }
 
 let build ?clock sites binaries migrations =
-  let config = Feam_core.Config.default in
   let store = Store.create () in
   let possession = Planner.Possession.create () in
   let referenced : (string, unit) Hashtbl.t = Hashtbl.create 256 in
@@ -73,14 +72,7 @@ let build ?clock sites binaries migrations =
   Feam_obs.Trace.with_span "audit.build" @@ fun () ->
   List.iter
     (fun (binary : Testset.binary) ->
-      let bundle =
-        Feam_core.Phases.source_phase ?clock config binary.Testset.home
-          (Modules_tool.load_stack
-             (Site.base_env binary.Testset.home)
-             binary.Testset.install)
-          ~binary_path:binary.Testset.home_path
-      in
-      match bundle with
+      match Migrate.source_bundle ?clock binary with
       | Error _ -> ()
       | Ok bundle ->
         let home = Site.name binary.Testset.home in
@@ -102,11 +94,9 @@ let build ?clock sites binaries migrations =
           bundle.Feam_core.Bundle.copies;
         let manifest = Manifest.of_bundle store bundle in
         let wants = Manifest.wants manifest in
-        sites
+        Migrate.targets sites binary
         |> List.filter (fun target ->
-               Site.name target <> home
-               && Migrate.has_matching_impl binary target
-               && is_ready binary.Testset.id (Site.name target))
+               is_ready binary.Testset.id (Site.name target))
         |> List.iter (fun target ->
                let site = Site.name target in
                let plan =

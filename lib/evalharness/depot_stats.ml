@@ -28,13 +28,12 @@ type t = {
 }
 
 (* [run ?clock sites binaries] — intern every binary's bundle into a
-   fresh shared store and plan every reported matrix cell (same cell
-   filter as {!Migrate.run_all}) against one possession index, in
+   fresh shared store and plan every reported matrix cell
+   ({!Migrate.targets}) against one possession index, in
    deterministic corpus order.  The describe memo is enabled for the
    run: the same library image re-described across bundles parses
    once per site. *)
 let run ?clock sites binaries =
-  let config = Feam_core.Config.default in
   let store = Store.create () in
   let possession = Planner.Possession.create () in
   Feam_core.Bdc.set_describe_memo ();
@@ -43,14 +42,7 @@ let run ?clock sites binaries =
   let cells =
     List.concat_map
       (fun (binary : Testset.binary) ->
-        let bundle =
-          Feam_core.Phases.source_phase ?clock config binary.Testset.home
-            (Modules_tool.load_stack
-               (Site.base_env binary.Testset.home)
-               binary.Testset.install)
-            ~binary_path:binary.Testset.home_path
-        in
-        match bundle with
+        match Migrate.source_bundle ?clock binary with
         | Error _ ->
           skipped := binary.Testset.id :: !skipped;
           []
@@ -58,10 +50,7 @@ let run ?clock sites binaries =
           let manifest = Manifest.of_bundle store bundle in
           let wants = Manifest.wants manifest in
           let legacy = Planner.legacy_bytes wants in
-          sites
-          |> List.filter (fun target ->
-                 Site.name target <> Site.name binary.Testset.home
-                 && Migrate.has_matching_impl binary target)
+          Migrate.targets sites binary
           |> List.map (fun target ->
                  let site = Site.name target in
                  let plan =

@@ -130,16 +130,7 @@ let probe_fingerprint bytes =
   | Error _ -> digest bytes
 
 let capture_binary (binary : Testset.binary) =
-  let config = Feam_core.Config.default in
-  let env =
-    Modules_tool.load_stack (Site.base_env binary.Testset.home)
-      binary.Testset.install
-  in
-  let bundle =
-    Feam_core.Phases.source_phase config binary.Testset.home env
-      ~binary_path:binary.Testset.home_path
-  in
-  match bundle with
+  match Migrate.source_bundle binary with
   | Error e ->
     {
       Snapshot.bs_id = binary.Testset.id;
@@ -175,89 +166,29 @@ let capture_binary (binary : Testset.binary) =
 
 (* -- prediction-only cell evaluation ----------------------------------- *)
 
-(* The matrix: each binary against every *other* site with a matching
-   MPI implementation — exactly Migrate.run_all's cell criterion. *)
-let all_cells sites binaries =
-  List.concat_map
-    (fun (binary : Testset.binary) ->
-      sites
-      |> List.filter (fun target ->
-             Site.name target <> Site.name binary.Testset.home
-             && Migrate.has_matching_impl binary target)
-      |> List.map (fun target -> (binary, target)))
-    binaries
+(* The matrix: Migrate's cell criterion. *)
+let all_cells = Migrate.cells
 
-let migrated_dir = "/home/user/migrated"
-
-let cleanup target =
-  Vfs.remove_tree (Site.vfs target) "/tmp/feam";
-  Vfs.remove_tree (Site.vfs target) migrated_dir
-
-(* Replay Migrate.migrate's prediction steps — stage, basic target
-   phase, source phase, extended target phase — skipping the two
-   ground-truth executions.  Predictions never consume the exec PRNG,
-   so the fields here are byte-identical to a full Migrate.run_all at
-   the same epoch (the cross-check below proves it per run). *)
+(* Migrate.migrate's steps without the two ground-truth executions.
+   Predictions never consume the exec PRNG, so the fields here are
+   byte-identical to a full Migrate.run_all at the same epoch (the
+   cross-check below proves it per run). *)
 let predict_cell (binary : Testset.binary) target =
-  let open Feam_core in
-  let config = Config.default in
-  let base_env = Site.base_env target in
-  cleanup target;
-  let staged_path = migrated_dir ^ "/" ^ Vfs.basename binary.Testset.home_path in
-  Vfs.add ~declared_size:binary.Testset.declared_size (Site.vfs target)
-    staged_path
-    (Vfs.Elf binary.Testset.bytes);
-  let basic =
-    Phases.target_phase config target base_env ~binary_path:staged_path ()
-  in
-  let basic_ready, basic_reasons =
-    match basic with
-    | Ok report ->
-      let p = Report.prediction report in
-      (Predict.is_ready p, Predict.reasons p)
-    | Error e -> (false, [ e ])
-  in
-  Vfs.remove_tree (Site.vfs target) "/tmp/feam";
-  let bundle =
-    Phases.source_phase config binary.Testset.home
-      (Modules_tool.load_stack
-         (Site.base_env binary.Testset.home)
-         binary.Testset.install)
-      ~binary_path:binary.Testset.home_path
-  in
-  let extended =
-    match bundle with
-    | Error e -> Error e
-    | Ok bundle ->
-      Phases.target_phase config target base_env ~bundle
-        ~binary_path:staged_path ()
-  in
-  let extended_ready, extended_reasons, staged =
-    match extended with
-    | Ok report -> (
-      let p = Report.prediction report in
-      match p.Predict.verdict with
-      | Predict.Ready plan ->
-        (true, [], List.map fst plan.Predict.staged_copies)
-      | Predict.Not_ready reasons ->
-        let staged =
-          match p.Predict.determinants.Predict.libs with
-          | Some l -> l.Predict.resolved_by_copies
-          | None -> []
-        in
-        (false, reasons, staged))
-    | Error e -> (false, [ e ], [])
-  in
-  cleanup target;
+  Migrate.with_staged binary target @@ fun staged_path ->
+  let basic = Migrate.basic_prediction target staged_path in
+  let extended = Migrate.extended_prediction binary target staged_path in
   {
     Snapshot.cl_binary = binary.Testset.id;
     cl_target = Site.name target;
-    cl_basic = basic_ready;
-    cl_basic_reasons = basic_reasons;
-    cl_extended = extended_ready;
-    cl_extended_reasons = extended_reasons;
-    cl_staged = staged;
+    cl_basic = basic.Migrate.ready;
+    cl_basic_reasons = basic.Migrate.reasons;
+    cl_extended = extended.Migrate.ready;
+    cl_extended_reasons = extended.Migrate.reasons;
+    cl_staged = extended.Migrate.staged;
   }
+
+let predict_all sites binaries =
+  List.map (fun (b, t) -> predict_cell b t) (all_cells sites binaries)
 
 let cell_of_migration (m : Migrate.migration) =
   {
@@ -400,9 +331,7 @@ let run ?(specs = Sites.specs) ?(benchmarks = Feam_suites.Npb.all @ Feam_suites.
     snapshot_of_world ~epoch ~seed ~label sites binaries ~cells
   in
   (* Baseline: evaluate every cell once. *)
-  let cells0 =
-    List.map (fun (b, t) -> predict_cell b t) (all_cells sites0 binaries0)
-  in
+  let cells0 = predict_all sites0 binaries0 in
   let base_snapshot =
     snapshot_of ~epoch:0 ~label:"" ~sites:sites0 ~binaries:binaries0
       ~cells:cells0
@@ -429,15 +358,12 @@ let run ?(specs = Sites.specs) ?(benchmarks = Feam_suites.Npb.all @ Feam_suites.
       in
       let plan = Invalidate.affected prev.er_snapshot candidate in
       let reevaluated =
+        let binary = Testset.by_id binaries in
         List.map
           (fun (c : Invalidate.cell_id) ->
-            let binary =
-              List.find
-                (fun (b : Testset.binary) ->
-                  b.Testset.id = c.Invalidate.ci_binary)
-                binaries
-            in
-            predict_cell binary (Sites.find_by_name sites c.Invalidate.ci_target))
+            predict_cell
+              (binary c.Invalidate.ci_binary)
+              (Sites.find_by_name sites c.Invalidate.ci_target))
           plan.Invalidate.pl_affected
       in
       let cells =
@@ -484,20 +410,18 @@ let run ?(specs = Sites.specs) ?(benchmarks = Feam_suites.Npb.all @ Feam_suites.
   let final = List.nth epochs_list (List.length epochs_list - 1) in
   let crosscheck =
     let full =
-      List.map
-        (fun (b, t) -> predict_cell b t)
-        (let active =
-           (* replay the toggles to recover the final active set *)
-           let rec replay k active =
-             if k > epochs then active
-             else
-               let p = draw ~seed ~epoch:k ~site_names ~candidates in
-               replay (k + 1) (fst (toggle active p))
-           in
-           replay 1 []
-         in
-         let sites, binaries = build_world params specs benchmarks active in
-         all_cells sites binaries)
+      let active =
+        (* replay the toggles to recover the final active set *)
+        let rec replay k active =
+          if k > epochs then active
+          else
+            let p = draw ~seed ~epoch:k ~site_names ~candidates in
+            replay (k + 1) (fst (toggle active p))
+        in
+        replay 1 []
+      in
+      let sites, binaries = build_world params specs benchmarks active in
+      predict_all sites binaries
     in
     let a =
       cells_doc ~epoch:final.er_snapshot.Snapshot.epoch ~seed

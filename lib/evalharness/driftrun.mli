@@ -77,17 +77,27 @@ val capture_site : Feam_sysmodel.Site.t -> Feam_drift.Snapshot.site_state
     snapshot binary record. *)
 val capture_binary : Testset.binary -> Feam_drift.Snapshot.binary_state
 
-(** The matrix: every binary against every other site with a matching
-    MPI implementation — [Migrate.run_all]'s cell criterion. *)
+(** The matrix: {!Migrate.cells}, the cell criterion every harness
+    shares. *)
 val all_cells :
   Feam_sysmodel.Site.t list ->
   Testset.binary list ->
   (Testset.binary * Feam_sysmodel.Site.t) list
 
-(** Prediction-only evaluation of one cell: [Migrate.migrate]'s steps
-    minus the two ground-truth executions. *)
+(** Prediction-only evaluation of one cell: {!Migrate.with_staged},
+    {!Migrate.basic_prediction} and {!Migrate.extended_prediction} —
+    the steps {!Migrate.migrate} runs, without its two ground-truth
+    executions.  The target is cleaned afterwards, also on an
+    exception. *)
 val predict_cell :
   Testset.binary -> Feam_sysmodel.Site.t -> Feam_drift.Snapshot.cell
+
+(** A full prediction pass: {!predict_cell} over {!all_cells}, in
+    matrix order. *)
+val predict_all :
+  Feam_sysmodel.Site.t list ->
+  Testset.binary list ->
+  Feam_drift.Snapshot.cell list
 
 (** Capture a world as a normalized epoch snapshot around an
     already-computed verdict table. *)

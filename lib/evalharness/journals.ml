@@ -11,8 +11,6 @@
 open Feam_sysmodel
 module Recorder = Feam_flightrec.Recorder
 
-let migrated_dir = "/home/user/migrated"
-
 let sanitize s =
   String.map
     (fun c ->
@@ -28,53 +26,27 @@ let cell_name binary target =
 (* Journal one cell: the extended prediction (source-phase bundle, then
    the journaled target phase) of [binary] at [target]. *)
 let journal_cell ?clock ~write binary target =
-  let config = Feam_core.Config.default in
-  let base_env = Site.base_env target in
-  let vfs = Site.vfs target in
-  Vfs.remove_tree vfs "/tmp/feam";
-  Vfs.remove_tree vfs migrated_dir;
-  let staged_path = migrated_dir ^ "/" ^ Vfs.basename binary.Testset.home_path in
-  Vfs.add ~declared_size:binary.Testset.declared_size vfs staged_path
-    (Vfs.Elf binary.Testset.bytes);
+  Migrate.with_staged binary target @@ fun staged_path ->
   (* The source phase runs before the recorder is armed: the cell's
      journal covers the target phase, which re-journals everything
      replay needs (payloads included). *)
-  let bundle =
-    Feam_core.Phases.source_phase ?clock config binary.Testset.home
-      (Modules_tool.load_stack
-         (Site.base_env binary.Testset.home)
-         binary.Testset.install)
-      ~binary_path:binary.Testset.home_path
-  in
+  let bundle = Migrate.source_bundle ?clock binary in
   let name = cell_name binary target in
   Recorder.configure ~tool:"evaltool" ~emit:(fun body -> write ~name body) ();
-  (match bundle with
-  | Ok bundle ->
-    ignore
-      (Feam_core.Phases.target_phase ?clock config target base_env ~bundle
-         ~binary_path:staged_path ()
-        : (Feam_core.Report.t, string) result)
-  | Error _ ->
-    (* No bundle: journal the basic prediction instead. *)
-    ignore
-      (Feam_core.Phases.target_phase ?clock config target base_env
-         ~binary_path:staged_path ()
-        : (Feam_core.Report.t, string) result));
+  Fun.protect ~finally:Recorder.disable @@ fun () ->
+  (* No bundle: journal the basic prediction instead. *)
+  ignore
+    (Feam_core.Phases.target_phase ?clock Feam_core.Config.default target
+       (Site.base_env target) ?bundle:(Result.to_option bundle)
+       ~binary_path:staged_path ()
+      : (Feam_core.Report.t, string) result);
   Recorder.flush ();
-  Recorder.disable ();
-  Vfs.remove_tree vfs "/tmp/feam";
-  Vfs.remove_tree vfs migrated_dir;
   name
 
-(* Journal every cell of the migration matrix: each binary at every
-   other site with a matching MPI implementation (the reported cells,
-   as in the paper).  Returns the journal names written. *)
+(* Journal every cell of the migration matrix ({!Migrate.cells}, the
+   reported cells, as in the paper).  Returns the journal names
+   written. *)
 let write_cells ?clock ~write sites binaries =
-  List.concat_map
-    (fun binary ->
-      sites
-      |> List.filter (fun target ->
-             Site.name target <> Site.name binary.Testset.home
-             && Migrate.has_matching_impl binary target)
-      |> List.map (fun target -> journal_cell ?clock ~write binary target))
-    binaries
+  List.map
+    (fun (binary, target) -> journal_cell ?clock ~write binary target)
+    (Migrate.cells sites binaries)

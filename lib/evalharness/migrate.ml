@@ -38,8 +38,6 @@ let success = function
 let basic_correct m = m.basic_ready = success m.actual_before
 let extended_correct m = m.extended_ready = success m.actual_after
 
-let migrated_dir = "/home/user/migrated"
-
 (* The stack a knowledgeable user selects by hand: matching MPI
    implementation, preferring the build compiler family (paper §VI:
    "choosing an execution site only by matching the MPI implementation"). *)
@@ -66,30 +64,137 @@ let user_stack_choice binary target =
 
 let has_matching_impl binary target = user_stack_choice binary target <> None
 
-(* Stage the binary at the target, as the user's scp would. *)
-let stage_binary binary target =
-  let path =
-    migrated_dir ^ "/" ^ Vfs.basename binary.Testset.home_path
-  in
-  Vfs.add ~declared_size:binary.Testset.declared_size (Site.vfs target) path
-    (Vfs.Elf binary.Testset.bytes);
-  path
+(* The matrix's cell criterion: every *other* site with a matching MPI
+   implementation — only there is successful execution possible, and
+   only those migrations are reported. *)
+let targets sites binary =
+  List.filter
+    (fun target ->
+      Site.name target <> Site.name binary.Testset.home
+      && has_matching_impl binary target)
+    sites
+
+let cells sites binaries =
+  List.concat_map
+    (fun binary -> List.map (fun target -> (binary, target)) (targets sites binary))
+    binaries
+
+let migrated_dir = "/home/user/migrated"
 
 let cleanup target =
   Vfs.remove_tree (Site.vfs target) "/tmp/feam";
   Vfs.remove_tree (Site.vfs target) migrated_dir
 
-let run_binary (params : Params.t) target env path =
-  Feam_obs.Ledger.with_stage "exec.ground_truth" @@ fun () ->
-  Feam_dynlinker.Exec.run ~params:params.Params.exec
-    ~attempts:params.Params.attempts target env ~binary_path:path
-    ~mode:(Feam_dynlinker.Exec.Mpi 4)
+(* Stage the binary at a clean target, as the user's scp would, and run
+   the cell body on the staged path.  The target is cleaned afterwards
+   even when the body raises, so a failed cell leaves nothing behind. *)
+let with_staged binary target f =
+  cleanup target;
+  let path = migrated_dir ^ "/" ^ Vfs.basename binary.Testset.home_path in
+  Vfs.add ~declared_size:binary.Testset.declared_size (Site.vfs target) path
+    (Vfs.Elf binary.Testset.bytes);
+  Fun.protect ~finally:(fun () -> cleanup target) (fun () -> f path)
 
-(* One migration.  [bundle_filter] transforms the source-phase bundle
-   before the extended target phase runs — the hook the ablation study
-   uses to strip probes or library copies. *)
-let migrate ?clock ?(bundle_filter = fun b -> b) (params : Params.t) binary
-    target =
+(* The source phase at the binary's home, under its build stack. *)
+let source_bundle ?clock binary =
+  Feam_core.Phases.source_phase ?clock Feam_core.Config.default
+    binary.Testset.home
+    (Modules_tool.load_stack
+       (Site.base_env binary.Testset.home)
+       binary.Testset.install)
+    ~binary_path:binary.Testset.home_path
+
+type verdict = {
+  ready : bool;
+  reasons : string list;
+  staged : string list;
+  stack : string option;
+}
+
+let failed e = { ready = false; reasons = [ e ]; staged = []; stack = None }
+
+(* Basic prediction: target phase only, no bundle.  [stack] is the
+   functioning stack FEAM found; the target's /tmp/feam is cleared for
+   the steps that follow. *)
+let basic_prediction ?clock target staged_path =
+  let open Feam_core in
+  let basic =
+    Phases.target_phase ?clock Config.default target (Site.base_env target)
+      ~binary_path:staged_path ()
+  in
+  Vfs.remove_tree (Site.vfs target) "/tmp/feam";
+  match basic with
+  | Ok report ->
+    let p = Report.prediction report in
+    let stack =
+      match p.Predict.determinants.Predict.stack with
+      | Some s -> s.Predict.functioning
+      | None -> None
+    in
+    { ready = Predict.is_ready p; reasons = Predict.reasons p; staged = []; stack }
+  | Error e -> failed e
+
+(* Extended prediction: source phase at home, bundle to target.
+   [bundle_filter] transforms the bundle before the target phase.
+   [stack] is the plan's chosen stack; [staged] the libraries resolved
+   from the bundle. *)
+let extended_prediction ?clock ?(bundle_filter = fun b -> b) binary target
+    staged_path =
+  let open Feam_core in
+  let extended =
+    match source_bundle ?clock binary with
+    | Error e -> Error e
+    | Ok bundle ->
+      Phases.target_phase ?clock Config.default target (Site.base_env target)
+        ~bundle:(bundle_filter bundle) ~binary_path:staged_path ()
+  in
+  match extended with
+  | Ok report -> (
+    let p = Report.prediction report in
+    match p.Predict.verdict with
+    | Predict.Ready plan ->
+      { ready = true; reasons = [];
+        staged = List.map fst plan.Predict.staged_copies;
+        stack = plan.Predict.chosen_stack_slug }
+    | Predict.Not_ready reasons ->
+      (* Copies staged before the verdict remain available to the
+         after-resolution run. *)
+      let staged =
+        match p.Predict.determinants.Predict.libs with
+        | Some l -> l.Predict.resolved_by_copies
+        | None -> []
+      in
+      { ready = false; reasons; staged; stack = None })
+  | Error e -> failed e
+
+(* Ground truth for one prediction: run on the stack it chose (falling
+   back to the user's own matching choice when it found none), with the
+   staged copies on LD_LIBRARY_PATH when it resolved any. *)
+let run_binary (params : Params.t) binary target staged_path verdict =
+  let install =
+    match verdict.stack with
+    | Some slug -> Site.find_stack_install target ~slug
+    | None -> user_stack_choice binary target
+  in
+  match install with
+  | None -> Feam_dynlinker.Exec.Failure Feam_dynlinker.Exec.No_mpi_stack
+  | Some install ->
+    let env = Modules_tool.load_stack (Site.base_env target) install in
+    let env =
+      if verdict.staged = [] then env
+      else
+        Env.prepend_path env "LD_LIBRARY_PATH"
+          Feam_core.Config.default.Feam_core.Config.staging_dir
+    in
+    Feam_obs.Ledger.with_stage "exec.ground_truth" @@ fun () ->
+    Feam_dynlinker.Exec.run ~params:params.Params.exec
+      ~attempts:params.Params.attempts target env ~binary_path:staged_path
+      ~mode:(Feam_dynlinker.Exec.Mpi 4)
+
+(* One migration: stage, basic prediction, the before-resolution run,
+   extended prediction, the after-resolution run.  [bundle_filter] is
+   the ablation study's hook to strip probes or library copies. *)
+let migrate ?clock ?bundle_filter (params : Params.t) binary target =
   (* One matrix cell in the cost ledger, named binary->site like the
      evaluation tables; the Prof timer sees the same work per target. *)
   Feam_obs.Ledger.with_cell
@@ -99,130 +204,38 @@ let migrate ?clock ?(bundle_filter = fun b -> b) (params : Params.t) binary
     ~labels:[ ("target", Site.name target) ]
     "evalharness.migrate"
   @@ fun () ->
-  let config = Feam_core.Config.default in
-  let base_env = Site.base_env target in
-  cleanup target;
-  let staged_path = stage_binary binary target in
-
-  (* -- Basic prediction: target phase only, no bundle. ------------------ *)
-  let basic =
-    Feam_core.Phases.target_phase ?clock config target base_env
-      ~binary_path:staged_path ()
-  in
-  let basic_ready, basic_reasons, basic_slug =
-    match basic with
-    | Ok report ->
-      let p = Feam_core.Report.prediction report in
-      let slug =
-        match p.Feam_core.Predict.determinants.Feam_core.Predict.stack with
-        | Some s -> s.Feam_core.Predict.functioning
-        | None -> None
-      in
-      (Feam_core.Predict.is_ready p, Feam_core.Predict.reasons p, slug)
-    | Error e -> (false, [ e ], None)
-  in
-
-  (* -- Actual execution before resolution. ------------------------------ *)
-  (* The stack FEAM's target phase selected (falling back to the user's
-     own matching choice when FEAM found none), with no library fixes. *)
-  Vfs.remove_tree (Site.vfs target) "/tmp/feam";
-  let before_install =
-    match basic_slug with
-    | Some slug -> Site.find_stack_install target ~slug
-    | None -> user_stack_choice binary target
-  in
-  let actual_before =
-    match before_install with
-    | None -> Feam_dynlinker.Exec.Failure Feam_dynlinker.Exec.No_mpi_stack
-    | Some install ->
-      let env = Modules_tool.load_stack base_env install in
-      run_binary params target env staged_path
-  in
-
-  (* -- Extended prediction: source phase at home, bundle to target. ----- *)
-  let bundle =
-    Feam_core.Phases.source_phase ?clock config binary.Testset.home
-      (Modules_tool.load_stack
-         (Site.base_env binary.Testset.home)
-         binary.Testset.install)
-      ~binary_path:binary.Testset.home_path
-  in
+  with_staged binary target @@ fun staged_path ->
+  let basic = basic_prediction ?clock target staged_path in
+  (* Before resolution: the stack the basic prediction selected, no
+     library fixes. *)
+  let actual_before = run_binary params binary target staged_path basic in
   let extended =
-    match bundle with
-    | Error e -> Error e
-    | Ok bundle ->
-      Feam_core.Phases.target_phase ?clock config target base_env
-        ~bundle:(bundle_filter bundle) ~binary_path:staged_path ()
+    extended_prediction ?clock ?bundle_filter binary target staged_path
   in
-  let extended_ready, extended_reasons, staged_copies, chosen_slug =
-    match extended with
-    | Ok report -> (
-      let p = Feam_core.Report.prediction report in
-      match p.Feam_core.Predict.verdict with
-      | Feam_core.Predict.Ready plan ->
-        ( true,
-          [],
-          List.map fst plan.Feam_core.Predict.staged_copies,
-          plan.Feam_core.Predict.chosen_stack_slug )
-      | Feam_core.Predict.Not_ready reasons ->
-        (* Copies staged before the verdict remain available to the
-           after-resolution run below. *)
-        let staged =
-          match p.Feam_core.Predict.determinants.Feam_core.Predict.libs with
-          | Some l -> l.Feam_core.Predict.resolved_by_copies
-          | None -> []
-        in
-        (false, reasons, staged, None))
-    | Error e -> (false, [ e ], [], None)
-  in
-
-  (* -- Actual execution after resolution. -------------------------------- *)
-  let after_install =
-    match chosen_slug with
-    | Some slug -> Site.find_stack_install target ~slug
-    | None -> user_stack_choice binary target
-  in
-  let actual_after =
-    match after_install with
-    | None -> Feam_dynlinker.Exec.Failure Feam_dynlinker.Exec.No_mpi_stack
-    | Some install ->
-      let env = Modules_tool.load_stack base_env install in
-      let env =
-        if staged_copies = [] then env
-        else
-          Env.prepend_path env "LD_LIBRARY_PATH"
-            config.Feam_core.Config.staging_dir
-      in
-      run_binary params target env staged_path
-  in
-  cleanup target;
+  (* After resolution: FEAM's configuration applied. *)
+  let actual_after = run_binary params binary target staged_path extended in
   {
     binary;
     target_name = Site.name target;
-    basic_ready;
-    basic_reasons;
-    extended_ready;
-    extended_reasons;
-    staged_copies;
+    basic_ready = basic.ready;
+    basic_reasons = basic.reasons;
+    extended_ready = extended.ready;
+    extended_reasons = extended.reasons;
+    staged_copies = extended.staged;
     actual_before;
     actual_after;
   }
 
-(* All migrations of the corpus: each binary to every *other* site with a
-   matching MPI implementation.  The describe memo is enabled for the
-   run: the same library image re-described at the same site across
-   cells parses once (hit rate surfaces in bdc.describe_cache metrics). *)
+(* All migrations of the corpus, one per matrix cell.  The describe memo
+   is enabled for the run: the same library image re-described at the
+   same site across cells parses once (hit rate surfaces in
+   bdc.describe_cache metrics). *)
 let run_all ?clock ?bundle_filter params sites binaries =
   Feam_core.Bdc.set_describe_memo ();
   Fun.protect ~finally:Feam_core.Bdc.clear_describe_memo @@ fun () ->
-  List.concat_map
-    (fun binary ->
-      sites
-      |> List.filter (fun target ->
-             Site.name target <> Site.name binary.Testset.home
-             && has_matching_impl binary target)
-      |> List.map (fun target -> migrate ?clock ?bundle_filter params binary target))
-    binaries
+  List.map
+    (fun (binary, target) -> migrate ?clock ?bundle_filter params binary target)
+    (cells sites binaries)
 
 let of_suite suite migrations =
   List.filter

@@ -32,8 +32,67 @@ val user_stack_choice :
 
 val has_matching_impl : Testset.binary -> Feam_sysmodel.Site.t -> bool
 
-(** Run one migration (cleans target-side staging before and after).
-    [bundle_filter] transforms the source-phase bundle before the
+(** {1 The matrix cell}
+
+    One cell is a (binary, target site) pair.  Every harness that walks
+    the matrix — drift, serve, journals, depot, audit, timing, symbol
+    impact — enumerates cells and runs their steps through the names
+    below, so each decision is made in one place. *)
+
+(** The cell criterion: every site other than the binary's home that
+    offers a matching MPI implementation, in site order. *)
+val targets :
+  Feam_sysmodel.Site.t list -> Testset.binary -> Feam_sysmodel.Site.t list
+
+(** Every cell of a corpus, binary-major, in corpus then site order. *)
+val cells :
+  Feam_sysmodel.Site.t list ->
+  Testset.binary list ->
+  (Testset.binary * Feam_sysmodel.Site.t) list
+
+(** Where a migrated binary is staged at the target. *)
+val migrated_dir : string
+
+(** [with_staged binary target f] cleans the target's staging areas
+    ([migrated_dir] and /tmp/feam), stages [binary] under
+    [migrated_dir] and runs [f] on the staged path.  The target is
+    cleaned again afterwards, also when [f] raises. *)
+val with_staged :
+  Testset.binary -> Feam_sysmodel.Site.t -> (string -> 'a) -> 'a
+
+(** The source phase at the binary's home site under its build stack. *)
+val source_bundle :
+  ?clock:Feam_util.Sim_clock.t ->
+  Testset.binary ->
+  (Feam_core.Bundle.t, string) result
+
+(** One prediction, reduced to what the matrix records. *)
+type verdict = {
+  ready : bool;
+  reasons : string list;
+  staged : string list;  (** libraries resolved from the bundle *)
+  stack : string option;
+      (** the stack the prediction selected, which ground truth runs on *)
+}
+
+(** Basic prediction of the staged binary: the target phase without a
+    bundle.  Clears the target's /tmp/feam afterwards. *)
+val basic_prediction :
+  ?clock:Feam_util.Sim_clock.t -> Feam_sysmodel.Site.t -> string -> verdict
+
+(** Extended prediction of the staged binary: {!source_bundle}, passed
+    through [bundle_filter], then the target phase with the bundle. *)
+val extended_prediction :
+  ?clock:Feam_util.Sim_clock.t ->
+  ?bundle_filter:(Feam_core.Bundle.t -> Feam_core.Bundle.t) ->
+  Testset.binary ->
+  Feam_sysmodel.Site.t ->
+  string ->
+  verdict
+
+(** Run one migration: {!with_staged}, {!basic_prediction}, the
+    before-resolution run, {!extended_prediction}, the after-resolution
+    run.  [bundle_filter] transforms the source-phase bundle before the
     extended target phase — the ablation study's hook. *)
 val migrate :
   ?clock:Feam_util.Sim_clock.t ->
@@ -43,7 +102,7 @@ val migrate :
   Feam_sysmodel.Site.t ->
   migration
 
-(** All migrations of a corpus. *)
+(** All migrations of a corpus, one per {!cells} entry. *)
 val run_all :
   ?clock:Feam_util.Sim_clock.t ->
   ?bundle_filter:(Feam_core.Bundle.t -> Feam_core.Bundle.t) ->

@@ -38,28 +38,20 @@ let examine binary target =
 
 let measure sites binaries =
   List.fold_left
-    (fun acc (binary : Testset.binary) ->
-      List.fold_left
-        (fun acc target ->
-          if
-            Site.name target = Site.name binary.Testset.home
-            || not (Migrate.has_matching_impl binary target)
-          then acc
-          else
-            match examine binary target with
-            | None -> acc
-            | Some (accepted, overturns) ->
-              let overturned = accepted && overturns <> [] in
-              {
-                migrations = acc.migrations + 1;
-                lib_accepted = (acc.lib_accepted + if accepted then 1 else 0);
-                overturned = (acc.overturned + if overturned then 1 else 0);
-                miss_symbols =
-                  (acc.miss_symbols
-                  + if overturned then List.length overturns else 0);
-              })
-        acc sites)
-    empty binaries
+    (fun acc (binary, target) ->
+      match examine binary target with
+      | None -> acc
+      | Some (accepted, overturns) ->
+        let overturned = accepted && overturns <> [] in
+        {
+          migrations = acc.migrations + 1;
+          lib_accepted = (acc.lib_accepted + if accepted then 1 else 0);
+          overturned = (acc.overturned + if overturned then 1 else 0);
+          miss_symbols =
+            (acc.miss_symbols + if overturned then List.length overturns else 0);
+        })
+    empty
+    (Migrate.cells sites binaries)
 
 let of_suite suite sites binaries =
   measure sites

@@ -100,3 +100,10 @@ let of_suite suite binaries =
 let count_by_suite binaries =
   ( List.length (of_suite Benchmark.Nas binaries),
     List.length (of_suite Benchmark.Spec_mpi2007 binaries) )
+
+(* An id-keyed lookup over [binaries], built once per call: the first
+   binary with the given id, [Not_found] when none has it. *)
+let by_id binaries =
+  let tbl = Hashtbl.create (List.length binaries) in
+  List.iter (fun b -> Hashtbl.add tbl b.id b) (List.rev binaries);
+  Hashtbl.find tbl

@@ -42,3 +42,8 @@ val of_suite : Feam_suites.Benchmark.suite -> binary list -> binary list
 
 (** (NPB count, SPEC count). *)
 val count_by_suite : binary list -> int * int
+
+(** [by_id binaries] builds an id-keyed index once; applying it to an id
+    returns the first binary with that id ([Not_found] when none has
+    it). *)
+val by_id : binary list -> string -> binary

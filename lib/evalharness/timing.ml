@@ -29,20 +29,12 @@ let time_migration binary target =
         ("target", Feam_obs.Span.Str (Site.name target));
       ]
   @@ fun () ->
-  let config = Feam_core.Config.default in
   Vfs.remove_tree (Site.vfs target) "/tmp/feam";
   let source_clock = Sim_clock.create () in
-  let home_env =
-    Modules_tool.load_stack
-      (Site.base_env binary.Testset.home)
-      binary.Testset.install
-  in
   let bundle =
     Feam_obs.with_sim_phase ~name:"eval.source_phase" ~metric:phase_metric
       ~phase:"source" source_clock
-    @@ fun () ->
-    Feam_core.Phases.source_phase ~clock:source_clock config
-      binary.Testset.home home_env ~binary_path:binary.Testset.home_path
+    @@ fun () -> Migrate.source_bundle ~clock:source_clock binary
   in
   let target_clock = Sim_clock.create () in
   Feam_obs.with_sim_phase ~name:"eval.target_phase" ~metric:phase_metric
@@ -51,7 +43,8 @@ let time_migration binary target =
   (match bundle with
   | Ok bundle ->
     ignore
-      (Feam_core.Phases.target_phase ~clock:target_clock config target
+      (Feam_core.Phases.target_phase ~clock:target_clock
+         Feam_core.Config.default target
          (Site.base_env target) ~bundle ())
   | Error _ -> ());
   Vfs.remove_tree (Site.vfs target) "/tmp/feam";
@@ -74,14 +67,7 @@ let sample_timings sites binaries =
           binaries)
       sites
   in
-  List.concat_map
-    (fun binary ->
-      sites
-      |> List.filter (fun t ->
-             Site.name t <> Site.name binary.Testset.home
-             && Migrate.has_matching_impl binary t)
-      |> List.map (fun t -> time_migration binary t))
-    sample
+  List.map (fun (b, t) -> time_migration b t) (Migrate.cells sites sample)
 
 (* Per-phase breakdown, read back from the observability registry: one
    row per phase the harness timed since the last reset, with the count
@@ -120,20 +106,10 @@ let max_seconds timings =
    homed at a site, merged (distinct library copies counted once) — the
    quantity the paper reports averaging ~45 MB. *)
 let site_bundle_bytes binaries site =
-  let config = Feam_core.Config.default in
   let bundles =
     binaries
     |> List.filter (fun b -> Site.name b.Testset.home = Site.name site)
-    |> List.filter_map (fun b ->
-           let env =
-             Modules_tool.load_stack (Site.base_env site) b.Testset.install
-           in
-           match
-             Feam_core.Phases.source_phase config site env
-               ~binary_path:b.Testset.home_path
-           with
-           | Ok bundle -> Some bundle
-           | Error _ -> None)
+    |> List.filter_map (fun b -> Result.to_option (Migrate.source_bundle b))
   in
   Feam_core.Bundle.merged_library_bytes bundles
 

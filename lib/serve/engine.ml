@@ -87,11 +87,7 @@ let create ?specs ?benchmarks ?(clock = Feam_obs.Clock.fixed ()) ~seed () =
      queries and re-evaluations share one description cache. *)
   Feam_core.Bdc.set_describe_memo ();
   let sites, binaries = Driftrun.build_world params specs benchmarks [] in
-  let cells =
-    List.map
-      (fun (b, target) -> Driftrun.predict_cell b target)
-      (Driftrun.all_cells sites binaries)
-  in
+  let cells = Driftrun.predict_all sites binaries in
   let t =
     {
       params;
@@ -146,14 +142,12 @@ let affected_cells t (changes : Evidence.Store.change list) =
       t.cells
 
 let reevaluate t cells =
+  let binary = Testset.by_id t.binaries in
   List.map
     (fun (c : Snapshot.cell) ->
-      let binary =
-        List.find
-          (fun (b : Testset.binary) -> b.Testset.id = c.Snapshot.cl_binary)
-          t.binaries
-      in
-      Driftrun.predict_cell binary (Sites.find_by_name t.sites c.Snapshot.cl_target))
+      Driftrun.predict_cell
+        (binary c.Snapshot.cl_binary)
+        (Sites.find_by_name t.sites c.Snapshot.cl_target))
     cells
 
 (* Extend the matrix after a registration: evaluate the pairs the new
@@ -415,11 +409,7 @@ let snapshot_fleet t ~out ~write_file =
    prediction pass over the resident world must serialize identically
    to the incrementally maintained table. *)
 let crosscheck_matches t =
-  let full =
-    List.map
-      (fun (b, target) -> Driftrun.predict_cell b target)
-      (Driftrun.all_cells t.sites t.binaries)
-  in
+  let full = Driftrun.predict_all t.sites t.binaries in
   String.equal
     (Driftrun.cells_doc ~epoch:t.epoch ~seed:t.seed t.cells)
     (Driftrun.cells_doc ~epoch:t.epoch ~seed:t.seed full)

@@ -32,11 +32,6 @@ let build_with active =
   let specs, benchmarks = Lazy.force small_world in
   Driftrun.build_world params specs benchmarks active
 
-let predict_all sites binaries =
-  List.map
-    (fun (b, t) -> Driftrun.predict_cell b t)
-    (Driftrun.all_cells sites binaries)
-
 let with_memo f =
   Feam_core.Bdc.set_describe_memo ();
   Fun.protect ~finally:Feam_core.Bdc.clear_describe_memo f
@@ -47,7 +42,7 @@ let test_double_snapshot_byte_identity () =
   with_memo @@ fun () ->
   let snap () =
     let sites, binaries = build_with [] in
-    let cells = predict_all sites binaries in
+    let cells = Driftrun.predict_all sites binaries in
     Snapshot.to_jsonl
       (Driftrun.snapshot_of_world ~epoch:0 ~seed ~label:"" sites binaries
          ~cells)
@@ -59,7 +54,7 @@ let test_double_snapshot_byte_identity () =
 let test_snapshot_roundtrip () =
   with_memo @@ fun () ->
   let sites, binaries = build_with [] in
-  let cells = predict_all sites binaries in
+  let cells = Driftrun.predict_all sites binaries in
   let snapshot =
     Driftrun.snapshot_of_world ~epoch:3 ~seed ~label:"x @ y" sites binaries
       ~cells
@@ -97,7 +92,7 @@ let test_epoch_store_roundtrip () =
   Sys.remove dir;
   let store = Epoch_store.open_ dir in
   let sites, binaries = build_with [] in
-  let cells = predict_all sites binaries in
+  let cells = Driftrun.predict_all sites binaries in
   let s0 =
     Driftrun.snapshot_of_world ~epoch:0 ~seed ~label:"" sites binaries ~cells
   in
@@ -289,7 +284,7 @@ let prop_flips_within_affected =
     (fun pseed ->
       with_memo @@ fun () ->
       let sites0, binaries0 = build_with [] in
-      let cells0 = predict_all sites0 binaries0 in
+      let cells0 = Driftrun.predict_all sites0 binaries0 in
       let base =
         Driftrun.snapshot_of_world ~epoch:0 ~seed:pseed ~label:"" sites0
           binaries0 ~cells:cells0
@@ -305,7 +300,7 @@ let prop_flips_within_affected =
           ~label:(Driftrun.perturbation_label p) sites binaries ~cells:cells0
       in
       let plan = Invalidate.affected base candidate in
-      let full = predict_all sites binaries in
+      let full = Driftrun.predict_all sites binaries in
       let flips = Invalidate.flips ~before:cells0 ~after:full in
       List.for_all
         (fun (f : Invalidate.flip) ->
@@ -327,13 +322,40 @@ let test_sequence_incremental_matches_full () =
      cell for cell, byte for byte *)
   let base = List.hd (Driftrun.snapshots result) in
   let sites, binaries = build_with [] in
-  let full_cells =
-    List.map Driftrun.cell_of_migration (Migrate.run_all params sites binaries)
-  in
+  let migrations = Migrate.run_all params sites binaries in
+  let full_cells = List.map Driftrun.cell_of_migration migrations in
   Alcotest.(check string)
     "baseline cells equal Migrate.run_all's predictions"
     (Driftrun.cells_doc ~epoch:0 ~seed full_cells)
     (Driftrun.cells_doc ~epoch:0 ~seed base.Snapshot.cells);
+  (* and every other matrix walk enumerates exactly run_all's cells, in
+     the same order *)
+  let pairs =
+    List.map
+      (fun (m : Migrate.migration) ->
+        (m.Migrate.binary.Testset.id, m.Migrate.target_name))
+      migrations
+  in
+  let pair ((b : Testset.binary), target) =
+    (b.Testset.id, Feam_sysmodel.Site.name target)
+  in
+  Alcotest.(check (list (pair string string)))
+    "Driftrun.all_cells lists run_all's cells" pairs
+    (List.map pair (Driftrun.all_cells sites binaries));
+  Alcotest.(check (list (pair string string)))
+    "Depot_stats.run plans run_all's cells" pairs
+    (List.map
+       (fun (c : Depot_stats.cell) ->
+         (c.Depot_stats.dc_binary.Testset.id, c.Depot_stats.dc_target))
+       (Depot_stats.run sites binaries).Depot_stats.ds_cells);
+  Alcotest.(check (list string))
+    "Journals.write_cells journals run_all's cells"
+    (List.map
+       (fun (m : Migrate.migration) ->
+         Journals.cell_name m.Migrate.binary
+           (Sites.find_by_name sites m.Migrate.target_name))
+       migrations)
+    (Journals.write_cells ~write:(fun ~name:_ _ -> ()) sites binaries);
   (* some post-baseline epoch re-evaluated strictly fewer cells than the
      matrix, and none re-evaluated more *)
   let post = List.tl (Driftrun.timeline result) in

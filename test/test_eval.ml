@@ -202,6 +202,27 @@ let test_determinism_of_migrations () =
         (Feam_dynlinker.Exec.outcome_to_string b.Migrate.actual_after))
     m1 m2
 
+let test_failed_cell_cleans_target () =
+  (* a cell that raises midway still leaves the target clean *)
+  let sites, binaries =
+    Driftrun.build_world params (Driftrun.small_specs ())
+      (Driftrun.small_benchmarks ()) []
+  in
+  let binary, target = List.hd (Migrate.cells sites binaries) in
+  (match
+     Migrate.migrate ~bundle_filter:(fun _ -> failwith "boom") params binary
+       target
+   with
+  | _ -> Alcotest.fail "the bundle filter never ran"
+  | exception Failure msg -> Alcotest.(check string) "raised" "boom" msg);
+  List.iter
+    (fun dir ->
+      Alcotest.(check (list string))
+        (dir ^ " is empty at the target")
+        []
+        (Vfs.find_under (Site.vfs target) dir (fun _ -> true)))
+    [ "/home/user/migrated"; "/tmp/feam" ]
+
 let suite =
   ( "evaluation",
     [
@@ -220,4 +241,6 @@ let suite =
       Alcotest.test_case "timing under 5 minutes" `Slow test_timing_under_five_minutes;
       Alcotest.test_case "bundle sizes" `Slow test_bundle_sizes_realistic;
       Alcotest.test_case "experiment determinism" `Slow test_determinism_of_migrations;
+      Alcotest.test_case "failed cell cleans the target" `Quick
+        test_failed_cell_cleans_target;
     ] )
