@@ -363,13 +363,7 @@ let bench_drift_incremental =
       let base, candidate, sites, binaries = Lazy.force drift_fixture in
       let plan = Feam_drift.Invalidate.affected base candidate in
       let reevaluated =
-        let binary = Testset.by_id binaries in
-        List.map
-          (fun (c : Feam_drift.Invalidate.cell_id) ->
-            Driftrun.predict_cell
-              (binary c.Feam_drift.Invalidate.ci_binary)
-              (Sites.find_by_name sites c.Feam_drift.Invalidate.ci_target))
-          plan.Feam_drift.Invalidate.pl_affected
+        Driftrun.reevaluate sites binaries plan.Feam_drift.Invalidate.pl_affected
       in
       ignore
         (Feam_drift.Invalidate.merge

@@ -163,22 +163,6 @@ let run_one (sc : Scengen.t) =
   let r_lint = Verdict.of_findings findings in
   let r_sym = Verdict.of_symcheck sym in
   let r_oracle = Verdict.of_outcome outcome in
-  let r_unsound =
-    match r_failure with
-    | None -> []
-    | Some f ->
-      List.filter
-        (fun p ->
-          let v =
-            match p with
-            | Verdict.Tec -> r_tec
-            | Verdict.Lint -> r_lint
-            | Verdict.Symcheck -> r_sym
-            | Verdict.Oracle -> r_oracle
-          in
-          Verdict.strictly_ready v && Verdict.claims p f)
-        [ Verdict.Tec; Verdict.Lint; Verdict.Symcheck ]
-  in
   let r =
     {
       r_scenario = sc;
@@ -187,10 +171,19 @@ let run_one (sc : Scengen.t) =
       r_sym;
       r_oracle;
       r_failure;
-      r_unsound;
+      r_unsound = [];
       r_findings = findings;
     }
   in
+  let r_unsound =
+    match r_failure with
+    | None -> []
+    | Some f ->
+      List.filter
+        (fun p -> Verdict.strictly_ready (verdict_of r p) && Verdict.claims p f)
+        [ Verdict.Tec; Verdict.Lint; Verdict.Symcheck ]
+  in
+  let r = { r with r_unsound } in
   record_run r;
   r
 

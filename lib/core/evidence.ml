@@ -7,12 +7,11 @@
    resolution walk consults.  Flattened through `Feam_flightrec.Diff`,
    those documents become (owner, dotted path, value) *evidence atoms*,
    and this module records which of the four determinants each atom
-   feeds.  The map was born in the drift observatory
-   (`lib/drift/invalidate.ml`); it lives here so that epoch drift and
-   the resident prediction service share one invalidation engine: any
-   consumer that keeps verdicts warm can diff fresh atoms against a
-   [Store], map the changed paths to determinants, and re-evaluate only
-   the cells those determinants reach.
+   feeds.  It is also the only place atoms are diffed: epoch drift
+   ([Feam_drift.Invalidate.affected]) runs [diff] over two epochs'
+   atoms, the resident prediction service runs it through a [Store]
+   against each owner's resident atoms, and both hand the resulting
+   changes to the one reach rule, [Feam_drift.Invalidate.plan].
 
    Soundness (DESIGN §13/§14): an atom whose path the map does not
    recognise conservatively invalidates every determinant, so a cell
@@ -92,80 +91,61 @@ let determinants_of_atom owner path =
   | Site_owner _ -> site_determinants path
   | Binary_owner _ -> binary_determinants path
 
-(* -- atoms from the decision documents --------------------------------- *)
+(* -- the one atom diff ------------------------------------------------- *)
 
-let discovery_atoms disc =
-  List.map
-    (fun (p, v) -> ("discovery." ^ p, v))
-    (Feam_flightrec.Diff.atoms (Discovery.to_json disc))
+type change = {
+  ev_owner : owner;
+  ev_path : string;
+  ev_before : string option;
+  ev_after : string option;
+  ev_determinants : string list;
+}
 
-let description_atoms d =
-  List.map
-    (fun (p, v) -> ("description." ^ p, v))
-    (Feam_flightrec.Diff.atoms (Description.to_json d))
+let sort_atoms atoms =
+  List.sort_uniq (fun (a, _) (b, _) -> String.compare a b) atoms
+
+let change owner path before after =
+  {
+    ev_owner = owner;
+    ev_path = path;
+    ev_before = before;
+    ev_after = after;
+    ev_determinants = determinants_of_atom owner path;
+  }
+
+(* Merge-diff two path-sorted atom lists. *)
+let diff_sorted owner olds news =
+  let rec go olds news acc =
+    match (olds, news) with
+    | [], [] -> List.rev acc
+    | (p, v) :: olds, [] -> go olds [] (change owner p (Some v) None :: acc)
+    | [], (p, v) :: news -> go [] news (change owner p None (Some v) :: acc)
+    | (po, vo) :: olds', (pn, vn) :: news' ->
+      let c = String.compare po pn in
+      if c < 0 then go olds' news (change owner po (Some vo) None :: acc)
+      else if c > 0 then go olds news' (change owner pn None (Some vn) :: acc)
+      else if String.equal vo vn then go olds' news' acc
+      else go olds' news' (change owner po (Some vo) (Some vn) :: acc)
+  in
+  go olds news []
+
+let diff owner olds news = diff_sorted owner (sort_atoms olds) (sort_atoms news)
 
 (* -- the resident evidence store --------------------------------------- *)
 
 module Store = struct
-  type change = {
-    ev_owner : owner;
-    ev_path : string;
-    ev_before : string option;
-    ev_after : string option;
-    ev_determinants : string list;
-  }
-
-  (* Per-owner atom maps, each kept sorted by path so [atoms] and the
-     change lists produced by [replace] are deterministic. *)
+  (* Per-owner atom lists, each kept sorted by path so the change lists
+     [replace] produces are deterministic. *)
   type t = (owner, (string * string) list) Hashtbl.t
 
   let create () : t = Hashtbl.create 64
 
-  let sort_atoms atoms =
-    List.sort_uniq (fun (a, _) (b, _) -> String.compare a b) atoms
-
-  let atoms (t : t) owner =
-    Option.value ~default:[] (Hashtbl.find_opt t owner)
-
-  let owners (t : t) =
-    Hashtbl.fold (fun o _ acc -> o :: acc) t [] |> List.sort compare_owner
-
   let size (t : t) =
     Hashtbl.fold (fun _ atoms acc -> acc + List.length atoms) t 0
 
-  let change owner path before after =
-    {
-      ev_owner = owner;
-      ev_path = path;
-      ev_before = before;
-      ev_after = after;
-      ev_determinants = determinants_of_atom owner path;
-    }
-
-  (* Merge-diff two path-sorted atom lists. *)
-  let diff owner olds news =
-    let rec go olds news acc =
-      match (olds, news) with
-      | [], [] -> List.rev acc
-      | (p, v) :: olds, [] -> go olds [] (change owner p (Some v) None :: acc)
-      | [], (p, v) :: news -> go [] news (change owner p None (Some v) :: acc)
-      | (po, vo) :: olds', (pn, vn) :: news' ->
-        let c = String.compare po pn in
-        if c < 0 then go olds' news (change owner po (Some vo) None :: acc)
-        else if c > 0 then go olds news' (change owner pn None (Some vn) :: acc)
-        else if String.equal vo vn then go olds' news' acc
-        else go olds' news' (change owner po (Some vo) (Some vn) :: acc)
-    in
-    go olds news []
-
   let replace (t : t) owner new_atoms =
     let news = sort_atoms new_atoms in
-    let changes = diff owner (atoms t owner) news in
+    let olds = Option.value ~default:[] (Hashtbl.find_opt t owner) in
     Hashtbl.replace t owner news;
-    changes
-
-  let remove (t : t) owner =
-    let changes = diff owner (atoms t owner) [] in
-    Hashtbl.remove t owner;
-    changes
+    diff_sorted owner olds news
 end

@@ -1,69 +1,50 @@
-(** The determinant<-evidence dependency map and the resident evidence
-    store: [Tec.decide]'s inputs flattened into flightrec evidence
-    atoms, with the map from each atom path to the determinants it
-    feeds.  Promoted from the drift observatory so epoch drift
-    ([Feam_drift.Invalidate]) and the resident prediction service
-    ([Feam_serve]) share one invalidation engine. *)
+(** The determinant<-evidence dependency map and the one atom diff:
+    [Tec.decide]'s inputs flattened into flightrec evidence atoms, the
+    map from each atom path to the determinants it feeds, and the diff
+    that epoch drift ([Feam_drift.Invalidate]) and the resident
+    prediction service ([Feam_serve]) both run. *)
 
 type owner = Site_owner of string | Binary_owner of string
 
 val owner_to_string : owner -> string
 
+(** Sites before binaries, each by name. *)
 val compare_owner : owner -> owner -> int
 
 (** The four determinant names, in the paper's evaluation order,
     matching the flight recorder's decision records. *)
 val all_determinants : string list
 
-(** Determinants a site-owned atom path feeds. *)
-val site_determinants : string -> string list
-
-(** Determinants a binary-owned atom path feeds. *)
-val binary_determinants : string -> string list
-
 (** Determinants an (owner, path) atom feeds.  Unknown paths
     conservatively return [all_determinants] — soundness over
     precision. *)
 val determinants_of_atom : owner -> string -> string list
 
-(** A target-site discovery as ["discovery."]-prefixed atoms. *)
-val discovery_atoms : Discovery.t -> (string * string) list
+type change = {
+  ev_owner : owner;
+  ev_path : string;
+  ev_before : string option;  (** old value; [None] if added *)
+  ev_after : string option;  (** new value; [None] if removed *)
+  ev_determinants : string list;
+      (** determinants the atom feeds; [[]] means verdict-inert *)
+}
 
-(** A binary description as ["description."]-prefixed atoms. *)
-val description_atoms : Description.t -> (string * string) list
+(** [diff owner olds news]: one owner's atom changes, sorted by path
+    and annotated with the determinants each feeds.  The inputs need
+    not be sorted; unchanged atoms yield nothing. *)
+val diff : owner -> (string * string) list -> (string * string) list -> change list
 
 (** A mutable store of the fleet's current evidence atoms, keyed by
-    owner.  [replace] diffs an owner's fresh capture against the
-    resident atoms and returns the changes — each already annotated
-    with the determinants it invalidates — so callers re-evaluate only
-    what the changes reach. *)
+    owner. *)
 module Store : sig
-  type change = {
-    ev_owner : owner;
-    ev_path : string;
-    ev_before : string option;  (** resident value; [None] if added *)
-    ev_after : string option;  (** fresh value; [None] if removed *)
-    ev_determinants : string list;
-        (** determinants the atom feeds; [[]] means verdict-inert *)
-  }
-
   type t
 
   val create : unit -> t
 
-  (** Resident atoms of one owner, sorted by path. *)
-  val atoms : t -> owner -> (string * string) list
-
-  (** Resident owners, sorted sites-then-binaries. *)
-  val owners : t -> owner list
-
   (** Total resident atom count. *)
   val size : t -> int
 
-  (** Replace an owner's atoms with a fresh capture; returns the
-      changes sorted by path (empty when nothing changed). *)
+  (** Replace an owner's atoms with a fresh capture; returns
+      [diff owner resident fresh]. *)
   val replace : t -> owner -> (string * string) list -> change list
-
-  (** Drop an owner; returns one removal change per resident atom. *)
-  val remove : t -> owner -> change list
 end

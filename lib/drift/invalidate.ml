@@ -3,27 +3,24 @@
    matrix cells whose verdicts could depend on it, and hand back the
    exact re-evaluation set.
 
-   The dependency map is read off `Tec.decide`'s per-determinant
-   evidence records: which discovery/description facts each of the four
-   determinants (isa, glibc, mpi_stack, shared_libraries) consumes.
-   Soundness argument (DESIGN §13): the verdict of a cell is a pure
-   function of its binary's atoms and its target site's atoms; an atom
-   unknown to the map conservatively invalidates every determinant, so
-   a cell outside the affected set has byte-identical inputs across the
-   two epochs and therefore a byte-identical verdict. *)
+   The dependency map and the atom diff live in [Feam_core.Evidence];
+   [plan] is the one reach rule from changes to cells, shared with the
+   resident prediction service.  Soundness argument (DESIGN §13): the
+   verdict of a cell is a pure function of its binary's atoms and its
+   target site's atoms; an atom unknown to the map conservatively
+   invalidates every determinant, so a cell outside the affected set
+   has byte-identical inputs across the two epochs and therefore a
+   byte-identical verdict. *)
 
 module Json = Feam_util.Json
+module Evidence = Feam_core.Evidence
 
 type cell_id = { ci_binary : string; ci_target : string }
 
 let cell_id_key c = c.ci_binary ^ "->" ^ c.ci_target
 
 type change = {
-  ch_owner : Snapshot.owner;
-  ch_path : string;
-  ch_a : string option;
-  ch_b : string option;
-  ch_determinants : string list;
+  ch_atom : Evidence.change;
   ch_cells : cell_id list;  (* cells this atom invalidates, sorted *)
 }
 
@@ -35,91 +32,50 @@ type plan = {
   pl_changes : change list;
 }
 
-(* -- the determinant <- evidence dependency map ------------------------ *)
-
-(* The map itself lives in [Feam_core.Evidence] (promoted from here so
-   the resident prediction service shares it); this module keeps the
-   epoch-level diffing and planning on top. *)
-
-let all_determinants = Feam_core.Evidence.all_determinants
-
-let determinants_of_atom = Feam_core.Evidence.determinants_of_atom
-
-(* -- atom diff --------------------------------------------------------- *)
-
 let compare_cells a b = compare (a.ci_binary, a.ci_target) (b.ci_binary, b.ci_target)
 
-let compare_owners = Feam_core.Evidence.compare_owner
+(* -- the reach rule ---------------------------------------------------- *)
 
 (* Cells a changed atom invalidates: site atoms reach the cells
    targeting that site (home-side effects surface as binary atoms — the
    snapshot captures the bundle the home site produces); binary atoms
-   reach every cell of that binary. *)
-let cells_of_owner cells owner determinants =
-  if determinants = [] then []
+   reach every cell of that binary; verdict-inert atoms reach nothing. *)
+let reach cells (ev : Evidence.change) =
+  if ev.Evidence.ev_determinants = [] then []
   else
     List.filter
       (fun (c : Snapshot.cell) ->
-        match owner with
-        | Snapshot.Site_owner s -> c.Snapshot.cl_target = s
-        | Snapshot.Binary_owner b -> c.Snapshot.cl_binary = b)
+        match ev.Evidence.ev_owner with
+        | Evidence.Site_owner s -> c.Snapshot.cl_target = s
+        | Evidence.Binary_owner b -> c.Snapshot.cl_binary = b)
       cells
     |> List.map (fun (c : Snapshot.cell) ->
            { ci_binary = c.Snapshot.cl_binary; ci_target = c.Snapshot.cl_target })
     |> List.sort_uniq compare_cells
 
-let affected (a : Snapshot.t) (b : Snapshot.t) =
-  let index atoms =
-    let tbl = Hashtbl.create 1024 in
-    List.iter (fun (owner, path, v) -> Hashtbl.replace tbl (owner, path) v) atoms;
-    tbl
-  in
-  let atoms_a = Snapshot.evidence_atoms a in
-  let atoms_b = Snapshot.evidence_atoms b in
-  let ia = index atoms_a and ib = index atoms_b in
-  let changed = Hashtbl.create 64 in
-  List.iter
-    (fun (owner, path, va) ->
-      match Hashtbl.find_opt ib (owner, path) with
-      | Some vb when vb = va -> ()
-      | Some vb -> Hashtbl.replace changed (owner, path) (Some va, Some vb)
-      | None -> Hashtbl.replace changed (owner, path) (Some va, None))
-    atoms_a;
-  List.iter
-    (fun (owner, path, vb) ->
-      if not (Hashtbl.mem ia (owner, path)) then
-        Hashtbl.replace changed (owner, path) (None, Some vb))
-    atoms_b;
-  let changes =
-    Hashtbl.fold
-      (fun (owner, path) (va, vb) acc ->
-        let determinants = determinants_of_atom owner path in
-        {
-          ch_owner = owner;
-          ch_path = path;
-          ch_a = va;
-          ch_b = vb;
-          ch_determinants = determinants;
-          ch_cells = cells_of_owner a.Snapshot.cells owner determinants;
-        }
-        :: acc)
-      changed []
-    |> List.sort (fun x y ->
-           match compare_owners x.ch_owner y.ch_owner with
-           | 0 -> String.compare x.ch_path y.ch_path
-           | c -> c)
-  in
-  let affected =
-    List.concat_map (fun c -> c.ch_cells) changes
-    |> List.sort_uniq compare_cells
-  in
+let plan ~epoch_a ~epoch_b cells evs =
+  let changes = List.map (fun ev -> { ch_atom = ev; ch_cells = reach cells ev }) evs in
   {
-    pl_epoch_a = a.Snapshot.epoch;
-    pl_epoch_b = b.Snapshot.epoch;
-    pl_cells_total = List.length a.Snapshot.cells;
-    pl_affected = affected;
+    pl_epoch_a = epoch_a;
+    pl_epoch_b = epoch_b;
+    pl_cells_total = List.length cells;
+    pl_affected =
+      List.concat_map (fun c -> c.ch_cells) changes |> List.sort_uniq compare_cells;
     pl_changes = changes;
   }
+
+(* Owners in [compare_owner] order, each owner's atoms diffed by path:
+   the changes come out in (owner, path) order. *)
+let affected (a : Snapshot.t) (b : Snapshot.t) =
+  let atoms_a = Snapshot.evidence_atoms a and atoms_b = Snapshot.evidence_atoms b in
+  let atoms_of atoms owner = Option.value ~default:[] (List.assoc_opt owner atoms) in
+  let owners =
+    List.sort_uniq Evidence.compare_owner (List.map fst atoms_a @ List.map fst atoms_b)
+  in
+  plan ~epoch_a:a.Snapshot.epoch ~epoch_b:b.Snapshot.epoch a.Snapshot.cells
+    (List.concat_map
+       (fun o -> Evidence.diff o (atoms_of atoms_a o) (atoms_of atoms_b o))
+       owners)
 
 let is_affected plan ~binary ~target =
   List.exists
@@ -220,10 +176,11 @@ let side = function None -> "(absent)" | Some v -> v
 
 let render_change_line at =
   let ch = at.at_change in
+  let ev = ch.ch_atom in
   Printf.sprintf "  %s %s: %s -> %s [%s] invalidates %d cell%s%s\n"
-    (Snapshot.owner_to_string ch.ch_owner)
-    ch.ch_path (side ch.ch_a) (side ch.ch_b)
-    (String.concat "," ch.ch_determinants)
+    (Snapshot.owner_to_string ev.Evidence.ev_owner)
+    ev.Evidence.ev_path (side ev.Evidence.ev_before) (side ev.Evidence.ev_after)
+    (String.concat "," ev.Evidence.ev_determinants)
     (List.length ch.ch_cells)
     (if List.length ch.ch_cells = 1 then "" else "s")
     (if at.at_to_ready + at.at_to_not_ready = 0 then ""
@@ -266,17 +223,17 @@ let to_json plan flips =
         Json.List
           (List.map
              (fun at ->
-               let ch = at.at_change in
+               let ev = at.at_change.ch_atom in
                Json.Obj
                  [
-                   ("owner", Json.Str (Snapshot.owner_to_string ch.ch_owner));
-                   ("path", Json.Str ch.ch_path);
-                   ("a", opt_str ch.ch_a);
-                   ("b", opt_str ch.ch_b);
+                   ("owner", Json.Str (Snapshot.owner_to_string ev.Evidence.ev_owner));
+                   ("path", Json.Str ev.Evidence.ev_path);
+                   ("a", opt_str ev.Evidence.ev_before);
+                   ("b", opt_str ev.Evidence.ev_after);
                    ( "determinants",
                      Json.List
-                       (List.map (fun d -> Json.Str d) ch.ch_determinants) );
-                   ("cells", Json.Int (List.length ch.ch_cells));
+                       (List.map (fun d -> Json.Str d) ev.Evidence.ev_determinants) );
+                   ("cells", Json.Int (List.length at.at_change.ch_cells));
                    ("to_ready", Json.Int at.at_to_ready);
                    ("to_not_ready", Json.Int at.at_to_not_ready);
                  ])

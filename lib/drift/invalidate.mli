@@ -1,7 +1,7 @@
-(** The invalidation engine: diff two epoch snapshots' evidence atoms,
-    map each flipped atom through the determinant<-evidence dependency
-    map (read off [Tec.decide]'s per-determinant evidence records) to
-    the exact set of matrix cells needing re-evaluation. *)
+(** The invalidation engine: diff two epoch snapshots' evidence atoms
+    and map each changed atom through the determinant<-evidence
+    dependency map (read off [Tec.decide]'s per-determinant evidence
+    records) to the exact set of matrix cells needing re-evaluation. *)
 
 type cell_id = { ci_binary : string; ci_target : string }
 
@@ -9,12 +9,7 @@ type cell_id = { ci_binary : string; ci_target : string }
 val cell_id_key : cell_id -> string
 
 type change = {
-  ch_owner : Snapshot.owner;
-  ch_path : string;
-  ch_a : string option;  (** value in the base epoch; [None] if added *)
-  ch_b : string option;  (** value in the new epoch; [None] if removed *)
-  ch_determinants : string list;
-      (** determinants this atom feeds; [[]] means verdict-inert *)
+  ch_atom : Feam_core.Evidence.change;
   ch_cells : cell_id list;  (** cells this atom invalidates, sorted *)
 }
 
@@ -26,15 +21,20 @@ type plan = {
   pl_changes : change list;
 }
 
-val all_determinants : string list
+(** The one reach rule, shared by drift and the resident prediction
+    service: each change reaches the [cells] of its owner — the cells
+    targeting a site, or every cell of a binary — unless it feeds no
+    determinant. *)
+val plan :
+  epoch_a:int ->
+  epoch_b:int ->
+  Snapshot.cell list ->
+  Feam_core.Evidence.change list ->
+  plan
 
-(** Determinants an (owner, path) atom feeds.  Unknown paths
-    conservatively return [all_determinants] — soundness over
-    precision. *)
-val determinants_of_atom : Snapshot.owner -> string -> string list
-
-(** Diff the evidence atoms of two epochs and compute the
-    re-evaluation set over the base epoch's cell list. *)
+(** Diff the evidence atoms of two epochs ([Feam_core.Evidence.diff],
+    owner by owner) and [plan] the changes over the base epoch's
+    cells.  Changes come out in (owner, path) order. *)
 val affected : Snapshot.t -> Snapshot.t -> plan
 
 val is_affected : plan -> binary:string -> target:string -> bool

@@ -319,11 +319,12 @@ let of_jsonl body =
 
 (* -- evidence atoms ---------------------------------------------------- *)
 
-(* The invalidation engine's vocabulary: each fleet-evidence fact as an
-   (owner, dotted path, value) atom.  Cells and possession are derived
-   data — they are never inputs to invalidation, so they contribute no
-   atoms.  The owner type is the core evidence store's — drift and the
-   resident prediction service share one atom vocabulary. *)
+(* The invalidation engine's vocabulary: each fleet-evidence fact as a
+   (dotted path, value) atom of its owner.  Cells and possession are
+   derived data — they are never inputs to invalidation, so they
+   contribute no atoms.  The owner type is the core evidence store's —
+   drift and the resident prediction service share one atom
+   vocabulary. *)
 
 type owner = Feam_core.Evidence.owner =
   | Site_owner of string
@@ -332,22 +333,20 @@ type owner = Feam_core.Evidence.owner =
 let owner_to_string = Feam_core.Evidence.owner_to_string
 
 let site_atoms s =
-  (("ld_cache_current", string_of_bool s.ss_ld_cache_current)
-   :: List.map (fun (p, v) -> ("discovery." ^ p, v)) (Diff.atoms s.ss_discovery)
-  @ List.map (fun (path, digest) -> ("inventory." ^ path, digest)) s.ss_inventory)
-  |> List.map (fun (p, v) -> (Site_owner s.ss_name, p, v))
+  ("ld_cache_current", string_of_bool s.ss_ld_cache_current)
+  :: List.map (fun (p, v) -> ("discovery." ^ p, v)) (Diff.atoms s.ss_discovery)
+  @ List.map (fun (path, digest) -> ("inventory." ^ path, digest)) s.ss_inventory
 
 let binary_atoms b =
-  (("home", b.bs_home) :: ("digest", b.bs_digest)
-   :: (match b.bs_error with
-      | None -> []
-      | Some e -> [ ("error", e) ])
+  ("home", b.bs_home) :: ("digest", b.bs_digest)
+  :: (match b.bs_error with
+     | None -> []
+     | Some e -> [ ("error", e) ])
   @ List.map (fun (p, v) -> ("description." ^ p, v))
       (Diff.atoms b.bs_description)
-  @ List.map (fun (name, digest) -> ("bundle." ^ name, digest)) b.bs_bundle)
-  |> List.map (fun (p, v) -> (Binary_owner b.bs_id, p, v))
+  @ List.map (fun (name, digest) -> ("bundle." ^ name, digest)) b.bs_bundle
 
 let evidence_atoms t =
   let t = normalize t in
-  List.concat_map site_atoms t.sites
-  @ List.concat_map binary_atoms t.binaries
+  List.map (fun s -> (Site_owner s.ss_name, site_atoms s)) t.sites
+  @ List.map (fun b -> (Binary_owner b.bs_id, binary_atoms b)) t.binaries

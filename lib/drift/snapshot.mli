@@ -86,12 +86,13 @@ type owner = Feam_core.Evidence.owner =
 
 val owner_to_string : owner -> string
 
-(** One site's evidence as (owner, dotted path, value) atoms. *)
-val site_atoms : site_state -> (owner * string * string) list
+(** One site's evidence as (dotted path, value) atoms. *)
+val site_atoms : site_state -> (string * string) list
 
-(** One binary's evidence as (owner, dotted path, value) atoms. *)
-val binary_atoms : binary_state -> (owner * string * string) list
+(** One binary's evidence as (dotted path, value) atoms. *)
+val binary_atoms : binary_state -> (string * string) list
 
-(** Every fleet-evidence fact as an (owner, dotted path, value) atom.
-    Cells and possession are derived data and contribute no atoms. *)
-val evidence_atoms : t -> (owner * string * string) list
+(** Every fleet-evidence fact, as each owner's atoms, sites then
+    binaries, each by name.  Cells and possession are derived data and
+    contribute no atoms. *)
+val evidence_atoms : t -> (owner * (string * string) list) list

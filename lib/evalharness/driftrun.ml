@@ -190,6 +190,17 @@ let predict_cell (binary : Testset.binary) target =
 let predict_all sites binaries =
   List.map (fun (b, t) -> predict_cell b t) (all_cells sites binaries)
 
+(* The one re-evaluation step of every incremental consumer: predict
+   the cells a plan reached, in the order given. *)
+let reevaluate sites binaries ids =
+  let binary = Testset.by_id binaries in
+  List.map
+    (fun (c : Invalidate.cell_id) ->
+      predict_cell
+        (binary c.Invalidate.ci_binary)
+        (Sites.find_by_name sites c.Invalidate.ci_target))
+    ids
+
 let cell_of_migration (m : Migrate.migration) =
   {
     Snapshot.cl_binary = m.Migrate.binary.Testset.id;
@@ -293,10 +304,11 @@ let entry_of_epoch ~label ~reevaluated ~plan ~flips snapshot =
         List.map
           (fun (at : Invalidate.attribution) ->
             let ch = at.Invalidate.at_change in
+            let ev = ch.Invalidate.ch_atom in
             {
               Timeline.ae_atom =
-                Snapshot.owner_to_string ch.Invalidate.ch_owner
-                ^ " " ^ ch.Invalidate.ch_path;
+                Snapshot.owner_to_string ev.Feam_core.Evidence.ev_owner
+                ^ " " ^ ev.Feam_core.Evidence.ev_path;
               ae_cells = List.length ch.Invalidate.ch_cells;
               ae_to_ready = at.Invalidate.at_to_ready;
               ae_to_not_ready = at.Invalidate.at_to_not_ready;
@@ -357,15 +369,7 @@ let run ?(specs = Sites.specs) ?(benchmarks = Feam_suites.Npb.all @ Feam_suites.
           ~cells:prev.er_snapshot.Snapshot.cells
       in
       let plan = Invalidate.affected prev.er_snapshot candidate in
-      let reevaluated =
-        let binary = Testset.by_id binaries in
-        List.map
-          (fun (c : Invalidate.cell_id) ->
-            predict_cell
-              (binary c.Invalidate.ci_binary)
-              (Sites.find_by_name sites c.Invalidate.ci_target))
-          plan.Invalidate.pl_affected
-      in
+      let reevaluated = reevaluate sites binaries plan.Invalidate.pl_affected in
       let cells =
         Invalidate.merge ~base:prev.er_snapshot.Snapshot.cells ~reevaluated
       in

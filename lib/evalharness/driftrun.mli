@@ -99,6 +99,15 @@ val predict_all :
   Testset.binary list ->
   Feam_drift.Snapshot.cell list
 
+(** Re-evaluate the cells a plan reached ([Invalidate.plan]'s
+    [pl_affected]) with {!predict_cell}, in the order given — the one
+    re-evaluation step drift, [feam serve] and the benches share. *)
+val reevaluate :
+  Feam_sysmodel.Site.t list ->
+  Testset.binary list ->
+  Feam_drift.Invalidate.cell_id list ->
+  Feam_drift.Snapshot.cell list
+
 (** Capture a world as a normalized epoch snapshot around an
     already-computed verdict table. *)
 val snapshot_of_world :

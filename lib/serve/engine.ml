@@ -4,13 +4,15 @@
    One world — sites, compiled test binaries, the migration matrix's
    verdict table — stays resident across requests, together with an
    evidence store ([Feam_core.Evidence.Store]) holding every owner's
-   current atoms.  `predict` is a table lookup.  Mutating verbs
-   recapture only the touched owners, diff the fresh atoms against the
-   store, map the changed paths through the shared determinant<-
-   evidence dependency map, and re-evaluate only the cells those
-   changes reach ([Invalidate.merge] carries every untouched verdict
-   forward) — the same contract the drift observatory applies between
-   epochs, here applied between requests.
+   current atoms.  `predict` is a table lookup.  `update-evidence`
+   recaptures the touched site and the binaries homed there into the
+   store, which diffs them against the resident atoms
+   ([Evidence.diff]); the changes go through the reach rule
+   ([Invalidate.plan]), the reached cells through the re-evaluation
+   step ([Driftrun.reevaluate]), and [Invalidate.merge] carries every
+   untouched verdict forward — the drift observatory's path between
+   epochs, here applied between requests.  Registrations evaluate only
+   the matrix pairs the new owner creates.
 
    Every response is byte-deterministic for a given store state: no
    timestamps, no table-iteration order, no wall-clock anywhere in a
@@ -45,19 +47,17 @@ type t = {
 
 (* -- evidence capture into the store ----------------------------------- *)
 
-let atom_pairs atoms = List.map (fun (_, p, v) -> (p, v)) atoms
-
 let store_site t site =
   let s = Driftrun.capture_site site in
   Evidence.Store.replace t.store
     (Evidence.Site_owner s.Snapshot.ss_name)
-    (atom_pairs (Snapshot.site_atoms s))
+    (Snapshot.site_atoms s)
 
 let store_binary t (binary : Testset.binary) =
   let b = Driftrun.capture_binary binary in
   Evidence.Store.replace t.store
     (Evidence.Binary_owner b.Snapshot.bs_id)
-    (atom_pairs (Snapshot.binary_atoms b))
+    (Snapshot.binary_atoms b)
 
 (* -- bookkeeping ------------------------------------------------------- *)
 
@@ -120,36 +120,6 @@ let epoch t = t.epoch
 
 (* -- incremental re-evaluation ----------------------------------------- *)
 
-(* Cells the changed atoms reach: a site atom invalidates the cells
-   targeting that site, a binary atom the cells of that binary —
-   verdict-inert changes (empty determinant list) reach nothing. *)
-let affected_cells t (changes : Evidence.Store.change list) =
-  let owners =
-    changes
-    |> List.filter (fun c -> c.Evidence.Store.ev_determinants <> [])
-    |> List.map (fun c -> c.Evidence.Store.ev_owner)
-    |> List.sort_uniq Evidence.compare_owner
-  in
-  if owners = [] then []
-  else
-    List.filter
-      (fun (c : Snapshot.cell) ->
-        List.exists
-          (function
-            | Evidence.Site_owner s -> c.Snapshot.cl_target = s
-            | Evidence.Binary_owner b -> c.Snapshot.cl_binary = b)
-          owners)
-      t.cells
-
-let reevaluate t cells =
-  let binary = Testset.by_id t.binaries in
-  List.map
-    (fun (c : Snapshot.cell) ->
-      Driftrun.predict_cell
-        (binary c.Snapshot.cl_binary)
-        (Sites.find_by_name t.sites c.Snapshot.cl_target))
-    cells
-
 (* Extend the matrix after a registration: evaluate the pairs the new
    owners created, keep the resident table in enumeration order. *)
 let extend_matrix t =
@@ -160,18 +130,15 @@ let extend_matrix t =
         not (Hashtbl.mem t.index (b.Testset.id, Site.name target)))
       pairs
   in
-  let evaluated =
-    List.map (fun (b, target) -> Driftrun.predict_cell b target) fresh
-  in
-  let by_key = Hashtbl.create 1024 in
   List.iter
-    (fun (c : Snapshot.cell) ->
-      Hashtbl.replace by_key (c.Snapshot.cl_binary, c.Snapshot.cl_target) c)
-    (t.cells @ evaluated);
+    (fun (b, target) ->
+      Hashtbl.replace t.index (b.Testset.id, Site.name target)
+        (Driftrun.predict_cell b target))
+    fresh;
   t.cells <-
     List.map
       (fun ((b : Testset.binary), target) ->
-        Hashtbl.find by_key (b.Testset.id, Site.name target))
+        Hashtbl.find t.index (b.Testset.id, Site.name target))
       pairs;
   reindex t;
   count_reevaluated t (List.length fresh);
@@ -283,37 +250,35 @@ let update_evidence t site_name action =
             else [])
           t.binaries
     in
-    if changes = [] then
-      ok "update-evidence"
-        [
-          ("site", Json.Str site_name);
-          ("action", Json.Str (Protocol.action_to_string action));
-          ("changed_atoms", Json.Int 0);
-          ("cells_reevaluated", Json.Int 0);
-          ("cells_total", Json.Int (List.length t.cells));
-          ("flips", Json.List []);
-          ("epoch", Json.Int t.epoch);
-        ]
-    else begin
-      let affected = affected_cells t changes in
-      let reevaluated = reevaluate t affected in
-      let before = t.cells in
-      t.cells <- Invalidate.merge ~base:before ~reevaluated;
-      let flips = Invalidate.flips ~before ~after:t.cells in
-      reindex t;
-      count_reevaluated t (List.length reevaluated);
-      t.epoch <- t.epoch + 1;
-      ok "update-evidence"
-        [
-          ("site", Json.Str site_name);
-          ("action", Json.Str (Protocol.action_to_string action));
-          ("changed_atoms", Json.Int (List.length changes));
-          ("cells_reevaluated", Json.Int (List.length reevaluated));
-          ("cells_total", Json.Int (List.length t.cells));
-          ("flips", Json.List (List.map flip_json flips));
-          ("epoch", Json.Int t.epoch);
-        ]
-    end
+    let plan =
+      Invalidate.plan ~epoch_a:t.epoch ~epoch_b:(t.epoch + 1) t.cells changes
+    in
+    (* An update that changes no atom is not a mutation: the epoch,
+       the table and the counters stay as they were. *)
+    let flips =
+      if changes = [] then []
+      else begin
+        let reevaluated =
+          Driftrun.reevaluate t.sites t.binaries plan.Invalidate.pl_affected
+        in
+        let before = t.cells in
+        t.cells <- Invalidate.merge ~base:before ~reevaluated;
+        reindex t;
+        count_reevaluated t (List.length reevaluated);
+        t.epoch <- t.epoch + 1;
+        Invalidate.flips ~before ~after:t.cells
+      end
+    in
+    ok "update-evidence"
+      [
+        ("site", Json.Str site_name);
+        ("action", Json.Str (Protocol.action_to_string action));
+        ("changed_atoms", Json.Int (List.length changes));
+        ("cells_reevaluated", Json.Int (List.length plan.Invalidate.pl_affected));
+        ("cells_total", Json.Int (List.length t.cells));
+        ("flips", Json.List (List.map flip_json flips));
+        ("epoch", Json.Int t.epoch);
+      ]
 
 let register_site t name =
   if find_site t name <> None then err "site-resident" "site is already resident"

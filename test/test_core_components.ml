@@ -255,6 +255,60 @@ let test_edc_glibc_banner_parse () =
        "GNU C Library stable release version 2.3.4, by Roland McGrath et al.\n"
     = Some (v "2.3.4"))
 
+(* -- Evidence: the one atom diff ---------------------------------------- *)
+
+let test_evidence_diff () =
+  let site = Evidence.Site_owner "fir" in
+  let olds =
+    [
+      ("inventory./lib/libm.so", "d1");
+      ("discovery.env_type", "modules");
+      ("discovery.glibc", "2.5");
+      ("ld_cache_current", "true");
+    ]
+  in
+  let news =
+    [
+      ("mystery.atom", "x");
+      ("discovery.glibc", "2.5");
+      ("ld_cache_current", "false");
+      ("discovery.env_type", "softenv");
+    ]
+  in
+  let changes = Evidence.diff site olds news in
+  let show = function None -> "-" | Some v -> v in
+  Alcotest.(check (list string))
+    "path-sorted changes, unchanged atoms dropped"
+    [
+      "discovery.env_type modules softenv";
+      "inventory./lib/libm.so d1 -";
+      "ld_cache_current true false";
+      "mystery.atom - x";
+    ]
+    (List.map
+       (fun c ->
+         String.concat " "
+           [ c.Evidence.ev_path; show c.Evidence.ev_before; show c.Evidence.ev_after ])
+       changes);
+  Alcotest.(check bool) "every change is the owner's" true
+    (List.for_all (fun c -> c.Evidence.ev_owner = site) changes);
+  let determinants path =
+    match List.find_opt (fun c -> c.Evidence.ev_path = path) changes with
+    | Some c -> c.Evidence.ev_determinants
+    | None -> Alcotest.failf "no change at %s" path
+  in
+  Alcotest.(check (list string))
+    "the environment type is verdict-inert" [] (determinants "discovery.env_type");
+  Alcotest.(check (list string))
+    "an unknown path feeds all four determinants"
+    [ "isa"; "glibc"; "mpi_stack"; "shared_libraries" ]
+    (determinants "mystery.atom");
+  Alcotest.(check (list string))
+    "library visibility feeds stack and libraries"
+    [ "mpi_stack"; "shared_libraries" ] (determinants "inventory./lib/libm.so");
+  Alcotest.(check int) "identical captures diff to nothing" 0
+    (List.length (Evidence.diff site news (List.rev news)))
+
 let suite =
   ( "core-components",
     [
@@ -281,4 +335,5 @@ let suite =
       Alcotest.test_case "edc slug rejects non-MPI" `Quick test_edc_slug_rejects_non_mpi;
       Alcotest.test_case "edc missing libraries" `Quick test_edc_missing_libraries;
       Alcotest.test_case "edc glibc banner" `Quick test_edc_glibc_banner_parse;
+      Alcotest.test_case "evidence diff" `Quick test_evidence_diff;
     ] )

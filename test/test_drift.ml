@@ -11,6 +11,7 @@ module Snapshot = Feam_drift.Snapshot
 module Epoch_store = Feam_drift.Epoch_store
 module Invalidate = Feam_drift.Invalidate
 module Timeline = Feam_drift.Timeline
+module Evidence = Feam_core.Evidence
 
 let contains ~affix s =
   let n = String.length affix and m = String.length s in
@@ -213,8 +214,8 @@ let test_attribution_golden () =
   (match
      List.find_opt
        (fun c ->
-         c.Invalidate.ch_owner = Snapshot.Site_owner "siteB"
-         && contains ~affix:"inventory" c.Invalidate.ch_path)
+         c.Invalidate.ch_atom.Evidence.ev_owner = Evidence.Site_owner "siteB"
+         && contains ~affix:"inventory" c.Invalidate.ch_atom.Evidence.ev_path)
        plan.Invalidate.pl_changes
    with
   | None -> Alcotest.fail "siteB inventory change not in the plan"
@@ -222,7 +223,7 @@ let test_attribution_golden () =
     Alcotest.(check (list string))
       "inventory atom feeds the library determinants"
       [ "mpi_stack"; "shared_libraries" ]
-      c.Invalidate.ch_determinants;
+      c.Invalidate.ch_atom.Evidence.ev_determinants;
     Alcotest.(check (list string))
       "and invalidates only siteB-targeted cells" [ "bin1->siteB" ]
       (List.map Invalidate.cell_id_key c.Invalidate.ch_cells));
@@ -240,9 +241,8 @@ let test_attribution_golden () =
     [ "site siteB inventory./usr/lib64/libm.so" ]
     (List.map
        (fun a ->
-         Snapshot.owner_to_string a.Invalidate.at_change.Invalidate.ch_owner
-         ^ " "
-         ^ a.Invalidate.at_change.Invalidate.ch_path)
+         let ev = a.Invalidate.at_change.Invalidate.ch_atom in
+         Snapshot.owner_to_string ev.Evidence.ev_owner ^ " " ^ ev.Evidence.ev_path)
        flipped_atoms);
   (* the text rendering names the change and the flip *)
   let text = Invalidate.render_text plan flips in
@@ -270,11 +270,11 @@ let test_merge_replaces_by_key () =
 (* Unknown atom paths must conservatively invalidate everything. *)
 let test_unknown_atom_is_conservative () =
   Alcotest.(check (list string))
-    "unknown site atom feeds all determinants" Invalidate.all_determinants
-    (Invalidate.determinants_of_atom (Snapshot.Site_owner "s") "mystery.atom");
+    "unknown site atom feeds all determinants" Evidence.all_determinants
+    (Evidence.determinants_of_atom (Evidence.Site_owner "s") "mystery.atom");
   Alcotest.(check (list string))
-    "unknown binary atom feeds all determinants" Invalidate.all_determinants
-    (Invalidate.determinants_of_atom (Snapshot.Binary_owner "b") "mystery")
+    "unknown binary atom feeds all determinants" Evidence.all_determinants
+    (Evidence.determinants_of_atom (Evidence.Binary_owner "b") "mystery")
 
 (* -- qcheck: changed verdicts are a subset of the re-evaluation set ------ *)
 

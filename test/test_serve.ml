@@ -13,6 +13,7 @@ module Daemon = Feam_serve.Daemon
 module Engine = Feam_serve.Engine
 module Snapshot = Feam_drift.Snapshot
 module Driftrun = Feam_evalharness.Driftrun
+module Invalidate = Feam_drift.Invalidate
 
 let contains ~affix s =
   let n = String.length affix and m = String.length s in
@@ -154,7 +155,74 @@ let test_baseline_matches_cold_pass () =
       | Json.Bool b -> b
       | _ -> Alcotest.fail "extended is not a bool")
 
+(* Drift's path for one perturbation of fir on the engine's default
+   world: snapshot before and after, [Invalidate.affected], re-evaluate
+   the plan, and the resulting verdict flips. *)
+let drift_epoch what =
+  let params = { Feam_evalharness.Params.default with seed } in
+  let specs = Driftrun.small_specs () in
+  let benchmarks = Driftrun.small_benchmarks () in
+  let sites0, binaries0 = Driftrun.build_world params specs benchmarks [] in
+  let cells = Driftrun.predict_all sites0 binaries0 in
+  let before =
+    Driftrun.snapshot_of_world ~epoch:0 ~seed ~label:"" sites0 binaries0 ~cells
+  in
+  let p = { Driftrun.pe_site = "fir"; pe_what = what } in
+  let sites, binaries = Driftrun.build_world params specs benchmarks [ p ] in
+  let after =
+    Driftrun.snapshot_of_world ~epoch:1 ~seed
+      ~label:(Driftrun.perturbation_label p) sites binaries ~cells
+  in
+  let plan = Invalidate.affected before after in
+  let reevaluated =
+    Driftrun.reevaluate sites binaries plan.Invalidate.pl_affected
+  in
+  ( plan,
+    Invalidate.flips ~before:cells
+      ~after:(Invalidate.merge ~base:cells ~reevaluated) )
+
+let flip_strings flips =
+  List.map
+    (fun (f : Invalidate.flip) ->
+      Printf.sprintf "%s %b->%b"
+        (Invalidate.cell_id_key f.Invalidate.fp_cell)
+        f.Invalidate.fp_before f.Invalidate.fp_after)
+    flips
+
+let response_flip_strings json =
+  match member_exn "flips" json with
+  | Json.List flips ->
+    List.map
+      (fun f ->
+        match (member_exn "cell" f, member_exn "before" f, member_exn "after" f) with
+        | Json.Str cell, Json.Bool b, Json.Bool a ->
+          Printf.sprintf "%s %b->%b" cell b a
+        | _ -> Alcotest.fail "malformed flip object")
+      flips
+  | _ -> Alcotest.fail "flips is not a list"
+
+(* Serve and drift share one diff, one reach rule and one re-evaluation
+   step, so the same perturbation must read the same on both paths. *)
+let check_agrees_with_drift what (plan, flips) json =
+  Alcotest.(check int)
+    (what ^ ": changed atoms agree with drift")
+    (List.length plan.Invalidate.pl_changes)
+    (int_field "changed_atoms" json);
+  Alcotest.(check int)
+    (what ^ ": re-evaluated cells agree with drift")
+    (List.length plan.Invalidate.pl_affected)
+    (int_field "cells_reevaluated" json);
+  Alcotest.(check (list string))
+    (what ^ ": flips agree with drift")
+    (flip_strings flips) (response_flip_strings json)
+
 let test_update_reevaluates_only_affected () =
+  let drift_stale = drift_epoch Feam_evalharness.Scengen.Stale_ld_cache in
+  let drift_remove =
+    drift_epoch (Feam_evalharness.Scengen.Remove_lib "libm.so")
+  in
+  Alcotest.(check bool)
+    "the stale cache flips some verdict" true (snd drift_stale <> []);
   with_engine @@ fun engine ->
   let total = Engine.resident_cells engine in
   let line =
@@ -163,6 +231,7 @@ let test_update_reevaluates_only_affected () =
          { ue_site = "fir"; ue_action = Protocol.Stale_ld_cache })
   in
   let json = parse_response line in
+  check_agrees_with_drift "stale-ld-cache" drift_stale json;
   let reevaluated = int_field "cells_reevaluated" json in
   Alcotest.(check bool) "some cells re-evaluated" true (reevaluated > 0);
   Alcotest.(check bool)
@@ -183,6 +252,20 @@ let test_update_reevaluates_only_affected () =
     (int_field "cells_reevaluated" json = reevaluated);
   Alcotest.(check bool)
     "restored table equals a cold full pass" true
+    (Engine.crosscheck_matches engine);
+  (* From the restored baseline, a library removal. *)
+  let line =
+    handle engine
+      (Protocol.Update_evidence
+         { ue_site = "fir"; ue_action = Protocol.Remove_lib "libm.so" })
+  in
+  let json = parse_response line in
+  check_agrees_with_drift "remove-lib" drift_remove json;
+  Alcotest.(check bool)
+    "the removal re-evaluates some cells" true
+    (int_field "cells_reevaluated" json > 0);
+  Alcotest.(check bool)
+    "removal table equals a cold full pass" true
     (Engine.crosscheck_matches engine)
 
 let test_inert_update_reevaluates_nothing () =
