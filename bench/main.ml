@@ -212,22 +212,25 @@ let bench_timing =
         (Feam_dynlinker.Exec.run Fixture.target env ~binary_path:path
            ~mode:(Feam_dynlinker.Exec.Mpi 4)) )
 
+let elf_bench_spec =
+  Feam_elf.Spec.make
+    ~needed:[ "libmpi.so.0"; "libc.so.6" ]
+    ~verneeds:
+      [ { Feam_elf.Spec.vn_file = "libc.so.6"; vn_versions = [ "GLIBC_2.2.5" ] } ]
+    Feam_elf.Types.X86_64
+
+(* The parse memo's two sides: a freshly built image always misses, a
+   held image hits on every parse after the first. *)
 let bench_elf =
   ( "substrate/elf-build-parse",
     fun () ->
-      let spec =
-        Feam_elf.Spec.make
-          ~needed:[ "libmpi.so.0"; "libc.so.6" ]
-          ~verneeds:
-            [
-              {
-                Feam_elf.Spec.vn_file = "libc.so.6";
-                vn_versions = [ "GLIBC_2.2.5" ];
-              };
-            ]
-          Feam_elf.Types.X86_64
-      in
-      ignore (Feam_elf.Reader.parse (Feam_elf.Builder.build spec)) )
+      ignore (Feam_elf.Reader.parse (Feam_elf.Builder.build elf_bench_spec)) )
+
+let elf_held_image = lazy (Feam_elf.Builder.build elf_bench_spec)
+
+let bench_elf_hit =
+  ( "substrate/elf-parse-hit",
+    fun () -> ignore (Feam_elf.Reader.parse (Lazy.force elf_held_image)) )
 
 (* -- Depot benches: content hashing, store round-trip, matrix planning -- *)
 
@@ -425,8 +428,9 @@ let all_benches =
   [
     bench_table1; bench_table2; bench_table3_basic; bench_table3_extended;
     bench_table4; bench_fig1; bench_fig2; bench_fig3; bench_fig4;
-    bench_timing; bench_elf; bench_depot_hash; bench_depot_store;
-    bench_depot_plan; bench_agree_scengen; bench_agree_pipeline;
+    bench_timing; bench_elf; bench_elf_hit; bench_depot_hash;
+    bench_depot_store; bench_depot_plan; bench_agree_scengen;
+    bench_agree_pipeline;
     bench_drift_full; bench_drift_incremental;
     bench_factbase_cold; bench_factbase_warm; bench_audit_context;
     bench_serve_query; bench_serve_update;

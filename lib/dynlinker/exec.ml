@@ -89,7 +89,7 @@ let charge_attempt clock site mode queue =
 (* ABI defect of one staged foreign library copy: deterministic in
    (library, build site, target site). *)
 let copy_has_abi_defect params site (lib : Resolve.resolved_lib) =
-  match Feam_toolchain.Provenance.find lib.Resolve.lib_bytes with
+  match Feam_toolchain.Provenance.find_digest lib.Resolve.lib_digest with
   | Some prov when prov.Feam_toolchain.Provenance.build_site <> Site.name site ->
     let p =
       Float.min 1.0
@@ -155,7 +155,8 @@ let attempt ?clock ?params ?queue site env ~binary_path ~mode ~attempt_no =
           Failure (Unsatisfied_versions resolution.Resolve.version_failures)
         else
           (* Launch phase. *)
-          let provenance = Feam_toolchain.Provenance.find bytes in
+          let digest = Feam_elf.Reader.digest parsed in
+          let provenance = Feam_toolchain.Provenance.find_digest digest in
           let np_check =
             match (mode, provenance) with
             | Mpi np, Some prov
@@ -261,10 +262,10 @@ let attempt ?clock ?params ?queue site env ~binary_path ~mode ~attempt_no =
                 | Some prov -> prov.Feam_toolchain.Provenance.is_probe
                 | None -> false
               in
-              let digest = Digest.to_hex (Digest.string bytes) in
-              let sticky_key = Printf.sprintf "sticky-sys/%s" digest in
+              let hex = Digest.to_hex digest in
+              let sticky_key = Printf.sprintf "sticky-sys/%s" hex in
               let transient_key =
-                Printf.sprintf "transient-sys/%s/%d" digest attempt_no
+                Printf.sprintf "transient-sys/%s/%d" hex attempt_no
               in
               if is_probe then Success
               else if

@@ -6,8 +6,8 @@
 type resolved_lib = {
   lib_name : string;   (* the requested DT_NEEDED string *)
   lib_path : string;   (* where it was found *)
-  lib_bytes : string;
   lib_spec : Feam_elf.Spec.t;
+  lib_digest : Digest.t; (* Digest.string of the image *)
 }
 
 type version_failure = {
@@ -61,13 +61,18 @@ let run site env (root : Feam_elf.Spec.t) =
       Hashtbl.add seen name ();
       match Search.locate_elf site (requester_dirs @ root_dirs) name with
       | None -> missing := name :: !missing
-      | Some (path, bytes, parsed) ->
+      | Some (path, parsed) ->
         let spec = Feam_elf.Reader.spec parsed in
         if spec.elf_class <> root.elf_class || spec.machine <> root.machine
         then arch_mismatches := { am_lib = name; am_path = path } :: !arch_mismatches
         else begin
           resolved :=
-            { lib_name = name; lib_path = path; lib_bytes = bytes; lib_spec = spec }
+            {
+              lib_name = name;
+              lib_path = path;
+              lib_spec = spec;
+              lib_digest = Feam_elf.Reader.digest parsed;
+            }
             :: !resolved;
           let own_dirs = Search.search_dirs site env spec in
           List.iter (visit ~requester_dirs:own_dirs) spec.needed

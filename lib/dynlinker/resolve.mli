@@ -6,8 +6,8 @@
 type resolved_lib = {
   lib_name : string;  (** the requested DT_NEEDED string *)
   lib_path : string;  (** where it was found *)
-  lib_bytes : string;
   lib_spec : Feam_elf.Spec.t;
+  lib_digest : Digest.t;  (** [Digest.string] of the image, from the parse *)
 }
 
 type version_failure = {

@@ -26,25 +26,23 @@ let search_dirs site env (spec : Feam_elf.Spec.t) =
   rpath @ ld_library_path @ runpath @ Site.ld_cache_dirs site
   @ Site.default_lib_dirs site
 
-(* First match for [name] across [dirs] that is a regular file. *)
-let locate_in_dirs site dirs name =
+(* First match for [name] across [dirs] that is a regular ELF file:
+   the resolved path and its bytes. *)
+let find_in_dirs site dirs name =
   let vfs = Site.vfs site in
   List.find_map
     (fun dir ->
-      let path = dir ^ "/" ^ name in
-      match Vfs.resolve vfs path with
-      | Some (real_path, { Vfs.kind = Vfs.Elf _; _ }) -> Some real_path
+      match Vfs.resolve vfs (dir ^ "/" ^ name) with
+      | Some (real_path, { Vfs.kind = Vfs.Elf bytes; _ }) -> Some (real_path, bytes)
       | Some _ | None -> None)
     dirs
 
-(* Locate and parse: returns the path, raw bytes and parsed image. *)
+let locate_in_dirs site dirs name =
+  Option.map fst (find_in_dirs site dirs name)
+
+(* Locate and parse: returns the path and the parsed image. *)
 let locate_elf site dirs name =
-  match locate_in_dirs site dirs name with
-  | None -> None
-  | Some path -> (
-    match Vfs.find (Site.vfs site) path with
-    | Some { Vfs.kind = Vfs.Elf bytes; _ } -> (
+  Option.bind (find_in_dirs site dirs name) (fun (path, bytes) ->
       match Feam_elf.Reader.parse bytes with
-      | Ok parsed -> Some (path, bytes, parsed)
+      | Ok parsed -> Some (path, parsed)
       | Error _ -> None)
-    | _ -> None)

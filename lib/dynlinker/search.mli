@@ -17,10 +17,10 @@ val search_dirs :
 val locate_in_dirs :
   Feam_sysmodel.Site.t -> string list -> string -> string option
 
-(** Locate and parse: path, raw bytes and parsed image; [None] when not
+(** Locate and parse: the path and the parsed image; [None] when not
     found or not parseable ELF. *)
 val locate_elf :
   Feam_sysmodel.Site.t ->
   string list ->
   string ->
-  (string * string * Feam_elf.Reader.t) option
+  (string * Feam_elf.Reader.t) option

@@ -32,11 +32,13 @@ type t = {
   sections : section list;
   by_name : (string, section) Hashtbl.t; (* memoized name lookup *)
   size : int; (* image size in bytes *)
+  digest : Digest.t; (* Digest.string of the image, computed once *)
 }
 
 let spec t = t.spec
 let sections t = t.sections
 let size t = t.size
+let digest t = t.digest
 
 (* Built once at parse time; keeps the first section of each name, the
    same answer [List.find_opt] would give.  Symcheck performs a name
@@ -276,7 +278,7 @@ let parse_abi_note r section =
       let patch = Codec.Reader.u32 r (base + 28) in
       Some (maj, min_, patch)
 
-let parse (data : string) : (t, error) result =
+let parse_uncached (data : string) : (t, error) result =
   try
     let cls, endian = parse_ident data in
     let r = Codec.Reader.create ~endian data in
@@ -376,10 +378,46 @@ let parse (data : string) : (t, error) result =
       Spec.make ~file_type ?soname ~needed ?rpath ?runpath ~verneeds ~verdefs
         ~dynsyms ~comments ?abi_note ?interp ~elf_class:cls ~endian machine
     in
-    Ok { spec; sections; by_name = index_sections sections; size = String.length data }
+    Ok
+      {
+        spec;
+        sections;
+        by_name = index_sections sections;
+        size = String.length data;
+        digest = Digest.string data;
+      }
   with
   | Parse_error e -> Error e
   | Codec.Truncated what -> Error (Malformed ("truncated: " ^ what))
+
+(* The parse memo: every tool emulation reads the same immutable images
+   again and again, so each live image is parsed once per process.  Keys
+   are compared with [==], so hits and misses depend only on the call
+   sequence, never on GC timing; an equal copy simply parses again.
+   [Hashtbl.hash] reads every byte of a string — a prefix hash would put
+   every image in one bucket, since all ELF headers start alike.
+   Ephemeron keys let the GC drop an entry with its image, so the memo
+   is bounded by the live images.  Not domain-safe. *)
+module Memo = Ephemeron.K1.Make (struct
+  type t = string
+
+  let equal = ( == )
+  let hash = Hashtbl.hash
+end)
+
+let memo : (t, error) result Memo.t = Memo.create 1024
+
+let parse (data : string) : (t, error) result =
+  match Memo.find_opt memo data with
+  | Some r ->
+    Feam_obs.Metrics.incr "elf.parse_memo.hit";
+    Feam_obs.Metrics.incr ~by:(String.length data) "elf.parse_memo.saved_bytes";
+    r
+  | None ->
+    Feam_obs.Metrics.incr "elf.parse_memo.miss";
+    let r = parse_uncached data in
+    Memo.replace memo data r;
+    r
 
 let parse_exn data =
   match parse data with

@@ -27,8 +27,18 @@ val sections : t -> section list
 (** Image size in bytes. *)
 val size : t -> int
 
+(** [Digest.string] of the image bytes, computed once per parse. *)
+val digest : t -> Digest.t
+
 val section_by_name : t -> string -> section option
 
+(** Parse an image.  Memoized per live image: parsing the same string
+    again (physically the same, [==]) returns the earlier result, [Ok]
+    or [Error], without re-reading the bytes; an equal copy parses
+    afresh.  Entries go away with their image (ephemeron keys), so the
+    memo holds only images the caller still references.  Hits and
+    misses count as [elf.parse_memo.{hit,miss,saved_bytes}].  Not
+    domain-safe. *)
 val parse : string -> (t, error) result
 
 (** @raise Invalid_argument when {!parse} would return an error. *)

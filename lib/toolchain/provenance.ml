@@ -38,6 +38,10 @@ let key image = Digest.string image
 
 let register image t = Hashtbl.replace registry (key image) t
 
-let find image = Hashtbl.find_opt registry (key image)
+(* For callers that already hold the image's digest (a parsed image
+   carries one): the same lookup without hashing the bytes again. *)
+let find_digest digest = Hashtbl.find_opt registry digest
+
+let find image = find_digest (key image)
 
 let clear () = Hashtbl.reset registry

@@ -182,6 +182,102 @@ let prop_size_reasonable =
       let bytes = Builder.build spec in
       String.length bytes < 65536)
 
+(* -- The parse memo ---------------------------------------------------------- *)
+
+(* A fresh string with the same bytes: equal content, never [==]. *)
+let copy s = Bytes.to_string (Bytes.of_string s)
+
+type variant = Whole | Truncate of int | Flip of int * int
+
+(* Builder images plus truncated and byte-flipped variants, so the
+   property covers the memoized [Error] results as well as [Ok]. *)
+let arb_image =
+  let open QCheck.Gen in
+  let variant =
+    frequency
+      [
+        (1, return Whole);
+        (1, map (fun n -> Truncate n) (int_bound 100_000));
+        (2, map2 (fun p b -> Flip (p, b)) (int_bound 100_000) (int_bound 255));
+      ]
+  in
+  let image (spec, v) =
+    let bytes = Builder.build spec in
+    let n = String.length bytes in
+    match v with
+    | Whole -> bytes
+    | Truncate k -> String.sub bytes 0 (k mod n)
+    | Flip (p, b) ->
+      let buf = Bytes.of_string bytes in
+      Bytes.set buf (p mod n) (Char.chr b);
+      Bytes.to_string buf
+  in
+  QCheck.make ~print:String.escaped (map image (pair gen_spec variant))
+
+let same_parse a b =
+  match (a, b) with
+  | Ok x, Ok y ->
+    Spec.equal (Reader.spec x) (Reader.spec y)
+    && Reader.sections x = Reader.sections y
+    && Reader.size x = Reader.size y
+    && Reader.digest x = Reader.digest y
+  | Error e, Error e' -> e = e'
+  | _ -> false
+
+let prop_parse_memo_transparent =
+  QCheck.Test.make ~name:"elf: parse memo is transparent" ~count:300 arb_image
+    (fun bytes ->
+      let first = Reader.parse bytes in
+      let again = Reader.parse bytes in
+      let fresh = Reader.parse (copy bytes) in
+      again == first
+      && same_parse first again
+      && same_parse first fresh
+      &&
+      match first with
+      | Ok t -> Reader.digest t = Digest.string bytes
+      | Error _ -> true)
+
+(* The memo must not keep an image (or its parse) alive once the caller
+   drops it: a strong table would pin both forever. *)
+let test_parse_memo_lifetime () =
+  let bytes_freed = ref false and parsed_freed = ref false in
+  let[@inline never] parse_and_drop () =
+    let bytes = Builder.build (sample_spec ()) in
+    let parsed = Reader.parse_exn bytes in
+    Gc.finalise_last (fun () -> bytes_freed := true) bytes;
+    Gc.finalise_last (fun () -> parsed_freed := true) parsed
+  in
+  parse_and_drop ();
+  Gc.full_major ();
+  Alcotest.(check bool) "image collected" true !bytes_freed;
+  Alcotest.(check bool) "parse result collected" true !parsed_freed
+
+(* Hits and misses depend only on the call sequence: the same string
+   hits, an equal copy misses, and a collection changes neither. *)
+let test_parse_memo_counters () =
+  let count name =
+    Option.value ~default:0 (Feam_obs.Metrics.counter_value name)
+  in
+  let counts () =
+    (count "elf.parse_memo.hit", count "elf.parse_memo.miss")
+  in
+  let s = Builder.build (sample_spec ()) in
+  let h0, m0 = counts () in
+  ignore (Reader.parse s);
+  ignore (Reader.parse s);
+  Alcotest.(check (pair int int)) "same string: 1 miss, 1 hit" (h0 + 1, m0 + 1)
+    (counts ());
+  ignore (Reader.parse (copy s));
+  Alcotest.(check (pair int int)) "equal copy: 1 more miss" (h0 + 1, m0 + 2)
+    (counts ());
+  let before = counts () in
+  Gc.full_major ();
+  Alcotest.(check (pair int int)) "unchanged by a collection" before (counts ());
+  ignore (Reader.parse s);
+  Alcotest.(check (pair int int)) "held image still hits" (h0 + 2, m0 + 2)
+    (counts ())
+
 let suite =
   ( "elf",
     [
@@ -202,4 +298,8 @@ let suite =
       QCheck_alcotest.to_alcotest prop_roundtrip;
       QCheck_alcotest.to_alcotest prop_image_magic;
       QCheck_alcotest.to_alcotest prop_size_reasonable;
+      QCheck_alcotest.to_alcotest prop_parse_memo_transparent;
+      Alcotest.test_case "parse memo drops dead images" `Quick
+        test_parse_memo_lifetime;
+      Alcotest.test_case "parse memo counters" `Quick test_parse_memo_counters;
     ] )
