@@ -26,7 +26,7 @@ let has_corpus journal = scenario_records journal <> []
 
 let coords data =
   let int name =
-    match Option.bind (Json.member name data) Json.to_int_opt with
+    match Json.int_field name data with
     | Some i -> Ok i
     | None -> Error (Printf.sprintf "agree.scenario payload: missing %s" name)
   in
@@ -34,7 +34,7 @@ let coords data =
   let* seed = int "seed" in
   let* index = int "index" in
   let* keep =
-    match Option.bind (Json.member "keep" data) Json.to_list_opt with
+    match Json.list_field "keep" data with
     | None -> Error "agree.scenario payload: missing keep"
     | Some items ->
       List.fold_left

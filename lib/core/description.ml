@@ -87,12 +87,7 @@ let to_json t =
 
 let of_json json =
   let open Json in
-  let str key = Option.bind (member key json) to_string_opt in
-  let str_list key =
-    match Option.bind (member key json) to_list_opt with
-    | None -> []
-    | Some items -> List.filter_map to_string_opt items
-  in
+  let str key = str_field key json in
   match (str "path", str "format") with
   | None, _ -> Error "description: missing path"
   | _, None -> Error "description: missing format"
@@ -112,7 +107,7 @@ let of_json json =
             fields
         | _ -> []
       in
-      let needed = str_list "needed" in
+      let needed = strings_field "needed" json in
       Ok
         {
           path;

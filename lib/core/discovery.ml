@@ -75,7 +75,7 @@ let stack_to_json s =
     [ ("slug", Json.Str s.slug); ("via", Json.Str (via_slug s.discovered_via)) ]
 
 let stack_of_json json =
-  let str key = Option.bind (Json.member key json) Json.to_string_opt in
+  let str key = Json.str_field key json in
   match str "slug" with
   | None -> None
   | Some slug ->
@@ -103,7 +103,7 @@ let to_json t =
     ]
 
 let of_json json =
-  let str key = Option.bind (Json.member key json) Json.to_string_opt in
+  let str key = Json.str_field key json in
   let machine = Option.bind (str "machine") Feam_elf.Types.machine_of_uname in
   Ok
     {
@@ -117,9 +117,8 @@ let of_json json =
       kernel = str "kernel";
       glibc = Option.bind (str "glibc") Version.of_string;
       stacks =
-        (match Option.bind (Json.member "stacks" json) Json.to_list_opt with
-        | None -> []
-        | Some items -> List.filter_map stack_of_json items);
+        List.filter_map stack_of_json
+          (Option.value (Json.list_field "stacks" json) ~default:[]);
       current_stack = Option.bind (Json.member "current_stack" json) stack_of_json;
     }
 

@@ -31,13 +31,6 @@ let parse_config journal =
     | Ok config -> Ok config
     | Error errs -> Error ("config payload: " ^ String.concat "; " errs))
 
-let str_member key json = Option.bind (Json.member key json) Json.to_string_opt
-
-let list_member key json =
-  match Option.bind (Json.member key json) Json.to_list_opt with
-  | None -> []
-  | Some items -> items
-
 (* Recorded outcome of the MPI-stack determinant, when the journal
    reached it. *)
 let stack_evidence journal =
@@ -47,13 +40,9 @@ let stack_evidence journal =
     let ev = Option.value (Journal.field "evidence" r) ~default:(Json.Obj []) in
     Some
       {
-        Tec.se_functioning = str_member "functioning" ev;
+        Tec.se_functioning = Json.str_field "functioning" ev;
         se_probe_failures =
-          list_member "probe_failures" ev
-          |> List.filter_map (fun f ->
-                 match (str_member "stack" f, str_member "reason" f) with
-                 | Some stack, Some reason -> Some (stack, reason)
-                 | _ -> None);
+          Json.pairs_field "probe_failures" ("stack", "reason") ev;
       }
 
 (* Recorded outcome of the shared-library determinant. *)
@@ -62,34 +51,26 @@ let libs_evidence journal =
   | None -> None
   | Some r ->
     let ev = Option.value (Journal.field "evidence" r) ~default:(Json.Obj []) in
-    let pairs key a b =
-      list_member key ev
-      |> List.filter_map (fun item ->
-             match (str_member a item, str_member b item) with
-             | Some x, Some y -> Some (x, y)
-             | _ -> None)
-    in
     Some
       {
-        Tec.le_missing =
-          list_member "missing" ev |> List.filter_map Json.to_string_opt;
-        le_staged = pairs "staged" "library" "path";
-        le_unresolved = pairs "unresolved" "library" "reason";
+        Tec.le_missing = Json.strings_field "missing" ev;
+        le_staged = Json.pairs_field "staged" ("library", "path") ev;
+        le_unresolved = Json.pairs_field "unresolved" ("library", "reason") ev;
       }
 
 let finding_of_json json =
-  match (str_member "rule" json, str_member "subject" json) with
+  match (Json.str_field "rule" json, Json.str_field "subject" json) with
   | Some rule_id, Some subject ->
     Some
       {
         Diagnose.rule_id;
         level =
           Option.value
-            (Option.bind (str_member "level" json) Diagnose.level_of_string)
+            (Option.bind (Json.str_field "level" json) Diagnose.level_of_string)
             ~default:Diagnose.Info;
         subject;
-        message = Option.value (str_member "message" json) ~default:"";
-        fixit = str_member "fixit" json;
+        message = Option.value (Json.str_field "message" json) ~default:"";
+        fixit = Json.str_field "fixit" json;
       }
   | _ -> None
 
@@ -175,7 +156,7 @@ let want_records journal =
 let plan_of_journal journal =
   let* data = payload_exn ~kind:"transfer_plan" journal in
   let* site =
-    match str_member "site" data with
+    match Json.str_field "site" data with
     | Some s -> Ok s
     | None -> Error "transfer_plan payload carries no site"
   in
@@ -204,7 +185,7 @@ let plan_of_journal journal =
         wants
     in
     let plan_rendered = Planner.render plan in
-    let plan_recorded = str_member "text" data in
+    let plan_recorded = Json.str_field "text" data in
     Ok
       {
         plan;

@@ -238,20 +238,14 @@ let save_dir t dir =
     (entries t)
 
 let meta_of_json json =
-  let str key = Option.bind (Json.member key json) Json.to_string_opt in
+  let str key = Json.str_field key json in
   {
     m_soname = str "soname";
     m_version = str "version";
     m_provider = str "provider";
     m_origin = Option.value (str "origin") ~default:"";
-    m_size =
-      Option.value
-        (Option.bind (Json.member "size" json) Json.to_int_opt)
-        ~default:0;
-    m_deps =
-      (match Option.bind (Json.member "deps" json) Json.to_list_opt with
-      | Some items -> List.filter_map Json.to_string_opt items
-      | None -> []);
+    m_size = Option.value (Json.int_field "size" json) ~default:0;
+    m_deps = Json.strings_field "deps" json;
   }
 
 let load_dir dir =

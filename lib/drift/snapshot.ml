@@ -7,8 +7,8 @@
    Epochs are numbered, never timestamped: the same world captured
    twice serializes byte-identically, and the content address (reusing
    the depot's Chash under a drift-specific domain prefix) is the
-   epoch's identity.  On disk an epoch is a flightrec-style versioned
-   JSONL document: a header line, then one record per site, binary,
+   epoch's identity.  On disk an epoch is a versioned Feam_util.Jsonl
+   document: an "epoch" header line, then one record per site, binary,
    possession row and cell. *)
 
 module Json = Feam_util.Json
@@ -153,118 +153,98 @@ let cell_to_json c =
 
 let to_jsonl t =
   let t = normalize t in
-  let buf = Buffer.create 4096 in
-  let line json = Buffer.add_string buf (Json.render json ^ "\n") in
-  line
-    (Json.Obj
-       [
-         ("type", Json.Str "epoch");
-         ("schema", Json.Int schema_version);
-         ("tool", Json.Str "drift");
-       ]);
-  line
-    (Json.Obj
-       [
-         ("type", Json.Str "meta");
-         ("epoch", Json.Int t.epoch);
-         ("seed", Json.Int t.seed);
-         ("label", Json.Str t.label);
-       ]);
-  List.iter (fun s -> line (site_to_json s)) t.sites;
-  List.iter (fun b -> line (binary_to_json b)) t.binaries;
-  List.iter (fun p -> line (possession_to_json p)) t.possession;
-  List.iter (fun c -> line (cell_to_json c)) t.cells;
-  Buffer.contents buf
+  let records to_json l = Seq.map to_json (List.to_seq l) in
+  Feam_util.Jsonl.render
+    (Seq.concat
+       (List.to_seq
+          [
+            List.to_seq
+              [
+                Feam_util.Jsonl.header ~kind:"epoch" ~schema:schema_version
+                  ~tool:"drift";
+                Json.Obj
+                  [
+                    ("type", Json.Str "meta");
+                    ("epoch", Json.Int t.epoch);
+                    ("seed", Json.Int t.seed);
+                    ("label", Json.Str t.label);
+                  ];
+              ];
+            records site_to_json t.sites;
+            records binary_to_json t.binaries;
+            records possession_to_json t.possession;
+            records cell_to_json t.cells;
+          ]))
 
 let hash t = Chash.to_hex (Chash.of_bytes (hash_domain ^ to_jsonl t))
 
 (* -- parsing ---------------------------------------------------------- *)
 
-let str_field key json = Option.bind (Json.member key json) Json.to_string_opt
-
-let bool_field key json = Option.bind (Json.member key json) Json.to_bool_opt
-
-let strs_field key json =
-  match Option.bind (Json.member key json) Json.to_list_opt with
-  | None -> []
-  | Some items -> List.filter_map Json.to_string_opt items
-
-let pairs_field ~key ~value field json =
-  match Option.bind (Json.member field json) Json.to_list_opt with
-  | None -> []
-  | Some items ->
-    List.filter_map
-      (fun item ->
-        match (str_field key item, str_field value item) with
-        | Some k, Some v -> Some (k, v)
-        | _ -> None)
-      items
-
-let parse_record json t =
-  match str_field "type" json with
+let parse_record t json =
+  match Json.str_field "type" json with
   | Some "meta" -> (
-    match
-      ( Option.bind (Json.member "epoch" json) Json.to_int_opt,
-        Option.bind (Json.member "seed" json) Json.to_int_opt )
-    with
+    match (Json.int_field "epoch" json, Json.int_field "seed" json) with
     | Some epoch, Some seed ->
       Ok
         {
           t with
           epoch;
           seed;
-          label = Option.value (str_field "label" json) ~default:"";
+          label = Option.value (Json.str_field "label" json) ~default:"";
         }
     | _ -> Error "meta record needs integer epoch and seed")
   | Some "site" -> (
-    match str_field "name" json with
+    match Json.str_field "name" json with
     | None -> Error "site record needs a name"
     | Some name ->
       let s =
         {
           ss_name = name;
           ss_ld_cache_current =
-            Option.value (bool_field "ld_cache_current" json) ~default:true;
+            Option.value
+              (Json.bool_field "ld_cache_current" json)
+              ~default:true;
           ss_discovery =
             Option.value (Json.member "discovery" json) ~default:Json.Null;
-          ss_inventory = pairs_field ~key:"path" ~value:"digest" "inventory" json;
+          ss_inventory = Json.pairs_field "inventory" ("path", "digest") json;
         }
       in
       Ok { t with sites = s :: t.sites })
   | Some "binary" -> (
-    match (str_field "id" json, str_field "home" json) with
+    match (Json.str_field "id" json, Json.str_field "home" json) with
     | Some id, Some home ->
       let b =
         {
           bs_id = id;
           bs_home = home;
-          bs_digest = Option.value (str_field "digest" json) ~default:"";
-          bs_error = str_field "error" json;
+          bs_digest = Option.value (Json.str_field "digest" json) ~default:"";
+          bs_error = Json.str_field "error" json;
           bs_description =
             Option.value (Json.member "description" json) ~default:Json.Null;
-          bs_bundle = pairs_field ~key:"name" ~value:"digest" "bundle" json;
+          bs_bundle = Json.pairs_field "bundle" ("name", "digest") json;
         }
       in
       Ok { t with binaries = b :: t.binaries }
     | _ -> Error "binary record needs id and home")
   | Some "possession" -> (
-    match str_field "site" json with
+    match Json.str_field "site" json with
     | None -> Error "possession record needs a site"
     | Some site ->
-      Ok
-        { t with possession = (site, strs_field "objects" json) :: t.possession })
+      let objects = Json.strings_field "objects" json in
+      Ok { t with possession = (site, objects) :: t.possession })
   | Some "cell" -> (
-    match (str_field "binary" json, str_field "target" json) with
+    match (Json.str_field "binary" json, Json.str_field "target" json) with
     | Some binary, Some target ->
       let c =
         {
           cl_binary = binary;
           cl_target = target;
-          cl_basic = Option.value (bool_field "basic" json) ~default:false;
-          cl_basic_reasons = strs_field "basic_reasons" json;
-          cl_extended = Option.value (bool_field "extended" json) ~default:false;
-          cl_extended_reasons = strs_field "extended_reasons" json;
-          cl_staged = strs_field "staged" json;
+          cl_basic = Option.value (Json.bool_field "basic" json) ~default:false;
+          cl_basic_reasons = Json.strings_field "basic_reasons" json;
+          cl_extended =
+            Option.value (Json.bool_field "extended" json) ~default:false;
+          cl_extended_reasons = Json.strings_field "extended_reasons" json;
+          cl_staged = Json.strings_field "staged" json;
         }
       in
       Ok { t with cells = c :: t.cells }
@@ -273,49 +253,21 @@ let parse_record json t =
   | None -> Error "record without a type"
 
 let of_jsonl body =
-  let lines =
-    String.split_on_char '\n' body |> List.filter (fun l -> String.trim l <> "")
+  let empty =
+    {
+      epoch = 0;
+      seed = 0;
+      label = "";
+      sites = [];
+      binaries = [];
+      possession = [];
+      cells = [];
+    }
   in
-  match lines with
-  | [] -> Error "empty epoch document"
-  | header :: records -> (
-    match Json.parse header with
-    | Error e -> Error ("header: " ^ e)
-    | Ok json -> (
-      match
-        ( str_field "type" json,
-          Option.bind (Json.member "schema" json) Json.to_int_opt )
-      with
-      | Some "epoch", Some v when v <= schema_version ->
-        let empty =
-          {
-            epoch = 0;
-            seed = 0;
-            label = "";
-            sites = [];
-            binaries = [];
-            possession = [];
-            cells = [];
-          }
-        in
-        let rec go lineno t = function
-          | [] -> Ok (normalize t)
-          | line :: rest -> (
-            let fail msg = Error (Printf.sprintf "line %d: %s" lineno msg) in
-            match Json.parse line with
-            | Error e -> fail e
-            | Ok json -> (
-              match parse_record json t with
-              | Error e -> fail e
-              | Ok t -> go (lineno + 1) t rest))
-        in
-        go 2 empty records
-      | Some "epoch", Some v ->
-        Error
-          (Printf.sprintf "unsupported epoch schema %d (this build reads <= %d)"
-             v schema_version)
-      | Some "epoch", None -> Error "header: missing schema version"
-      | _ -> Error "not a drift epoch document"))
+  Feam_util.Jsonl.fold_document ~kind:"epoch" ~current:schema_version
+    ~init:empty ~step:parse_record body
+  |> Result.map (fun (_, t) -> normalize t)
+  |> Result.map_error Feam_util.Jsonl.error_to_string
 
 (* -- evidence atoms ---------------------------------------------------- *)
 

@@ -1,7 +1,8 @@
 (** One epoch of fleet evidence: per-site discoveries and library
     inventories, per-binary descriptions and bundle digests, derived
     depot possession, and the verdict table — numbered, timestamp-free,
-    content-addressed, serialized as flightrec-style versioned JSONL.
+    content-addressed, serialized as a versioned {!Feam_util.Jsonl}
+    document.
 
     The same world captured twice serializes byte-identically;
     [of_jsonl] of [to_jsonl] round-trips to the same bytes. *)
@@ -69,8 +70,9 @@ val find_cell : t -> binary:string -> target:string -> cell option
     one record per site/binary/possession/cell).  Deterministic. *)
 val to_jsonl : t -> string
 
-(** Parse an epoch document; typed string errors carry line numbers.
-    Rejects non-epoch documents and newer schemas. *)
+(** Parse an epoch document through {!Feam_util.Jsonl}; errors carry
+    physical line numbers.  Rejects non-epoch documents and schemas
+    outside [1..schema_version]. *)
 val of_jsonl : string -> (t, string) result
 
 (** Content address of the epoch: [Depot.Chash] over the serialized

@@ -2,7 +2,7 @@
    history of the fleet's readiness rate across epochs, plus the
    declarative alert rules evaluated over it.
 
-   Mirrors Benchtrend's BENCH_history.jsonl discipline: one record per
+   Framed by Feam_util.Jsonl like BENCH_history.jsonl: one record per
    line, a schema tag on every record, strictly-increasing epoch
    numbers, line-numbered parse errors, no timestamps.  The gate mirrors
    Engine.gate so `feam drift check --fail-on` behaves exactly like
@@ -72,104 +72,68 @@ let entry_to_json e =
              e.te_attribution) );
     ]
 
-let int_field key json = Option.bind (Json.member key json) Json.to_int_opt
-
-let str_field key json = Option.bind (Json.member key json) Json.to_string_opt
-
-let bool_field key json = Option.bind (Json.member key json) Json.to_bool_opt
-
-let number = function
-  | Json.Float f -> Some f
-  | Json.Int i -> Some (float_of_int i)
-  | _ -> None
-
 let entry_of_json json =
-  match int_field "schema" json with
-  | Some v when v <> schema_version ->
-    Error (Printf.sprintf "unsupported schema %d (want %d)" v schema_version)
-  | None -> Error "record needs an integer schema"
-  | Some _ -> (
-    match
-      ( int_field "epoch" json,
-        int_field "cells_total" json,
-        int_field "ready" json,
-        Option.bind (Json.member "rate" json) number )
-    with
-    | Some epoch, Some cells_total, Some ready, Some rate ->
-      let flips =
-        match Option.bind (Json.member "flips" json) Json.to_list_opt with
-        | None -> []
-        | Some items ->
-          List.filter_map
-            (fun item ->
-              match
-                ( str_field "cell" item,
-                  bool_field "before" item,
-                  bool_field "after" item )
-              with
-              | Some cell, Some before, Some after ->
-                Some { fe_cell = cell; fe_before = before; fe_after = after }
-              | _ -> None)
-            items
-      in
-      let attribution =
-        match Option.bind (Json.member "attribution" json) Json.to_list_opt with
-        | None -> []
-        | Some items ->
-          List.filter_map
-            (fun item ->
-              match (str_field "atom" item, int_field "cells" item) with
-              | Some atom, Some cells ->
-                Some
-                  {
-                    ae_atom = atom;
-                    ae_cells = cells;
-                    ae_to_ready = Option.value (int_field "to_ready" item) ~default:0;
-                    ae_to_not_ready =
-                      Option.value (int_field "to_not_ready" item) ~default:0;
-                  }
-              | _ -> None)
-            items
-      in
-      Ok
-        {
-          te_epoch = epoch;
-          te_hash = Option.value (str_field "hash" json) ~default:"";
-          te_label = Option.value (str_field "label" json) ~default:"";
-          te_cells_total = cells_total;
-          te_ready = ready;
-          te_rate = rate;
-          te_reevaluated = Option.value (int_field "reevaluated" json) ~default:0;
-          te_flips = flips;
-          te_attribution = attribution;
-        }
-    | _ -> Error "record needs integer epoch/cells_total/ready and a rate")
+  match
+    ( Json.int_field "epoch" json,
+      Json.int_field "cells_total" json,
+      Json.int_field "ready" json,
+      Json.number_field "rate" json )
+  with
+  | Some epoch, Some cells_total, Some ready, Some rate ->
+    let items key = Option.value (Json.list_field key json) ~default:[] in
+    let flips =
+      List.filter_map
+        (fun item ->
+          match
+            ( Json.str_field "cell" item,
+              Json.bool_field "before" item,
+              Json.bool_field "after" item )
+          with
+          | Some cell, Some before, Some after ->
+            Some { fe_cell = cell; fe_before = before; fe_after = after }
+          | _ -> None)
+        (items "flips")
+    in
+    let attribution =
+      List.filter_map
+        (fun item ->
+          match (Json.str_field "atom" item, Json.int_field "cells" item) with
+          | Some atom, Some cells ->
+            let count key = Option.value (Json.int_field key item) ~default:0 in
+            Some
+              {
+                ae_atom = atom;
+                ae_cells = cells;
+                ae_to_ready = count "to_ready";
+                ae_to_not_ready = count "to_not_ready";
+              }
+          | _ -> None)
+        (items "attribution")
+    in
+    let str key = Option.value (Json.str_field key json) ~default:"" in
+    Ok
+      {
+        te_epoch = epoch;
+        te_hash = str "hash";
+        te_label = str "label";
+        te_cells_total = cells_total;
+        te_ready = ready;
+        te_rate = rate;
+        te_reevaluated =
+          Option.value (Json.int_field "reevaluated" json) ~default:0;
+        te_flips = flips;
+        te_attribution = attribution;
+      }
+  | _ -> Error "record needs integer epoch/cells_total/ready and a rate"
 
 let parse_history text =
-  let lines =
-    String.split_on_char '\n' text |> List.filter (fun l -> String.trim l <> "")
-  in
-  let rec go lineno last_epoch acc = function
-    | [] -> Ok (List.rev acc)
-    | line :: rest -> (
-      let fail msg = Error (Printf.sprintf "line %d: %s" lineno msg) in
-      match Json.parse line with
-      | Error e -> fail e
-      | Ok json -> (
-        match entry_of_json json with
-        | Error e -> fail e
-        | Ok entry ->
-          if acc <> [] && entry.te_epoch <= last_epoch then
-            fail
-              (Printf.sprintf "epoch %d does not increase on previous epoch %d"
-                 entry.te_epoch last_epoch)
-          else go (lineno + 1) entry.te_epoch (entry :: acc) rest))
-  in
-  go 1 min_int [] lines
+  Feam_util.Jsonl.read_records ~current:schema_version
+    ~seq:("epoch", fun e -> e.te_epoch)
+    ~decode:entry_of_json text
+  |> Result.map_error Feam_util.Jsonl.error_to_string
 
 let render_history entries =
-  String.concat ""
-    (List.map (fun e -> Json.render (entry_to_json e) ^ "\n") entries)
+  Feam_util.Jsonl.render (Seq.map entry_to_json (List.to_seq entries))
 
 (* -- alert rules ------------------------------------------------------- *)
 

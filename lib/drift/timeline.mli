@@ -27,8 +27,9 @@ type entry = {
 
 val entry_to_json : entry -> Feam_util.Json.t
 
-(** Parse timeline.jsonl: line-numbered errors, schema gate per record,
-    strictly-increasing epoch numbers. *)
+(** Parse timeline.jsonl through {!Feam_util.Jsonl}: physical line
+    numbers in errors, schema gate per record, strictly-increasing
+    epoch numbers. *)
 val parse_history : string -> (entry list, string) result
 
 val render_history : entry list -> string

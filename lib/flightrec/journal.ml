@@ -1,7 +1,7 @@
 (* Parsed journals: the read side of the flight recorder.  A journal
-   is a JSONL document — a header line identifying the schema, then
-   one record per line.  Unknown record types are preserved verbatim
-   so newer journals degrade gracefully under older readers. *)
+   is a Jsonl document — a "journal" header line, then one record per
+   line.  Unknown record types are preserved verbatim so newer
+   journals degrade gracefully under older readers. *)
 
 module Json = Feam_util.Json
 
@@ -14,81 +14,27 @@ type record = {
 
 type t = { schema : int; tool : string; records : record list }
 
-let parse_record line_no json =
-  match json with
-  | Json.Obj fields ->
-    let kind =
-      match List.assoc_opt "type" fields with
-      | Some (Json.Str s) -> Ok s
-      | _ -> Error (Printf.sprintf "line %d: record has no type" line_no)
+let parse_record json =
+  match (json, Json.str_field "type" json, Json.int_field "seq" json) with
+  | Json.Obj fields, Some kind, Some seq ->
+    let fields =
+      List.filter
+        (fun (k, _) -> k <> "type" && k <> "seq" && k <> "span")
+        fields
     in
-    let seq =
-      match List.assoc_opt "seq" fields with
-      | Some (Json.Int n) -> Ok n
-      | _ -> Error (Printf.sprintf "line %d: record has no seq" line_no)
-    in
-    let span =
-      match List.assoc_opt "span" fields with
-      | Some (Json.Int n) -> Some n
-      | _ -> None
-    in
-    (match (kind, seq) with
-    | Ok kind, Ok seq ->
-      let fields =
-        List.filter
-          (fun (k, _) -> k <> "type" && k <> "seq" && k <> "span")
-          fields
-      in
-      Ok { seq; span; kind; fields }
-    | (Error _ as e), _ | _, (Error _ as e) -> e)
-  | _ -> Error (Printf.sprintf "line %d: record is not an object" line_no)
+    Ok { seq; span = Json.int_field "span" json; kind; fields }
+  | Json.Obj _, None, _ -> Error "record has no type"
+  | Json.Obj _, _, None -> Error "record has no seq"
+  | _ -> Error "record is not an object"
 
 let parse body =
-  let lines =
-    String.split_on_char '\n' body
-    |> List.filter (fun l -> String.trim l <> "")
-  in
-  match lines with
-  | [] -> Error "empty journal"
-  | header :: rest -> (
-    match Json.parse header with
-    | Error e -> Error ("journal header: " ^ e)
-    | Ok h -> (
-      match Json.member "type" h with
-      | Some (Json.Str "journal") -> (
-        let schema =
-          match Json.member "schema" h with
-          | Some (Json.Int n) -> Some n
-          | _ -> None
-        in
-        match schema with
-        | None -> Error "journal header: missing schema version"
-        | Some schema when schema > Recorder.schema_version ->
-          Error
-            (Printf.sprintf
-               "journal schema %d is newer than this build understands (%d)"
-               schema Recorder.schema_version)
-        | Some schema ->
-          let tool =
-            match Json.member "tool" h with
-            | Some (Json.Str s) -> s
-            | _ -> ""
-          in
-          let rec records line_no acc = function
-            | [] -> Ok (List.rev acc)
-            | line :: rest -> (
-              match Json.parse line with
-              | Error e ->
-                Error (Printf.sprintf "line %d: %s" line_no e)
-              | Ok json -> (
-                match parse_record line_no json with
-                | Error _ as e -> e
-                | Ok r -> records (line_no + 1) (r :: acc) rest))
-          in
-          (match records 2 [] rest with
-          | Error _ as e -> e
-          | Ok records -> Ok { schema; tool; records }))
-      | _ -> Error "not a feam journal (missing {\"type\":\"journal\"} header)"))
+  Feam_util.Jsonl.fold_document ~kind:"journal"
+    ~current:Recorder.schema_version ~init:[]
+    ~step:(fun acc json -> Result.map (fun r -> r :: acc) (parse_record json))
+    body
+  |> Result.map (fun ({ Feam_util.Jsonl.schema; tool }, records) ->
+         { schema; tool; records = List.rev records })
+  |> Result.map_error Feam_util.Jsonl.error_to_string
 
 (* Accessors. *)
 

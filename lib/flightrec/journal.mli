@@ -10,9 +10,10 @@ type record = {
 
 type t = { schema : int; tool : string; records : record list }
 
-(** Parse a JSONL journal body.  Rejects non-journal documents and
-    schemas newer than {!Recorder.schema_version}; unknown record types
-    are preserved. *)
+(** Parse a JSONL journal body through {!Feam_util.Jsonl}.  Rejects
+    non-journal documents and schemas outside
+    [1..]{!Recorder.schema_version}; unknown record types are
+    preserved. *)
 val parse : string -> (t, string) result
 
 val find_all : kind:string -> t -> record list

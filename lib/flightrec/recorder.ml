@@ -38,16 +38,11 @@ let st =
 let enabled () = st.enabled
 
 let render () =
-  let header =
-    Json.Obj
-      [
-        ("type", Json.Str "journal");
-        ("schema", Json.Int schema_version);
-        ("tool", Json.Str st.tool);
-      ]
-  in
-  String.concat "\n" (List.map Json.render (header :: List.rev st.records))
-  ^ "\n"
+  Feam_util.Jsonl.render
+    (List.to_seq
+       (Feam_util.Jsonl.header ~kind:"journal" ~schema:schema_version
+          ~tool:st.tool
+       :: List.rev st.records))
 
 (* Idempotent: re-renders the whole journal only when records were
    added since the last flush, so the at_exit safety net after an

@@ -30,56 +30,29 @@ let run_to_json r =
         Json.Obj (List.map (fun (n, v) -> (n, Json.Float v)) r.benches) );
     ]
 
-let number = function
-  | Json.Float f -> Some f
-  | Json.Int i -> Some (float_of_int i)
-  | _ -> None
-
 let run_of_json json =
-  match
-    ( Option.bind (Json.member "schema" json) Json.to_int_opt,
-      Option.bind (Json.member "run" json) Json.to_int_opt,
-      Json.member "benches" json )
-  with
-  | Some v, _, _ when v <> schema_version ->
-    Error (Printf.sprintf "unsupported schema %d (want %d)" v schema_version)
-  | Some _, Some seq, Some (Json.Obj benches) ->
+  match (Json.int_field "run" json, Json.member "benches" json) with
+  | Some seq, _ when seq < 1 -> Error "run numbers start at 1"
+  | Some seq, Some (Json.Obj benches) ->
     let rec convert acc = function
       | [] -> Ok { seq; benches = List.rev acc }
       | (name, v) :: rest -> (
-        match number v with
+        match Json.to_number_opt v with
         | Some ns when ns > 0.0 -> convert ((name, ns) :: acc) rest
         | Some _ -> Error (Printf.sprintf "bench %S: ns/op must be positive" name)
         | None -> Error (Printf.sprintf "bench %S: ns/op is not a number" name))
     in
     convert [] benches
-  | _ -> Error "record needs integer schema/run and a benches object"
+  | _ -> Error "record needs an integer run and a benches object"
 
 let parse_history text =
-  let lines =
-    String.split_on_char '\n' text
-    |> List.filter (fun l -> String.trim l <> "")
-  in
-  let rec go lineno last_seq acc = function
-    | [] -> Ok (List.rev acc)
-    | line :: rest -> (
-      let fail msg = Error (Printf.sprintf "line %d: %s" lineno msg) in
-      match Json.parse line with
-      | Error e -> fail e
-      | Ok json -> (
-        match run_of_json json with
-        | Error e -> fail e
-        | Ok run ->
-          if run.seq <= last_seq then
-            fail
-              (Printf.sprintf "run %d does not increase on previous run %d"
-                 run.seq last_seq)
-          else go (lineno + 1) run.seq (run :: acc) rest))
-  in
-  go 1 0 [] lines
+  Feam_util.Jsonl.read_records ~current:schema_version
+    ~seq:("run", fun r -> r.seq)
+    ~decode:run_of_json text
+  |> Result.map_error Feam_util.Jsonl.error_to_string
 
 let render_history runs =
-  String.concat "" (List.map (fun r -> Json.render (run_to_json r) ^ "\n") runs)
+  Feam_util.Jsonl.render (Seq.map run_to_json (List.to_seq runs))
 
 (* -- comparison -- *)
 
@@ -214,7 +187,7 @@ let render = function
 let validate_bench_json json =
   let errors = ref [] in
   let err fmt = Printf.ksprintf (fun s -> errors := s :: !errors) fmt in
-  (match Option.bind (Json.member "schema" json) Json.to_int_opt with
+  (match Json.int_field "schema" json with
   | Some v when v = schema_version -> ()
   | Some v -> err "schema: unsupported version %d (want %d)" v schema_version
   | None -> err "schema: missing integer field");
@@ -222,7 +195,7 @@ let validate_bench_json json =
   | Some (Json.Obj fields) ->
     List.iter
       (fun (name, v) ->
-        match number v with
+        match Json.to_number_opt v with
         | Some ns when ns > 0.0 -> ()
         | _ -> err "headline_ns_per_op.%s: not a positive number" name)
       fields
@@ -241,14 +214,14 @@ let validate_bench_json json =
   List.iteri
     (fun i bench ->
       let name =
-        match Option.bind (Json.member "name" bench) Json.to_string_opt with
+        match Json.str_field "name" bench with
         | Some n -> n
         | None ->
           err "benches[%d]: missing name" i;
           Printf.sprintf "benches[%d]" i
       in
       let iterations =
-        match Option.bind (Json.member "iterations" bench) Json.to_int_opt with
+        match Json.int_field "iterations" bench with
         | Some n when n >= 1 -> Some n
         | Some n ->
           err "%s: iterations %d < 1" name n;
@@ -257,13 +230,13 @@ let validate_bench_json json =
           err "%s: missing integer iterations" name;
           None
       in
-      (match Option.bind (Json.member "ns_per_op" bench) number with
+      (match Json.number_field "ns_per_op" bench with
       | Some ns when ns > 0.0 -> ()
       | _ -> err "%s: ns_per_op is not a positive number" name);
       let bounds =
         match Json.member "bounds_ns" bench with
         | Some (Json.List bs) ->
-          let floats = List.filter_map number bs in
+          let floats = List.filter_map Json.to_number_opt bs in
           if List.length floats <> List.length bs then begin
             err "%s: bounds_ns holds non-numbers" name;
             None

@@ -236,3 +236,25 @@ let to_string_opt = function Str s -> Some s | _ -> None
 let to_int_opt = function Int i -> Some i | _ -> None
 let to_bool_opt = function Bool b -> Some b | _ -> None
 let to_list_opt = function List l -> Some l | _ -> None
+
+let to_number_opt = function
+  | Float f -> Some f
+  | Int i -> Some (float_of_int i)
+  | _ -> None
+
+let int_field key json = Option.bind (member key json) to_int_opt
+let str_field key json = Option.bind (member key json) to_string_opt
+let bool_field key json = Option.bind (member key json) to_bool_opt
+let list_field key json = Option.bind (member key json) to_list_opt
+let number_field key json = Option.bind (member key json) to_number_opt
+
+let strings_field key json =
+  List.filter_map to_string_opt (Option.value (list_field key json) ~default:[])
+
+let pairs_field key (a, b) json =
+  List.filter_map
+    (fun item ->
+      match (str_field a item, str_field b item) with
+      | Some x, Some y -> Some (x, y)
+      | _ -> None)
+    (Option.value (list_field key json) ~default:[])

@@ -196,6 +196,34 @@ let prop_soname_parser_total =
       | None, Error _ -> true
       | _ -> false)
 
+(* The four persisted JSONL formats, each rendered by its own writer
+   (Test_jsonl.readers): byte mutations and every truncation must
+   leave each reader returning [Ok] or [Error], never raising.  Seeded
+   from a fixed state so a failure reproduces. *)
+let prop_jsonl_readers_total =
+  QCheck.Test.make
+    ~name:"fuzz: journal/epoch/timeline/bench-history readers are total on \
+           mutated documents"
+    ~count:300
+    (QCheck.make
+       ~print:(fun (seed, n) -> Printf.sprintf "seed=%d n=%d" seed n)
+       gen_mutation)
+    (fun (seed, n) ->
+      List.for_all
+        (fun (_, parse, _, doc) ->
+          match parse (mutate seed n (Lazy.force doc)) with
+          | Ok () | Error _ -> true)
+        Test_jsonl.readers)
+
+let test_jsonl_readers_truncations () =
+  List.iter
+    (fun (_, parse, _, doc) ->
+      let doc = Lazy.force doc in
+      for len = 0 to String.length doc do
+        match parse (String.sub doc 0 len) with Ok () | Error _ -> ()
+      done)
+    Test_jsonl.readers
+
 let suite =
   ( "fuzz",
     [
@@ -207,4 +235,11 @@ let suite =
       QCheck_alcotest.to_alcotest prop_json_parser_total;
       QCheck_alcotest.to_alcotest prop_objdump_parser_total;
       QCheck_alcotest.to_alcotest prop_soname_parser_total;
+      QCheck_alcotest.to_alcotest
+        ~rand:(Random.State.make [| 42 |])
+        prop_jsonl_readers_total;
+      Alcotest.test_case
+        "fuzz: journal/epoch/timeline/bench-history readers are total on \
+         every truncation"
+        `Quick test_jsonl_readers_truncations;
     ] )
