@@ -245,7 +245,7 @@ let bench_depot_hash =
   ( "depot/content-hash",
     fun () ->
       List.iter
-        (fun bytes -> ignore (Feam_depot.Chash.of_bytes bytes))
+        (fun bytes -> ignore (Feam_util.Chash.of_bytes bytes))
         depot_payloads )
 
 let bench_depot_store =
@@ -298,22 +298,12 @@ let bench_agree_pipeline =
         (Feam_agree.Harness.run_one
            (Feam_evalharness.Scengen.build ~seed:42 ~index:0 ())) )
 
-(* Fact-base extraction over the fixture bundle: cold (memo reset every
-   run, every object parsed) vs warm (first run fills the memo, the
-   rest hit).  The spread between the two is what the per-cell Context
-   construction saves fleet-wide. *)
+(* Fact-base extraction over the fixture bundle: a projection of the
+   parse memo, which holds every payload after the first run. *)
 let factbase_payloads = lazy (Fixture.binary_bytes :: depot_payloads)
 
-let bench_factbase_cold =
-  ( "audit/factbase-cold",
-    fun () ->
-      Feam_analysis.Factbase.reset ();
-      List.iter
-        (fun bytes -> ignore (Feam_analysis.Factbase.facts_of_bytes bytes))
-        (Lazy.force factbase_payloads) )
-
-let bench_factbase_warm =
-  ( "audit/factbase-warm",
+let bench_facts_of_bytes =
+  ( "audit/facts-of-bytes",
     fun () ->
       List.iter
         (fun bytes -> ignore (Feam_analysis.Factbase.facts_of_bytes bytes))
@@ -432,7 +422,7 @@ let all_benches =
     bench_depot_store; bench_depot_plan; bench_agree_scengen;
     bench_agree_pipeline;
     bench_drift_full; bench_drift_incremental;
-    bench_factbase_cold; bench_factbase_warm; bench_audit_context;
+    bench_facts_of_bytes; bench_audit_context;
     bench_serve_query; bench_serve_update;
   ]
 

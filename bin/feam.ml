@@ -324,7 +324,9 @@ let symbol_rules () =
 let open_depot dir =
   match Feam_depot.Store.open_dir dir with
   | Ok store -> store
-  | Error e -> failwith (Printf.sprintf "cannot open depot %s: %s" dir e)
+  | Error e ->
+    Fmt.epr "cannot open depot %s: %s@." dir e;
+    exit 1
 
 (* The full prediction pipeline over a scenario — source phase at the
    home site, target phase (with optional lint findings) at the target —
@@ -433,8 +435,8 @@ let run_predict_pipeline ?(announce_source = true) ?(symbols = false)
         Feam_core.Report.journal report;
         (* --lint-fleet (feam stats): check the same bundle against every
            other scenario site too.  The per-target contexts share one
-           spec parse per distinct object through the fact base, which
-           is what the elf.spec_memo cache stats measure. *)
+           spec parse per embedded image through the ELF parse memo,
+           which is what the elf.parse_memo cache stats measure. *)
         if lint_fleet then
           List.iter
             (fun site ->
@@ -1173,7 +1175,7 @@ let cmd_depot_gc debug depot_dir keep json =
               ( "swept",
                 Json.List
                   (List.map
-                     (fun k -> Json.Str (Feam_depot.Chash.to_hex k))
+                     (fun k -> Json.Str (Chash.to_hex k))
                      swept) );
               ("kept", Json.Int report.Feam_depot.Store.kept);
               ("swept_bytes", Json.Int report.Feam_depot.Store.swept_bytes);
@@ -1198,7 +1200,7 @@ let cmd_depot_plan debug journal depot_dir site manifest_file have json =
   if missing <> [] then begin
     Fmt.epr "manifest references %d objects not in the depot (first: %s)@."
       (List.length missing)
-      (Feam_depot.Chash.to_hex (List.hd missing));
+      (Chash.to_hex (List.hd missing));
     exit 1
   end;
   let have_tbl = Hashtbl.create 16 in
@@ -1208,7 +1210,7 @@ let cmd_depot_plan debug journal depot_dir site manifest_file have json =
   let wants = Feam_core.Bundle_manifest.wants manifest in
   let plan =
     Feam_depot.Planner.compute ~site
-      ~possessed:(fun k -> Hashtbl.mem have_tbl (Feam_depot.Chash.to_hex k))
+      ~possessed:(fun k -> Hashtbl.mem have_tbl (Chash.to_hex k))
       wants
   in
   Feam_depot.Planner.journal ~wants plan;

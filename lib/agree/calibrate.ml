@@ -93,25 +93,3 @@ let markdown_table runs =
       | [] -> ())
     (cells runs);
   Buffer.contents buf
-
-let cap_info (f : Diagnose.finding) =
-  if Diagnose.level_rank f.Diagnose.level < Diagnose.level_rank Diagnose.Info
-  then { f with Diagnose.level = Diagnose.Info }
-  else f
-
-let calibrated_rules runs =
-  let demoted = demotions runs in
-  Feam_analysis.Registry.cell_rules ()
-  |> List.map (fun (rule : Feam_analysis.Rule.t) ->
-         if not (List.mem rule.Feam_analysis.Rule.id demoted) then rule
-         else
-           match rule.Feam_analysis.Rule.check with
-           | Feam_analysis.Rule.Cell check ->
-             {
-               rule with
-               Feam_analysis.Rule.default_level = Diagnose.Info;
-               check =
-                 Feam_analysis.Rule.Cell
-                   (fun ctx -> List.map cap_info (check ctx));
-             }
-           | Feam_analysis.Rule.Fleet _ -> rule)

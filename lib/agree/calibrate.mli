@@ -29,9 +29,3 @@ val table : Harness.run list -> Feam_util.Table.t
     verbatim for the corpus named in the header, drift-tested like the
     rule table. *)
 val markdown_table : Harness.run list -> string
-
-(** The registered cell rules with every demoted rule's default level
-    capped to info (its findings' levels are capped too).  The
-    calibrated set plugs straight into {!Feam_analysis.Engine.run}'s
-    [?rules]. *)
-val calibrated_rules : Harness.run list -> Feam_analysis.Rule.t list

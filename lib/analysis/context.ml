@@ -1,10 +1,10 @@
 (* One uniform view over a bundle for the lint rules.  Descriptions are
    what the source phase *recorded*; specs are a byte-level reparse of
-   every embedded image through the content-addressed fact base —
-   keeping the two channels separate is what lets the staleness rule
-   compare them.  The fact base keys by content hash, so the matrix's
-   thousands of sightings of the same few hundred distinct objects
-   parse once each (elf.spec_memo.{hit,miss} count the sharing). *)
+   every embedded image through the ELF parse memo — keeping the two
+   channels separate is what lets the staleness rule compare them.  The
+   memo holds each live image's parse, so the matrix's thousands of
+   sightings of the same staged images parse once each
+   (elf.parse_memo.{hit,miss} count the sharing). *)
 
 open Feam_util
 open Feam_core
@@ -47,9 +47,10 @@ let target_of_site site =
 
 let parse_bytes = function
   | None -> (None, None)
-  | Some bytes ->
-    let facts = Factbase.facts_of_bytes bytes in
-    (facts.Factbase.fb_spec, facts.Factbase.fb_parse_error)
+  | Some bytes -> (
+    match Feam_elf.Reader.spec_of_bytes bytes with
+    | Ok spec -> (Some spec, None)
+    | Error e -> (None, Some (Feam_elf.Reader.error_to_string e)))
 
 let make_objekt ~label ~origin ~kind ~description ~bytes ~declared_size =
   let spec, parse_error = parse_bytes bytes in

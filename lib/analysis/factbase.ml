@@ -1,15 +1,13 @@
-(* The content-addressed fact base.  Every ELF payload the analysis
-   layer touches — bundle roots, library copies, probes, depot objects —
-   is keyed by its Chash and parsed exactly once per process; every
-   later sighting of the same bytes recalls the interned facts.  The
-   memo is deliberately process-global (like Bdc's describe memo): the
-   803-cell matrix re-stages the same few hundred distinct objects
-   thousands of times, and content identity makes the sharing safe. *)
+(* The fact base: per-object facts, a pure projection of what the ELF
+   parse memo already holds for an image — its parse (spec or error)
+   and its content key.  Nothing is stored here: the same live image
+   projects from one parse and one hash however often it is asked
+   about, and an equal copy parses and hashes again in the memo. *)
 
 open Feam_util
 
 type facts = {
-  fb_key : Feam_depot.Chash.t;
+  fb_key : Chash.t;
   fb_size : int;
   fb_spec : Feam_elf.Spec.t option;
   fb_parse_error : string option;
@@ -43,7 +41,7 @@ let sorted_exports (spec : Feam_elf.Spec.t) =
   |> List.map (fun d -> d.Feam_elf.Spec.sym_name)
   |> List.sort_uniq String.compare
 
-let extract key bytes =
+let facts_of_bytes bytes =
   let spec, parse_error =
     match Feam_elf.Reader.spec_of_bytes bytes with
     | Ok spec -> (Some spec, None)
@@ -51,7 +49,7 @@ let extract key bytes =
   in
   let field f = Option.bind spec f in
   {
-    fb_key = key;
+    fb_key = Feam_elf.Reader.content_key bytes;
     fb_size = String.length bytes;
     fb_spec = spec;
     fb_parse_error = parse_error;
@@ -67,34 +65,8 @@ let extract key bytes =
     fb_glibc_floor = field glibc_floor;
   }
 
-module Tbl = Hashtbl.Make (struct
-  type t = Feam_depot.Chash.t
-
-  let equal = Feam_depot.Chash.equal
-  let hash k = Hashtbl.hash (Feam_depot.Chash.to_hex k)
-end)
-
-let table : facts Tbl.t = Tbl.create 256
-
-let facts_of_bytes bytes =
-  let key = Feam_depot.Chash.of_bytes bytes in
-  match Tbl.find_opt table key with
-  | Some facts ->
-    Feam_obs.Metrics.incr "elf.spec_memo.hit";
-    Feam_obs.Metrics.incr ~by:facts.fb_size "elf.spec_memo.saved_bytes";
-    facts
-  | None ->
-    Feam_obs.Metrics.incr "elf.spec_memo.miss";
-    let facts = extract key bytes in
-    Tbl.add table key facts;
-    facts
-
 let spec_of_bytes bytes =
-  let facts = facts_of_bytes bytes in
-  match (facts.fb_spec, facts.fb_parse_error) with
-  | Some spec, _ -> Ok spec
-  | None, Some err -> Error err
-  | None, None -> Error "unparseable object"
+  Result.map_error Feam_elf.Reader.error_to_string
+    (Feam_elf.Reader.spec_of_bytes bytes)
 
-let size () = Tbl.length table
-let reset () = Tbl.reset table
+let reset () = ()

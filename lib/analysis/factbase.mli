@@ -1,13 +1,12 @@
-(** The content-addressed fact base (DESIGN §12): per-artifact facts —
-    the parsed spec, exported/needed symbols, verneeds, soname, ISA,
-    interp, glibc floor — extracted exactly once per distinct object and
-    keyed by {!Feam_depot.Chash}.  Identical bytes observed anywhere in
-    the fleet (any bundle, any site, any matrix cell) share one
-    extraction; the memo surfaces as the [elf.spec_memo] cache in the
-    observatory ([elf.spec_memo.hit] / [.miss] / [.saved_bytes]). *)
+(** The fact base (DESIGN §12): per-artifact facts — the parsed spec,
+    exported/needed symbols, verneeds, soname, ISA, interp, glibc floor
+    — projected from the ELF parse memo.  The spec or parse error and
+    the content key both come from {!Feam_elf.Reader}, which parses and
+    hashes each live image once; this module holds no state of its
+    own. *)
 
 type facts = {
-  fb_key : Feam_depot.Chash.t;  (** content identity of the bytes *)
+  fb_key : Feam_util.Chash.t;  (** content identity of the bytes *)
   fb_size : int;
   fb_spec : Feam_elf.Spec.t option;  (** [None] when the bytes do not parse *)
   fb_parse_error : string option;
@@ -23,19 +22,14 @@ type facts = {
           glibc that can host the object *)
 }
 
-(** Extract (or recall) the facts for a payload.  First sight of a
-    content key parses and counts an [elf.spec_memo.miss]; every later
-    sight of the same bytes is an [elf.spec_memo.hit] that re-reads
-    nothing. *)
+(** The facts for a payload, ELF or not: {!Feam_elf.Reader.parse}'s
+    spec or error plus {!Feam_elf.Reader.content_key}. *)
 val facts_of_bytes : string -> facts
 
-(** The memoized face of {!Feam_elf.Reader.spec_of_bytes}: same result,
-    shared extraction.  {!Context.of_bundle} parses through this. *)
+(** {!Feam_elf.Reader.spec_of_bytes} with the error rendered by
+    {!Feam_elf.Reader.error_to_string}. *)
 val spec_of_bytes : string -> (Feam_elf.Spec.t, string) result
 
-(** Distinct objects currently interned. *)
-val size : unit -> int
-
-(** Drop every interned fact (counters are left alone — they belong to
-    the metrics registry). *)
+(** Kept for callers that reset between runs; the fact base holds
+    nothing, so there is nothing left to drop. *)
 val reset : unit -> unit

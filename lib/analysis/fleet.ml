@@ -31,7 +31,7 @@ type cell = {
 }
 
 type store_object = {
-  sto_key : Feam_depot.Chash.t;
+  sto_key : Feam_util.Chash.t;
   sto_soname : string option;
   sto_size : int;
   sto_referenced : bool;

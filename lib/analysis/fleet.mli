@@ -48,7 +48,7 @@ type cell = {
     plan ever ships it (objects staged solely for predicted-to-fail
     cells stay unreferenced). *)
 type store_object = {
-  sto_key : Feam_depot.Chash.t;
+  sto_key : Feam_util.Chash.t;
   sto_soname : string option;
   sto_size : int;
   sto_referenced : bool;

@@ -14,7 +14,7 @@ let variants obs =
   let tbl = Hashtbl.create 8 in
   List.iter
     (fun (l : Fleet.library) ->
-      let key = Feam_depot.Chash.to_hex l.Fleet.lib_facts.Factbase.fb_key in
+      let key = Feam_util.Chash.to_hex l.Fleet.lib_facts.Factbase.fb_key in
       let prev = Option.value (Hashtbl.find_opt tbl key) ~default:[] in
       Hashtbl.replace tbl key (l.Fleet.lib_site :: prev))
     obs;

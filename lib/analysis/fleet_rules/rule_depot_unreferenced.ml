@@ -16,7 +16,7 @@ let check rule (fleet : Fleet.t) =
            Option.value o.Fleet.sto_soname ~default:"(no soname)"
          in
          Rule.finding rule
-           ~subject:(Feam_depot.Chash.short o.Fleet.sto_key)
+           ~subject:(Feam_util.Chash.short o.Fleet.sto_key)
            ~fixit:"feam depot gc sweeps objects no manifest pins"
            (Printf.sprintf
               "%s (%d bytes) is interned but shipped by no ready migration's \

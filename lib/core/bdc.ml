@@ -111,8 +111,9 @@ let describe_via_file_and_ldd ?clock site env path =
    tooling alone (every fault draw is keyed and seeded), so identical
    bytes at the same site always describe identically up to the path
    field.  The cache is opt-in — evalharness enables it for a run — and
-   keyed by (site name, content hash); only objdump-path successes are
-   cached, so tool-fallback behaviour is untouched. *)
+   keyed by (site name, content key), the key read from the parse memo
+   so a hit hashes nothing; only objdump-path successes are cached, so
+   tool-fallback behaviour is untouched. *)
 let describe_memo : (string * string, Description.t) Hashtbl.t option ref =
   ref None
 
@@ -128,8 +129,7 @@ let memo_key_of site path =
     match Vfs.find (Site.vfs site) path with
     | Some { Vfs.kind = Vfs.Elf bytes; _ } ->
       Some
-        ( ( Site.name site,
-            Feam_depot.Chash.to_hex (Feam_depot.Chash.of_bytes bytes) ),
+        ( (Site.name site, Chash.to_hex (Feam_elf.Reader.content_key bytes)),
           String.length bytes )
     | _ -> None)
 

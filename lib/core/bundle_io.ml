@@ -96,7 +96,7 @@ let render (b : Bundle.t) : string =
 let render_manifest (m : Bundle_manifest.t) : string =
   let buf = Buffer.create 4096 in
   let addf fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  let hex = Feam_depot.Chash.to_hex in
+  let hex = Chash.to_hex in
   addf "%s\n" manifest_magic;
   addf "created-at: %s\n" m.Bundle_manifest.man_created_at;
   addf "unlocatable: %s\n" (String.concat "," m.Bundle_manifest.man_unlocatable);
@@ -432,7 +432,7 @@ let parse_key fields =
   match field fields "object" with
   | None -> Error "missing object field"
   | Some hex -> (
-    match Feam_depot.Chash.of_hex hex with
+    match Chash.of_hex hex with
     | Some key -> Ok key
     | None -> Error ("malformed content key: " ^ hex))
 

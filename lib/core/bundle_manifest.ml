@@ -7,7 +7,6 @@
 
 open Feam_util
 module Store = Feam_depot.Store
-module Chash = Feam_depot.Chash
 
 type entry = {
   me_request : string; (* the DT_NEEDED name this object satisfies *)
@@ -48,12 +47,12 @@ let soname_meta (d : Description.t) =
    dependency keys of the copies that satisfy their DT_NEEDED names, so
    the store's GC can mark through the closure. *)
 let of_bundle store (b : Bundle.t) =
-  (* keys of every copy first (pure hashing), so sidecar dependency
-     lists can be complete at intern time *)
+  (* keys of every copy first (read from the parse memo), so sidecar
+     dependency lists can be complete at intern time *)
   let key_of_request =
     List.map
       (fun (c : Bdc.library_copy) ->
-        (c.Bdc.copy_request, Chash.of_bytes c.Bdc.copy_bytes))
+        (c.Bdc.copy_request, Feam_elf.Reader.content_key c.Bdc.copy_bytes))
       b.Bundle.copies
   in
   let provider = Some b.Bundle.created_at in

@@ -4,7 +4,7 @@
     keys back, rebuilding the legacy self-contained bundle
     byte-identically (the export path). *)
 
-module Chash := Feam_depot.Chash
+module Chash := Feam_util.Chash
 
 type entry = {
   me_request : string;  (** the DT_NEEDED name this object satisfies *)

@@ -174,14 +174,14 @@ let plan_of_journal journal =
       (fun (w, possessed) ->
         if possessed then
           Hashtbl.replace possessed_keys
-            (Feam_depot.Chash.to_hex w.Planner.w_key)
+            (Chash.to_hex w.Planner.w_key)
             ())
       recorded;
     let wants = List.map fst recorded in
     let plan =
       Planner.compute ~site
         ~possessed:(fun key ->
-          Hashtbl.mem possessed_keys (Feam_depot.Chash.to_hex key))
+          Hashtbl.mem possessed_keys (Chash.to_hex key))
         wants
     in
     let plan_rendered = Planner.render plan in

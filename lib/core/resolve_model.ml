@@ -173,7 +173,7 @@ let resolve ?clock ?depot config site env ~(bundle : Bundle.t) ~target_glibc
         Feam_depot.Planner.Possession.add d.depot_possession ~site:site_name
           key
       end;
-      staged_keys := (name, Feam_depot.Chash.to_hex key) :: !staged_keys);
+      staged_keys := (name, Chash.to_hex key) :: !staged_keys);
     Feam_obs.Metrics.incr "resolve.libraries_copied";
     Feam_obs.Trace.event "staged"
       ~attrs:[ ("library", Feam_obs.Span.Str name) ];

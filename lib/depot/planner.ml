@@ -8,6 +8,7 @@
    so a journaled plan reproduces byte-for-byte from its recorded
    wants (the same move Tec.decide makes for predictions). *)
 
+module Chash = Feam_util.Chash
 module Json = Feam_util.Json
 
 type want = { w_label : string; w_key : Chash.t; w_size : int }

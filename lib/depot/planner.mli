@@ -3,6 +3,8 @@
     holds.  {!compute} is pure; the live pipeline and [feam replay]
     share it, so journaled plans reproduce byte-for-byte. *)
 
+module Chash := Feam_util.Chash
+
 type want = { w_label : string; w_key : Chash.t; w_size : int }
 
 val want : label:string -> key:Chash.t -> size:int -> want

@@ -18,6 +18,7 @@
    same captures render byte-identically (the CI determinism job diffs
    exactly this). *)
 
+module Chash = Feam_util.Chash
 module Json = Feam_util.Json
 
 type meta = {
@@ -248,50 +249,63 @@ let meta_of_json json =
     m_deps = Json.strings_field "deps" json;
   }
 
+(* Total over whatever the directory holds: a stray directory, a
+   payload whose bytes do not hash to its name, a payload filed under
+   the wrong shard, or an unreadable file is an [Error] naming the
+   entry, never an exception.  Entries are visited in sorted order, so
+   the first problem reported is the same on every run. *)
 let load_dir dir =
   let objects = Filename.concat dir "objects" in
   if not (Sys.file_exists objects) then
     Error (Printf.sprintf "%s: not a depot (no objects/ directory)" dir)
   else begin
     let t = create () in
-    let problem = ref None in
-    Array.iter
-      (fun sh ->
-        let shdir = Filename.concat objects sh in
-        if Sys.is_directory shdir then
-          Array.iter
-            (fun name ->
-              if not (Filename.check_suffix name ".meta") then begin
-                let bytes =
-                  In_channel.with_open_bin (Filename.concat shdir name)
-                    In_channel.input_all
-                in
-                let key = Chash.of_bytes bytes in
-                if Chash.to_hex key <> name then
-                  problem :=
-                    Some
-                      (Printf.sprintf
-                         "%s/%s: payload does not hash to its key" sh name)
-                else begin
-                  let m =
-                    let meta_file = Filename.concat shdir (name ^ ".meta") in
-                    if Sys.file_exists meta_file then
-                      match
-                        Json.parse
-                          (In_channel.with_open_text meta_file
-                             In_channel.input_all)
-                      with
-                      | Ok json -> meta_of_json json
-                      | Error _ -> meta ~size:(String.length bytes) ()
-                    else meta ~size:(String.length bytes) ()
-                  in
-                  Hashtbl.replace t.objects name
-                    { e_key = key; e_bytes = bytes; e_meta = m; e_pins = 0 }
-                end
-              end)
-            (Sys.readdir shdir))
-      (Sys.readdir objects);
-    match !problem with Some e -> Error e | None -> Ok t
+    let exception Damaged of string in
+    let sorted_entries d =
+      let names = Sys.readdir d in
+      Array.sort String.compare names;
+      Array.to_list names
+    in
+    let load_object sh name =
+      let path = Filename.concat (Filename.concat objects sh) name in
+      let damaged what =
+        raise (Damaged (Printf.sprintf "%s/%s: %s" sh name what))
+      in
+      if Sys.is_directory path then damaged "a directory, not an object";
+      let bytes = In_channel.with_open_bin path In_channel.input_all in
+      let key = Chash.of_bytes bytes in
+      if Chash.to_hex key <> name then
+        damaged "payload does not hash to its key";
+      if shard name <> sh then
+        damaged
+          (Printf.sprintf "filed under the wrong shard (want %s/)" (shard name));
+      let m =
+        let meta_file = path ^ ".meta" in
+        if Sys.file_exists meta_file then
+          match
+            Json.parse
+              (In_channel.with_open_text meta_file In_channel.input_all)
+          with
+          | Ok json -> meta_of_json json
+          | Error _ -> meta ~size:(String.length bytes) ()
+        else meta ~size:(String.length bytes) ()
+      in
+      Hashtbl.replace t.objects name
+        { e_key = key; e_bytes = bytes; e_meta = m; e_pins = 0 }
+    in
+    try
+      List.iter
+        (fun sh ->
+          let shdir = Filename.concat objects sh in
+          if Sys.is_directory shdir then
+            List.iter
+              (fun name ->
+                if not (Filename.check_suffix name ".meta") then
+                  load_object sh name)
+              (sorted_entries shdir))
+        (sorted_entries objects);
+      Ok t
+    with Damaged e | Sys_error e -> Error e
   end
 
 (* [open_dir dir] — load an existing depot or start an empty one; the

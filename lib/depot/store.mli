@@ -3,6 +3,8 @@
     mark-and-sweep GC over recorded dependency keys.  All listings are
     key-ordered, so equal contents render byte-identically. *)
 
+module Chash := Feam_util.Chash
+
 type meta = {
   m_soname : string option;
   m_version : string option;
@@ -73,6 +75,9 @@ val to_json : t -> Feam_util.Json.t
     runtime state and are not persisted. *)
 val save_dir : t -> string -> unit
 
+(** Load a saved depot.  Total: a directory inside a shard, a payload
+    that does not hash to its file name, a payload under the wrong
+    shard, or an unreadable file is an [Error] naming the entry. *)
 val load_dir : string -> (t, string) result
 
 (** Load an existing depot directory, or start an empty store when the

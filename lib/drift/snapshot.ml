@@ -12,7 +12,7 @@
    possession row and cell. *)
 
 module Json = Feam_util.Json
-module Chash = Feam_depot.Chash
+module Chash = Feam_util.Chash
 module Diff = Feam_flightrec.Diff
 
 let schema_version = 1

@@ -75,7 +75,7 @@ val to_jsonl : t -> string
     outside [1..schema_version]. *)
 val of_jsonl : string -> (t, string) result
 
-(** Content address of the epoch: [Depot.Chash] over the serialized
+(** Content address of the epoch: [Feam_util.Chash] over the serialized
     body under a drift-specific domain prefix, in hex. *)
 val hash : t -> string
 

@@ -37,8 +37,6 @@ type params = Fault_model.t = {
   p_copy_abi : float;
 }
 
-let default_params = Fault_model.default
-
 let failure_to_string = function
   | Not_executable what -> "not executable: " ^ what
   | Wrong_isa { binary_machine; site_machine } ->

@@ -40,8 +40,6 @@ type params = Feam_sysmodel.Fault_model.t = {
   p_copy_abi : float;
 }
 
-val default_params : params
-
 val failure_to_string : failure -> string
 val outcome_to_string : outcome -> string
 

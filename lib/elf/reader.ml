@@ -391,8 +391,9 @@ let parse_uncached (data : string) : (t, error) result =
   | Codec.Truncated what -> Error (Malformed ("truncated: " ^ what))
 
 (* The parse memo: every tool emulation reads the same immutable images
-   again and again, so each live image is parsed once per process.  Keys
-   are compared with [==], so hits and misses depend only on the call
+   again and again, so each live image is parsed once per process, and
+   its content key ([Feam_util.Chash]) is hashed once.  Keys are
+   compared with [==], so hits and misses depend only on the call
    sequence, never on GC timing; an equal copy simply parses again.
    [Hashtbl.hash] reads every byte of a string — a prefix hash would put
    every image in one bucket, since all ELF headers start alike.
@@ -405,10 +406,26 @@ module Memo = Ephemeron.K1.Make (struct
   let hash = Hashtbl.hash
 end)
 
-let memo : (t, error) result Memo.t = Memo.create 1024
+(* Both halves fill on first demand: keying an image by content never
+   parses it, and parsing never computes its key. *)
+type entry = {
+  mutable parsed : (t, error) result option;
+  mutable key : Feam_util.Chash.t option;
+}
+
+let memo : entry Memo.t = Memo.create 1024
+
+let entry data =
+  match Memo.find_opt memo data with
+  | Some e -> e
+  | None ->
+    let e = { parsed = None; key = None } in
+    Memo.replace memo data e;
+    e
 
 let parse (data : string) : (t, error) result =
-  match Memo.find_opt memo data with
+  let e = entry data in
+  match e.parsed with
   | Some r ->
     Feam_obs.Metrics.incr "elf.parse_memo.hit";
     Feam_obs.Metrics.incr ~by:(String.length data) "elf.parse_memo.saved_bytes";
@@ -416,8 +433,17 @@ let parse (data : string) : (t, error) result =
   | None ->
     Feam_obs.Metrics.incr "elf.parse_memo.miss";
     let r = parse_uncached data in
-    Memo.replace memo data r;
+    e.parsed <- Some r;
     r
+
+let content_key data =
+  let e = entry data in
+  match e.key with
+  | Some k -> k
+  | None ->
+    let k = Feam_util.Chash.of_bytes data in
+    e.key <- Some k;
+    k
 
 let parse_exn data =
   match parse data with

@@ -41,6 +41,14 @@ val section_by_name : t -> string -> section option
     domain-safe. *)
 val parse : string -> (t, error) result
 
+(** The image's content key, {!Feam_util.Chash.of_bytes} of its bytes,
+    held in the same per-image memo entry as {!parse}'s result: the
+    same live string hashes once, an equal copy hashes afresh.  Never
+    parses, and counts nothing in [elf.parse_memo.*].  Works on any
+    string, ELF or not.  This is the one place a live image's identity
+    is computed (DESIGN §9). *)
+val content_key : string -> Feam_util.Chash.t
+
 (** @raise Invalid_argument when {!parse} would return an error. *)
 val parse_exn : string -> t
 

@@ -56,8 +56,6 @@ let file_type_of_code = function 2 -> Some ET_EXEC | 3 -> Some ET_DYN | _ -> Non
 
 let osabi_code = function SYSV -> 0 | GNU_LINUX -> 3
 
-let osabi_of_code = function 0 -> Some SYSV | 3 -> Some GNU_LINUX | _ -> None
-
 (* Natural word size and endianness of each machine, used by the builder
    defaults and by the site models. *)
 let machine_class = function

@@ -20,7 +20,6 @@ val machine_of_code : int -> machine option
 val file_type_code : file_type -> int
 val file_type_of_code : int -> file_type option
 val osabi_code : osabi -> int
-val osabi_of_code : int -> osabi option
 
 (** Natural word size of a machine. *)
 val machine_class : machine -> elf_class

@@ -82,7 +82,7 @@ let build ?clock sites binaries migrations =
             let key =
               ( c.Feam_core.Bdc.copy_request,
                 home,
-                Feam_depot.Chash.to_hex facts.Factbase.fb_key )
+                Feam_util.Chash.to_hex facts.Factbase.fb_key )
             in
             if not (Hashtbl.mem observed key) then
               Hashtbl.add observed key
@@ -108,7 +108,7 @@ let build ?clock sites binaries migrations =
                List.iter
                  (fun (it : Planner.item) ->
                    Hashtbl.replace referenced
-                     (Feam_depot.Chash.to_hex it.Planner.it_key)
+                     (Feam_util.Chash.to_hex it.Planner.it_key)
                      ())
                  plan.Planner.items))
     binaries;
@@ -118,10 +118,10 @@ let build ?clock sites binaries migrations =
            compare
              ( a.Fleet.lib_name,
                a.Fleet.lib_site,
-               Feam_depot.Chash.to_hex a.Fleet.lib_facts.Factbase.fb_key )
+               Feam_util.Chash.to_hex a.Fleet.lib_facts.Factbase.fb_key )
              ( b.Fleet.lib_name,
                b.Fleet.lib_site,
-               Feam_depot.Chash.to_hex b.Fleet.lib_facts.Factbase.fb_key ))
+               Feam_util.Chash.to_hex b.Fleet.lib_facts.Factbase.fb_key ))
   in
   let store_objects =
     Store.entries store
@@ -131,7 +131,7 @@ let build ?clock sites binaries migrations =
              sto_soname = e.Store.e_meta.Store.m_soname;
              sto_size = e.Store.e_meta.Store.m_size;
              sto_referenced =
-               Hashtbl.mem referenced (Feam_depot.Chash.to_hex e.Store.e_key);
+               Hashtbl.mem referenced (Feam_util.Chash.to_hex e.Store.e_key);
            })
   in
   {

@@ -19,7 +19,7 @@ open Feam_sysmodel
 module Snapshot = Feam_drift.Snapshot
 module Invalidate = Feam_drift.Invalidate
 module Timeline = Feam_drift.Timeline
-module Chash = Feam_depot.Chash
+module Chash = Feam_util.Chash
 module Json = Feam_util.Json
 module Prng = Feam_util.Prng
 
@@ -28,7 +28,10 @@ type perturbation = { pe_site : string; pe_what : Scengen.perturbation }
 let perturbation_label p =
   Printf.sprintf "%s @ %s" (Scengen.perturbation_to_string p.pe_what) p.pe_site
 
+(* Live images read their key from the parse memo; derived strings
+   (rendered specs, scripts, text) hash directly. *)
 let digest bytes = Chash.to_hex (Chash.of_bytes bytes)
+let image_digest bytes = Chash.to_hex (Feam_elf.Reader.content_key bytes)
 
 (* -- perturbation draws ------------------------------------------------ *)
 
@@ -100,7 +103,8 @@ let capture_site site =
     |> List.sort_uniq compare
     |> List.filter_map (fun path ->
            match Vfs.find vfs path with
-           | Some { Vfs.kind = Vfs.Elf bytes; _ } -> Some (path, digest bytes)
+           | Some { Vfs.kind = Vfs.Elf bytes; _ } ->
+             Some (path, image_digest bytes)
            | Some { Vfs.kind = Vfs.Symlink target; _ } ->
              Some (path, "->" ^ target)
            | Some { Vfs.kind = Vfs.Script bytes | Vfs.Text bytes; _ } ->
@@ -127,7 +131,7 @@ let probe_fingerprint bytes =
   | Ok spec ->
     digest
       (Fmt.str "%a" Feam_elf.Spec.pp { spec with Feam_elf.Spec.comments = [] })
-  | Error _ -> digest bytes
+  | Error _ -> image_digest bytes
 
 let capture_binary (binary : Testset.binary) =
   match Migrate.source_bundle binary with
@@ -135,7 +139,7 @@ let capture_binary (binary : Testset.binary) =
     {
       Snapshot.bs_id = binary.Testset.id;
       bs_home = Site.name binary.Testset.home;
-      bs_digest = digest binary.Testset.bytes;
+      bs_digest = image_digest binary.Testset.bytes;
       bs_error = Some e;
       bs_description = Json.Null;
       bs_bundle = [];
@@ -145,12 +149,13 @@ let capture_binary (binary : Testset.binary) =
     {
       Snapshot.bs_id = binary.Testset.id;
       bs_home = Site.name binary.Testset.home;
-      bs_digest = digest binary.Testset.bytes;
+      bs_digest = image_digest binary.Testset.bytes;
       bs_error = None;
       bs_description = Description.to_json bundle.Bundle.binary_description;
       bs_bundle =
         List.map
-          (fun c -> ("copy:" ^ c.Bdc.copy_request, digest c.Bdc.copy_bytes))
+          (fun c ->
+            ("copy:" ^ c.Bdc.copy_request, image_digest c.Bdc.copy_bytes))
           bundle.Bundle.copies
         @ List.map
             (fun p ->

@@ -66,34 +66,6 @@ let payload = function
 let perturbation_to_string p =
   match payload p with Some l -> tag p ^ " " ^ l | None -> tag p
 
-let perturbation_of_string s =
-  let kind, lib =
-    match String.index_opt s ' ' with
-    | Some i ->
-      ( String.sub s 0 i,
-        Some (String.sub s (i + 1) (String.length s - i - 1)) )
-    | None -> (s, None)
-  in
-  match (kind, lib) with
-  | "cross-isa", None -> Some Cross_isa
-  | "glibc-downgrade", None -> Some Glibc_downgrade
-  | "drop-stack", None -> Some Drop_stack
-  | "unregistered-stack", None -> Some Unregistered_stack
-  | "misconfigured-stack", None -> Some Misconfigured_stack
-  | "stale-ld-cache", None -> Some Stale_ld_cache
-  | "remove-lib", Some l -> Some (Remove_lib l)
-  | "major-skew", Some l -> Some (Major_skew l)
-  | "vintage-downgrade", Some l -> Some (Vintage_downgrade l)
-  | "foreign-lib", Some l -> Some (Foreign_lib l)
-  | "ld-path-interpose", Some l -> Some (Ld_path_interpose l)
-  | "rpath-decoy", Some l -> Some (Rpath_decoy l)
-  | "runpath-ghost", None -> Some Runpath_ghost
-  | "strip-comments", None -> Some Strip_comments
-  | "strip-verneed", None -> Some Strip_verneed
-  | "drop-bundle-copy", Some l -> Some (Drop_bundle_copy l)
-  | "remove-interp", None -> Some Remove_interp
-  | _ -> None
-
 type t = {
   sc_seed : int;
   sc_index : int;

@@ -46,8 +46,6 @@ type perturbation =
 
 val perturbation_to_string : perturbation -> string
 
-val perturbation_of_string : string -> perturbation option
-
 (** A generated scenario, built and ready to run predictors over. *)
 type t = {
   sc_seed : int;

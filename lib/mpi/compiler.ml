@@ -65,16 +65,6 @@ let fortran_runtime_libs t =
     ]
   | Pgi -> [ Soname.make "libpgf90"; Soname.make "libpgf90rtl" ]
 
-(* The version string a compiler driver prints for "-V" / "--version",
-   used by the environment-discovery heuristics. *)
-let version_banner t =
-  match t.family with
-  | Gnu -> Printf.sprintf "gcc (GCC) %s" (Version.to_string t.version)
-  | Intel ->
-    Printf.sprintf "Intel(R) C Compiler, Version %s Build 20101201"
-      (Version.to_string t.version)
-  | Pgi -> Printf.sprintf "pgcc %s-0 64-bit target" (Version.to_string t.version)
-
 (* The .comment string the compiler embeds in objects it produces. *)
 let comment_string t =
   match t.family with

@@ -29,9 +29,6 @@ val c_runtime_libs : t -> Feam_util.Soname.t list
     source of missing-library failures across sites. *)
 val fortran_runtime_libs : t -> Feam_util.Soname.t list
 
-(** Version banner the driver prints for "-V"/"--version". *)
-val version_banner : t -> string
-
 (** The .comment string the compiler embeds in objects it produces. *)
 val comment_string : t -> string
 

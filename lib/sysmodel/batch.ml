@@ -19,8 +19,6 @@ type t = {
   parallel_template : string;(* submission script template, MPI jobs *)
 }
 
-let system_name = function Pbs -> "PBS" | Sge -> "SGE" | Slurm -> "SLURM"
-
 let default_templates system =
   match system with
   | Pbs ->

@@ -18,8 +18,6 @@ type t = {
   parallel_template : string;
 }
 
-val system_name : system -> string
-
 (** Default submission-script templates per batch system. *)
 val default_templates : system -> string * string
 

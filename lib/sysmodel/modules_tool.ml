@@ -36,14 +36,6 @@ let render_avail site =
     in
     Some ("SoftEnv: keys available on this system:\n" ^ String.concat "\n" lines ^ "\n")
 
-(* Modulefile / softenv database paths, used by the EDC presence test. *)
-let config_paths site =
-  match Site.modules_flavor site with
-  | Site.No_tool -> []
-  | Site.Environment_modules ->
-    [ "/usr/share/Modules/init/sh"; "/usr/share/Modules/modulefiles" ]
-  | Site.Softenv -> [ "/etc/softenv/softenv.db"; "/usr/local/softenv/etc/softenv.db" ]
-
 (* Materialize tool configuration files into the site's filesystem so the
    EDC's file-presence probes behave like on a real system. *)
 let provision site =

@@ -10,9 +10,6 @@ val available_modules : Site.t -> string list
     user-environment management tool. *)
 val render_avail : Site.t -> string option
 
-(** Tool configuration paths the EDC's presence probes check. *)
-val config_paths : Site.t -> string list
-
 (** Materialize the tool's configuration files into the site filesystem
     (done by provisioning). *)
 val provision : Site.t -> unit

@@ -41,6 +41,4 @@ let with_objdump v t = { t with objdump = v }
 let with_readelf v t = { t with readelf = v }
 let with_ldd v t = { t with ldd = v }
 let with_locate v t = { t with locate = v }
-let with_uname v t = { t with uname = v }
-let with_find v t = { t with find = v }
 let with_c_compiler v t = { t with c_compiler = v }

@@ -24,6 +24,4 @@ val with_objdump : bool -> t -> t
 val with_readelf : bool -> t -> t
 val with_ldd : bool -> t -> t
 val with_locate : bool -> t -> t
-val with_uname : bool -> t -> t
-val with_find : bool -> t -> t
 val with_c_compiler : bool -> t -> t

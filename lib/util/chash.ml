@@ -1,8 +1,9 @@
-(* The depot's content hash: a deterministic function of the payload
-   bytes and nothing else.  Two captures of the same library image —
-   from different paths, sites, or times — always produce the same key,
-   which is what makes the store content-addressed and the transfer
-   planner's dedup sound.
+(* The content hash: a deterministic function of the payload bytes and
+   nothing else.  Two captures of the same library image — from
+   different paths, sites, or times — always produce the same key,
+   which is what makes the depot content-addressed and the transfer
+   planner's dedup sound.  Live ELF images get their key through
+   [Feam_elf.Reader.content_key], which hashes each image once.
 
    The hash is a domain-separated MD5 over the raw bytes: MD5 is in the
    OCaml standard library, stable across platforms, and collision
@@ -23,11 +24,6 @@ let is_hex_char = function '0' .. '9' | 'a' .. 'f' -> true | _ -> false
 
 let of_hex s =
   if String.length s = 32 && String.for_all is_hex_char s then Some s else None
-
-let of_hex_exn s =
-  match of_hex s with
-  | Some t -> t
-  | None -> invalid_arg (Printf.sprintf "Chash.of_hex_exn: %S" s)
 
 (* Leading digits, for display: long enough to be unique in any
    realistic store, short enough for a table column. *)

@@ -1,11 +1,11 @@
-(* Tests for the fleet audit layer: content-addressed fact extraction
-   (stability, memo hits), the five fleet-tier rules over synthetic
+(* Tests for the fleet audit layer: fact extraction, the content key
+   read from the parse memo, the five fleet-tier rules over synthetic
    fleets, baseline round-trips, and the audit report's determinism. *)
 
 open Feam_analysis
 module Spec = Feam_elf.Spec
 module Types = Feam_elf.Types
-module Chash = Feam_depot.Chash
+module Chash = Feam_util.Chash
 module Diagnose = Feam_core.Diagnose
 
 let v = Feam_util.Version.of_string_exn
@@ -38,7 +38,6 @@ let bin_image ?(glibc = []) ?(needed = [ "libc.so.6" ]) () =
 (* -- Fact extraction ----------------------------------------------------- *)
 
 let test_facts_extraction () =
-  Factbase.reset ();
   let bytes =
     lib_image ~soname:"libx.so.1" ~exports:[ "zeta"; "alpha"; "alpha" ]
       ~glibc:[ "GLIBC_2.3.4"; "GLIBC_2.5"; "GLIBC_2.2.5" ]
@@ -59,34 +58,38 @@ let test_facts_extraction () =
     (Chash.equal f.Factbase.fb_key (Chash.of_bytes bytes))
 
 let test_facts_unparsable () =
-  Factbase.reset ();
   let f = Factbase.facts_of_bytes "not an elf image" in
   Alcotest.(check bool) "no spec" true (f.Factbase.fb_spec = None);
   Alcotest.(check bool) "parse error recorded" true
     (f.Factbase.fb_parse_error <> None);
   Alcotest.(check (list string)) "no exports" [] f.Factbase.fb_exports
 
-let test_facts_memo_hits () =
-  Factbase.reset ();
-  let bytes = lib_image ~soname:"libmemo.so.1" ~exports:[ "f" ] () in
-  let before h = Option.value ~default:0 (Feam_obs.Metrics.counter_value h) in
-  let hit0 = before "elf.spec_memo.hit" in
-  let miss0 = before "elf.spec_memo.miss" in
-  let a = Factbase.facts_of_bytes bytes in
-  let b = Factbase.facts_of_bytes bytes in
-  let c = Factbase.facts_of_bytes bytes in
-  Alcotest.(check bool) "same facts object" true (a == b && b == c);
-  Alcotest.(check int) "one miss"
-    (miss0 + 1)
-    (Option.value ~default:0 (Feam_obs.Metrics.counter_value "elf.spec_memo.miss"));
-  Alcotest.(check int) "two hits"
-    (hit0 + 2)
-    (Option.value ~default:0 (Feam_obs.Metrics.counter_value "elf.spec_memo.hit"));
-  Alcotest.(check int) "one interned object" 1 (Factbase.size ())
+(* The content key is read from the parse memo: hashing an image no one
+   has parsed must not count as a parse, and a later parse still misses
+   exactly once. *)
+let test_content_key_not_a_parse () =
+  let bytes = lib_image ~soname:"libkey.so.1" ~exports:[ "f" ] () in
+  let count name =
+    Option.value ~default:0 (Feam_obs.Metrics.counter_value name)
+  in
+  let counts () =
+    ( count "elf.parse_memo.hit",
+      count "elf.parse_memo.miss",
+      count "elf.parse_memo.saved_bytes" )
+  in
+  let c0 = counts () in
+  ignore (Feam_elf.Reader.content_key bytes);
+  ignore (Feam_elf.Reader.content_key bytes);
+  Alcotest.(check (triple int int int)) "keys leave the parse counters" c0
+    (counts ());
+  let h0, m0, b0 = c0 in
+  ignore (Feam_elf.Reader.parse bytes);
+  Alcotest.(check (triple int int int)) "the first parse still misses"
+    (h0, m0 + 1, b0) (counts ())
 
-(* qcheck: extraction is a pure function of the bytes — a fresh memo
-   and a warm memo agree on every field, for arbitrary payloads (ELF or
-   not). *)
+(* qcheck: for arbitrary payloads (ELF or not), the memoized key is the
+   content hash on first sight, on a repeat, on an equal copy that is
+   not the same string, and as the fact base reports it. *)
 let gen_payload =
   QCheck.Gen.(
     oneof
@@ -98,24 +101,17 @@ let gen_payload =
              (list_size (int_range 0 4) (oneofl [ "f"; "g"; "h"; "k" ])));
       ])
 
-let facts_fingerprint (f : Factbase.facts) =
-  ( Chash.to_hex f.Factbase.fb_key,
-    f.Factbase.fb_soname,
-    f.Factbase.fb_needed,
-    f.Factbase.fb_exports,
-    Option.map Feam_util.Version.to_string f.Factbase.fb_glibc_floor,
-    (f.Factbase.fb_interp, f.Factbase.fb_parse_error = None, f.Factbase.fb_size)
-  )
-
-let prop_facts_stable =
-  QCheck.Test.make ~name:"factbase: cold and warm extraction agree" ~count:100
+let prop_content_key =
+  QCheck.Test.make ~name:"content key is the chash" ~count:100
     (QCheck.make ~print:String.escaped gen_payload) (fun bytes ->
-      Factbase.reset ();
-      let cold = facts_fingerprint (Factbase.facts_of_bytes bytes) in
-      let warm = facts_fingerprint (Factbase.facts_of_bytes bytes) in
-      Factbase.reset ();
-      let again = facts_fingerprint (Factbase.facts_of_bytes bytes) in
-      cold = warm && cold = again)
+      let expected = Chash.of_bytes bytes in
+      let first = Feam_elf.Reader.content_key bytes in
+      let repeat = Feam_elf.Reader.content_key bytes in
+      let copy =
+        Feam_elf.Reader.content_key (Bytes.to_string (Bytes.of_string bytes))
+      in
+      let facts = (Factbase.facts_of_bytes bytes).Factbase.fb_key in
+      List.for_all (Chash.equal expected) [ first; repeat; copy; facts ])
 
 (* -- Synthetic fleets ---------------------------------------------------- *)
 
@@ -144,7 +140,6 @@ let subjects findings =
   List.map (fun (f : Diagnose.finding) -> f.Diagnose.subject) findings
 
 let test_abi_skew () =
-  Factbase.reset ();
   let diverging = "libmpi.so.0" in
   let rebuilt = "libm.so.6" in
   let fleet =
@@ -177,7 +172,6 @@ let test_abi_skew () =
   | _ -> Alcotest.fail "expected exactly two findings")
 
 let test_fleet_orphan () =
-  Factbase.reset ();
   let fleet =
     {
       Fleet.empty with
@@ -207,7 +201,6 @@ let test_fleet_orphan () =
   | _ -> Alcotest.fail "expected exactly two findings")
 
 let test_glibc_laggard () =
-  Factbase.reset ();
   let fleet =
     {
       Fleet.empty with
@@ -233,7 +226,6 @@ let test_glibc_laggard () =
   | fs -> Alcotest.failf "expected one finding, got %d" (List.length fs)
 
 let test_depot_unreferenced () =
-  Factbase.reset ();
   let obj referenced soname bytes =
     { Fleet.sto_key = Chash.of_bytes bytes; sto_soname = soname;
       sto_size = String.length bytes; sto_referenced = referenced }
@@ -261,7 +253,6 @@ let test_depot_unreferenced () =
     (List.sort compare (subjects findings))
 
 let test_stack_partition () =
-  Factbase.reset ();
   let fleet =
     {
       Fleet.empty with
@@ -370,7 +361,6 @@ let test_baseline_apply () =
 (* -- Report determinism -------------------------------------------------- *)
 
 let skew_fleet () =
-  Factbase.reset ();
   {
     Fleet.empty with
     Fleet.sites = [ site "a"; site "b" ];
@@ -408,8 +398,9 @@ let suite =
       Alcotest.test_case "fact extraction" `Quick test_facts_extraction;
       Alcotest.test_case "unparsable bytes still get facts" `Quick
         test_facts_unparsable;
-      Alcotest.test_case "memo hit/miss accounting" `Quick test_facts_memo_hits;
-      QCheck_alcotest.to_alcotest prop_facts_stable;
+      Alcotest.test_case "content key is not a parse" `Quick
+        test_content_key_not_a_parse;
+      QCheck_alcotest.to_alcotest prop_content_key;
       Alcotest.test_case "abi-skew" `Quick test_abi_skew;
       Alcotest.test_case "fleet-orphan" `Quick test_fleet_orphan;
       Alcotest.test_case "glibc-laggard" `Quick test_glibc_laggard;

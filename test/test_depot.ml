@@ -5,7 +5,7 @@
    from a flight-recorder journal. *)
 
 open Feam_core
-module Chash = Feam_depot.Chash
+module Chash = Feam_util.Chash
 module Store = Feam_depot.Store
 module Planner = Feam_depot.Planner
 
@@ -138,6 +138,37 @@ let test_save_load_roundtrip () =
     (Store.listing loaded);
   Alcotest.(check int) "bytes identical" (Store.total_bytes store)
     (Store.total_bytes loaded)
+
+(* A saved one-object depot, its object's key, and its shard directory:
+   the starting point for the damaged-depot cases below. *)
+let saved_depot () =
+  let store = Store.create () in
+  let _, key = intern_str store "payload one" in
+  let dir = Filename.temp_dir "feam_depot_test" "" in
+  Store.save_dir store dir;
+  let hex = Chash.to_hex key in
+  (dir, hex, Filename.concat (Filename.concat dir "objects") (String.sub hex 0 2))
+
+let check_rejected what dir ~mentions =
+  match Store.load_dir dir with
+  | Ok _ -> Alcotest.failf "%s: load_dir accepted a damaged depot" what
+  | Error e ->
+    Alcotest.(check bool)
+      (Printf.sprintf "%s: error %S mentions %S" what e mentions)
+      true
+      (Feam_sysmodel.Str_split.contains ~sub:mentions e)
+
+let test_load_rejects_directory () =
+  let dir, _, shard = saved_depot () in
+  Sys.mkdir (Filename.concat shard "stray") 0o755;
+  check_rejected "directory in a shard" dir ~mentions:"stray"
+
+let test_load_rejects_wrong_shard () =
+  let dir, hex, shard = saved_depot () in
+  let wrong = Filename.concat (Filename.concat dir "objects") "zz" in
+  Sys.mkdir wrong 0o755;
+  Sys.rename (Filename.concat shard hex) (Filename.concat wrong hex);
+  check_rejected "payload under the wrong shard" dir ~mentions:("zz/" ^ hex)
 
 (* -- Depot-backed manifests --------------------------------------------- *)
 
@@ -279,6 +310,10 @@ let suite =
         test_gc_keeps_pinned_and_roots;
       QCheck_alcotest.to_alcotest prop_gc_never_sweeps_reachable;
       Alcotest.test_case "save/load round-trip" `Quick test_save_load_roundtrip;
+      Alcotest.test_case "load rejects a directory in a shard" `Quick
+        test_load_rejects_directory;
+      Alcotest.test_case "load rejects a misfiled payload" `Quick
+        test_load_rejects_wrong_shard;
       Alcotest.test_case "manifest export byte-identical" `Quick
         test_manifest_export_byte_identical;
       Alcotest.test_case "manifest render/parse round-trip" `Quick
