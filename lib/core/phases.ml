@@ -144,7 +144,7 @@ let source_phase ?clock _config site env ~binary_path =
    binary's path at the target (basic mode) must be supplied; with a
    bundle carrying the binary bytes, the binary is materialized at the
    target automatically. *)
-let target_phase ?clock ?depot config site env ?bundle ?binary_path () =
+let target_phase ?clock ?depot ?stacks config site env ?bundle ?binary_path () =
   Feam_obs.Ledger.with_stage "phases.target" @@ fun () ->
   Feam_obs.Trace.with_span "phases.target"
     ~attrs:
@@ -226,7 +226,7 @@ let target_phase ?clock ?depot config site env ?bundle ?binary_path () =
     let input =
       { Tec.config; description; binary_path; bundle; discovery }
     in
-    let prediction = Tec.evaluate ?clock ?depot site env input in
+    let prediction = Tec.evaluate ?clock ?depot ?stacks site env input in
     let report =
       Report.make ~site_name:(Site.name site)
         ~binary:description.Description.path prediction

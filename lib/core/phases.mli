@@ -22,10 +22,12 @@ val source_phase :
 
 (** Run the target phase.  Supply a [bundle] (extended mode; the binary
     travels inside it) and/or the binary's [binary_path] at the target
-    (basic mode). *)
+    (basic mode).  [stacks] is the evaluation pass's MPI-stack memo
+    ({!Tec.evaluate}). *)
 val target_phase :
   ?clock:Feam_util.Sim_clock.t ->
   ?depot:Resolve_model.depot ->
+  ?stacks:Stack_memo.t ->
   Config.t ->
   Feam_sysmodel.Site.t ->
   Feam_sysmodel.Env.t ->

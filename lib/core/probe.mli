@@ -7,9 +7,6 @@
     detect ABI and floating-point defects that only foreign builds hit —
     the extended prediction's edge (§VI.C). *)
 
-(** Directory probes are staged/compiled into at the target. *)
-val probe_dir : string
-
 type probe_result = (unit, string) result
 
 (** The batch queue probes are submitted through: the user-configured
@@ -33,21 +30,6 @@ val native :
   Feam_sysmodel.Site.t ->
   Feam_sysmodel.Env.t ->
   Feam_sysmodel.Stack_install.t ->
-  probe_result
-
-(** Stage and run a shipped probe under the install's stack.  The probe
-    travelled with the bundle, so its missing dependencies (typically the
-    application's compiler runtime) are resolved from the bundle's copies
-    before the run. *)
-val foreign :
-  ?clock:Feam_util.Sim_clock.t ->
-  Config.t ->
-  Feam_sysmodel.Site.t ->
-  Feam_sysmodel.Env.t ->
-  Feam_sysmodel.Stack_install.t ->
-  bundle:Bundle.t ->
-  target_glibc:Feam_util.Version.t option ->
-  Bundle.probe ->
   probe_result
 
 (** Full stack test: native probe when possible, then every shipped

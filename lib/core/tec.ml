@@ -250,7 +250,7 @@ let decide ~config ~(description : Description.t) ~(discovery : Discovery.t)
 (* -- effectful evidence gathering ------------------------------------------ *)
 
 (* Probe candidates in preference order; first functioning one wins. *)
-let select_stack ?clock input site env candidates =
+let probe_candidates ?clock input site env candidates =
   let rec try_candidates failures = function
     | [] -> (None, List.rev failures)
     | candidate :: rest -> (
@@ -274,6 +274,17 @@ let select_stack ?clock input site env candidates =
           try_candidates ((candidate.Discovery.slug, why) :: failures) rest))
   in
   try_candidates [] candidates
+
+(* The mpi_stack determinant's effects, through the pass's memo when the
+   caller passed one. *)
+let select_stack ?clock ?stacks input site env candidates =
+  match stacks with
+  | None -> probe_candidates ?clock input site env candidates
+  | Some memo ->
+    Stack_memo.find_or_probe memo ?clock ~config:input.config site env
+      ~bundle:input.bundle ~target_glibc:input.discovery.Discovery.glibc
+      ~candidates (fun ~clock ->
+        probe_candidates ~clock input site env candidates)
 
 (* Missing shared libraries under [env]: ldd on the binary when present,
    name-by-name search otherwise (the bundle-only case). *)
@@ -357,7 +368,7 @@ let journal_libs le ~compatible =
 
 (* -- live evaluation ------------------------------------------------------- *)
 
-let evaluate_inner ?clock ?depot site env (input : input) : Predict.t =
+let evaluate_inner ?clock ?depot ?stacks site env (input : input) : Predict.t =
   let d = input.description in
   let disc = input.discovery in
   let decide_now ?stack ?libs () =
@@ -399,7 +410,7 @@ let evaluate_inner ?clock ?depot site env (input : input) : Predict.t =
       let requested_impl = requested_impl_of d in
       let selection, probe_failures =
         if requested_impl = None then (None, [])
-        else select_stack ?clock input site env candidates
+        else select_stack ?clock ?stacks input site env candidates
       in
       let stack_ev =
         {
@@ -466,7 +477,7 @@ let evaluate_inner ?clock ?depot site env (input : input) : Predict.t =
       in
       decide_now ~stack:stack_ev ~libs:libs_ev ()
 
-let evaluate ?clock ?depot site env (input : input) : Predict.t =
+let evaluate ?clock ?depot ?stacks site env (input : input) : Predict.t =
   Feam_obs.Ledger.with_stage "tec.evaluate" @@ fun () ->
   Feam_obs.Trace.with_span "tec.evaluate"
     ~attrs:
@@ -476,7 +487,7 @@ let evaluate ?clock ?depot site env (input : input) : Predict.t =
     (Json.Str (Config.to_file_body input.config));
   Recorder.payload ~kind:"description" (Description.to_json input.description);
   Recorder.payload ~kind:"discovery" (Discovery.to_json input.discovery);
-  let t = evaluate_inner ?clock ?depot site env input in
+  let t = evaluate_inner ?clock ?depot ?stacks site env input in
   let outcome = if Predict.is_ready t then "ready" else "not_ready" in
   Recorder.decision ~determinant:"predict"
     ~verdict:(if Predict.is_ready t then "ready" else "not ready")

@@ -59,10 +59,12 @@ val decide :
   unit ->
   Predict.t
 
-(** Run the full evaluation. *)
+(** Run the full evaluation.  With [stacks], the MPI-stack determinant
+    goes through that pass's memo; without, it probes every time. *)
 val evaluate :
   ?clock:Feam_util.Sim_clock.t ->
   ?depot:Resolve_model.depot ->
+  ?stacks:Stack_memo.t ->
   Feam_sysmodel.Site.t ->
   Feam_sysmodel.Env.t ->
   input ->

@@ -178,10 +178,12 @@ let all_cells = Migrate.cells
    Predictions never consume the exec PRNG, so the fields here are
    byte-identical to a full Migrate.run_all at the same epoch (the
    cross-check below proves it per run). *)
-let predict_cell (binary : Testset.binary) target =
+let predict_cell ?stacks (binary : Testset.binary) target =
   Migrate.with_staged binary target @@ fun staged_path ->
-  let basic = Migrate.basic_prediction target staged_path in
-  let extended = Migrate.extended_prediction binary target staged_path in
+  let basic = Migrate.basic_prediction ?stacks target staged_path in
+  let extended =
+    Migrate.extended_prediction ?stacks binary target staged_path
+  in
   {
     Snapshot.cl_binary = binary.Testset.id;
     cl_target = Site.name target;
@@ -192,16 +194,20 @@ let predict_cell (binary : Testset.binary) target =
     cl_staged = extended.Migrate.staged;
   }
 
+(* Each pass below is one evaluation pass with its own MPI-stack memo
+   (DESIGN §17). *)
 let predict_all sites binaries =
-  List.map (fun (b, t) -> predict_cell b t) (all_cells sites binaries)
+  let stacks = Feam_core.Stack_memo.create () in
+  List.map (fun (b, t) -> predict_cell ~stacks b t) (all_cells sites binaries)
 
 (* The one re-evaluation step of every incremental consumer: predict
    the cells a plan reached, in the order given. *)
 let reevaluate sites binaries ids =
   let binary = Testset.by_id binaries in
+  let stacks = Feam_core.Stack_memo.create () in
   List.map
     (fun (c : Invalidate.cell_id) ->
-      predict_cell
+      predict_cell ~stacks
         (binary c.Invalidate.ci_binary)
         (Sites.find_by_name sites c.Invalidate.ci_target))
     ids

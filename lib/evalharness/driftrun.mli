@@ -88,12 +88,15 @@ val all_cells :
     {!Migrate.basic_prediction} and {!Migrate.extended_prediction} —
     the steps {!Migrate.migrate} runs, without its two ground-truth
     executions.  The target is cleaned afterwards, also on an
-    exception. *)
+    exception.  [stacks] is the pass's MPI-stack memo. *)
 val predict_cell :
-  Testset.binary -> Feam_sysmodel.Site.t -> Feam_drift.Snapshot.cell
+  ?stacks:Feam_core.Stack_memo.t ->
+  Testset.binary ->
+  Feam_sysmodel.Site.t ->
+  Feam_drift.Snapshot.cell
 
 (** A full prediction pass: {!predict_cell} over {!all_cells}, in
-    matrix order. *)
+    matrix order, sharing one MPI-stack memo. *)
 val predict_all :
   Feam_sysmodel.Site.t list ->
   Testset.binary list ->
@@ -101,7 +104,8 @@ val predict_all :
 
 (** Re-evaluate the cells a plan reached ([Invalidate.plan]'s
     [pl_affected]) with {!predict_cell}, in the order given — the one
-    re-evaluation step drift, [feam serve] and the benches share. *)
+    re-evaluation step drift, [feam serve] and the benches share.  The
+    cells share one MPI-stack memo. *)
 val reevaluate :
   Feam_sysmodel.Site.t list ->
   Testset.binary list ->

@@ -25,7 +25,7 @@ let cell_name binary target =
 
 (* Journal one cell: the extended prediction (source-phase bundle, then
    the journaled target phase) of [binary] at [target]. *)
-let journal_cell ?clock ~write binary target =
+let journal_cell ?clock ?stacks ~write binary target =
   Migrate.with_staged binary target @@ fun staged_path ->
   (* The source phase runs before the recorder is armed: the cell's
      journal covers the target phase, which re-journals everything
@@ -36,17 +36,20 @@ let journal_cell ?clock ~write binary target =
   Fun.protect ~finally:Recorder.disable @@ fun () ->
   (* No bundle: journal the basic prediction instead. *)
   ignore
-    (Feam_core.Phases.target_phase ?clock Feam_core.Config.default target
-       (Site.base_env target) ?bundle:(Result.to_option bundle)
+    (Feam_core.Phases.target_phase ?clock ?stacks Feam_core.Config.default
+       target (Site.base_env target) ?bundle:(Result.to_option bundle)
        ~binary_path:staged_path ()
       : (Feam_core.Report.t, string) result);
   Recorder.flush ();
   name
 
 (* Journal every cell of the migration matrix ({!Migrate.cells}, the
-   reported cells, as in the paper).  Returns the journal names
-   written. *)
+   reported cells, as in the paper), as one evaluation pass sharing one
+   MPI-stack memo: a hit replays the probes' records into the cell's
+   journal, so each journal reads as if the cell ran alone.  Returns the
+   journal names written. *)
 let write_cells ?clock ~write sites binaries =
+  let stacks = Feam_core.Stack_memo.create () in
   List.map
-    (fun (binary, target) -> journal_cell ?clock ~write binary target)
+    (fun (binary, target) -> journal_cell ?clock ~stacks ~write binary target)
     (Migrate.cells sites binaries)

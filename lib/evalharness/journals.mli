@@ -9,17 +9,21 @@ val sanitize : string -> string
 val cell_name : Testset.binary -> Feam_sysmodel.Site.t -> string
 
 (** Journal one cell (the extended prediction when the source phase
-    succeeds, the basic one otherwise); returns the name written. *)
+    succeeds, the basic one otherwise); returns the name written.
+    [stacks] is the pass's MPI-stack memo. *)
 val journal_cell :
   ?clock:Feam_util.Sim_clock.t ->
+  ?stacks:Feam_core.Stack_memo.t ->
   write:(name:string -> string -> unit) ->
   Testset.binary ->
   Feam_sysmodel.Site.t ->
   string
 
 (** Journal every reported cell of the migration matrix (each binary at
-    every other site with a matching MPI implementation); returns the
-    journal names written. *)
+    every other site with a matching MPI implementation) with one
+    MPI-stack memo; each journal is byte-identical to
+    {!journal_cell}'s without one.  Returns the journal names
+    written. *)
 val write_cells :
   ?clock:Feam_util.Sim_clock.t ->
   write:(name:string -> string -> unit) ->

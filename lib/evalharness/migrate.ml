@@ -116,11 +116,11 @@ let failed e = { ready = false; reasons = [ e ]; staged = []; stack = None }
 (* Basic prediction: target phase only, no bundle.  [stack] is the
    functioning stack FEAM found; the target's /tmp/feam is cleared for
    the steps that follow. *)
-let basic_prediction ?clock target staged_path =
+let basic_prediction ?clock ?stacks target staged_path =
   let open Feam_core in
   let basic =
-    Phases.target_phase ?clock Config.default target (Site.base_env target)
-      ~binary_path:staged_path ()
+    Phases.target_phase ?clock ?stacks Config.default target
+      (Site.base_env target) ~binary_path:staged_path ()
   in
   Vfs.remove_tree (Site.vfs target) "/tmp/feam";
   match basic with
@@ -138,15 +138,16 @@ let basic_prediction ?clock target staged_path =
    [bundle_filter] transforms the bundle before the target phase.
    [stack] is the plan's chosen stack; [staged] the libraries resolved
    from the bundle. *)
-let extended_prediction ?clock ?(bundle_filter = fun b -> b) binary target
-    staged_path =
+let extended_prediction ?clock ?stacks ?(bundle_filter = fun b -> b) binary
+    target staged_path =
   let open Feam_core in
   let extended =
     match source_bundle ?clock binary with
     | Error e -> Error e
     | Ok bundle ->
-      Phases.target_phase ?clock Config.default target (Site.base_env target)
-        ~bundle:(bundle_filter bundle) ~binary_path:staged_path ()
+      Phases.target_phase ?clock ?stacks Config.default target
+        (Site.base_env target) ~bundle:(bundle_filter bundle)
+        ~binary_path:staged_path ()
   in
   match extended with
   | Ok report -> (
@@ -194,7 +195,7 @@ let run_binary (params : Params.t) binary target staged_path verdict =
 (* One migration: stage, basic prediction, the before-resolution run,
    extended prediction, the after-resolution run.  [bundle_filter] is
    the ablation study's hook to strip probes or library copies. *)
-let migrate ?clock ?bundle_filter (params : Params.t) binary target =
+let migrate ?clock ?stacks ?bundle_filter (params : Params.t) binary target =
   (* One matrix cell in the cost ledger, named binary->site like the
      evaluation tables; the Prof timer sees the same work per target. *)
   Feam_obs.Ledger.with_cell
@@ -205,12 +206,12 @@ let migrate ?clock ?bundle_filter (params : Params.t) binary target =
     "evalharness.migrate"
   @@ fun () ->
   with_staged binary target @@ fun staged_path ->
-  let basic = basic_prediction ?clock target staged_path in
+  let basic = basic_prediction ?clock ?stacks target staged_path in
   (* Before resolution: the stack the basic prediction selected, no
      library fixes. *)
   let actual_before = run_binary params binary target staged_path basic in
   let extended =
-    extended_prediction ?clock ?bundle_filter binary target staged_path
+    extended_prediction ?clock ?stacks ?bundle_filter binary target staged_path
   in
   (* After resolution: FEAM's configuration applied. *)
   let actual_after = run_binary params binary target staged_path extended in
@@ -226,15 +227,21 @@ let migrate ?clock ?bundle_filter (params : Params.t) binary target =
     actual_after;
   }
 
-(* All migrations of the corpus, one per matrix cell.  The describe memo
-   is enabled for the run: the same library image re-described at the
-   same site across cells parses once (hit rate surfaces in
-   bdc.describe_cache metrics). *)
+(* All migrations of the corpus, one per matrix cell, as one evaluation
+   pass with two caches.  The describe memo is enabled for the run: the
+   same library image re-described at the same site across cells parses
+   once (bdc.describe_cache metrics).  One MPI-stack memo serves every
+   cell: a determinant whose inputs an earlier cell already probed
+   replays that outcome instead of probing again (tec.stack_memo
+   metrics; DESIGN §17).  Both are invisible in the results: the cells,
+   the clock and the counters come out as a cell-by-cell run would. *)
 let run_all ?clock ?bundle_filter params sites binaries =
   Feam_core.Bdc.set_describe_memo ();
   Fun.protect ~finally:Feam_core.Bdc.clear_describe_memo @@ fun () ->
+  let stacks = Feam_core.Stack_memo.create () in
   List.map
-    (fun (binary, target) -> migrate ?clock ?bundle_filter params binary target)
+    (fun (binary, target) ->
+      migrate ?clock ~stacks ?bundle_filter params binary target)
     (cells sites binaries)
 
 let of_suite suite migrations =

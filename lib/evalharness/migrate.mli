@@ -76,14 +76,20 @@ type verdict = {
 }
 
 (** Basic prediction of the staged binary: the target phase without a
-    bundle.  Clears the target's /tmp/feam afterwards. *)
+    bundle.  Clears the target's /tmp/feam afterwards.  [stacks] is the
+    pass's MPI-stack memo, as for every step below. *)
 val basic_prediction :
-  ?clock:Feam_util.Sim_clock.t -> Feam_sysmodel.Site.t -> string -> verdict
+  ?clock:Feam_util.Sim_clock.t ->
+  ?stacks:Feam_core.Stack_memo.t ->
+  Feam_sysmodel.Site.t ->
+  string ->
+  verdict
 
 (** Extended prediction of the staged binary: {!source_bundle}, passed
     through [bundle_filter], then the target phase with the bundle. *)
 val extended_prediction :
   ?clock:Feam_util.Sim_clock.t ->
+  ?stacks:Feam_core.Stack_memo.t ->
   ?bundle_filter:(Feam_core.Bundle.t -> Feam_core.Bundle.t) ->
   Testset.binary ->
   Feam_sysmodel.Site.t ->
@@ -96,13 +102,19 @@ val extended_prediction :
     extended target phase — the ablation study's hook. *)
 val migrate :
   ?clock:Feam_util.Sim_clock.t ->
+  ?stacks:Feam_core.Stack_memo.t ->
   ?bundle_filter:(Feam_core.Bundle.t -> Feam_core.Bundle.t) ->
   Params.t ->
   Testset.binary ->
   Feam_sysmodel.Site.t ->
   migration
 
-(** All migrations of a corpus, one per {!cells} entry. *)
+(** All migrations of a corpus, one per {!cells} entry, as one
+    evaluation pass: the cells share one {!Feam_core.Stack_memo}, so
+    each distinct MPI-stack determinant input is probed once, and the
+    describe memo is on.  The result, the [clock] and the probe and
+    resolution counters are those of {!migrate} run cell by cell
+    without a memo. *)
 val run_all :
   ?clock:Feam_util.Sim_clock.t ->
   ?bundle_filter:(Feam_core.Bundle.t -> Feam_core.Bundle.t) ->

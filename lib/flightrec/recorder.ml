@@ -16,6 +16,9 @@ module Json = Feam_util.Json
    refuses journals from the future. *)
 let schema_version = 1
 
+(* Captured records: each one's type and caller fields. *)
+type tape = (string * (string * Json.t) list) list
+
 type state = {
   mutable enabled : bool;
   mutable emit : string -> unit;
@@ -23,6 +26,7 @@ type state = {
   mutable next_seq : int;
   mutable records : Json.t list; (* reversed *)
   mutable flushed_at : int;      (* record count at the last flush *)
+  mutable tape : tape option;    (* newest first, while {!capture} runs *)
 }
 
 let st =
@@ -33,6 +37,7 @@ let st =
     next_seq = 1;
     records = [];
     flushed_at = -1;
+    tape = None;
   }
 
 let enabled () = st.enabled
@@ -82,6 +87,9 @@ let disable () =
    everything else is the caller's fields. *)
 let record ?(fields = []) kind =
   if st.enabled then begin
+    (match st.tape with
+    | Some l -> st.tape <- Some ((kind, fields) :: l)
+    | None -> ());
     let span =
       match Feam_obs.Trace.current_span_id () with
       | Some id -> Json.Int id
@@ -98,6 +106,18 @@ let record ?(fields = []) kind =
     st.records <- r :: st.records;
     Feam_obs.Metrics.incr ~labels:[ ("type", kind) ] "flightrec.records"
   end
+
+(* Run [f], returning the records it journaled as a tape: replaying the
+   tape later journals what [f] would.  Disabled, the recorder keeps
+   nothing, so the tape is empty. *)
+let capture f =
+  if st.tape <> None then invalid_arg "Recorder.capture: already capturing";
+  st.tape <- Some [];
+  Fun.protect ~finally:(fun () -> st.tape <- None) @@ fun () ->
+  let r = f () in
+  (r, List.rev (Option.get st.tape))
+
+let replay tape = List.iter (fun (kind, fields) -> record ~fields kind) tape
 
 (* A raw fact consulted during discovery — an objdump/readelf/ldd
    parse, an environment probe, a library location. *)

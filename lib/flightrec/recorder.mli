@@ -19,6 +19,19 @@ val enabled : unit -> bool
     innermost open {!Feam_obs.Trace} span id are stamped automatically. *)
 val record : ?fields:(string * Feam_util.Json.t) list -> string -> unit
 
+(** Records captured from a run of some work, in order. *)
+type tape
+
+(** [capture f] runs [f] and returns, with its result, every record [f]
+    journaled.  The recorder keeps nothing while disabled, so the tape
+    is then empty.
+    @raise Invalid_argument inside another capture. *)
+val capture : (unit -> 'a) -> 'a * tape
+
+(** Record a tape's records again, in order: each gets a fresh sequence
+    number and the current span, as {!record} stamps them. *)
+val replay : tape -> unit
+
 (** A raw fact consulted during discovery (objdump parse, ldd walk,
     environment probe, library location). *)
 val evidence :

@@ -44,8 +44,37 @@ let key name labels =
     ^ String.concat "," (List.map (fun (k, v) -> k ^ "=" ^ v) labels)
     ^ "}"
 
-(* Nanosecond-oriented defaults: 1us up to 10s, plus overflow. *)
-let default_bounds = [| 1e3; 1e4; 1e5; 1e6; 1e7; 1e8; 1e9; 1e10 |]
+(* Nanosecond-oriented log-linear defaults, HdrHistogram-style: every
+   power-of-two octave from 2^10 ns (~1 us) to 2^34 ns (~17 s) is split
+   into [sub_buckets] equal-width buckets, so a bucket is at most 25% of
+   its value wide and a tail reads as a number, not a decade.  Values
+   above the last bound land in the overflow bucket. *)
+let sub_buckets = 4
+let min_exp = 10
+let max_exp = 34
+
+let default_bounds =
+  Array.init
+    (((max_exp - min_exp) * sub_buckets) + 1)
+    (fun i ->
+      Float.ldexp
+        (1.0 +. (float_of_int (i mod sub_buckets) /. float_of_int sub_buckets))
+        (min_exp + (i / sub_buckets)))
+
+(* The default bucket of [v] in O(1): [frexp] gives the octave, the
+   mantissa the sub-bucket.  Bounds are inclusive upper edges, as in
+   the linear scan custom bounds use. *)
+let default_bucket v =
+  if not (v > default_bounds.(0)) then 0
+  else if v > default_bounds.(Array.length default_bounds - 1) then
+    Array.length default_bounds
+  else
+    let m, e = Float.frexp v in
+    (* v = x * 2^(e-1) with x = 2m in [1, 2) *)
+    let octave = e - 1 - min_exp in
+    let fraction = (2.0 *. m) -. 1.0 in
+    let sub = int_of_float (Float.ceil (fraction *. float_of_int sub_buckets)) in
+    (octave * sub_buckets) + sub
 
 let find_or_add name labels make =
   let k = key name labels in
@@ -56,12 +85,38 @@ let find_or_add name labels make =
     Hashtbl.add registry k { name; labels; metric };
     metric
 
+(* Counter increments (name, labels, amount) captured while {!capture}
+   runs, newest first, for the counters whose names start with one of
+   the capture's prefixes. *)
+type tape = (string * (string * string) list * int) list
+
+let capturing : (string list * tape) option ref = ref None
+
 let incr ?(by = 1) ?(labels = []) name =
-  if !enabled then
+  if !enabled then begin
+    (match !capturing with
+    | Some (prefixes, l)
+      when List.exists (fun prefix -> String.starts_with ~prefix name) prefixes
+      ->
+      capturing := Some (prefixes, (name, labels, by) :: l)
+    | _ -> ());
     match find_or_add name labels (fun () -> Counter (ref 0)) with
     | Counter c -> c := !c + by
     | Gauge _ | Histogram _ ->
       invalid_arg ("Metrics.incr: " ^ name ^ " is not a counter")
+  end
+
+(* Run [f], returning the increments it made to counters named with one
+   of [prefixes]; {!replay} redoes them in order. *)
+let capture ~prefixes f =
+  if !capturing <> None then invalid_arg "Metrics.capture: already capturing";
+  capturing := Some (prefixes, []);
+  Fun.protect ~finally:(fun () -> capturing := None) @@ fun () ->
+  let r = f () in
+  (r, match !capturing with Some (_, l) -> List.rev l | None -> [])
+
+let replay tape =
+  List.iter (fun (name, labels, by) -> incr ~by ~labels name) tape
 
 let set_gauge ?(labels = []) name v =
   if !enabled then
@@ -89,7 +144,9 @@ let observe ?(labels = []) ?(bounds = default_bounds) name v =
         else if v <= h.bounds.(i) then i
         else bucket (i + 1)
       in
-      let i = bucket 0 in
+      let i =
+        if h.bounds == default_bounds then default_bucket v else bucket 0
+      in
       h.counts.(i) <- h.counts.(i) + 1;
       h.sum <- h.sum +. v;
       h.count <- h.count + 1
@@ -113,6 +170,27 @@ let histogram_value ?(labels = []) name =
   | _ -> None
 
 let hist_mean h = if h.count = 0 then 0.0 else h.sum /. float_of_int h.count
+
+(* The [q]-quantile (0 < q <= 1) of a histogram, interpolated linearly
+   inside the bucket that holds it, so the estimate is off by at most
+   that bucket's width.  The overflow bucket has no upper edge and
+   reports the last bound; an empty histogram reports 0. *)
+let quantile h q =
+  if h.count = 0 then 0.0
+  else
+    let count = float_of_int h.count in
+    let rank = Float.min count (Float.max 1.0 (Float.ceil (q *. count))) in
+    let n = Array.length h.bounds in
+    let rec go i before =
+      let c = h.counts.(i) in
+      if i = n || float_of_int (before + c) >= rank then
+        let lower = if i = 0 then 0.0 else h.bounds.(i - 1) in
+        let upper = if i = n then lower else h.bounds.(i) in
+        lower
+        +. (upper -. lower) *. ((rank -. float_of_int before) /. float_of_int c)
+      else go (i + 1) (before + c)
+    in
+    go 0 0
 
 let reset () =
   Hashtbl.reset registry;

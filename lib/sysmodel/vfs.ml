@@ -16,11 +16,20 @@ type kind =
 
 type file = { kind : kind; declared_size : int }
 
-type t = { mutable files : (string, file) Hashtbl.t }
+type change = string * file option
 
-let create () = { files = Hashtbl.create 256 }
+(* [tape] holds every change, newest first, while {!record} runs. *)
+type t = {
+  mutable files : (string, file) Hashtbl.t;
+  mutable tape : change list option;
+}
 
-let copy t = { files = Hashtbl.copy t.files }
+let create () = { files = Hashtbl.create 256; tape = None }
+
+let copy t = { files = Hashtbl.copy t.files; tape = None }
+
+let log t path file =
+  match t.tape with Some l -> t.tape <- Some ((path, file) :: l) | None -> ()
 
 (* Normalize an absolute path: collapse "//" and trailing "/", resolve
    "." and ".." textually. *)
@@ -60,9 +69,30 @@ let add ?declared_size t path kind =
   let declared_size =
     match declared_size with Some s -> s | None -> default_size kind
   in
-  Hashtbl.replace t.files path { kind; declared_size }
+  let file = { kind; declared_size } in
+  log t path (Some file);
+  Hashtbl.replace t.files path file
 
-let remove t path = Hashtbl.remove t.files (normalize path)
+let remove t path =
+  let path = normalize path in
+  log t path None;
+  Hashtbl.remove t.files path
+
+(* Run [f], returning the changes it made to [t] in order. *)
+let record t f =
+  if t.tape <> None then invalid_arg "Vfs.record: already recording";
+  t.tape <- Some [];
+  Fun.protect ~finally:(fun () -> t.tape <- None) @@ fun () ->
+  let r = f () in
+  (r, List.rev (Option.get t.tape))
+
+let apply t changes =
+  List.iter
+    (fun (path, file) ->
+      match file with
+      | Some f -> add ~declared_size:f.declared_size t path f.kind
+      | None -> remove t path)
+    changes
 
 (* Resolve symlinks (bounded depth to terminate on cycles). *)
 let rec resolve ?(depth = 16) t path =
@@ -141,7 +171,11 @@ let remove_tree t dir =
         if String.starts_with ~prefix p || p = dir then p :: acc else acc)
       t.files []
   in
-  List.iter (Hashtbl.remove t.files) doomed
+  List.iter
+    (fun p ->
+      log t p None;
+      Hashtbl.remove t.files p)
+    doomed
 
 (* Total declared size below a directory: `du -s`. *)
 let du t dir =

@@ -32,6 +32,19 @@ val add : ?declared_size:int -> t -> string -> kind -> unit
 
 val remove : t -> string -> unit
 
+(** One change to a filesystem: a file added or replaced at a
+    normalized path, or the path removed ([None]). *)
+type change = string * file option
+
+(** [record t f] runs [f] and returns, with its result, every change
+    [f] made to [t], oldest first — what {!apply} needs to redo the same
+    work on the same or another filesystem.
+    @raise Invalid_argument inside another recording of [t]. *)
+val record : t -> (unit -> 'a) -> 'a * change list
+
+(** Redo recorded changes, in order. *)
+val apply : t -> change list -> unit
+
 (** Resolve symlinks (bounded depth; cycles yield [None]); returns the
     real path and the file. *)
 val resolve : ?depth:int -> t -> string -> (string * file) option

@@ -15,3 +15,8 @@ let next ~site_name =
   incr counter;
   let raw = Printf.sprintf "%s/%d" site_name !counter in
   Printf.sprintf "GNU Build ID: %s" (Digest.to_hex (Digest.string raw))
+
+let serial () = !counter
+
+(* Advance the serial as [n] calls to [next] would. *)
+let skip n = counter := !counter + n

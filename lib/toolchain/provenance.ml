@@ -43,5 +43,3 @@ let register image t = Hashtbl.replace registry (key image) t
 let find_digest digest = Hashtbl.find_opt registry digest
 
 let find image = find_digest (key image)
-
-let clear () = Hashtbl.reset registry

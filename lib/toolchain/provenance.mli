@@ -31,4 +31,3 @@ val find : string -> t option
 (** [find_digest (Digest.string image)] is [find image]; for callers
     that already hold the digest, e.g. {!Feam_elf.Reader.digest}. *)
 val find_digest : Digest.t -> t option
-val clear : unit -> unit

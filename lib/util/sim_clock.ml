@@ -3,13 +3,19 @@
    that the evaluation can report how long FEAM phases take (paper §VI.C:
    both phases always completed in under five minutes). *)
 
-type t = { mutable elapsed : float }
+(* [tape] holds every charge, newest first, on a recording clock. *)
+type t = { mutable elapsed : float; mutable tape : float list option }
 
-let create () = { elapsed = 0.0 }
+let create () = { elapsed = 0.0; tape = None }
+
+let recording () = { elapsed = 0.0; tape = Some [] }
 
 let charge t seconds =
   if seconds < 0.0 then invalid_arg "Sim_clock.charge: negative duration";
-  t.elapsed <- t.elapsed +. seconds
+  t.elapsed <- t.elapsed +. seconds;
+  match t.tape with Some l -> t.tape <- Some (seconds :: l) | None -> ()
+
+let charges t = List.rev (Option.value t.tape ~default:[])
 
 let elapsed t = t.elapsed
 

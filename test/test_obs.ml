@@ -144,6 +144,60 @@ let test_histogram_boundary_values () =
     Alcotest.(check (array int))
       "creation-time bounds hold" [| 1; 2; 1 |] h.Metrics.counts
 
+let test_log_linear_buckets () =
+  let b = Metrics.default_bounds in
+  let n = Array.length b in
+  Alcotest.(check (float 0.0)) "first bound is 2^10 ns (~1 us)" 1024.0 b.(0);
+  Alcotest.(check (float 0.0)) "last bound is 2^34 ns (~17 s)" (2.0 ** 34.0)
+    b.(n - 1);
+  for i = 1 to n - 1 do
+    if not (b.(i) > b.(i - 1) && b.(i) -. b.(i - 1) <= 0.25 *. b.(i - 1)) then
+      Alcotest.failf "bucket %d (%g, %g] is empty or wider than 25%%" i
+        b.(i - 1) b.(i)
+  done;
+  (* the O(1) index agrees with the inclusive linear scan everywhere:
+     on every bound, just either side of it, and far outside the range *)
+  let scan v =
+    let rec go i = if i >= n || v <= b.(i) then i else go (i + 1) in
+    go 0
+  in
+  let probes =
+    [ 0.0; -5.0; 1.0; 1e12; infinity ]
+    @ List.concat_map
+        (fun x -> [ x; Float.pred x; Float.succ x; x *. 1.1 ])
+        (Array.to_list b)
+  in
+  List.iter
+    (fun v ->
+      Alcotest.(check int)
+        (Printf.sprintf "bucket of %h" v)
+        (scan v) (Metrics.default_bucket v))
+    probes
+
+let test_quantile () =
+  Metrics.reset ();
+  (* 10,000 latencies spread log-uniformly over 2 us .. 2 s *)
+  let samples =
+    List.init 10_000 (fun i ->
+        2e3 *. (10.0 ** (6.0 *. float_of_int i /. 9999.0)))
+  in
+  List.iter (Metrics.observe "t.latency_ns") samples;
+  let h = Option.get (Metrics.histogram_value "t.latency_ns") in
+  let sorted = Array.of_list (List.sort compare samples) in
+  let b = Metrics.default_bounds in
+  List.iter
+    (fun q ->
+      let exact = sorted.(int_of_float (Float.ceil (q *. 10_000.0)) - 1) in
+      let i = Metrics.default_bucket exact in
+      let width = b.(i) -. b.(i - 1) in
+      let est = Metrics.quantile h q in
+      if Float.abs (est -. exact) > width then
+        Alcotest.failf "p%g: estimate %g, exact %g, sub-bucket width %g"
+          (100.0 *. q) est exact width)
+    [ 0.5; 0.99 ];
+  Alcotest.(check (float 0.0)) "empty histogram" 0.0
+    (Metrics.quantile { h with Metrics.count = 0 } 0.5)
+
 let test_label_value_collision () =
   Metrics.reset ();
   (* the registry key is "name{k=v,...}": a label *value* containing
@@ -383,6 +437,9 @@ let suite =
         test_counter_label_normalization;
       Alcotest.test_case "histogram boundary values" `Quick
         test_histogram_boundary_values;
+      Alcotest.test_case "log-linear default buckets" `Quick
+        test_log_linear_buckets;
+      Alcotest.test_case "quantile within one sub-bucket" `Quick test_quantile;
       Alcotest.test_case "label value collision" `Quick
         test_label_value_collision;
       Alcotest.test_case "disable mid-run freezes writes" `Quick
