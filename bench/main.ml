@@ -314,17 +314,19 @@ let bench_facts_of_bytes =
    perturbed world from scratch; incremental-reeval diffs the epoch
    snapshots and predicts only the cells the invalidation engine marks
    affected.  The headline drift_incremental / full ratio is the
-   observatory's whole value proposition. *)
+   observatory's whole value proposition.  The fixture holds one
+   evaluation context, as a drift run does; each timed pass starts
+   with [Eval_ctx.next_pass]. *)
 let drift_fixture =
   lazy
     (let specs = Driftrun.small_specs () in
      let benchmarks = Driftrun.small_benchmarks () in
-     Feam_core.Bdc.set_describe_memo ();
+     let ctx = Feam_core.Eval_ctx.create () in
      let sites0, binaries0 = Driftrun.build_world params specs benchmarks [] in
-     let cells0 = Driftrun.predict_all sites0 binaries0 in
+     let cells0 = Driftrun.predict_all ~ctx sites0 binaries0 in
      let base =
-       Driftrun.snapshot_of_world ~epoch:0 ~seed:42 ~label:"" sites0 binaries0
-         ~cells:cells0
+       Driftrun.snapshot_of_world ~ctx ~epoch:0 ~seed:42 ~label:"" sites0
+         binaries0 ~cells:cells0
      in
      (* The epoch-3 draw: on the small world it removes one non-MPI
         library, invalidating a strict subset of cells — the regime the
@@ -338,25 +340,28 @@ let drift_fixture =
      in
      let sites, binaries = Driftrun.build_world params specs benchmarks [ p ] in
      let candidate =
-       Driftrun.snapshot_of_world ~epoch:1
+       Driftrun.snapshot_of_world ~ctx ~epoch:1
          ~seed:42 ~label:(Driftrun.perturbation_label p) sites binaries
          ~cells:cells0
      in
-     (base, candidate, sites, binaries))
+     (ctx, base, candidate, sites, binaries))
 
 let bench_drift_full =
   ( "drift/full-reeval",
     fun () ->
-      let _, _, sites, binaries = Lazy.force drift_fixture in
-      ignore (Driftrun.predict_all sites binaries) )
+      let ctx, _, _, sites, binaries = Lazy.force drift_fixture in
+      ignore
+        (Driftrun.predict_all ~ctx:(Feam_core.Eval_ctx.next_pass ctx) sites
+           binaries) )
 
 let bench_drift_incremental =
   ( "drift/incremental-reeval",
     fun () ->
-      let base, candidate, sites, binaries = Lazy.force drift_fixture in
+      let ctx, base, candidate, sites, binaries = Lazy.force drift_fixture in
       let plan = Feam_drift.Invalidate.affected base candidate in
       let reevaluated =
-        Driftrun.reevaluate sites binaries plan.Feam_drift.Invalidate.pl_affected
+        Driftrun.reevaluate ~ctx:(Feam_core.Eval_ctx.next_pass ctx) sites
+          binaries plan.Feam_drift.Invalidate.pl_affected
       in
       ignore
         (Feam_drift.Invalidate.merge

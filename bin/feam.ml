@@ -2147,8 +2147,6 @@ let cmd_serve debug trace trace_out journal seed full socket port =
     Feam_serve.Engine.create ~specs ~benchmarks ~clock:Feam_obs.Clock.wall
       ~seed ()
   in
-  Fun.protect ~finally:(fun () -> Feam_serve.Engine.close engine)
-  @@ fun () ->
   (* Status goes to stderr: in stdio mode stdout carries only the
      response lines, so transcripts stay byte-comparable. *)
   Fmt.epr "feam serve: resident fleet ready — %d cells at epoch 0@."

@@ -79,7 +79,7 @@ let record_run r =
       Verdict.predictors
   end
 
-let run_one (sc : Scengen.t) =
+let run_one ?ctx (sc : Scengen.t) =
   let open Scengen in
   let home_env =
     match sc.sc_home_install with
@@ -90,7 +90,7 @@ let run_one (sc : Scengen.t) =
      description feeds TEC, lint and the bundle alike. *)
   let bundle =
     match
-      Feam_core.Phases.source_phase Feam_core.Config.default sc.sc_home
+      Feam_core.Phases.source_phase ?ctx Feam_core.Config.default sc.sc_home
         home_env ~binary_path:sc.sc_binary_path
     with
     | Ok b -> Scengen.bundle_filter sc b
@@ -120,7 +120,7 @@ let run_one (sc : Scengen.t) =
     Feam_core.Edc.discover ~env_type:`Target sc.sc_target env
   in
   let tec =
-    Feam_core.Tec.evaluate sc.sc_target env
+    Feam_core.Tec.evaluate ?ctx sc.sc_target env
       {
         Feam_core.Tec.config =
           { Feam_core.Config.default with
@@ -187,11 +187,13 @@ let run_one (sc : Scengen.t) =
   record_run r;
   r
 
+(* One context per corpus, without a stack memo: every scenario builds
+   a fresh world under the same site names, which the stack memo's key
+   cannot tell apart. *)
 let run_corpus ~seed ~count () =
-  Feam_core.Bdc.set_describe_memo ();
-  Fun.protect ~finally:Feam_core.Bdc.clear_describe_memo @@ fun () ->
+  let ctx = { (Feam_core.Eval_ctx.create ()) with stacks = None } in
   List.init count (fun index ->
-      let r = run_one (Scengen.build ~seed ~index ()) in
+      let r = run_one ~ctx (Scengen.build ~seed ~index ()) in
       Feam_obs.Metrics.incr "agree.scenarios";
       if disagrees r then Feam_obs.Metrics.incr "agree.disagreements";
       if r.r_unsound <> [] then Feam_obs.Metrics.incr "agree.unsound";

@@ -27,10 +27,11 @@ val verdict_of : run -> Verdict.predictor -> Verdict.t
 (** Any two of the four disagree on acceptance. *)
 val disagrees : run -> bool
 
-(** Run the four predictors over one built scenario.  When the flight
+(** Run the four predictors over one built scenario, under the
+    corpus's evaluation context [ctx] when given.  When the flight
     recorder is enabled, journals the scenario payload and the four
     verdict decisions. *)
-val run_one : Feam_evalharness.Scengen.t -> run
+val run_one : ?ctx:Feam_core.Eval_ctx.t -> Feam_evalharness.Scengen.t -> run
 
 (** Build and run scenarios [0 .. count-1] of [seed].  Counts surface
     as [agree.scenarios] / [agree.disagreements] / [agree.unsound]. *)

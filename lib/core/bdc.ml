@@ -104,37 +104,40 @@ let describe_via_file_and_ldd ?clock site env path =
           }
     end
 
-(* -- describe memo (evalharness opt-in) --------------------------------- *)
+(* -- describe memo --------------------------------------------------- *)
 
-(* Within an evaluation run the same library image is described at many
+(* Within an evaluation pass the same library image is described at many
    sites.  A description is a function of the image bytes and the site's
    tooling alone (every fault draw is keyed and seeded), so identical
    bytes at the same site always describe identically up to the path
-   field.  The cache is opt-in — evalharness enables it for a run — and
-   keyed by (site name, content key), the key read from the parse memo
-   so a hit hashes nothing; only objdump-path successes are cached, so
-   tool-fallback behaviour is untouched. *)
-let describe_memo : (string * string, Description.t) Hashtbl.t option ref =
-  ref None
+   field.  A pass carries one memo ([Eval_ctx]) keyed by (site name,
+   content key), the key read from the parse memo so a hit hashes
+   nothing; only objdump-path successes are cached, so tool-fallback
+   behaviour is untouched. *)
+type memo = (string * string, Description.t) Hashtbl.t
 
-let set_describe_memo () = describe_memo := Some (Hashtbl.create 256)
-let clear_describe_memo () = describe_memo := None
+let create_memo () : memo = Hashtbl.create 256
+
+(* The memo [describe] reads when its caller passes none: unset unless
+   the benchmark harness installs one through the two shims below. *)
+let default_memo : memo option ref = ref None
+
+let set_describe_memo () = default_memo := Some (create_memo ())
+let clear_describe_memo () = default_memo := None
 
 (* Returns the memo key plus the image size, so a hit can credit the
    bytes the cache avoided re-reading to the cache telemetry. *)
 let memo_key_of site path =
-  match !describe_memo with
-  | None -> None
-  | Some _ -> (
-    match Vfs.find (Site.vfs site) path with
-    | Some { Vfs.kind = Vfs.Elf bytes; _ } ->
-      Some
-        ( (Site.name site, Chash.to_hex (Feam_elf.Reader.content_key bytes)),
-          String.length bytes )
-    | _ -> None)
+  match Vfs.find (Site.vfs site) path with
+  | Some { Vfs.kind = Vfs.Elf bytes; _ } ->
+    Some
+      ( (Site.name site, Chash.to_hex (Feam_elf.Reader.content_key bytes)),
+        String.length bytes )
+  | _ -> None
 
-(* [describe ?clock site env ~path] — full description with fallbacks. *)
-let describe ?clock site env ~path =
+(* [describe ?clock ?memo site env ~path] — full description with
+   fallbacks. *)
+let describe ?clock ?memo site env ~path =
   Feam_obs.Ledger.with_stage "bdc.describe" @@ fun () ->
   Feam_obs.Prof.with_timer "bdc.describe" @@ fun () ->
   Feam_obs.Trace.with_span "bdc.describe"
@@ -154,9 +157,12 @@ let describe ?clock site env ~path =
           | None -> Json.Null );
       ]
   in
-  let memo_key = memo_key_of site path in
+  let memo = match memo with Some _ -> memo | None -> !default_memo in
+  let memo_key =
+    match memo with Some _ -> memo_key_of site path | None -> None
+  in
   let cached =
-    match (memo_key, !describe_memo) with
+    match (memo_key, memo) with
     | Some (key, _), Some tbl -> Hashtbl.find_opt tbl key
     | _ -> None
   in
@@ -176,7 +182,7 @@ let describe ?clock site env ~path =
     | Ok d ->
       Feam_obs.Metrics.incr "bdc.describe" ~labels:[ ("method", "objdump") ];
       journal_describe "objdump" d;
-      (match (memo_key, !describe_memo) with
+      (match (memo_key, memo) with
       | Some (key, _), Some tbl -> Hashtbl.replace tbl key d
       | _ -> ());
       Ok d
@@ -280,14 +286,14 @@ let dependency_paths ?clock site env ~path ~needed =
     List.iter visit needed;
     List.rev !acc
 
-(* [gather_source ?clock site env ~path] — the source phase's BDC run:
+(* [gather_source ?clock ?memo site env ~path] — the source phase's BDC run:
    describe the binary, then copy and describe every shared library in
    its dependency closure except the C library. *)
-let gather_source ?clock site env ~path =
+let gather_source ?clock ?memo site env ~path =
   Feam_obs.Trace.with_span "bdc.gather_source"
     ~attrs:[ ("path", Feam_obs.Span.Str path) ]
   @@ fun () ->
-  match describe ?clock site env ~path with
+  match describe ?clock ?memo site env ~path with
   | Error e -> Error e
   | Ok binary_description ->
     let deps =
@@ -306,7 +312,7 @@ let gather_source ?clock site env ~path =
             | Some { Vfs.kind = Vfs.Elf bytes; declared_size } -> (
               Cost.charge clock
                 (Cost.copy_per_mb *. (float_of_int declared_size /. 1048576.0));
-              match describe ?clock site env ~path:origin with
+              match describe ?clock ?memo site env ~path:origin with
               | Ok copy_description ->
                 Feam_obs.Trace.event "copy"
                   ~attrs:

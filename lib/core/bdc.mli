@@ -36,29 +36,40 @@ val locate_library :
   string ->
   string option
 
-(** Enable the describe memo: within a run, cache successful objdump
-    descriptions keyed by (site name, content hash of the image), so the
-    same library image described at the same site many times is parsed
-    once.  Hit/miss counts surface as [bdc.describe_cache.hit] /
-    [.miss].  Opt-in; fallback-path (file/ldd) results are never
-    cached. *)
+(** The describe memo of one evaluation pass ({!Eval_ctx}): successful
+    objdump descriptions keyed by (site name, content key of the
+    image), so the same library image described at the same site many
+    times is parsed once.  Hit/miss counts surface as
+    [bdc.describe_cache.hit] / [.miss].  Fallback-path (file/ldd)
+    results are never cached. *)
+type memo
+
+val create_memo : unit -> memo
+
+(** Benchmark-harness shims: install a fresh default memo, which
+    {!describe} and {!gather_source} read when passed none, or drop it.
+    Library code passes its pass's memo instead and never calls
+    these. *)
 val set_describe_memo : unit -> unit
 
-(** Drop the memo and disable caching. *)
 val clear_describe_memo : unit -> unit
 
-(** Describe a binary, with fallbacks for missing tools. *)
+(** Describe a binary, with fallbacks for missing tools, through [memo]
+    when given. *)
 val describe :
   ?clock:Feam_util.Sim_clock.t ->
+  ?memo:memo ->
   Feam_sysmodel.Site.t ->
   Feam_sysmodel.Env.t ->
   path:string ->
   (Description.t, string) result
 
 (** The source phase's BDC run: describe the binary, then copy and
-    describe its dependency closure. *)
+    describe its dependency closure, every description through
+    [memo] when given. *)
 val gather_source :
   ?clock:Feam_util.Sim_clock.t ->
+  ?memo:memo ->
   Feam_sysmodel.Site.t ->
   Feam_sysmodel.Env.t ->
   path:string ->

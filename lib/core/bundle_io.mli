@@ -21,8 +21,6 @@ val parse_error_to_string : parse_error -> string
     escape it. *)
 type entry_issue = Duplicate | Traversal
 
-val entry_issue_to_string : entry_issue -> string
-
 type load_error =
   | Syntax of parse_error
   | Malformed of string
@@ -49,8 +47,5 @@ val parse : string -> (Bundle.t, string) result
 val render_manifest : Bundle_manifest.t -> string
 
 (** Read a manifest artifact back, with the same entry-name safety
-    checks as {!parse_checked}. *)
-val parse_manifest_checked : string -> (Bundle_manifest.t, load_error) result
-
-(** {!parse_manifest_checked} with errors rendered to strings. *)
+    checks as {!parse_checked} and errors rendered to strings. *)
 val parse_manifest : string -> (Bundle_manifest.t, string) result

@@ -23,13 +23,6 @@ type t = {
   current_stack : discovered_stack option;  (** loaded in this session *)
 }
 
-val via_to_string : via -> string
-
-(** Machine-readable discovery-method slugs (journal serialization). *)
-val via_slug : via -> string
-
-val via_of_slug : string -> via option
-
 (** Parse a stack slug of the conventional "impl-version-compiler" shape,
     as real sites' path naming reveals (paper §V.B).  [None] when the
     first component is not a known MPI implementation. *)
@@ -43,5 +36,4 @@ val to_json : t -> Feam_util.Json.t
 
 val of_json : Feam_util.Json.t -> (t, string) result
 
-val pp_stack : discovered_stack Fmt.t
 val pp : t Fmt.t

@@ -127,6 +127,8 @@ let stacks_via_path_search ?clock site =
          | _ -> None)
   |> List.sort_uniq (fun a b -> String.compare a.Discovery.slug b.Discovery.slug)
 
+(* Available stacks: user-environment management tools first, path
+   search as fallback. *)
 let discover_stacks ?clock site =
   match stacks_via_modules ?clock site with
   | Some (_ :: _ as stacks) -> stacks

@@ -6,39 +6,8 @@
     MPI stacks via the user-environment management tools with a
     path-search fallback. *)
 
-val discover_isa :
-  ?clock:Feam_util.Sim_clock.t ->
-  Feam_sysmodel.Site.t ->
-  Feam_elf.Types.machine option
-
-val discover_os :
-  ?clock:Feam_util.Sim_clock.t -> Feam_sysmodel.Site.t -> string option
-
-val discover_kernel :
-  ?clock:Feam_util.Sim_clock.t -> Feam_sysmodel.Site.t -> string option
-
 (** Parse the banner the C library binary prints when executed. *)
 val parse_glibc_banner : string -> Feam_util.Version.t option
-
-val discover_glibc :
-  ?clock:Feam_util.Sim_clock.t ->
-  Feam_sysmodel.Site.t ->
-  Feam_util.Version.t option
-
-(** Available MPI stacks: user-environment management tools first,
-    filesystem path search as fallback. *)
-val discover_stacks :
-  ?clock:Feam_util.Sim_clock.t ->
-  Feam_sysmodel.Site.t ->
-  Discovery.discovered_stack list
-
-(** The stack loaded in the given session: module list first, PATH
-    inspection second. *)
-val discover_current_stack :
-  ?clock:Feam_util.Sim_clock.t ->
-  Feam_sysmodel.Site.t ->
-  Feam_sysmodel.Env.t ->
-  Discovery.discovered_stack option
 
 (** Shared libraries of a binary missing under the given environment:
     ldd when usable, name-by-name search otherwise. *)

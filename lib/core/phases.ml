@@ -12,11 +12,15 @@ let src = Logs.Src.create "feam.phases" ~doc:"FEAM source/target phases"
 
 module Log = (val Logs.src_log src : Logs.LOG)
 
+(* Where a bundle-carried binary is materialized at the target. *)
 let staging_binary_dir = "/tmp/feam/binary"
+
+(* The BDC memo of the pass's context, if any. *)
+let bdc_memo ctx = Option.map (fun c -> c.Eval_ctx.describe) ctx
 
 (* -- Source phase --------------------------------------------------------- *)
 
-let source_phase ?clock _config site env ~binary_path =
+let source_phase ?clock ?ctx _config site env ~binary_path =
   Feam_obs.Ledger.with_stage "phases.source" @@ fun () ->
   Feam_obs.Trace.with_span "phases.source"
     ~attrs:
@@ -49,7 +53,7 @@ let source_phase ?clock _config site env ~binary_path =
       m "source phase at %s for %s" (Site.name site) binary_path);
   finish
   @@
-  match Bdc.gather_source ?clock site env ~path:binary_path with
+  match Bdc.gather_source ?clock ?memo:(bdc_memo ctx) site env ~path:binary_path with
   | Error e -> Error ("source phase: " ^ e)
   | Ok gathered ->
     let discovery = Edc.discover ?clock ~env_type:`Guaranteed site env in
@@ -144,7 +148,7 @@ let source_phase ?clock _config site env ~binary_path =
    binary's path at the target (basic mode) must be supplied; with a
    bundle carrying the binary bytes, the binary is materialized at the
    target automatically. *)
-let target_phase ?clock ?depot ?stacks config site env ?bundle ?binary_path () =
+let target_phase ?clock ?depot ?ctx config site env ?bundle ?binary_path () =
   Feam_obs.Ledger.with_stage "phases.target" @@ fun () ->
   Feam_obs.Trace.with_span "phases.target"
     ~attrs:
@@ -207,7 +211,7 @@ let target_phase ?clock ?depot ?stacks config site env ?bundle ?binary_path () =
         Error
           "target phase: need either a source-phase bundle or the binary at \
            the target site"
-      | Some path -> Bdc.describe ?clock site env ~path)
+      | Some path -> Bdc.describe ?clock ?memo:(bdc_memo ctx) site env ~path)
   in
   match description with
   | Error e -> Error ("target phase: " ^ e)
@@ -226,7 +230,7 @@ let target_phase ?clock ?depot ?stacks config site env ?bundle ?binary_path () =
     let input =
       { Tec.config; description; binary_path; bundle; discovery }
     in
-    let prediction = Tec.evaluate ?clock ?depot ?stacks site env input in
+    let prediction = Tec.evaluate ?clock ?depot ?ctx site env input in
     let report =
       Report.make ~site_name:(Site.name site)
         ~binary:description.Description.path prediction

@@ -6,14 +6,14 @@
     each target site and produces the prediction report.  Running both
     phases enables the extended prediction and the resolution model. *)
 
-(** Directory a bundle-carried binary is materialized into at the target. *)
-val staging_binary_dir : string
-
 (** Run the source phase at a guaranteed execution environment.  Fails
     when the loaded MPI stack does not match the one the binary was built
-    with (the environment cannot vouch for the binary, §V.B). *)
+    with (the environment cannot vouch for the binary, §V.B).  [ctx] is
+    the evaluation pass's context: its describe memo serves the BDC
+    run. *)
 val source_phase :
   ?clock:Feam_util.Sim_clock.t ->
+  ?ctx:Eval_ctx.t ->
   Config.t ->
   Feam_sysmodel.Site.t ->
   Feam_sysmodel.Env.t ->
@@ -22,12 +22,12 @@ val source_phase :
 
 (** Run the target phase.  Supply a [bundle] (extended mode; the binary
     travels inside it) and/or the binary's [binary_path] at the target
-    (basic mode).  [stacks] is the evaluation pass's MPI-stack memo
-    ({!Tec.evaluate}). *)
+    (basic mode).  [ctx] is the evaluation pass's context: its describe
+    memo serves the basic-mode BDC run, its stack memo {!Tec.evaluate}. *)
 val target_phase :
   ?clock:Feam_util.Sim_clock.t ->
   ?depot:Resolve_model.depot ->
-  ?stacks:Stack_memo.t ->
+  ?ctx:Eval_ctx.t ->
   Config.t ->
   Feam_sysmodel.Site.t ->
   Feam_sysmodel.Env.t ->

@@ -34,11 +34,6 @@ val depot :
   possession:Feam_depot.Planner.Possession.index ->
   depot
 
-(** Directories searched when checking whether a name is already present
-    at the target. *)
-val search_dirs_for_name :
-  Feam_sysmodel.Site.t -> Feam_sysmodel.Env.t -> string list
-
 val present_at_target :
   Feam_sysmodel.Site.t -> Feam_sysmodel.Env.t -> string -> bool
 

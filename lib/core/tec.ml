@@ -275,10 +275,10 @@ let probe_candidates ?clock input site env candidates =
   in
   try_candidates [] candidates
 
-(* The mpi_stack determinant's effects, through the pass's memo when the
-   caller passed one. *)
-let select_stack ?clock ?stacks input site env candidates =
-  match stacks with
+(* The mpi_stack determinant's effects, through the pass's stack memo
+   when the caller's context carries one. *)
+let select_stack ?clock ?ctx input site env candidates =
+  match Option.bind ctx (fun c -> c.Eval_ctx.stacks) with
   | None -> probe_candidates ?clock input site env candidates
   | Some memo ->
     Stack_memo.find_or_probe memo ?clock ~config:input.config site env
@@ -368,7 +368,7 @@ let journal_libs le ~compatible =
 
 (* -- live evaluation ------------------------------------------------------- *)
 
-let evaluate_inner ?clock ?depot ?stacks site env (input : input) : Predict.t =
+let evaluate_inner ?clock ?depot ?ctx site env (input : input) : Predict.t =
   let d = input.description in
   let disc = input.discovery in
   let decide_now ?stack ?libs () =
@@ -410,7 +410,7 @@ let evaluate_inner ?clock ?depot ?stacks site env (input : input) : Predict.t =
       let requested_impl = requested_impl_of d in
       let selection, probe_failures =
         if requested_impl = None then (None, [])
-        else select_stack ?clock ?stacks input site env candidates
+        else select_stack ?clock ?ctx input site env candidates
       in
       let stack_ev =
         {
@@ -477,7 +477,7 @@ let evaluate_inner ?clock ?depot ?stacks site env (input : input) : Predict.t =
       in
       decide_now ~stack:stack_ev ~libs:libs_ev ()
 
-let evaluate ?clock ?depot ?stacks site env (input : input) : Predict.t =
+let evaluate ?clock ?depot ?ctx site env (input : input) : Predict.t =
   Feam_obs.Ledger.with_stage "tec.evaluate" @@ fun () ->
   Feam_obs.Trace.with_span "tec.evaluate"
     ~attrs:
@@ -487,7 +487,7 @@ let evaluate ?clock ?depot ?stacks site env (input : input) : Predict.t =
     (Json.Str (Config.to_file_body input.config));
   Recorder.payload ~kind:"description" (Description.to_json input.description);
   Recorder.payload ~kind:"discovery" (Discovery.to_json input.discovery);
-  let t = evaluate_inner ?clock ?depot ?stacks site env input in
+  let t = evaluate_inner ?clock ?depot ?ctx site env input in
   let outcome = if Predict.is_ready t then "ready" else "not_ready" in
   Recorder.decision ~determinant:"predict"
     ~verdict:(if Predict.is_ready t then "ready" else "not ready")

@@ -30,15 +30,6 @@ type libs_evidence = {
   le_unresolved : (string * string) list;  (** name, why it failed *)
 }
 
-(** Compiler family of the binary, inferred from its .comment provenance;
-    used to order candidate stacks so matching runtimes are preferred. *)
-val binary_compiler_family : Description.t -> Feam_mpi.Compiler.family option
-
-(** Candidate stacks: matching MPI implementation type only (§III.B),
-    matching compiler family first. *)
-val candidate_stacks :
-  Description.t -> Discovery.t -> Discovery.discovered_stack list
-
 (** The four determinants [decide] evaluates, in order, named as the
     flight recorder's decision records name them — the same vocabulary
     [Evidence.determinants_of_atom] maps evidence atoms back to. *)
@@ -59,12 +50,13 @@ val decide :
   unit ->
   Predict.t
 
-(** Run the full evaluation.  With [stacks], the MPI-stack determinant
-    goes through that pass's memo; without, it probes every time. *)
+(** Run the full evaluation.  When [ctx] carries a stack memo, the
+    MPI-stack determinant goes through it; otherwise it probes every
+    time. *)
 val evaluate :
   ?clock:Feam_util.Sim_clock.t ->
   ?depot:Resolve_model.depot ->
-  ?stacks:Stack_memo.t ->
+  ?ctx:Eval_ctx.t ->
   Feam_sysmodel.Site.t ->
   Feam_sysmodel.Env.t ->
   input ->

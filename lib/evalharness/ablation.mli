@@ -10,7 +10,6 @@ type variant = {
 
 val full : variant
 val no_foreign_probes : variant
-val c_probes_only : variant
 val no_resolution : variant
 
 (** All variants, baseline first. *)

@@ -67,12 +67,11 @@ let build ?clock sites binaries migrations =
   let observed : (string * string * string, Fleet.library) Hashtbl.t =
     Hashtbl.create 256
   in
-  Feam_core.Bdc.set_describe_memo ();
-  Fun.protect ~finally:Feam_core.Bdc.clear_describe_memo @@ fun () ->
+  let ctx = Feam_core.Eval_ctx.create () in
   Feam_obs.Trace.with_span "audit.build" @@ fun () ->
   List.iter
     (fun (binary : Testset.binary) ->
-      match Migrate.source_bundle ?clock binary with
+      match Migrate.source_bundle ?clock ~ctx binary with
       | Error _ -> ()
       | Ok bundle ->
         let home = Site.name binary.Testset.home in

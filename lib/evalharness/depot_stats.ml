@@ -30,19 +30,18 @@ type t = {
 (* [run ?clock sites binaries] — intern every binary's bundle into a
    fresh shared store and plan every reported matrix cell
    ({!Migrate.targets}) against one possession index, in
-   deterministic corpus order.  The describe memo is enabled for the
-   run: the same library image re-described across bundles parses
+   deterministic corpus order.  The source phases share one evaluation
+   context: the same library image re-described across bundles parses
    once per site. *)
 let run ?clock sites binaries =
   let store = Store.create () in
   let possession = Planner.Possession.create () in
-  Feam_core.Bdc.set_describe_memo ();
-  Fun.protect ~finally:Feam_core.Bdc.clear_describe_memo @@ fun () ->
+  let ctx = Feam_core.Eval_ctx.create () in
   let skipped = ref [] in
   let cells =
     List.concat_map
       (fun (binary : Testset.binary) ->
-        match Migrate.source_bundle ?clock binary with
+        match Migrate.source_bundle ?clock ~ctx binary with
         | Error _ ->
           skipped := binary.Testset.id :: !skipped;
           []

@@ -31,17 +31,6 @@ val run :
   Testset.binary list ->
   t
 
-(** Legacy bytes over depot bytes shipped (>= 1 when dedup helps). *)
-val dedup_ratio : t -> float
-
-(** Percentage of legacy traffic the depot avoids. *)
-val saved_percent : t -> float
-
-(** Per-(home, target) totals: cells, legacy bytes, shipped bytes. *)
-val pair_rows : t -> ((string * string) * (int * int * int)) list
-
-val pair_table : t -> Feam_util.Table.t
-
 (** The summary block evaltool prints: store size, totals, dedup ratio,
     describe-cache hit rate, per-pair table. *)
 val render : t -> string

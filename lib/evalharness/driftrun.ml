@@ -133,8 +133,8 @@ let probe_fingerprint bytes =
       (Fmt.str "%a" Feam_elf.Spec.pp { spec with Feam_elf.Spec.comments = [] })
   | Error _ -> image_digest bytes
 
-let capture_binary (binary : Testset.binary) =
-  match Migrate.source_bundle binary with
+let capture_binary ?ctx (binary : Testset.binary) =
+  match Migrate.source_bundle ?ctx binary with
   | Error e ->
     {
       Snapshot.bs_id = binary.Testset.id;
@@ -178,12 +178,10 @@ let all_cells = Migrate.cells
    Predictions never consume the exec PRNG, so the fields here are
    byte-identical to a full Migrate.run_all at the same epoch (the
    cross-check below proves it per run). *)
-let predict_cell ?stacks (binary : Testset.binary) target =
+let predict_cell ?ctx (binary : Testset.binary) target =
   Migrate.with_staged binary target @@ fun staged_path ->
-  let basic = Migrate.basic_prediction ?stacks target staged_path in
-  let extended =
-    Migrate.extended_prediction ?stacks binary target staged_path
-  in
+  let basic = Migrate.basic_prediction ?ctx target staged_path in
+  let extended = Migrate.extended_prediction ?ctx binary target staged_path in
   {
     Snapshot.cl_binary = binary.Testset.id;
     cl_target = Site.name target;
@@ -194,20 +192,19 @@ let predict_cell ?stacks (binary : Testset.binary) target =
     cl_staged = extended.Migrate.staged;
   }
 
-(* Each pass below is one evaluation pass with its own MPI-stack memo
-   (DESIGN §17). *)
-let predict_all sites binaries =
-  let stacks = Feam_core.Stack_memo.create () in
-  List.map (fun (b, t) -> predict_cell ~stacks b t) (all_cells sites binaries)
+(* Each pass below is one evaluation pass under [ctx] (DESIGN §17); a
+   caller holding a context across passes starts each with
+   [Eval_ctx.next_pass]. *)
+let predict_all ?(ctx = Feam_core.Eval_ctx.create ()) sites binaries =
+  List.map (fun (b, t) -> predict_cell ~ctx b t) (all_cells sites binaries)
 
 (* The one re-evaluation step of every incremental consumer: predict
    the cells a plan reached, in the order given. *)
-let reevaluate sites binaries ids =
+let reevaluate ?(ctx = Feam_core.Eval_ctx.create ()) sites binaries ids =
   let binary = Testset.by_id binaries in
-  let stacks = Feam_core.Stack_memo.create () in
   List.map
     (fun (c : Invalidate.cell_id) ->
-      predict_cell ~stacks
+      predict_cell ~ctx
         (binary c.Invalidate.ci_binary)
         (Sites.find_by_name sites c.Invalidate.ci_target))
     ids
@@ -257,9 +254,9 @@ let derive_possession binaries cells =
 (* Capture a whole world as an epoch snapshot around an already-computed
    verdict table.  Top-level (not a closure inside [run]) so tests and
    benches snapshot the same way the sequence does. *)
-let snapshot_of_world ~epoch ~seed ~label sites binaries ~cells =
+let snapshot_of_world ?ctx ~epoch ~seed ~label sites binaries ~cells =
   let site_states = List.map capture_site sites in
-  let binary_states = List.map capture_binary binaries in
+  let binary_states = List.map (capture_binary ?ctx) binaries in
   Snapshot.normalize
     {
       Snapshot.epoch;
@@ -344,17 +341,19 @@ let cells_doc ~epoch ~seed cells =
 let run ?(specs = Sites.specs) ?(benchmarks = Feam_suites.Npb.all @ Feam_suites.Specmpi.all)
     ?(progress = fun _ -> ()) ~seed ~epochs () =
   let params = { Params.default with Params.seed } in
-  Feam_core.Bdc.set_describe_memo ();
-  Fun.protect ~finally:Feam_core.Bdc.clear_describe_memo @@ fun () ->
+  (* One context for the whole run: descriptions carry over between
+     epochs, each prediction pass gets a fresh stack memo. *)
+  let ctx = Feam_core.Eval_ctx.create () in
+  let pass () = Feam_core.Eval_ctx.next_pass ctx in
   (* Candidate removals come from the pristine epoch-0 world. *)
   let sites0, binaries0 = build_world params specs benchmarks [] in
   let candidates = removal_candidates sites0 in
   let site_names = List.map Site.name sites0 in
   let snapshot_of ~epoch ~label ~sites ~binaries ~cells =
-    snapshot_of_world ~epoch ~seed ~label sites binaries ~cells
+    snapshot_of_world ~ctx ~epoch ~seed ~label sites binaries ~cells
   in
   (* Baseline: evaluate every cell once. *)
-  let cells0 = predict_all sites0 binaries0 in
+  let cells0 = predict_all ~ctx:(pass ()) sites0 binaries0 in
   let base_snapshot =
     snapshot_of ~epoch:0 ~label:"" ~sites:sites0 ~binaries:binaries0
       ~cells:cells0
@@ -380,7 +379,9 @@ let run ?(specs = Sites.specs) ?(benchmarks = Feam_suites.Npb.all @ Feam_suites.
           ~cells:prev.er_snapshot.Snapshot.cells
       in
       let plan = Invalidate.affected prev.er_snapshot candidate in
-      let reevaluated = reevaluate sites binaries plan.Invalidate.pl_affected in
+      let reevaluated =
+        reevaluate ~ctx:(pass ()) sites binaries plan.Invalidate.pl_affected
+      in
       let cells =
         Invalidate.merge ~base:prev.er_snapshot.Snapshot.cells ~reevaluated
       in
@@ -436,7 +437,7 @@ let run ?(specs = Sites.specs) ?(benchmarks = Feam_suites.Npb.all @ Feam_suites.
         replay 1 []
       in
       let sites, binaries = build_world params specs benchmarks active in
-      predict_all sites binaries
+      predict_all ~ctx:(pass ()) sites binaries
     in
     let a =
       cells_doc ~epoch:final.er_snapshot.Snapshot.epoch ~seed

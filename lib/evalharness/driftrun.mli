@@ -74,8 +74,9 @@ val build_world :
 val capture_site : Feam_sysmodel.Site.t -> Feam_drift.Snapshot.site_state
 
 (** Capture one binary's evidence (description + bundle digests) as a
-    snapshot binary record. *)
-val capture_binary : Testset.binary -> Feam_drift.Snapshot.binary_state
+    snapshot binary record; the source phase runs under [ctx]. *)
+val capture_binary :
+  ?ctx:Feam_core.Eval_ctx.t -> Testset.binary -> Feam_drift.Snapshot.binary_state
 
 (** The matrix: {!Migrate.cells}, the cell criterion every harness
     shares. *)
@@ -88,16 +89,20 @@ val all_cells :
     {!Migrate.basic_prediction} and {!Migrate.extended_prediction} —
     the steps {!Migrate.migrate} runs, without its two ground-truth
     executions.  The target is cleaned afterwards, also on an
-    exception.  [stacks] is the pass's MPI-stack memo. *)
+    exception.  [ctx] is the pass's context; without one nothing is
+    cached. *)
 val predict_cell :
-  ?stacks:Feam_core.Stack_memo.t ->
+  ?ctx:Feam_core.Eval_ctx.t ->
   Testset.binary ->
   Feam_sysmodel.Site.t ->
   Feam_drift.Snapshot.cell
 
 (** A full prediction pass: {!predict_cell} over {!all_cells}, in
-    matrix order, sharing one MPI-stack memo. *)
+    matrix order, under [ctx] (default: a fresh {!Feam_core.Eval_ctx}).
+    A caller holding a context across passes passes
+    [Eval_ctx.next_pass ctx], so the pass gets a fresh stack memo. *)
 val predict_all :
+  ?ctx:Feam_core.Eval_ctx.t ->
   Feam_sysmodel.Site.t list ->
   Testset.binary list ->
   Feam_drift.Snapshot.cell list
@@ -105,16 +110,19 @@ val predict_all :
 (** Re-evaluate the cells a plan reached ([Invalidate.plan]'s
     [pl_affected]) with {!predict_cell}, in the order given — the one
     re-evaluation step drift, [feam serve] and the benches share.  The
-    cells share one MPI-stack memo. *)
+    cells share [ctx], as for {!predict_all}. *)
 val reevaluate :
+  ?ctx:Feam_core.Eval_ctx.t ->
   Feam_sysmodel.Site.t list ->
   Testset.binary list ->
   Feam_drift.Invalidate.cell_id list ->
   Feam_drift.Snapshot.cell list
 
 (** Capture a world as a normalized epoch snapshot around an
-    already-computed verdict table. *)
+    already-computed verdict table; {!capture_binary} runs under
+    [ctx]. *)
 val snapshot_of_world :
+  ?ctx:Feam_core.Eval_ctx.t ->
   epoch:int ->
   seed:int ->
   label:string ->

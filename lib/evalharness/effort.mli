@@ -27,7 +27,5 @@ val of_suite : Feam_suites.Benchmark.suite -> Migrate.migration list -> summary
 (** Efficiency gain: manual effort divided by FEAM effort. *)
 val gain : summary -> float
 
-val hours : float -> float
-
 (** The effort table printed by evaltool/bench. *)
 val table : Migrate.migration list -> Feam_util.Table.t

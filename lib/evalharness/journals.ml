@@ -25,18 +25,18 @@ let cell_name binary target =
 
 (* Journal one cell: the extended prediction (source-phase bundle, then
    the journaled target phase) of [binary] at [target]. *)
-let journal_cell ?clock ?stacks ~write binary target =
+let journal_cell ?clock ?ctx ~write binary target =
   Migrate.with_staged binary target @@ fun staged_path ->
   (* The source phase runs before the recorder is armed: the cell's
      journal covers the target phase, which re-journals everything
      replay needs (payloads included). *)
-  let bundle = Migrate.source_bundle ?clock binary in
+  let bundle = Migrate.source_bundle ?clock ?ctx binary in
   let name = cell_name binary target in
   Recorder.configure ~tool:"evaltool" ~emit:(fun body -> write ~name body) ();
   Fun.protect ~finally:Recorder.disable @@ fun () ->
   (* No bundle: journal the basic prediction instead. *)
   ignore
-    (Feam_core.Phases.target_phase ?clock ?stacks Feam_core.Config.default
+    (Feam_core.Phases.target_phase ?clock ?ctx Feam_core.Config.default
        target (Site.base_env target) ?bundle:(Result.to_option bundle)
        ~binary_path:staged_path ()
       : (Feam_core.Report.t, string) result);
@@ -44,12 +44,12 @@ let journal_cell ?clock ?stacks ~write binary target =
   name
 
 (* Journal every cell of the migration matrix ({!Migrate.cells}, the
-   reported cells, as in the paper), as one evaluation pass sharing one
-   MPI-stack memo: a hit replays the probes' records into the cell's
+   reported cells, as in the paper), as one evaluation pass under one
+   context: a stack-memo hit replays the probes' records into the cell's
    journal, so each journal reads as if the cell ran alone.  Returns the
    journal names written. *)
 let write_cells ?clock ~write sites binaries =
-  let stacks = Feam_core.Stack_memo.create () in
+  let ctx = Feam_core.Eval_ctx.create () in
   List.map
-    (fun (binary, target) -> journal_cell ?clock ~stacks ~write binary target)
+    (fun (binary, target) -> journal_cell ?clock ~ctx ~write binary target)
     (Migrate.cells sites binaries)

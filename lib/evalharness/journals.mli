@@ -10,18 +10,18 @@ val cell_name : Testset.binary -> Feam_sysmodel.Site.t -> string
 
 (** Journal one cell (the extended prediction when the source phase
     succeeds, the basic one otherwise); returns the name written.
-    [stacks] is the pass's MPI-stack memo. *)
+    [ctx] is the evaluation pass's context. *)
 val journal_cell :
   ?clock:Feam_util.Sim_clock.t ->
-  ?stacks:Feam_core.Stack_memo.t ->
+  ?ctx:Feam_core.Eval_ctx.t ->
   write:(name:string -> string -> unit) ->
   Testset.binary ->
   Feam_sysmodel.Site.t ->
   string
 
 (** Journal every reported cell of the migration matrix (each binary at
-    every other site with a matching MPI implementation) with one
-    MPI-stack memo; each journal is byte-identical to
+    every other site with a matching MPI implementation) under one
+    {!Feam_core.Eval_ctx}; each journal is byte-identical to
     {!journal_cell}'s without one.  Returns the journal names
     written. *)
 val write_cells :

@@ -96,8 +96,8 @@ let with_staged binary target f =
   Fun.protect ~finally:(fun () -> cleanup target) (fun () -> f path)
 
 (* The source phase at the binary's home, under its build stack. *)
-let source_bundle ?clock binary =
-  Feam_core.Phases.source_phase ?clock Feam_core.Config.default
+let source_bundle ?clock ?ctx binary =
+  Feam_core.Phases.source_phase ?clock ?ctx Feam_core.Config.default
     binary.Testset.home
     (Modules_tool.load_stack
        (Site.base_env binary.Testset.home)
@@ -116,10 +116,10 @@ let failed e = { ready = false; reasons = [ e ]; staged = []; stack = None }
 (* Basic prediction: target phase only, no bundle.  [stack] is the
    functioning stack FEAM found; the target's /tmp/feam is cleared for
    the steps that follow. *)
-let basic_prediction ?clock ?stacks target staged_path =
+let basic_prediction ?clock ?ctx target staged_path =
   let open Feam_core in
   let basic =
-    Phases.target_phase ?clock ?stacks Config.default target
+    Phases.target_phase ?clock ?ctx Config.default target
       (Site.base_env target) ~binary_path:staged_path ()
   in
   Vfs.remove_tree (Site.vfs target) "/tmp/feam";
@@ -138,14 +138,14 @@ let basic_prediction ?clock ?stacks target staged_path =
    [bundle_filter] transforms the bundle before the target phase.
    [stack] is the plan's chosen stack; [staged] the libraries resolved
    from the bundle. *)
-let extended_prediction ?clock ?stacks ?(bundle_filter = fun b -> b) binary
+let extended_prediction ?clock ?ctx ?(bundle_filter = fun b -> b) binary
     target staged_path =
   let open Feam_core in
   let extended =
-    match source_bundle ?clock binary with
+    match source_bundle ?clock ?ctx binary with
     | Error e -> Error e
     | Ok bundle ->
-      Phases.target_phase ?clock ?stacks Config.default target
+      Phases.target_phase ?clock ?ctx Config.default target
         (Site.base_env target) ~bundle:(bundle_filter bundle)
         ~binary_path:staged_path ()
   in
@@ -195,7 +195,7 @@ let run_binary (params : Params.t) binary target staged_path verdict =
 (* One migration: stage, basic prediction, the before-resolution run,
    extended prediction, the after-resolution run.  [bundle_filter] is
    the ablation study's hook to strip probes or library copies. *)
-let migrate ?clock ?stacks ?bundle_filter (params : Params.t) binary target =
+let migrate ?clock ?ctx ?bundle_filter (params : Params.t) binary target =
   (* One matrix cell in the cost ledger, named binary->site like the
      evaluation tables; the Prof timer sees the same work per target. *)
   Feam_obs.Ledger.with_cell
@@ -206,12 +206,12 @@ let migrate ?clock ?stacks ?bundle_filter (params : Params.t) binary target =
     "evalharness.migrate"
   @@ fun () ->
   with_staged binary target @@ fun staged_path ->
-  let basic = basic_prediction ?clock ?stacks target staged_path in
+  let basic = basic_prediction ?clock ?ctx target staged_path in
   (* Before resolution: the stack the basic prediction selected, no
      library fixes. *)
   let actual_before = run_binary params binary target staged_path basic in
   let extended =
-    extended_prediction ?clock ?stacks ?bundle_filter binary target staged_path
+    extended_prediction ?clock ?ctx ?bundle_filter binary target staged_path
   in
   (* After resolution: FEAM's configuration applied. *)
   let actual_after = run_binary params binary target staged_path extended in
@@ -228,20 +228,18 @@ let migrate ?clock ?stacks ?bundle_filter (params : Params.t) binary target =
   }
 
 (* All migrations of the corpus, one per matrix cell, as one evaluation
-   pass with two caches.  The describe memo is enabled for the run: the
-   same library image re-described at the same site across cells parses
-   once (bdc.describe_cache metrics).  One MPI-stack memo serves every
-   cell: a determinant whose inputs an earlier cell already probed
-   replays that outcome instead of probing again (tec.stack_memo
-   metrics; DESIGN §17).  Both are invisible in the results: the cells,
-   the clock and the counters come out as a cell-by-cell run would. *)
+   pass under one context (DESIGN §17).  Its describe memo parses the
+   same library image re-described at the same site across cells once
+   (bdc.describe_cache metrics); its MPI-stack memo replays a
+   determinant whose inputs an earlier cell already probed instead of
+   probing again (tec.stack_memo metrics).  The stack memo is invisible
+   in the results: the cells, the clock and the counters come out as a
+   cell-by-cell run under the same describe memo would. *)
 let run_all ?clock ?bundle_filter params sites binaries =
-  Feam_core.Bdc.set_describe_memo ();
-  Fun.protect ~finally:Feam_core.Bdc.clear_describe_memo @@ fun () ->
-  let stacks = Feam_core.Stack_memo.create () in
+  let ctx = Feam_core.Eval_ctx.create () in
   List.map
     (fun (binary, target) ->
-      migrate ?clock ~stacks ?bundle_filter params binary target)
+      migrate ?clock ~ctx ?bundle_filter params binary target)
     (cells sites binaries)
 
 let of_suite suite migrations =

@@ -60,9 +60,11 @@ val migrated_dir : string
 val with_staged :
   Testset.binary -> Feam_sysmodel.Site.t -> (string -> 'a) -> 'a
 
-(** The source phase at the binary's home site under its build stack. *)
+(** The source phase at the binary's home site under its build stack.
+    [ctx] is the evaluation pass's context, as for every step below. *)
 val source_bundle :
   ?clock:Feam_util.Sim_clock.t ->
+  ?ctx:Feam_core.Eval_ctx.t ->
   Testset.binary ->
   (Feam_core.Bundle.t, string) result
 
@@ -76,11 +78,10 @@ type verdict = {
 }
 
 (** Basic prediction of the staged binary: the target phase without a
-    bundle.  Clears the target's /tmp/feam afterwards.  [stacks] is the
-    pass's MPI-stack memo, as for every step below. *)
+    bundle.  Clears the target's /tmp/feam afterwards. *)
 val basic_prediction :
   ?clock:Feam_util.Sim_clock.t ->
-  ?stacks:Feam_core.Stack_memo.t ->
+  ?ctx:Feam_core.Eval_ctx.t ->
   Feam_sysmodel.Site.t ->
   string ->
   verdict
@@ -89,7 +90,7 @@ val basic_prediction :
     through [bundle_filter], then the target phase with the bundle. *)
 val extended_prediction :
   ?clock:Feam_util.Sim_clock.t ->
-  ?stacks:Feam_core.Stack_memo.t ->
+  ?ctx:Feam_core.Eval_ctx.t ->
   ?bundle_filter:(Feam_core.Bundle.t -> Feam_core.Bundle.t) ->
   Testset.binary ->
   Feam_sysmodel.Site.t ->
@@ -102,7 +103,7 @@ val extended_prediction :
     extended target phase — the ablation study's hook. *)
 val migrate :
   ?clock:Feam_util.Sim_clock.t ->
-  ?stacks:Feam_core.Stack_memo.t ->
+  ?ctx:Feam_core.Eval_ctx.t ->
   ?bundle_filter:(Feam_core.Bundle.t -> Feam_core.Bundle.t) ->
   Params.t ->
   Testset.binary ->
@@ -110,11 +111,11 @@ val migrate :
   migration
 
 (** All migrations of a corpus, one per {!cells} entry, as one
-    evaluation pass: the cells share one {!Feam_core.Stack_memo}, so
-    each distinct MPI-stack determinant input is probed once, and the
-    describe memo is on.  The result, the [clock] and the probe and
-    resolution counters are those of {!migrate} run cell by cell
-    without a memo. *)
+    evaluation pass: the cells share one {!Feam_core.Eval_ctx}, so each
+    distinct MPI-stack determinant input is probed once and each library
+    image is described once per site.  The result, the [clock] and the
+    probe and resolution counters are those of {!migrate} run cell by
+    cell under the same describe memo without a stack memo. *)
 val run_all :
   ?clock:Feam_util.Sim_clock.t ->
   ?bundle_filter:(Feam_core.Bundle.t -> Feam_core.Bundle.t) ->

@@ -14,9 +14,6 @@ type entry = {
 
 val time_to_first_result : entry -> float
 
-val evaluate_site :
-  Feam_core.Config.t -> Feam_core.Bundle.t -> Feam_sysmodel.Site.t -> entry
-
 (** Rank candidate sites for a bundle. *)
 val rank :
   Feam_core.Config.t ->

@@ -6,13 +6,6 @@
 (** Interconnect assumption baked into a stack's build. *)
 val stack_interconnect : Feam_mpi.Impl.t -> Feam_mpi.Interconnect.t
 
-(** Health of one stack install, drawn from the seed. *)
-val draw_health :
-  Params.t ->
-  site_name:string ->
-  Feam_mpi.Stack.t ->
-  Feam_sysmodel.Stack_install.health
-
 type spec = {
   site_name : string;
   site_description : string;

@@ -19,18 +19,6 @@ val binary_id :
   Feam_sysmodel.Stack_install.t ->
   string
 
-(** Compile one (benchmark, stack install) pair, honouring the
-    benchmark's compiler exclusions and seeded compile fragility. *)
-val try_build :
-  Params.t ->
-  Feam_sysmodel.Site.t ->
-  Feam_sysmodel.Stack_install.t ->
-  Feam_suites.Benchmark.t ->
-  binary option
-
-(** Does the binary run at its home site (with its stack loaded)? *)
-val runs_at_home : Params.t -> binary -> bool
-
 (** The full test set over the given sites and benchmarks. *)
 val build :
   Params.t ->

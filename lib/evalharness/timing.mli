@@ -23,10 +23,6 @@ val max_seconds : phase_timing list -> float
     count of runs over the paper's five-minute budget. *)
 val phase_breakdown_table : unit -> Feam_util.Table.t
 
-(** Merged size of the source-phase bundles of every binary homed at a
-    site — the quantity the paper reports averaging ~45 MB. *)
-val site_bundle_bytes : Testset.binary list -> Feam_sysmodel.Site.t -> int
-
 val bundle_report :
   Feam_sysmodel.Site.t list -> Testset.binary list -> (string * int) list
 

@@ -35,6 +35,9 @@ type t = {
   params : Params.t;
   seed : int;
   clock : Feam_obs.Clock.t;
+  ctx : Feam_core.Eval_ctx.t;
+      (* the engine's evaluation context: its describe memo stays warm
+         for the engine's lifetime, each pass gets a fresh stack memo *)
   store : Evidence.Store.t;
   index : (string * string, Snapshot.cell) Hashtbl.t;
   mutable sites : Site.t list;
@@ -54,7 +57,7 @@ let store_site t site =
     (Snapshot.site_atoms s)
 
 let store_binary t (binary : Testset.binary) =
-  let b = Driftrun.capture_binary binary in
+  let b = Driftrun.capture_binary ~ctx:t.ctx binary in
   Evidence.Store.replace t.store
     (Evidence.Binary_owner b.Snapshot.bs_id)
     (Snapshot.binary_atoms b)
@@ -83,16 +86,15 @@ let create ?specs ?benchmarks ?(clock = Feam_obs.Clock.fixed ()) ~seed () =
     Option.value benchmarks ~default:(Driftrun.small_benchmarks ())
   in
   let params = { Params.default with Params.seed } in
-  (* The BDC describe memo stays warm for the engine's lifetime: batch
-     queries and re-evaluations share one description cache. *)
-  Feam_core.Bdc.set_describe_memo ();
+  let ctx = Feam_core.Eval_ctx.create () in
   let sites, binaries = Driftrun.build_world params specs benchmarks [] in
-  let cells = Driftrun.predict_all sites binaries in
+  let cells = Driftrun.predict_all ~ctx sites binaries in
   let t =
     {
       params;
       seed;
       clock;
+      ctx;
       store = Evidence.Store.create ();
       index = Hashtbl.create 1024;
       sites;
@@ -112,16 +114,22 @@ let create ?specs ?benchmarks ?(clock = Feam_obs.Clock.fixed ()) ~seed () =
   Metrics.incr "serve.cells_reevaluated_total" ~by:0;
   t
 
-let close _t = Feam_core.Bdc.clear_describe_memo ()
+let close _t = ()
+
+(* A fresh stack memo for one prediction pass over the current world. *)
+let pass t = Feam_core.Eval_ctx.next_pass t.ctx
 
 let resident_cells t = List.length t.cells
+
+let sites t = t.sites
 
 let epoch t = t.epoch
 
 (* -- incremental re-evaluation ----------------------------------------- *)
 
 (* Extend the matrix after a registration: evaluate the pairs the new
-   owners created, keep the resident table in enumeration order. *)
+   owners created, keep the resident table in enumeration order.  The
+   few fresh cells run without a stack memo. *)
 let extend_matrix t =
   let pairs = Driftrun.all_cells t.sites t.binaries in
   let fresh =
@@ -133,7 +141,7 @@ let extend_matrix t =
   List.iter
     (fun (b, target) ->
       Hashtbl.replace t.index (b.Testset.id, Site.name target)
-        (Driftrun.predict_cell b target))
+        (Driftrun.predict_cell ~ctx:{ t.ctx with stacks = None } b target))
     fresh;
   t.cells <-
     List.map
@@ -259,7 +267,8 @@ let update_evidence t site_name action =
       if changes = [] then []
       else begin
         let reevaluated =
-          Driftrun.reevaluate t.sites t.binaries plan.Invalidate.pl_affected
+          Driftrun.reevaluate ~ctx:(pass t) t.sites t.binaries
+            plan.Invalidate.pl_affected
         in
         let before = t.cells in
         t.cells <- Invalidate.merge ~base:before ~reevaluated;
@@ -351,8 +360,8 @@ let register_binary t ~home ~benchmark =
 (* -- snapshot / crosscheck / stats ------------------------------------- *)
 
 let snapshot t =
-  Driftrun.snapshot_of_world ~epoch:t.epoch ~seed:t.seed ~label:"serve"
-    t.sites t.binaries ~cells:t.cells
+  Driftrun.snapshot_of_world ~ctx:t.ctx ~epoch:t.epoch ~seed:t.seed
+    ~label:"serve" t.sites t.binaries ~cells:t.cells
 
 let snapshot_fleet t ~out ~write_file =
   let snap = snapshot t in
@@ -374,7 +383,7 @@ let snapshot_fleet t ~out ~write_file =
    prediction pass over the resident world must serialize identically
    to the incrementally maintained table. *)
 let crosscheck_matches t =
-  let full = Driftrun.predict_all t.sites t.binaries in
+  let full = Driftrun.predict_all ~ctx:(pass t) t.sites t.binaries in
   String.equal
     (Driftrun.cells_doc ~epoch:t.epoch ~seed:t.seed t.cells)
     (Driftrun.cells_doc ~epoch:t.epoch ~seed:t.seed full)

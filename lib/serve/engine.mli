@@ -17,7 +17,9 @@ type t
     two-site world; the CLI passes the full Table II fleet under
     [--full].  [clock] feeds only the [serve.query_ns] histogram and
     defaults to the fixed zero clock, keeping tests deterministic.
-    Warms the BDC describe memo for the engine's lifetime. *)
+    The engine holds one {!Feam_core.Eval_ctx} for its lifetime: its
+    describe memo stays warm across requests, each re-evaluation pass
+    gets a fresh stack memo. *)
 val create :
   ?specs:Feam_evalharness.Sites.spec list ->
   ?benchmarks:Feam_suites.Benchmark.t list ->
@@ -26,10 +28,14 @@ val create :
   unit ->
   t
 
-(** Release the describe memo. *)
+(** A no-op: the engine's caches live in the engine and go with it.
+    Kept because perfbench calls it. *)
 val close : t -> unit
 
 val resident_cells : t -> int
+
+(** The resident sites, in registration order. *)
+val sites : t -> Feam_sysmodel.Site.t list
 
 (** Mutation count: 0 at baseline, +1 per accepted state change. *)
 val epoch : t -> int

@@ -33,19 +33,21 @@ let build_with active =
   let specs, benchmarks = Lazy.force small_world in
   Driftrun.build_world params specs benchmarks active
 
-let with_memo f =
-  Feam_core.Bdc.set_describe_memo ();
-  Fun.protect ~finally:Feam_core.Bdc.clear_describe_memo f
+(* One evaluation context per test, held as a drift run holds one:
+   every prediction pass starts with [pass ctx]. *)
+let with_memo f = f (Feam_core.Eval_ctx.create ())
+
+let pass = Feam_core.Eval_ctx.next_pass
 
 (* -- snapshots ----------------------------------------------------------- *)
 
 let test_double_snapshot_byte_identity () =
-  with_memo @@ fun () ->
+  with_memo @@ fun ctx ->
   let snap () =
     let sites, binaries = build_with [] in
-    let cells = Driftrun.predict_all sites binaries in
+    let cells = Driftrun.predict_all ~ctx:(pass ctx) sites binaries in
     Snapshot.to_jsonl
-      (Driftrun.snapshot_of_world ~epoch:0 ~seed ~label:"" sites binaries
+      (Driftrun.snapshot_of_world ~ctx ~epoch:0 ~seed ~label:"" sites binaries
          ~cells)
   in
   let a = snap () in
@@ -53,11 +55,11 @@ let test_double_snapshot_byte_identity () =
   Alcotest.(check string) "the same world snapshots byte-identically" a b
 
 let test_snapshot_roundtrip () =
-  with_memo @@ fun () ->
+  with_memo @@ fun ctx ->
   let sites, binaries = build_with [] in
-  let cells = Driftrun.predict_all sites binaries in
+  let cells = Driftrun.predict_all ~ctx:(pass ctx) sites binaries in
   let snapshot =
-    Driftrun.snapshot_of_world ~epoch:3 ~seed ~label:"x @ y" sites binaries
+    Driftrun.snapshot_of_world ~ctx ~epoch:3 ~seed ~label:"x @ y" sites binaries
       ~cells
   in
   let doc = Snapshot.to_jsonl snapshot in
@@ -88,14 +90,14 @@ let test_snapshot_parse_errors () =
       (contains ~affix:"schema" e)
 
 let test_epoch_store_roundtrip () =
-  with_memo @@ fun () ->
+  with_memo @@ fun ctx ->
   let dir = Filename.temp_file "feam_drift" "" in
   Sys.remove dir;
   let store = Epoch_store.open_ dir in
   let sites, binaries = build_with [] in
-  let cells = Driftrun.predict_all sites binaries in
+  let cells = Driftrun.predict_all ~ctx:(pass ctx) sites binaries in
   let s0 =
-    Driftrun.snapshot_of_world ~epoch:0 ~seed ~label:"" sites binaries ~cells
+    Driftrun.snapshot_of_world ~ctx ~epoch:0 ~seed ~label:"" sites binaries ~cells
   in
   let s2 = { s0 with Snapshot.epoch = 2; label = "later" } in
   let path0 = Epoch_store.put store s0 in
@@ -282,11 +284,11 @@ let prop_flips_within_affected =
   QCheck.Test.make ~count:6 ~name:"changed-verdict cells are in the plan"
     QCheck.(int_range 1 1000)
     (fun pseed ->
-      with_memo @@ fun () ->
+      with_memo @@ fun ctx ->
       let sites0, binaries0 = build_with [] in
-      let cells0 = Driftrun.predict_all sites0 binaries0 in
+      let cells0 = Driftrun.predict_all ~ctx:(pass ctx) sites0 binaries0 in
       let base =
-        Driftrun.snapshot_of_world ~epoch:0 ~seed:pseed ~label:"" sites0
+        Driftrun.snapshot_of_world ~ctx ~epoch:0 ~seed:pseed ~label:"" sites0
           binaries0 ~cells:cells0
       in
       let p =
@@ -296,11 +298,11 @@ let prop_flips_within_affected =
       in
       let sites, binaries = build_with [ p ] in
       let candidate =
-        Driftrun.snapshot_of_world ~epoch:1 ~seed:pseed
+        Driftrun.snapshot_of_world ~ctx ~epoch:1 ~seed:pseed
           ~label:(Driftrun.perturbation_label p) sites binaries ~cells:cells0
       in
       let plan = Invalidate.affected base candidate in
-      let full = Driftrun.predict_all sites binaries in
+      let full = Driftrun.predict_all ~ctx:(pass ctx) sites binaries in
       let flips = Invalidate.flips ~before:cells0 ~after:full in
       List.for_all
         (fun (f : Invalidate.flip) ->

@@ -22,10 +22,7 @@ let contains ~affix s =
 
 let seed = Feam_evalharness.Params.default.Feam_evalharness.Params.seed
 
-(* Engines warm the global describe memo; always pair create/close. *)
-let with_engine f =
-  let engine = Engine.create ~seed () in
-  Fun.protect ~finally:(fun () -> Engine.close engine) (fun () -> f engine)
+let with_engine f = f (Engine.create ~seed ())
 
 let handle = Engine.handle ~write_file:(fun _ _ -> ())
 
@@ -468,6 +465,25 @@ let prop_label_escaping_roundtrip =
     (fun s ->
       Feam_obs.Expo.unescape_label (Feam_obs.Expo.escape_label s) = s)
 
+(* Each engine owns its caches: closing one engine leaves another's
+   describe memo warm, so its re-evaluation still hits. *)
+let test_close_keeps_other_engines_memo () =
+  let e1 = Engine.create ~seed () in
+  let e2 = Engine.create ~seed () in
+  Engine.close e1;
+  let hits () =
+    Option.value ~default:0
+      (Feam_obs.Metrics.counter_value "bdc.describe_cache.hit")
+  in
+  let before = hits () in
+  ignore
+    (handle e2
+       (Protocol.Update_evidence
+          { ue_site = "fir"; ue_action = Protocol.Stale_ld_cache })
+      : string);
+  Alcotest.(check bool) "the other engine's describe memo still hits" true
+    (hits () > before)
+
 let suite =
   ( "serve",
     [
@@ -481,6 +497,8 @@ let suite =
         test_update_reevaluates_only_affected;
       Alcotest.test_case "inert updates re-evaluate nothing" `Quick
         test_inert_update_reevaluates_nothing;
+      Alcotest.test_case "closing one engine keeps another's memo" `Quick
+        test_close_keeps_other_engines_memo;
       Alcotest.test_case "registration extends the matrix" `Slow
         test_register_extends_matrix;
       Alcotest.test_case "snapshot dumps a drift epoch" `Quick

@@ -66,12 +66,12 @@ let test_run_all_matches_cell_by_cell () =
   let clock_b = Feam_util.Sim_clock.create () in
   let lines, counters, serial =
     fresh_run (fun sites binaries ->
-        (* run_all's describe memo stays on, so only the stack memo
-           differs between the two runs *)
-        Feam_core.Bdc.set_describe_memo ();
-        Fun.protect ~finally:Feam_core.Bdc.clear_describe_memo @@ fun () ->
+        (* a describe memo as run_all's, so only the stack memo differs
+           between the two runs *)
+        let ctx = { (Feam_core.Eval_ctx.create ()) with stacks = None } in
         List.map
-          (fun (b, t) -> cell_line (Migrate.migrate ~clock:clock_b params b t))
+          (fun (b, t) ->
+            cell_line (Migrate.migrate ~clock:clock_b ~ctx params b t))
           (Migrate.cells sites binaries))
   in
   Alcotest.(check bool) "the memo hit" true (hits > 0);
