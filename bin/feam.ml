@@ -328,6 +328,29 @@ let open_depot dir =
     Fmt.epr "cannot open depot %s: %s@." dir e;
     exit 1
 
+let read_text file =
+  if file = "-" then In_channel.input_all In_channel.stdin
+  else In_channel.with_open_text file In_channel.input_all
+
+let write_text file text =
+  match file with
+  | "-" -> print_string text
+  | f ->
+    Out_channel.with_open_text f (fun oc -> Out_channel.output_string oc text)
+
+(* Read a bundle or manifest artifact ("-" is stdin); a damaged one is
+   reported with its typed load error and exits 1. *)
+let load_artifact parse file =
+  match parse (read_text file) with
+  | Ok x -> x
+  | Error e ->
+    Fmt.epr "cannot load %s: %s@." file
+      (Feam_core.Bundle_io.load_error_to_string e);
+    exit 1
+
+let load_bundle = load_artifact Feam_core.Bundle_io.parse
+let load_manifest = load_artifact Feam_core.Bundle_io.parse_manifest
+
 (* The full prediction pipeline over a scenario — source phase at the
    home site, target phase (with optional lint findings) at the target —
    shared by `feam predict` and `feam metrics`.  With [depot_dir] the
@@ -514,14 +537,7 @@ let cmd_metrics debug trace trace_out scenario_name from_site to_site binary
 (* Build the bundle to lint: a serialized artifact when FILE is given,
    otherwise the source phase run in-process over a scenario site. *)
 let lint_bundle scenario_name site binary = function
-  | Some file ->
-    let text =
-      if file = "-" then In_channel.input_all In_channel.stdin
-      else In_channel.with_open_text file In_channel.input_all
-    in
-    (match Feam_core.Bundle_io.parse text with
-    | Ok bundle -> bundle
-    | Error e -> failwith (Printf.sprintf "cannot parse bundle %s: %s" file e))
+  | Some file -> load_bundle file
   | None ->
     let scenario = load_scenario scenario_name in
     let site = require_site scenario site in
@@ -1080,75 +1096,48 @@ let cmd_bundle debug scenario_name site binary out =
 
 let cmd_inspect_bundle debug file =
   setup_logs debug;
-  let text =
-    if file = "-" then In_channel.input_all In_channel.stdin
-    else In_channel.with_open_text file In_channel.input_all
-  in
-  match Feam_core.Bundle_io.parse text with
-  | Error e ->
-    Fmt.epr "%s@." e;
-    exit 1
-  | Ok bundle ->
-    let d = bundle.Feam_core.Bundle.binary_description in
-    Fmt.pr "bundle created at: %s@." bundle.Feam_core.Bundle.created_at;
-    Fmt.pr "binary: %a@." Feam_core.Description.pp d;
-    Fmt.pr "carries binary bytes: %b@."
-      (bundle.Feam_core.Bundle.binary_bytes <> None);
-    Fmt.pr "library copies (%d):@."
-      (List.length bundle.Feam_core.Bundle.copies);
-    List.iter
-      (fun c ->
-        Fmt.pr "  %-28s from %s (%.1f MB)@." c.Feam_core.Bdc.copy_request
-          c.Feam_core.Bdc.copy_origin_path
-          (float_of_int c.Feam_core.Bdc.copy_declared_size /. 1048576.0))
-      bundle.Feam_core.Bundle.copies;
-    Fmt.pr "probes: %s@."
-      (String.concat ", "
-         (List.map
-            (fun p -> p.Feam_core.Bundle.probe_name)
-            bundle.Feam_core.Bundle.probes))
+  let bundle = load_bundle file in
+  let d = bundle.Feam_core.Bundle.binary_description in
+  Fmt.pr "bundle created at: %s@." bundle.Feam_core.Bundle.created_at;
+  Fmt.pr "binary: %a@." Feam_core.Description.pp d;
+  Fmt.pr "carries binary bytes: %b@."
+    (bundle.Feam_core.Bundle.binary_bytes <> None);
+  Fmt.pr "library copies (%d):@."
+    (List.length bundle.Feam_core.Bundle.copies);
+  List.iter
+    (fun c ->
+      Fmt.pr "  %-28s from %s (%.1f MB)@." c.Feam_core.Bdc.copy_request
+        c.Feam_core.Bdc.copy_origin_path
+        (float_of_int c.Feam_core.Bdc.copy_declared_size /. 1048576.0))
+    bundle.Feam_core.Bundle.copies;
+  Fmt.pr "probes: %s@."
+    (String.concat ", "
+       (List.map
+          (fun p -> p.Feam_core.Bundle.probe_name)
+          bundle.Feam_core.Bundle.probes))
 
 (* -- Content-addressed depot: `feam depot ...` -------------------------------- *)
-
-let read_text file =
-  if file = "-" then In_channel.input_all In_channel.stdin
-  else In_channel.with_open_text file In_channel.input_all
-
-let write_text file text =
-  match file with
-  | "-" -> print_string text
-  | f ->
-    Out_channel.with_open_text f (fun oc -> Out_channel.output_string oc text)
-
-let load_manifest file =
-  match Feam_core.Bundle_io.parse_manifest (read_text file) with
-  | Ok m -> m
-  | Error e -> failwith (Printf.sprintf "%s: %s" file e)
 
 (* Intern a self-contained bundle's payloads into the depot and write the
    manifest that references them by content key. *)
 let cmd_depot_add debug depot_dir bundle_file out =
   setup_logs debug;
   let store = open_depot depot_dir in
-  match Feam_core.Bundle_io.parse (read_text bundle_file) with
-  | Error e ->
-    Fmt.epr "%s@." e;
-    exit 1
-  | Ok bundle ->
-    let before = Feam_depot.Store.object_count store in
-    let manifest = Feam_core.Bundle_manifest.of_bundle store bundle in
-    Feam_depot.Store.save_dir store depot_dir;
-    write_text out (Feam_core.Bundle_io.render_manifest manifest);
-    let added = Feam_depot.Store.object_count store - before in
-    if out <> "-" then
-      Fmt.pr
-        "manifest written to %s (%d objects referenced, %d new; store now %d \
-         objects, %.1f MB)@."
-        out
-        (List.length (Feam_core.Bundle_manifest.keys manifest))
-        added
-        (Feam_depot.Store.object_count store)
-        (float_of_int (Feam_depot.Store.total_bytes store) /. 1048576.0)
+  let bundle = load_bundle bundle_file in
+  let before = Feam_depot.Store.object_count store in
+  let manifest = Feam_core.Bundle_manifest.of_bundle store bundle in
+  Feam_depot.Store.save_dir store depot_dir;
+  write_text out (Feam_core.Bundle_io.render_manifest manifest);
+  let added = Feam_depot.Store.object_count store - before in
+  if out <> "-" then
+    Fmt.pr
+      "manifest written to %s (%d objects referenced, %d new; store now %d \
+       objects, %.1f MB)@."
+      out
+      (List.length (Feam_core.Bundle_manifest.keys manifest))
+      added
+      (Feam_depot.Store.object_count store)
+      (float_of_int (Feam_depot.Store.total_bytes store) /. 1048576.0)
 
 let cmd_depot_ls debug depot_dir json =
   setup_logs debug;

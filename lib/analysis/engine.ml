@@ -126,6 +126,7 @@ let render_text ctx findings =
   addf "%s\n" (summary findings);
   Buffer.contents buf
 
+(* One-line fleet inventory, the audit report's subject line. *)
 let fleet_line (fleet : Fleet.t) =
   Printf.sprintf
     "%d sites, %d binaries, %d library observations, %d cells, %d stored \

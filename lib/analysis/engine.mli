@@ -43,9 +43,6 @@ val render_text : Context.t -> Feam_core.Diagnose.finding list -> string
 (** Machine-readable lint report; parses back with {!Feam_util.Json}. *)
 val to_json : Context.t -> Feam_core.Diagnose.finding list -> Feam_util.Json.t
 
-(** One-line fleet inventory, the audit report's subject line. *)
-val fleet_line : Fleet.t -> string
-
 (** Human-readable audit report. *)
 val render_fleet_text :
   Fleet.t -> Feam_core.Diagnose.finding list -> string

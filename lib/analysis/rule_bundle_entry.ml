@@ -1,10 +1,9 @@
 (* Unsafe bundle entry names.  The target phase stages entries at
    [staging ^ "/" ^ name], so a name with a ".." component escapes the
    staging directory, and two entries with the same name collide in it.
-   Bundle_io.parse_checked rejects such artifacts outright with a typed
-   error; this rule surfaces the same policy over bundles that were
-   built in memory (or loaded through the legacy lenient path), naming
-   each offending entry. *)
+   Bundle_io.parse rejects such artifacts outright with a typed error;
+   this rule surfaces the same policy over bundles built in memory,
+   which never pass through the parser, naming each offending entry. *)
 
 let id = "bundle-entry-unsafe"
 
@@ -63,9 +62,9 @@ let rec rule =
       "Checks every copy request and probe name for \"..\" path \
        components (which would escape the staging directory at the \
        target) and for duplicates (which would collide in it).  \
-       Bundle_io.parse_checked rejects such artifacts outright with a \
+       Loading a bundle artifact rejects such names outright with a \
        typed error; this rule surfaces the same policy over bundles \
-       built in memory or loaded through the legacy lenient path.\n\
+       built in memory, which never pass through the parser.\n\
        Fix: strip directory components from entry names and drop or \
        rename colliding entries, then re-bundle.";
     check = Rule.Cell (fun ctx -> check rule ctx);

@@ -1,10 +1,6 @@
 (** Shared scope construction for the symbol-level rules. *)
 
-(** The staged binding scope of a bundle: the root binary plus the
-    bundled copies reachable breadth-first over DT_NEEDED.  Probes stay
-    out; C-library names are resolved by the target, never bundled. *)
-val of_context : Context.t -> Feam_symcheck.Symcheck.member list
-
-(** Run the symbol-binding simulation over {!of_context}'s scope, with
+(** Run the symbol-binding simulation over the bundle's staged scope
+    (the root binary plus the copies reachable over DT_NEEDED), with
     C-library names exempt from the completeness requirement. *)
 val result : Context.t -> Feam_symcheck.Symcheck.t

@@ -6,7 +6,12 @@
    format is self-contained — descriptions are stored as their primitive
    fields and the derived ones (required C library version, MPI
    identification) are recomputed on load, so a bundle written by one
-   FEAM version parses under another as long as the primitives hold. *)
+   FEAM version parses under another as long as the primitives hold.
+
+   A depot manifest (DESIGN §9) is the same container with content keys
+   in place of the embedded images: one layout, one renderer and one
+   assembler serve both kinds, which differ only in their magic line and
+   in how a payload line is written and read. *)
 
 open Feam_util
 
@@ -54,79 +59,85 @@ let render_discovery buf (disc : Discovery.t) =
   addf "current-stack: %s\n"
     (opt_field (Option.map (fun s -> s.Discovery.slug) disc.Discovery.current_stack))
 
-(* [render bundle] serializes a bundle to its textual artifact. *)
-let render (b : Bundle.t) : string =
+(* -- the container ------------------------------------------------------ *)
+
+(* A [copy] or [probe] section: the entry name, its provenance (a copy's
+   origin path, a probe's stack slug), the declared size, the payload. *)
+type 'p entry = { name : string; from : string; size : int; payload : 'p }
+
+(* The layout both artifact kinds share, parameterised by the payload:
+   embedded bytes in a bundle, a content key in a manifest. *)
+type 'p layout = {
+  created_at : string;
+  unlocatable : string list;
+  description : Description.t;
+  binary : (int * 'p) option;  (* declared size, payload *)
+  copies : (Description.t * 'p entry) list;
+  probes : 'p entry list;
+  discovery : Discovery.t;
+}
+
+(* How one artifact kind writes and reads its payload lines; a line with
+   the other kind's payload key is rejected. *)
+type 'p kind = {
+  kind_magic : string;
+  key : string;
+  foreign : string;
+  write : 'p -> string;
+  read : string -> ('p, string) result;
+}
+
+let bundle_kind =
+  {
+    kind_magic = magic;
+    key = "data";
+    foreign = "object";
+    write = Base64.encode;
+    read = (fun s -> Result.map_error Base64.error_to_string (Base64.decode s));
+  }
+
+let manifest_kind =
+  {
+    kind_magic = manifest_magic;
+    key = "object";
+    foreign = "data";
+    write = Chash.to_hex;
+    read =
+      (fun hex ->
+        Option.to_result
+          ~none:("malformed content key: " ^ hex)
+          (Chash.of_hex hex));
+  }
+
+(* The keys of an entry section's name and provenance fields. *)
+type section = { sec : string; name_key : string; from_key : string }
+
+let copy_section = { sec = "copy"; name_key = "request"; from_key = "origin" }
+let probe_section = { sec = "probe"; name_key = "name"; from_key = "stack" }
+
+let render_layout kind (l : _ layout) =
   let buf = Buffer.create 65536 in
   let addf fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  addf "%s\n" magic;
-  addf "created-at: %s\n" b.Bundle.created_at;
-  addf "unlocatable: %s\n" (String.concat "," b.Bundle.unlocatable);
+  let payload p = addf "%s: %s\n" kind.key (kind.write p) in
+  let entry s desc e =
+    addf "\n[%s]\n%s: %s\n%s: %s\ndeclared-size: %d\n" s.sec s.name_key e.name
+      s.from_key e.from e.size;
+    Option.iter (render_description buf "desc-") desc;
+    payload e.payload
+  in
+  addf "%s\ncreated-at: %s\nunlocatable: %s\n" kind.kind_magic l.created_at
+    (String.concat "," l.unlocatable);
   addf "\n[description]\n";
-  render_description buf "" b.Bundle.binary_description;
-  (match b.Bundle.binary_bytes with
-  | Some bytes ->
-    addf "\n[binary]\n";
-    addf "declared-size: %d\n" b.Bundle.binary_declared_size;
-    addf "data: %s\n" (Base64.encode bytes)
-  | None -> ());
-  List.iter
-    (fun (c : Bdc.library_copy) ->
-      addf "\n[copy]\n";
-      addf "request: %s\n" c.Bdc.copy_request;
-      addf "origin: %s\n" c.Bdc.copy_origin_path;
-      addf "declared-size: %d\n" c.Bdc.copy_declared_size;
-      render_description buf "desc-" c.Bdc.copy_description;
-      addf "data: %s\n" (Base64.encode c.Bdc.copy_bytes))
-    b.Bundle.copies;
-  List.iter
-    (fun (p : Bundle.probe) ->
-      addf "\n[probe]\n";
-      addf "name: %s\n" p.Bundle.probe_name;
-      addf "stack: %s\n" p.Bundle.probe_stack_slug;
-      addf "declared-size: %d\n" p.Bundle.probe_declared_size;
-      addf "data: %s\n" (Base64.encode p.Bundle.probe_bytes))
-    b.Bundle.probes;
+  render_description buf "" l.description;
+  Option.iter
+    (fun (size, p) ->
+      addf "\n[binary]\ndeclared-size: %d\n" size;
+      payload p)
+    l.binary;
+  List.iter (fun (desc, e) -> entry copy_section (Some desc) e) l.copies;
+  List.iter (entry probe_section None) l.probes;
   addf "\n";
-  render_discovery buf b.Bundle.source_discovery;
-  Buffer.contents buf
-
-(* [render_manifest m] serializes a depot-backed manifest: the same
-   container as a bundle, but every payload is an `object:` content key
-   resolved against a depot instead of embedded `data:`. *)
-let render_manifest (m : Bundle_manifest.t) : string =
-  let buf = Buffer.create 4096 in
-  let addf fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  let hex = Chash.to_hex in
-  addf "%s\n" manifest_magic;
-  addf "created-at: %s\n" m.Bundle_manifest.man_created_at;
-  addf "unlocatable: %s\n" (String.concat "," m.Bundle_manifest.man_unlocatable);
-  addf "\n[description]\n";
-  render_description buf "" m.Bundle_manifest.man_description;
-  (match m.Bundle_manifest.man_binary with
-  | Some (key, size) ->
-    addf "\n[binary]\n";
-    addf "declared-size: %d\n" size;
-    addf "object: %s\n" (hex key)
-  | None -> ());
-  List.iter
-    (fun (e : Bundle_manifest.entry) ->
-      addf "\n[copy]\n";
-      addf "request: %s\n" e.Bundle_manifest.me_request;
-      addf "origin: %s\n" e.Bundle_manifest.me_origin;
-      addf "declared-size: %d\n" e.Bundle_manifest.me_size;
-      render_description buf "desc-" e.Bundle_manifest.me_description;
-      addf "object: %s\n" (hex e.Bundle_manifest.me_key))
-    m.Bundle_manifest.man_entries;
-  List.iter
-    (fun (p : Bundle_manifest.probe_ref) ->
-      addf "\n[probe]\n";
-      addf "name: %s\n" p.Bundle_manifest.mp_name;
-      addf "stack: %s\n" p.Bundle_manifest.mp_stack;
-      addf "declared-size: %d\n" p.Bundle_manifest.mp_size;
-      addf "object: %s\n" (hex p.Bundle_manifest.mp_key))
-    m.Bundle_manifest.man_probes;
-  addf "\n";
-  render_discovery buf m.Bundle_manifest.man_discovery;
+  render_discovery buf l.discovery;
   Buffer.contents buf
 
 (* -- parsing ---------------------------------------------------------------- *)
@@ -134,7 +145,7 @@ let render_manifest (m : Bundle_manifest.t) : string =
 type parse_error = { line : int; message : string }
 
 let parse_error_to_string e =
-  Printf.sprintf "bundle parse error at line %d: %s" e.line e.message
+  Printf.sprintf "parse error at line %d: %s" e.line e.message
 
 (* What makes an entry name unsafe to load (DESIGN §9): [Duplicate]
    names collide in the staging directory, [Traversal] names escape it
@@ -196,38 +207,45 @@ let sectionize ~magic text =
     | Ok sections ->
       Ok (List.map (fun (name, fields) -> (name, List.rev fields)) sections)
     | Error _ as e -> e)
-  | _ -> err 1 "missing FEAM-BUNDLE magic"
+  | _ -> err 1 (Printf.sprintf "missing %s magic" magic)
+
+let ( let* ) = Result.bind
+
+(* [all_ok f xs] maps [f] over [xs], stopping at the first error. *)
+let rec all_ok f = function
+  | [] -> Ok []
+  | x :: xs ->
+    let* y = f x in
+    let* ys = all_ok f xs in
+    Ok (y :: ys)
 
 let field fields key = List.assoc_opt key fields
+
+let require fields key =
+  Option.to_result ~none:("missing field " ^ key) (field fields key)
 let fields_all fields key =
   List.filter_map (fun (k, v) -> if k = key then Some v else None) fields
 
 (* Reject duplicate and traversing entry names across a parsed artifact's
    [copy] and [probe] sections, before any payload is decoded. *)
 let check_entries sections =
-  let check section key seen fields =
-    match field fields key with
+  let check seen (sec, fields) =
+    let* seen = seen in
+    match
+      List.find_opt (fun s -> s.sec = sec) [ copy_section; probe_section ]
+    with
     | None -> Ok seen
-    | Some name ->
-      if name_traverses name then
-        Error (Unsafe_entry { section; name; issue = Traversal })
-      else if List.mem name seen then
-        Error (Unsafe_entry { section; name; issue = Duplicate })
-      else Ok (name :: seen)
+    | Some s -> (
+      match field fields s.name_key with
+      | None -> Ok seen
+      | Some name ->
+        if name_traverses name then
+          Error (Unsafe_entry { section = sec; name; issue = Traversal })
+        else if List.mem (sec, name) seen then
+          Error (Unsafe_entry { section = sec; name; issue = Duplicate })
+        else Ok ((sec, name) :: seen))
   in
-  let rec go seen_copies seen_probes = function
-    | [] -> Ok ()
-    | ("copy", fields) :: rest -> (
-      match check "copy" "request" seen_copies fields with
-      | Error _ as e -> e
-      | Ok seen -> go seen seen_probes rest)
-    | ("probe", fields) :: rest -> (
-      match check "probe" "name" seen_probes fields with
-      | Error _ as e -> e
-      | Ok seen -> go seen_copies seen rest)
-    | _ :: rest -> go seen_copies seen_probes rest
-  in
-  go [] [] sections
+  Result.map ignore (List.fold_left check (Ok []) sections)
 
 let opt_of = function "-" | "" -> None | s -> Some s
 
@@ -235,67 +253,63 @@ let split_list = function
   | "" -> []
   | s -> String.split_on_char ',' s
 
+let parse_verneed entry =
+  match String.index_opt entry '=' with
+  | None -> Error ("malformed verneed entry: " ^ entry)
+  | Some i ->
+    Ok
+      ( String.sub entry 0 i,
+        String.sub entry (i + 1) (String.length entry - i - 1)
+        |> String.split_on_char ';'
+        |> List.filter (( <> ) "") )
+
+(* Every field [render_description] writes is required; "-" stands for
+   an absent optional value. *)
 let parse_description ~prefix fields : (Description.t, string) result =
-  let get key = field fields (prefix ^ key) in
-  let require key =
-    match get key with
-    | Some v -> Ok v
-    | None -> Error (Printf.sprintf "missing field %s%s" prefix key)
+  let require key = require fields (prefix ^ key) in
+  let optional key = Result.map opt_of (require key) in
+  let* path = require "path" in
+  let* file_format = require "format" in
+  let* machine, elf_class =
+    Option.to_result ~none:("unknown file format: " ^ file_format)
+      (Objdump_parse.machine_of_format file_format)
   in
-  match (require "path", require "format", require "needed") with
-  | Error e, _, _ | _, Error e, _ | _, _, Error e -> Error e
-  | Ok path, Ok file_format, Ok needed -> (
-    match Objdump_parse.machine_of_format file_format with
-    | None -> Error ("unknown file format: " ^ file_format)
-    | Some (machine, elf_class) ->
-      let verneeds =
-        fields_all fields (prefix ^ "verneed")
-        |> List.filter_map (fun entry ->
-               match String.index_opt entry '=' with
-               | None -> None
-               | Some i ->
-                 let file = String.sub entry 0 i in
-                 let versions =
-                   String.sub entry (i + 1) (String.length entry - i - 1)
-                   |> String.split_on_char ';'
-                   |> List.filter (( <> ) "")
-                 in
-                 Some (file, versions))
-      in
-      let needed = split_list needed in
-      Ok
-        {
-          Description.path;
-          file_format;
-          machine;
-          elf_class;
-          soname = Option.bind (Option.bind (get "soname") opt_of) Soname.of_string;
-          needed;
-          rpath = Option.bind (get "rpath") opt_of;
-          runpath = Option.bind (get "runpath") opt_of;
-          verneeds;
-          required_glibc = Description.required_glibc_of_verneeds verneeds;
-          mpi = Mpi_ident.identify needed;
-          provenance =
-            {
-              Objdump_parse.compiler_banner =
-                Option.bind (get "compiler") opt_of;
-              build_os = Option.bind (get "build-os") opt_of;
-            };
-        })
+  let* soname = optional "soname" in
+  let* needed = Result.map split_list (require "needed") in
+  let* rpath = optional "rpath" in
+  let* runpath = optional "runpath" in
+  let* compiler_banner = optional "compiler" in
+  let* build_os = optional "build-os" in
+  let* verneeds =
+    all_ok parse_verneed (fields_all fields (prefix ^ "verneed"))
+  in
+  Ok
+    {
+      Description.path;
+      file_format;
+      machine;
+      elf_class;
+      soname = Option.bind soname Soname.of_string;
+      needed;
+      rpath;
+      runpath;
+      verneeds;
+      required_glibc = Description.required_glibc_of_verneeds verneeds;
+      mpi = Mpi_ident.identify needed;
+      provenance = { Objdump_parse.compiler_banner; build_os };
+    }
 
-let parse_data fields =
-  match field fields "data" with
-  | None -> Error "missing data field"
-  | Some b64 -> (
-    match Base64.decode b64 with
-    | Ok bytes -> Ok bytes
-    | Error e -> Error (Base64.error_to_string e))
-
-let parse_int_field fields key ~default =
-  match field fields key with
-  | None -> default
-  | Some v -> ( match int_of_string_opt v with Some n -> n | None -> default)
+let empty_discovery =
+  {
+    Discovery.env_type = `Guaranteed;
+    machine = None;
+    elf_class = None;
+    os = None;
+    kernel = None;
+    glibc = None;
+    stacks = [];
+    current_stack = None;
+  }
 
 let parse_discovery fields : Discovery.t =
   let get key = Option.bind (field fields key) opt_of in
@@ -317,231 +331,184 @@ let parse_discovery fields : Discovery.t =
     current_stack = Option.bind (get "current-stack") stack_of_slug;
   }
 
-(* Assemble a bundle from checked sections. *)
-let assemble_bundle sections : (Bundle.t, string) result =
-    let header =
-      match List.assoc_opt "" sections with Some f -> f | None -> []
-    in
-    let find_section name =
-      List.filter_map
-        (fun (n, fields) -> if n = name then Some fields else None)
-        sections
-    in
-    (match find_section "description" with
-    | [] -> Error "missing [description] section"
-    | desc_fields :: _ -> (
-      match parse_description ~prefix:"" desc_fields with
-      | Error e -> Error e
-      | Ok binary_description ->
-        let binary_bytes, binary_declared_size =
-          match find_section "binary" with
-          | fields :: _ -> (
-            match parse_data fields with
-            | Ok bytes -> (Some bytes, parse_int_field fields "declared-size" ~default:0)
-            | Error _ -> (None, 0))
-          | [] -> (None, 0)
-        in
-        let copies =
-          find_section "copy"
-          |> List.filter_map (fun fields ->
-                 match
-                   ( field fields "request",
-                     parse_description ~prefix:"desc-" fields,
-                     parse_data fields )
-                 with
-                 | Some request, Ok description, Ok bytes ->
-                   Some
-                     {
-                       Bdc.copy_request = request;
-                       copy_origin_path =
-                         Option.value (field fields "origin") ~default:"";
-                       copy_bytes = bytes;
-                       copy_declared_size =
-                         parse_int_field fields "declared-size"
-                           ~default:(String.length bytes);
-                       copy_description = description;
-                     }
-                 | _ -> None)
-        in
-        let probes =
-          find_section "probe"
-          |> List.filter_map (fun fields ->
-                 match (field fields "name", parse_data fields) with
-                 | Some name, Ok bytes ->
-                   Some
-                     {
-                       Bundle.probe_name = name;
-                       probe_bytes = bytes;
-                       probe_stack_slug =
-                         Option.value (field fields "stack") ~default:"";
-                       probe_declared_size =
-                         parse_int_field fields "declared-size"
-                           ~default:(String.length bytes);
-                     }
-                 | _ -> None)
-        in
-        let source_discovery =
-          match find_section "discovery" with
-          | fields :: _ -> parse_discovery fields
-          | [] ->
-            {
-              Discovery.env_type = `Guaranteed;
-              machine = None;
-              elf_class = None;
-              os = None;
-              kernel = None;
-              glibc = None;
-              stacks = [];
-              current_stack = None;
-            }
-        in
-        Ok
-          {
-            Bundle.created_at =
-              Option.value (field header "created-at") ~default:"unknown";
-            binary_description;
-            binary_bytes;
-            binary_declared_size;
-            copies;
-            unlocatable =
-              split_list (Option.value (field header "unlocatable") ~default:"");
-            probes;
-            source_discovery;
-          }))
+(* Section-level errors name their section. *)
+let in_section sec = Result.map_error (Printf.sprintf "[%s]: %s" sec)
 
-(* [parse_checked text] reads a bundle artifact back, rejecting unsafe
-   entry names (duplicates, path traversal) with a typed error. *)
-let parse_checked (text : string) : (Bundle.t, load_error) result =
-  match sectionize ~magic text with
-  | Error e -> Error (Syntax e)
-  | Ok sections -> (
-    match check_entries sections with
-    | Error _ as e -> e
-    | Ok () -> (
-      match assemble_bundle sections with
-      | Ok b -> Ok b
-      | Error m -> Error (Malformed m)))
+let read_size fields =
+  let* v = require fields "declared-size" in
+  Option.to_result ~none:("bad declared-size " ^ v) (int_of_string_opt v)
 
-(* [parse text] is {!parse_checked} with errors rendered to strings. *)
-let parse (text : string) : (Bundle.t, string) result =
-  Result.map_error load_error_to_string (parse_checked text)
+let read_payload kind fields =
+  if field fields kind.foreign <> None then
+    Error
+      (Printf.sprintf "%s: line in a %s artifact" kind.foreign kind.kind_magic)
+  else
+    let* v = require fields kind.key in
+    Result.map_error (Printf.sprintf "bad %s: %s" kind.key) (kind.read v)
 
-(* -- manifest parsing ----------------------------------------------------- *)
+let read_entry kind s fields =
+  in_section s.sec
+    (let* name = require fields s.name_key in
+     let* size = read_size fields in
+     let* payload = read_payload kind fields in
+     let from = Option.value (field fields s.from_key) ~default:"" in
+     Ok { name; from; size; payload })
 
-let parse_key fields =
-  match field fields "object" with
-  | None -> Error "missing object field"
-  | Some hex -> (
-    match Chash.of_hex hex with
-    | Some key -> Ok key
-    | None -> Error ("malformed content key: " ^ hex))
-
-(* [parse_manifest_checked text] reads a depot-backed manifest artifact,
-   applying the same entry-name safety checks as bundles. *)
-let parse_manifest_checked (text : string) :
-    (Bundle_manifest.t, load_error) result =
-  match sectionize ~magic:manifest_magic text with
-  | Error e -> Error (Syntax e)
-  | Ok sections -> (
-    match check_entries sections with
-    | Error _ as e -> e
-    | Ok () ->
-      let header =
-        match List.assoc_opt "" sections with Some f -> f | None -> []
-      in
-      let find_section name =
-        List.filter_map
-          (fun (n, fields) -> if n = name then Some fields else None)
-          sections
-      in
-      let ( let* ) = Result.bind in
-      let result =
-        let* desc_fields =
-          match find_section "description" with
-          | [] -> Error "missing [description] section"
-          | fields :: _ -> Ok fields
-        in
-        let* man_description = parse_description ~prefix:"" desc_fields in
-        let* man_binary =
-          match find_section "binary" with
-          | [] -> Ok None
-          | fields :: _ ->
-            let* key = parse_key fields in
-            Ok (Some (key, parse_int_field fields "declared-size" ~default:0))
-        in
-        let* man_entries =
-          List.fold_left
-            (fun acc fields ->
-              let* acc = acc in
-              let* request =
-                match field fields "request" with
-                | Some r -> Ok r
-                | None -> Error "copy section missing request field"
+(* Assemble the layout from checked sections: a missing or undecodable
+   required field is [Malformed], naming its section. *)
+let assemble kind sections =
+  let header = Option.value (List.assoc_opt "" sections) ~default:[] in
+  let header_field key ~default = Option.value (field header key) ~default in
+  let first name = List.assoc_opt name sections in
+  let all name =
+    List.filter_map (fun (n, f) -> if n = name then Some f else None) sections
+  in
+  Result.map_error
+    (fun m -> Malformed m)
+    (let* desc_fields =
+       Option.to_result ~none:"missing [description] section"
+         (first "description")
+     in
+     let* description =
+       in_section "description" (parse_description ~prefix:"" desc_fields)
+     in
+     let* binary =
+       match first "binary" with
+       | None -> Ok None
+       | Some fields ->
+         in_section "binary"
+           (let* size = read_size fields in
+            let* p = read_payload kind fields in
+            Ok (Some (size, p)))
+     in
+     let* copies =
+       all "copy"
+       |> all_ok (fun fields ->
+              let* e = read_entry kind copy_section fields in
+              let* desc =
+                in_section "copy" (parse_description ~prefix:"desc-" fields)
               in
-              let* description = parse_description ~prefix:"desc-" fields in
-              let* key = parse_key fields in
-              Ok
-                ({
-                   Bundle_manifest.me_request = request;
-                   me_key = key;
-                   me_size = parse_int_field fields "declared-size" ~default:0;
-                   me_origin = Option.value (field fields "origin") ~default:"";
-                   me_description = description;
-                 }
-                 :: acc))
-            (Ok [])
-            (find_section "copy")
-        in
-        let* man_probes =
-          List.fold_left
-            (fun acc fields ->
-              let* acc = acc in
-              let* name =
-                match field fields "name" with
-                | Some n -> Ok n
-                | None -> Error "probe section missing name field"
-              in
-              let* key = parse_key fields in
-              Ok
-                ({
-                   Bundle_manifest.mp_name = name;
-                   mp_key = key;
-                   mp_size = parse_int_field fields "declared-size" ~default:0;
-                   mp_stack = Option.value (field fields "stack") ~default:"";
-                 }
-                 :: acc))
-            (Ok [])
-            (find_section "probe")
-        in
-        let man_discovery =
-          match find_section "discovery" with
-          | fields :: _ -> parse_discovery fields
-          | [] ->
-            {
-              Discovery.env_type = `Guaranteed;
-              machine = None;
-              elf_class = None;
-              os = None;
-              kernel = None;
-              glibc = None;
-              stacks = [];
-              current_stack = None;
-            }
-        in
-        Ok
-          {
-            Bundle_manifest.man_created_at =
-              Option.value (field header "created-at") ~default:"unknown";
-            man_description;
-            man_binary;
-            man_entries = List.rev man_entries;
-            man_unlocatable =
-              split_list (Option.value (field header "unlocatable") ~default:"");
-            man_probes = List.rev man_probes;
-            man_discovery;
-          }
-      in
-      Result.map_error (fun m -> Malformed m) result)
+              Ok (desc, e))
+     in
+     let* probes = all_ok (read_entry kind probe_section) (all "probe") in
+     Ok
+       {
+         created_at = header_field "created-at" ~default:"unknown";
+         unlocatable = split_list (header_field "unlocatable" ~default:"");
+         description;
+         binary;
+         copies;
+         probes;
+         discovery =
+           Option.fold ~none:empty_discovery ~some:parse_discovery
+             (first "discovery");
+       })
 
-let parse_manifest (text : string) : (Bundle_manifest.t, string) result =
-  Result.map_error load_error_to_string (parse_manifest_checked text)
+let parse_layout kind text =
+  match sectionize ~magic:kind.kind_magic text with
+  | Error e -> Error (Syntax e)
+  | Ok sections ->
+    let* () = check_entries sections in
+    assemble kind sections
+
+(* -- the two artifact kinds ------------------------------------------------ *)
+
+let layout_of_bundle (b : Bundle.t) =
+  {
+    created_at = b.Bundle.created_at;
+    unlocatable = b.Bundle.unlocatable;
+    description = b.Bundle.binary_description;
+    binary =
+      Option.map
+        (fun bytes -> (b.Bundle.binary_declared_size, bytes))
+        b.Bundle.binary_bytes;
+    copies =
+      List.map
+        (fun (c : Bdc.library_copy) ->
+          ( c.Bdc.copy_description,
+            { name = c.Bdc.copy_request; from = c.Bdc.copy_origin_path;
+              size = c.Bdc.copy_declared_size; payload = c.Bdc.copy_bytes } ))
+        b.Bundle.copies;
+    probes =
+      List.map
+        (fun (p : Bundle.probe) ->
+          { name = p.Bundle.probe_name; from = p.Bundle.probe_stack_slug;
+            size = p.Bundle.probe_declared_size;
+            payload = p.Bundle.probe_bytes })
+        b.Bundle.probes;
+    discovery = b.Bundle.source_discovery;
+  }
+
+let bundle_of_layout l : Bundle.t =
+  {
+    Bundle.created_at = l.created_at;
+    binary_description = l.description;
+    binary_bytes = Option.map snd l.binary;
+    binary_declared_size = Option.fold ~none:0 ~some:fst l.binary;
+    copies =
+      List.map
+        (fun (desc, e) ->
+          { Bdc.copy_request = e.name; copy_origin_path = e.from;
+            copy_bytes = e.payload; copy_declared_size = e.size;
+            copy_description = desc })
+        l.copies;
+    unlocatable = l.unlocatable;
+    probes =
+      List.map
+        (fun e ->
+          { Bundle.probe_name = e.name; probe_bytes = e.payload;
+            probe_stack_slug = e.from; probe_declared_size = e.size })
+        l.probes;
+    source_discovery = l.discovery;
+  }
+
+let layout_of_manifest (m : Bundle_manifest.t) =
+  let open Bundle_manifest in
+  {
+    created_at = m.man_created_at;
+    unlocatable = m.man_unlocatable;
+    description = m.man_description;
+    binary = Option.map (fun (key, size) -> (size, key)) m.man_binary;
+    copies =
+      List.map
+        (fun e ->
+          ( e.me_description,
+            { name = e.me_request; from = e.me_origin; size = e.me_size;
+              payload = e.me_key } ))
+        m.man_entries;
+    probes =
+      List.map
+        (fun p ->
+          { name = p.mp_name; from = p.mp_stack; size = p.mp_size;
+            payload = p.mp_key })
+        m.man_probes;
+    discovery = m.man_discovery;
+  }
+
+let manifest_of_layout l : Bundle_manifest.t =
+  {
+    Bundle_manifest.man_created_at = l.created_at;
+    man_description = l.description;
+    man_binary = Option.map (fun (size, key) -> (key, size)) l.binary;
+    man_entries =
+      List.map
+        (fun (desc, e) ->
+          { Bundle_manifest.me_request = e.name; me_key = e.payload;
+            me_size = e.size; me_origin = e.from; me_description = desc })
+        l.copies;
+    man_unlocatable = l.unlocatable;
+    man_probes =
+      List.map
+        (fun e ->
+          { Bundle_manifest.mp_name = e.name; mp_key = e.payload;
+            mp_size = e.size; mp_stack = e.from })
+        l.probes;
+    man_discovery = l.discovery;
+  }
+
+let render b = render_layout bundle_kind (layout_of_bundle b)
+let render_manifest m = render_layout manifest_kind (layout_of_manifest m)
+let parse text = Result.map bundle_of_layout (parse_layout bundle_kind text)
+
+let parse_manifest text =
+  Result.map manifest_of_layout (parse_layout manifest_kind text)

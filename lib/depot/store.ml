@@ -114,12 +114,6 @@ let pin t key =
   | Some e -> e.e_pins <- e.e_pins + 1
   | None -> invalid_arg ("Store.pin: no object " ^ Chash.to_hex key)
 
-let unpin t key =
-  match find t key with
-  | Some e when e.e_pins > 0 -> e.e_pins <- e.e_pins - 1
-  | Some _ -> invalid_arg ("Store.unpin: not pinned " ^ Chash.to_hex key)
-  | None -> invalid_arg ("Store.unpin: no object " ^ Chash.to_hex key)
-
 let pins t key = match find t key with Some e -> e.e_pins | None -> 0
 
 (* -- mark-and-sweep GC --------------------------------------------------- *)

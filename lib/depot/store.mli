@@ -53,7 +53,6 @@ val total_bytes : t -> int
 (** Refcounted pins: a pinned object is always a GC root. *)
 val pin : t -> Chash.t -> unit
 
-val unpin : t -> Chash.t -> unit
 val pins : t -> Chash.t -> int
 
 type gc_report = { swept : Chash.t list; kept : int; swept_bytes : int }

@@ -38,8 +38,6 @@ type severity = Info | Warn | Error
 
 val severity_to_string : severity -> string
 
-val severity_of_string : string -> severity option
-
 type rule =
   | Rate_drop of float * severity
       (** fire when an epoch's readiness rate drops more than the

@@ -7,9 +7,6 @@
     framework and the dynamic-linker simulator read is section-level
     metadata, which is also all `objdump -p` needs. *)
 
-(** Virtual base address given to allocated sections. *)
-val image_base : int
-
 (** [build spec] renders the spec as ELF bytes; the result parses back
     with {!Reader.parse} to an equal spec. *)
 val build : Spec.t -> string

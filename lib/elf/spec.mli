@@ -56,8 +56,6 @@ val make :
   Types.machine ->
   t
 
-val equal_verneed : verneed -> verneed -> bool
-val equal_dynsym : dynsym -> dynsym -> bool
 val equal : t -> t -> bool
 
 (** All version names required from a given object; empty when none. *)
@@ -72,6 +70,4 @@ val imports : t -> dynsym list
 val exports : t -> dynsym list
 
 val binding_to_string : sym_binding -> string
-val pp_verneed : verneed Fmt.t
-val pp_dynsym : dynsym Fmt.t
 val pp : t Fmt.t

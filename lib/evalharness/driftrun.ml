@@ -367,7 +367,7 @@ let run ?(specs = Sites.specs) ?(benchmarks = Feam_suites.Npb.all @ Feam_suites.
     (Printf.sprintf "epoch 0: baseline, %d cells evaluated" (List.length cells0));
   let cells_total = List.length cells0 in
   let rec go k active prev acc reeval =
-    if k > epochs then (List.rev acc, reeval)
+    if k > epochs then (List.rev acc, reeval, active)
     else begin
       let p = draw ~seed ~epoch:k ~site_names ~candidates in
       let active, label = toggle active p in
@@ -419,24 +419,14 @@ let run ?(specs = Sites.specs) ?(benchmarks = Feam_suites.Npb.all @ Feam_suites.
     { er_snapshot = base_snapshot; er_label = ""; er_plan = None; er_flips = [];
       er_entry = base_entry }
   in
-  let later, reeval = go 1 [] base [] 0 in
+  let later, reeval, final_active = go 1 [] base [] 0 in
   let epochs_list = base :: later in
   (* Cross-check: a full prediction pass over the final world must agree
      byte-for-byte with the incrementally maintained verdict table. *)
   let final = List.nth epochs_list (List.length epochs_list - 1) in
   let crosscheck =
     let full =
-      let active =
-        (* replay the toggles to recover the final active set *)
-        let rec replay k active =
-          if k > epochs then active
-          else
-            let p = draw ~seed ~epoch:k ~site_names ~candidates in
-            replay (k + 1) (fst (toggle active p))
-        in
-        replay 1 []
-      in
-      let sites, binaries = build_world params specs benchmarks active in
+      let sites, binaries = build_world params specs benchmarks final_active in
       predict_all ~ctx:(pass ()) sites binaries
     in
     let a =

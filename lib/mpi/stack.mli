@@ -25,13 +25,6 @@ val slug : t -> string
 
 val to_string : t -> string
 
-(** MPI shared libraries a program in the given language links. *)
-val mpi_libs : t -> language -> Feam_util.Soname.t list
-
-(** System libraries additionally linked by the wrapper: Table I
-    fingerprints plus the compiler runtime. *)
-val system_libs : t -> language -> Feam_util.Soname.t list
-
 (** Full dynamic dependency set, excluding libc/libm/libpthread. *)
 val needed_libs : t -> language -> Feam_util.Soname.t list
 

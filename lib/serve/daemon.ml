@@ -13,6 +13,7 @@ let stop_flag = ref false
 
 let stop_requested () = !stop_flag
 
+(* Ask the loop to drain, as the signal handlers do. *)
 let request_stop () = stop_flag := true
 
 (* Install the stop-flag handlers for the duration of [f]; restore

@@ -13,13 +13,10 @@ type outcome = {
   interrupted : bool;  (** the stop flag ended the loop *)
 }
 
-(** True once a signal (or {!request_stop}) asked the loop to drain. *)
+(** True once a signal asked the loop to drain. *)
 val stop_requested : unit -> bool
 
-(** Ask the loop to drain, as the signal handlers do. *)
-val request_stop : unit -> unit
-
-(** Run [f] with SIGINT/SIGTERM bound to {!request_stop}, restoring the
+(** Run [f] with SIGINT/SIGTERM bound to a drain request, restoring the
     previous handlers afterwards.  Resets the stop flag on entry. *)
 val with_signals : (unit -> 'a) -> 'a
 

@@ -42,7 +42,5 @@ val parse : string -> (request, error) result
 
 val error_code : error -> string
 
-val error_detail : error -> string
-
 (** The rendered [{"ok":false,...}] response line for a parse error. *)
 val error_response : error -> string

@@ -6,8 +6,6 @@
 
 val is : Benchmark.t
 val ep : Benchmark.t
-val cg : Benchmark.t
-val mg : Benchmark.t
 val bt : Benchmark.t
 val sp : Benchmark.t
 val lu : Benchmark.t

@@ -2,26 +2,11 @@
     applications of the paper's test set, with language mix and library
     appetite modelled from the real codes. *)
 
-(** 104.milc — quantum chromodynamics (C). *)
-val milc : Benchmark.t
-
-(** 107.leslie3d — computational fluid dynamics (Fortran). *)
-val leslie3d : Benchmark.t
-
 (** 115.fds4 — fire-dynamics CFD (Fortran; does not build with PGI). *)
 val fds4 : Benchmark.t
 
-(** 122.tachyon — parallel ray tracing (C). *)
-val tachyon : Benchmark.t
-
 (** 126.lammps — molecular dynamics (C++, links libstdc++ and FFTW). *)
 val lammps : Benchmark.t
-
-(** 127.GAPgeofem — geophysical finite element / weather (links HDF5). *)
-val gapgeofem : Benchmark.t
-
-(** 129.tera_tf — 3D Eulerian hydrodynamics (links HDF5). *)
-val tera_tf : Benchmark.t
 
 (** All seven, in the paper's order. *)
 val all : Benchmark.t list

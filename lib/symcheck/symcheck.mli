@@ -51,11 +51,6 @@ type t = {
   interpositions : interposition list;
 }
 
-(** The scope member consulted for a DT_NEEDED name: first in load
-    order loaded under the label or claiming it by soname — the same
-    convention as {!Feam_dynlinker.Resolve.consulted_provider}. *)
-val find_member : member list -> string -> (int * member) option
-
 (** Simulate binding over a scope given in load order (root first).
     [ignore_needed] marks DT_NEEDED names deliberately outside the
     scope (e.g. the C library in a bundle context) so they do not

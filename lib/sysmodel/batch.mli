@@ -18,9 +18,6 @@ type t = {
   parallel_template : string;
 }
 
-(** Default submission-script templates per batch system. *)
-val default_templates : system -> string * string
-
 (** @raise Invalid_argument when [queues] is empty. *)
 val make :
   ?serial_template:string ->

@@ -12,9 +12,6 @@ val unset : t -> string -> t
 val bindings : t -> (string * string) list
 val of_list : (string * string) list -> t
 
-(** Split a colon-separated path list, dropping empty components. *)
-val split_paths : string -> string list
-
 (** Path components of a variable; empty when unset. *)
 val paths : t -> string -> string list
 

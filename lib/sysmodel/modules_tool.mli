@@ -2,10 +2,6 @@
     The EDC consults these to discover which MPI stacks a site offers and
     which stack a shell currently has loaded (paper §V.B). *)
 
-(** Registered module names: one per registered MPI stack plus one per
-    native compiler suite. *)
-val available_modules : Site.t -> string list
-
 (** `module avail` / softenv listing text; [None] when the site has no
     user-environment management tool. *)
 val render_avail : Site.t -> string option

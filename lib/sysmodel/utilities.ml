@@ -31,6 +31,7 @@ let file_format_string (spec : Feam_elf.Spec.t) =
   | SPARC, _ -> "elf32-sparc"
   | IA64, _ -> "elf64-ia64-little"
 
+(* Raw ELF bytes at a path (the `cp` view, no parsing). *)
 let read_elf_bytes site path =
   match Vfs.find (Site.vfs site) path with
   | None -> Error (`No_such_file path)

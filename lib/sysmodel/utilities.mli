@@ -15,15 +15,6 @@ type error =
 
 val error_to_string : error -> string
 
-(** objdump-style format descriptor ("elf64-x86-64", ...). *)
-val file_format_string : Feam_elf.Spec.t -> string
-
-(** Raw ELF bytes at a path (the `cp` view, no parsing). *)
-val read_elf_bytes : Site.t -> string -> (string, error) result
-
-(** Parse the ELF image at a path. *)
-val parse_elf : Site.t -> string -> (Feam_elf.Reader.t, error) result
-
 (** `objdump -p PATH`: format line, Dynamic Section, Version
     References/definitions — the BDC's primary information source. *)
 val objdump_p :

@@ -9,19 +9,6 @@
     release history (Table II's sites fall into vintages 4 and 6). *)
 val vintage : Feam_util.Version.t -> int
 
-(** Exported names of a catalog library built against [glibc]: the
-    stable [_init]/[_run]/[_finalize] core plus one [_feature_r<N>]
-    symbol per vintage step. *)
-val exported_symbols : glibc:Feam_util.Version.t -> string -> string list
-
-(** Names a binary linked against that library on a [glibc] system
-    imports: the core plus the newest feature symbol its build saw. *)
-val imported_symbols : glibc:Feam_util.Version.t -> string -> string list
-
-(** Well-known exports of the glibc member libraries (libm, libpthread,
-    ...), carried at the word-size baseline GLIBC version. *)
-val glibc_member_symbols : string -> string list
-
 (** [.dynsym] contents of a catalog library. *)
 val library_dynsyms :
   bits:[ `B32 | `B64 ] ->

@@ -46,9 +46,6 @@ type error =
 
 val error_to_string : error -> string
 
-(** The base dependencies every program gets (libm, libpthread, libc). *)
-val base_needed : string list
-
 (** Compile with the stack's MPI wrapper; returns the ELF image bytes. *)
 val compile_mpi :
   ?clock:Feam_util.Sim_clock.t ->

@@ -10,7 +10,6 @@
 (** Release history relevant to the paper's site era (2.0 .. 2.12). *)
 val release_history : Feam_util.Version.t list
 
-val symbol_prefix : string
 val symbol_of_version : Feam_util.Version.t -> string
 
 (** A representative symbol introduced at a release: what programs
@@ -30,9 +29,6 @@ val defined_symbol_versions : Feam_util.Version.t -> string list
 
 (** Does a glibc release satisfy one required symbol-version string? *)
 val provides : glibc:Feam_util.Version.t -> string -> bool
-
-(** Greatest release <= [cap]. *)
-val newest_release_at_most : Feam_util.Version.t -> Feam_util.Version.t option
 
 (** The symbol versions a program references, given the newest glibc
     feature level its code uses ([appetite]) and the glibc it was built

@@ -24,11 +24,7 @@ type entry = {
   copy_abi_fragility : float;
 }
 
-val high_appetite : Feam_util.Version.t
 val portable : Feam_util.Version.t
-
-(** Glibc feature level of a GCC release's runtime libraries. *)
-val gnu_runtime_appetite : Feam_util.Version.t -> Feam_util.Version.t
 
 val entry :
   ?size_mb:float ->

@@ -4,20 +4,6 @@
     real ELF image built against the site's glibc — so copies taken from
     one site carry that site's C-library requirements with them. *)
 
-(** The ELF image of one catalog library as built/packaged on the site. *)
-val library_image :
-  Feam_sysmodel.Site.t ->
-  Libdb.entry ->
-  built_with:Feam_mpi.Compiler.t ->
-  string
-
-(** The C library image: defines every symbol version of its release. *)
-val libc_image : Feam_sysmodel.Site.t -> string
-
-(** Scientific-library generation of a site (enterprise Linux 4/5 = old
-    FFTW 2 / early HDF5 sonames, newer = new ones). *)
-val scientific_generation : Feam_sysmodel.Site.t -> Libdb.generation
-
 (** The soname a program linking a scientific family gets on a site. *)
 val scientific_soname :
   Feam_sysmodel.Site.t -> Libdb.scientific_family -> Feam_util.Soname.t
@@ -37,9 +23,6 @@ val install_library :
     scientific libraries, InfiniBand user space where the fabric exists,
     release files. *)
 val provision_base : Feam_sysmodel.Site.t -> unit
-
-(** Install prefix used for vendor compiler suites. *)
-val compiler_prefix : Feam_mpi.Compiler.t -> string
 
 (** Install a vendor compiler runtime under /opt and register it with the
     linker cache (GNU runtimes come with the base system). *)

@@ -53,12 +53,16 @@ let make_bundle () =
   Fixtures.run_exn
     (Phases.source_phase Config.default site env ~binary_path:path)
 
+let parse_exn text =
+  Fixtures.run_exn
+    (Result.map_error Bundle_io.load_error_to_string (Bundle_io.parse text))
+
 let test_bundle_roundtrip () =
   let bundle = make_bundle () in
   let text = Bundle_io.render bundle in
   Alcotest.(check bool) "has magic" true
     (String.starts_with ~prefix:Bundle_io.magic text);
-  let bundle' = Fixtures.run_exn (Bundle_io.parse text) in
+  let bundle' = parse_exn text in
   Alcotest.(check string) "created at" bundle.Bundle.created_at
     bundle'.Bundle.created_at;
   Alcotest.(check bool) "binary bytes" true
@@ -93,7 +97,7 @@ let test_parsed_bundle_usable_for_target_phase () =
   (* the deserialized bundle drives a target phase exactly like the
      original *)
   let bundle = make_bundle () in
-  let bundle' = Fixtures.run_exn (Bundle_io.parse (Bundle_io.render bundle)) in
+  let bundle' = parse_exn (Bundle_io.render bundle) in
   let target, _ = Fixtures.small_site ~name:"t2" ~glibc:"2.12" () in
   Vfs.remove_tree (Site.vfs target) "/tmp/feam";
   let report =
@@ -115,32 +119,32 @@ let test_parse_bad_line () =
   let text = Bundle_io.magic ^ "\ncreated-at: x\nnot a key value line\n" in
   match Bundle_io.parse text with
   | Error e -> Alcotest.(check bool) "line number" true
-      (Str_split.contains ~sub:"line 3" e)
+      (Str_split.contains ~sub:"line 3" (Bundle_io.load_error_to_string e))
   | Ok _ -> Alcotest.fail "expected parse error"
 
 (* -- Loader hardening: entry names that collide or escape ---------------------- *)
 
-let test_parse_checked_accepts_clean () =
+let test_parse_accepts_clean () =
   let bundle = make_bundle () in
-  match Bundle_io.parse_checked (Bundle_io.render bundle) with
+  match Bundle_io.parse (Bundle_io.render bundle) with
   | Ok _ -> ()
   | Error e -> Alcotest.fail (Bundle_io.load_error_to_string e)
 
-let test_parse_checked_rejects_duplicate_copy () =
+let test_parse_rejects_duplicate_copy () =
   let bundle = make_bundle () in
   let dup =
     match bundle.Bundle.copies with
     | c :: _ as copies -> { bundle with Bundle.copies = c :: copies }
     | [] -> Alcotest.fail "fixture bundle has no copies"
   in
-  match Bundle_io.parse_checked (Bundle_io.render dup) with
+  match Bundle_io.parse (Bundle_io.render dup) with
   | Error (Bundle_io.Unsafe_entry { issue = Bundle_io.Duplicate; name; _ }) ->
     Alcotest.(check string) "names the colliding entry"
       (List.hd bundle.Bundle.copies).Bdc.copy_request name
   | Error e -> Alcotest.failf "wrong error: %s" (Bundle_io.load_error_to_string e)
   | Ok _ -> Alcotest.fail "duplicate entry accepted"
 
-let test_parse_checked_rejects_traversal_probe () =
+let test_parse_rejects_traversal_probe () =
   let bundle = make_bundle () in
   let evil =
     {
@@ -152,12 +156,85 @@ let test_parse_checked_rejects_traversal_probe () =
     }
   in
   if evil.Bundle.probes = [] then Alcotest.fail "fixture bundle has no probes";
-  match Bundle_io.parse_checked (Bundle_io.render evil) with
+  match Bundle_io.parse (Bundle_io.render evil) with
   | Error (Bundle_io.Unsafe_entry { issue = Bundle_io.Traversal; name; _ }) ->
     Alcotest.(check bool) "names the escaping entry" true
       (Bundle_io.name_traverses name)
   | Error e -> Alcotest.failf "wrong error: %s" (Bundle_io.load_error_to_string e)
   | Ok _ -> Alcotest.fail "traversal entry accepted"
+
+(* -- One container, one strict rule ------------------------------------------ *)
+
+(* Rewrite the first line starting with [key] in the first [section]:
+   [Some line] replaces it, [None] deletes it. *)
+let damage section key repl text =
+  let inside = ref false and hit = ref false in
+  String.split_on_char '\n' text
+  |> List.filter_map (fun line ->
+         if line = "[" ^ section ^ "]" then inside := true;
+         if !inside && (not !hit) && String.starts_with ~prefix:(key ^ ": ") line
+         then begin
+           hit := true;
+           repl
+         end
+         else Some line)
+  |> String.concat "\n"
+
+let expect_malformed ~sub = function
+  | Error (Bundle_io.Malformed m) ->
+    Alcotest.(check bool) (Printf.sprintf "%S mentions %s" m sub) true
+      (Str_split.contains ~sub m)
+  | Error e -> Alcotest.failf "wrong error: %s" (Bundle_io.load_error_to_string e)
+  | Ok _ -> Alcotest.failf "damaged artifact accepted (expected %s)" sub
+
+let test_damaged section key repl () =
+  let text = Bundle_io.render (make_bundle ()) in
+  let damaged = damage section key repl text in
+  Alcotest.(check bool) (Printf.sprintf "fixture has a [%s] %s" section key)
+    false (String.equal text damaged);
+  expect_malformed ~sub:("[" ^ section ^ "]") (Bundle_io.parse damaged)
+
+let test_manifest_magic_named () =
+  match Bundle_io.parse_manifest "created-at: x\n" with
+  | Error e ->
+    Alcotest.(check bool) "names FEAM-MANIFEST" true
+      (Str_split.contains ~sub:"FEAM-MANIFEST" (Bundle_io.load_error_to_string e))
+  | Ok _ -> Alcotest.fail "manifest without magic accepted"
+
+let manifest_text bundle =
+  Bundle_io.render_manifest
+    (Bundle_manifest.of_bundle (Feam_depot.Store.create ()) bundle)
+
+let test_manifest_rejects_data_line () =
+  let text = manifest_text (make_bundle ()) in
+  let damaged =
+    match Str_split.split_on_string ~sep:"\nobject: " text with
+    | first :: rest ->
+      first ^ "\ndata: Zm9v\nobject: " ^ String.concat "\nobject: " rest
+    | [] -> Alcotest.fail "empty manifest"
+  in
+  expect_malformed ~sub:"data" (Bundle_io.parse_manifest damaged)
+
+(* The two renderers share the container: a bundle and its manifest
+   differ only in the magic line and in data:/object: payload lines. *)
+let test_shared_layout () =
+  let bundle = make_bundle () in
+  let lines s = String.split_on_char '\n' s in
+  let b = lines (Bundle_io.render bundle) and m = lines (manifest_text bundle) in
+  Alcotest.(check int) "same line count" (List.length b) (List.length m);
+  List.iteri
+    (fun i (bl, ml) ->
+      let payload_pair =
+        String.starts_with ~prefix:"data: " bl
+        && String.starts_with ~prefix:"object: " ml
+      in
+      if i = 0 then begin
+        Alcotest.(check string) "bundle magic" Bundle_io.magic bl;
+        Alcotest.(check string) "manifest magic" Bundle_io.manifest_magic ml
+      end
+      else if not payload_pair then
+        Alcotest.(check string) (Printf.sprintf "line %d" (i + 1)) bl ml)
+    (List.combine b m)
 
 let test_name_traverses () =
   List.iter
@@ -182,11 +259,27 @@ let suite =
         test_parsed_bundle_usable_for_target_phase;
       Alcotest.test_case "parse rejects garbage" `Quick test_parse_rejects_garbage;
       Alcotest.test_case "parse error line numbers" `Quick test_parse_bad_line;
-      Alcotest.test_case "parse_checked accepts clean artifact" `Quick
-        test_parse_checked_accepts_clean;
-      Alcotest.test_case "parse_checked rejects duplicate copy" `Quick
-        test_parse_checked_rejects_duplicate_copy;
-      Alcotest.test_case "parse_checked rejects traversal probe" `Quick
-        test_parse_checked_rejects_traversal_probe;
+      Alcotest.test_case "parse accepts clean artifact" `Quick
+        test_parse_accepts_clean;
+      Alcotest.test_case "parse rejects duplicate copy" `Quick
+        test_parse_rejects_duplicate_copy;
+      Alcotest.test_case "parse rejects traversal probe" `Quick
+        test_parse_rejects_traversal_probe;
+      Alcotest.test_case "bad copy payload is malformed" `Quick
+        (test_damaged "copy" "data" (Some "data: !!!!"));
+      Alcotest.test_case "bad binary payload is malformed" `Quick
+        (test_damaged "binary" "data" (Some "data: !!!!"));
+      Alcotest.test_case "bad probe payload is malformed" `Quick
+        (test_damaged "probe" "data" (Some "data: !!!!"));
+      Alcotest.test_case "missing copy size is malformed" `Quick
+        (test_damaged "copy" "declared-size" None);
+      Alcotest.test_case "missing copy desc field is malformed" `Quick
+        (test_damaged "copy" "desc-soname" None);
+      Alcotest.test_case "manifest magic error names FEAM-MANIFEST" `Quick
+        test_manifest_magic_named;
+      Alcotest.test_case "manifest rejects data payload line" `Quick
+        test_manifest_rejects_data_line;
+      Alcotest.test_case "bundle and manifest share one layout" `Quick
+        test_shared_layout;
       Alcotest.test_case "name_traverses" `Quick test_name_traverses;
     ] )

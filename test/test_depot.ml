@@ -196,7 +196,11 @@ let test_manifest_render_parse_roundtrip () =
   let text = Bundle_io.render_manifest manifest in
   Alcotest.(check bool) "has manifest magic" true
     (String.starts_with ~prefix:Bundle_io.manifest_magic text);
-  let manifest' = Fixtures.run_exn (Bundle_io.parse_manifest text) in
+  let manifest' =
+    Fixtures.run_exn
+      (Result.map_error Bundle_io.load_error_to_string
+         (Bundle_io.parse_manifest text))
+  in
   Alcotest.(check string) "render stable across parse" text
     (Bundle_io.render_manifest manifest');
   (* the re-parsed manifest still resolves to the same legacy bytes *)

@@ -107,20 +107,26 @@ let prop_symbol_tables_truncations =
       match Feam_elf.Reader.parse (String.sub symbol_image 0 len) with
       | Ok _ | Error _ -> true)
 
-(* A valid bundle artifact to mutate. *)
-let base_bundle_text =
+(* A valid bundle, and its bundle and manifest artifacts, to mutate. *)
+let base_bundle =
   lazy
     (let site, installs = Fixtures.small_site ~name:"fuzzhome" () in
      let path, install =
        Fixtures.compiled_binary ~program:Fixtures.fortran_program site installs
      in
      let env = Fixtures.session_env site install in
-     let bundle =
-       Fixtures.run_exn
-         (Feam_core.Phases.source_phase Feam_core.Config.default site env
-            ~binary_path:path)
-     in
-     Feam_core.Bundle_io.render bundle)
+     Fixtures.run_exn
+       (Feam_core.Phases.source_phase Feam_core.Config.default site env
+          ~binary_path:path))
+
+let base_bundle_text =
+  lazy (Feam_core.Bundle_io.render (Lazy.force base_bundle))
+
+let base_manifest_text =
+  lazy
+    (Feam_core.Bundle_io.render_manifest
+       (Feam_core.Bundle_manifest.of_bundle (Feam_depot.Store.create ())
+          (Lazy.force base_bundle)))
 
 let prop_bundle_parser_total =
   QCheck.Test.make ~name:"fuzz: bundle parser is total on mutated artifacts"
@@ -132,6 +138,53 @@ let prop_bundle_parser_total =
       let text = Lazy.force base_bundle_text in
       match Feam_core.Bundle_io.parse (mutate seed n text) with
       | Ok _ | Error _ -> true)
+
+let prop_manifest_parser_total =
+  QCheck.Test.make ~name:"fuzz: manifest parser is total on mutated artifacts"
+    ~count:300
+    (QCheck.make
+       ~print:(fun (seed, n) -> Printf.sprintf "seed=%d n=%d" seed n)
+       gen_mutation)
+    (fun (seed, n) ->
+      let text = Lazy.force base_manifest_text in
+      match Feam_core.Bundle_io.parse_manifest (mutate seed n text) with
+      | Ok _ | Error _ -> true)
+
+(* How many "[name]" section headers the text carries. *)
+let sections_named name text =
+  String.split_on_char '\n' text
+  |> List.filter (fun l -> String.trim l = "[" ^ name ^ "]")
+  |> List.length
+
+(* A damaged [copy] or [probe] section fails the load; it is never
+   dropped from an artifact that still loads. *)
+let prop_no_silent_drop =
+  QCheck.Test.make
+    ~name:"fuzz: a mutated artifact never loads with entries dropped"
+    ~count:300
+    (QCheck.make
+       ~print:(fun (seed, n) -> Printf.sprintf "seed=%d n=%d" seed n)
+       gen_mutation)
+    (fun (seed, n) ->
+      let whole text ~copies ~probes =
+        copies = sections_named "copy" text
+        && probes = sections_named "probe" text
+      in
+      let b = mutate seed n (Lazy.force base_bundle_text)
+      and m = mutate seed n (Lazy.force base_manifest_text) in
+      (match Feam_core.Bundle_io.parse b with
+      | Ok x ->
+        whole b
+          ~copies:(List.length x.Feam_core.Bundle.copies)
+          ~probes:(List.length x.Feam_core.Bundle.probes)
+      | Error _ -> true)
+      &&
+      match Feam_core.Bundle_io.parse_manifest m with
+      | Ok x ->
+        whole m
+          ~copies:(List.length x.Feam_core.Bundle_manifest.man_entries)
+          ~probes:(List.length x.Feam_core.Bundle_manifest.man_probes)
+      | Error _ -> true)
 
 let prop_json_parser_total =
   QCheck.Test.make ~name:"fuzz: JSON parser is total on arbitrary strings"
@@ -232,6 +285,8 @@ let suite =
       QCheck_alcotest.to_alcotest prop_symbol_tables_total;
       QCheck_alcotest.to_alcotest prop_symbol_tables_truncations;
       QCheck_alcotest.to_alcotest prop_bundle_parser_total;
+      QCheck_alcotest.to_alcotest prop_manifest_parser_total;
+      QCheck_alcotest.to_alcotest prop_no_silent_drop;
       QCheck_alcotest.to_alcotest prop_json_parser_total;
       QCheck_alcotest.to_alcotest prop_objdump_parser_total;
       QCheck_alcotest.to_alcotest prop_soname_parser_total;
