@@ -386,7 +386,6 @@ let run_predict_pipeline ?(announce_source = true) ?(symbols = false)
     | Some i -> Modules_tool.load_stack (Site.base_env home) i
     | None -> Site.base_env home
   in
-  Vfs.remove_tree (Site.vfs target) "/tmp/feam";
   let clock = Sim_clock.create () in
   let linted_bundle = ref None in
   let depot_store =
@@ -407,7 +406,9 @@ let run_predict_pipeline ?(announce_source = true) ?(symbols = false)
         | Some { Vfs.kind = Vfs.Elf b; _ } -> b
         | _ -> failwith "binary not found at source site"
       in
-      let staged = "/home/user/migrated/" ^ Vfs.basename home_path in
+      let staged =
+        Feam_evalharness.Migrate.migrated_dir ^ "/" ^ Vfs.basename home_path
+      in
       Vfs.add (Site.vfs target) staged (Vfs.Elf bytes);
       Feam_core.Phases.target_phase ~clock ?depot config target
         (Site.base_env target) ~binary_path:staged ()
@@ -1243,7 +1244,6 @@ let cmd_advise debug scenario_name from_site to_site =
     | Some i -> Modules_tool.load_stack (Site.base_env home) i
     | None -> Site.base_env home
   in
-  Vfs.remove_tree (Site.vfs target) "/tmp/feam";
   let config = Feam_core.Config.default in
   match Feam_core.Phases.source_phase config home env ~binary_path:home_path with
   | Error e ->

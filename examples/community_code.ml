@@ -56,7 +56,7 @@ let () =
     |> List.filter (fun s -> Site.name s <> "fir")
     |> List.map (fun target ->
            (* the user scp's the binary and runs only the target phase *)
-           Vfs.remove_tree (Site.vfs target) "/tmp/feam";
+           Vfs.scoped (Site.vfs target) @@ fun () ->
            let staged = "/home/user/downloads/communitycode" in
            Vfs.add (Site.vfs target) staged (Vfs.Elf bytes);
            let verdict, detail =

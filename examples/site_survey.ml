@@ -53,7 +53,7 @@ let () =
     sites
     |> List.filter (fun s -> Site.name s <> Site.name home)
     |> List.map (fun target ->
-           Vfs.remove_tree (Site.vfs target) "/tmp/feam";
+           Vfs.scoped (Site.vfs target) @@ fun () ->
            let clock = Sim_clock.create () in
            let verdict, stack, libs =
              match

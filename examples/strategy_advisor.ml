@@ -52,7 +52,7 @@ let () =
     sites
     |> List.filter (fun s -> Site.name s <> Site.name home)
     |> List.map (fun target ->
-           Vfs.remove_tree (Site.vfs target) "/tmp/feam";
+           Vfs.scoped (Site.vfs target) @@ fun () ->
            let prediction =
              match
                Feam_core.Phases.target_phase config target

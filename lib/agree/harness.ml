@@ -79,8 +79,11 @@ let record_run r =
       Verdict.predictors
   end
 
+(* One scenario, in a scope of the target's file system: the staged
+   binary and whatever the phases write there are undone afterwards. *)
 let run_one ?ctx (sc : Scengen.t) =
   let open Scengen in
+  Vfs.scoped (Site.vfs sc.sc_target) @@ fun () ->
   let home_env =
     match sc.sc_home_install with
     | Some install -> Modules_tool.load_stack (Site.base_env sc.sc_home) install

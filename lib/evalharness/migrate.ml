@@ -81,19 +81,16 @@ let cells sites binaries =
 
 let migrated_dir = "/home/user/migrated"
 
-let cleanup target =
-  Vfs.remove_tree (Site.vfs target) "/tmp/feam";
-  Vfs.remove_tree (Site.vfs target) migrated_dir
-
-(* Stage the binary at a clean target, as the user's scp would, and run
-   the cell body on the staged path.  The target is cleaned afterwards
-   even when the body raises, so a failed cell leaves nothing behind. *)
+(* Stage the binary at the target, as the user's scp would, and run the
+   cell body on the staged path, all in one scope of the target's file
+   system: whatever the cell wrote is undone afterwards, also when the
+   body raises, so a cell leaves the target as it found it. *)
 let with_staged binary target f =
-  cleanup target;
+  Vfs.scoped (Site.vfs target) @@ fun () ->
   let path = migrated_dir ^ "/" ^ Vfs.basename binary.Testset.home_path in
   Vfs.add ~declared_size:binary.Testset.declared_size (Site.vfs target) path
     (Vfs.Elf binary.Testset.bytes);
-  Fun.protect ~finally:(fun () -> cleanup target) (fun () -> f path)
+  f path
 
 (* The source phase at the binary's home, under its build stack. *)
 let source_bundle ?clock ?ctx binary =
@@ -114,15 +111,15 @@ type verdict = {
 let failed e = { ready = false; reasons = [ e ]; staged = []; stack = None }
 
 (* Basic prediction: target phase only, no bundle.  [stack] is the
-   functioning stack FEAM found; the target's /tmp/feam is cleared for
-   the steps that follow. *)
+   functioning stack FEAM found.  The phase runs in its own scope, so
+   the steps that follow find the target as it was before. *)
 let basic_prediction ?clock ?ctx target staged_path =
   let open Feam_core in
   let basic =
+    Vfs.scoped (Site.vfs target) @@ fun () ->
     Phases.target_phase ?clock ?ctx Config.default target
       (Site.base_env target) ~binary_path:staged_path ()
   in
-  Vfs.remove_tree (Site.vfs target) "/tmp/feam";
   match basic with
   | Ok report ->
     let p = Report.prediction report in

@@ -53,10 +53,10 @@ val cells :
 (** Where a migrated binary is staged at the target. *)
 val migrated_dir : string
 
-(** [with_staged binary target f] cleans the target's staging areas
-    ([migrated_dir] and /tmp/feam), stages [binary] under
-    [migrated_dir] and runs [f] on the staged path.  The target is
-    cleaned again afterwards, also when [f] raises. *)
+(** [with_staged binary target f] stages [binary] under [migrated_dir]
+    and runs [f] on the staged path, in one {!Feam_sysmodel.Vfs.scoped}
+    scope of the target's file system: it leaves the target as it found
+    it, also when [f] raises. *)
 val with_staged :
   Testset.binary -> Feam_sysmodel.Site.t -> (string -> 'a) -> 'a
 
@@ -78,7 +78,7 @@ type verdict = {
 }
 
 (** Basic prediction of the staged binary: the target phase without a
-    bundle.  Clears the target's /tmp/feam afterwards. *)
+    bundle, in its own scope, so it leaves the target as it found it. *)
 val basic_prediction :
   ?clock:Feam_util.Sim_clock.t ->
   ?ctx:Feam_core.Eval_ctx.t ->

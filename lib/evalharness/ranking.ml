@@ -21,8 +21,10 @@ type entry = {
 (* Expected seconds until the user sees a first successful run. *)
 let time_to_first_result e = e.queue_wait_seconds +. e.phase_seconds
 
+(* The target phase at one candidate, in a scope: ranking leaves every
+   candidate site as it found it. *)
 let evaluate_site config bundle target =
-  Vfs.remove_tree (Site.vfs target) "/tmp/feam";
+  Vfs.scoped (Site.vfs target) @@ fun () ->
   let clock = Feam_util.Sim_clock.create () in
   let queue = Batch.debug_queue (Site.batch target) in
   match

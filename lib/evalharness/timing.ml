@@ -29,7 +29,7 @@ let time_migration binary target =
         ("target", Feam_obs.Span.Str (Site.name target));
       ]
   @@ fun () ->
-  Vfs.remove_tree (Site.vfs target) "/tmp/feam";
+  Vfs.scoped (Site.vfs target) @@ fun () ->
   let source_clock = Sim_clock.create () in
   let bundle =
     Feam_obs.with_sim_phase ~name:"eval.source_phase" ~metric:phase_metric
@@ -47,7 +47,6 @@ let time_migration binary target =
          Feam_core.Config.default target
          (Site.base_env target) ~bundle ())
   | Error _ -> ());
-  Vfs.remove_tree (Site.vfs target) "/tmp/feam";
   {
     binary_id = binary.Testset.id;
     target = Site.name target;

@@ -18,18 +18,30 @@ type file = { kind : kind; declared_size : int }
 
 type change = string * file option
 
-(* [tape] holds every change, newest first, while {!record} runs. *)
+(* One write made while a scope or recording is open: the path, the
+   file it replaced and the file it left ([None]: no file). *)
+type entry = { path : string; before : file option; after : file option }
+
+(* [log] holds every write, newest first, while [depth] scopes and
+   recordings are open; outside them it is empty and nothing is logged.
+   Each scope or recording remembers the log as it found it and reads
+   or undoes only the entries newer than that mark. *)
 type t = {
-  mutable files : (string, file) Hashtbl.t;
-  mutable tape : change list option;
+  files : (string, file) Hashtbl.t;
+  mutable log : entry list;
+  mutable depth : int;
 }
 
-let create () = { files = Hashtbl.create 256; tape = None }
+let create () = { files = Hashtbl.create 256; log = []; depth = 0 }
 
-let copy t = { files = Hashtbl.copy t.files; tape = None }
+let copy t = { files = Hashtbl.copy t.files; log = []; depth = 0 }
 
-let log t path file =
-  match t.tape with Some l -> t.tape <- Some ((path, file) :: l) | None -> ()
+let write t path after =
+  if t.depth > 0 then
+    t.log <- { path; before = Hashtbl.find_opt t.files path; after } :: t.log;
+  match after with
+  | Some f -> Hashtbl.replace t.files path f
+  | None -> Hashtbl.remove t.files path
 
 (* Normalize an absolute path: collapse "//" and trailing "/", resolve
    "." and ".." textually. *)
@@ -69,22 +81,53 @@ let add ?declared_size t path kind =
   let declared_size =
     match declared_size with Some s -> s | None -> default_size kind
   in
-  let file = { kind; declared_size } in
-  log t path (Some file);
-  Hashtbl.replace t.files path file
+  write t path (Some { kind; declared_size })
 
-let remove t path =
-  let path = normalize path in
-  log t path None;
-  Hashtbl.remove t.files path
+let remove t path = write t (normalize path) None
 
-(* Run [f], returning the changes it made to [t] in order. *)
+(* Open the log for [f]; [close mark] runs however [f] ends, given the
+   log as [f] found it. *)
+let with_log t ~close f =
+  let mark = t.log in
+  t.depth <- t.depth + 1;
+  Fun.protect
+    ~finally:(fun () ->
+      close mark;
+      t.depth <- t.depth - 1)
+    (fun () -> f mark)
+
+(* Run [f], returning the changes it made to [t] in order: the log's
+   entries above the mark.  The outermost recording empties the log. *)
 let record t f =
-  if t.tape <> None then invalid_arg "Vfs.record: already recording";
-  t.tape <- Some [];
-  Fun.protect ~finally:(fun () -> t.tape <- None) @@ fun () ->
+  with_log t ~close:(fun _ -> if t.depth = 1 then t.log <- []) @@ fun mark ->
   let r = f () in
-  (r, List.rev (Option.get t.tape))
+  let rec since acc l =
+    if l == mark then acc
+    else
+      match l with
+      | e :: rest -> since ((e.path, e.after) :: acc) rest
+      | [] -> assert false
+  in
+  (r, since [] t.log)
+
+(* Run [f], then put back, newest first, every file it added, replaced
+   or removed. *)
+let scoped t f =
+  let close mark =
+    let rec undo l =
+      if l != mark then
+        match l with
+        | e :: rest ->
+          (match e.before with
+          | Some f -> Hashtbl.replace t.files e.path f
+          | None -> Hashtbl.remove t.files e.path);
+          undo rest
+        | [] -> assert false
+    in
+    undo t.log;
+    t.log <- mark
+  in
+  with_log t ~close (fun _ -> f ())
 
 let apply t changes =
   List.iter
@@ -171,11 +214,7 @@ let remove_tree t dir =
         if String.starts_with ~prefix p || p = dir then p :: acc else acc)
       t.files []
   in
-  List.iter
-    (fun p ->
-      log t p None;
-      Hashtbl.remove t.files p)
-    doomed
+  List.iter (fun p -> write t p None) doomed
 
 (* Total declared size below a directory: `du -s`. *)
 let du t dir =

@@ -38,9 +38,17 @@ type change = string * file option
 
 (** [record t f] runs [f] and returns, with its result, every change
     [f] made to [t], oldest first — what {!apply} needs to redo the same
-    work on the same or another filesystem.
-    @raise Invalid_argument inside another recording of [t]. *)
+    work on the same or another filesystem.  Recordings nest, inside
+    each other and inside {!scoped}: each returns exactly its own
+    changes, and an enclosing scope still undoes them. *)
 val record : t -> (unit -> 'a) -> 'a * change list
+
+(** [scoped t f] runs [f], then puts back every file [f] added, replaced
+    or removed, newest change first, so [t] is left as [f] found it.  It
+    does so also when [f] raises, and scopes nest: an inner scope undoes
+    only its own changes.  Outside any scope or recording writes are not
+    logged. *)
+val scoped : t -> (unit -> 'a) -> 'a
 
 (** Redo recorded changes, in order. *)
 val apply : t -> change list -> unit

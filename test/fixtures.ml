@@ -84,3 +84,43 @@ let run_exn = function
 (* Alcotest testables. *)
 let version = Alcotest.testable Version.pp Version.equal
 let soname = Alcotest.testable Soname.pp Soname.equal
+
+(* -- Site integrity ------------------------------------------------------------ *)
+
+let file_line vfs path =
+  match Vfs.find vfs path with
+  | None -> path ^ " missing"
+  | Some { Vfs.kind; declared_size } ->
+    let tag, body =
+      match kind with
+      | Vfs.Elf b -> ("elf", b)
+      | Vfs.Script b -> ("script", b)
+      | Vfs.Text b -> ("text", b)
+      | Vfs.Symlink b -> ("symlink", b)
+    in
+    Printf.sprintf "%s %s %d %s" path tag declared_size
+      (Digest.to_hex (Digest.string body))
+
+(* One line per site: its name, the digest of its sorted files (path,
+   kind, bytes, declared size) and the mutable state the loader and the
+   modules tool read — whether ld.so.cache is current, the ld.so.conf
+   directories and the installed stacks' slugs. *)
+let site_digest sites =
+  List.map
+    (fun site ->
+      let vfs = Site.vfs site in
+      String.concat " "
+        [
+          Site.name site;
+          Digest.to_hex
+            (Digest.string
+               (String.concat "\n" (List.map (file_line vfs) (Vfs.all_paths vfs))));
+          "ld_cache_current=" ^ string_of_bool (Site.ld_cache_current site);
+          "ld_conf_dirs=" ^ String.concat ":" (Site.ld_conf_dirs site);
+          "stacks="
+          ^ String.concat ","
+              (List.map
+                 (fun i -> Stack.slug (Stack_install.stack i))
+                 (Site.stack_installs site));
+        ])
+    sites

@@ -202,26 +202,42 @@ let test_determinism_of_migrations () =
         (Feam_dynlinker.Exec.outcome_to_string b.Migrate.actual_after))
     m1 m2
 
-let test_failed_cell_cleans_target () =
-  (* a cell that raises midway still leaves the target clean *)
+let failed_cell_world () =
   let sites, binaries =
     Driftrun.build_world params (Driftrun.small_specs ())
       (Driftrun.small_benchmarks ()) []
   in
-  let binary, target = List.hd (Migrate.cells sites binaries) in
+  List.hd (Migrate.cells sites binaries)
+
+let test_failed_cell_cleans_target () =
+  (* a cell that raises midway still leaves the target as it was *)
+  let binary, target = failed_cell_world () in
+  let before = Fixtures.site_digest [ target ] in
   (match
      Migrate.migrate ~bundle_filter:(fun _ -> failwith "boom") params binary
        target
    with
   | _ -> Alcotest.fail "the bundle filter never ran"
   | exception Failure msg -> Alcotest.(check string) "raised" "boom" msg);
-  List.iter
-    (fun dir ->
-      Alcotest.(check (list string))
-        (dir ^ " is empty at the target")
-        []
-        (Vfs.find_under (Site.vfs target) dir (fun _ -> true)))
-    [ "/home/user/migrated"; "/tmp/feam" ]
+  Alcotest.(check (list string)) "the target is as it was" before
+    (Fixtures.site_digest [ target ])
+
+let test_failed_body_undoes_any_write () =
+  (* the undo is not tied to the staging areas: a cell body that writes
+     elsewhere and then raises leaves nothing behind either *)
+  let binary, target = failed_cell_world () in
+  let before = Fixtures.site_digest [ target ] in
+  (match
+     Migrate.with_staged binary target (fun _ ->
+         Vfs.add (Site.vfs target) "/home/user/elsewhere" (Vfs.Text "left");
+         failwith "boom")
+   with
+  | _ -> Alcotest.fail "the body never ran"
+  | exception Failure msg -> Alcotest.(check string) "raised" "boom" msg);
+  Alcotest.(check bool) "the stray file is gone" false
+    (Vfs.exists (Site.vfs target) "/home/user/elsewhere");
+  Alcotest.(check (list string)) "the target is as it was" before
+    (Fixtures.site_digest [ target ])
 
 let suite =
   ( "evaluation",
@@ -243,4 +259,6 @@ let suite =
       Alcotest.test_case "experiment determinism" `Slow test_determinism_of_migrations;
       Alcotest.test_case "failed cell cleans the target" `Quick
         test_failed_cell_cleans_target;
+      Alcotest.test_case "failed cell body undoes any write" `Quick
+        test_failed_body_undoes_any_write;
     ] )

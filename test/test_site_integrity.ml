@@ -1,8 +1,9 @@
 (* Evaluating cells never leaves a site modified.  Each pass below runs
-   between two digests of every site's file system (path, kind, bytes,
-   declared size), which must be equal: the migration matrix, a drift
-   prediction pass plus one re-evaluation, and one serve evidence
-   update. *)
+   between two digests of every site it touches ({!Fixtures.site_digest}:
+   the file system plus the loader-cache state, the ld.so.conf
+   directories and the installed stacks), which must be equal: the
+   migration matrix, a drift prediction pass plus one re-evaluation, one
+   serve evidence update, a site ranking and agree scenarios. *)
 
 open Feam_sysmodel
 open Feam_evalharness
@@ -11,36 +12,11 @@ module Invalidate = Feam_drift.Invalidate
 let params = Params.default
 let seed = params.Params.seed
 
-let file_line vfs path =
-  match Vfs.find vfs path with
-  | None -> path ^ " missing"
-  | Some { Vfs.kind; declared_size } ->
-    let tag, body =
-      match kind with
-      | Vfs.Elf b -> ("elf", b)
-      | Vfs.Script b -> ("script", b)
-      | Vfs.Text b -> ("text", b)
-      | Vfs.Symlink b -> ("symlink", b)
-    in
-    Printf.sprintf "%s %s %d %s" path tag declared_size
-      (Digest.to_hex (Digest.string body))
-
-(* One line per site: its name and the digest of its sorted files. *)
-let digest sites =
-  List.map
-    (fun site ->
-      let vfs = Site.vfs site in
-      Site.name site ^ " "
-      ^ Digest.to_hex
-          (Digest.string
-             (String.concat "\n" (List.map (file_line vfs) (Vfs.all_paths vfs)))))
-    sites
-
 let check_unchanged what sites f =
-  let before = digest sites in
+  let before = Fixtures.site_digest sites in
   let r = f () in
   Alcotest.(check (list string)) (what ^ " leaves every site as it was")
-    before (digest sites);
+    before (Fixtures.site_digest sites);
   r
 
 let test_run_all () =
@@ -84,13 +60,21 @@ let test_drift_passes () =
 
 let test_serve_update () =
   let engine = Feam_serve.Engine.create ~seed () in
+  let sites = Feam_serve.Engine.sites engine in
+  (* The update's own evidence change, fir's cache going stale, is the
+     only change it may leave behind. *)
+  let fir = Sites.find_by_name sites "fir" in
+  Site.set_ld_cache_current fir false;
+  let expected = Fixtures.site_digest sites in
+  Site.set_ld_cache_current fir true;
   let response =
-    check_unchanged "update-evidence" (Feam_serve.Engine.sites engine)
-      (fun () ->
-        Feam_serve.Engine.handle engine
-          (Feam_serve.Protocol.Update_evidence
-             { ue_site = "fir"; ue_action = Feam_serve.Protocol.Stale_ld_cache }))
+    Feam_serve.Engine.handle engine
+      (Feam_serve.Protocol.Update_evidence
+         { ue_site = "fir"; ue_action = Feam_serve.Protocol.Stale_ld_cache })
   in
+  Alcotest.(check (list string))
+    "update-evidence leaves every site as its evidence change alone would"
+    expected (Fixtures.site_digest sites);
   let reevaluated =
     match Feam_util.Json.parse response with
     | Ok json -> Feam_util.Json.member "cells_reevaluated" json
@@ -99,6 +83,39 @@ let test_serve_update () =
   Alcotest.(check bool) "the update re-evaluated cells" true
     (match reevaluated with Some (Feam_util.Json.Int n) -> n > 0 | _ -> false)
 
+(* The target phase at every candidate site, as `feam rank` runs it. *)
+let test_ranking () =
+  let sites = Sites.build_all params in
+  let binary =
+    List.hd (Testset.build params sites [ List.hd Feam_suites.Npb.all ])
+  in
+  let bundle =
+    match Migrate.source_bundle binary with
+    | Ok b -> b
+    | Error e -> Alcotest.fail e
+  in
+  let targets =
+    List.filter (fun s -> Site.name s <> Site.name binary.Testset.home) sites
+  in
+  Alcotest.(check int) "four candidate sites" 4 (List.length targets);
+  let ranked =
+    check_unchanged "Ranking.rank" sites (fun () ->
+        Ranking.rank Feam_core.Config.default bundle targets)
+  in
+  Alcotest.(check int) "every candidate ranked" 4 (List.length ranked)
+
+(* The agree harness stages its binary at the scenario's target. *)
+let test_agree_run_one () =
+  List.iter
+    (fun index ->
+      let sc = Scengen.build ~seed:42 ~index () in
+      ignore
+        (check_unchanged
+           ("Harness.run_one " ^ Scengen.id sc)
+           [ sc.Scengen.sc_home; sc.Scengen.sc_target ]
+           (fun () -> Feam_agree.Harness.run_one sc)))
+    [ 0; 1; 2; 3; 4 ]
+
 let suite =
   ( "site integrity",
     [
@@ -106,4 +123,6 @@ let suite =
       Alcotest.test_case "drift prediction and re-evaluation" `Quick
         test_drift_passes;
       Alcotest.test_case "serve update-evidence" `Quick test_serve_update;
+      Alcotest.test_case "Ranking.rank" `Quick test_ranking;
+      Alcotest.test_case "agree Harness.run_one" `Quick test_agree_run_one;
     ] )

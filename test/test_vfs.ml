@@ -111,6 +111,185 @@ let prop_normalize_idempotent =
       let n = Vfs.normalize p in
       Vfs.normalize n = n && String.length n > 0 && n.[0] = '/')
 
+(* -- Scopes and recordings ------------------------------------------------------ *)
+
+(* Every path with its file: the whole observable state. *)
+let state fs = List.map (fun p -> (p, Vfs.find fs p)) (Vfs.all_paths fs)
+
+let check_state what expected fs =
+  Alcotest.(check (list string)) what
+    (List.map fst expected) (Vfs.all_paths fs);
+  Alcotest.(check bool) (what ^ ": same files") true (state fs = expected)
+
+let seeded () =
+  let fs = mk () in
+  Vfs.add fs "/etc/hosts" (Vfs.Text "localhost");
+  Vfs.add fs "/tmp/feam/a" (Vfs.Text "a");
+  Vfs.add fs "/tmp/feam/sub/b" (Vfs.Text "b");
+  Vfs.add fs "/tmp/feam-old" (Vfs.Text "sibling");
+  fs
+
+let test_scoped_undoes () =
+  let fs = seeded () in
+  let before = state fs in
+  Vfs.scoped fs (fun () ->
+      Vfs.add fs "/new" (Vfs.Text "added");
+      Vfs.add ~declared_size:9 fs "/etc/hosts" (Vfs.Text "replaced");
+      Vfs.remove fs "/tmp/feam/a";
+      Vfs.remove fs "/never/there";
+      Vfs.remove_tree fs "/tmp/feam";
+      Alcotest.(check (list string)) "changed inside"
+        [ "/etc/hosts"; "/new"; "/tmp/feam-old" ]
+        (Vfs.all_paths fs));
+  check_state "undone" before fs
+
+let test_scoped_raise () =
+  let fs = seeded () in
+  let before = state fs in
+  (match
+     Vfs.scoped fs (fun () ->
+         Vfs.add fs "/tmp/feam/a" (Vfs.Text "other");
+         Vfs.add fs "/home/user/elsewhere" (Vfs.Text "x");
+         failwith "boom")
+   with
+  | () -> Alcotest.fail "no raise"
+  | exception Failure _ -> ());
+  check_state "undone after a raise" before fs;
+  (* the log is closed: later writes outside any scope stay *)
+  Vfs.add fs "/kept" (Vfs.Text "k");
+  Alcotest.(check bool) "write outside a scope stays" true (Vfs.exists fs "/kept")
+
+let test_scoped_nested () =
+  let fs = seeded () in
+  let before = state fs in
+  Vfs.scoped fs (fun () ->
+      Vfs.add fs "/outer" (Vfs.Text "o");
+      let mid = state fs in
+      Vfs.scoped fs (fun () ->
+          Vfs.add fs "/inner" (Vfs.Text "i");
+          Vfs.add fs "/outer" (Vfs.Text "o2");
+          Vfs.remove fs "/etc/hosts");
+      check_state "inner scope undoes only its writes" mid fs;
+      (try
+         Vfs.scoped fs (fun () ->
+             Vfs.remove_tree fs "/";
+             raise Exit)
+       with Exit -> ());
+      check_state "a raising inner scope too" mid fs);
+  check_state "outer scope undoes the rest" before fs
+
+let test_record_in_scope () =
+  let fs = seeded () in
+  let before = state fs in
+  Vfs.scoped fs (fun () ->
+      Vfs.add fs "/outer" (Vfs.Text "o");
+      let (), changes =
+        Vfs.record fs (fun () ->
+            Vfs.add ~declared_size:3 fs "/r1" (Vfs.Text "r");
+            Vfs.remove fs "/tmp/feam/a";
+            let (), inner = Vfs.record fs (fun () -> Vfs.remove fs "/r1") in
+            Alcotest.(check (list string)) "inner recording"
+              [ "/r1" ] (List.map fst inner))
+      in
+      Alcotest.(check bool) "the recording holds exactly its own changes"
+        true
+        (changes
+        = [
+            ("/r1", Some { Vfs.kind = Vfs.Text "r"; declared_size = 3 });
+            ("/tmp/feam/a", None);
+            ("/r1", None);
+          ]));
+  check_state "the scope undoes the recorded changes" before fs;
+  (* outside any scope a recording leaves its changes in place *)
+  let (), changes = Vfs.record fs (fun () -> Vfs.add fs "/x" (Vfs.Text "x")) in
+  Alcotest.(check int) "one change" 1 (List.length changes);
+  Alcotest.(check bool) "kept" true (Vfs.exists fs "/x")
+
+(* qcheck: any sequence of writes inside nested, sometimes-raising
+   scopes leaves every path and file as it was.  The names are siblings
+   that sort around '/', so a subtree removal must not catch
+   "/a/b-c" when it removes "/a/b". *)
+type op =
+  | Add of string * string
+  | Remove of string
+  | Remove_tree of string
+  | Raise
+  | Scope of bool * op list  (** catches a raise from its body *)
+  | Record of op list
+
+let names = [ "/a"; "/a/b"; "/a/b-c"; "/a/b.c"; "/a/bc"; "/a/b/x"; "/a/b/y/z" ]
+
+let rec show_op = function
+  | Add (p, c) -> Printf.sprintf "add %s %s" p c
+  | Remove p -> "rm " ^ p
+  | Remove_tree p -> "rm -r " ^ p
+  | Raise -> "raise"
+  | Scope (catch, ops) ->
+    Printf.sprintf "scope%s [%s]" (if catch then "?" else "") (show_ops ops)
+  | Record ops -> Printf.sprintf "record [%s]" (show_ops ops)
+
+and show_ops ops = String.concat "; " (List.map show_op ops)
+
+let gen_ops =
+  QCheck.Gen.(
+    let name = oneofl names in
+    let leaf =
+      frequency
+        [
+          (5, map2 (fun p c -> Add (p, c)) name (oneofl [ "1"; "2"; "3" ]));
+          (2, map (fun p -> Remove p) name);
+          (1, map (fun p -> Remove_tree p) (oneofl [ "/a"; "/a/b"; "/a/b/y" ]));
+          (1, return Raise);
+        ]
+    in
+    sized_size (int_range 0 3)
+    @@ fix (fun self depth ->
+           let body = list_size (int_range 0 5) (if depth = 0 then leaf else self (depth - 1)) in
+           if depth = 0 then leaf
+           else
+             frequency
+               [
+                 (4, leaf);
+                 (1, map2 (fun c ops -> Scope (c, ops)) bool body);
+                 (1, map (fun ops -> Record ops) body);
+               ])
+    |> list_size (int_range 1 8))
+
+(* Run [ops]; every scope is checked on exit against its entry state and
+   every recording is checked by replaying it on a copy. *)
+let rec run fs ok = function
+  | [] -> ()
+  | op :: rest ->
+    (match op with
+    | Add (p, c) -> Vfs.add fs p (Vfs.Text c)
+    | Remove p -> Vfs.remove fs p
+    | Remove_tree p -> Vfs.remove_tree fs p
+    | Raise -> raise Exit
+    | Scope (catch, ops) ->
+      let before = state fs in
+      (try Vfs.scoped fs (fun () -> run fs ok ops)
+       with Exit when catch -> ());
+      if state fs <> before then ok := false
+    | Record ops ->
+      let copy = Vfs.copy fs in
+      let (), changes = Vfs.record fs (fun () -> run fs ok ops) in
+      Vfs.apply copy changes;
+      if state copy <> state fs then ok := false);
+    run fs ok rest
+
+let prop_scoped_restores =
+  QCheck.Test.make ~name:"vfs: nested scopes restore every file" ~count:500
+    (QCheck.pair
+       (QCheck.make ~print:show_ops gen_ops)
+       (QCheck.make ~print:show_ops gen_ops))
+    (fun (setup, ops) ->
+      let fs = mk () in
+      (try run fs (ref true) setup with Exit -> ());
+      let before = state fs in
+      let ok = ref true in
+      (try Vfs.scoped fs (fun () -> run fs ok ops) with Exit -> ());
+      !ok && state fs = before)
+
 let suite =
   ( "vfs",
     [
@@ -125,4 +304,9 @@ let suite =
       Alcotest.test_case "copy" `Quick test_copy_independent;
       Alcotest.test_case "overwrite" `Quick test_overwrite;
       QCheck_alcotest.to_alcotest prop_normalize_idempotent;
+      Alcotest.test_case "scoped undoes every write" `Quick test_scoped_undoes;
+      Alcotest.test_case "scoped undoes after a raise" `Quick test_scoped_raise;
+      Alcotest.test_case "nested scopes" `Quick test_scoped_nested;
+      Alcotest.test_case "record inside a scope" `Quick test_record_in_scope;
+      QCheck_alcotest.to_alcotest prop_scoped_restores;
     ] )
