@@ -9,9 +9,12 @@
    pass none probe every time.
 
    A hit must leave the world exactly as a miss would, so a miss runs
-   under recorders for every channel the probes write to, and a hit
-   replays them in order: filesystem changes, flight-recorder records,
-   probe and resolution counters, build-ID serials and clock charges. *)
+   under recorders for every channel the probes' effects outlive the
+   determinant on, and a hit replays them in order: flight-recorder
+   records, probe and resolution counters, build-ID serials and clock
+   charges.  The probes' files need no replay: {!Tec.select_stack} runs
+   the whole determinant in one file-system scope, so a miss leaves none
+   behind either. *)
 
 open Feam_util
 open Feam_sysmodel
@@ -19,14 +22,8 @@ open Feam_sysmodel
 type selection =
   (Discovery.discovered_stack * Stack_install.t) option * (string * string) list
 
-(* Where a recorded file's bytes come from on replay: the bundle's own
-   shipped probes and copies are taken from the bundle at hand, since
-   each source phase rebuilds its probes with fresh build IDs. *)
-type bytes_from = Recorded of Vfs.kind | Probe of int | Copy of int
-
 type entry = {
   selection : selection;
-  writes : (string * (int * bytes_from) option) list;
   records : Feam_flightrec.Recorder.tape;
   counters : Feam_obs.Metrics.tape;
   builds : int;  (* build IDs the probes' compiles handed out *)
@@ -82,64 +79,21 @@ let key ~config site env ~bundle ~target_glibc ~candidates =
       bundle.Bundle.copies);
   Buffer.contents b
 
-let index_of p l =
-  let rec go i = function
-    | [] -> None
-    | x :: rest -> if p x then Some i else go (i + 1) rest
-  in
-  go 0 l
-
-let bytes_from bundle kind =
-  match (kind, bundle) with
-  | Vfs.Elf bytes, Some b -> (
-    match index_of (fun p -> p.Bundle.probe_bytes == bytes) b.Bundle.probes with
-    | Some i -> Probe i
-    | None -> (
-      match index_of (fun c -> c.Bdc.copy_bytes == bytes) b.Bundle.copies with
-      | Some i -> Copy i
-      | None -> Recorded kind))
-  | _ -> Recorded kind
-
-let kind_of bundle = function
-  | Recorded kind -> kind
-  | Probe i ->
-    Vfs.Elf (List.nth (Option.get bundle).Bundle.probes i).Bundle.probe_bytes
-  | Copy i ->
-    Vfs.Elf (List.nth (Option.get bundle).Bundle.copies i).Bdc.copy_bytes
-
-let replay ?clock site ~bundle e =
-  Vfs.apply (Site.vfs site)
-    (List.map
-       (fun (path, file) ->
-         ( path,
-           Option.map
-             (fun (declared_size, from) ->
-               { Vfs.kind = kind_of bundle from; declared_size })
-             file ))
-       e.writes);
+let replay ?clock e =
   Feam_flightrec.Recorder.replay e.records;
   Feam_obs.Metrics.replay e.counters;
   Feam_toolchain.Build_id.skip e.builds;
   List.iter (Cost.charge clock) e.charges
 
-let record site ~bundle probe =
+let record probe =
   let tape = Sim_clock.recording () in
   let builds = Feam_toolchain.Build_id.serial () in
-  let (((selection, changes), records), counters) =
+  let ((selection, records), counters) =
     Feam_obs.Metrics.capture ~prefixes:replayed_counters @@ fun () ->
-    Feam_flightrec.Recorder.capture @@ fun () ->
-    Vfs.record (Site.vfs site) @@ fun () -> probe ~clock:tape
+    Feam_flightrec.Recorder.capture @@ fun () -> probe ~clock:tape
   in
   {
     selection;
-    writes =
-      List.map
-        (fun (path, file) ->
-          ( path,
-            Option.map
-              (fun f -> (f.Vfs.declared_size, bytes_from bundle f.Vfs.kind))
-              file ))
-        changes;
     records;
     counters;
     builds = Feam_toolchain.Build_id.serial () - builds;
@@ -152,11 +106,11 @@ let find_or_probe t ?clock ~config site env ~bundle ~target_glibc ~candidates
   match Hashtbl.find_opt t k with
   | Some e ->
     Feam_obs.Metrics.incr "tec.stack_memo.hit";
-    replay ?clock site ~bundle e;
+    replay ?clock e;
     e.selection
   | None ->
     Feam_obs.Metrics.incr "tec.stack_memo.miss";
-    let e = record site ~bundle probe in
+    let e = record probe in
     Hashtbl.add t k e;
     (* The miss's other effects happened live; its charges went to the
        recording clock. *)

@@ -4,12 +4,13 @@
     A pass ({!Feam_evalharness.Migrate.run_all}, a drift prediction or
     re-evaluation pass, the matrix journals) creates one memo and hands
     it down to {!Tec.evaluate}; there is no global instance.  A hit
-    replays, in order, everything the miss did beyond its result: the
-    filesystem changes under the target (with the bundle at hand's
-    shipped probes and copies), the flight-recorder records, the
+    replays, in order, everything the miss did beyond its result that
+    outlives the determinant: the flight-recorder records, the
     [edc.probe_*] and [resolve.*] counters, the build-ID serial and the
-    simulated-clock charges.  Lookups count as [tec.stack_memo.hit] /
-    [tec.stack_memo.miss].
+    simulated-clock charges.  Files are not among them: the determinant
+    runs in its own file-system scope ({!Tec.select_stack}), so neither
+    a miss nor a hit leaves any.  Lookups count as [tec.stack_memo.hit]
+    / [tec.stack_memo.miss].
 
     Sound only while the target's staging area ([/tmp/feam]) is empty
     when the determinant starts and sites change nowhere else within the

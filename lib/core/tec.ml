@@ -276,8 +276,14 @@ let probe_candidates ?clock input site env candidates =
   try_candidates [] candidates
 
 (* The mpi_stack determinant's effects, through the pass's stack memo
-   when the caller's context carries one. *)
+   when the caller's context carries one.  The probes and the bundle
+   copies they stage are scratch: the whole determinant runs in one
+   scope of the target's file system, so it leaves the target as it
+   found it and a memo hit has no files to redo.  The scope spans every
+   candidate, because one candidate's staged copies can shadow the
+   next's libraries (DESIGN §17). *)
 let select_stack ?clock ?ctx input site env candidates =
+  Vfs.scoped (Site.vfs site) @@ fun () ->
   match Option.bind ctx (fun c -> c.Eval_ctx.stacks) with
   | None -> probe_candidates ?clock input site env candidates
   | Some memo ->

@@ -16,16 +16,14 @@ type kind =
 
 type file = { kind : kind; declared_size : int }
 
-type change = string * file option
+(* One write made while a scope is open: the path and the file it
+   replaced ([None]: no file). *)
+type entry = { path : string; before : file option }
 
-(* One write made while a scope or recording is open: the path, the
-   file it replaced and the file it left ([None]: no file). *)
-type entry = { path : string; before : file option; after : file option }
-
-(* [log] holds every write, newest first, while [depth] scopes and
-   recordings are open; outside them it is empty and nothing is logged.
-   Each scope or recording remembers the log as it found it and reads
-   or undoes only the entries newer than that mark. *)
+(* [log] holds every write, newest first, while [depth] scopes are open;
+   outside them it is empty and nothing is logged.  Each scope remembers
+   the log as it found it and undoes only the entries newer than that
+   mark. *)
 type t = {
   files : (string, file) Hashtbl.t;
   mutable log : entry list;
@@ -34,11 +32,9 @@ type t = {
 
 let create () = { files = Hashtbl.create 256; log = []; depth = 0 }
 
-let copy t = { files = Hashtbl.copy t.files; log = []; depth = 0 }
-
 let write t path after =
   if t.depth > 0 then
-    t.log <- { path; before = Hashtbl.find_opt t.files path; after } :: t.log;
+    t.log <- { path; before = Hashtbl.find_opt t.files path } :: t.log;
   match after with
   | Some f -> Hashtbl.replace t.files path f
   | None -> Hashtbl.remove t.files path
@@ -85,57 +81,27 @@ let add ?declared_size t path kind =
 
 let remove t path = write t (normalize path) None
 
-(* Open the log for [f]; [close mark] runs however [f] ends, given the
-   log as [f] found it. *)
-let with_log t ~close f =
-  let mark = t.log in
-  t.depth <- t.depth + 1;
-  Fun.protect
-    ~finally:(fun () ->
-      close mark;
-      t.depth <- t.depth - 1)
-    (fun () -> f mark)
-
-(* Run [f], returning the changes it made to [t] in order: the log's
-   entries above the mark.  The outermost recording empties the log. *)
-let record t f =
-  with_log t ~close:(fun _ -> if t.depth = 1 then t.log <- []) @@ fun mark ->
-  let r = f () in
-  let rec since acc l =
-    if l == mark then acc
-    else
-      match l with
-      | e :: rest -> since ((e.path, e.after) :: acc) rest
-      | [] -> assert false
-  in
-  (r, since [] t.log)
-
 (* Run [f], then put back, newest first, every file it added, replaced
    or removed. *)
 let scoped t f =
-  let close mark =
-    let rec undo l =
-      if l != mark then
-        match l with
-        | e :: rest ->
-          (match e.before with
-          | Some f -> Hashtbl.replace t.files e.path f
-          | None -> Hashtbl.remove t.files e.path);
-          undo rest
-        | [] -> assert false
-    in
-    undo t.log;
-    t.log <- mark
+  let mark = t.log in
+  let rec undo l =
+    if l != mark then
+      match l with
+      | e :: rest ->
+        (match e.before with
+        | Some file -> Hashtbl.replace t.files e.path file
+        | None -> Hashtbl.remove t.files e.path);
+        undo rest
+      | [] -> assert false
   in
-  with_log t ~close (fun _ -> f ())
-
-let apply t changes =
-  List.iter
-    (fun (path, file) ->
-      match file with
-      | Some f -> add ~declared_size:f.declared_size t path f.kind
-      | None -> remove t path)
-    changes
+  t.depth <- t.depth + 1;
+  Fun.protect
+    ~finally:(fun () ->
+      undo t.log;
+      t.log <- mark;
+      t.depth <- t.depth - 1)
+    f
 
 (* Resolve symlinks (bounded depth to terminate on cycles). *)
 let rec resolve ?(depth = 16) t path =

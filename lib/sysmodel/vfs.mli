@@ -17,7 +17,6 @@ type file = { kind : kind; declared_size : int }
 type t
 
 val create : unit -> t
-val copy : t -> t
 
 (** Normalize an absolute path (collapse "//", resolve "." and "..").
     @raise Invalid_argument on relative paths. *)
@@ -32,26 +31,11 @@ val add : ?declared_size:int -> t -> string -> kind -> unit
 
 val remove : t -> string -> unit
 
-(** One change to a filesystem: a file added or replaced at a
-    normalized path, or the path removed ([None]). *)
-type change = string * file option
-
-(** [record t f] runs [f] and returns, with its result, every change
-    [f] made to [t], oldest first — what {!apply} needs to redo the same
-    work on the same or another filesystem.  Recordings nest, inside
-    each other and inside {!scoped}: each returns exactly its own
-    changes, and an enclosing scope still undoes them. *)
-val record : t -> (unit -> 'a) -> 'a * change list
-
 (** [scoped t f] runs [f], then puts back every file [f] added, replaced
     or removed, newest change first, so [t] is left as [f] found it.  It
     does so also when [f] raises, and scopes nest: an inner scope undoes
-    only its own changes.  Outside any scope or recording writes are not
-    logged. *)
+    only its own changes.  Outside any scope writes are not logged. *)
 val scoped : t -> (unit -> 'a) -> 'a
-
-(** Redo recorded changes, in order. *)
-val apply : t -> change list -> unit
 
 (** Resolve symlinks (bounded depth; cycles yield [None]); returns the
     real path and the file. *)

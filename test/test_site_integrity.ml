@@ -3,7 +3,9 @@
    the file system plus the loader-cache state, the ld.so.conf
    directories and the installed stacks), which must be equal: the
    migration matrix, a drift prediction pass plus one re-evaluation, one
-   serve evidence update, a site ranking and agree scenarios. *)
+   serve evidence update, a site ranking and agree scenarios.  Within a
+   cell, the extended target phase leaves only its plan behind: the
+   copies its prediction names. *)
 
 open Feam_sysmodel
 open Feam_evalharness
@@ -29,6 +31,56 @@ let test_run_all () =
         Migrate.run_all params sites binaries)
   in
   Alcotest.(check int) "the whole matrix ran" 803 (List.length migrations)
+
+(* The MPI-stack determinant's probes, and the bundle copies they stage,
+   are gone when the extended target phase returns: nothing remains
+   under the probe directory, and the staging directory holds exactly
+   the copies the prediction names, which the after-resolution run then
+   sees through LD_LIBRARY_PATH. *)
+let test_extended_leaves_its_plan () =
+  let open Feam_core in
+  let sites = Sites.build_all params in
+  let binaries =
+    Testset.build params sites (Feam_suites.Npb.all @ Feam_suites.Specmpi.all)
+  in
+  let ctx = Eval_ctx.create () in
+  let staging = Config.default.Config.staging_dir in
+  let under vfs dir = Vfs.find_under vfs dir (fun _ -> true) in
+  let leaks =
+    List.concat_map
+      (fun (binary, target) ->
+        Migrate.with_staged binary target @@ fun staged_path ->
+        match Migrate.source_bundle ~ctx binary with
+        | Error _ -> []
+        | Ok bundle -> (
+          match
+            Phases.target_phase ~ctx Config.default target
+              (Site.base_env target) ~bundle ~binary_path:staged_path ()
+          with
+          | Error _ -> []
+          | Ok report ->
+            let p = Report.prediction report in
+            let named =
+              match p.Predict.verdict with
+              | Predict.Ready plan -> List.map snd plan.Predict.staged_copies
+              | Predict.Not_ready _ -> (
+                match p.Predict.determinants.Predict.libs with
+                | Some l ->
+                  List.map
+                    (fun name -> staging ^ "/" ^ name)
+                    l.Predict.resolved_by_copies
+                | None -> [])
+            in
+            let cell = binary.Testset.id ^ "->" ^ Site.name target in
+            let vfs = Site.vfs target in
+            (if under vfs "/tmp/feam/probes" = [] then []
+             else [ cell ^ ": probes left behind" ])
+            @
+            if under vfs staging = List.sort_uniq String.compare named then []
+            else [ cell ^ ": staged copies the prediction does not name" ]))
+      (Migrate.cells sites binaries)
+  in
+  Alcotest.(check (list string)) "every cell leaves only its plan" [] leaks
 
 let test_drift_passes () =
   let specs = Driftrun.small_specs () in
@@ -120,6 +172,8 @@ let suite =
   ( "site integrity",
     [
       Alcotest.test_case "Migrate.run_all" `Slow test_run_all;
+      Alcotest.test_case "extended target phase leaves only its plan" `Slow
+        test_extended_leaves_its_plan;
       Alcotest.test_case "drift prediction and re-evaluation" `Quick
         test_drift_passes;
       Alcotest.test_case "serve update-evidence" `Quick test_serve_update;

@@ -3,7 +3,8 @@
    memo, and demands the same cells, the same simulated clock to the
    last bit, the same probe and resolution counters and the same
    journals.  The key tests pin what must miss; the replay test pins
-   what a hit must redo. *)
+   what a hit must redo, and the digest test that neither a hit nor a
+   miss leaves a file behind. *)
 
 open Feam_sysmodel
 open Feam_evalharness
@@ -186,17 +187,10 @@ let test_key_misses () =
 
 (* -- replay ----------------------------------------------------------- *)
 
-let test_hit_replays_effects () =
+let test_hit_redoes_effects () =
   let target, bundle = small_cell () in
-  let vfs = Site.vfs target in
-  let probe_bytes b =
-    (List.hd b.Feam_core.Bundle.probes).Feam_core.Bundle.probe_bytes
-  in
-  let shipped = "/tmp/feam/probes/hello.shipped" in
-  (* one effect on every channel a real probe writes to *)
-  let work ~bundle ~clock =
-    Vfs.add vfs shipped (Vfs.Elf (probe_bytes bundle));
-    Vfs.add vfs "/tmp/feam/probes/native" (Vfs.Text "native");
+  (* one effect on every channel a hit redoes *)
+  let work ~clock =
     Feam_flightrec.Recorder.evidence ~stage:"probe" ~kind:"test_stack" [];
     Metrics.incr "edc.probe_successes";
     Metrics.incr "elf.parse_memo.miss";
@@ -208,10 +202,9 @@ let test_hit_replays_effects () =
   let memo = Stack_memo.create () in
   let clock = Feam_util.Sim_clock.create () in
   let lookup bundle =
-    Vfs.remove_tree vfs "/tmp/feam";
     Stack_memo.find_or_probe memo ~clock ~config:Feam_core.Config.default
       target (Site.base_env target) ~bundle:(Some bundle) ~target_glibc:None
-      ~candidates:[] (work ~bundle)
+      ~candidates:[] work
   in
   Metrics.reset ();
   let journal = ref "" in
@@ -235,13 +228,6 @@ let test_hit_replays_effects () =
   Feam_flightrec.Recorder.disable ();
   Alcotest.(check int) "one hit" 1 (counter "tec.stack_memo.hit");
   Alcotest.(check bool) "the selection is the miss's" true (first = second);
-  (match Vfs.find vfs shipped with
-  | Some { Vfs.kind = Vfs.Elf b; _ } ->
-    Alcotest.(check bool) "the shipped probe holds the current bundle's bytes"
-      true (b == probe_bytes again)
-  | _ -> Alcotest.fail "the shipped probe was not replayed");
-  Alcotest.(check bool) "the native probe was replayed" true
-    (Vfs.exists vfs "/tmp/feam/probes/native");
   Alcotest.(check (float 0.0)) "charges replayed in order"
     (0.3 +. 0.1 +. 0.2 +. 0.1 +. 0.2)
     (Feam_util.Sim_clock.elapsed clock);
@@ -255,8 +241,65 @@ let test_hit_replays_effects () =
     (List.length
        (List.filter
           (String.starts_with ~prefix:{|{"type":"evidence"|})
-          (String.split_on_char '\n' !journal)));
-  Vfs.remove_tree vfs "/tmp/feam"
+          (String.split_on_char '\n' !journal)))
+
+(* The determinant's probes and the copies they stage are scratch: a
+   miss and a hit through Tec.evaluate leave the target as they found
+   it.  The cell is one whose prediction runs the determinant and stages
+   no copy of its own, so the whole target must come out unchanged. *)
+let test_probes_leave_no_file () =
+  let open Feam_core in
+  let sites, binaries =
+    Driftrun.build_world params (Driftrun.small_specs ())
+      (Driftrun.small_benchmarks ()) []
+  in
+  let evaluate ?ctx target input =
+    Tec.evaluate ?ctx target (Site.base_env target) input
+  in
+  (* The cell's input, when its prediction runs the determinant and
+     stages no copy. *)
+  let probing_cell (binary, target) =
+    match Migrate.source_bundle binary with
+    | Error _ -> None
+    | Ok bundle ->
+      let input =
+        {
+          Tec.config = Config.default;
+          description = bundle.Bundle.binary_description;
+          binary_path = None;
+          bundle = Some bundle;
+          discovery =
+            Edc.discover ~env_type:`Target target (Site.base_env target);
+        }
+      in
+      let d =
+        (Vfs.scoped (Site.vfs target) (fun () -> evaluate target input))
+          .Predict.determinants
+      in
+      let stages =
+        match d.Predict.libs with
+        | Some l -> l.Predict.resolved_by_copies <> []
+        | None -> false
+      in
+      if d.Predict.stack <> None && not stages then Some (target, input)
+      else None
+  in
+  let target, input =
+    match List.find_map probing_cell (Migrate.cells sites binaries) with
+    | Some cell -> cell
+    | None -> Alcotest.fail "no cell runs the determinant without staging"
+  in
+  let ctx = Eval_ctx.create () in
+  Metrics.reset ();
+  let before = Fixtures.site_digest [ target ] in
+  ignore (evaluate ~ctx target input : Predict.t);
+  Alcotest.(check int) "a miss" 1 (counter "tec.stack_memo.miss");
+  Alcotest.(check (list string)) "a miss leaves the target as it was" before
+    (Fixtures.site_digest [ target ]);
+  ignore (evaluate ~ctx target input : Predict.t);
+  Alcotest.(check int) "a hit" 1 (counter "tec.stack_memo.hit");
+  Alcotest.(check (list string)) "a hit leaves the target as it was" before
+    (Fixtures.site_digest [ target ])
 
 let suite =
   ( "stack memo",
@@ -267,6 +310,8 @@ let suite =
         `Slow test_journals_match_cell_by_cell;
       Alcotest.test_case "key: journaling, changed copy, ablation, module"
         `Quick test_key_misses;
-      Alcotest.test_case "a hit replays every effect" `Quick
-        test_hit_replays_effects;
+      Alcotest.test_case "a hit redoes records, counters, build IDs, charges"
+        `Quick test_hit_redoes_effects;
+      Alcotest.test_case "a hit and a miss leave no file" `Quick
+        test_probes_leave_no_file;
     ] )

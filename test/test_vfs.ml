@@ -83,14 +83,6 @@ let test_remove () =
   Vfs.remove fs "/tmp/other";
   Alcotest.(check bool) "single removed" false (Vfs.exists fs "/tmp/other")
 
-let test_copy_independent () =
-  let fs = mk () in
-  Vfs.add fs "/a" (Vfs.Text "1");
-  let fs2 = Vfs.copy fs in
-  Vfs.add fs2 "/b" (Vfs.Text "2");
-  Alcotest.(check bool) "copy has both" true (Vfs.exists fs2 "/a" && Vfs.exists fs2 "/b");
-  Alcotest.(check bool) "original untouched" false (Vfs.exists fs "/b")
-
 let test_overwrite () =
   let fs = mk () in
   Vfs.add fs "/f" (Vfs.Text "old");
@@ -111,7 +103,7 @@ let prop_normalize_idempotent =
       let n = Vfs.normalize p in
       Vfs.normalize n = n && String.length n > 0 && n.[0] = '/')
 
-(* -- Scopes and recordings ------------------------------------------------------ *)
+(* -- Scopes ---------------------------------------------------------------- *)
 
 (* Every path with its file: the whole observable state. *)
 let state fs = List.map (fun p -> (p, Vfs.find fs p)) (Vfs.all_paths fs)
@@ -178,33 +170,6 @@ let test_scoped_nested () =
       check_state "a raising inner scope too" mid fs);
   check_state "outer scope undoes the rest" before fs
 
-let test_record_in_scope () =
-  let fs = seeded () in
-  let before = state fs in
-  Vfs.scoped fs (fun () ->
-      Vfs.add fs "/outer" (Vfs.Text "o");
-      let (), changes =
-        Vfs.record fs (fun () ->
-            Vfs.add ~declared_size:3 fs "/r1" (Vfs.Text "r");
-            Vfs.remove fs "/tmp/feam/a";
-            let (), inner = Vfs.record fs (fun () -> Vfs.remove fs "/r1") in
-            Alcotest.(check (list string)) "inner recording"
-              [ "/r1" ] (List.map fst inner))
-      in
-      Alcotest.(check bool) "the recording holds exactly its own changes"
-        true
-        (changes
-        = [
-            ("/r1", Some { Vfs.kind = Vfs.Text "r"; declared_size = 3 });
-            ("/tmp/feam/a", None);
-            ("/r1", None);
-          ]));
-  check_state "the scope undoes the recorded changes" before fs;
-  (* outside any scope a recording leaves its changes in place *)
-  let (), changes = Vfs.record fs (fun () -> Vfs.add fs "/x" (Vfs.Text "x")) in
-  Alcotest.(check int) "one change" 1 (List.length changes);
-  Alcotest.(check bool) "kept" true (Vfs.exists fs "/x")
-
 (* qcheck: any sequence of writes inside nested, sometimes-raising
    scopes leaves every path and file as it was.  The names are siblings
    that sort around '/', so a subtree removal must not catch
@@ -215,7 +180,6 @@ type op =
   | Remove_tree of string
   | Raise
   | Scope of bool * op list  (** catches a raise from its body *)
-  | Record of op list
 
 let names = [ "/a"; "/a/b"; "/a/b-c"; "/a/b.c"; "/a/bc"; "/a/b/x"; "/a/b/y/z" ]
 
@@ -226,7 +190,6 @@ let rec show_op = function
   | Raise -> "raise"
   | Scope (catch, ops) ->
     Printf.sprintf "scope%s [%s]" (if catch then "?" else "") (show_ops ops)
-  | Record ops -> Printf.sprintf "record [%s]" (show_ops ops)
 
 and show_ops ops = String.concat "; " (List.map show_op ops)
 
@@ -248,15 +211,10 @@ let gen_ops =
            if depth = 0 then leaf
            else
              frequency
-               [
-                 (4, leaf);
-                 (1, map2 (fun c ops -> Scope (c, ops)) bool body);
-                 (1, map (fun ops -> Record ops) body);
-               ])
+               [ (4, leaf); (2, map2 (fun c ops -> Scope (c, ops)) bool body) ])
     |> list_size (int_range 1 8))
 
-(* Run [ops]; every scope is checked on exit against its entry state and
-   every recording is checked by replaying it on a copy. *)
+(* Run [ops]; every scope is checked on exit against its entry state. *)
 let rec run fs ok = function
   | [] -> ()
   | op :: rest ->
@@ -269,12 +227,7 @@ let rec run fs ok = function
       let before = state fs in
       (try Vfs.scoped fs (fun () -> run fs ok ops)
        with Exit when catch -> ());
-      if state fs <> before then ok := false
-    | Record ops ->
-      let copy = Vfs.copy fs in
-      let (), changes = Vfs.record fs (fun () -> run fs ok ops) in
-      Vfs.apply copy changes;
-      if state copy <> state fs then ok := false);
+      if state fs <> before then ok := false);
     run fs ok rest
 
 let prop_scoped_restores =
@@ -301,12 +254,10 @@ let suite =
       Alcotest.test_case "find by basename" `Quick test_find_by_basename;
       Alcotest.test_case "sizes" `Quick test_sizes;
       Alcotest.test_case "remove" `Quick test_remove;
-      Alcotest.test_case "copy" `Quick test_copy_independent;
       Alcotest.test_case "overwrite" `Quick test_overwrite;
       QCheck_alcotest.to_alcotest prop_normalize_idempotent;
       Alcotest.test_case "scoped undoes every write" `Quick test_scoped_undoes;
       Alcotest.test_case "scoped undoes after a raise" `Quick test_scoped_raise;
       Alcotest.test_case "nested scopes" `Quick test_scoped_nested;
-      Alcotest.test_case "record inside a scope" `Quick test_record_in_scope;
       QCheck_alcotest.to_alcotest prop_scoped_restores;
     ] )
