@@ -315,14 +315,15 @@ let bench_facts_of_bytes =
    snapshots and predicts only the cells the invalidation engine marks
    affected.  The headline drift_incremental / full ratio is the
    observatory's whole value proposition.  The fixture holds one
-   evaluation context, as a drift run does; each timed pass starts
-   with [Eval_ctx.next_pass]. *)
+   describe memo, as a drift run does, and gives each world its own
+   pass; each timed pass is a fresh one. *)
 let drift_fixture =
   lazy
     (let specs = Driftrun.small_specs () in
      let benchmarks = Driftrun.small_benchmarks () in
-     let ctx = Feam_core.Eval_ctx.create () in
+     let describe = Feam_core.Bdc.create_memo () in
      let sites0, binaries0 = Driftrun.build_world params specs benchmarks [] in
+     let ctx = Feam_core.Eval_ctx.create ~describe () in
      let cells0 = Driftrun.predict_all ~ctx sites0 binaries0 in
      let base =
        Driftrun.snapshot_of_world ~ctx ~epoch:0 ~seed:42 ~label:"" sites0
@@ -340,28 +341,32 @@ let drift_fixture =
      in
      let sites, binaries = Driftrun.build_world params specs benchmarks [ p ] in
      let candidate =
-       Driftrun.snapshot_of_world ~ctx ~epoch:1
+       Driftrun.snapshot_of_world
+         ~ctx:(Feam_core.Eval_ctx.create ~describe ())
+         ~epoch:1
          ~seed:42 ~label:(Driftrun.perturbation_label p) sites binaries
          ~cells:cells0
      in
-     (ctx, base, candidate, sites, binaries))
+     (describe, base, candidate, sites, binaries))
 
 let bench_drift_full =
   ( "drift/full-reeval",
     fun () ->
-      let ctx, _, _, sites, binaries = Lazy.force drift_fixture in
+      let describe, _, _, sites, binaries = Lazy.force drift_fixture in
       ignore
-        (Driftrun.predict_all ~ctx:(Feam_core.Eval_ctx.next_pass ctx) sites
-           binaries) )
+        (Driftrun.predict_all ~ctx:(Feam_core.Eval_ctx.create ~describe ())
+           sites binaries) )
 
 let bench_drift_incremental =
   ( "drift/incremental-reeval",
     fun () ->
-      let ctx, base, candidate, sites, binaries = Lazy.force drift_fixture in
+      let describe, base, candidate, sites, binaries =
+        Lazy.force drift_fixture
+      in
       let plan = Feam_drift.Invalidate.affected base candidate in
       let reevaluated =
-        Driftrun.reevaluate ~ctx:(Feam_core.Eval_ctx.next_pass ctx) sites
-          binaries plan.Feam_drift.Invalidate.pl_affected
+        Driftrun.reevaluate ~ctx:(Feam_core.Eval_ctx.create ~describe ())
+          sites binaries plan.Feam_drift.Invalidate.pl_affected
       in
       ignore
         (Feam_drift.Invalidate.merge

@@ -190,11 +190,11 @@ let run_one ?ctx (sc : Scengen.t) =
   record_run r;
   r
 
-(* One context per corpus, without a stack memo: every scenario builds
-   a fresh world under the same site names, which the stack memo's key
-   cannot tell apart. *)
+(* One describe memo per corpus, without a pass memo: every scenario
+   builds a fresh world under the same site names, which the pass
+   memo's keys cannot tell apart. *)
 let run_corpus ~seed ~count () =
-  let ctx = { (Feam_core.Eval_ctx.create ()) with stacks = None } in
+  let ctx = { (Feam_core.Eval_ctx.create ()) with memo = None } in
   List.init count (fun index ->
       let r = run_one ~ctx (Scengen.build ~seed ~index ()) in
       Feam_obs.Metrics.incr "agree.scenarios";

@@ -174,11 +174,28 @@ let describe ?clock ?memo site env ~path =
       Feam_obs.Metrics.incr ~by:size "bdc.describe_cache.saved_bytes"
     | None -> ());
     let d = { d with Description.path } in
-    journal_describe "cache" d;
+    (* Only objdump results are cached: a hit journals what the miss did,
+       so a journal does not depend on what ran before it. *)
+    journal_describe "objdump" d;
     Ok d
   | None -> (
     if memo_key <> None then Feam_obs.Metrics.incr "bdc.describe_cache.miss";
-    match describe_via_objdump ?clock site path with
+    let via_objdump =
+      match (clock, memo_key) with
+      | Some outer, Some _ ->
+        (* A success is work the memo takes over: charged as cached, so
+           a replayed source phase (Pass_memo) charges what a rerun
+           hitting the memo would. *)
+        let work = Sim_clock.recording () in
+        let r = describe_via_objdump ~clock:work site path in
+        let charge =
+          if Result.is_ok r then Sim_clock.charge_cached else Sim_clock.charge
+        in
+        List.iter (charge outer) (Sim_clock.charges work);
+        r
+      | _ -> describe_via_objdump ?clock site path
+    in
+    match via_objdump with
     | Ok d ->
       Feam_obs.Metrics.incr "bdc.describe" ~labels:[ ("method", "objdump") ];
       journal_describe "objdump" d;

@@ -41,7 +41,8 @@ val locate_library :
     image), so the same library image described at the same site many
     times is parsed once.  Hit/miss counts surface as
     [bdc.describe_cache.hit] / [.miss].  Fallback-path (file/ldd)
-    results are never cached. *)
+    results are never cached, so a hit journals its method as
+    [objdump], as the miss did. *)
 type memo
 
 val create_memo : unit -> memo

@@ -1,20 +1,20 @@
 (** The caches of one evaluation pass (DESIGN §17), passed down as a
     value: there is no global instance.
 
-    A pass ({!Feam_evalharness.Migrate.run_all}, Audit's build, the
-    depot statistics, the agree corpus) creates one context.  Drift
-    runs and the serve engine hold one for their lifetime and start
-    each prediction pass with {!next_pass}: descriptions stay valid
-    across passes (they are keyed by image content), probe outcomes do
-    not (sites change between passes). *)
+    A pass is one world state: {!Feam_evalharness.Migrate.run_all},
+    Audit's build, the depot statistics, one drift epoch, one serve
+    request.  Drift runs and the serve engine hold a describe memo for
+    their lifetime and create a context around it for every pass:
+    descriptions stay valid across passes (they are keyed by image
+    content), probe outcomes and bundles do not (sites change between
+    passes). *)
 type t = {
-  describe : Bdc.memo;  (** BDC descriptions, kept across passes *)
-  stacks : Stack_memo.t option;
-      (** the MPI-stack determinant's memo; [None] probes every time *)
+  describe : Bdc.memo;  (** BDC descriptions, may outlive the pass *)
+  memo : Pass_memo.t option;
+      (** the pass's MPI-stack and source-phase memo; [None] computes
+          every time *)
 }
 
-(** A fresh describe memo and a fresh stack memo. *)
-val create : unit -> t
-
-(** The same describe memo with a fresh stack memo. *)
-val next_pass : t -> t
+(** A fresh pass: a fresh pass memo over [describe] (default: a fresh
+    describe memo). *)
+val create : ?describe:Bdc.memo -> unit -> t

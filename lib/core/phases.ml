@@ -20,7 +20,13 @@ let bdc_memo ctx = Option.map (fun c -> c.Eval_ctx.describe) ctx
 
 (* -- Source phase --------------------------------------------------------- *)
 
-let source_phase ?clock ?ctx _config site env ~binary_path =
+(* The ELF image at [path]: its bytes and declared size. *)
+let binary_image site path =
+  match Vfs.find (Site.vfs site) path with
+  | Some { Vfs.kind = Vfs.Elf bytes; declared_size } -> Some (bytes, declared_size)
+  | _ -> None
+
+let run_source ?clock ?ctx site env ~binary_path =
   Feam_obs.Ledger.with_stage "phases.source" @@ fun () ->
   Feam_obs.Trace.with_span "phases.source"
     ~attrs:
@@ -118,10 +124,9 @@ let source_phase ?clock ?ctx _config site env ~binary_path =
               wanted)
       in
       let binary_bytes, binary_declared_size =
-        match Vfs.find (Site.vfs site) binary_path with
-        | Some { Vfs.kind = Vfs.Elf bytes; declared_size } ->
-          (Some bytes, declared_size)
-        | _ -> (None, 0)
+        match binary_image site binary_path with
+        | Some (bytes, declared_size) -> (Some bytes, declared_size)
+        | None -> (None, 0)
       in
       Cost.charge clock Cost.bundle_pack_base;
       Log.info (fun m ->
@@ -141,6 +146,16 @@ let source_phase ?clock ?ctx _config site env ~binary_path =
           source_discovery = discovery;
         }
     end
+
+(* Once per binary per pass when the context carries a pass memo: none
+   of the phase's inputs is a target, and a pass changes no home site. *)
+let source_phase ?clock ?ctx config site env ~binary_path =
+  match Option.bind ctx (fun c -> c.Eval_ctx.memo) with
+  | None -> run_source ?clock ?ctx site env ~binary_path
+  | Some memo ->
+    Pass_memo.find_or_source memo ?clock ~config site env ~binary_path
+      ~image:(binary_image site binary_path) (fun ~clock ->
+        run_source ~clock ?ctx site env ~binary_path)
 
 (* -- Target phase ---------------------------------------------------------- *)
 

@@ -10,7 +10,8 @@
     when the loaded MPI stack does not match the one the binary was built
     with (the environment cannot vouch for the binary, §V.B).  [ctx] is
     the evaluation pass's context: its describe memo serves the BDC
-    run. *)
+    run, and its pass memo runs the phase once per distinct input
+    ({!Pass_memo.find_or_source}). *)
 val source_phase :
   ?clock:Feam_util.Sim_clock.t ->
   ?ctx:Eval_ctx.t ->
@@ -23,7 +24,7 @@ val source_phase :
 (** Run the target phase.  Supply a [bundle] (extended mode; the binary
     travels inside it) and/or the binary's [binary_path] at the target
     (basic mode).  [ctx] is the evaluation pass's context: its describe
-    memo serves the basic-mode BDC run, its stack memo {!Tec.evaluate}. *)
+    memo serves the basic-mode BDC run, its pass memo {!Tec.evaluate}. *)
 val target_phase :
   ?clock:Feam_util.Sim_clock.t ->
   ?depot:Resolve_model.depot ->

@@ -275,7 +275,7 @@ let probe_candidates ?clock input site env candidates =
   in
   try_candidates [] candidates
 
-(* The mpi_stack determinant's effects, through the pass's stack memo
+(* The mpi_stack determinant's effects, through the pass memo
    when the caller's context carries one.  The probes and the bundle
    copies they stage are scratch: the whole determinant runs in one
    scope of the target's file system, so it leaves the target as it
@@ -284,10 +284,10 @@ let probe_candidates ?clock input site env candidates =
    next's libraries (DESIGN §17). *)
 let select_stack ?clock ?ctx input site env candidates =
   Vfs.scoped (Site.vfs site) @@ fun () ->
-  match Option.bind ctx (fun c -> c.Eval_ctx.stacks) with
+  match Option.bind ctx (fun c -> c.Eval_ctx.memo) with
   | None -> probe_candidates ?clock input site env candidates
   | Some memo ->
-    Stack_memo.find_or_probe memo ?clock ~config:input.config site env
+    Pass_memo.find_or_probe memo ?clock ~config:input.config site env
       ~bundle:input.bundle ~target_glibc:input.discovery.Discovery.glibc
       ~candidates (fun ~clock ->
         probe_candidates ~clock input site env candidates)

@@ -50,7 +50,7 @@ val decide :
   unit ->
   Predict.t
 
-(** Run the full evaluation.  When [ctx] carries a stack memo, the
+(** Run the full evaluation.  When [ctx] carries a pass memo, the
     MPI-stack determinant goes through it; otherwise it probes every
     time. *)
 val evaluate :

@@ -25,15 +25,21 @@ type t = {
   ds_skipped : string list; (* binaries whose source phase failed *)
   ds_legacy_total : int;
   ds_shipped_total : int;
+  ds_describe_cache : int * int; (* this run's describe-memo hits, misses *)
 }
+
+let counter name = Option.value (Feam_obs.Metrics.counter_value name) ~default:0
 
 (* [run ?clock sites binaries] — intern every binary's bundle into a
    fresh shared store and plan every reported matrix cell
    ({!Migrate.targets}) against one possession index, in
    deterministic corpus order.  The source phases share one evaluation
    context: the same library image re-described across bundles parses
-   once per site. *)
+   once per site.  The describe memo's lookups are this run's own, a
+   delta of the process-wide counters. *)
 let run ?clock sites binaries =
+  let hits0 = counter "bdc.describe_cache.hit" in
+  let misses0 = counter "bdc.describe_cache.miss" in
   let store = Store.create () in
   let possession = Planner.Possession.create () in
   let ctx = Feam_core.Eval_ctx.create () in
@@ -74,6 +80,9 @@ let run ?clock sites binaries =
     ds_legacy_total = List.fold_left (fun a c -> a + c.dc_legacy_bytes) 0 cells;
     ds_shipped_total =
       List.fold_left (fun a c -> a + c.dc_plan.Planner.shipped_bytes) 0 cells;
+    ds_describe_cache =
+      ( counter "bdc.describe_cache.hit" - hits0,
+        counter "bdc.describe_cache.miss" - misses0 );
   }
 
 (* Legacy bytes over depot bytes: how many times over the per-cell
@@ -148,11 +157,7 @@ let render t =
   addf "  depot bytes shipped: %s MB\n" (mb t.ds_shipped_total);
   addf "  dedup ratio: %.2fx (%.1f%% of legacy traffic saved)\n"
     (dedup_ratio t) (saved_percent t);
-  let counter name =
-    Option.value (Feam_obs.Metrics.counter_value name) ~default:0
-  in
-  let hits = counter "bdc.describe_cache.hit" in
-  let misses = counter "bdc.describe_cache.miss" in
+  let hits, misses = t.ds_describe_cache in
   if hits + misses > 0 then
     addf "  describe cache: %d hits / %d misses (%.1f%% hit rate)\n" hits
       misses

@@ -19,12 +19,14 @@ type t = {
   ds_skipped : string list;  (** binaries whose source phase failed *)
   ds_legacy_total : int;
   ds_shipped_total : int;
+  ds_describe_cache : int * int;
+      (** the run's own describe-memo lookups: hits, misses *)
 }
 
 (** Intern every binary's bundle into a fresh shared store and plan
     every reported matrix cell (same cell filter as
-    {!Migrate.run_all}) in deterministic corpus order.  Enables the
-    {!Feam_core.Bdc} describe memo for the duration of the run. *)
+    {!Migrate.run_all}) in deterministic corpus order, as one
+    evaluation pass ({!Feam_core.Eval_ctx}). *)
 val run :
   ?clock:Feam_util.Sim_clock.t ->
   Feam_sysmodel.Site.t list ->
@@ -32,7 +34,7 @@ val run :
   t
 
 (** The summary block evaltool prints: store size, totals, dedup ratio,
-    describe-cache hit rate, per-pair table. *)
+    the run's describe-cache hit rate, per-pair table. *)
 val render : t -> string
 
 (** Every cell's plan rendered in corpus order — byte-identical across

@@ -193,8 +193,7 @@ let predict_cell ?ctx (binary : Testset.binary) target =
   }
 
 (* Each pass below is one evaluation pass under [ctx] (DESIGN §17); a
-   caller holding a context across passes starts each with
-   [Eval_ctx.next_pass]. *)
+   caller that changes or rebuilds the world starts a new one. *)
 let predict_all ?(ctx = Feam_core.Eval_ctx.create ()) sites binaries =
   List.map (fun (b, t) -> predict_cell ~ctx b t) (all_cells sites binaries)
 
@@ -341,22 +340,23 @@ let cells_doc ~epoch ~seed cells =
 let run ?(specs = Sites.specs) ?(benchmarks = Feam_suites.Npb.all @ Feam_suites.Specmpi.all)
     ?(progress = fun _ -> ()) ~seed ~epochs () =
   let params = { Params.default with Params.seed } in
-  (* One context for the whole run: descriptions carry over between
-     epochs, each prediction pass gets a fresh stack memo. *)
-  let ctx = Feam_core.Eval_ctx.create () in
-  let pass () = Feam_core.Eval_ctx.next_pass ctx in
+  (* One describe memo for the whole run, one pass per world: an epoch's
+     capture and re-evaluation share the epoch's pass memo. *)
+  let describe = Feam_core.Bdc.create_memo () in
+  let pass () = Feam_core.Eval_ctx.create ~describe () in
   (* Candidate removals come from the pristine epoch-0 world. *)
   let sites0, binaries0 = build_world params specs benchmarks [] in
   let candidates = removal_candidates sites0 in
   let site_names = List.map Site.name sites0 in
-  let snapshot_of ~epoch ~label ~sites ~binaries ~cells =
+  let snapshot_of ~ctx ~epoch ~label ~sites ~binaries ~cells =
     snapshot_of_world ~ctx ~epoch ~seed ~label sites binaries ~cells
   in
   (* Baseline: evaluate every cell once. *)
-  let cells0 = predict_all ~ctx:(pass ()) sites0 binaries0 in
+  let ctx0 = pass () in
+  let cells0 = predict_all ~ctx:ctx0 sites0 binaries0 in
   let base_snapshot =
-    snapshot_of ~epoch:0 ~label:"" ~sites:sites0 ~binaries:binaries0
-      ~cells:cells0
+    snapshot_of ~ctx:ctx0 ~epoch:0 ~label:"" ~sites:sites0
+      ~binaries:binaries0 ~cells:cells0
   in
   Invalidate.record_epoch_gauges base_snapshot;
   let base_entry =
@@ -372,15 +372,16 @@ let run ?(specs = Sites.specs) ?(benchmarks = Feam_suites.Npb.all @ Feam_suites.
       let p = draw ~seed ~epoch:k ~site_names ~candidates in
       let active, label = toggle active p in
       let sites, binaries = build_world params specs benchmarks active in
+      let ctx = pass () in
       (* Capture the new epoch's evidence with the previous verdicts
          still in place, diff, then re-evaluate only the plan. *)
       let candidate =
-        snapshot_of ~epoch:k ~label ~sites ~binaries
+        snapshot_of ~ctx ~epoch:k ~label ~sites ~binaries
           ~cells:prev.er_snapshot.Snapshot.cells
       in
       let plan = Invalidate.affected prev.er_snapshot candidate in
       let reevaluated =
-        reevaluate ~ctx:(pass ()) sites binaries plan.Invalidate.pl_affected
+        reevaluate ~ctx sites binaries plan.Invalidate.pl_affected
       in
       let cells =
         Invalidate.merge ~base:prev.er_snapshot.Snapshot.cells ~reevaluated

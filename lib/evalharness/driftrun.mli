@@ -99,8 +99,8 @@ val predict_cell :
 
 (** A full prediction pass: {!predict_cell} over {!all_cells}, in
     matrix order, under [ctx] (default: a fresh {!Feam_core.Eval_ctx}).
-    A caller holding a context across passes passes
-    [Eval_ctx.next_pass ctx], so the pass gets a fresh stack memo. *)
+    A context's pass memo serves one world: a caller that changes or
+    rebuilds the world creates a new context for the next pass. *)
 val predict_all :
   ?ctx:Feam_core.Eval_ctx.t ->
   Feam_sysmodel.Site.t list ->

@@ -227,11 +227,12 @@ let migrate ?clock ?ctx ?bundle_filter (params : Params.t) binary target =
 (* All migrations of the corpus, one per matrix cell, as one evaluation
    pass under one context (DESIGN §17).  Its describe memo parses the
    same library image re-described at the same site across cells once
-   (bdc.describe_cache metrics); its MPI-stack memo replays a
-   determinant whose inputs an earlier cell already probed instead of
-   probing again (tec.stack_memo metrics).  The stack memo is invisible
-   in the results: the cells, the clock and the counters come out as a
-   cell-by-cell run under the same describe memo would. *)
+   (bdc.describe_cache metrics).  Its pass memo runs each binary's
+   source phase once (phases.source_memo metrics) and replays an
+   MPI-stack determinant whose inputs an earlier cell already probed
+   instead of probing again (tec.stack_memo metrics).  The pass memo is
+   invisible in the results: the cells, the clock and the counters come
+   out as a cell-by-cell run under the same describe memo would. *)
 let run_all ?clock ?bundle_filter params sites binaries =
   let ctx = Feam_core.Eval_ctx.create () in
   List.map

@@ -17,9 +17,11 @@ type t
     two-site world; the CLI passes the full Table II fleet under
     [--full].  [clock] feeds only the [serve.query_ns] histogram and
     defaults to the fixed zero clock, keeping tests deterministic.
-    The engine holds one {!Feam_core.Eval_ctx} for its lifetime: its
-    describe memo stays warm across requests, each re-evaluation pass
-    gets a fresh stack memo. *)
+    The engine holds one describe memo for its lifetime, warm across
+    requests, and evaluates each world state in one pass
+    ({!Feam_core.Eval_ctx}) around it: the baseline, each update's
+    recapture and re-evaluation, each registration's capture and new
+    cells, each snapshot and each crosscheck. *)
 val create :
   ?specs:Feam_evalharness.Sites.spec list ->
   ?benchmarks:Feam_suites.Benchmark.t list ->

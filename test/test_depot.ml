@@ -304,6 +304,26 @@ let test_plan_journal_replays_byte_for_byte () =
   Alcotest.(check string) "replayed rendering equals live rendering"
     (Planner.render plan) outcome.Replay.plan_rendered
 
+(* The depot section reports its own pass's describe-memo lookups, not
+   the process-wide counters an earlier pass (here the whole matrix)
+   already moved. *)
+let test_describe_cache_line_is_its_own () =
+  let open Feam_evalharness in
+  let params = Params.default in
+  let world () =
+    let sites = Sites.build_all params in
+    (sites, Testset.build params sites (Feam_suites.Npb.all @ Feam_suites.Specmpi.all))
+  in
+  Feam_obs.Metrics.reset ();
+  let sites, binaries = world () in
+  ignore (Migrate.run_all params sites binaries : Migrate.migration list);
+  let sites, binaries = world () in
+  let rendered = Depot_stats.render (Depot_stats.run sites binaries) in
+  Alcotest.(check bool) "the depot pass's own hit rate" true
+    (Test_flightrec.contains
+       ~affix:"  describe cache: 2638 hits / 444 misses (85.6% hit rate)\n"
+       rendered)
+
 let suite =
   ( "depot",
     [
@@ -330,4 +350,6 @@ let suite =
         test_plan_render_deterministic;
       Alcotest.test_case "plan journal replays byte-for-byte" `Quick
         test_plan_journal_replays_byte_for_byte;
+      Alcotest.test_case "describe-cache line counts its own pass" `Slow
+        test_describe_cache_line_is_its_own;
     ] )

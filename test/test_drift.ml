@@ -33,19 +33,20 @@ let build_with active =
   let specs, benchmarks = Lazy.force small_world in
   Driftrun.build_world params specs benchmarks active
 
-(* One evaluation context per test, held as a drift run holds one:
-   every prediction pass starts with [pass ctx]. *)
-let with_memo f = f (Feam_core.Eval_ctx.create ())
+(* One describe memo per test, held as a drift run holds one; every
+   world gets its own pass, [pass describe]. *)
+let with_memo f = f (Feam_core.Bdc.create_memo ())
 
-let pass = Feam_core.Eval_ctx.next_pass
+let pass describe = Feam_core.Eval_ctx.create ~describe ()
 
 (* -- snapshots ----------------------------------------------------------- *)
 
 let test_double_snapshot_byte_identity () =
-  with_memo @@ fun ctx ->
+  with_memo @@ fun describe ->
   let snap () =
     let sites, binaries = build_with [] in
-    let cells = Driftrun.predict_all ~ctx:(pass ctx) sites binaries in
+    let ctx = pass describe in
+    let cells = Driftrun.predict_all ~ctx sites binaries in
     Snapshot.to_jsonl
       (Driftrun.snapshot_of_world ~ctx ~epoch:0 ~seed ~label:"" sites binaries
          ~cells)
@@ -55,9 +56,10 @@ let test_double_snapshot_byte_identity () =
   Alcotest.(check string) "the same world snapshots byte-identically" a b
 
 let test_snapshot_roundtrip () =
-  with_memo @@ fun ctx ->
+  with_memo @@ fun describe ->
   let sites, binaries = build_with [] in
-  let cells = Driftrun.predict_all ~ctx:(pass ctx) sites binaries in
+  let ctx = pass describe in
+  let cells = Driftrun.predict_all ~ctx sites binaries in
   let snapshot =
     Driftrun.snapshot_of_world ~ctx ~epoch:3 ~seed ~label:"x @ y" sites binaries
       ~cells
@@ -90,12 +92,13 @@ let test_snapshot_parse_errors () =
       (contains ~affix:"schema" e)
 
 let test_epoch_store_roundtrip () =
-  with_memo @@ fun ctx ->
+  with_memo @@ fun describe ->
   let dir = Filename.temp_file "feam_drift" "" in
   Sys.remove dir;
   let store = Epoch_store.open_ dir in
   let sites, binaries = build_with [] in
-  let cells = Driftrun.predict_all ~ctx:(pass ctx) sites binaries in
+  let ctx = pass describe in
+  let cells = Driftrun.predict_all ~ctx sites binaries in
   let s0 =
     Driftrun.snapshot_of_world ~ctx ~epoch:0 ~seed ~label:"" sites binaries ~cells
   in
@@ -284,11 +287,12 @@ let prop_flips_within_affected =
   QCheck.Test.make ~count:6 ~name:"changed-verdict cells are in the plan"
     QCheck.(int_range 1 1000)
     (fun pseed ->
-      with_memo @@ fun ctx ->
+      with_memo @@ fun describe ->
       let sites0, binaries0 = build_with [] in
-      let cells0 = Driftrun.predict_all ~ctx:(pass ctx) sites0 binaries0 in
+      let ctx0 = pass describe in
+      let cells0 = Driftrun.predict_all ~ctx:ctx0 sites0 binaries0 in
       let base =
-        Driftrun.snapshot_of_world ~ctx ~epoch:0 ~seed:pseed ~label:"" sites0
+        Driftrun.snapshot_of_world ~ctx:ctx0 ~epoch:0 ~seed:pseed ~label:"" sites0
           binaries0 ~cells:cells0
       in
       let p =
@@ -297,12 +301,13 @@ let prop_flips_within_affected =
           ~candidates:(Driftrun.removal_candidates sites0)
       in
       let sites, binaries = build_with [ p ] in
+      let ctx = pass describe in
       let candidate =
         Driftrun.snapshot_of_world ~ctx ~epoch:1 ~seed:pseed
           ~label:(Driftrun.perturbation_label p) sites binaries ~cells:cells0
       in
       let plan = Invalidate.affected base candidate in
-      let full = Driftrun.predict_all ~ctx:(pass ctx) sites binaries in
+      let full = Driftrun.predict_all ~ctx sites binaries in
       let flips = Invalidate.flips ~before:cells0 ~after:full in
       List.for_all
         (fun (f : Invalidate.flip) ->

@@ -86,6 +86,7 @@ let test_drift_passes () =
   let specs = Driftrun.small_specs () in
   let benchmarks = Driftrun.small_benchmarks () in
   let ctx = Feam_core.Eval_ctx.create () in
+  let describe = ctx.Feam_core.Eval_ctx.describe in
   let sites0, binaries0 = Driftrun.build_world params specs benchmarks [] in
   let cells =
     check_unchanged "Driftrun.predict_all" sites0 (fun () ->
@@ -97,6 +98,8 @@ let test_drift_passes () =
   in
   let p = { Driftrun.pe_site = "fir"; pe_what = Scengen.Stale_ld_cache } in
   let sites, binaries = Driftrun.build_world params specs benchmarks [ p ] in
+  (* the rebuilt world's pass, as a drift epoch's *)
+  let ctx = Feam_core.Eval_ctx.create ~describe () in
   let reevaluated =
     check_unchanged "Driftrun.reevaluate" sites (fun () ->
         let after =
@@ -104,8 +107,7 @@ let test_drift_passes () =
             binaries ~cells
         in
         let plan = Invalidate.affected before after in
-        Driftrun.reevaluate ~ctx:(Feam_core.Eval_ctx.next_pass ctx) sites
-          binaries plan.Invalidate.pl_affected)
+        Driftrun.reevaluate ~ctx sites binaries plan.Invalidate.pl_affected)
   in
   Alcotest.(check bool) "the perturbation reached some cells" true
     (reevaluated <> [])

@@ -1,14 +1,14 @@
-(* The MPI-stack determinant's memo (DESIGN §17).  The oracle runs the
+(* The pass memo's MPI-stack table (DESIGN §17).  The oracle runs the
    default matrix as one memo-carrying pass and cell by cell without a
-   memo, and demands the same cells, the same simulated clock to the
-   last bit, the same probe and resolution counters and the same
-   journals.  The key tests pin what must miss; the replay test pins
-   what a hit must redo, and the digest test that neither a hit nor a
-   miss leaves a file behind. *)
+   pass memo, and demands the same cells, the same simulated clock to
+   the last bit, the same counters outside the cache families and the
+   same journals.  The key tests pin what must miss; the replay test
+   pins what a hit must redo, and the digest test that neither a hit nor
+   a miss leaves a file behind. *)
 
 open Feam_sysmodel
 open Feam_evalharness
-module Stack_memo = Feam_core.Stack_memo
+module Pass_memo = Feam_core.Pass_memo
 module Metrics = Feam_obs.Metrics
 
 let params = Params.default
@@ -34,56 +34,68 @@ let cell_line (m : Migrate.migration) =
       Feam_dynlinker.Exec.outcome_to_string m.Migrate.actual_after;
     ]
 
-(* The counters a hit replays, by registry key, with their values. *)
-let replayed_counters () =
+(* Every counter outside the cache families, by registry key, with its
+   value: the counters a memo hit must leave as a miss would. *)
+let work_counters () =
+  let cache name =
+    List.exists
+      (fun suffix -> String.ends_with ~suffix name)
+      [ ".hit"; ".miss"; ".saved_bytes" ]
+  in
   Metrics.snapshot ()
   |> List.filter_map (fun (k, e) ->
          match e.Metrics.metric with
-         | Metrics.Counter c
-           when String.starts_with ~prefix:"edc.probe_" k
-                || String.starts_with ~prefix:"resolve." k ->
-           Some (k, !c)
+         | Metrics.Counter c when not (cache e.Metrics.name) -> Some (k, !c)
          | _ -> None)
 
 let counter name = Option.value ~default:0 (Metrics.counter_value name)
 
 (* Run [f] on a fresh default world from a reset registry; return its
-   result, the replayed counters it moved and the build-ID serial it
-   ended on. *)
+   result, the work counters it moved and the build-ID serial it ended
+   on. *)
 let fresh_run f =
   Metrics.reset ();
   let sites, binaries = default_world () in
   let r = f sites binaries in
-  (r, replayed_counters (), Feam_toolchain.Build_id.serial ())
+  (r, work_counters (), Feam_toolchain.Build_id.serial ())
 
 let test_run_all_matches_cell_by_cell () =
   let clock_a = Feam_util.Sim_clock.create () in
+  let corpus = ref 0 in
   let memo_lines, memo_counters, memo_serial =
     fresh_run (fun sites binaries ->
+        corpus := List.length binaries;
         List.map cell_line
           (Migrate.run_all ~clock:clock_a params sites binaries))
   in
   let hits = counter "tec.stack_memo.hit" in
+  let source_hits = counter "phases.source_memo.hit" in
+  let source_misses = counter "phases.source_memo.miss" in
   let clock_b = Feam_util.Sim_clock.create () in
   let lines, counters, serial =
     fresh_run (fun sites binaries ->
-        (* a describe memo as run_all's, so only the stack memo differs
+        (* a describe memo as run_all's, so only the pass memo differs
            between the two runs *)
-        let ctx = { (Feam_core.Eval_ctx.create ()) with stacks = None } in
+        let ctx = { (Feam_core.Eval_ctx.create ()) with memo = None } in
         List.map
           (fun (b, t) ->
             cell_line (Migrate.migrate ~clock:clock_b ~ctx params b t))
           (Migrate.cells sites binaries))
   in
   Alcotest.(check bool) "the memo hit" true (hits > 0);
+  Alcotest.(check bool) "the source memo hit" true (source_hits > 0);
+  Alcotest.(check int) "264 binaries" 264 !corpus;
+  Alcotest.(check int) "one source phase per binary" !corpus source_misses;
   Alcotest.(check int) "no memo, no lookups" 0 (counter "tec.stack_memo.miss");
+  Alcotest.(check int) "no memo, no source lookups" 0
+    (counter "phases.source_memo.miss");
   Alcotest.(check (list string)) "the same cells" lines memo_lines;
   Alcotest.(check (float 0.0))
     "the same simulated clock, to the bit"
     (Feam_util.Sim_clock.elapsed clock_b)
     (Feam_util.Sim_clock.elapsed clock_a);
   Alcotest.(check (list (pair string int)))
-    "the same edc.probe_* and resolve.* counters" counters memo_counters;
+    "the same counters outside the cache families" counters memo_counters;
   Alcotest.(check int) "the same build-ID serial" serial memo_serial
 
 let test_journals_match_cell_by_cell () =
@@ -136,17 +148,17 @@ let small_cell () =
 let missed memo target ?(env = Site.base_env target) bundle =
   let ran = ref false in
   ignore
-    (Stack_memo.find_or_probe memo ~config:Feam_core.Config.default target env
+    (Pass_memo.find_or_probe memo ~config:Feam_core.Config.default target env
        ~bundle ~target_glibc:(Some (Site.glibc target)) ~candidates:[]
        (fun ~clock:_ ->
          ran := true;
          (None, []))
-      : Stack_memo.selection);
+      : Pass_memo.selection);
   !ran
 
 let test_key_misses () =
   let target, bundle = small_cell () in
-  let memo = Stack_memo.create () in
+  let memo = Pass_memo.create () in
   Alcotest.(check bool) "first lookup misses" true
     (missed memo target (Some bundle));
   Alcotest.(check bool) "the same inputs hit" false
@@ -199,10 +211,10 @@ let test_hit_redoes_effects () =
     Cost.charge (Some clock) 0.2;
     (None, [ ("stack", "why") ])
   in
-  let memo = Stack_memo.create () in
+  let memo = Pass_memo.create () in
   let clock = Feam_util.Sim_clock.create () in
   let lookup bundle =
-    Stack_memo.find_or_probe memo ~clock ~config:Feam_core.Config.default
+    Pass_memo.find_or_probe memo ~clock ~config:Feam_core.Config.default
       target (Site.base_env target) ~bundle:(Some bundle) ~target_glibc:None
       ~candidates:[] work
   in
