@@ -1,4 +1,4 @@
-(* The caches of one evaluation pass.  See eval_ctx.mli. *)
+(* The caches of an evaluation.  See eval_ctx.mli. *)
 
 type t = { describe : Bdc.memo; memo : Pass_memo.t option }
 

@@ -1,20 +1,21 @@
-(** The caches of one evaluation pass (DESIGN §17), passed down as a
-    value: there is no global instance.
+(** The caches of an evaluation (DESIGN §17), passed down as a value:
+    there is no global instance.
 
     A pass is one world state: {!Feam_evalharness.Migrate.run_all},
-    Audit's build, the depot statistics, one drift epoch, one serve
-    request.  Drift runs and the serve engine hold a describe memo for
-    their lifetime and create a context around it for every pass:
-    descriptions stay valid across passes (they are keyed by image
-    content), probe outcomes and bundles do not (sites change between
-    passes). *)
+    Audit's build, the depot statistics, one drift epoch.  Drift runs
+    hold a describe memo for their lifetime and create a context around
+    it for every epoch: an epoch rebuilds its world, and the pass memo's
+    guard refuses a rebuilt site.  A serve engine keeps one context for
+    its lifetime: its sites change in place, each change moves the
+    site's generation, and the pass memo keys every entry on it, so an
+    entry serves every request until its site changes. *)
 type t = {
-  describe : Bdc.memo;  (** BDC descriptions, may outlive the pass *)
+  describe : Bdc.memo;  (** BDC descriptions, keyed by image content *)
   memo : Pass_memo.t option;
-      (** the pass's MPI-stack and source-phase memo; [None] computes
-          every time *)
+      (** the MPI-stack and source-phase memo; [None] computes every
+          time *)
 }
 
-(** A fresh pass: a fresh pass memo over [describe] (default: a fresh
-    describe memo). *)
+(** A fresh context: a fresh pass memo over [describe] (default: a
+    fresh describe memo). *)
 val create : ?describe:Bdc.memo -> unit -> t

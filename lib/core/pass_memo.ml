@@ -1,4 +1,4 @@
-(* The memo of one evaluation pass (DESIGN §17): the MPI-stack
+(* The evaluation memo (DESIGN §17): the MPI-stack
    determinant's outcomes (paper §III.B, §V.C) and the source phase's
    bundles (paper §V, Figure 2).
 
@@ -8,9 +8,11 @@
    one pass repeats it for the same inputs many times: every binary of
    one stack family asks each target the same question.  The source
    phase is the paper's once-per-binary step, but a pass runs it once
-   per matrix cell, and none of its inputs is the target.  A memo lives
-   for one pass and is passed down explicitly; callers that pass none
-   compute every time.
+   per matrix cell, and none of its inputs is the target.  A memo is
+   passed down explicitly; callers that pass none compute every time.
+   Its keys carry each site's committed generation, so a memo may
+   outlive a pass: a serve engine keeps one across requests, and an
+   entry serves until its site changes.
 
    A hit must leave the world exactly as a miss would, so a miss runs
    under recorders for every channel its effects outlive it on, and a
@@ -63,29 +65,56 @@ let replay ?clock tape =
 type selection =
   (Discovery.discovered_stack * Stack_install.t) option * (string * string) list
 
-type t = {
+(* One site's entries, all made at one generation of it: the
+   determinants run at the site and the source phases of binaries homed
+   there. *)
+type entries = {
+  site : Site.t;  (* the site the name stood for in earlier lookups *)
+  generation : int;
   stacks : (string, selection tape) Hashtbl.t;
   sources : (string, (Bundle.t, string) result tape) Hashtbl.t;
-  sites : (string, Site.t) Hashtbl.t;  (* the site each name stood for *)
 }
 
-let create () =
-  {
-    stacks = Hashtbl.create 64;
-    sources = Hashtbl.create 64;
-    sites = Hashtbl.create 8;
-  }
+type t = (string, entries) Hashtbl.t  (* by site name *)
 
-(* A key names a site; the site must not be another world's. *)
-let check_site t site =
+let create () = Hashtbl.create 8
+
+(* The site's entries at its current generation.  A site found at a
+   newer generation than its entries' loses them: they describe a site
+   that has since changed, and generations only grow, so no lookup can
+   match them again.  A key names a site; the site must not be another
+   world's. *)
+let entries t site =
   let name = Site.name site in
-  match Hashtbl.find_opt t.sites name with
-  | None -> Hashtbl.add t.sites name site
-  | Some s when s == site -> ()
-  | Some _ ->
+  let generation = Site.generation site in
+  let fresh () =
+    let e =
+      {
+        site;
+        generation;
+        stacks = Hashtbl.create 16;
+        sources = Hashtbl.create 16;
+      }
+    in
+    Hashtbl.replace t name e;
+    e
+  in
+  match Hashtbl.find_opt t name with
+  | None -> fresh ()
+  | Some e when e.site != site ->
     invalid_arg
       ("Pass_memo: site " ^ name
      ^ " is another world's; start a new pass for a rebuilt world")
+  | Some e when e.generation = generation -> e
+  | Some _ -> fresh ()
+
+let held t =
+  Hashtbl.fold
+    (fun name e acc ->
+      (name, e.generation, Hashtbl.length e.stacks + Hashtbl.length e.sources)
+      :: acc)
+    t []
+  |> List.sort compare
 
 (* [name].hit / [name].miss count the lookups. *)
 let find_or_record table ~name ~prefixes ?clock key f =
@@ -119,6 +148,7 @@ let add_list b f l =
 
 let add_context b ~config site env =
   add b (Site.name site);
+  add b (string_of_int (Site.generation site));
   add_list b (fun (k, v) -> add b k; add b v) (Env.bindings env);
   add b (Config.to_file_body config)
 
@@ -155,9 +185,8 @@ let stack_key ~config site env ~bundle ~target_glibc ~candidates =
 
 let find_or_probe t ?clock ~config site env ~bundle ~target_glibc ~candidates
     probe =
-  check_site t site;
-  find_or_record t.stacks ~name:"tec.stack_memo" ~prefixes:stack_counters
-    ?clock
+  find_or_record (entries t site).stacks ~name:"tec.stack_memo"
+    ~prefixes:stack_counters ?clock
     (stack_key ~config site env ~bundle ~target_glibc ~candidates)
     probe
 
@@ -177,8 +206,8 @@ let source_counters =
     "bdc.objdump_parse_failures";
   ]
 
-(* The binary's image stands in for the home site's contents, which a
-   pass does not change. *)
+(* The home site's generation fixes its lasting contents; the image
+   keys what the path holds, also under a scope's writes. *)
 let source_key ~config site env ~binary_path ~image =
   let b = key_buffer () in
   add_context b ~config site env;
@@ -191,8 +220,7 @@ let source_key ~config site env ~binary_path ~image =
   Buffer.contents b
 
 let find_or_source t ?clock ~config site env ~binary_path ~image source =
-  check_site t site;
-  find_or_record t.sources ~name:"phases.source_memo"
+  find_or_record (entries t site).sources ~name:"phases.source_memo"
     ~prefixes:source_counters ?clock
     (source_key ~config site env ~binary_path ~image)
     source

@@ -1,22 +1,26 @@
-(** The memo of one evaluation pass (DESIGN §17): one MPI-stack probe
-    outcome (paper §III.B, §V.C) and one source-phase bundle (paper §V)
-    per distinct input.
+(** The evaluation memo (DESIGN §17): one MPI-stack probe outcome
+    (paper §III.B, §V.C) and one source-phase bundle (paper §V) per
+    distinct input and site generation.
 
-    A pass ({!Feam_evalharness.Migrate.run_all}, a drift epoch, a serve
-    request, the matrix journals) creates one memo, inside its
-    {!Eval_ctx}, and hands it down to {!Tec.evaluate} and
-    {!Phases.source_phase}; there is no global instance.  Both tables
-    store one tape per entry: the result plus everything the miss did
-    beyond it that outlives it — flight-recorder records, the table's
-    counters, the build-ID serial and the simulated-clock charges.  A
-    hit replays the tape in that order.  Files are not among them: the
-    determinant runs in its own file-system scope ({!Tec.select_stack})
-    and the source phase writes nothing.
+    A pass ({!Feam_evalharness.Migrate.run_all}, a drift epoch, the
+    matrix journals) creates one memo, inside its {!Eval_ctx}, and hands
+    it down to {!Tec.evaluate} and {!Phases.source_phase}; a serve engine
+    keeps one for its lifetime.  There is no global instance.  Both
+    tables store one tape per entry: the result plus everything the miss
+    did beyond it that outlives it — flight-recorder records, the
+    table's counters, the build-ID serial and the simulated-clock
+    charges.  A hit replays the tape in that order.  Files are not among
+    them: the determinant runs in its own file-system scope
+    ({!Tec.select_stack}) and the source phase writes nothing.
 
-    Sound only while sites change nowhere but in staging areas within
-    the pass, which is true of every pass that creates a memo.  To catch
-    a memo carried into a rebuilt world, every lookup checks that its
-    site is physically the one its name stood for in earlier lookups. *)
+    Every key carries its site's committed generation
+    ({!Feam_sysmodel.Site.generation}), which grows with every change to
+    the site that lasts, so an entry is valid exactly while its site
+    stays at that generation.  A lookup that finds its site at a newer
+    generation drops the site's entries first: the memo holds at most
+    one generation per site.  To catch a memo carried into a rebuilt
+    world, every lookup also checks that its site is physically the one
+    its name stood for in earlier lookups. *)
 
 (** The determinant's result: the first functioning candidate with its
     install, and each failed candidate's slug and reason. *)
@@ -32,11 +36,11 @@ val create : unit -> t
     ~candidates probe] is [probe ~clock] on a miss, run under recorders
     and charged to [clock] afterwards, and the recorded outcome replayed
     on a hit, with its [edc.probe_*] and [resolve.*] counters.  The key
-    is whether the flight recorder is on, the site's name, [env],
-    [config], [target_glibc], the candidates' slugs in order and, for a
-    bundle, its origin site, its probes' names, stacks and sizes, and
-    its copies' requests, content keys and sizes.  Lookups count as
-    [tec.stack_memo.hit] / [tec.stack_memo.miss].
+    is whether the flight recorder is on, the site's name and
+    generation, [env], [config], [target_glibc], the candidates' slugs
+    in order and, for a bundle, its origin site, its probes' names,
+    stacks and sizes, and its copies' requests, content keys and sizes.
+    Lookups count as [tec.stack_memo.hit] / [tec.stack_memo.miss].
 
     @raise Invalid_argument when an earlier lookup named another site
     value with [site]'s name. *)
@@ -59,9 +63,9 @@ val find_or_probe :
     [edc.discoveries], [bdc.library_copies], [bdc.unlocatable],
     [bdc.locate_failures] and [bdc.objdump_parse_failures] counters;
     the describe and parse caches' counters count real work only.  The
-    key is whether the flight recorder is on, the site's name, [env],
-    [config], [binary_path] and the image's content key and declared
-    size.  Lookups count as [phases.source_memo.hit] /
+    key is whether the flight recorder is on, the site's name and
+    generation, [env], [config], [binary_path] and the image's content
+    key and declared size.  Lookups count as [phases.source_memo.hit] /
     [phases.source_memo.miss].
 
     @raise Invalid_argument as {!find_or_probe}. *)
@@ -75,3 +79,7 @@ val find_or_source :
   image:(string * int) option ->
   (clock:Feam_util.Sim_clock.t -> (Bundle.t, string) result) ->
   (Bundle.t, string) result
+
+(** Each site the memo holds entries for, sorted by name, with the
+    generation its entries were made at and their number. *)
+val held : t -> (string * int * int) list

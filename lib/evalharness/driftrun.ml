@@ -193,7 +193,7 @@ let predict_cell ?ctx (binary : Testset.binary) target =
   }
 
 (* Each pass below is one evaluation pass under [ctx] (DESIGN §17); a
-   caller that changes or rebuilds the world starts a new one. *)
+   caller that rebuilds the world starts a new one. *)
 let predict_all ?(ctx = Feam_core.Eval_ctx.create ()) sites binaries =
   List.map (fun (b, t) -> predict_cell ~ctx b t) (all_cells sites binaries)
 

@@ -99,8 +99,9 @@ val predict_cell :
 
 (** A full prediction pass: {!predict_cell} over {!all_cells}, in
     matrix order, under [ctx] (default: a fresh {!Feam_core.Eval_ctx}).
-    A context's pass memo serves one world: a caller that changes or
-    rebuilds the world creates a new context for the next pass. *)
+    A context's pass memo serves one world, across changes to its
+    sites (each moves the site's generation); a caller that rebuilds
+    the world creates a new context for it. *)
 val predict_all :
   ?ctx:Feam_core.Eval_ctx.t ->
   Feam_sysmodel.Site.t list ->

@@ -35,9 +35,9 @@ type t = {
   params : Params.t;
   seed : int;
   clock : Feam_obs.Clock.t;
-  describe : Feam_core.Bdc.memo;
-      (* warm for the engine's lifetime; each pass gets a fresh pass
-         memo around it *)
+  ctx : Feam_core.Eval_ctx.t;
+      (* the engine's caches, warm for its lifetime: a pass-memo entry
+         serves until its site's generation moves *)
   store : Evidence.Store.t;
   index : (string * string, Snapshot.cell) Hashtbl.t;
   mutable sites : Site.t list;
@@ -56,8 +56,8 @@ let store_site t site =
     (Evidence.Site_owner s.Snapshot.ss_name)
     (Snapshot.site_atoms s)
 
-let store_binary ~ctx t (binary : Testset.binary) =
-  let b = Driftrun.capture_binary ~ctx binary in
+let store_binary t (binary : Testset.binary) =
+  let b = Driftrun.capture_binary ~ctx:t.ctx binary in
   Evidence.Store.replace t.store
     (Evidence.Binary_owner b.Snapshot.bs_id)
     (Snapshot.binary_atoms b)
@@ -86,17 +86,15 @@ let create ?specs ?benchmarks ?(clock = Feam_obs.Clock.fixed ()) ~seed () =
     Option.value benchmarks ~default:(Driftrun.small_benchmarks ())
   in
   let params = { Params.default with Params.seed } in
-  let describe = Feam_core.Bdc.create_memo () in
   let sites, binaries = Driftrun.build_world params specs benchmarks [] in
-  (* One pass for the baseline table and the baseline capture. *)
-  let ctx = Feam_core.Eval_ctx.create ~describe () in
+  let ctx = Feam_core.Eval_ctx.create () in
   let cells = Driftrun.predict_all ~ctx sites binaries in
   let t =
     {
       params;
       seed;
       clock;
-      describe;
+      ctx;
       store = Evidence.Store.create ();
       index = Hashtbl.create 1024;
       sites;
@@ -108,7 +106,7 @@ let create ?specs ?benchmarks ?(clock = Feam_obs.Clock.fixed ()) ~seed () =
     }
   in
   List.iter (fun site -> ignore (store_site t site)) sites;
-  List.iter (fun b -> ignore (store_binary ~ctx t b)) binaries;
+  List.iter (fun b -> ignore (store_binary t b)) binaries;
   reindex t;
   (* Register the exported counters at zero so the Prometheus expo
      lists them before the first request arrives. *)
@@ -117,10 +115,6 @@ let create ?specs ?benchmarks ?(clock = Feam_obs.Clock.fixed ()) ~seed () =
   t
 
 let close _t = ()
-
-(* A fresh pass over the current world: a request that changes the
-   world starts its pass after the change. *)
-let pass t = Feam_core.Eval_ctx.create ~describe:t.describe ()
 
 let resident_cells t = List.length t.cells
 
@@ -131,9 +125,8 @@ let epoch t = t.epoch
 (* -- incremental re-evaluation ----------------------------------------- *)
 
 (* Extend the matrix after a registration: evaluate the pairs the new
-   owners created, in the registration's pass, keep the resident table
-   in enumeration order. *)
-let extend_matrix ~ctx t =
+   owners created, keep the resident table in enumeration order. *)
+let extend_matrix t =
   let pairs = Driftrun.all_cells t.sites t.binaries in
   let fresh =
     List.filter
@@ -144,7 +137,7 @@ let extend_matrix ~ctx t =
   List.iter
     (fun (b, target) ->
       Hashtbl.replace t.index (b.Testset.id, Site.name target)
-        (Driftrun.predict_cell ~ctx b target))
+        (Driftrun.predict_cell ~ctx:t.ctx b target))
     fresh;
   t.cells <-
     List.map
@@ -252,14 +245,14 @@ let update_evidence t site_name action =
         (Vfs.remove (Site.vfs site))
         (Vfs.find_by_basename (Site.vfs site) (fun b -> b = name)));
     (* A home-site change surfaces through its binaries' bundles, so
-       recapture them along with the site itself, in the pass that
-       re-evaluates. *)
-    let ctx = pass t in
+       recapture them along with the site itself.  The change moved the
+       site's generation, so their source phases rerun and the other
+       sites' entries serve on. *)
     let changes =
       store_site t site
       @ List.concat_map
           (fun (b : Testset.binary) ->
-            if Site.name b.Testset.home = site_name then store_binary ~ctx t b
+            if Site.name b.Testset.home = site_name then store_binary t b
             else [])
           t.binaries
     in
@@ -272,7 +265,7 @@ let update_evidence t site_name action =
       if changes = [] then []
       else begin
         let reevaluated =
-          Driftrun.reevaluate ~ctx t.sites t.binaries
+          Driftrun.reevaluate ~ctx:t.ctx t.sites t.binaries
             plan.Invalidate.pl_affected
         in
         let before = t.cells in
@@ -309,7 +302,7 @@ let register_site t name =
       in
       t.sites <- t.sites @ [ site ];
       ignore (store_site t site);
-      let evaluated = extend_matrix ~ctx:(pass t) t in
+      let evaluated = extend_matrix t in
       t.epoch <- t.epoch + 1;
       ok "register-site"
         [
@@ -344,9 +337,8 @@ let register_binary t ~home ~benchmark =
         err "binary-resident" "every built binary is already resident"
       else begin
         t.binaries <- t.binaries @ fresh;
-        let ctx = pass t in
-        List.iter (fun b -> ignore (store_binary ~ctx t b)) fresh;
-        let evaluated = extend_matrix ~ctx t in
+        List.iter (fun b -> ignore (store_binary t b)) fresh;
+        let evaluated = extend_matrix t in
         t.epoch <- t.epoch + 1;
         ok "register-binary"
           [
@@ -366,7 +358,7 @@ let register_binary t ~home ~benchmark =
 (* -- snapshot / crosscheck / stats ------------------------------------- *)
 
 let snapshot t =
-  Driftrun.snapshot_of_world ~ctx:(pass t) ~epoch:t.epoch ~seed:t.seed
+  Driftrun.snapshot_of_world ~ctx:t.ctx ~epoch:t.epoch ~seed:t.seed
     ~label:"serve" t.sites t.binaries ~cells:t.cells
 
 let snapshot_fleet t ~out ~write_file =
@@ -386,10 +378,13 @@ let snapshot_fleet t ~out ~write_file =
     ]
 
 (* The drift harness's byte-identity contract, live: a cold full
-   prediction pass over the resident world must serialize identically
-   to the incrementally maintained table. *)
+   prediction pass over the resident world, with a fresh pass memo,
+   must serialize identically to the incrementally maintained table. *)
 let crosscheck_matches t =
-  let full = Driftrun.predict_all ~ctx:(pass t) t.sites t.binaries in
+  let ctx =
+    Feam_core.Eval_ctx.create ~describe:t.ctx.Feam_core.Eval_ctx.describe ()
+  in
+  let full = Driftrun.predict_all ~ctx t.sites t.binaries in
   String.equal
     (Driftrun.cells_doc ~epoch:t.epoch ~seed:t.seed t.cells)
     (Driftrun.cells_doc ~epoch:t.epoch ~seed:t.seed full)

@@ -17,11 +17,15 @@ type t
     two-site world; the CLI passes the full Table II fleet under
     [--full].  [clock] feeds only the [serve.query_ns] histogram and
     defaults to the fixed zero clock, keeping tests deterministic.
-    The engine holds one describe memo for its lifetime, warm across
-    requests, and evaluates each world state in one pass
-    ({!Feam_core.Eval_ctx}) around it: the baseline, each update's
-    recapture and re-evaluation, each registration's capture and new
-    cells, each snapshot and each crosscheck. *)
+    The engine keeps one evaluation context ({!Feam_core.Eval_ctx}) for
+    its lifetime, warm across requests: the baseline, every update's
+    recapture and re-evaluation, every registration's capture and new
+    cells and every snapshot share its describe memo and pass memo.  A
+    pass-memo entry is keyed on its site's generation, so an update
+    reruns the source phase only for binaries homed at the site it
+    changed and keeps every probe outcome whose key still matches.
+    Only a crosscheck runs a cold pass, with a fresh pass memo: it is
+    the oracle. *)
 val create :
   ?specs:Feam_evalharness.Sites.spec list ->
   ?benchmarks:Feam_suites.Benchmark.t list ->

@@ -46,6 +46,14 @@ val elf_class : t -> Feam_elf.Types.elf_class
 val bits : t -> [ `B32 | `B64 ]
 val add_stack_install : t -> Stack_install.t -> unit
 
+(** The site's committed generation: it grows with every change that
+    lasts — each file-system write outside a {!Vfs.scoped} scope
+    ({!Vfs.generation}) and each real change through
+    {!add_stack_install}, {!add_ld_conf_dir} or {!set_ld_cache_current}
+    — and with nothing else.  A result computed from the site stays
+    true while the generation does (DESIGN §17). *)
+val generation : t -> int
+
 (** Extra directories registered in /etc/ld.so.conf: compiler runtime
     locations the administrator added. *)
 val ld_conf_dirs : t -> string list

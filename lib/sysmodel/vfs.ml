@@ -23,18 +23,24 @@ type entry = { path : string; before : file option }
 (* [log] holds every write, newest first, while [depth] scopes are open;
    outside them it is empty and nothing is logged.  Each scope remembers
    the log as it found it and undoes only the entries newer than that
-   mark. *)
+   mark.  [generation] counts the writes made outside every scope: the
+   ones no scope undoes. *)
 type t = {
   files : (string, file) Hashtbl.t;
   mutable log : entry list;
   mutable depth : int;
+  mutable generation : int;
 }
 
-let create () = { files = Hashtbl.create 256; log = []; depth = 0 }
+let create () =
+  { files = Hashtbl.create 256; log = []; depth = 0; generation = 0 }
+
+let generation t = t.generation
 
 let write t path after =
   if t.depth > 0 then
-    t.log <- { path; before = Hashtbl.find_opt t.files path } :: t.log;
+    t.log <- { path; before = Hashtbl.find_opt t.files path } :: t.log
+  else t.generation <- t.generation + 1;
   match after with
   | Some f -> Hashtbl.replace t.files path f
   | None -> Hashtbl.remove t.files path

@@ -37,6 +37,11 @@ val remove : t -> string -> unit
     only its own changes.  Outside any scope writes are not logged. *)
 val scoped : t -> (unit -> 'a) -> 'a
 
+(** The number of writes made outside any {!scoped} scope: the changes
+    that last.  Writes inside a scope leave it unchanged, since the
+    scope undoes them. *)
+val generation : t -> int
+
 (** Resolve symlinks (bounded depth; cycles yield [None]); returns the
     real path and the file. *)
 val resolve : ?depth:int -> t -> string -> (string * file) option

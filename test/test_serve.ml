@@ -351,9 +351,9 @@ let transcript =
     {|{"verb":"stats"}|};  (* past shutdown: must never be served *)
   ]
 
-let replay_transcript () =
+let serve_transcript lines =
   with_engine @@ fun engine ->
-  let inputs = ref transcript in
+  let inputs = ref lines in
   let outputs = Buffer.create 1024 in
   let outcome =
     Daemon.with_signals @@ fun () ->
@@ -369,8 +369,8 @@ let replay_transcript () =
   (outcome, Buffer.contents outputs)
 
 let test_transcript_replay_byte_identity () =
-  let outcome_a, a = replay_transcript () in
-  let outcome_b, b = replay_transcript () in
+  let outcome_a, a = serve_transcript transcript in
+  let outcome_b, b = serve_transcript transcript in
   Alcotest.(check bool) "shutdown verb ended the loop" true
     outcome_a.Daemon.shutdown;
   Alcotest.(check int)
@@ -386,6 +386,101 @@ let test_transcript_replay_byte_identity () =
   Alcotest.(check bool)
     "crosscheck passed mid-transcript" true
     (contains ~affix:{|"matches":true|} a)
+
+(* -- the lifetime memo ---------------------------------------------------- *)
+
+(* A seeded transcript of 48 requests that change or read the fleet,
+   each followed by a crosscheck: ld-cache toggles on every resident
+   site (some of them inert), two removals of libraries that home
+   binaries ship, a site registration, two binary registrations (the
+   first compiles into a site whose memo entries are warm) and three
+   snapshots. *)
+let memo_transcript () =
+  let rng = Feam_util.Prng.create 23 in
+  let sites = ref [ "fir"; "india" ] in
+  let update ?(site = Feam_util.Prng.pick rng !sites) action extra =
+    Printf.sprintf
+      {|{"verb":"update-evidence","site":"%s","action":"%s"%s}|}
+      site action extra
+  in
+  let remove site lib = update ~site "remove-lib" ({|,"lib":"|} ^ lib ^ {|"|}) in
+  let request = function
+    | 10 ->
+      sites := !sites @ [ "forge" ];
+      {|{"verb":"register-site","site":"forge"}|}
+    | 18 -> {|{"verb":"register-binary","home":"fir","benchmark":"cg.A"}|}
+    | 30 -> {|{"verb":"register-binary","home":"forge","benchmark":"is.A"}|}
+    | 14 -> remove "fir" "libimf.so"
+    | 34 -> remove "india" "libgfortran.so.1"
+    | 7 | 25 | 43 -> {|{"verb":"snapshot"}|}
+    | _ ->
+      update
+        (if Feam_util.Prng.bool rng 0.5 then "stale-ld-cache"
+         else "fresh-ld-cache")
+        ""
+  in
+  let lines = ref [] in
+  for i = 0 to 47 do
+    lines := {|{"verb":"crosscheck"}|} :: request i :: !lines
+  done;
+  List.rev_append !lines [ {|{"verb":"stats"}|}; {|{"verb":"shutdown"}|} ]
+
+(* The transcript through the daemon loop as `feam serve --journal`
+   runs it: the responses, the journal's size and digest, and every
+   counter outside the [*.hit] / [*.miss] / [*.saved_bytes] families,
+   which count cache lookups and what their hits saved, and so depend
+   on how long an entry lives. *)
+let memo_transcript_record () =
+  Feam_obs.Metrics.reset ();
+  let journal = ref "" in
+  Feam_flightrec.Recorder.configure ~tool:"serve-test"
+    ~emit:(fun body -> journal := body)
+    ();
+  Fun.protect ~finally:Feam_flightrec.Recorder.disable @@ fun () ->
+  let _, responses = serve_transcript (memo_transcript ()) in
+  let counters =
+    List.filter_map
+      (fun (key, (e : Feam_obs.Metrics.entry)) ->
+        match e.Feam_obs.Metrics.metric with
+        | Feam_obs.Metrics.Counter n
+          when not
+                 (List.exists
+                    (fun suffix ->
+                      String.ends_with ~suffix e.Feam_obs.Metrics.name)
+                    [ ".hit"; ".miss"; ".saved_bytes" ]) ->
+          Some (Printf.sprintf "%s %d\n" key !n)
+        | _ -> None)
+      (Feam_obs.Metrics.snapshot ())
+  in
+  String.concat ""
+    ([ "responses\n"; responses ]
+    @ [
+        Printf.sprintf "journal %d %s\n" (String.length !journal)
+          (Digest.to_hex (Digest.string !journal));
+        "counters\n";
+      ]
+    @ counters)
+
+let memo_fixture = "fixtures/serve_lifetime_memo.expected"
+
+(* The engine keeps one evaluation context for its lifetime, so an
+   update reruns only the changed site's source phases.  Everything a
+   client or an operator sees must be as it was when every request
+   made a fresh pass: the fixture was recorded that way. *)
+let test_lifetime_memo_matches_fresh_passes () =
+  let got = memo_transcript_record () in
+  let expected = In_channel.with_open_bin memo_fixture In_channel.input_all in
+  let lines = String.split_on_char '\n' got in
+  let count affix = List.length (List.filter (contains ~affix) lines) in
+  Alcotest.(check int)
+    "every mutation is crosschecked" 48
+    (count {|"verb":"crosscheck"|});
+  Alcotest.(check int)
+    "every crosscheck matches a cold pass" 48
+    (count {|"matches":true|});
+  Alcotest.(check string)
+    "responses, journal and counters as with a pass per request" expected
+    got
 
 (* -- graceful drain ----------------------------------------------------- *)
 
@@ -505,6 +600,8 @@ let suite =
         test_snapshot_is_a_drift_epoch;
       Alcotest.test_case "transcript replays byte-for-byte" `Slow
         test_transcript_replay_byte_identity;
+      Alcotest.test_case "the lifetime memo serves as fresh passes did" `Slow
+        test_lifetime_memo_matches_fresh_passes;
       Alcotest.test_case "SIGINT drains and the journal stays whole" `Quick
         test_sigint_drains_and_journal_is_whole;
       Alcotest.test_case "prom exposition covers serve metrics" `Quick

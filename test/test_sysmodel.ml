@@ -184,6 +184,106 @@ let test_current_stack_path_fallback () =
       (Stack_install.module_name found)
   | None -> Alcotest.fail "PATH fallback failed"
 
+(* -- Site generation ---------------------------------------------------- *)
+
+(* A site's generation moves with every change that lasts and with
+   nothing else: a setter that changes nothing and a scope's writes
+   leave it. *)
+let test_site_generation () =
+  let site, installs = Fixtures.small_site () in
+  let check what expected =
+    Alcotest.(check int) what expected (Site.generation site)
+  in
+  let gen = Site.generation site in
+  Site.set_ld_cache_current site (Site.ld_cache_current site);
+  check "setting the loader cache to its value does not bump it" gen;
+  Site.set_ld_cache_current site false;
+  check "marking the loader cache stale bumps it" (gen + 1);
+  Site.set_ld_cache_current site false;
+  check "marking it stale again does not" (gen + 1);
+  Site.add_ld_conf_dir site "/custom/lib";
+  check "a new ld.so.conf dir bumps it" (gen + 2);
+  Site.add_ld_conf_dir site "/custom/lib";
+  check "a registered one does not" (gen + 2);
+  Site.add_stack_install site (List.hd installs);
+  check "a stack install bumps it" (gen + 3);
+  let vfs = Site.vfs site in
+  Vfs.scoped vfs (fun () -> Vfs.add vfs "/tmp/feam/x" (Vfs.Text ""));
+  check "a scoped write does not" (gen + 3);
+  Vfs.add vfs "/opt/x" (Vfs.Text "");
+  check "a lasting write does" (gen + 4)
+
+let source_misses () =
+  Option.value ~default:0
+    (Feam_obs.Metrics.counter_value "phases.source_memo.miss")
+
+(* A serve update that changes nothing leaves every memo entry valid, so
+   its recapture reruns no source phase; a real one reruns exactly the
+   source phases of the binaries homed at the changed site. *)
+let test_inert_update_no_source_miss () =
+  let module Engine = Feam_serve.Engine in
+  let module Protocol = Feam_serve.Protocol in
+  let engine =
+    Engine.create ~seed:Feam_evalharness.Params.default.Feam_evalharness.Params.seed ()
+  in
+  let update action =
+    let before = source_misses () in
+    ignore
+      (Engine.handle ~write_file:(fun _ _ -> ()) engine
+         (Protocol.Update_evidence { ue_site = "fir"; ue_action = action })
+        : string);
+    source_misses () - before
+  in
+  let homed_at_fir =
+    List.length
+      (List.filter
+         (fun (b : Feam_drift.Snapshot.binary_state) ->
+           b.Feam_drift.Snapshot.bs_home = "fir")
+         (Engine.snapshot engine).Feam_drift.Snapshot.binaries)
+  in
+  Alcotest.(check bool) "some binaries are homed at fir" true (homed_at_fir > 0);
+  Alcotest.(check int) "a real update reruns fir's source phases only"
+    homed_at_fir (update Protocol.Stale_ld_cache);
+  Alcotest.(check int) "an inert update reruns none" 0
+    (update Protocol.Stale_ld_cache)
+
+(* An evaluation context kept across 50 alternating site changes holds
+   entries for one generation per site, its current one, and no more of
+   them than after the first round. *)
+let test_memo_one_generation_per_site () =
+  let module Driftrun = Feam_evalharness.Driftrun in
+  let sites, binaries =
+    Driftrun.build_world Feam_evalharness.Params.default
+      (Driftrun.small_specs ()) (Driftrun.small_benchmarks ()) []
+  in
+  let ctx = Feam_core.Eval_ctx.create () in
+  let memo = Option.get ctx.Feam_core.Eval_ctx.memo in
+  let round i =
+    let site = List.nth sites (i mod 2) in
+    Site.set_ld_cache_current site (i mod 4 >= 2);
+    List.iter (fun b -> ignore (Driftrun.capture_binary ~ctx b)) binaries;
+    List.iter
+      (fun (b, target) ->
+        if target == site then ignore (Driftrun.predict_cell ~ctx b target))
+      (Driftrun.all_cells sites binaries)
+  in
+  round 0;
+  round 1;
+  let entries () =
+    List.fold_left (fun acc (_, _, n) -> acc + n) 0 (Feam_core.Pass_memo.held memo)
+  in
+  let first = entries () in
+  for i = 2 to 51 do
+    round i
+  done;
+  Alcotest.(check (list (pair string int)))
+    "one generation per site, its current one"
+    (List.sort compare
+       (List.map (fun s -> (Site.name s, Site.generation s)) sites))
+    (List.map (fun (name, gen, _) -> (name, gen)) (Feam_core.Pass_memo.held memo));
+  Alcotest.(check bool) "no more entries than after the first round" true
+    (entries () <= first)
+
 let suite =
   ( "sysmodel",
     [
@@ -202,4 +302,10 @@ let suite =
       Alcotest.test_case "no tool" `Quick test_modules_none;
       Alcotest.test_case "module load/current" `Quick test_modules_load_and_current;
       Alcotest.test_case "current via PATH" `Quick test_current_stack_path_fallback;
+      Alcotest.test_case "site generation counts lasting changes" `Quick
+        test_site_generation;
+      Alcotest.test_case "an inert update reruns no source phase" `Quick
+        test_inert_update_no_source_miss;
+      Alcotest.test_case "the memo holds one generation per site" `Slow
+        test_memo_one_generation_per_site;
     ] )

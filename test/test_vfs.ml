@@ -243,6 +243,37 @@ let prop_scoped_restores =
       (try Vfs.scoped fs (fun () -> run fs ok ops) with Exit -> ());
       !ok && state fs = before)
 
+(* The generation counts the writes that last: a scope's writes are
+   undone, so they leave it where it was, also when the scope raises and
+   when scopes nest. *)
+let test_generation () =
+  let fs = mk () in
+  let gen = Vfs.generation fs in
+  Vfs.add fs "/a/x" (Vfs.Text "1");
+  Alcotest.(check int) "a write outside any scope bumps it" (gen + 1)
+    (Vfs.generation fs);
+  let gen = Vfs.generation fs in
+  Vfs.scoped fs (fun () ->
+      Vfs.add fs "/a/y" (Vfs.Text "2");
+      Vfs.remove fs "/a/x");
+  Alcotest.(check int) "scoped writes leave it" gen (Vfs.generation fs);
+  (try
+     Vfs.scoped fs (fun () ->
+         Vfs.add fs "/a/z" (Vfs.Text "3");
+         raise Exit)
+   with Exit -> ());
+  Alcotest.(check int) "a raising scope leaves it" gen (Vfs.generation fs);
+  Vfs.scoped fs (fun () ->
+      Vfs.add fs "/a/y" (Vfs.Text "4");
+      Vfs.scoped fs (fun () -> Vfs.remove_tree fs "/a");
+      (try Vfs.scoped fs (fun () -> Vfs.add fs "/b" (Vfs.Text ""); raise Exit)
+       with Exit -> ());
+      Vfs.add fs "/c" (Vfs.Text ""));
+  Alcotest.(check int) "nested scopes leave it" gen (Vfs.generation fs);
+  Vfs.remove fs "/a/x";
+  Alcotest.(check int) "a removal outside any scope bumps it" (gen + 1)
+    (Vfs.generation fs)
+
 let suite =
   ( "vfs",
     [
@@ -260,4 +291,6 @@ let suite =
       Alcotest.test_case "scoped undoes after a raise" `Quick test_scoped_raise;
       Alcotest.test_case "nested scopes" `Quick test_scoped_nested;
       QCheck_alcotest.to_alcotest prop_scoped_restores;
+      Alcotest.test_case "generation counts lasting writes" `Quick
+        test_generation;
     ] )
