@@ -2,13 +2,11 @@
     there is no global instance.
 
     A pass is one world state: {!Feam_evalharness.Migrate.run_all},
-    Audit's build, the depot statistics, one drift epoch.  Drift runs
-    hold a describe memo for their lifetime and create a context around
-    it for every epoch: an epoch rebuilds its world, and the pass memo's
-    guard refuses a rebuilt site.  A serve engine keeps one context for
-    its lifetime: its sites change in place, each change moves the
-    site's generation, and the pass memo keys every entry on it, so an
-    entry serves every request until its site changes. *)
+    Audit's build, the depot statistics.  A drift run and a serve
+    engine each keep one context for their lifetime: their sites change
+    in place, each change moves the site's generation, and the pass
+    memo keys every entry on it, so an entry serves every epoch or
+    request until its site changes. *)
 type t = {
   describe : Bdc.memo;  (** BDC descriptions, keyed by image content *)
   memo : Pass_memo.t option;

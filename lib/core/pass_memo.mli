@@ -2,10 +2,10 @@
     (paper §III.B, §V.C) and one source-phase bundle (paper §V) per
     distinct input and site generation.
 
-    A pass ({!Feam_evalharness.Migrate.run_all}, a drift epoch, the
-    matrix journals) creates one memo, inside its {!Eval_ctx}, and hands
-    it down to {!Tec.evaluate} and {!Phases.source_phase}; a serve engine
-    keeps one for its lifetime.  There is no global instance.  Both
+    A pass ({!Feam_evalharness.Migrate.run_all}, the matrix journals)
+    creates one memo, inside its {!Eval_ctx}, and hands it down to
+    {!Tec.evaluate} and {!Phases.source_phase}; a drift run and a serve
+    engine keep one for their lifetime.  There is no global instance.  Both
     tables store one tape per entry: the result plus everything the miss
     did beyond it that outlives it — flight-recorder records, the
     table's counters, the build-ID serial and the simulated-clock

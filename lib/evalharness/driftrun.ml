@@ -2,16 +2,19 @@
    over the migration matrix, snapshotting evidence at each epoch and
    re-evaluating only the cells the invalidation engine marks affected.
 
-   Epoch k's world is rebuilt from scratch (Sites.build_specs resets
-   image counters, so worlds are byte-reproducible) and the currently
-   active perturbation set is applied on top — binaries are compiled
-   *before* perturbations land, so the matrix shape is constant across
-   the sequence and cells can be compared epoch to epoch.
+   A run builds its world once — binaries are compiled *before*
+   perturbations land, so the matrix shape is constant across the
+   sequence and cells can be compared epoch to epoch — and each epoch
+   changes that live world in place.  One evaluation context serves the
+   whole run: every change moves its site's generation, so the pass
+   memo's entries for the other sites serve on.  The closing
+   cross-check compares the live world's last epoch with a world
+   rebuilt from scratch.
 
    Perturbations reuse the scenario generator's vocabulary (Remove_lib,
    Stale_ld_cache), pinned to a Table II site, drawn from the keyed
    PRNG stream "drift/epoch/<k>".  Draws toggle: re-drawing an active
-   perturbation deactivates it, so sequences include recoveries
+   perturbation undoes it exactly, so sequences include recoveries
    (not-ready -> ready flips), not just decay. *)
 
 open Feam_sysmodel
@@ -65,23 +68,45 @@ let draw ~seed ~epoch ~site_names ~candidates =
   in
   { pe_site = site; pe_what = what }
 
-(* Toggle semantics: drawing an active perturbation deactivates it. *)
-let toggle active p =
-  if List.mem p active then
-    (List.filter (fun q -> q <> p) active, "undo " ^ perturbation_label p)
-  else (active @ [ p ], perturbation_label p)
-
 (* -- world construction ------------------------------------------------ *)
 
 let remove_lib site name =
-  List.iter (Vfs.remove (Site.vfs site)) (Vfs.find_by_basename (Site.vfs site) (fun b -> b = name))
+  let vfs = Site.vfs site in
+  List.filter_map
+    (fun path ->
+      let stored = Vfs.entry vfs path in
+      Vfs.remove vfs path;
+      Option.map (fun file -> (path, file)) stored)
+    (Vfs.find_by_basename vfs (fun b -> b = name))
 
+(* Apply [p] to live sites and return its undo, which puts back exactly
+   what [p] changed: the removed files as they were stored (a symlink
+   stays a symlink), or the cache flag as it was. *)
 let apply_perturbation sites p =
   let site = Sites.find_by_name sites p.pe_site in
   match p.pe_what with
-  | Scengen.Stale_ld_cache -> Site.set_ld_cache_current site false
-  | Scengen.Remove_lib name -> remove_lib site name
-  | _ -> () (* the drift draw only emits the two kinds above *)
+  | Scengen.Stale_ld_cache ->
+    let before = Site.ld_cache_current site in
+    Site.set_ld_cache_current site false;
+    fun () -> Site.set_ld_cache_current site before
+  | Scengen.Remove_lib name ->
+    let removed = remove_lib site name in
+    fun () ->
+      List.iter
+        (fun (path, { Vfs.kind; declared_size }) ->
+          Vfs.add ~declared_size (Site.vfs site) path kind)
+        removed
+  | _ -> Fun.id (* the drift draw only emits the two kinds above *)
+
+type active = (perturbation * (unit -> unit)) list
+
+(* Toggle semantics: drawing an active perturbation undoes it. *)
+let toggle sites active p =
+  match List.assoc_opt p active with
+  | Some undo ->
+    undo ();
+    (List.remove_assoc p active, "undo " ^ perturbation_label p)
+  | None -> (active @ [ (p, apply_perturbation sites p) ], perturbation_label p)
 
 (* Fresh world + testset, then the active perturbation set on top.
    Testset.build runs before perturbations so the corpus (and with it
@@ -89,7 +114,7 @@ let apply_perturbation sites p =
 let build_world params specs benchmarks active =
   let sites = Sites.build_specs params specs in
   let binaries = Testset.build params sites benchmarks in
-  List.iter (apply_perturbation sites) active;
+  List.iter (fun p -> ignore (apply_perturbation sites p : unit -> unit)) active;
   (sites, binaries)
 
 (* -- evidence capture -------------------------------------------------- *)
@@ -192,8 +217,9 @@ let predict_cell ?ctx (binary : Testset.binary) target =
     cl_staged = extended.Migrate.staged;
   }
 
-(* Each pass below is one evaluation pass under [ctx] (DESIGN §17); a
-   caller that rebuilds the world starts a new one. *)
+(* Each pass below runs under [ctx] (DESIGN §17), which serves one
+   world across changes to its sites; a caller that rebuilds the world
+   starts a new one. *)
 let predict_all ?(ctx = Feam_core.Eval_ctx.create ()) sites binaries =
   List.map (fun (b, t) -> predict_cell ~ctx b t) (all_cells sites binaries)
 
@@ -340,23 +366,18 @@ let cells_doc ~epoch ~seed cells =
 let run ?(specs = Sites.specs) ?(benchmarks = Feam_suites.Npb.all @ Feam_suites.Specmpi.all)
     ?(progress = fun _ -> ()) ~seed ~epochs () =
   let params = { Params.default with Params.seed } in
-  (* One describe memo for the whole run, one pass per world: an epoch's
-     capture and re-evaluation share the epoch's pass memo. *)
-  let describe = Feam_core.Bdc.create_memo () in
-  let pass () = Feam_core.Eval_ctx.create ~describe () in
-  (* Candidate removals come from the pristine epoch-0 world. *)
-  let sites0, binaries0 = build_world params specs benchmarks [] in
-  let candidates = removal_candidates sites0 in
-  let site_names = List.map Site.name sites0 in
-  let snapshot_of ~ctx ~epoch ~label ~sites ~binaries ~cells =
-    snapshot_of_world ~ctx ~epoch ~seed ~label sites binaries ~cells
-  in
+  (* One live world and one context for the whole run: an epoch changes
+     the world in place, the change moves the changed site's generation,
+     and the pass memo's entries for every other site serve on.
+     Candidate removals come from the pristine world. *)
+  let sites, binaries = build_world params specs benchmarks [] in
+  let ctx = Feam_core.Eval_ctx.create () in
+  let candidates = removal_candidates sites in
+  let site_names = List.map Site.name sites in
   (* Baseline: evaluate every cell once. *)
-  let ctx0 = pass () in
-  let cells0 = predict_all ~ctx:ctx0 sites0 binaries0 in
+  let cells0 = predict_all ~ctx sites binaries in
   let base_snapshot =
-    snapshot_of ~ctx:ctx0 ~epoch:0 ~label:"" ~sites:sites0
-      ~binaries:binaries0 ~cells:cells0
+    snapshot_of_world ~ctx ~epoch:0 ~seed ~label:"" sites binaries ~cells:cells0
   in
   Invalidate.record_epoch_gauges base_snapshot;
   let base_entry =
@@ -367,16 +388,15 @@ let run ?(specs = Sites.specs) ?(benchmarks = Feam_suites.Npb.all @ Feam_suites.
     (Printf.sprintf "epoch 0: baseline, %d cells evaluated" (List.length cells0));
   let cells_total = List.length cells0 in
   let rec go k active prev acc reeval =
-    if k > epochs then (List.rev acc, reeval, active)
+    if k > epochs then (List.rev acc, reeval, List.map fst active)
     else begin
-      let p = draw ~seed ~epoch:k ~site_names ~candidates in
-      let active, label = toggle active p in
-      let sites, binaries = build_world params specs benchmarks active in
-      let ctx = pass () in
+      let active, label =
+        toggle sites active (draw ~seed ~epoch:k ~site_names ~candidates)
+      in
       (* Capture the new epoch's evidence with the previous verdicts
          still in place, diff, then re-evaluate only the plan. *)
       let candidate =
-        snapshot_of ~ctx ~epoch:k ~label ~sites ~binaries
+        snapshot_of_world ~ctx ~epoch:k ~seed ~label sites binaries
           ~cells:prev.er_snapshot.Snapshot.cells
       in
       let plan = Invalidate.affected prev.er_snapshot candidate in
@@ -422,25 +442,40 @@ let run ?(specs = Sites.specs) ?(benchmarks = Feam_suites.Npb.all @ Feam_suites.
   in
   let later, reeval, final_active = go 1 [] base [] 0 in
   let epochs_list = base :: later in
-  (* Cross-check: a full prediction pass over the final world must agree
-     byte-for-byte with the incrementally maintained verdict table. *)
+  (* Cross-check: the live world's last snapshot — sites, binaries,
+     possession and the incrementally maintained verdicts — must equal,
+     byte for byte, a cold capture and a full prediction pass over a
+     world rebuilt with the same active set, under a fresh context. *)
   let final = List.nth epochs_list (List.length epochs_list - 1) in
   let crosscheck =
-    let full =
+    let epoch = final.er_snapshot.Snapshot.epoch in
+    let rebuilt =
       let sites, binaries = build_world params specs benchmarks final_active in
-      predict_all ~ctx:(pass ()) sites binaries
+      let ctx = Feam_core.Eval_ctx.create () in
+      snapshot_of_world ~ctx ~epoch ~seed ~label:final.er_label sites binaries
+        ~cells:(predict_all ~ctx sites binaries)
     in
-    let a =
-      cells_doc ~epoch:final.er_snapshot.Snapshot.epoch ~seed
-        final.er_snapshot.Snapshot.cells
-    in
-    let b = cells_doc ~epoch:final.er_snapshot.Snapshot.epoch ~seed full in
-    if String.equal a b then Ok ()
-    else
+    if
+      not
+        (String.equal
+           (cells_doc ~epoch ~seed final.er_snapshot.Snapshot.cells)
+           (cells_doc ~epoch ~seed rebuilt.Snapshot.cells))
+    then
       Error
         (Printf.sprintf
            "incremental verdicts diverge from full re-evaluation at epoch %d"
-           final.er_snapshot.Snapshot.epoch)
+           epoch)
+    else if
+      not
+        (String.equal
+           (Snapshot.to_jsonl final.er_snapshot)
+           (Snapshot.to_jsonl rebuilt))
+    then
+      Error
+        (Printf.sprintf
+           "the live world's evidence diverges from a rebuilt world's at epoch %d"
+           epoch)
+    else Ok ()
   in
   {
     dr_seed = seed;

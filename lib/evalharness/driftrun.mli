@@ -25,13 +25,20 @@ type t = {
   dr_cells_reevaluated : int;  (** post-baseline incremental work *)
   dr_cells_full : int;  (** what full re-evaluation would have cost *)
   dr_crosscheck : (unit, string) result;
-      (** byte-identity of the final incremental verdict table against
-          a full prediction pass over the final world *)
+      (** byte-identity of the final snapshot ({!Feam_drift.Snapshot.to_jsonl}:
+          sites, binaries, possession and the incrementally maintained
+          cells) against a cold {!snapshot_of_world} and a full
+          {!predict_all} of {!build_world} with the final active set,
+          under a fresh context *)
 }
 
 (** Replay a drift sequence.  [specs]/[benchmarks] default to the full
     Table II fleet and NPB+SPEC corpus; tests and benches pass reduced
-    worlds. *)
+    worlds.  The run builds its world once and keeps one
+    {!Feam_core.Eval_ctx} for its whole length: each epoch applies its
+    draw to the live sites, or undoes it exactly when the draw toggles
+    an active perturbation off, so the change moves only that site's
+    generation and the pass memo serves the other sites on. *)
 val run :
   ?specs:Sites.spec list ->
   ?benchmarks:Feam_suites.Benchmark.t list ->
@@ -60,6 +67,17 @@ val draw :
   candidates:string list ->
   perturbation
 
+(** The active perturbations of a live world, in the order applied,
+    each with the function that undoes it exactly. *)
+type active = (perturbation * (unit -> unit)) list
+
+(** [toggle sites active p] applies [p] to the live [sites], or, when
+    [p] is already active, undoes it: a removed library's files come
+    back as they were stored, a stale cache gets back the flag it had
+    before.  Returns the new active set and the epoch's label
+    ([perturbation_label], prefixed with ["undo "] for an undo). *)
+val toggle : Feam_sysmodel.Site.t list -> active -> perturbation -> active * string
+
 (** Fresh world (specs + testset, compiled before perturbations) with
     the active perturbation set applied on top. *)
 val build_world :
@@ -68,6 +86,14 @@ val build_world :
   Feam_suites.Benchmark.t list ->
   perturbation list ->
   Feam_sysmodel.Site.t list * Testset.binary list
+
+(** Remove every file of the site whose basename is the given name,
+    symlinks included, and return each path with the file as it was
+    stored ({!Feam_sysmodel.Vfs.entry}), so the removal can be undone
+    exactly: the [Remove_lib] perturbation of drift and of
+    [feam serve]'s [update-evidence]. *)
+val remove_lib :
+  Feam_sysmodel.Site.t -> string -> (string * Feam_sysmodel.Vfs.file) list
 
 (** Capture one site's evidence (discovery + loader-visible library
     inventory) as a snapshot site record. *)
@@ -100,8 +126,9 @@ val predict_cell :
 (** A full prediction pass: {!predict_cell} over {!all_cells}, in
     matrix order, under [ctx] (default: a fresh {!Feam_core.Eval_ctx}).
     A context's pass memo serves one world, across changes to its
-    sites (each moves the site's generation); a caller that rebuilds
-    the world creates a new context for it. *)
+    sites (each moves the site's generation), as {!run} and a serve
+    engine keep one; a caller that rebuilds the world creates a new
+    context for it. *)
 val predict_all :
   ?ctx:Feam_core.Eval_ctx.t ->
   Feam_sysmodel.Site.t list ->

@@ -241,9 +241,7 @@ let update_evidence t site_name action =
     | Protocol.Stale_ld_cache -> Site.set_ld_cache_current site false
     | Protocol.Fresh_ld_cache -> Site.set_ld_cache_current site true
     | Protocol.Remove_lib name ->
-      List.iter
-        (Vfs.remove (Site.vfs site))
-        (Vfs.find_by_basename (Site.vfs site) (fun b -> b = name)));
+      ignore (Driftrun.remove_lib site name : _ list));
     (* A home-site change surfaces through its binaries' bundles, so
        recapture them along with the site itself.  The change moved the
        site's generation, so their source phases rerun and the other

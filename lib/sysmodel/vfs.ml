@@ -18,16 +18,16 @@ type file = { kind : kind; declared_size : int }
 
 (* One write made while a scope is open: the path and the file it
    replaced ([None]: no file). *)
-type entry = { path : string; before : file option }
+type change = { path : string; before : file option }
 
 (* [log] holds every write, newest first, while [depth] scopes are open;
    outside them it is empty and nothing is logged.  Each scope remembers
-   the log as it found it and undoes only the entries newer than that
+   the log as it found it and undoes only the changes newer than that
    mark.  [generation] counts the writes made outside every scope: the
    ones no scope undoes. *)
 type t = {
   files : (string, file) Hashtbl.t;
-  mutable log : entry list;
+  mutable log : change list;
   mutable depth : int;
   mutable generation : int;
 }
@@ -125,6 +125,8 @@ let rec resolve ?(depth = 16) t path =
     | None -> None
 
 let find t path = Option.map snd (resolve t path)
+
+let entry t path = Hashtbl.find_opt t.files (normalize path)
 
 let exists t path = find t path <> None
 

@@ -47,6 +47,12 @@ val generation : t -> int
 val resolve : ?depth:int -> t -> string -> (string * file) option
 
 val find : t -> string -> file option
+
+(** The file stored at [path] itself, without following a symlink:
+    re-adding it with its kind and [declared_size] restores [path]
+    exactly. *)
+val entry : t -> string -> file option
+
 val exists : t -> string -> bool
 val kind_of : t -> string -> kind option
 

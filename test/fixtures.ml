@@ -88,7 +88,7 @@ let soname = Alcotest.testable Soname.pp Soname.equal
 (* -- Site integrity ------------------------------------------------------------ *)
 
 let file_line vfs path =
-  match Vfs.find vfs path with
+  match Vfs.entry vfs path with
   | None -> path ^ " missing"
   | Some { Vfs.kind; declared_size } ->
     let tag, body =
@@ -102,7 +102,8 @@ let file_line vfs path =
       (Digest.to_hex (Digest.string body))
 
 (* One line per site: its name, the digest of its sorted files (path,
-   kind, bytes, declared size) and the mutable state the loader and the
+   kind, bytes, declared size, as stored: a symlink is its target path,
+   not the file it leads to) and the mutable state the loader and the
    modules tool read — whether ld.so.cache is current, the ld.so.conf
    directories and the installed stacks' slugs. *)
 let site_digest sites =

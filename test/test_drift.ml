@@ -392,6 +392,118 @@ let test_sequence_incremental_matches_full () =
   | None -> Alcotest.fail "drift.epoch gauge not set");
   Feam_obs.reset ()
 
+(* A run keeps one live world and toggles each draw on it in place.
+   Replay the draws with the run's own step ([Driftrun.toggle]) on a
+   live world and check, after every epoch, that its sites digest as a
+   world rebuilt with the same active set — every file as stored, so a
+   symlink restored as a copy of its target shows — and that the run's
+   snapshot hashes as a cold capture of that rebuilt world.  Both seeds'
+   draws undo a library removal and a stale cache. *)
+let test_live_world_equals_rebuilt () =
+  let specs, benchmarks = Lazy.force small_world in
+  List.iter
+    (fun (seed, epochs) ->
+      let params = { params with Params.seed } in
+      let snapshots =
+        Array.of_list
+          (Driftrun.snapshots (Driftrun.run ~specs ~benchmarks ~seed ~epochs ()))
+      in
+      let sites, _ = Driftrun.build_world params specs benchmarks [] in
+      let candidates = Driftrun.removal_candidates sites in
+      let site_names = List.map Feam_sysmodel.Site.name sites in
+      let undos = ref [] in
+      let rec go k active =
+        if k <= epochs then begin
+          let active, label =
+            Driftrun.toggle sites active
+              (Driftrun.draw ~seed ~epoch:k ~site_names ~candidates)
+          in
+          if String.starts_with ~prefix:"undo " label then undos := label :: !undos;
+          let what = Printf.sprintf "seed %d epoch %d (%s)" seed k label in
+          let rsites, rbinaries =
+            Driftrun.build_world params specs benchmarks (List.map fst active)
+          in
+          Alcotest.(check (list string))
+            (what ^ ": live sites equal rebuilt sites")
+            (Fixtures.site_digest rsites) (Fixtures.site_digest sites);
+          let ctx = Feam_core.Eval_ctx.create () in
+          let rebuilt =
+            Driftrun.snapshot_of_world ~ctx ~epoch:k ~seed ~label rsites rbinaries
+              ~cells:(Driftrun.predict_all ~ctx rsites rbinaries)
+          in
+          Alcotest.(check string)
+            (what ^ ": snapshot hash") (Snapshot.hash rebuilt)
+            (Snapshot.hash snapshots.(k));
+          go (k + 1) active
+        end
+      in
+      go 1 [];
+      Alcotest.(check bool)
+        (Printf.sprintf "seed %d undoes a removal and a stale cache" seed)
+        true
+        (List.exists (contains ~affix:"remove-lib") !undos
+        && List.exists (contains ~affix:"stale-ld-cache") !undos))
+    [ (42, 20); (7, 22) ]
+
+(* An epoch moves only the perturbed site's generation, so the run's one
+   pass memo reruns the source phase of the binaries homed there and
+   serves every other binary's bundle on.  A toggle that changes nothing
+   at its site (a library it does not have) reruns none: the small world's
+   sites share their libraries, so a blacklight/india world at seed 11
+   supplies one, at epoch 1. *)
+let test_epoch_reruns_changed_home_only () =
+  let misses () =
+    Option.value ~default:0
+      (Feam_obs.Metrics.counter_value "phases.source_memo.miss")
+  in
+  let inert = ref 0 in
+  let check_run specs ~seed ~epochs =
+    let _, benchmarks = Lazy.force small_world in
+    Feam_obs.reset ();
+    let marks = ref [] in
+    let progress _ = marks := misses () :: !marks in
+    let (_ : Driftrun.t) = Driftrun.run ~specs ~benchmarks ~progress ~seed ~epochs () in
+    let marks = Array.of_list (List.rev !marks) in
+    Feam_obs.reset ();
+    let sites, binaries =
+      Driftrun.build_world { params with Params.seed } specs benchmarks []
+    in
+    let candidates = Driftrun.removal_candidates sites in
+    let site_names = List.map Feam_sysmodel.Site.name sites in
+    for k = 1 to epochs do
+      let p = Driftrun.draw ~seed ~epoch:k ~site_names ~candidates in
+      let site = Sites.find_by_name sites p.Driftrun.pe_site in
+      let changes =
+        match p.Driftrun.pe_what with
+        | Scengen.Remove_lib name ->
+          Feam_sysmodel.Vfs.find_by_basename (Feam_sysmodel.Site.vfs site)
+            (fun b -> b = name)
+          <> []
+        | _ -> Feam_sysmodel.Site.ld_cache_current site
+      in
+      let homed =
+        List.length
+          (List.filter
+             (fun (b : Testset.binary) ->
+               Feam_sysmodel.Site.name b.Testset.home = p.Driftrun.pe_site)
+             binaries)
+      in
+      if not changes then incr inert;
+      Alcotest.(check int)
+        (Printf.sprintf "seed %d epoch %d (%s): source-phase misses" seed k
+           (Driftrun.perturbation_label p))
+        (if changes then homed else 0)
+        (marks.(k) - marks.(k - 1))
+    done
+  in
+  check_run (Driftrun.small_specs ()) ~seed ~epochs:20;
+  check_run
+    (List.filter
+       (fun (sp : Sites.spec) -> List.mem sp.Sites.site_name [ "blacklight"; "india" ])
+       Sites.specs)
+    ~seed:11 ~epochs:3;
+  Alcotest.(check bool) "the draws include an inert toggle" true (!inert > 0)
+
 let test_sequence_is_deterministic () =
   let specs, benchmarks = Lazy.force small_world in
   let doc result =
@@ -542,6 +654,10 @@ let suite =
         test_sequence_incremental_matches_full;
       Alcotest.test_case "sequence artifacts are deterministic" `Slow
         test_sequence_is_deterministic;
+      Alcotest.test_case "the live world equals a rebuilt world at every epoch"
+        `Slow test_live_world_equals_rebuilt;
+      Alcotest.test_case "an epoch reruns source phases only at the changed home"
+        `Slow test_epoch_reruns_changed_home_only;
       Alcotest.test_case "timeline history round-trip" `Quick
         test_timeline_roundtrip;
       Alcotest.test_case "alert rules and the exit-code gate" `Quick

@@ -274,6 +274,29 @@ let test_generation () =
   Alcotest.(check int) "a removal outside any scope bumps it" (gen + 1)
     (Vfs.generation fs)
 
+let test_entry_restores_symlink () =
+  let fs = mk () in
+  Vfs.add ~declared_size:4096 fs "/lib/libz.so.1.2" (Vfs.Elf "\x7fELF");
+  Vfs.add ~declared_size:7 fs "/lib/libz.so.1" (Vfs.Symlink "libz.so.1.2");
+  let link = Vfs.entry fs "/lib//libz.so.1" in
+  Alcotest.(check bool) "the raw lookup does not follow the link" true
+    (link = Some { Vfs.kind = Vfs.Symlink "libz.so.1.2"; declared_size = 7 });
+  Alcotest.(check bool) "find does" true
+    (Vfs.find fs "/lib/libz.so.1"
+    = Some { Vfs.kind = Vfs.Elf "\x7fELF"; declared_size = 4096 });
+  Alcotest.(check bool) "a missing path has no entry" true
+    (Vfs.entry fs "/lib/libz.so" = None);
+  let gen = Vfs.generation fs in
+  Vfs.remove fs "/lib/libz.so.1";
+  (match link with
+  | Some { Vfs.kind; declared_size } ->
+    Vfs.add ~declared_size fs "/lib/libz.so.1" kind
+  | None -> ());
+  Alcotest.(check bool) "re-adding the entry restores the link as stored" true
+    (Vfs.entry fs "/lib/libz.so.1" = link);
+  Alcotest.(check int) "the generation counts the removal and the re-add"
+    (gen + 2) (Vfs.generation fs)
+
 let suite =
   ( "vfs",
     [
@@ -291,6 +314,8 @@ let suite =
       Alcotest.test_case "scoped undoes after a raise" `Quick test_scoped_raise;
       Alcotest.test_case "nested scopes" `Quick test_scoped_nested;
       QCheck_alcotest.to_alcotest prop_scoped_restores;
+      Alcotest.test_case "entry is the stored file, link not followed" `Quick
+        test_entry_restores_symlink;
       Alcotest.test_case "generation counts lasting writes" `Quick
         test_generation;
     ] )
