@@ -238,7 +238,7 @@ let bench_elf_hit =
    library images. *)
 let depot_payloads =
   List.map
-    (fun c -> c.Feam_core.Bdc.copy_bytes)
+    (fun c -> Feam_elf.Reader.image_bytes c.Feam_core.Bdc.copy_image)
     Fixture.bundle.Feam_core.Bundle.copies
 
 let bench_depot_hash =

@@ -97,7 +97,7 @@ let of_bundle ?target (bundle : Bundle.t) =
       (fun label (c : Bdc.library_copy) ->
         make_objekt ~label ~origin:c.Bdc.copy_origin_path ~kind:Copy
           ~description:(Some c.Bdc.copy_description)
-          ~bytes:(Some c.Bdc.copy_bytes)
+          ~bytes:(Some (Feam_elf.Reader.image_bytes c.Bdc.copy_image))
           ~declared_size:c.Bdc.copy_declared_size)
       copy_labels bundle.Bundle.copies
   in

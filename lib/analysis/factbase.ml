@@ -42,14 +42,16 @@ let sorted_exports (spec : Feam_elf.Spec.t) =
   |> List.sort_uniq String.compare
 
 let facts_of_bytes bytes =
+  (* one memo lookup serves both the parse and the key *)
+  let image = Feam_elf.Reader.image bytes in
   let spec, parse_error =
-    match Feam_elf.Reader.spec_of_bytes bytes with
-    | Ok spec -> (Some spec, None)
+    match Feam_elf.Reader.parse_image image with
+    | Ok parsed -> (Some (Feam_elf.Reader.spec parsed), None)
     | Error e -> (None, Some (Feam_elf.Reader.error_to_string e))
   in
   let field f = Option.bind spec f in
   {
-    fb_key = Feam_elf.Reader.content_key bytes;
+    fb_key = Feam_elf.Reader.image_key image;
     fb_size = String.length bytes;
     fb_spec = spec;
     fb_parse_error = parse_error;

@@ -14,7 +14,7 @@ open Feam_sysmodel
 type library_copy = {
   copy_request : string;      (* the DT_NEEDED name this copy satisfies *)
   copy_origin_path : string;  (* where it was found at the guaranteed site *)
-  copy_bytes : string;        (* the library image itself *)
+  copy_image : Feam_elf.Reader.image; (* the library image, by its handle *)
   copy_declared_size : int;   (* on-disk size, for bundle accounting *)
   copy_description : Description.t;
 }
@@ -111,10 +111,10 @@ let describe_via_file_and_ldd ?clock site env path =
    tooling alone (every fault draw is keyed and seeded), so identical
    bytes at the same site always describe identically up to the path
    field.  A pass carries one memo ([Eval_ctx]) keyed by (site name,
-   content key), the key read from the parse memo so a hit hashes
-   nothing; only objdump-path successes are cached, so tool-fallback
-   behaviour is untouched. *)
-type memo = (string * string, Description.t) Hashtbl.t
+   content key), the key read through the file's image handle so a hit
+   hashes nothing; only objdump-path successes are cached, so
+   tool-fallback behaviour is untouched. *)
+type memo = (string * Chash.t, Description.t) Hashtbl.t
 
 let create_memo () : memo = Hashtbl.create 256
 
@@ -128,12 +128,12 @@ let clear_describe_memo () = default_memo := None
 (* Returns the memo key plus the image size, so a hit can credit the
    bytes the cache avoided re-reading to the cache telemetry. *)
 let memo_key_of site path =
-  match Vfs.find (Site.vfs site) path with
-  | Some { Vfs.kind = Vfs.Elf bytes; _ } ->
+  match Vfs.resolve_image (Site.vfs site) path with
+  | Some (_, image) ->
     Some
-      ( (Site.name site, Chash.to_hex (Feam_elf.Reader.content_key bytes)),
-        String.length bytes )
-  | _ -> None
+      ( (Site.name site, Feam_elf.Reader.image_key image),
+        String.length (Feam_elf.Reader.image_bytes image) )
+  | None -> None
 
 (* [describe ?clock ?memo site env ~path] — full description with
    fallbacks. *)
@@ -325,8 +325,9 @@ let gather_source ?clock ?memo site env ~path =
           match found with
           | None -> unlocatable := name :: !unlocatable
           | Some origin -> (
-            match Vfs.find (Site.vfs site) origin with
-            | Some { Vfs.kind = Vfs.Elf bytes; declared_size } -> (
+            let vfs = Site.vfs site in
+            match (Vfs.resolve_image vfs origin, Vfs.file_size vfs origin) with
+            | Some (_, image), Some declared_size -> (
               Cost.charge clock
                 (Cost.copy_per_mb *. (float_of_int declared_size /. 1048576.0));
               match describe ?clock ?memo site env ~path:origin with
@@ -347,7 +348,7 @@ let gather_source ?clock ?memo site env ~path =
                   {
                     copy_request = name;
                     copy_origin_path = origin;
-                    copy_bytes = bytes;
+                    copy_image = image;
                     copy_declared_size = declared_size;
                     copy_description;
                   }

@@ -11,7 +11,9 @@
 type library_copy = {
   copy_request : string;  (** the DT_NEEDED name this copy satisfies *)
   copy_origin_path : string;  (** where it was found at the guaranteed site *)
-  copy_bytes : string;  (** the library image itself *)
+  copy_image : Feam_elf.Reader.image;
+      (** the library image itself, by its handle: a copy keys and
+          parses without hashing its bytes again *)
   copy_declared_size : int;  (** on-disk size, for bundle accounting *)
   copy_description : Description.t;
 }

@@ -427,7 +427,8 @@ let layout_of_bundle (b : Bundle.t) =
         (fun (c : Bdc.library_copy) ->
           ( c.Bdc.copy_description,
             { name = c.Bdc.copy_request; from = c.Bdc.copy_origin_path;
-              size = c.Bdc.copy_declared_size; payload = c.Bdc.copy_bytes } ))
+              size = c.Bdc.copy_declared_size;
+              payload = Feam_elf.Reader.image_bytes c.Bdc.copy_image } ))
         b.Bundle.copies;
     probes =
       List.map
@@ -449,7 +450,8 @@ let bundle_of_layout l : Bundle.t =
       List.map
         (fun (desc, e) ->
           { Bdc.copy_request = e.name; copy_origin_path = e.from;
-            copy_bytes = e.payload; copy_declared_size = e.size;
+            copy_image = Feam_elf.Reader.image e.payload;
+            copy_declared_size = e.size;
             copy_description = desc })
         l.copies;
     unlocatable = l.unlocatable;

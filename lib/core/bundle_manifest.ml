@@ -47,12 +47,12 @@ let soname_meta (d : Description.t) =
    dependency keys of the copies that satisfy their DT_NEEDED names, so
    the store's GC can mark through the closure. *)
 let of_bundle store (b : Bundle.t) =
-  (* keys of every copy first (read from the parse memo), so sidecar
-     dependency lists can be complete at intern time *)
+  (* keys of every copy first (read through their image handles), so
+     sidecar dependency lists can be complete at intern time *)
   let key_of_request =
     List.map
       (fun (c : Bdc.library_copy) ->
-        (c.Bdc.copy_request, Feam_elf.Reader.content_key c.Bdc.copy_bytes))
+        (c.Bdc.copy_request, Feam_elf.Reader.image_key c.Bdc.copy_image))
       b.Bundle.copies
   in
   let provider = Some b.Bundle.created_at in
@@ -72,7 +72,7 @@ let of_bundle store (b : Bundle.t) =
               (Store.meta ?soname ?version ?provider
                  ~origin:c.Bdc.copy_origin_path ~deps
                  ~size:c.Bdc.copy_declared_size ())
-            c.Bdc.copy_bytes
+            (Feam_elf.Reader.image_bytes c.Bdc.copy_image)
         in
         {
           me_request = c.Bdc.copy_request;
@@ -153,7 +153,7 @@ let to_bundle store t =
           ({
              Bdc.copy_request = e.me_request;
              copy_origin_path = e.me_origin;
-             copy_bytes = bytes;
+             copy_image = Feam_elf.Reader.image bytes;
              copy_declared_size = e.me_size;
              copy_description = e.me_description;
            }

@@ -56,9 +56,9 @@ let parse_glibc_banner banner =
 (* Fallback: "determine the version using the C library API" — read the
    newest version definition out of the installed libc image. *)
 let glibc_via_api site path =
-  match Vfs.find (Site.vfs site) path with
-  | Some { Vfs.kind = Vfs.Elf bytes; _ } -> (
-    match Feam_elf.Reader.parse bytes with
+  match Vfs.resolve_image (Site.vfs site) path with
+  | Some (_, image) -> (
+    match Feam_elf.Reader.parse_image image with
     | Ok parsed ->
       (Feam_elf.Reader.spec parsed).Feam_elf.Spec.verdefs
       |> List.filter_map Feam_toolchain.Glibc.version_of_symbol
@@ -67,7 +67,7 @@ let glibc_via_api site path =
              match acc with None -> Some v | Some a -> Some (Version.max a v))
            None
     | Error _ -> None)
-  | _ -> None
+  | None -> None
 
 let discover_glibc ?clock site =
   match Utilities.find_libc ?clock site with

@@ -178,7 +178,7 @@ let stack_key ~config site env ~bundle ~target_glibc ~candidates =
     add_list b
       (fun c ->
         add b c.Bdc.copy_request;
-        add b (Chash.to_hex (Feam_elf.Reader.content_key c.Bdc.copy_bytes));
+        add b (Chash.to_hex (Feam_elf.Reader.image_key c.Bdc.copy_image));
         add b (string_of_int c.Bdc.copy_declared_size))
       bundle.Bundle.copies);
   Buffer.contents b
@@ -213,8 +213,8 @@ let source_key ~config site env ~binary_path ~image =
   add_context b ~config site env;
   add b binary_path;
   (match image with
-  | Some (bytes, declared_size) ->
-    add b (Chash.to_hex (Feam_elf.Reader.content_key bytes));
+  | Some (image, declared_size) ->
+    add b (Chash.to_hex (Feam_elf.Reader.image_key image));
     add b (string_of_int declared_size)
   | None -> add b "no image");
   Buffer.contents b

@@ -58,7 +58,7 @@ val find_or_probe :
 
 (** [find_or_source t ?clock ~config site env ~binary_path ~image
     source] is [source ~clock] on a miss and the recorded bundle (or
-    error) on a hit, as for {!find_or_probe}.  [image] is the bytes and
+    error) on a hit, as for {!find_or_probe}.  [image] is the handle and
     declared size of the ELF image at [binary_path], if any.  A hit replays the [phases.source],
     [edc.discoveries], [bdc.library_copies], [bdc.unlocatable],
     [bdc.locate_failures] and [bdc.objdump_parse_failures] counters;
@@ -76,7 +76,7 @@ val find_or_source :
   Feam_sysmodel.Site.t ->
   Feam_sysmodel.Env.t ->
   binary_path:string ->
-  image:(string * int) option ->
+  image:(Feam_elf.Reader.image * int) option ->
   (clock:Feam_util.Sim_clock.t -> (Bundle.t, string) result) ->
   (Bundle.t, string) result
 

@@ -20,10 +20,11 @@ let bdc_memo ctx = Option.map (fun c -> c.Eval_ctx.describe) ctx
 
 (* -- Source phase --------------------------------------------------------- *)
 
-(* The ELF image at [path]: its bytes and declared size. *)
+(* The ELF image at [path]: its handle and declared size. *)
 let binary_image site path =
-  match Vfs.find (Site.vfs site) path with
-  | Some { Vfs.kind = Vfs.Elf bytes; declared_size } -> Some (bytes, declared_size)
+  let vfs = Site.vfs site in
+  match (Vfs.resolve_image vfs path, Vfs.file_size vfs path) with
+  | Some (_, image), Some declared_size -> Some (image, declared_size)
   | _ -> None
 
 let run_source ?clock ?ctx site env ~binary_path =
@@ -125,7 +126,8 @@ let run_source ?clock ?ctx site env ~binary_path =
       in
       let binary_bytes, binary_declared_size =
         match binary_image site binary_path with
-        | Some (bytes, declared_size) -> (Some bytes, declared_size)
+        | Some (image, declared_size) ->
+          (Some (Feam_elf.Reader.image_bytes image), declared_size)
         | None -> (None, 0)
       in
       Cost.charge clock Cost.bundle_pack_base;

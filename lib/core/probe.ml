@@ -40,11 +40,11 @@ let run_binary ?clock config site env ~binary_path ~parallel =
    missing under [env]: probes travel (or run) with the bundle's
    libraries, exactly like the application (paper SIV applied to the
    probe binaries themselves). *)
-let resolve_probe_env ?clock config site env ~bundle ~target_glibc bytes =
+let resolve_probe_env ?clock config site env ~bundle ~target_glibc image =
   match bundle with
   | None -> env
   | Some bundle -> (
-    match Feam_elf.Reader.parse bytes with
+    match Feam_elf.Reader.parse_image image with
     | Error _ -> env
     | Ok parsed ->
       let spec = Feam_elf.Reader.spec parsed in
@@ -81,10 +81,10 @@ let native ?clock ?bundle ?target_glibc config site env install : probe_result =
     | Error e -> Error (Feam_toolchain.Compile.error_to_string e)
     | Ok path ->
       let env =
-        match Vfs.find (Site.vfs site) path with
-        | Some { Vfs.kind = Vfs.Elf bytes; _ } ->
-          resolve_probe_env ?clock config site env ~bundle ~target_glibc bytes
-        | _ -> env
+        match Vfs.resolve_image (Site.vfs site) path with
+        | Some (_, image) ->
+          resolve_probe_env ?clock config site env ~bundle ~target_glibc image
+        | None -> env
       in
       run_binary ?clock config site env ~binary_path:path ~parallel:true
 
@@ -100,14 +100,15 @@ let foreign ?clock config site env install ~(bundle : Bundle.t) ~target_glibc
   @@ fun () ->
   let env = Modules_tool.load_stack env install in
   let path = probe_dir ^ "/" ^ probe.Bundle.probe_name ^ ".shipped" in
-  Vfs.add ~declared_size:probe.Bundle.probe_declared_size (Site.vfs site) path
-    (Vfs.Elf probe.Bundle.probe_bytes);
+  let image = Feam_elf.Reader.image probe.Bundle.probe_bytes in
+  Vfs.add_image ~declared_size:probe.Bundle.probe_declared_size (Site.vfs site)
+    path image;
   Cost.charge clock
     (Cost.copy_per_mb
     *. (float_of_int probe.Bundle.probe_declared_size /. 1048576.0));
   let env =
     resolve_probe_env ?clock config site env ~bundle:(Some bundle) ~target_glibc
-      probe.Bundle.probe_bytes
+      image
   in
   run_binary ?clock config site env ~binary_path:path ~parallel:true
 

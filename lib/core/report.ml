@@ -212,14 +212,16 @@ let render t =
    target `feam replay` must reproduce, and the primitives let replay
    rebuild the report object (findings included) without re-running
    discovery.  Re-journaled when the analysis layer attaches findings;
-   replay and diff read the last report record. *)
+   replay and diff read the last report record.  The text is rendered
+   only while the recorder is on. *)
 let journal t =
-  Feam_flightrec.Recorder.record "report"
-    ~fields:
-      [
-        ("site", Feam_util.Json.Str t.site_name);
-        ("binary", Feam_util.Json.Str t.binary);
-        ("ready", Feam_util.Json.Bool (Predict.is_ready t.prediction));
-        ("findings", Feam_util.Json.List (List.map finding_to_json t.findings));
-        ("text", Feam_util.Json.Str (render t));
-      ]
+  if Feam_flightrec.Recorder.enabled () then
+    Feam_flightrec.Recorder.record "report"
+      ~fields:
+        [
+          ("site", Feam_util.Json.Str t.site_name);
+          ("binary", Feam_util.Json.Str t.binary);
+          ("ready", Feam_util.Json.Bool (Predict.is_ready t.prediction));
+          ("findings", Feam_util.Json.List (List.map finding_to_json t.findings));
+          ("text", Feam_util.Json.Str (render t));
+        ]

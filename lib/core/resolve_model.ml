@@ -141,8 +141,8 @@ let resolve ?clock ?depot config site env ~(bundle : Bundle.t) ~target_glibc
   let failed = ref [] in
   let stage_copy name (copy : Bdc.library_copy) =
     let path = staging ^ "/" ^ name in
-    Vfs.add ~declared_size:copy.Bdc.copy_declared_size vfs path
-      (Vfs.Elf copy.Bdc.copy_bytes);
+    Vfs.add_image ~declared_size:copy.Bdc.copy_declared_size vfs path
+      copy.Bdc.copy_image;
     let charge () =
       Cost.charge clock
         (Cost.copy_per_mb
@@ -161,7 +161,7 @@ let resolve ?clock ?depot config site env ~(bundle : Bundle.t) ~target_glibc
                ?soname:(Option.map Soname.to_string cd.Description.soname)
                ~origin:copy.Bdc.copy_origin_path
                ~size:copy.Bdc.copy_declared_size ())
-          copy.Bdc.copy_bytes
+          (Feam_elf.Reader.image_bytes copy.Bdc.copy_image)
       in
       let site_name = Site.name site in
       if

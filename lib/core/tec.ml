@@ -489,10 +489,14 @@ let evaluate ?clock ?depot ?ctx site env (input : input) : Predict.t =
     ~attrs:
       [ ("binary", Feam_obs.Span.Str input.description.Description.path) ]
   @@ fun () ->
-  Recorder.payload ~kind:"config"
-    (Json.Str (Config.to_file_body input.config));
-  Recorder.payload ~kind:"description" (Description.to_json input.description);
-  Recorder.payload ~kind:"discovery" (Discovery.to_json input.discovery);
+  (* The inputs replay rebuilds the run from, built only for a journal. *)
+  if Recorder.enabled () then begin
+    Recorder.payload ~kind:"config"
+      (Json.Str (Config.to_file_body input.config));
+    Recorder.payload ~kind:"description"
+      (Description.to_json input.description);
+    Recorder.payload ~kind:"discovery" (Discovery.to_json input.discovery)
+  end;
   let t = evaluate_inner ?clock ?depot ?ctx site env input in
   let outcome = if Predict.is_ready t then "ready" else "not_ready" in
   Recorder.decision ~determinant:"predict"

@@ -120,12 +120,13 @@ let np_allowed rule np =
 let attempt ?clock ?params ?queue site env ~binary_path ~mode ~attempt_no =
   let params = Option.value params ~default:(Site.fault_model site) in
   charge_attempt clock site mode queue;
-  match Vfs.find (Site.vfs site) binary_path with
-  | None -> Failure (Not_executable (binary_path ^ ": no such file"))
-  | Some { Vfs.kind = Vfs.Script _ | Vfs.Text _ | Vfs.Symlink _; _ } ->
+  let vfs = Site.vfs site in
+  match Vfs.resolve_image vfs binary_path with
+  | None when Vfs.exists vfs binary_path ->
     Failure (Not_executable (binary_path ^ ": not an ELF binary"))
-  | Some { Vfs.kind = Vfs.Elf bytes; _ } -> (
-    match Feam_elf.Reader.parse bytes with
+  | None -> Failure (Not_executable (binary_path ^ ": no such file"))
+  | Some (_, image) -> (
+    match Feam_elf.Reader.parse_image image with
     | Error e -> Failure (Not_executable (Feam_elf.Reader.error_to_string e))
     | Ok parsed ->
       let spec = Feam_elf.Reader.spec parsed in

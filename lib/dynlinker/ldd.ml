@@ -20,10 +20,12 @@ let run ?clock site env path =
   if not (Site.tools site).Tools.ldd then Error (`Tool_unavailable "ldd")
   else begin
     Cost.charge clock Cost.ldd_call;
-    match Vfs.find (Site.vfs site) path with
+    let vfs = Site.vfs site in
+    match Vfs.resolve_image vfs path with
+    | None when Vfs.exists vfs path -> Error (`Not_dynamic path)
     | None -> Error (`No_such_file path)
-    | Some { Vfs.kind = Vfs.Elf bytes; _ } -> (
-      match Feam_elf.Reader.parse bytes with
+    | Some (_, image) -> (
+      match Feam_elf.Reader.parse_image image with
       | Error _ -> Error (`Not_dynamic path)
       | Ok parsed ->
         let spec = Feam_elf.Reader.spec parsed in
@@ -35,7 +37,6 @@ let run ?clock site env path =
              <> Feam_elf.Types.machine_class (Site.machine site)
         then Error (`Not_dynamic path)
         else Ok (Resolve.run site env spec))
-    | Some _ -> Error (`Not_dynamic path)
   end
 
 (* Render the classic ldd text output. *)

@@ -85,16 +85,40 @@ let run site env (root : Feam_elf.Spec.t) =
      resolved library must be satisfied by the verdefs of the closure
      member actually consulted for that name — the first in load order
      loaded under the name or claiming it by soname, whose position is
-     recorded alongside the failure. *)
+     recorded alongside the failure.  The closure is indexed once:
+     each name to the member [consulted_provider] would find, and each
+     consulted member's verdefs as a set, built on first use. *)
+  let providers : (string, int) Hashtbl.t = Hashtbl.create 32 in
+  let claim pos name =
+    if not (Hashtbl.mem providers name) then Hashtbl.add providers name pos
+  in
+  List.iteri
+    (fun pos r ->
+      claim pos r.lib_name;
+      Option.iter (claim pos) r.lib_spec.Feam_elf.Spec.soname)
+    resolved;
+  let members = Array.of_list resolved in
+  let verdef_sets = Array.make (Array.length members) None in
+  let verdefs pos =
+    match verdef_sets.(pos) with
+    | Some set -> set
+    | None ->
+      let defs = members.(pos).lib_spec.Feam_elf.Spec.verdefs in
+      let set = Hashtbl.create (List.length defs) in
+      List.iter (fun d -> Hashtbl.replace set d ()) defs;
+      verdef_sets.(pos) <- Some set;
+      set
+  in
   let check_object obj_name (spec : Feam_elf.Spec.t) =
     List.concat_map
       (fun vn ->
-        match consulted_provider resolved vn.Feam_elf.Spec.vn_file with
+        match Hashtbl.find_opt providers vn.Feam_elf.Spec.vn_file with
         | None -> [] (* provider missing entirely: reported in [missing] *)
-        | Some (pos, provider) ->
-          let defs = provider.lib_spec.Feam_elf.Spec.verdefs in
+        | Some pos ->
+          let provider = members.(pos) in
+          let defs = verdefs pos in
           vn.Feam_elf.Spec.vn_versions
-          |> List.filter (fun v -> not (List.mem v defs))
+          |> List.filter (fun v -> not (Hashtbl.mem defs v))
           |> List.map (fun v ->
                  {
                    vf_object = obj_name;
@@ -119,39 +143,40 @@ let run site env (root : Feam_elf.Spec.t) =
   in
   (* Journal the resolution: the load order with each provider's scope
      position is the evidence the version check and symcheck verdicts
-     rest on. *)
+     rest on.  Built only while the recorder is on. *)
   let open Feam_util in
-  Feam_flightrec.Recorder.evidence ~stage:"dynlinker" ~kind:"resolve"
-    [
-      ( "resolved",
-        Json.List
-          (List.mapi
-             (fun pos r ->
-               Json.Obj
-                 [
-                   ("library", Json.Str r.lib_name);
-                   ("path", Json.Str r.lib_path);
-                   ("position", Json.Int pos);
-                 ])
-             result.resolved) );
-      ("missing", Json.List (List.map (fun m -> Json.Str m) result.missing));
-      ( "arch_mismatches",
-        Json.List
-          (List.map (fun m -> Json.Str m.am_lib) result.arch_mismatches) );
-      ( "version_failures",
-        Json.List
-          (List.map
-             (fun vf ->
-               Json.Obj
-                 [
-                   ("object", Json.Str vf.vf_object);
-                   ("provider", Json.Str vf.vf_provider);
-                   ( "provider_position",
-                     match vf.vf_scope_pos with
-                     | Some p -> Json.Int p
-                     | None -> Json.Null );
-                   ("version", Json.Str vf.vf_version);
-                 ])
-             result.version_failures) );
-    ];
+  if Feam_flightrec.Recorder.enabled () then
+    Feam_flightrec.Recorder.evidence ~stage:"dynlinker" ~kind:"resolve"
+      [
+        ( "resolved",
+          Json.List
+            (List.mapi
+               (fun pos r ->
+                 Json.Obj
+                   [
+                     ("library", Json.Str r.lib_name);
+                     ("path", Json.Str r.lib_path);
+                     ("position", Json.Int pos);
+                   ])
+               result.resolved) );
+        ("missing", Json.List (List.map (fun m -> Json.Str m) result.missing));
+        ( "arch_mismatches",
+          Json.List
+            (List.map (fun m -> Json.Str m.am_lib) result.arch_mismatches) );
+        ( "version_failures",
+          Json.List
+            (List.map
+               (fun vf ->
+                 Json.Obj
+                   [
+                     ("object", Json.Str vf.vf_object);
+                     ("provider", Json.Str vf.vf_provider);
+                     ( "provider_position",
+                       match vf.vf_scope_pos with
+                       | Some p -> Json.Int p
+                       | None -> Json.Null );
+                     ("version", Json.Str vf.vf_version);
+                   ])
+               result.version_failures) );
+      ];
   result

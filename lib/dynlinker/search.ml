@@ -26,23 +26,23 @@ let search_dirs site env (spec : Feam_elf.Spec.t) =
   rpath @ ld_library_path @ runpath @ Site.ld_cache_dirs site
   @ Site.default_lib_dirs site
 
-(* First match for [name] across [dirs] that is a regular ELF file:
-   the resolved path and its bytes. *)
-let find_in_dirs site dirs name =
+(* First match for [name] across [dirs] that is a regular ELF file. *)
+let locate_in_dirs site dirs name =
   let vfs = Site.vfs site in
   List.find_map
     (fun dir ->
       match Vfs.resolve vfs (dir ^ "/" ^ name) with
-      | Some (real_path, { Vfs.kind = Vfs.Elf bytes; _ }) -> Some (real_path, bytes)
+      | Some (real_path, { Vfs.kind = Vfs.Elf _; _ }) -> Some real_path
       | Some _ | None -> None)
     dirs
 
-let locate_in_dirs site dirs name =
-  Option.map fst (find_in_dirs site dirs name)
-
-(* Locate and parse: returns the path and the parsed image. *)
+(* Locate and parse: returns the path and the parsed image, read
+   through the file's image handle, so a repeat lookup hashes nothing. *)
 let locate_elf site dirs name =
-  Option.bind (find_in_dirs site dirs name) (fun (path, bytes) ->
-      match Feam_elf.Reader.parse bytes with
+  let vfs = Site.vfs site in
+  Option.bind
+    (List.find_map (fun dir -> Vfs.resolve_image vfs (dir ^ "/" ^ name)) dirs)
+    (fun (path, image) ->
+      match Feam_elf.Reader.parse_image image with
       | Ok parsed -> Some (path, parsed)
       | Error _ -> None)

@@ -396,7 +396,9 @@ let parse_uncached (data : string) : (t, error) result =
    compared with [==], so hits and misses depend only on the call
    sequence, never on GC timing; an equal copy simply parses again.
    [Hashtbl.hash] reads every byte of a string — a prefix hash would put
-   every image in one bucket, since all ELF headers start alike.
+   every image in one bucket, since all ELF headers start alike.  So a
+   lookup costs a pass over the image, and callers that read one image
+   many times keep its {!image} handle instead of looking it up again.
    Ephemeron keys let the GC drop an entry with its image, so the memo
    is bounded by the live images.  Not domain-safe. *)
 module Memo = Ephemeron.K1.Make (struct
@@ -415,16 +417,21 @@ type entry = {
 
 let memo : entry Memo.t = Memo.create 1024
 
-let entry data =
-  match Memo.find_opt memo data with
-  | Some e -> e
-  | None ->
-    let e = { parsed = None; key = None } in
-    Memo.replace memo data e;
-    e
+(* A handle: the image and its memo entry.  Holding it keeps the image,
+   and so the entry, alive. *)
+type image = { data : string; entry : entry }
 
-let parse (data : string) : (t, error) result =
-  let e = entry data in
+let image data =
+  match Memo.find_opt memo data with
+  | Some entry -> { data; entry }
+  | None ->
+    let entry = { parsed = None; key = None } in
+    Memo.replace memo data entry;
+    { data; entry }
+
+let image_bytes img = img.data
+
+let parse_image { data; entry = e } =
   match e.parsed with
   | Some r ->
     Feam_obs.Metrics.incr "elf.parse_memo.hit";
@@ -436,14 +443,17 @@ let parse (data : string) : (t, error) result =
     e.parsed <- Some r;
     r
 
-let content_key data =
-  let e = entry data in
+let image_key { data; entry = e } =
   match e.key with
   | Some k -> k
   | None ->
     let k = Feam_util.Chash.of_bytes data in
     e.key <- Some k;
     k
+
+let parse data = parse_image (image data)
+
+let content_key data = image_key (image data)
 
 let parse_exn data =
   match parse data with

@@ -77,7 +77,10 @@ let build ?clock sites binaries migrations =
         let home = Site.name binary.Testset.home in
         List.iter
           (fun (c : Feam_core.Bdc.library_copy) ->
-            let facts = Factbase.facts_of_bytes c.Feam_core.Bdc.copy_bytes in
+            let facts =
+              Factbase.facts_of_bytes
+                (Feam_elf.Reader.image_bytes c.Feam_core.Bdc.copy_image)
+            in
             let key =
               ( c.Feam_core.Bdc.copy_request,
                 home,

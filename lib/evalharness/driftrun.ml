@@ -128,8 +128,11 @@ let capture_site site =
     |> List.sort_uniq compare
     |> List.filter_map (fun path ->
            match Vfs.find vfs path with
-           | Some { Vfs.kind = Vfs.Elf bytes; _ } ->
-             Some (path, image_digest bytes)
+           | Some { Vfs.kind = Vfs.Elf _; _ } ->
+             Option.map
+               (fun (_, image) ->
+                 (path, Chash.to_hex (Feam_elf.Reader.image_key image)))
+               (Vfs.resolve_image vfs path)
            | Some { Vfs.kind = Vfs.Symlink target; _ } ->
              Some (path, "->" ^ target)
            | Some { Vfs.kind = Vfs.Script bytes | Vfs.Text bytes; _ } ->
@@ -180,7 +183,8 @@ let capture_binary ?ctx (binary : Testset.binary) =
       bs_bundle =
         List.map
           (fun c ->
-            ("copy:" ^ c.Bdc.copy_request, image_digest c.Bdc.copy_bytes))
+            ( "copy:" ^ c.Bdc.copy_request,
+              Chash.to_hex (Feam_elf.Reader.image_key c.Bdc.copy_image) ))
           bundle.Bundle.copies
         @ List.map
             (fun p ->

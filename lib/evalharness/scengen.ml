@@ -145,19 +145,28 @@ let dev_link_paths site name =
     if link = name then []
     else Vfs.find_by_basename (Site.vfs site) (fun b -> b = link)
 
+(* The spec and declared size of the ELF file at [path], parsed through
+   the file's image handle; [None] when it is absent or does not parse. *)
+let installed_spec site path =
+  let vfs = Site.vfs site in
+  match (Vfs.resolve_image vfs path, Vfs.file_size vfs path) with
+  | Some (_, image), Some declared_size ->
+    Result.to_option
+      (Result.map
+         (fun parsed -> (Feam_elf.Reader.spec parsed, declared_size))
+         (Feam_elf.Reader.parse_image image))
+  | _ -> None
+
 (* Rewrite every installed image of [name] at [site] through a spec
    transform; a no-op when the library (or its parse) is absent. *)
 let mutate_lib site name f =
   List.iter
     (fun path ->
-      match Vfs.find (Site.vfs site) path with
-      | Some { Vfs.kind = Vfs.Elf bytes; declared_size } -> (
-        match Feam_elf.Reader.spec_of_bytes bytes with
-        | Error _ -> ()
-        | Ok spec ->
-          Vfs.add ~declared_size (Site.vfs site) path
-            (Vfs.Elf (Feam_elf.Builder.build (f spec))))
-      | Some _ | None -> ())
+      match installed_spec site path with
+      | Some (spec, declared_size) ->
+        Vfs.add ~declared_size (Site.vfs site) path
+          (Vfs.Elf (Feam_elf.Builder.build (f spec)))
+      | None -> ())
     (lib_paths site name)
 
 (* Drop the newest vintage feature symbol a library exports, keeping
@@ -255,26 +264,23 @@ let apply_major_skew site name =
       let new_name = Soname.to_string bumped in
       List.iter
         (fun path ->
-          match Vfs.find (Site.vfs site) path with
-          | Some { Vfs.kind = Vfs.Elf bytes; declared_size } -> (
-            match Feam_elf.Reader.spec_of_bytes bytes with
-            | Error _ -> ()
-            | Ok spec ->
-              let spec' =
-                {
-                  spec with
-                  Feam_elf.Spec.soname = Some new_name;
-                  verdefs =
-                    List.map
-                      (fun d -> if d = name then new_name else d)
-                      spec.Feam_elf.Spec.verdefs;
-                }
-              in
-              Vfs.remove (Site.vfs site) path;
-              Vfs.add ~declared_size (Site.vfs site)
-                (Vfs.dirname path ^ "/" ^ new_name)
-                (Vfs.Elf (Feam_elf.Builder.build spec')))
-          | Some _ | None -> ())
+          match installed_spec site path with
+          | Some (spec, declared_size) ->
+            let spec' =
+              {
+                spec with
+                Feam_elf.Spec.soname = Some new_name;
+                verdefs =
+                  List.map
+                    (fun d -> if d = name then new_name else d)
+                    spec.Feam_elf.Spec.verdefs;
+              }
+            in
+            Vfs.remove (Site.vfs site) path;
+            Vfs.add ~declared_size (Site.vfs site)
+              (Vfs.dirname path ^ "/" ^ new_name)
+              (Vfs.Elf (Feam_elf.Builder.build spec'))
+          | None -> ())
         (lib_paths site name);
       List.iter (Vfs.remove (Site.vfs site)) (dev_link_paths site name))
 
@@ -291,15 +297,12 @@ let apply_interpose site name =
   match lib_paths site name with
   | [] -> ()
   | path :: _ -> (
-    match Vfs.find (Site.vfs site) path with
-    | Some { Vfs.kind = Vfs.Elf bytes; declared_size } -> (
-      match Feam_elf.Reader.spec_of_bytes bytes with
-      | Error _ -> ()
-      | Ok spec ->
-        Vfs.add ~declared_size (Site.vfs site)
-          (interpose_dir ^ "/" ^ name)
-          (Vfs.Elf (Feam_elf.Builder.build (drop_newest_feature spec))))
-    | Some _ | None -> ())
+    match installed_spec site path with
+    | Some (spec, declared_size) ->
+      Vfs.add ~declared_size (Site.vfs site)
+        (interpose_dir ^ "/" ^ name)
+        (Vfs.Elf (Feam_elf.Builder.build (drop_newest_feature spec)))
+    | None -> ())
 
 (* A wrong-architecture build of [name] in the decoy directory the
    binary's DT_RPATH points at. *)
@@ -307,25 +310,22 @@ let apply_decoy site name =
   match lib_paths site name with
   | [] -> ()
   | path :: _ -> (
-    match Vfs.find (Site.vfs site) path with
-    | Some { Vfs.kind = Vfs.Elf bytes; declared_size } -> (
-      match Feam_elf.Reader.spec_of_bytes bytes with
-      | Error _ -> ()
-      | Ok spec ->
-        let wrong_machine =
-          match spec.Feam_elf.Spec.machine with
-          | Feam_elf.Types.PPC64 -> Feam_elf.Types.X86_64
-          | _ -> Feam_elf.Types.PPC64
-        in
-        let spec' =
-          Feam_elf.Spec.make ~file_type:Feam_elf.Types.ET_DYN
-            ?soname:spec.Feam_elf.Spec.soname
-            ~needed:spec.Feam_elf.Spec.needed
-            ~comments:spec.Feam_elf.Spec.comments wrong_machine
-        in
-        Vfs.add ~declared_size (Site.vfs site) (decoy_dir ^ "/" ^ name)
-          (Vfs.Elf (Feam_elf.Builder.build spec')))
-    | Some _ | None -> ())
+    match installed_spec site path with
+    | Some (spec, declared_size) ->
+      let wrong_machine =
+        match spec.Feam_elf.Spec.machine with
+        | Feam_elf.Types.PPC64 -> Feam_elf.Types.X86_64
+        | _ -> Feam_elf.Types.PPC64
+      in
+      let spec' =
+        Feam_elf.Spec.make ~file_type:Feam_elf.Types.ET_DYN
+          ?soname:spec.Feam_elf.Spec.soname
+          ~needed:spec.Feam_elf.Spec.needed
+          ~comments:spec.Feam_elf.Spec.comments wrong_machine
+      in
+      Vfs.add ~declared_size (Site.vfs site) (decoy_dir ^ "/" ^ name)
+        (Vfs.Elf (Feam_elf.Builder.build spec'))
+    | None -> ())
 
 let apply_remove_interp site =
   let loader = Feam_elf.Types.default_interp (Site.machine site) in
@@ -475,11 +475,12 @@ let build ~seed ~index ?keep () =
   in
   (* Binary perturbations, rewritten in place at home so the source
      phase (and every copy taken from it) sees the tampered image. *)
-  let original_bytes =
-    match Vfs.find (Site.vfs home) binary_path with
-    | Some { Vfs.kind = Vfs.Elf bytes; _ } -> bytes
-    | _ -> failwith "scengen: compiled binary vanished"
+  let original =
+    match Vfs.resolve_image (Site.vfs home) binary_path with
+    | Some (_, image) -> image
+    | None -> failwith "scengen: compiled binary vanished"
   in
+  let original_bytes = Feam_elf.Reader.image_bytes original in
   let binary_spec_mutations =
     List.concat
       [
@@ -500,9 +501,10 @@ let build ~seed ~index ?keep () =
   let binary_bytes =
     if binary_spec_mutations = [] then original_bytes
     else begin
-      match Feam_elf.Reader.spec_of_bytes original_bytes with
+      match Feam_elf.Reader.parse_image original with
       | Error _ -> original_bytes
-      | Ok spec ->
+      | Ok parsed ->
+        let spec = Feam_elf.Reader.spec parsed in
         let spec' =
           List.fold_left (fun s f -> f s) spec binary_spec_mutations
         in

@@ -4,8 +4,10 @@
    one JSON object per line, linked to the enclosing Feam_obs span.
 
    Disabled (the default) the recorder is a strict no-op, mirroring
-   the tracer: instrumentation left in the pipeline costs nothing and
-   changes no output.  The journal deliberately carries *no
+   the tracer: instrumentation left in the pipeline changes no output
+   and costs no more than building its arguments.  Call sites whose
+   fields are costly to build (the rendered report, the TEC's input
+   payloads, the resolution evidence) check [enabled] first.  The journal deliberately carries *no
    timestamps* — two runs over the same inputs must produce
    byte-identical journals, which is what makes `feam replay` a
    regression oracle and `feam diff` free of noise. *)

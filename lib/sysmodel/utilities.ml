@@ -31,20 +31,16 @@ let file_format_string (spec : Feam_elf.Spec.t) =
   | SPARC, _ -> "elf32-sparc"
   | IA64, _ -> "elf64-ia64-little"
 
-(* Raw ELF bytes at a path (the `cp` view, no parsing). *)
-let read_elf_bytes site path =
-  match Vfs.find (Site.vfs site) path with
-  | None -> Error (`No_such_file path)
-  | Some { Vfs.kind = Vfs.Elf bytes; _ } -> Ok bytes
-  | Some _ -> Error (`Not_elf path)
-
+(* The parsed ELF image at a path, read through the file's handle. *)
 let parse_elf site path =
-  match read_elf_bytes site path with
-  | Error _ as e -> e
-  | Ok bytes -> (
-    match Feam_elf.Reader.parse bytes with
+  let vfs = Site.vfs site in
+  match Vfs.resolve_image vfs path with
+  | Some (_, image) -> (
+    match Feam_elf.Reader.parse_image image with
     | Ok t -> Ok t
     | Error _ -> Error (`Not_elf path))
+  | None when Vfs.exists vfs path -> Error (`Not_elf path)
+  | None -> Error (`No_such_file path)
 
 (* `objdump -p PATH`: file format line, Dynamic Section, Version
    References and Version definitions — the BDC's primary information
@@ -108,8 +104,8 @@ let file_cmd ?clock site path =
     Ok (path ^ ": POSIX shell script text executable")
   | Some { Vfs.kind = Vfs.Text _; _ } -> Ok (path ^ ": ASCII text")
   | Some { Vfs.kind = Vfs.Symlink target; _ } -> Ok (path ^ ": symbolic link to " ^ target)
-  | Some { Vfs.kind = Vfs.Elf bytes; _ } -> (
-    match Feam_elf.Reader.parse bytes with
+  | Some { Vfs.kind = Vfs.Elf _; _ } -> (
+    match parse_elf site path with
     | Error _ -> Ok (path ^ ": data")
     | Ok parsed ->
       let spec = Feam_elf.Reader.spec parsed in

@@ -16,9 +16,15 @@ type kind =
 
 type file = { kind : kind; declared_size : int }
 
-(* One write made while a scope is open: the path and the file it
+(* A stored file and, once an ELF read asked for it, its image handle:
+   the parse memo's entry for the bytes, so later reads hash nothing
+   (DESIGN §15).  A write stores a new slot; an undo puts the old slot
+   back, handle and all. *)
+type slot = { file : file; mutable image : Feam_elf.Reader.image option }
+
+(* One write made while a scope is open: the path and the slot it
    replaced ([None]: no file). *)
-type change = { path : string; before : file option }
+type change = { path : string; before : slot option }
 
 (* [log] holds every write, newest first, while [depth] scopes are open;
    outside them it is empty and nothing is logged.  Each scope remembers
@@ -26,7 +32,7 @@ type change = { path : string; before : file option }
    mark.  [generation] counts the writes made outside every scope: the
    ones no scope undoes. *)
 type t = {
-  files : (string, file) Hashtbl.t;
+  files : (string, slot) Hashtbl.t;
   mutable log : change list;
   mutable depth : int;
   mutable generation : int;
@@ -42,25 +48,45 @@ let write t path after =
     t.log <- { path; before = Hashtbl.find_opt t.files path } :: t.log
   else t.generation <- t.generation + 1;
   match after with
-  | Some f -> Hashtbl.replace t.files path f
+  | Some slot -> Hashtbl.replace t.files path slot
   | None -> Hashtbl.remove t.files path
 
+(* Is [path] (absolute) already normal: no empty, "." or ".." component
+   and no trailing "/" (except for "/" itself)?  One scan, no
+   allocation. *)
+let is_normal path =
+  let n = String.length path in
+  (* [start] is where the current component began, just after a '/'. *)
+  let rec scan start i =
+    if i = n || path.[i] = '/' then
+      let len = i - start in
+      len > 0
+      && (not (len = 1 && path.[start] = '.'))
+      && (not (len = 2 && path.[start] = '.' && path.[start + 1] = '.'))
+      && (i = n || scan (i + 1) (i + 1))
+    else scan start (i + 1)
+  in
+  n = 1 || scan 1 1
+
 (* Normalize an absolute path: collapse "//" and trailing "/", resolve
-   "." and ".." textually. *)
+   "." and ".." textually.  A path that is already normal comes back
+   as it is. *)
 let normalize path =
   if path = "" || path.[0] <> '/' then
     invalid_arg (Printf.sprintf "Vfs: path must be absolute: %S" path);
-  let parts = String.split_on_char '/' path in
-  let stack =
-    List.fold_left
-      (fun stack part ->
-        match part with
-        | "" | "." -> stack
-        | ".." -> ( match stack with [] -> [] | _ :: rest -> rest)
-        | p -> p :: stack)
-      [] parts
-  in
-  "/" ^ String.concat "/" (List.rev stack)
+  if is_normal path then path
+  else
+    let parts = String.split_on_char '/' path in
+    let stack =
+      List.fold_left
+        (fun stack part ->
+          match part with
+          | "" | "." -> stack
+          | ".." -> ( match stack with [] -> [] | _ :: rest -> rest)
+          | p -> p :: stack)
+        [] parts
+    in
+    "/" ^ String.concat "/" (List.rev stack)
 
 let dirname path =
   match String.rindex_opt path '/' with
@@ -83,7 +109,15 @@ let add ?declared_size t path kind =
   let declared_size =
     match declared_size with Some s -> s | None -> default_size kind
   in
-  write t path (Some { kind; declared_size })
+  write t path (Some { file = { kind; declared_size }; image = None })
+
+let add_image ?declared_size t path image =
+  let bytes = Feam_elf.Reader.image_bytes image in
+  let declared_size =
+    match declared_size with Some s -> s | None -> String.length bytes
+  in
+  write t (normalize path)
+    (Some { file = { kind = Elf bytes; declared_size }; image = Some image })
 
 let remove t path = write t (normalize path) None
 
@@ -96,7 +130,7 @@ let scoped t f =
       match l with
       | e :: rest ->
         (match e.before with
-        | Some file -> Hashtbl.replace t.files e.path file
+        | Some slot -> Hashtbl.replace t.files e.path slot
         | None -> Hashtbl.remove t.files e.path);
         undo rest
       | [] -> assert false
@@ -109,24 +143,47 @@ let scoped t f =
       t.depth <- t.depth - 1)
     f
 
-(* Resolve symlinks (bounded depth to terminate on cycles). *)
-let rec resolve ?(depth = 16) t path =
+(* Resolve symlinks (bounded depth to terminate on cycles): the real
+   path and its slot. *)
+let rec resolve_slot depth t path =
   if depth = 0 then None
   else
     let path = normalize path in
     match Hashtbl.find_opt t.files path with
-    | Some { kind = Symlink target; _ } ->
+    | Some { file = { kind = Symlink target; _ }; _ } ->
       let target =
         if String.length target > 0 && target.[0] = '/' then target
         else dirname path ^ "/" ^ target
       in
-      resolve ~depth:(depth - 1) t target
-    | Some f -> Some (path, f)
+      resolve_slot (depth - 1) t target
+    | Some slot -> Some (path, slot)
     | None -> None
 
-let find t path = Option.map snd (resolve t path)
+let resolve ?(depth = 16) t path =
+  match resolve_slot depth t path with
+  | Some (path, slot) -> Some (path, slot.file)
+  | None -> None
 
-let entry t path = Hashtbl.find_opt t.files (normalize path)
+let resolve_image t path =
+  match resolve_slot 16 t path with
+  | Some (path, ({ file = { kind = Elf bytes; _ }; image } as slot)) -> (
+    match image with
+    | Some image -> Some (path, image)
+    | None ->
+      let image = Feam_elf.Reader.image bytes in
+      slot.image <- Some image;
+      Some (path, image))
+  | Some _ | None -> None
+
+let find t path =
+  match resolve_slot 16 t path with
+  | Some (_, slot) -> Some slot.file
+  | None -> None
+
+let entry t path =
+  match Hashtbl.find_opt t.files (normalize path) with
+  | Some slot -> Some slot.file
+  | None -> None
 
 let exists t path = find t path <> None
 
@@ -195,7 +252,8 @@ let du t dir =
   let dir = normalize dir in
   let prefix = if dir = "/" then "/" else dir ^ "/" in
   Hashtbl.fold
-    (fun p f acc ->
-      if String.starts_with ~prefix p || p = dir then acc + f.declared_size
+    (fun p slot acc ->
+      if String.starts_with ~prefix p || p = dir then
+        acc + slot.file.declared_size
       else acc)
     t.files 0

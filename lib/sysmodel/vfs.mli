@@ -18,7 +18,9 @@ type t
 
 val create : unit -> t
 
-(** Normalize an absolute path (collapse "//", resolve "." and "..").
+(** Normalize an absolute path (collapse "//", resolve "." and "..",
+    drop a trailing "/").  A path that is already normal is returned
+    as it is ([==]), after one scan that allocates nothing.
     @raise Invalid_argument on relative paths. *)
 val normalize : string -> string
 
@@ -29,12 +31,20 @@ val basename : string -> string
     length (ELF image size / text length). *)
 val add : ?declared_size:int -> t -> string -> kind -> unit
 
+(** [add_image t path image] adds the ELF file holding [image]'s bytes,
+    its handle already in place for {!resolve_image}.  [declared_size]
+    defaults to the image's length. *)
+val add_image : ?declared_size:int -> t -> string -> Feam_elf.Reader.image -> unit
+
 val remove : t -> string -> unit
 
 (** [scoped t f] runs [f], then puts back every file [f] added, replaced
     or removed, newest change first, so [t] is left as [f] found it.  It
     does so also when [f] raises, and scopes nest: an inner scope undoes
-    only its own changes.  Outside any scope writes are not logged. *)
+    only its own changes.  Outside any scope writes are not logged.
+    What goes back is the stored file with its image handle
+    ({!resolve_image}), so a file put back parses from the handle it
+    had before the scope. *)
 val scoped : t -> (unit -> 'a) -> 'a
 
 (** The number of writes made outside any {!scoped} scope: the changes
@@ -45,6 +55,14 @@ val generation : t -> int
 (** Resolve symlinks (bounded depth; cycles yield [None]); returns the
     real path and the file. *)
 val resolve : ?depth:int -> t -> string -> (string * file) option
+
+(** Like {!resolve}, for an ELF file: the real path and the file's image
+    handle ({!Feam_elf.Reader.image}).  The handle is made on the first
+    such read of the stored file and kept with it, so later reads hash
+    nothing; a write stores a new file, and with it a new handle.
+    [None] when the path resolves to nothing or to a file that is not
+    ELF. *)
+val resolve_image : t -> string -> (string * Feam_elf.Reader.image) option
 
 val find : t -> string -> file option
 

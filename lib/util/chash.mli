@@ -1,7 +1,8 @@
 (** The content hash: a deterministic function of the payload bytes
     alone.  Identical bytes yield identical keys regardless of the path,
     site, or time they were captured from.  A live ELF image's key is
-    read from [Feam_elf.Reader.content_key], which computes it once. *)
+    read through its handle, [Feam_elf.Reader.image_key], which computes
+    it once per image. *)
 
 type t
 

@@ -86,7 +86,8 @@ let test_bundle_roundtrip () =
     (fun (a : Bdc.library_copy) (b : Bdc.library_copy) ->
       Alcotest.(check string) "copy request" a.Bdc.copy_request b.Bdc.copy_request;
       Alcotest.(check bool) "copy bytes equal" true
-        (a.Bdc.copy_bytes = b.Bdc.copy_bytes))
+        (Feam_elf.Reader.image_bytes a.Bdc.copy_image
+        = Feam_elf.Reader.image_bytes b.Bdc.copy_image))
     bundle.Bundle.copies bundle'.Bundle.copies;
   (* source discovery survives *)
   Alcotest.(check bool) "discovery glibc" true

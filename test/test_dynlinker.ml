@@ -109,6 +109,117 @@ let test_resolve_arch_mismatch () =
   Alcotest.(check bool) "arch mismatch" true
     (List.exists (fun m -> m.Resolve.am_lib = "libweird.so.1") r.Resolve.arch_mismatches)
 
+(* -- The indexed version check ---------------------------------------------- *)
+
+(* The version check as a scan of the closure per requirement, through
+   [consulted_provider]: what [Resolve.run]'s index must reproduce. *)
+let scanned_failures (r : Resolve.t) =
+  let check obj_name (spec : Feam_elf.Spec.t) =
+    List.concat_map
+      (fun vn ->
+        match Resolve.consulted_provider r.Resolve.resolved vn.Feam_elf.Spec.vn_file with
+        | None -> []
+        | Some (pos, p) ->
+          vn.Feam_elf.Spec.vn_versions
+          |> List.filter (fun v -> not (List.mem v p.Resolve.lib_spec.Feam_elf.Spec.verdefs))
+          |> List.map (fun v -> (obj_name, p.Resolve.lib_name, Some pos, v)))
+      spec.Feam_elf.Spec.verneeds
+  in
+  check "a.out" r.Resolve.root_spec
+  @ List.concat_map (fun l -> check l.Resolve.lib_name l.Resolve.lib_spec) r.Resolve.resolved
+
+let failure_tuples (r : Resolve.t) =
+  List.map
+    (fun f -> (f.Resolve.vf_object, f.Resolve.vf_provider, f.Resolve.vf_scope_pos, f.Resolve.vf_version))
+    r.Resolve.version_failures
+
+let qsite = lazy (fst (Fixtures.small_site ()))
+
+(* Install each [(file name, spec)] under /qlib for one resolution of
+   [root], then put the site back. *)
+let resolve_with libs root =
+  let site = Lazy.force qsite in
+  let vfs = Site.vfs site in
+  Vfs.scoped vfs @@ fun () ->
+  List.iter
+    (fun (name, spec) -> Vfs.add vfs ("/qlib/" ^ name) (Vfs.Elf (Feam_elf.Builder.build spec)))
+    libs;
+  Resolve.run site (Env.set (Site.base_env site) "LD_LIBRARY_PATH" "/qlib") root
+
+let lib ?soname ?(needed = []) ?(verneeds = []) verdefs =
+  Feam_elf.Spec.make ~file_type:Feam_elf.Types.ET_DYN ?soname ~needed ~verneeds ~verdefs
+    Feam_elf.Types.X86_64
+
+let vn file versions = { Feam_elf.Spec.vn_file = file; vn_versions = versions }
+
+let failure_t = Alcotest.(list (pair (pair string string) (pair (option int) string)))
+
+let nest = List.map (fun (o, p, pos, v) -> ((o, p), (pos, v)))
+
+(* A member loaded under another name but claiming [libqb.so.1] by
+   DT_SONAME comes first in load order: it is the one consulted, not the
+   library loaded as [libqb.so.1]. *)
+let test_soname_claimant_first () =
+  let r =
+    resolve_with
+      [ ("libqa.so.1", lib ~soname:"libqb.so.1" [ "QV_1" ]); ("libqb.so.1", lib [ "QV_1"; "QV_2" ]) ]
+      (Feam_elf.Spec.make ~needed:[ "libqa.so.1"; "libqb.so.1" ]
+         ~verneeds:[ vn "libqb.so.1" [ "QV_1"; "QV_2" ] ]
+         Feam_elf.Types.X86_64)
+  in
+  Alcotest.check failure_t "the claimant is consulted"
+    (nest [ ("a.out", "libqa.so.1", Some 0, "QV_2") ])
+    (nest (failure_tuples r));
+  Alcotest.check failure_t "as the scan finds" (nest (scanned_failures r)) (nest (failure_tuples r))
+
+(* Two members claim one name: the first in load order answers. *)
+let test_two_claimants () =
+  let r =
+    resolve_with
+      [
+        ("libqa.so.1", lib ~soname:"libqc.so.1" ~verneeds:[ vn "libqc.so.1" [ "QV_3" ] ] []);
+        ("libqb.so.1", lib ~soname:"libqc.so.1" [ "QV_1"; "QV_3" ]);
+      ]
+      (Feam_elf.Spec.make ~needed:[ "libqa.so.1"; "libqb.so.1" ]
+         ~verneeds:[ vn "libqc.so.1" [ "QV_1" ]; vn "libqb.so.1" [ "QV_1"; "QV_2" ] ]
+         Feam_elf.Types.X86_64)
+  in
+  Alcotest.check failure_t "first claimant, then the named library"
+    (nest
+       [
+         ("a.out", "libqa.so.1", Some 0, "QV_1");
+         ("a.out", "libqb.so.1", Some 1, "QV_2");
+         ("libqa.so.1", "libqa.so.1", Some 0, "QV_3");
+       ])
+    (nest (failure_tuples r));
+  Alcotest.check failure_t "as the scan finds" (nest (scanned_failures r)) (nest (failure_tuples r))
+
+(* Random closures over a few names, sonames, versions and requirements:
+   the index reports what the scan reports, in the same order. *)
+let prop_indexed_check_matches_scan =
+  let names = [ "libqa.so.1"; "libqb.so.1"; "libqc.so.1"; "libqd.so.1" ] in
+  let versions = [ "QV_1"; "QV_2"; "QV_3" ] in
+  let open QCheck.Gen in
+  let subset l = map (fun keep -> List.filteri (fun i _ -> List.nth keep i) l) (list_repeat (List.length l) bool) in
+  let verneeds = list_size (int_range 0 3) (map2 vn (oneofl names) (subset versions)) in
+  let spec_gen =
+    map3
+      (fun (soname, needed) verneeds verdefs -> lib ?soname ~needed ~verneeds verdefs)
+      (pair (opt (oneofl names)) (subset names))
+      verneeds (subset versions)
+  in
+  let case =
+    pair
+      (list_size (int_range 0 4) (pair (oneofl names) spec_gen))
+      (map2
+         (fun needed verneeds -> Feam_elf.Spec.make ~needed ~verneeds Feam_elf.Types.X86_64)
+         (subset names) verneeds)
+  in
+  QCheck.Test.make ~name:"resolve: indexed version check equals the scan" ~count:150
+    (QCheck.make case) (fun (libs, root) ->
+      let r = resolve_with libs root in
+      failure_tuples r = scanned_failures r)
+
 (* -- Ldd ---------------------------------------------------------------------- *)
 
 let test_ldd_output () =
@@ -278,6 +389,10 @@ let suite =
       Alcotest.test_case "resolve missing" `Quick test_resolve_missing_without_env;
       Alcotest.test_case "resolve version failure" `Quick test_resolve_version_failure;
       Alcotest.test_case "resolve arch mismatch" `Quick test_resolve_arch_mismatch;
+      Alcotest.test_case "version check: soname claimant first" `Quick
+        test_soname_claimant_first;
+      Alcotest.test_case "version check: two claimants" `Quick test_two_claimants;
+      QCheck_alcotest.to_alcotest prop_indexed_check_matches_scan;
       Alcotest.test_case "ldd output" `Quick test_ldd_output;
       Alcotest.test_case "ldd not found" `Quick test_ldd_not_found_lines;
       Alcotest.test_case "ldd foreign binary" `Quick test_ldd_foreign_binary;

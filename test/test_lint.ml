@@ -67,7 +67,7 @@ let copy ~request ~origin ~description:d bytes =
   {
     Bdc.copy_request = request;
     copy_origin_path = origin;
-    copy_bytes = bytes;
+    copy_image = Feam_elf.Reader.image bytes;
     copy_declared_size = String.length bytes;
     copy_description = d;
   }

@@ -44,7 +44,7 @@ let make_copy ?(machine = Feam_elf.Types.X86_64) ?(needed = [ "libc.so.6" ])
   {
     Bdc.copy_request = name;
     copy_origin_path = "/origin/" ^ name;
-    copy_bytes = bytes;
+    copy_image = Feam_elf.Reader.image bytes;
     copy_declared_size = 4096;
     copy_description = description;
   }

@@ -172,13 +172,19 @@ let test_key_misses () =
   let changed =
     match bundle.Feam_core.Bundle.copies with
     | c :: rest ->
-      let bytes = Bytes.of_string c.Feam_core.Bdc.copy_bytes in
+      let bytes =
+        Bytes.of_string (Feam_elf.Reader.image_bytes c.Feam_core.Bdc.copy_image)
+      in
       let last = Bytes.length bytes - 1 in
       Bytes.set bytes last (Char.chr (Char.code (Bytes.get bytes last) lxor 1));
       {
         bundle with
         Feam_core.Bundle.copies =
-          { c with Feam_core.Bdc.copy_bytes = Bytes.to_string bytes } :: rest;
+          {
+            c with
+            Feam_core.Bdc.copy_image = Feam_elf.Reader.image (Bytes.to_string bytes);
+          }
+          :: rest;
       }
     | [] -> Alcotest.fail "the cell's bundle has no copies"
   in

@@ -347,7 +347,7 @@ let soname_keeping_symbol_dropping_bundle () =
         {
           Bdc.copy_request = "libfoo.so.1";
           copy_origin_path = "/usr/lib64/libfoo.so.1";
-          copy_bytes = foo_bytes;
+          copy_image = Feam_elf.Reader.image foo_bytes;
           copy_declared_size = String.length foo_bytes;
           copy_description =
             description

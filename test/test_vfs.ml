@@ -103,6 +103,97 @@ let prop_normalize_idempotent =
       let n = Vfs.normalize p in
       Vfs.normalize n = n && String.length n > 0 && n.[0] = '/')
 
+(* The fold over split components that [normalize] skips for a path
+   that is already normal. *)
+let reference_normalize path =
+  let stack =
+    List.fold_left
+      (fun stack part ->
+        match part with
+        | "" | "." -> stack
+        | ".." -> ( match stack with [] -> [] | _ :: rest -> rest)
+        | p -> p :: stack)
+      [] (String.split_on_char '/' path)
+  in
+  "/" ^ String.concat "/" (List.rev stack)
+
+(* Paths with every component [normalize] has to handle: empty ones
+   ("//"), ".", "..", names that merely start with a dot, and an
+   optional trailing "/". *)
+let gen_raw_path =
+  QCheck.Gen.(
+    let seg = oneofl [ ""; "."; ".."; "..."; ".a"; "a"; "bb"; "lib64" ] in
+    map2
+      (fun segs slash -> "/" ^ String.concat "/" segs ^ if slash then "/" else "")
+      (list_size (int_range 0 6) seg)
+      bool)
+
+let prop_normalize_reference =
+  QCheck.Test.make ~name:"vfs: normalize equals the split/fold reference"
+    ~count:1000 (QCheck.make ~print:Fun.id gen_raw_path) (fun p ->
+      let n = Vfs.normalize p in
+      n = reference_normalize p
+      (* a normal path comes back as it is *)
+      && Vfs.normalize n == n
+      && (n <> p || Vfs.normalize p == p))
+
+(* -- Image handles --------------------------------------------------------- *)
+
+let lib_image soname =
+  Feam_elf.Builder.build (Feam_elf.Spec.make ~soname Feam_elf.Types.X86_64)
+
+let handle fs path =
+  match Vfs.resolve_image fs path with
+  | Some (_, image) -> image
+  | None -> Alcotest.fail ("no ELF file at " ^ path)
+
+let parse_at fs path =
+  match Feam_elf.Reader.parse_image (handle fs path) with
+  | Ok parsed -> parsed
+  | Error e -> Alcotest.fail (Feam_elf.Reader.error_to_string e)
+
+let soname_of parsed = (Feam_elf.Reader.spec parsed).Feam_elf.Spec.soname
+
+let parse_memo_hits () =
+  Option.value ~default:0 (Feam_obs.Metrics.counter_value "elf.parse_memo.hit")
+
+(* A file carries its image handle through a scope: replaced inside the
+   scope, it parses as the new image there, and once the scope puts the
+   old file back, the old parse returns as a memo hit. *)
+let test_image_survives_scope () =
+  let fs = mk () in
+  Vfs.add fs "/lib/libz.so.1" (Vfs.Elf (lib_image "libz.so.1"));
+  Vfs.add fs "/lib/libz.so" (Vfs.Symlink "libz.so.1");
+  let before = parse_at fs "/lib/libz.so.1" in
+  let kept = handle fs "/lib/libz.so.1" in
+  Alcotest.(check bool) "a symlink reads the same handle" true
+    (handle fs "/lib/libz.so" == kept);
+  Vfs.scoped fs (fun () ->
+      Vfs.add fs "/lib/libz.so.1" (Vfs.Elf (lib_image "libz-new.so.1"));
+      Alcotest.(check (option string)) "the replacement parses in the scope"
+        (Some "libz-new.so.1")
+        (soname_of (parse_at fs "/lib/libz.so.1")));
+  let hits = parse_memo_hits () in
+  let after = parse_at fs "/lib/libz.so.1" in
+  Alcotest.(check bool) "the old parse is back" true (after == before);
+  Alcotest.(check bool) "through the handle it had" true
+    (handle fs "/lib/libz.so.1" == kept);
+  Alcotest.(check int) "and it counts as a hit" (hits + 1) (parse_memo_hits ());
+  Alcotest.(check bool) "a text file has no image" true
+    (Vfs.add fs "/etc/hosts" (Vfs.Text "localhost");
+     Vfs.resolve_image fs "/etc/hosts" = None
+     && Vfs.resolve_image fs "/etc/none" = None)
+
+(* A file added with its handle reads that very handle back. *)
+let test_add_image () =
+  let fs = mk () in
+  let image = Feam_elf.Reader.image (lib_image "libq.so.1") in
+  Vfs.add_image ~declared_size:4096 fs "/opt//lib/libq.so.1" image;
+  Alcotest.(check (option int)) "declared size" (Some 4096)
+    (Vfs.file_size fs "/opt/lib/libq.so.1");
+  Alcotest.(check bool) "the same handle" true
+    (handle fs "/opt/lib/libq.so.1" == image)
+
 (* -- Scopes ---------------------------------------------------------------- *)
 
 (* Every path with its file: the whole observable state. *)
@@ -310,6 +401,10 @@ let suite =
       Alcotest.test_case "remove" `Quick test_remove;
       Alcotest.test_case "overwrite" `Quick test_overwrite;
       QCheck_alcotest.to_alcotest prop_normalize_idempotent;
+      QCheck_alcotest.to_alcotest prop_normalize_reference;
+      Alcotest.test_case "an image handle survives a scope" `Quick
+        test_image_survives_scope;
+      Alcotest.test_case "add_image keeps its handle" `Quick test_add_image;
       Alcotest.test_case "scoped undoes every write" `Quick test_scoped_undoes;
       Alcotest.test_case "scoped undoes after a raise" `Quick test_scoped_raise;
       Alcotest.test_case "nested scopes" `Quick test_scoped_nested;
