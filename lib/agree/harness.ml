@@ -40,34 +40,34 @@ let disagrees r =
 
 (* Journal one scenario and its verdicts; no-op unless recording. *)
 let record_run r =
-  if Feam_flightrec.Recorder.enabled () then begin
-    let sc = r.r_scenario in
-    Feam_flightrec.Recorder.payload ~kind:"agree.scenario"
-      (Json.Obj
-         [
-           ("seed", Json.Int sc.Scengen.sc_seed);
-           ("index", Json.Int sc.Scengen.sc_index);
-           ("keep", Json.List (List.map (fun i -> Json.Int i) sc.Scengen.sc_keep));
-           ( "drawn",
-             Json.List
-               (List.map
-                  (fun p -> Json.Str (Scengen.perturbation_to_string p))
-                  sc.Scengen.sc_all) );
-           ( "applied",
-             Json.List
-               (List.map
-                  (fun p -> Json.Str (Scengen.perturbation_to_string p))
-                  (Scengen.applied sc)) );
-           ( "program",
-             Json.Str sc.Scengen.sc_program.Feam_toolchain.Compile.prog_name );
-           ("mpi", Json.Bool sc.Scengen.sc_program.Feam_toolchain.Compile.uses_mpi);
-         ]);
-    List.iter
-      (fun p ->
-        let v = verdict_of r p in
-        Feam_flightrec.Recorder.decision
-          ~determinant:("agree." ^ Verdict.predictor_name p)
-          ~verdict:(Verdict.level_to_string v.Verdict.v_level)
+  let sc = r.r_scenario in
+  Feam_flightrec.Recorder.payload ~kind:"agree.scenario" (fun () ->
+      Json.Obj
+        [
+          ("seed", Json.Int sc.Scengen.sc_seed);
+          ("index", Json.Int sc.Scengen.sc_index);
+          ("keep", Json.List (List.map (fun i -> Json.Int i) sc.Scengen.sc_keep));
+          ( "drawn",
+            Json.List
+              (List.map
+                 (fun p -> Json.Str (Scengen.perturbation_to_string p))
+                 sc.Scengen.sc_all) );
+          ( "applied",
+            Json.List
+              (List.map
+                 (fun p -> Json.Str (Scengen.perturbation_to_string p))
+                 (Scengen.applied sc)) );
+          ( "program",
+            Json.Str sc.Scengen.sc_program.Feam_toolchain.Compile.prog_name );
+          ("mpi", Json.Bool sc.Scengen.sc_program.Feam_toolchain.Compile.uses_mpi);
+        ]);
+  List.iter
+    (fun p ->
+      let v = verdict_of r p in
+      Feam_flightrec.Recorder.decision
+        ~determinant:("agree." ^ Verdict.predictor_name p)
+        ~verdict:(Verdict.level_to_string v.Verdict.v_level)
+        (fun () ->
           [
             ("scenario", Json.Str (Scengen.id sc));
             ( "attribution",
@@ -75,9 +75,8 @@ let record_run r =
                 (List.map
                    (fun a -> Json.Str a.Verdict.at_source)
                    v.Verdict.v_attribution) );
-          ])
-      Verdict.predictors
-  end
+          ]))
+    Verdict.predictors
 
 (* One scenario, in a scope of the target's file system: the staged
    binary and whatever the phases write there are undone afterwards. *)
@@ -348,6 +347,5 @@ let render_report runs =
   Buffer.contents buf
 
 let record_report runs =
-  if Feam_flightrec.Recorder.enabled () then
-    Feam_flightrec.Recorder.payload ~kind:"agree.report"
-      (Json.Str (render_report runs))
+  Feam_flightrec.Recorder.payload ~kind:"agree.report" (fun () ->
+      Json.Str (render_report runs))

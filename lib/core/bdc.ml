@@ -145,17 +145,18 @@ let describe ?clock ?memo site env ~path =
   @@ fun () ->
   let journal_describe method_ (d : Description.t) =
     Feam_flightrec.Recorder.evidence ~stage:"bdc" ~kind:"describe"
-      [
-        ("path", Json.Str path);
-        ("method", Json.Str method_);
-        ("format", Json.Str d.Description.file_format);
-        ( "needed",
-          Json.List (List.map (fun n -> Json.Str n) d.Description.needed) );
-        ( "required_glibc",
-          match d.Description.required_glibc with
-          | Some v -> Json.Str (Version.to_string v)
-          | None -> Json.Null );
-      ]
+      (fun () ->
+        [
+          ("path", Json.Str path);
+          ("method", Json.Str method_);
+          ("format", Json.Str d.Description.file_format);
+          ( "needed",
+            Json.List (List.map (fun n -> Json.Str n) d.Description.needed) );
+          ( "required_glibc",
+            match d.Description.required_glibc with
+            | Some v -> Json.Str (Version.to_string v)
+            | None -> Json.Null );
+        ])
   in
   let memo = match memo with Some _ -> memo | None -> !default_memo in
   let memo_key =
@@ -245,11 +246,12 @@ let locate_library ?clock site env name =
   in
   let journal_locate method_ found =
     Feam_flightrec.Recorder.evidence ~stage:"bdc" ~kind:"locate"
-      [
-        ("library", Json.Str name);
-        ("method", Json.Str method_);
-        ("path", match found with Some p -> Json.Str p | None -> Json.Null);
-      ]
+      (fun () ->
+        [
+          ("library", Json.Str name);
+          ("method", Json.Str method_);
+          ("path", match found with Some p -> Json.Str p | None -> Json.Null);
+        ])
   in
   match via_locate () with
   | Some p ->
@@ -339,11 +341,12 @@ let gather_source ?clock ?memo site env ~path =
                       ("origin", Feam_obs.Span.Str origin);
                     ];
                 Feam_flightrec.Recorder.evidence ~stage:"bdc" ~kind:"copy"
-                  [
-                    ("library", Json.Str name);
-                    ("origin", Json.Str origin);
-                    ("declared_size", Json.Int declared_size);
-                  ];
+                  (fun () ->
+                    [
+                      ("library", Json.Str name);
+                      ("origin", Json.Str origin);
+                      ("declared_size", Json.Int declared_size);
+                    ]);
                 copies :=
                   {
                     copy_request = name;

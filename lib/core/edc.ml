@@ -174,10 +174,11 @@ let discover ?clock ~env_type site env =
   let sub name f = Feam_obs.Trace.with_span name f in
   let fact kind value =
     Feam_flightrec.Recorder.evidence ~stage:"edc" ~kind
-      [
-        ("env", Json.Str env_label);
-        ("value", match value with Some v -> Json.Str v | None -> Json.Null);
-      ]
+      (fun () ->
+        [
+          ("env", Json.Str env_label);
+          ("value", match value with Some v -> Json.Str v | None -> Json.Null);
+        ])
   in
   let machine =
     sub "edc.isa" (fun () ->
@@ -207,12 +208,13 @@ let discover ?clock ~env_type site env =
     sub "edc.stacks" (fun () ->
         let stacks = discover_stacks ?clock site in
         Feam_flightrec.Recorder.evidence ~stage:"edc" ~kind:"stacks"
-          [
-            ("env", Json.Str env_label);
-            ( "value",
-              Json.List
-                (List.map (fun s -> Json.Str s.Discovery.slug) stacks) );
-          ];
+          (fun () ->
+            [
+              ("env", Json.Str env_label);
+              ( "value",
+                Json.List
+                  (List.map (fun s -> Json.Str s.Discovery.slug) stacks) );
+            ]);
         stacks)
   in
   let current_stack =

@@ -24,12 +24,12 @@ let base_of name =
   | Some s -> Soname.base s
   | None -> name
 
-let has_lib needed base = List.exists (fun n -> base_of n = base) needed
-
 (* [identify needed] inspects a DT_NEEDED list. [None] when no MPI
-   implementation library is present (a serial binary). *)
+   implementation library is present (a serial binary).  Each name is
+   parsed once; the checks below test membership in the parsed bases. *)
 let identify needed =
-  let has = has_lib needed in
+  let bases = List.map base_of needed in
+  let has base = List.exists (String.equal base) bases in
   let fortran_bindings =
     has "libmpichf90" || has "libmpi_f77" || has "libmpi_f90" || has "libfmpich"
   in

@@ -49,11 +49,12 @@ let run_source ?clock ?ctx site env ~binary_path =
     Feam_obs.Metrics.incr "phases.source" ~labels:[ ("result", outcome) ];
     Feam_flightrec.Recorder.record "phase"
       ~fields:
-        [
-          ("phase", Feam_util.Json.Str "source");
-          ("site", Feam_util.Json.Str (Site.name site));
-          ("result", Feam_util.Json.Str outcome);
-        ];
+        (fun () ->
+          [
+            ("phase", Feam_util.Json.Str "source");
+            ("site", Feam_util.Json.Str (Site.name site));
+            ("result", Feam_util.Json.Str outcome);
+          ]);
     result
   in
   Log.info (fun m ->
@@ -187,11 +188,12 @@ let target_phase ?clock ?depot ?ctx config site env ?bundle ?binary_path () =
     Feam_obs.Metrics.incr "phases.target" ~labels:[ ("result", outcome) ];
     Feam_flightrec.Recorder.record "phase"
       ~fields:
-        [
-          ("phase", Feam_util.Json.Str "target");
-          ("site", Feam_util.Json.Str (Site.name site));
-          ("result", Feam_util.Json.Str outcome);
-        ];
+        (fun () ->
+          [
+            ("phase", Feam_util.Json.Str "target");
+            ("site", Feam_util.Json.Str (Site.name site));
+            ("result", Feam_util.Json.Str outcome);
+          ]);
     result
   in
   finish
@@ -238,11 +240,12 @@ let target_phase ?clock ?depot ?ctx config site env ?bundle ?binary_path () =
           description.Description.path);
     Feam_flightrec.Recorder.record "run"
       ~fields:
-        [
-          ("site", Feam_util.Json.Str (Site.name site));
-          ("binary", Feam_util.Json.Str description.Description.path);
-          ("extended", Feam_util.Json.Bool (bundle <> None));
-        ];
+        (fun () ->
+          [
+            ("site", Feam_util.Json.Str (Site.name site));
+            ("binary", Feam_util.Json.Str description.Description.path);
+            ("extended", Feam_util.Json.Bool (bundle <> None));
+          ]);
     let discovery = Edc.discover ?clock ~env_type:`Target site env in
     let input =
       { Tec.config; description; binary_path; bundle; discovery }

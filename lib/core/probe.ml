@@ -132,17 +132,18 @@ let test_stack ?clock config site env install ~(bundle : Bundle.t option)
       Feam_obs.Trace.set_attr "result" (Feam_obs.Span.Str "failed");
       Feam_obs.Trace.set_attr "failure" (Feam_obs.Span.Str why));
     Feam_flightrec.Recorder.evidence ~stage:"probe" ~kind:"test_stack"
-      [
-        ( "stack",
-          Feam_util.Json.Str (Stack_install.module_name install) );
-        ( "result",
-          Feam_util.Json.Str
-            (match result with Ok () -> "ok" | Error _ -> "failed") );
-        ( "failure",
-          match result with
-          | Ok () -> Feam_util.Json.Null
-          | Error why -> Feam_util.Json.Str why );
-      ];
+      (fun () ->
+        [
+          ( "stack",
+            Feam_util.Json.Str (Stack_install.module_name install) );
+          ( "result",
+            Feam_util.Json.Str
+              (match result with Ok () -> "ok" | Error _ -> "failed") );
+          ( "failure",
+            match result with
+            | Ok () -> Feam_util.Json.Null
+            | Error why -> Feam_util.Json.Str why );
+        ]);
     result
   in
   record

@@ -215,13 +215,11 @@ let render t =
    replay and diff read the last report record.  The text is rendered
    only while the recorder is on. *)
 let journal t =
-  if Feam_flightrec.Recorder.enabled () then
-    Feam_flightrec.Recorder.record "report"
-      ~fields:
-        [
-          ("site", Feam_util.Json.Str t.site_name);
-          ("binary", Feam_util.Json.Str t.binary);
-          ("ready", Feam_util.Json.Bool (Predict.is_ready t.prediction));
-          ("findings", Feam_util.Json.List (List.map finding_to_json t.findings));
-          ("text", Feam_util.Json.Str (render t));
-        ]
+  Feam_flightrec.Recorder.record "report" ~fields:(fun () ->
+      [
+        ("site", Feam_util.Json.Str t.site_name);
+        ("binary", Feam_util.Json.Str t.binary);
+        ("ready", Feam_util.Json.Bool (Predict.is_ready t.prediction));
+        ("findings", Feam_util.Json.List (List.map finding_to_json t.findings));
+        ("text", Feam_util.Json.Str (render t));
+      ])

@@ -221,24 +221,25 @@ let resolve ?clock ?depot config site env ~(bundle : Bundle.t) ~target_glibc
   in
   Feam_flightrec.Recorder.decision ~determinant:"resolve"
     ~verdict:(if outcome.failed = [] then "pass" else "fail")
-    [
-      ("missing", Json.List (List.map (fun m -> Json.Str m) missing));
-      ( "staged",
-        Json.List
-          (List.map
-             (fun (name, path) ->
-               Json.Obj [ ("library", Json.Str name); ("path", Json.Str path) ])
-             outcome.staged) );
-      ( "rejected",
-        Json.List
-          (List.map
-             (fun (name, r) ->
-               Json.Obj
-                 [
-                   ("library", Json.Str name);
-                   ("reason", Json.Str (rejection_slug r));
-                   ("detail", Json.Str (rejection_to_string r));
-                 ])
-             outcome.failed) );
-    ];
+    (fun () ->
+      [
+        ("missing", Json.List (List.map (fun m -> Json.Str m) missing));
+        ( "staged",
+          Json.List
+            (List.map
+               (fun (name, path) ->
+                 Json.Obj [ ("library", Json.Str name); ("path", Json.Str path) ])
+               outcome.staged) );
+        ( "rejected",
+          Json.List
+            (List.map
+               (fun (name, r) ->
+                 Json.Obj
+                   [
+                     ("library", Json.Str name);
+                     ("reason", Json.Str (rejection_slug r));
+                     ("detail", Json.Str (rejection_to_string r));
+                   ])
+               outcome.failed) );
+      ]);
   outcome

@@ -317,60 +317,64 @@ let opt_str = function None -> Json.Null | Some s -> Json.Str s
 let journal_isa (isa : Predict.isa_check) =
   Recorder.decision ~determinant:"isa"
     ~verdict:(pass_fail isa.Predict.isa_compatible)
-    [
-      ( "binary_machine",
-        Json.Str (Feam_elf.Types.machine_uname isa.Predict.binary_machine) );
-      ( "binary_class",
-        Json.Str (Fmt.str "%a" Feam_elf.Types.pp_class isa.Predict.binary_class)
-      );
-      ( "site_machine",
-        opt_str
-          (Option.map Feam_elf.Types.machine_uname isa.Predict.site_machine) );
-    ]
+    (fun () ->
+      [
+        ( "binary_machine",
+          Json.Str (Feam_elf.Types.machine_uname isa.Predict.binary_machine) );
+        ( "binary_class",
+          Json.Str (Fmt.str "%a" Feam_elf.Types.pp_class isa.Predict.binary_class)
+        );
+        ( "site_machine",
+          opt_str
+            (Option.map Feam_elf.Types.machine_uname isa.Predict.site_machine) );
+      ])
 
 let journal_clib (clib : Predict.clib_check) =
   Recorder.decision ~determinant:"glibc"
     ~verdict:(pass_fail clib.Predict.clib_compatible)
-    [
-      ("required", opt_str (Option.map Version.to_string clib.Predict.required));
-      ( "available",
-        opt_str (Option.map Version.to_string clib.Predict.available) );
-    ]
+    (fun () ->
+      [
+        ("required", opt_str (Option.map Version.to_string clib.Predict.required));
+        ( "available",
+          opt_str (Option.map Version.to_string clib.Predict.available) );
+      ])
 
 let journal_stack ~requested_impl ~candidates se ~compatible =
   Recorder.decision ~determinant:"mpi_stack" ~verdict:(pass_fail compatible)
-    [
-      ("requested_impl", opt_str (Option.map Feam_mpi.Impl.slug requested_impl));
-      ( "candidates",
-        Json.List
-          (List.map (fun c -> Json.Str c.Discovery.slug) candidates) );
-      ("functioning", opt_str se.se_functioning);
-      ( "probe_failures",
-        Json.List
-          (List.map
-             (fun (slug, why) ->
-               Json.Obj [ ("stack", Json.Str slug); ("reason", Json.Str why) ])
-             se.se_probe_failures) );
-    ]
+    (fun () ->
+      [
+        ("requested_impl", opt_str (Option.map Feam_mpi.Impl.slug requested_impl));
+        ( "candidates",
+          Json.List
+            (List.map (fun c -> Json.Str c.Discovery.slug) candidates) );
+        ("functioning", opt_str se.se_functioning);
+        ( "probe_failures",
+          Json.List
+            (List.map
+               (fun (slug, why) ->
+                 Json.Obj [ ("stack", Json.Str slug); ("reason", Json.Str why) ])
+               se.se_probe_failures) );
+      ])
 
 let journal_libs le ~compatible =
   Recorder.decision ~determinant:"shared_libraries"
     ~verdict:(pass_fail compatible)
-    [
-      ("missing", Json.List (List.map (fun m -> Json.Str m) le.le_missing));
-      ( "staged",
-        Json.List
-          (List.map
-             (fun (name, path) ->
-               Json.Obj [ ("library", Json.Str name); ("path", Json.Str path) ])
-             le.le_staged) );
-      ( "unresolved",
-        Json.List
-          (List.map
-             (fun (name, why) ->
-               Json.Obj [ ("library", Json.Str name); ("reason", Json.Str why) ])
-             le.le_unresolved) );
-    ]
+    (fun () ->
+      [
+        ("missing", Json.List (List.map (fun m -> Json.Str m) le.le_missing));
+        ( "staged",
+          Json.List
+            (List.map
+               (fun (name, path) ->
+                 Json.Obj [ ("library", Json.Str name); ("path", Json.Str path) ])
+               le.le_staged) );
+        ( "unresolved",
+          Json.List
+            (List.map
+               (fun (name, why) ->
+                 Json.Obj [ ("library", Json.Str name); ("reason", Json.Str why) ])
+               le.le_unresolved) );
+      ])
 
 (* -- live evaluation ------------------------------------------------------- *)
 
@@ -489,22 +493,22 @@ let evaluate ?clock ?depot ?ctx site env (input : input) : Predict.t =
     ~attrs:
       [ ("binary", Feam_obs.Span.Str input.description.Description.path) ]
   @@ fun () ->
-  (* The inputs replay rebuilds the run from, built only for a journal. *)
-  if Recorder.enabled () then begin
-    Recorder.payload ~kind:"config"
-      (Json.Str (Config.to_file_body input.config));
-    Recorder.payload ~kind:"description"
-      (Description.to_json input.description);
-    Recorder.payload ~kind:"discovery" (Discovery.to_json input.discovery)
-  end;
+  (* The inputs replay rebuilds the run from. *)
+  Recorder.payload ~kind:"config" (fun () ->
+      Json.Str (Config.to_file_body input.config));
+  Recorder.payload ~kind:"description" (fun () ->
+      Description.to_json input.description);
+  Recorder.payload ~kind:"discovery" (fun () ->
+      Discovery.to_json input.discovery);
   let t = evaluate_inner ?clock ?depot ?ctx site env input in
   let outcome = if Predict.is_ready t then "ready" else "not_ready" in
   Recorder.decision ~determinant:"predict"
     ~verdict:(if Predict.is_ready t then "ready" else "not ready")
-    [
-      ( "reasons",
-        Json.List (List.map (fun r -> Json.Str r) (Predict.reasons t)) );
-    ];
+    (fun () ->
+      [
+        ( "reasons",
+          Json.List (List.map (fun r -> Json.Str r) (Predict.reasons t)) );
+      ]);
   Feam_obs.Metrics.incr "predict.outcome" ~labels:[ ("result", outcome) ];
   Feam_obs.Trace.set_attr "verdict" (Feam_obs.Span.Str outcome);
   t

@@ -142,17 +142,18 @@ let journal ~wants plan =
       if not (Hashtbl.mem seen hex) then begin
         Hashtbl.add seen hex ();
         Feam_flightrec.Recorder.evidence ~stage:"depot" ~kind:"want"
-          [
-            ("label", Json.Str w.w_label);
-            ("key", Json.Str hex);
-            ("size", Json.Int w.w_size);
-            ("possessed", Json.Bool (not (Hashtbl.mem shipped hex)));
-          ]
+          (fun () ->
+            [
+              ("label", Json.Str w.w_label);
+              ("key", Json.Str hex);
+              ("size", Json.Int w.w_size);
+              ("possessed", Json.Bool (not (Hashtbl.mem shipped hex)));
+            ])
       end)
     wants;
-  Feam_flightrec.Recorder.payload ~kind:"transfer_plan"
-    (Json.Obj
-       [ ("site", Json.Str plan.plan_site); ("text", Json.Str (render plan)) ])
+  Feam_flightrec.Recorder.payload ~kind:"transfer_plan" (fun () ->
+      Json.Obj
+        [ ("site", Json.Str plan.plan_site); ("text", Json.Str (render plan)) ])
 
 (* Rebuild the recorded wants and possession verdicts from "want"
    evidence fields, in journal order: (want, possessed-at-planning). *)

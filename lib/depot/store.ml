@@ -64,13 +64,14 @@ let total_bytes t =
 
 let journal_intern key status (m : meta) =
   Feam_flightrec.Recorder.evidence ~stage:"depot" ~kind:"intern"
-    [
-      ("key", Json.Str (Chash.to_hex key));
-      ("status", Json.Str (status_to_string status));
-      ("size", Json.Int m.m_size);
-      ( "soname",
-        match m.m_soname with Some s -> Json.Str s | None -> Json.Null );
-    ]
+    (fun () ->
+      [
+        ("key", Json.Str (Chash.to_hex key));
+        ("status", Json.Str (status_to_string status));
+        ("size", Json.Int m.m_size);
+        ( "soname",
+          match m.m_soname with Some s -> Json.Str s | None -> Json.Null );
+      ])
 
 (* [intern t ~meta bytes] — add a payload, or recognize it.  On a hit
    the stored sidecar wins; the new capture's metadata is only used to

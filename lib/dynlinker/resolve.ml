@@ -143,10 +143,10 @@ let run site env (root : Feam_elf.Spec.t) =
   in
   (* Journal the resolution: the load order with each provider's scope
      position is the evidence the version check and symcheck verdicts
-     rest on.  Built only while the recorder is on. *)
+     rest on. *)
   let open Feam_util in
-  if Feam_flightrec.Recorder.enabled () then
-    Feam_flightrec.Recorder.evidence ~stage:"dynlinker" ~kind:"resolve"
+  Feam_flightrec.Recorder.evidence ~stage:"dynlinker" ~kind:"resolve"
+    (fun () ->
       [
         ( "resolved",
           Json.List
@@ -178,5 +178,5 @@ let run site env (root : Feam_elf.Spec.t) =
                      ("version", Json.Str vf.vf_version);
                    ])
                result.version_failures) );
-      ];
+      ]);
   result

@@ -25,23 +25,34 @@ type section = {
 
 let shf_alloc = 2
 
-(* Incremental string table: interns strings, returns offsets. *)
+(* String-keyed tables, compared with [String.equal] (OCaml 4.14's
+   [String] has no [hash] to apply [Hashtbl.Make] to directly). *)
+module Tbl = Hashtbl.Make (struct
+  type t = string
+
+  let equal = String.equal
+  let hash (s : string) = Hashtbl.hash s
+end)
+
+(* Incremental string table: interns strings, returns offsets.  A string
+   keeps the offset of its first insertion, so the table's bytes depend
+   only on the order of first insertions. *)
 module Strtab = struct
-  type t = { buf : Buffer.t; mutable index : (string * int) list }
+  type t = { buf : Buffer.t; index : int Tbl.t }
 
   let create () =
-    let buf = Buffer.create 64 in
+    let buf = Buffer.create 256 in
     Buffer.add_char buf '\000';
-    { buf; index = [] }
+    { buf; index = Tbl.create 32 }
 
   let add t s =
-    match List.assoc_opt s t.index with
+    match Tbl.find_opt t.index s with
     | Some off -> off
     | None ->
       let off = Buffer.length t.buf in
       Buffer.add_string t.buf s;
       Buffer.add_char t.buf '\000';
-      t.index <- (s, off) :: t.index;
+      Tbl.add t.index s off;
       off
 
   let contents t = Buffer.contents t.buf
@@ -60,7 +71,7 @@ let sym_entry_size = function Types.C32 -> 16 | Types.C64 -> 24
 (* .note.ABI-tag body: 4-byte name "GNU\0", 16-byte desc
    (os = 0 Linux, then the minimum kernel version triple). *)
 let note_body endian (maj, min_, patch) =
-  let w = Codec.Writer.create endian in
+  let w = Codec.Writer.create ~size:32 endian in
   Codec.Writer.u32 w 4 (* namesz *);
   Codec.Writer.u32 w 16 (* descsz *);
   Codec.Writer.u32 w 1 (* NT_GNU_ABI_TAG *);
@@ -75,7 +86,12 @@ let note_body endian (maj, min_, patch) =
    one Vernaux per required version name.  Version indices (vna_other)
    start at 2 (0 = local, 1 = global). *)
 let verneed_body endian dynstr (verneeds : Spec.verneed list) =
-  let w = Codec.Writer.create endian in
+  let size =
+    List.fold_left
+      (fun acc vn -> acc + 16 + (16 * List.length vn.Spec.vn_versions))
+      0 verneeds
+  in
+  let w = Codec.Writer.create ~size endian in
   let n = List.length verneeds in
   let next_index = ref 2 in
   List.iteri
@@ -103,8 +119,8 @@ let verneed_body endian dynstr (verneeds : Spec.verneed list) =
 
 (* .gnu.version_d body: one Verdef + Verdaux per defined version name. *)
 let verdef_body endian dynstr verdefs =
-  let w = Codec.Writer.create endian in
   let n = List.length verdefs in
+  let w = Codec.Writer.create ~size:(28 * n) endian in
   List.iteri
     (fun i name ->
       let name_off = Strtab.add dynstr name in
@@ -125,7 +141,8 @@ let verdef_body endian dynstr verdefs =
    addresses), undefined ones SHN_UNDEF; st_info carries the binding in
    its high nibble with STT_FUNC below. *)
 let symtab_body cls endian dynstr (dynsyms : Spec.dynsym list) =
-  let w = Codec.Writer.create endian in
+  let size = sym_entry_size cls * (List.length dynsyms + 1) in
+  let w = Codec.Writer.create ~size endian in
   let entry ~name_off ~info ~shndx =
     match cls with
     | Types.C64 ->
@@ -164,6 +181,12 @@ let symtab_body cls endian dynstr (dynsyms : Spec.dynsym list) =
    verdef indices (vd_ndx = position + 1); unversioned symbols get 1
    (VER_NDX_GLOBAL). *)
 let versym_body endian (spec : Spec.t) =
+  (* version name -> index; a name listed twice keeps its first index *)
+  let index_of names =
+    let t = Tbl.create 16 in
+    List.iter (fun (v, i) -> if not (Tbl.mem t v) then Tbl.add t v i) names;
+    t
+  in
   let need_index =
     let next = ref 2 in
     List.concat_map
@@ -175,9 +198,10 @@ let versym_body endian (spec : Spec.t) =
             (v, i))
           vn.Spec.vn_versions)
       spec.Spec.verneeds
+    |> index_of
   in
-  let def_index = List.mapi (fun i v -> (v, i + 1)) spec.Spec.verdefs in
-  let w = Codec.Writer.create endian in
+  let def_index = index_of (List.mapi (fun i v -> (v, i + 1)) spec.Spec.verdefs) in
+  let w = Codec.Writer.create ~size:(2 * (List.length spec.Spec.dynsyms + 1)) endian in
   Codec.Writer.u16 w 0;
   List.iter
     (fun (s : Spec.dynsym) ->
@@ -186,7 +210,7 @@ let versym_body endian (spec : Spec.t) =
         | None -> 1
         | Some v -> (
           let table = if s.Spec.sym_defined then def_index else need_index in
-          match List.assoc_opt v table with Some i -> i | None -> 1)
+          match Tbl.find_opt table v with Some i -> i | None -> 1)
       in
       Codec.Writer.u16 w ndx)
     spec.Spec.dynsyms;
@@ -195,9 +219,9 @@ let versym_body endian (spec : Spec.t) =
 let comment_body comments =
   String.concat "" (List.map (fun c -> c ^ "\000") comments)
 
-let dynamic_body spec cls endian dynstr ~dynstr_addr ~dynstr_size ~symtab_addr
-    ~versym_addr ~verneed_addr ~verdef_addr =
-  let w = Codec.Writer.create endian in
+let dynamic_body spec cls endian dynstr ~size ~dynstr_addr ~dynstr_size
+    ~symtab_addr ~versym_addr ~verneed_addr ~verdef_addr =
+  let w = Codec.Writer.create ~size endian in
   let entry tag value =
     Codec.Writer.word w cls tag;
     Codec.Writer.word w cls value
@@ -297,7 +321,8 @@ let build (spec : Spec.t) : string =
 
   let addr_of off = image_base + off in
   let dynamic =
-    dynamic_body spec cls endian dynstr ~dynstr_addr:(addr_of dynstr_off)
+    dynamic_body spec cls endian dynstr ~size:dynamic_size
+      ~dynstr_addr:(addr_of dynstr_off)
       ~dynstr_size:(String.length dynstr_body)
       ~symtab_addr:(Option.map addr_of symtab_off)
       ~versym_addr:(Option.map addr_of versym_off)
@@ -408,9 +433,8 @@ let build (spec : Spec.t) : string =
   in
   (* The precomputed offsets must agree with the layout used for
      addresses embedded in .dynamic. *)
-  List.iteri
-    (fun i s ->
-      let off = List.nth offsets i in
+  List.iter2
+    (fun s off ->
       match s.name with
       | ".interp" -> assert (Some off = interp_off)
       | ".note.ABI-tag" -> assert (Some off = note_off)
@@ -422,14 +446,15 @@ let build (spec : Spec.t) : string =
       | ".dynamic" -> assert (off = dynamic_off)
       | ".comment" -> assert (off = comment_off)
       | _ -> ())
-    sections;
+    sections offsets;
 
   let last_off = List.fold_left2 (fun acc s off -> max acc (off + String.length s.body)) 0 sections offsets in
   let shoff = align8 last_off in
   let shnum = List.length sections in
 
   (* Emit: header, bodies, section header table. *)
-  let w = Codec.Writer.create endian in
+  let total_size = shoff + (shnum * shentsize cls) in
+  let w = Codec.Writer.create ~size:total_size endian in
   (* e_ident *)
   Codec.Writer.bytes w "\x7fELF";
   Codec.Writer.u8 w (Types.class_code cls);
@@ -452,7 +477,6 @@ let build (spec : Spec.t) : string =
   Codec.Writer.u16 w shnum;
   Codec.Writer.u16 w shstrndx;
   (* Program header table. *)
-  let total_size = shoff + (shnum * shentsize cls) in
   let phdr p_type ~flags ~off ~size ~align =
     match cls with
     | Types.C64 ->

@@ -5,41 +5,35 @@ exception Truncated of string
 module Writer = struct
   type t = { buf : Buffer.t; endian : Types.endian }
 
-  let create endian = { buf = Buffer.create 1024; endian }
+  let create ~size endian = { buf = Buffer.create size; endian }
 
   let length t = Buffer.length t.buf
 
   let contents t = Buffer.contents t.buf
 
-  let u8 t v = Buffer.add_char t.buf (Char.chr (v land 0xff))
+  let u8 t v = Buffer.add_char t.buf (Char.unsafe_chr (v land 0xff))
 
   let u16 t v =
     match t.endian with
-    | Types.LE ->
-      u8 t (v land 0xff);
-      u8 t ((v lsr 8) land 0xff)
-    | Types.BE ->
-      u8 t ((v lsr 8) land 0xff);
-      u8 t (v land 0xff)
+    | Types.LE -> Buffer.add_uint16_le t.buf (v land 0xffff)
+    | Types.BE -> Buffer.add_uint16_be t.buf (v land 0xffff)
 
+  (* [Int32.of_int] keeps the low 32 bits, as the masked value's. *)
   let u32 t v =
+    let v = Int32.of_int (v land 0xffffffff) in
     match t.endian with
-    | Types.LE ->
-      u16 t (v land 0xffff);
-      u16 t ((v lsr 16) land 0xffff)
-    | Types.BE ->
-      u16 t ((v lsr 16) land 0xffff);
-      u16 t (v land 0xffff)
+    | Types.LE -> Buffer.add_int32_le t.buf v
+    | Types.BE -> Buffer.add_int32_be t.buf v
 
   let u64 t v =
     (* OCaml ints are 63-bit; file offsets here stay far below 2^62. *)
     match t.endian with
     | Types.LE ->
-      u32 t (v land 0xffffffff);
-      u32 t ((v lsr 32) land 0xffffffff)
+      u32 t v;
+      u32 t (v lsr 32)
     | Types.BE ->
-      u32 t ((v lsr 32) land 0xffffffff);
-      u32 t (v land 0xffffffff)
+      u32 t (v lsr 32);
+      u32 t v
 
   (* Class-dependent word: 32-bit field in ELF32, 64-bit in ELF64. *)
   let word t cls v =

@@ -5,7 +5,9 @@ exception Truncated of string
 module Writer : sig
   type t
 
-  val create : Types.endian -> t
+  (** [size] is the initial capacity in bytes; the writer grows past
+      it as needed. *)
+  val create : size:int -> Types.endian -> t
   val length : t -> int
   val contents : t -> string
   val u8 : t -> int -> unit

@@ -4,11 +4,10 @@
    one JSON object per line, linked to the enclosing Feam_obs span.
 
    Disabled (the default) the recorder is a strict no-op, mirroring
-   the tracer: instrumentation left in the pipeline changes no output
-   and costs no more than building its arguments.  Call sites whose
-   fields are costly to build (the rendered report, the TEC's input
-   payloads, the resolution evidence) check [enabled] first.  The journal deliberately carries *no
-   timestamps* — two runs over the same inputs must produce
+   the tracer: instrumentation left in the pipeline changes no output,
+   and every record takes its fields as a thunk that runs only while
+   recording, so a disabled call builds nothing.  The journal
+   deliberately carries *no timestamps* — two runs over the same inputs must produce
    byte-identical journals, which is what makes `feam replay` a
    regression oracle and `feam diff` free of noise. *)
 
@@ -85,10 +84,13 @@ let disable () =
   st.flushed_at <- -1;
   Feam_obs.remove_flush_hook "flightrec"
 
+let no_fields () = []
+
 (* Append one record.  [seq] and the current span id are stamped here;
-   everything else is the caller's fields. *)
-let record ?(fields = []) kind =
+   everything else is the caller's fields, built only now. *)
+let record ?(fields = no_fields) kind =
   if st.enabled then begin
+    let fields = fields () in
     (match st.tape with
     | Some l -> st.tape <- Some ((kind, fields) :: l)
     | None -> ());
@@ -119,39 +121,41 @@ let capture f =
   let r = f () in
   (r, List.rev (Option.get st.tape))
 
-let replay tape = List.iter (fun (kind, fields) -> record ~fields kind) tape
+let replay tape =
+  List.iter (fun (kind, fields) -> record ~fields:(fun () -> fields) kind) tape
 
 (* A raw fact consulted during discovery — an objdump/readelf/ldd
    parse, an environment probe, a library location. *)
 let evidence ~stage ~kind fields =
-  record "evidence"
-    ~fields:(("stage", Json.Str stage) :: ("kind", Json.Str kind) :: fields)
+  if st.enabled then
+    record "evidence" ~fields:(fun () ->
+      ("stage", Json.Str stage) :: ("kind", Json.Str kind) :: fields ())
 
 (* A determinant verdict plus the evidence that produced it. *)
 let decision ~determinant ~verdict evidence =
-  record "decision"
-    ~fields:
+  if st.enabled then
+    record "decision" ~fields:(fun () ->
       [
         ("determinant", Json.Str determinant);
         ("verdict", Json.Str verdict);
-        ("evidence", Json.Obj evidence);
-      ]
+        ("evidence", Json.Obj (evidence ()));
+      ])
 
 (* A full serialized input (description, discovery, config) — what
    replay reconstructs the run from. *)
 let payload ~kind data =
-  record "payload" ~fields:[ ("kind", Json.Str kind); ("data", data) ]
+  if st.enabled then
+    record "payload" ~fields:(fun () -> [ ("kind", Json.Str kind); ("data", data ()) ])
 
 (* One request/response exchange served by the resident prediction
    daemon.  Byte sizes rather than bodies: the response log is its own
    replayable artifact; the journal records that the exchange happened
    and whether it was answered cleanly. *)
 let serve_request ~verb ~ok ~bytes_in ~bytes_out =
-  record "serve.request"
-    ~fields:
+  record "serve.request" ~fields:(fun () ->
       [
         ("verb", Json.Str verb);
         ("ok", Json.Bool ok);
         ("bytes_in", Json.Int bytes_in);
         ("bytes_out", Json.Int bytes_out);
-      ]
+      ])

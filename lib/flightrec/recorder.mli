@@ -16,8 +16,12 @@ val configure : tool:string -> emit:(string -> unit) -> unit -> unit
 val enabled : unit -> bool
 
 (** Append one record of the given type.  The sequence number and the
-    innermost open {!Feam_obs.Trace} span id are stamped automatically. *)
-val record : ?fields:(string * Feam_util.Json.t) list -> string -> unit
+    innermost open {!Feam_obs.Trace} span id are stamped automatically.
+
+    Every function below that journals takes its fields (or data) as a
+    thunk, run only while the recorder is on: a disabled call builds
+    nothing. *)
+val record : ?fields:(unit -> (string * Feam_util.Json.t) list) -> string -> unit
 
 (** Records captured from a run of some work, in order. *)
 type tape
@@ -35,18 +39,18 @@ val replay : tape -> unit
 (** A raw fact consulted during discovery (objdump parse, ldd walk,
     environment probe, library location). *)
 val evidence :
-  stage:string -> kind:string -> (string * Feam_util.Json.t) list -> unit
+  stage:string -> kind:string -> (unit -> (string * Feam_util.Json.t) list) -> unit
 
 (** A determinant verdict plus the evidence object that produced it. *)
 val decision :
   determinant:string ->
   verdict:string ->
-  (string * Feam_util.Json.t) list ->
+  (unit -> (string * Feam_util.Json.t) list) ->
   unit
 
 (** A full serialized input (description, discovery, config) — the
     material replay reconstructs the run from. *)
-val payload : kind:string -> Feam_util.Json.t -> unit
+val payload : kind:string -> (unit -> Feam_util.Json.t) -> unit
 
 (** One request/response exchange served by the resident prediction
     daemon ([serve.request] record): verb, outcome, and wire sizes. *)

@@ -38,9 +38,8 @@ type outcome = {
 }
 
 let journal_exchange ~verb ~ok ~line ~response =
-  if Recorder.enabled () then
-    Recorder.serve_request ~verb ~ok ~bytes_in:(String.length line)
-      ~bytes_out:(String.length response)
+  Recorder.serve_request ~verb ~ok ~bytes_in:(String.length line)
+    ~bytes_out:(String.length response)
 
 (* The loop itself assumes the stop-flag handlers are already in place
    ([with_signals]); tests drive it with hand-rolled transports and a

@@ -236,29 +236,30 @@ let run ?(ignore_needed = fun _ -> false) scope =
    in
    Feam_flightrec.Recorder.decision ~determinant:"symcheck"
      ~verdict:(if result.unresolved_strong = [] then "pass" else "fail")
-     [
-       ( "scope",
-         Json.List (List.map (fun m -> Json.Str m.mb_label) result.scope) );
-       ("complete", Json.Bool result.complete);
-       ("bindings", Json.Int (List.length result.bindings));
-       ( "unresolved_strong",
-         Json.List (List.map miss_json result.unresolved_strong) );
-       ( "unresolved_weak",
-         Json.List (List.map miss_json result.unresolved_weak) );
-       ( "interpositions",
-         Json.List
-           (List.map
-              (fun ip ->
-                Json.Obj
-                  [
-                    ("symbol", Json.Str ip.ip_symbol);
-                    ("winner", Json.Str ip.ip_winner);
-                    ( "shadowed",
-                      Json.List
-                        (List.map (fun s -> Json.Str s) ip.ip_shadowed) );
-                  ])
-              result.interpositions) );
-     ]);
+     (fun () ->
+       [
+         ( "scope",
+           Json.List (List.map (fun m -> Json.Str m.mb_label) result.scope) );
+         ("complete", Json.Bool result.complete);
+         ("bindings", Json.Int (List.length result.bindings));
+         ( "unresolved_strong",
+           Json.List (List.map miss_json result.unresolved_strong) );
+         ( "unresolved_weak",
+           Json.List (List.map miss_json result.unresolved_weak) );
+         ( "interpositions",
+           Json.List
+             (List.map
+                (fun ip ->
+                  Json.Obj
+                    [
+                      ("symbol", Json.Str ip.ip_symbol);
+                      ("winner", Json.Str ip.ip_winner);
+                      ( "shadowed",
+                        Json.List
+                          (List.map (fun s -> Json.Str s) ip.ip_shadowed) );
+                    ])
+                result.interpositions) );
+       ]));
   result
 
 let of_resolve (r : Feam_dynlinker.Resolve.t) =

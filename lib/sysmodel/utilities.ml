@@ -55,39 +55,61 @@ let objdump_p ?clock site path =
     | Ok parsed ->
       let spec = Feam_elf.Reader.spec parsed in
       let buf = Buffer.create 512 in
-      let addf fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-      addf "%s:     file format %s\n\n" path (file_format_string spec);
+      let add = Buffer.add_string buf in
+      let line label value =
+        add label;
+        add value;
+        Buffer.add_char buf '\n'
+      in
+      (* "0x%08x" of a 32-bit hash *)
+      let add_hash h =
+        add "0x";
+        for shift = 7 downto 0 do
+          Buffer.add_char buf "0123456789abcdef".[(h lsr (4 * shift)) land 0xf]
+        done
+      in
+      add path;
+      line ":     file format " (file_format_string spec);
+      Buffer.add_char buf '\n';
       (match spec.Feam_elf.Spec.interp with
       | Some interp ->
-        addf "Program Header:\n";
-        addf "    INTERP off    0x0000000000000200 vaddr 0x0000000000400200\n";
-        addf "      [Requesting program interpreter: %s]\n\n" interp
+        add "Program Header:\n";
+        add "    INTERP off    0x0000000000000200 vaddr 0x0000000000400200\n";
+        add "      [Requesting program interpreter: ";
+        add interp;
+        add "]\n\n"
       | None -> ());
-      addf "Dynamic Section:\n";
-      List.iter (fun dep -> addf "  NEEDED               %s\n" dep) spec.needed;
-      Option.iter (fun s -> addf "  SONAME               %s\n" s) spec.soname;
-      Option.iter (fun s -> addf "  RPATH                %s\n" s) spec.rpath;
-      Option.iter (fun s -> addf "  RUNPATH              %s\n" s) spec.runpath;
-      addf "  STRTAB               0x%x\n" 0x400000;
-      addf "  STRSZ                0x%x\n" 0x100;
+      add "Dynamic Section:\n";
+      List.iter (line "  NEEDED               ") spec.needed;
+      Option.iter (line "  SONAME               ") spec.soname;
+      Option.iter (line "  RPATH                ") spec.rpath;
+      Option.iter (line "  RUNPATH              ") spec.runpath;
+      add "  STRTAB               0x400000\n";
+      add "  STRSZ                0x100\n";
       if spec.verdefs <> [] then begin
-        addf "\nVersion definitions:\n";
+        add "\nVersion definitions:\n";
         List.iteri
           (fun i name ->
-            addf "%d 0x%02x 0x%08x %s\n" (i + 1)
-              (if i = 0 then 1 else 0)
-              (Feam_elf.Types.elf_hash name) name)
+            add (string_of_int (i + 1));
+            add (if i = 0 then " 0x01 " else " 0x00 ");
+            add_hash (Feam_elf.Types.elf_hash name);
+            line " " name)
           spec.verdefs
       end;
       if spec.verneeds <> [] then begin
-        addf "\nVersion References:\n";
+        add "\nVersion References:\n";
         List.iter
           (fun vn ->
-            addf "  required from %s:\n" vn.Feam_elf.Spec.vn_file;
+            add "  required from ";
+            add vn.Feam_elf.Spec.vn_file;
+            add ":\n";
             List.iteri
               (fun j v ->
-                addf "    0x%08x 0x00 %02d %s\n" (Feam_elf.Types.elf_hash v)
-                  (j + 2) v)
+                add "    ";
+                add_hash (Feam_elf.Types.elf_hash v);
+                add (if j + 2 < 10 then " 0x00 0" else " 0x00 ");
+                add (string_of_int (j + 2));
+                line " " v)
               vn.Feam_elf.Spec.vn_versions)
           spec.verneeds
       end;

@@ -23,7 +23,9 @@ open Feam_util
    corpus genuine cross-vintage migrations in both directions. *)
 let vintage glibc =
   let rank =
-    List.length (List.filter (fun v -> Version.(v <= glibc)) Glibc.release_history)
+    List.fold_left
+      (fun n v -> if Version.(v <= glibc) then n + 1 else n)
+      0 Glibc.release_history
   in
   rank / 4
 
@@ -31,37 +33,35 @@ let vintage glibc =
    do not parse as sonames. *)
 let prefix_of_name name =
   let base = match Soname.of_string name with Some s -> Soname.base s | None -> name in
-  if String.length base > 3 && String.sub base 0 3 = "lib" then
+  if String.starts_with ~prefix:"lib" base && String.length base > 3 then
     String.sub base 3 (String.length base - 3)
   else base
 
+(* The symbol-name builders below take a library's prefix (see
+   [prefix_of_name]) and the build's vintage, which their callers
+   compute once. *)
+
 let core_suffixes = [ "_init"; "_run"; "_finalize" ]
 
-let core_symbols name =
-  let p = prefix_of_name name in
-  List.map (fun s -> p ^ s) core_suffixes
+let core_symbols p = List.map (fun s -> p ^ s) core_suffixes
 
-let feature_symbol name r =
-  Printf.sprintf "%s_feature_r%d" (prefix_of_name name) r
+let feature_symbol p r = p ^ "_feature_r" ^ string_of_int r
 
-(* Exported names of a catalog library built against [glibc]: the stable
+(* Exported names of a catalog library built at [vintage]: the stable
    core plus one feature symbol per vintage step. *)
-let exported_symbols ~glibc name =
+let exported_symbols ~vintage p =
   let rec features r acc =
-    if r < 1 then acc else features (r - 1) (feature_symbol name r :: acc)
+    if r < 1 then acc else features (r - 1) (feature_symbol p r :: acc)
   in
-  core_symbols name @ features (vintage glibc) []
+  core_symbols p @ features vintage []
 
-(* Names a binary linked against that library on a [glibc] system
-   imports: the core plus the newest feature symbol of the build it
-   linked against. *)
-let imported_symbols ~glibc name =
-  core_symbols name @ [ feature_symbol name (vintage glibc) ]
+(* Names a binary linked against that library at [vintage] imports: the
+   core plus the newest feature symbol of the build it linked against. *)
+let imported_symbols ~vintage p = core_symbols p @ [ feature_symbol p vintage ]
 
 (* Well-known exports of the glibc member libraries, carried at the
    word-size baseline version (every glibc build defines it). *)
-let glibc_member_symbols name =
-  match prefix_of_name name with
+let glibc_member_symbols = function
   | "m" -> [ "sqrt"; "pow"; "log" ]
   | "pthread" -> [ "pthread_create"; "pthread_join"; "pthread_mutex_lock" ]
   | "dl" -> [ "dlopen"; "dlsym"; "dlclose" ]
@@ -89,11 +89,11 @@ let library_dynsyms ~bits ~glibc ~part_of_glibc ~libc_versions name =
       let base = Glibc.symbol_of_version (Glibc.baseline ~bits) in
       List.map
         (fun s -> global s ~defined:true ~version:(Some base))
-        (glibc_member_symbols name)
+        (glibc_member_symbols (prefix_of_name name))
     else
       List.map
         (fun s -> global s ~defined:true ~version:None)
-        (exported_symbols ~glibc name)
+        (exported_symbols ~vintage:(vintage glibc) (prefix_of_name name))
   in
   let libc_imports =
     List.map
@@ -125,23 +125,24 @@ let binary_dynsyms ~bits ~glibc ~libc_versions ~needed =
       (List.filter_map Glibc.version_of_symbol libc_versions)
   in
   let base = Glibc.symbol_of_version (Glibc.baseline ~bits) in
+  let vintage = vintage glibc in
   let lib_imports =
     needed
     |> List.concat_map (fun name ->
            match prefix_of_name name with
            | "c" | "ld-linux" -> []
            | "m" -> [ global "sqrt" ~defined:false ~version:(Some base) ]
-           | "pthread" | "dl" | "rt" | "util" | "nsl" ->
+           | ("pthread" | "dl" | "rt" | "util" | "nsl") as p ->
              (* glibc members: reference their first well-known export
                 unversioned, matching what the members define *)
              [
                global
-                 (List.hd (glibc_member_symbols name))
+                 (List.hd (glibc_member_symbols p))
                  ~defined:false ~version:None;
              ]
-           | _ ->
+           | p ->
              List.map
                (fun s -> global s ~defined:false ~version:None)
-               (imported_symbols ~glibc name))
+               (imported_symbols ~vintage p))
   in
   libc_imports @ lib_imports

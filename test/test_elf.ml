@@ -116,6 +116,86 @@ let test_machine_uname_roundtrip () =
     [ Types.I386; Types.X86_64; Types.PPC; Types.PPC64; Types.SPARC;
       Types.SPARCV9; Types.IA64 ]
 
+(* .dynstr interns: a string named by DT_NEEDED, a verneed file and a
+   dynsym is stored once, and every string sits at the offset of its
+   first insertion (DT_NEEDED, soname and paths, then dynsyms, verneeds
+   and verdefs), so the table's bytes are exactly the distinct strings
+   in that order. *)
+let test_dynstr_interns_shared_strings () =
+  let shared = "libshared.so.1" in
+  let spec =
+    Spec.make ~file_type:Types.ET_DYN ~soname:"libself.so.1"
+      ~needed:[ shared; "libc.so.6" ]
+      ~verneeds:
+        [
+          { Spec.vn_file = shared; vn_versions = [ "SHARED_1.0" ] };
+          { Spec.vn_file = "libc.so.6"; vn_versions = [ "GLIBC_2.2.5" ] };
+        ]
+      ~verdefs:[ "libself.so.1"; "SELF_1.0" ]
+      ~dynsyms:
+        [
+          {
+            Spec.sym_name = shared;
+            sym_defined = false;
+            sym_binding = Spec.Global;
+            sym_version = Some "SHARED_1.0";
+          };
+          {
+            Spec.sym_name = "self_init";
+            sym_defined = true;
+            sym_binding = Spec.Weak;
+            sym_version = Some "SELF_1.0";
+          };
+        ]
+      Types.X86_64
+  in
+  let bytes = Builder.build spec in
+  let t = Reader.parse_exn bytes in
+  Alcotest.(check bool) "parses back equal" true (Spec.equal spec (Reader.spec t));
+  let dynstr =
+    match Reader.section_by_name t ".dynstr" with
+    | Some s -> String.sub bytes s.Reader.sh_offset s.Reader.sh_size
+    | None -> Alcotest.fail "no .dynstr"
+  in
+  let expected =
+    [ shared; "libc.so.6"; "libself.so.1"; "self_init"; "SHARED_1.0";
+      "GLIBC_2.2.5"; "SELF_1.0" ]
+  in
+  Alcotest.(check string) "each string once, in first-insertion order"
+    ("\000" ^ String.concat "" (List.map (fun s -> s ^ "\000") expected))
+    dynstr
+
+(* Building is linear in the strings a spec names.  Interning by a scan
+   of the earlier strings would make 8x the strings cost about 64x the
+   time; timing both sizes on the same host needs no absolute bound. *)
+let test_build_scales_linearly () =
+  let spec n =
+    Spec.make
+      ~dynsyms:
+        (List.init n (fun i ->
+             {
+               Spec.sym_name = "sym_" ^ string_of_int i;
+               sym_defined = true;
+               sym_binding = Spec.Global;
+               sym_version = None;
+             }))
+      Types.X86_64
+  in
+  let best_time spec =
+    let best = ref infinity in
+    for _ = 1 to 3 do
+      let t0 = Sys.time () in
+      ignore (Sys.opaque_identity (Builder.build spec));
+      best := Float.min !best (Sys.time () -. t0)
+    done;
+    !best
+  in
+  let small = best_time (spec 2_500) and large = best_time (spec 20_000) in
+  let ratio = large /. Float.max small 1e-6 in
+  Alcotest.(check bool)
+    (Printf.sprintf "8x the strings cost %.1fx the time (bound 24x)" ratio)
+    true (ratio < 24.)
+
 (* -- qcheck: arbitrary specs round trip ----------------------------------- *)
 
 let gen_lib_name =
@@ -295,6 +375,9 @@ let suite =
       Alcotest.test_case "elf hash" `Quick test_elf_hash;
       Alcotest.test_case "machine codes" `Quick test_machine_codes;
       Alcotest.test_case "machine uname" `Quick test_machine_uname_roundtrip;
+      Alcotest.test_case "dynstr interns shared strings" `Quick
+        test_dynstr_interns_shared_strings;
+      Alcotest.test_case "build scales linearly" `Quick test_build_scales_linearly;
       QCheck_alcotest.to_alcotest prop_roundtrip;
       QCheck_alcotest.to_alcotest prop_image_magic;
       QCheck_alcotest.to_alcotest prop_size_reasonable;

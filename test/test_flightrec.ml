@@ -46,9 +46,10 @@ let test_recorder_golden () =
   Feam_obs.reset ();
   let emissions = ref [] in
   Recorder.configure ~tool:"t" ~emit:(fun b -> emissions := b :: !emissions) ();
-  Recorder.evidence ~stage:"s" ~kind:"k" [ ("x", Json.Int 1) ];
-  Recorder.decision ~determinant:"d" ~verdict:"pass" [ ("y", Json.Str "z") ];
-  Recorder.payload ~kind:"p" (Json.Str "body");
+  Recorder.evidence ~stage:"s" ~kind:"k" (fun () -> [ ("x", Json.Int 1) ]);
+  Recorder.decision ~determinant:"d" ~verdict:"pass" (fun () ->
+      [ ("y", Json.Str "z") ]);
+  Recorder.payload ~kind:"p" (fun () -> Json.Str "body");
   Recorder.flush ();
   Recorder.flush ();
   Alcotest.(check int)
@@ -82,7 +83,12 @@ let test_recorder_golden () =
 let test_disabled_recorder_is_silent () =
   Feam_obs.reset ();
   Alcotest.(check bool) "off by default" false (Recorder.enabled ());
-  Recorder.evidence ~stage:"s" ~kind:"k" [];
+  (* a disabled recorder builds nothing: no field thunk runs *)
+  let built () = Alcotest.fail "fields built while disabled" in
+  Recorder.evidence ~stage:"s" ~kind:"k" built;
+  Recorder.decision ~determinant:"d" ~verdict:"pass" built;
+  Recorder.payload ~kind:"p" built;
+  Recorder.record "r" ~fields:built;
   Recorder.flush ();
   Alcotest.(check (option int))
     "no metrics recorded while disabled" None
@@ -111,8 +117,8 @@ let test_parse_roundtrip () =
   Feam_obs.reset ();
   let (), text =
     with_recorder (fun () ->
-        Recorder.evidence ~stage:"s" ~kind:"k" [ ("x", Json.Int 1) ];
-        Recorder.record "custom" ~fields:[ ("f", Json.Bool true) ])
+        Recorder.evidence ~stage:"s" ~kind:"k" (fun () -> [ ("x", Json.Int 1) ]);
+        Recorder.record "custom" ~fields:(fun () -> [ ("f", Json.Bool true) ]))
   in
   let j = parse_exn text in
   Alcotest.(check int) "schema" Recorder.schema_version j.Journal.schema;

@@ -129,6 +129,30 @@ let prop_slug_roundtrip =
            = Some (Compiler.family (Stack.compiler stack))
       | None -> false)
 
+(* A name that does not parse as a soname is compared whole: a bare
+   "libmpi" still names Open MPI's library, while a malformed version
+   ("libmpich.so.1abc") or a stray path names nothing. *)
+let test_unparsable_names () =
+  let ident needed =
+    match Mpi_ident.identify needed with
+    | None -> "none"
+    | Some i ->
+      Printf.sprintf "%s [%s]%s" (Impl.slug i.Mpi_ident.impl)
+        (String.concat " " i.Mpi_ident.evidence)
+        (if i.Mpi_ident.fortran_bindings then " fortran" else "")
+  in
+  let check label expected needed =
+    Alcotest.(check string) label expected (ident needed)
+  in
+  check "bare base names" "openmpi [libmpi.so libnsl.so]"
+    [ "libmpi"; "libnsl"; "libc.so.6" ];
+  check "malformed versions name nothing" "none"
+    [ "libmpich.so.1abc"; "libmpi.so..0"; "/usr/lib/libmpi.so.0"; "" ];
+  check "bare fortran binding" "mpich2 [libmpich.so] fortran"
+    [ "libfmpich"; "libmpich.so.1"; "not a soname" ];
+  check "unparsable names beside a parsed one" "mvapich2 [libmpich.so libibverbs.so]"
+    [ "libmpich.so.1"; "libibverbs"; "libibumad.so.x" ]
+
 let suite =
   ( "identification",
     [
@@ -136,6 +160,7 @@ let suite =
         test_exhaustive_identification;
       Alcotest.test_case "fortran bindings detected" `Quick
         test_fortran_bindings_detected;
+      Alcotest.test_case "names that are not sonames" `Quick test_unparsable_names;
       QCheck_alcotest.to_alcotest prop_identification_robust;
       QCheck_alcotest.to_alcotest prop_slug_roundtrip;
     ] )

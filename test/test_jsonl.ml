@@ -19,10 +19,10 @@ let journal_doc =
     (Feam_obs.reset ();
      let (), text =
        Test_flightrec.with_recorder (fun () ->
-           Recorder.evidence ~stage:"bdc" ~kind:"objdump"
-             [ ("needed", Json.List [ Json.Str "libc.so.6" ]) ];
-           Recorder.decision ~determinant:"isa" ~verdict:"ok"
-             [ ("machine", Json.Str "x86_64") ])
+           Recorder.evidence ~stage:"bdc" ~kind:"objdump" (fun () ->
+               [ ("needed", Json.List [ Json.Str "libc.so.6" ]) ]);
+           Recorder.decision ~determinant:"isa" ~verdict:"ok" (fun () ->
+               [ ("machine", Json.Str "x86_64") ]))
      in
      Feam_obs.reset ();
      text)

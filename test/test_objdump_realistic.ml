@@ -109,10 +109,117 @@ let test_realistic_readelf () =
   Alcotest.(check bool) "compiler" true
     (prov.Objdump_parse.compiler_banner <> None)
 
+(* -- qcheck: emulated objdump -p text parses back to its spec ------------- *)
+
+(* What the parser reports for a spec's verneeds: a version line joins
+   every "required from" block of its file name opened so far, so a
+   block lists its own versions, then those of every later block of the
+   same name.  Stated as the obvious quadratic fold, as a reference. *)
+let expected_verneeds (verneeds : Feam_elf.Spec.verneed list) =
+  List.fold_left
+    (fun acc vn ->
+      let file = vn.Feam_elf.Spec.vn_file in
+      let acc = acc @ [ (file, []) ] in
+      List.fold_left
+        (fun acc v ->
+          List.map (fun (f, vs) -> if f = file then (f, vs @ [ v ]) else (f, vs)) acc)
+        acc vn.Feam_elf.Spec.vn_versions)
+    [] verneeds
+
+(* Real binutils align with spaces, but nothing stops a tool from using
+   tabs: retab every line except the format line, the section headers
+   and "required from" (whose spaces are part of what the parser
+   matches). *)
+let retab text =
+  String.split_on_char '\n' text
+  |> List.mapi (fun i line ->
+         let t = String.trim line in
+         if
+           i = 0
+           || List.mem t [ "Dynamic Section:"; "Version References:"; "Version definitions:" ]
+           || String.starts_with ~prefix:"required from " t
+         then line
+         else String.map (fun c -> if c = ' ' then '\t' else c) line)
+  |> String.concat "\n"
+
+let gen_objdump_case =
+  QCheck.Gen.(
+    let name = oneofl [ "libmpi.so.0"; "libm.so.6"; "libc.so.6"; "libfoo.so.2" ] in
+    let version = map (Printf.sprintf "V_%d") (int_range 1 6) in
+    let verneed =
+      map2
+        (fun file versions -> { Feam_elf.Spec.vn_file = file; vn_versions = versions })
+        name
+        (list_size (int_range 1 3) version)
+    in
+    let path = oneofl [ "/usr/lib64/mpi"; "/usr/local/lib:/usr/lib"; "$ORIGIN/../lib" ] in
+    list_size (int_range 0 5) name >>= fun needed ->
+    opt name >>= fun soname ->
+    opt path >>= fun rpath ->
+    opt path >>= fun runpath ->
+    list_size (int_range 0 5) verneed >>= fun verneeds ->
+    list_size (int_range 0 3) (oneofl [ "libfoo.so.2"; "FOO_1.0"; "FOO_2.0" ]) >>= fun verdefs ->
+    bool >>= fun interp ->
+    bool >>= fun tabs ->
+    return
+      ( Feam_elf.Spec.make ~needed ?soname ?rpath ?runpath ~verneeds ~verdefs
+          ?interp:(if interp then Some "/lib64/ld-linux-x86-64.so.2" else None)
+          Feam_elf.Types.X86_64,
+        tabs ))
+
+let objdump_site = lazy (fst (Fixtures.small_site ()))
+
+let prop_objdump_roundtrip =
+  QCheck.Test.make ~name:"objdump -p text parses back to its spec" ~count:300
+    (QCheck.make gen_objdump_case) (fun (spec, tabs) ->
+      let site = Lazy.force objdump_site in
+      let path = "/home/user/qc/app" in
+      Feam_sysmodel.Vfs.add (Feam_sysmodel.Site.vfs site) path
+        (Feam_sysmodel.Vfs.Elf (Feam_elf.Builder.build spec));
+      let text =
+        match Feam_sysmodel.Utilities.objdump_p site path with
+        | Ok t -> if tabs then retab t else t
+        | Error e -> QCheck.Test.fail_report (Feam_sysmodel.Utilities.error_to_string e)
+      in
+      match Objdump_parse.parse_objdump_p text with
+      | Error e -> QCheck.Test.fail_report e
+      | Ok info ->
+        info.Objdump_parse.file_format = "elf64-x86-64"
+        && info.Objdump_parse.needed = spec.Feam_elf.Spec.needed
+        && info.Objdump_parse.soname = spec.Feam_elf.Spec.soname
+        && info.Objdump_parse.rpath = spec.Feam_elf.Spec.rpath
+        && info.Objdump_parse.runpath = spec.Feam_elf.Spec.runpath
+        && info.Objdump_parse.verneeds = expected_verneeds spec.Feam_elf.Spec.verneeds
+        && info.Objdump_parse.verdefs = spec.Feam_elf.Spec.verdefs)
+
+(* Two blocks for one file: the first block's entry also gets the second
+   block's versions, the second only its own. *)
+let test_repeated_verneed_blocks () =
+  let text =
+    "app:     file format elf64-x86-64\n\n\
+     Version References:\n\
+    \  required from libc.so.6:\n\
+    \    0x09691a75 0x00 02 GLIBC_2.2.5\n\
+    \  required from libm.so.6:\n\
+    \    0x09691a75 0x00 03 GLIBC_2.2.5\n\
+    \  required from libc.so.6:\n\
+    \t0x0d696914\t0x00\t04\tGLIBC_2.4\n"
+  in
+  let info = Result.get_ok (Objdump_parse.parse_objdump_p text) in
+  Alcotest.(check (list (pair string (list string)))) "verneeds"
+    [
+      ("libc.so.6", [ "GLIBC_2.2.5"; "GLIBC_2.4" ]);
+      ("libm.so.6", [ "GLIBC_2.2.5" ]);
+      ("libc.so.6", [ "GLIBC_2.4" ]);
+    ]
+    info.Objdump_parse.verneeds
+
 let suite =
   ( "objdump-realistic",
     [
       Alcotest.test_case "realistic executable output" `Quick test_realistic_objdump;
       Alcotest.test_case "realistic library output" `Quick test_realistic_library;
       Alcotest.test_case "realistic readelf output" `Quick test_realistic_readelf;
+      Alcotest.test_case "repeated verneed blocks" `Quick test_repeated_verneed_blocks;
+      QCheck_alcotest.to_alcotest prop_objdump_roundtrip;
     ] )

@@ -170,9 +170,54 @@ let test_agree_run_one () =
            (fun () -> Feam_agree.Harness.run_one sc)))
     [ 0; 1; 2; 3; 4 ]
 
+(* The bytes of the seed-42 world are pinned: every site's digest and
+   every compiled test binary.  Byte and text kernels (the ELF builder,
+   the toolchain's symbol model) may get faster, never different.  The
+   build-ID counter is reset first, so test order cannot move them. *)
+let pinned_site_digests =
+  [
+    "ranger 8150805459e5636907900e5bc6cb6d66";
+    "forge 981c4e807b6cc164ad5259f147fd64bf";
+    "blacklight 37ed51780561395dbc1f2a4f10e00867";
+    "india 05a407e5f31e7365d844db94076b3b53";
+    "fir 8892f215ddbda7908eea8044eeff5f1f";
+  ]
+
+(* The same lines in full, with each site's loader-cache state, ld.so.conf
+   directories and stacks. *)
+let pinned_site_lines_digest = "18272c19192959590a40838859ec6361"
+
+let pinned_testset_digest = "75442fd48730dbdfe8112f6174a870a8"
+
+let test_pinned_bytes () =
+  Feam_toolchain.Build_id.reset ();
+  let sites = Sites.build_all params in
+  let binaries =
+    Testset.build params sites (Feam_suites.Npb.all @ Feam_suites.Specmpi.all)
+  in
+  let lines = Fixtures.site_digest sites in
+  Alcotest.(check (list string)) "site file digests" pinned_site_digests
+    (List.map
+       (fun l ->
+         match String.split_on_char ' ' l with
+         | name :: digest :: _ -> name ^ " " ^ digest
+         | _ -> l)
+       lines);
+  Alcotest.(check string) "site digest lines" pinned_site_lines_digest
+    (Digest.to_hex (Digest.string (String.concat "\n" lines)));
+  let images =
+    List.map
+      (fun b -> b.Testset.id ^ " " ^ Digest.to_hex (Digest.string b.Testset.bytes))
+      binaries
+  in
+  Alcotest.(check int) "test binaries" 264 (List.length images);
+  Alcotest.(check string) "test binary images" pinned_testset_digest
+    (Digest.to_hex (Digest.string (String.concat "\n" images)))
+
 let suite =
   ( "site integrity",
     [
+      Alcotest.test_case "seed-42 world bytes are pinned" `Quick test_pinned_bytes;
       Alcotest.test_case "Migrate.run_all" `Slow test_run_all;
       Alcotest.test_case "extended target phase leaves only its plan" `Slow
         test_extended_leaves_its_plan;

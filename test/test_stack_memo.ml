@@ -209,7 +209,7 @@ let test_hit_redoes_effects () =
   let target, bundle = small_cell () in
   (* one effect on every channel a hit redoes *)
   let work ~clock =
-    Feam_flightrec.Recorder.evidence ~stage:"probe" ~kind:"test_stack" [];
+    Feam_flightrec.Recorder.evidence ~stage:"probe" ~kind:"test_stack" (fun () -> []);
     Metrics.incr "edc.probe_successes";
     Metrics.incr "elf.parse_memo.miss";
     ignore (Feam_toolchain.Build_id.next ~site_name:"x" : string);

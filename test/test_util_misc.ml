@@ -127,7 +127,22 @@ let test_str_split () =
   Alcotest.(check bool) "contains" true
     (Feam_sysmodel.Str_split.contains ~sub:"orl" "world");
   Alcotest.(check bool) "not contains" false
-    (Feam_sysmodel.Str_split.contains ~sub:"xyz" "world")
+    (Feam_sysmodel.Str_split.contains ~sub:"xyz" "world");
+  let find = Feam_sysmodel.Str_split.find in
+  Alcotest.(check (list (option int))) "find ?from ?until"
+    [ Some 1; Some 4; None; Some 4; None ]
+    [
+      find ~sub:"ab" "xabxab";
+      find ~from:2 ~sub:"ab" "xabxab";
+      find ~from:2 ~until:5 ~sub:"ab" "xabxab";
+      find ~from:2 ~until:6 ~sub:"ab" "xabxab";
+      find ~from:7 ~sub:"ab" "xabxab";
+    ];
+  Alcotest.(check (list bool)) "occurs_at"
+    [ true; false; false; false ]
+    (List.map
+       (fun i -> Feam_sysmodel.Str_split.occurs_at ~sub:"ab" "xabxab" i)
+       [ 4; 3; 5; -1 ])
 
 let suite =
   ( "util-misc",
