@@ -83,13 +83,15 @@ module Fixture = struct
     | Ok b -> b
     | Error e -> failwith e
 
-  let binary_bytes =
-    match Vfs.find (Site.vfs home) home_path with
-    | Some { Vfs.kind = Vfs.Elf bytes; _ } -> bytes
-    | _ -> failwith "no bytes"
+  (* The binary's handle, as its home file keeps it: staged under it,
+     the binary parses once for every bench run. *)
+  let binary_image =
+    match Vfs.resolve_image (Site.vfs home) home_path with
+    | Some (_, image) -> image
+    | None -> failwith "no binary"
 
   let stage_binary () =
-    Vfs.add (Site.vfs target) "/home/user/migrated/fbench" (Vfs.Elf binary_bytes);
+    Vfs.add_image (Site.vfs target) "/home/user/migrated/fbench" binary_image;
     "/home/user/migrated/fbench"
 
   let cleanup_target () = Vfs.remove_tree (Site.vfs target) "/tmp/feam"
@@ -220,17 +222,39 @@ let elf_bench_spec =
     Feam_elf.Types.X86_64
 
 (* The parse memo's two sides: a freshly built image always misses, a
-   held image hits on every parse after the first. *)
+   held handle hits on every parse after the first. *)
 let bench_elf =
   ( "substrate/elf-build-parse",
     fun () ->
       ignore (Feam_elf.Reader.parse (Feam_elf.Builder.build elf_bench_spec)) )
 
-let elf_held_image = lazy (Feam_elf.Builder.build elf_bench_spec)
+let elf_held_image =
+  lazy (Feam_elf.Reader.image (Feam_elf.Builder.build elf_bench_spec))
 
 let bench_elf_hit =
   ( "substrate/elf-parse-hit",
-    fun () -> ignore (Feam_elf.Reader.parse (Lazy.force elf_held_image)) )
+    fun () -> ignore (Feam_elf.Reader.parse_image (Lazy.force elf_held_image)) )
+
+(* The parse kernel alone: one image per run, on a fresh handle, taken
+   in turn from the fixture's binary and its bundled library copies,
+   builder images of about 2 KB. *)
+let elf_parse_images =
+  lazy
+    (Array.of_list
+       (Feam_elf.Reader.image_bytes Fixture.binary_image
+       :: List.map
+            (fun c -> Feam_elf.Reader.image_bytes c.Feam_core.Bdc.copy_image)
+            Fixture.bundle.Feam_core.Bundle.copies))
+
+let elf_parse_next = ref 0
+
+let bench_elf_parse =
+  ( "substrate/elf-parse",
+    fun () ->
+      let images = Lazy.force elf_parse_images in
+      let i = !elf_parse_next in
+      elf_parse_next := (i + 1) mod Array.length images;
+      ignore (Feam_elf.Reader.parse_image (Feam_elf.Reader.image images.(i))) )
 
 (* -- Depot benches: content hashing, store round-trip, matrix planning -- *)
 
@@ -298,15 +322,21 @@ let bench_agree_pipeline =
         (Feam_agree.Harness.run_one
            (Feam_evalharness.Scengen.build ~seed:42 ~index:0 ())) )
 
-(* Fact-base extraction over the fixture bundle: a projection of the
-   parse memo, which holds every payload after the first run. *)
-let factbase_payloads = lazy (Fixture.binary_bytes :: depot_payloads)
+(* Fact-base extraction over the fixture bundle: a projection of each
+   payload's handle, which holds its parse and key after the first
+   run. *)
+let factbase_payloads =
+  lazy
+    (Fixture.binary_image
+    :: List.map
+         (fun c -> c.Feam_core.Bdc.copy_image)
+         Fixture.bundle.Feam_core.Bundle.copies)
 
 let bench_facts_of_bytes =
   ( "audit/facts-of-bytes",
     fun () ->
       List.iter
-        (fun bytes -> ignore (Feam_analysis.Factbase.facts_of_bytes bytes))
+        (fun image -> ignore (Feam_analysis.Factbase.facts_of_image image))
         (Lazy.force factbase_payloads) )
 
 (* Drift observatory: one perturbation epoch over the reduced two-site
@@ -428,7 +458,7 @@ let all_benches =
   [
     bench_table1; bench_table2; bench_table3_basic; bench_table3_extended;
     bench_table4; bench_fig1; bench_fig2; bench_fig3; bench_fig4;
-    bench_timing; bench_elf; bench_elf_hit; bench_depot_hash;
+    bench_timing; bench_elf; bench_elf_hit; bench_elf_parse; bench_depot_hash;
     bench_depot_store; bench_depot_plan; bench_agree_scengen;
     bench_agree_pipeline;
     bench_drift_full; bench_drift_incremental;

@@ -459,8 +459,9 @@ let run_predict_pipeline ?(announce_source = true) ?(symbols = false)
         Feam_core.Report.journal report;
         (* --lint-fleet (feam stats): check the same bundle against every
            other scenario site too.  The per-target contexts share one
-           spec parse per embedded image through the ELF parse memo,
-           which is what the elf.parse_memo cache stats measure. *)
+           spec parse per embedded image through the bundle's image
+           handles, which is what the elf.parse_memo cache stats
+           measure. *)
         if lint_fleet then
           List.iter
             (fun site ->
@@ -701,7 +702,7 @@ let cmd_symcheck debug trace trace_out journal scenario_name site binary
   let bundle = lint_bundle scenario_name site binary bundle_file in
   let target = lint_target scenario_name target_site target_glibc in
   let ctx = Feam_analysis.Context.of_bundle ?target bundle in
-  let result = Feam_analysis.Symscope.result ctx in
+  let result = Feam_analysis.Context.symbols ctx in
   let findings = Feam_analysis.Engine.run ~rules:(symbol_rules ()) ctx in
   if json then begin
     let scope_json =
@@ -1102,7 +1103,7 @@ let cmd_inspect_bundle debug file =
   Fmt.pr "bundle created at: %s@." bundle.Feam_core.Bundle.created_at;
   Fmt.pr "binary: %a@." Feam_core.Description.pp d;
   Fmt.pr "carries binary bytes: %b@."
-    (bundle.Feam_core.Bundle.binary_bytes <> None);
+    (Option.is_some bundle.Feam_core.Bundle.binary_image);
   Fmt.pr "library copies (%d):@."
     (List.length bundle.Feam_core.Bundle.copies);
   List.iter

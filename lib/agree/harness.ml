@@ -99,13 +99,19 @@ let run_one ?ctx (sc : Scengen.t) =
     | Error e ->
       failwith (Printf.sprintf "agree %s: source phase failed: %s" (id sc) e)
   in
-  (* The binary migrates: staged at the target, judged there. *)
+  (* The binary migrates: staged at the target, judged there, under the
+     handle its home file keeps, so it parses once for every reader. *)
+  let image =
+    match Vfs.resolve_image (Site.vfs sc.sc_home) sc.sc_binary_path with
+    | Some (_, image) -> image
+    | None -> failwith (Printf.sprintf "agree %s: binary vanished" (id sc))
+  in
   let staged =
     Migrate.migrated_dir ^ "/" ^ sc.sc_program.Feam_toolchain.Compile.prog_name
   in
-  Vfs.add
+  Vfs.add_image
     ~declared_size:(Feam_toolchain.Compile.declared_size sc.sc_program)
-    (Site.vfs sc.sc_target) staged (Vfs.Elf sc.sc_binary_bytes);
+    (Site.vfs sc.sc_target) staged image;
   let env =
     let base =
       match sc.sc_target_install with
@@ -139,13 +145,14 @@ let run_one ?ctx (sc : Scengen.t) =
   in
   let findings = Feam_analysis.Engine.run ctx in
   let sym =
-    match Feam_analysis.Factbase.spec_of_bytes sc.sc_binary_bytes with
+    match Feam_elf.Reader.parse_image image with
     | Error _ ->
       (* an unparsable binary binds nothing; symcheck has no scope *)
       Feam_symcheck.Symcheck.run []
-    | Ok spec ->
+    | Ok parsed ->
       Feam_symcheck.Symcheck.of_resolve
-        (Feam_dynlinker.Resolve.run sc.sc_target env spec)
+        (Feam_dynlinker.Resolve.run sc.sc_target env
+           (Feam_elf.Reader.spec parsed))
   in
   let mode =
     if sc.sc_program.Feam_toolchain.Compile.uses_mpi then

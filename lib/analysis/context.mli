@@ -32,6 +32,7 @@ type t = {
   root : objekt;
   objects : objekt list;  (** root, then copies, then probes *)
   target : target option;
+  symbols : Feam_symcheck.Symcheck.t Lazy.t;  (** read it with {!symbols} *)
 }
 
 val make_target :
@@ -65,3 +66,11 @@ val provider : t -> string -> objekt option
     each described object to the bundled copies its DT_NEEDED entries
     resolve to. *)
 val dependency_edges : t -> (string * string) list
+
+(** The symbol-binding simulation over the bundle's staged scope (the
+    root binary plus the copies reachable over DT_NEEDED), with
+    C-library names exempt from the completeness requirement.  Run once
+    per context, on the first call, and shared by every symbol-level
+    rule; each later call journals the verdict again
+    ({!Feam_symcheck.Symcheck.journal}), as a fresh run would. *)
+val symbols : t -> Feam_symcheck.Symcheck.t

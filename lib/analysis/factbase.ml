@@ -1,8 +1,8 @@
-(* The fact base: per-object facts, a pure projection of what the ELF
-   parse memo already holds for an image — its parse (spec or error)
-   and its content key.  Nothing is stored here: the same live image
-   projects from one parse and one hash however often it is asked
-   about, and an equal copy parses and hashes again in the memo. *)
+(* The fact base: per-object facts, a pure projection of what an image
+   handle already holds — its parse (spec or error) and its content
+   key.  Nothing is stored here: the same handle projects from one parse
+   and one hash however often it is asked about, and a fresh handle on
+   equal bytes parses and hashes again. *)
 
 open Feam_util
 
@@ -41,9 +41,7 @@ let sorted_exports (spec : Feam_elf.Spec.t) =
   |> List.map (fun d -> d.Feam_elf.Spec.sym_name)
   |> List.sort_uniq String.compare
 
-let facts_of_bytes bytes =
-  (* one memo lookup serves both the parse and the key *)
-  let image = Feam_elf.Reader.image bytes in
+let facts_of_image image =
   let spec, parse_error =
     match Feam_elf.Reader.parse_image image with
     | Ok parsed -> (Some (Feam_elf.Reader.spec parsed), None)
@@ -52,7 +50,7 @@ let facts_of_bytes bytes =
   let field f = Option.bind spec f in
   {
     fb_key = Feam_elf.Reader.image_key image;
-    fb_size = String.length bytes;
+    fb_size = String.length (Feam_elf.Reader.image_bytes image);
     fb_spec = spec;
     fb_parse_error = parse_error;
     fb_soname = field (fun s -> s.Feam_elf.Spec.soname);

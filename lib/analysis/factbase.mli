@@ -1,8 +1,8 @@
 (** The fact base (DESIGN §12): per-artifact facts — the parsed spec,
     exported/needed symbols, verneeds, soname, ISA, interp, glibc floor
-    — projected from the ELF parse memo.  The spec or parse error and
-    the content key both come from {!Feam_elf.Reader}, which parses and
-    hashes each live image once; this module holds no state of its
+    — projected from an image handle.  The spec or parse error and the
+    content key both come from {!Feam_elf.Reader}, which parses and
+    hashes each handle's image once; this module holds no state of its
     own. *)
 
 type facts = {
@@ -22,9 +22,10 @@ type facts = {
           glibc that can host the object *)
 }
 
-(** The facts for a payload, ELF or not: {!Feam_elf.Reader.parse}'s
-    spec or error plus {!Feam_elf.Reader.content_key}. *)
-val facts_of_bytes : string -> facts
+(** The facts for a payload, ELF or not:
+    {!Feam_elf.Reader.parse_image}'s spec or error plus
+    {!Feam_elf.Reader.image_key}. *)
+val facts_of_image : Feam_elf.Reader.image -> facts
 
 (** {!Feam_elf.Reader.spec_of_bytes} with the error rendered by
     {!Feam_elf.Reader.error_to_string}. *)

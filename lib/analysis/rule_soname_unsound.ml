@@ -33,7 +33,7 @@ let group_overturns misses =
   List.rev_map (fun key -> (key, Hashtbl.find tbl key)) !order
 
 let check rule (ctx : Context.t) =
-  let r = Symscope.result ctx in
+  let r = Context.symbols ctx in
   group_overturns (S.overturns r)
   |> List.map (fun ((importer, expected), misses) ->
          match expected with

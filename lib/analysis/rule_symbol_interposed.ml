@@ -10,7 +10,7 @@ module S = Feam_symcheck.Symcheck
 let id = "symbol-interposed"
 
 let check rule (ctx : Context.t) =
-  let r = Symscope.result ctx in
+  let r = Context.symbols ctx in
   List.map
     (fun (i : S.interposition) ->
       Rule.finding rule ~subject:i.S.ip_symbol

@@ -27,7 +27,7 @@ let miss_finding rule ?level (m : S.miss) =
        m.S.miss_importer consulted)
 
 let check rule (ctx : Context.t) =
-  let r = Symscope.result ctx in
+  let r = Context.symbols ctx in
   let definitive = List.filter (fun m -> m.S.miss_definitive) in
   List.map (miss_finding rule) (definitive r.S.unresolved_strong)
   @ List.map

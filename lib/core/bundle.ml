@@ -12,7 +12,7 @@ open Feam_util
 
 type probe = {
   probe_name : string;
-  probe_bytes : string;          (* ELF image compiled at the guaranteed site *)
+  probe_image : Feam_elf.Reader.image; (* compiled at the guaranteed site *)
   probe_stack_slug : string;     (* stack it was compiled with *)
   probe_declared_size : int;
 }
@@ -20,7 +20,7 @@ type probe = {
 type t = {
   created_at : string;           (* guaranteed site name, informational *)
   binary_description : Description.t;
-  binary_bytes : string option;  (* the application binary itself *)
+  binary_image : Feam_elf.Reader.image option; (* the application binary *)
   binary_declared_size : int;
   copies : Bdc.library_copy list;
   unlocatable : string list;

@@ -6,7 +6,8 @@
 
 type probe = {
   probe_name : string;
-  probe_bytes : string;  (** ELF image compiled at the guaranteed site *)
+  probe_image : Feam_elf.Reader.image;
+      (** ELF image compiled at the guaranteed site, by its handle *)
   probe_stack_slug : string;  (** the stack it was compiled with *)
   probe_declared_size : int;
 }
@@ -14,7 +15,8 @@ type probe = {
 type t = {
   created_at : string;  (** guaranteed site name *)
   binary_description : Description.t;
-  binary_bytes : string option;
+  binary_image : Feam_elf.Reader.image option;
+      (** the application binary, by the handle its file keeps *)
   binary_declared_size : int;
   copies : Bdc.library_copy list;
   unlocatable : string list;

@@ -420,8 +420,9 @@ let layout_of_bundle (b : Bundle.t) =
     description = b.Bundle.binary_description;
     binary =
       Option.map
-        (fun bytes -> (b.Bundle.binary_declared_size, bytes))
-        b.Bundle.binary_bytes;
+        (fun image ->
+          (b.Bundle.binary_declared_size, Feam_elf.Reader.image_bytes image))
+        b.Bundle.binary_image;
     copies =
       List.map
         (fun (c : Bdc.library_copy) ->
@@ -435,7 +436,7 @@ let layout_of_bundle (b : Bundle.t) =
         (fun (p : Bundle.probe) ->
           { name = p.Bundle.probe_name; from = p.Bundle.probe_stack_slug;
             size = p.Bundle.probe_declared_size;
-            payload = p.Bundle.probe_bytes })
+            payload = Feam_elf.Reader.image_bytes p.Bundle.probe_image })
         b.Bundle.probes;
     discovery = b.Bundle.source_discovery;
   }
@@ -444,7 +445,8 @@ let bundle_of_layout l : Bundle.t =
   {
     Bundle.created_at = l.created_at;
     binary_description = l.description;
-    binary_bytes = Option.map snd l.binary;
+    binary_image =
+      Option.map (fun (_, bytes) -> Feam_elf.Reader.image bytes) l.binary;
     binary_declared_size = Option.fold ~none:0 ~some:fst l.binary;
     copies =
       List.map
@@ -458,7 +460,8 @@ let bundle_of_layout l : Bundle.t =
     probes =
       List.map
         (fun e ->
-          { Bundle.probe_name = e.name; probe_bytes = e.payload;
+          { Bundle.probe_name = e.name;
+            probe_image = Feam_elf.Reader.image e.payload;
             probe_stack_slug = e.from; probe_declared_size = e.size })
         l.probes;
     source_discovery = l.discovery;

@@ -84,9 +84,9 @@ let of_bundle store (b : Bundle.t) =
       b.Bundle.copies
   in
   let man_binary =
-    match b.Bundle.binary_bytes with
+    match b.Bundle.binary_image with
     | None -> None
-    | Some bytes ->
+    | Some image ->
       let _, key =
         Store.intern store
           ~meta:
@@ -94,7 +94,7 @@ let of_bundle store (b : Bundle.t) =
                ~origin:b.Bundle.binary_description.Description.path
                ~deps:(List.map (fun e -> Chash.to_hex e.me_key) man_entries)
                ~size:b.Bundle.binary_declared_size ())
-          bytes
+          (Feam_elf.Reader.image_bytes image)
       in
       Some (key, b.Bundle.binary_declared_size)
   in
@@ -106,7 +106,7 @@ let of_bundle store (b : Bundle.t) =
             ~meta:
               (Store.meta ?provider ~origin:p.Bundle.probe_name
                  ~size:p.Bundle.probe_declared_size ())
-            p.Bundle.probe_bytes
+            (Feam_elf.Reader.image_bytes p.Bundle.probe_image)
         in
         {
           mp_name = p.Bundle.probe_name;
@@ -168,7 +168,7 @@ let to_bundle store t =
         Ok
           ({
              Bundle.probe_name = p.mp_name;
-             probe_bytes = bytes;
+             probe_image = Feam_elf.Reader.image bytes;
              probe_stack_slug = p.mp_stack;
              probe_declared_size = p.mp_size;
            }
@@ -179,7 +179,8 @@ let to_bundle store t =
     {
       Bundle.created_at = t.man_created_at;
       binary_description = t.man_description;
-      binary_bytes = Option.map fst binary;
+      binary_image =
+        Option.map (fun (bytes, _) -> Feam_elf.Reader.image bytes) binary;
       binary_declared_size =
         (match binary with Some (_, size) -> size | None -> 0);
       copies = List.rev copies;

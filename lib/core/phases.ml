@@ -118,17 +118,16 @@ let run_source ?clock ?ctx site env ~binary_path =
                     {
                       Bundle.probe_name =
                         program.Feam_toolchain.Compile.prog_name;
-                      probe_bytes = bytes;
+                      probe_image = Feam_elf.Reader.image bytes;
                       probe_stack_slug = current.Discovery.slug;
                       probe_declared_size =
                         Feam_toolchain.Compile.declared_size program;
                     })
               wanted)
       in
-      let binary_bytes, binary_declared_size =
+      let binary_image, binary_declared_size =
         match binary_image site binary_path with
-        | Some (image, declared_size) ->
-          (Some (Feam_elf.Reader.image_bytes image), declared_size)
+        | Some (image, declared_size) -> (Some image, declared_size)
         | None -> (None, 0)
       in
       Cost.charge clock Cost.bundle_pack_base;
@@ -141,7 +140,7 @@ let run_source ?clock ?ctx site env ~binary_path =
         {
           Bundle.created_at = Site.name site;
           binary_description = gathered.Bdc.binary_description;
-          binary_bytes;
+          binary_image;
           binary_declared_size;
           copies = gathered.Bdc.copies;
           unlocatable = gathered.Bdc.unlocatable;
@@ -204,14 +203,14 @@ let target_phase ?clock ?depot ?ctx config site env ?bundle ?binary_path () =
     match (binary_path, bundle) with
     | Some p, _ -> Some p
     | None, Some b -> (
-      match b.Bundle.binary_bytes with
-      | Some bytes ->
+      match b.Bundle.binary_image with
+      | Some image ->
         let path =
           staging_binary_dir ^ "/"
           ^ Vfs.basename b.Bundle.binary_description.Description.path
         in
-        Vfs.add ~declared_size:b.Bundle.binary_declared_size vfs path
-          (Vfs.Elf bytes);
+        Vfs.add_image ~declared_size:b.Bundle.binary_declared_size vfs path
+          image;
         Cost.charge clock
           (Cost.copy_per_mb
           *. (float_of_int b.Bundle.binary_declared_size /. 1048576.0));

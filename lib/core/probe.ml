@@ -100,15 +100,14 @@ let foreign ?clock config site env install ~(bundle : Bundle.t) ~target_glibc
   @@ fun () ->
   let env = Modules_tool.load_stack env install in
   let path = probe_dir ^ "/" ^ probe.Bundle.probe_name ^ ".shipped" in
-  let image = Feam_elf.Reader.image probe.Bundle.probe_bytes in
   Vfs.add_image ~declared_size:probe.Bundle.probe_declared_size (Site.vfs site)
-    path image;
+    path probe.Bundle.probe_image;
   Cost.charge clock
     (Cost.copy_per_mb
     *. (float_of_int probe.Bundle.probe_declared_size /. 1048576.0));
   let env =
     resolve_probe_env ?clock config site env ~bundle:(Some bundle) ~target_glibc
-      image
+      probe.Bundle.probe_image
   in
   run_binary ?clock config site env ~binary_path:path ~parallel:true
 

@@ -87,7 +87,10 @@ let charge_attempt clock site mode queue =
 (* ABI defect of one staged foreign library copy: deterministic in
    (library, build site, target site). *)
 let copy_has_abi_defect params site (lib : Resolve.resolved_lib) =
-  match Feam_toolchain.Provenance.find_digest lib.Resolve.lib_digest with
+  match
+    Feam_toolchain.Provenance.find_digest
+      (Feam_elf.Reader.digest lib.Resolve.lib_parsed)
+  with
   | Some prov when prov.Feam_toolchain.Provenance.build_site <> Site.name site ->
     let p =
       Float.min 1.0

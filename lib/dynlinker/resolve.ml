@@ -7,7 +7,7 @@ type resolved_lib = {
   lib_name : string;   (* the requested DT_NEEDED string *)
   lib_path : string;   (* where it was found *)
   lib_spec : Feam_elf.Spec.t;
-  lib_digest : Digest.t; (* Digest.string of the image *)
+  lib_parsed : Feam_elf.Reader.t; (* the parse, for its digest on demand *)
 }
 
 type version_failure = {
@@ -47,19 +47,21 @@ let consulted_provider resolved file =
   go 0 resolved
 
 (* [run site env spec] resolves the dependency closure of an object whose
-   parsed spec is [spec].  Each dependency is searched with the root
-   object's search directories plus the dependency's own DT_RPATH chain,
-   an adequate approximation of ld.so's per-object rpath stacking. *)
+   parsed spec is [spec].  Each dependency is searched with its
+   requester's own DT_RPATH chain, then the root object's search
+   directories, an adequate approximation of ld.so's per-object rpath
+   stacking.  A requester's list is built once, when the first of its
+   names is searched for. *)
 let run site env (root : Feam_elf.Spec.t) =
   let root_dirs = Search.search_dirs site env root in
   let seen : (string, unit) Hashtbl.t = Hashtbl.create 32 in
   let resolved = ref [] in
   let missing = ref [] in
   let arch_mismatches = ref [] in
-  let rec visit ~requester_dirs name =
+  let rec visit dirs name =
     if not (Hashtbl.mem seen name) then begin
       Hashtbl.add seen name ();
-      match Search.locate_elf site (requester_dirs @ root_dirs) name with
+      match Search.locate_elf site (Lazy.force dirs) name with
       | None -> missing := name :: !missing
       | Some (path, parsed) ->
         let spec = Feam_elf.Reader.spec parsed in
@@ -71,15 +73,16 @@ let run site env (root : Feam_elf.Spec.t) =
               lib_name = name;
               lib_path = path;
               lib_spec = spec;
-              lib_digest = Feam_elf.Reader.digest parsed;
+              lib_parsed = parsed;
             }
             :: !resolved;
-          let own_dirs = Search.search_dirs site env spec in
-          List.iter (visit ~requester_dirs:own_dirs) spec.needed
+          List.iter
+            (visit (lazy (Search.search_dirs site env spec @ root_dirs)))
+            spec.needed
         end
     end
   in
-  List.iter (visit ~requester_dirs:[]) root.needed;
+  List.iter (visit (Lazy.from_val root_dirs)) root.needed;
   let resolved = List.rev !resolved in
   (* Version-requirement check: every verneed of the root and of each
      resolved library must be satisfied by the verdefs of the closure

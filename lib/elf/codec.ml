@@ -65,26 +65,36 @@ module Reader = struct
     if off < 0 || n < 0 || off + n > String.length t.data then
       raise (Truncated (Printf.sprintf "read of %d bytes at offset %d (size %d)" n off (String.length t.data)))
 
+  (* Each read checks its whole width first, so a short read fails with
+     the width the field asked for, then reads with the stdlib's
+     fixed-width primitives. *)
   let u8 t off =
     check t off 1;
-    Char.code t.data.[off]
+    String.get_uint8 t.data off
 
   let u16 t off =
     check t off 2;
-    let a = Char.code t.data.[off] and b = Char.code t.data.[off + 1] in
-    match t.endian with Types.LE -> a lor (b lsl 8) | Types.BE -> (a lsl 8) lor b
+    match t.endian with
+    | Types.LE -> String.get_uint16_le t.data off
+    | Types.BE -> String.get_uint16_be t.data off
 
   let u32 t off =
     check t off 4;
-    match t.endian with
-    | Types.LE -> u16 t off lor (u16 t (off + 2) lsl 16)
-    | Types.BE -> (u16 t off lsl 16) lor u16 t (off + 2)
+    let v =
+      match t.endian with
+      | Types.LE -> String.get_int32_le t.data off
+      | Types.BE -> String.get_int32_be t.data off
+    in
+    Int32.to_int v land 0xffff_ffff
 
+  (* [Int64.to_int] keeps the low 63 bits; offsets and sizes in an image
+     stay far below 2^62. *)
   let u64 t off =
     check t off 8;
-    match t.endian with
-    | Types.LE -> u32 t off lor (u32 t (off + 4) lsl 32)
-    | Types.BE -> (u32 t off lsl 32) lor u32 t (off + 4)
+    Int64.to_int
+      (match t.endian with
+      | Types.LE -> String.get_int64_le t.data off
+      | Types.BE -> String.get_int64_be t.data off)
 
   let word t cls off =
     match cls with Types.C32 -> u32 t off | Types.C64 -> u64 t off
@@ -98,12 +108,8 @@ module Reader = struct
   (* NUL-terminated string starting at [off]. *)
   let cstring t off =
     check t off 0;
-    let rec find i =
-      if i >= String.length t.data then
-        raise (Truncated (Printf.sprintf "unterminated string at offset %d" off))
-      else if t.data.[i] = '\000' then i
-      else find (i + 1)
-    in
-    let e = find off in
-    String.sub t.data off (e - off)
+    match String.index_from_opt t.data off '\000' with
+    | Some e -> String.sub t.data off (e - off)
+    | None ->
+      raise (Truncated (Printf.sprintf "unterminated string at offset %d" off))
 end

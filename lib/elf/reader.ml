@@ -29,33 +29,28 @@ type section = {
 
 type t = {
   spec : Spec.t;
-  sections : section list;
-  by_name : (string, section) Hashtbl.t; (* memoized name lookup *)
-  size : int; (* image size in bytes *)
-  digest : Digest.t; (* Digest.string of the image, computed once *)
+  sections : section array;
+  data : string; (* the image, for the digest *)
+  mutable digest : Digest.t option; (* computed on first demand *)
 }
 
 let spec t = t.spec
-let sections t = t.sections
-let size t = t.size
-let digest t = t.digest
+let sections t = Array.to_list t.sections
+let size t = String.length t.data
 
-(* Built once at parse time; keeps the first section of each name, the
-   same answer [List.find_opt] would give.  Symcheck performs a name
-   lookup per symbol table per object, so the linear scan mattered. *)
-let index_sections sections =
-  let tbl = Hashtbl.create 16 in
-  List.iter
-    (fun s -> if not (Hashtbl.mem tbl s.name) then Hashtbl.add tbl s.name s)
-    sections;
-  tbl
+let digest t =
+  match t.digest with
+  | Some d -> d
+  | None ->
+    let d = Digest.string t.data in
+    t.digest <- Some d;
+    d
 
+(* First section of the name, as [List.find_opt] would give. *)
 let section_by_name t name =
-  match Hashtbl.find_opt t.by_name name with
+  match Array.find_opt (fun s -> s.name = name) t.sections with
   | Some s ->
     Feam_obs.Metrics.incr "elf.section_memo.hit";
-    (* Each hit skips a linear scan over the section table; credit the
-       section's bytes as the traffic the memo avoided re-walking. *)
     Feam_obs.Metrics.incr ~by:s.sh_size "elf.section_memo.saved_bytes";
     Some s
   | None ->
@@ -88,43 +83,43 @@ let parse_ident data =
 let parse_sections r cls ~shoff ~shentsize ~shnum ~shstrndx =
   if shnum > 0 && (shstrndx < 0 || shstrndx >= shnum) then
     fail (Malformed "section name table index out of range");
-  let raw =
-    List.init shnum (fun i ->
-        let base = shoff + (i * shentsize) in
-        match cls with
-        | Types.C64 ->
-          ( Codec.Reader.u32 r base,
-            Codec.Reader.u32 r (base + 4),
-            Codec.Reader.u64 r (base + 16),
-            Codec.Reader.u64 r (base + 24),
-            Codec.Reader.u64 r (base + 32),
-            Codec.Reader.u32 r (base + 40),
-            Codec.Reader.u32 r (base + 44) )
-        | Types.C32 ->
-          ( Codec.Reader.u32 r base,
-            Codec.Reader.u32 r (base + 4),
-            Codec.Reader.u32 r (base + 12),
-            Codec.Reader.u32 r (base + 16),
-            Codec.Reader.u32 r (base + 20),
-            Codec.Reader.u32 r (base + 24),
-            Codec.Reader.u32 r (base + 28) ))
+  (* Every header is read before any name, as the names live in the
+     section [shstrndx] points at.  Fields are read from the last to the
+     first, so a truncated header fails on the field past its end. *)
+  let header i =
+    let base = shoff + (i * shentsize) in
+    let u32 off = Codec.Reader.u32 r (base + off) in
+    let word off = Codec.Reader.word r cls (base + off) in
+    let w = Codec.Reader.word_size cls in
+    (* ELF64 widens sh_flags, sh_addr, sh_offset and sh_size *)
+    let sh_info = u32 (12 + (4 * w)) in
+    let sh_link = u32 (8 + (4 * w)) in
+    let sh_size = word (8 + (3 * w)) in
+    let sh_offset = word (8 + (2 * w)) in
+    let sh_addr = word (8 + w) in
+    let sh_type = u32 4 in
+    let name_off = u32 0 in
+    ( name_off,
+      { name = ""; sh_type; sh_offset; sh_size; sh_link; sh_info; sh_addr } )
   in
-  let shstr_off =
-    if shnum = 0 then 0
-    else
-      let _, _, _, off, _, _, _ = List.nth raw shstrndx in
-      off
-  in
-  List.map
-    (fun (name_off, sh_type, sh_addr, sh_offset, sh_size, sh_link, sh_info) ->
-      let name =
-        if shnum = 0 then ""
-        else
+  let raw = Array.init shnum header in
+  if shnum = 0 then [||]
+  else
+    let shstr_off = (snd raw.(shstrndx)).sh_offset in
+    Array.map
+      (fun (name_off, s) ->
+        let name =
           try Codec.Reader.cstring r (shstr_off + name_off)
           with Codec.Truncated _ -> fail (Malformed "section name out of bounds")
-      in
-      { name; sh_type; sh_offset; sh_size; sh_link; sh_info; sh_addr })
-    raw
+        in
+        { s with name })
+      raw
+
+(* The offset of the section an [sh_link] names, when it names one. *)
+let linked_offset sections link =
+  if link > 0 && link < Array.length sections then
+    Some sections.(link).sh_offset
+  else None
 
 (* Dynamic section: list of (tag, value) pairs up to DT_NULL. *)
 let parse_dynamic r cls section =
@@ -187,29 +182,16 @@ let parse_dynsyms r cls sections ~dynstr_off ~verneeds ~verdefs dynsym_sec
   let entsize = sym_entry_size cls in
   let n = dynsym_sec.sh_size / entsize in
   let strtab_off =
-    if dynsym_sec.sh_link > 0 && dynsym_sec.sh_link < List.length sections then
-      (List.nth sections dynsym_sec.sh_link).sh_offset
-    else dynstr_off
+    Option.value (linked_offset sections dynsym_sec.sh_link) ~default:dynstr_off
   in
+  (* Version index -> name: verneed indices count from 2 over the
+     flattened version lists, verdef indices from 1. *)
   let need_index =
-    let tbl = Hashtbl.create 16 in
-    let next = ref 2 in
-    List.iter
-      (fun vn ->
-        List.iter
-          (fun v ->
-            if not (Hashtbl.mem tbl !next) then Hashtbl.add tbl !next v;
-            incr next)
-          vn.Spec.vn_versions)
-      verneeds;
-    tbl
+    Array.of_list (List.concat_map (fun vn -> vn.Spec.vn_versions) verneeds)
   in
-  let def_index =
-    let tbl = Hashtbl.create 16 in
-    List.iteri
-      (fun i v -> if not (Hashtbl.mem tbl (i + 1)) then Hashtbl.add tbl (i + 1) v)
-      verdefs;
-    tbl
+  let def_index = Array.of_list verdefs in
+  let version_at table ndx =
+    if ndx < Array.length table then Some table.(ndx) else None
   in
   let versym_at i =
     match versym_sec with
@@ -242,8 +224,8 @@ let parse_dynsyms r cls sections ~dynstr_off ~verneeds ~verdefs dynsym_sec
         | Some raw -> (
           let ndx = raw land 0x7fff (* mask the VERSYM_HIDDEN bit *) in
           if ndx <= 1 then None
-          else
-            Hashtbl.find_opt (if sym_defined then def_index else need_index) ndx)
+          else if sym_defined then version_at def_index (ndx - 1)
+          else version_at need_index (ndx - 2))
       in
       go (i + 1) ({ Spec.sym_name; sym_defined; sym_binding; sym_version } :: acc)
   in
@@ -319,21 +301,21 @@ let parse_uncached (data : string) : (t, error) result =
         program_headers
     in
     let sections = parse_sections r cls ~shoff ~shentsize ~shnum ~shstrndx in
-    let find_type ty = List.find_opt (fun s -> s.sh_type = ty) sections in
-    let find_name n = List.find_opt (fun s -> s.name = n) sections in
+    let find_type ty = Array.find_opt (fun s -> s.sh_type = ty) sections in
+    let find_name n = Array.find_opt (fun s -> s.name = n) sections in
     (* Dynamic metadata. *)
+    let dynamic_sec = find_type Types.Sht.dynamic in
     let dynamic =
-      match find_type Types.Sht.dynamic with
-      | Some s -> parse_dynamic r cls s
-      | None -> []
+      match dynamic_sec with Some s -> parse_dynamic r cls s | None -> []
     in
     let dynstr_off =
       (* Locate .dynstr via the dynamic section's sh_link when possible,
          falling back to the section name. *)
-      match find_type Types.Sht.dynamic with
-      | Some dyn when dyn.sh_link > 0 && dyn.sh_link < List.length sections ->
-        (List.nth sections dyn.sh_link).sh_offset
-      | _ -> (
+      match
+        Option.bind dynamic_sec (fun dyn -> linked_offset sections dyn.sh_link)
+      with
+      | Some off -> off
+      | None -> (
         match find_name ".dynstr" with
         | Some s -> s.sh_offset
         | None -> 0)
@@ -378,82 +360,50 @@ let parse_uncached (data : string) : (t, error) result =
       Spec.make ~file_type ?soname ~needed ?rpath ?runpath ~verneeds ~verdefs
         ~dynsyms ~comments ?abi_note ?interp ~elf_class:cls ~endian machine
     in
-    Ok
-      {
-        spec;
-        sections;
-        by_name = index_sections sections;
-        size = String.length data;
-        digest = Digest.string data;
-      }
+    Ok { spec; sections; data; digest = None }
   with
   | Parse_error e -> Error e
   | Codec.Truncated what -> Error (Malformed ("truncated: " ^ what))
 
-(* The parse memo: every tool emulation reads the same immutable images
-   again and again, so each live image is parsed once per process, and
-   its content key ([Feam_util.Chash]) is hashed once.  Keys are
-   compared with [==], so hits and misses depend only on the call
-   sequence, never on GC timing; an equal copy simply parses again.
-   [Hashtbl.hash] reads every byte of a string — a prefix hash would put
-   every image in one bucket, since all ELF headers start alike.  So a
-   lookup costs a pass over the image, and callers that read one image
-   many times keep its {!image} handle instead of looking it up again.
-   Ephemeron keys let the GC drop an entry with its image, so the memo
-   is bounded by the live images.  Not domain-safe. *)
-module Memo = Ephemeron.K1.Make (struct
-  type t = string
-
-  let equal = ( == )
-  let hash = Hashtbl.hash
-end)
-
-(* Both halves fill on first demand: keying an image by content never
-   parses it, and parsing never computes its key. *)
-type entry = {
+(* A handle is the parse memo of one image: its bytes, plus their parse
+   and content key, each filled on first demand.  Keying an image never
+   parses it, and parsing never hashes it.  There is no table behind
+   handles: a holder that reads one image many times (a Vfs slot, a
+   bundle's copy or probe, a test-set binary) keeps its handle, and a
+   second [image] of the same string starts afresh.  The memo lives and
+   dies with its handle, so nothing here is global. *)
+type image = {
+  data : string;
   mutable parsed : (t, error) result option;
   mutable key : Feam_util.Chash.t option;
 }
 
-let memo : entry Memo.t = Memo.create 1024
-
-(* A handle: the image and its memo entry.  Holding it keeps the image,
-   and so the entry, alive. *)
-type image = { data : string; entry : entry }
-
-let image data =
-  match Memo.find_opt memo data with
-  | Some entry -> { data; entry }
-  | None ->
-    let entry = { parsed = None; key = None } in
-    Memo.replace memo data entry;
-    { data; entry }
+let image data = { data; parsed = None; key = None }
 
 let image_bytes img = img.data
 
-let parse_image { data; entry = e } =
-  match e.parsed with
+let parse_image img =
+  match img.parsed with
   | Some r ->
     Feam_obs.Metrics.incr "elf.parse_memo.hit";
-    Feam_obs.Metrics.incr ~by:(String.length data) "elf.parse_memo.saved_bytes";
+    Feam_obs.Metrics.incr ~by:(String.length img.data)
+      "elf.parse_memo.saved_bytes";
     r
   | None ->
     Feam_obs.Metrics.incr "elf.parse_memo.miss";
-    let r = parse_uncached data in
-    e.parsed <- Some r;
+    let r = parse_uncached img.data in
+    img.parsed <- Some r;
     r
 
-let image_key { data; entry = e } =
-  match e.key with
+let image_key img =
+  match img.key with
   | Some k -> k
   | None ->
-    let k = Feam_util.Chash.of_bytes data in
-    e.key <- Some k;
+    let k = Feam_util.Chash.of_bytes img.data in
+    img.key <- Some k;
     k
 
 let parse data = parse_image (image data)
-
-let content_key data = image_key (image data)
 
 let parse_exn data =
   match parse data with

@@ -27,49 +27,45 @@ val sections : t -> section list
 (** Image size in bytes. *)
 val size : t -> int
 
-(** [Digest.string] of the image bytes, computed once per parse. *)
+(** [Digest.string] of the image bytes, computed on the first call and
+    kept with the parse. *)
 val digest : t -> Digest.t
 
+(** The first section of the name.  Counts
+    [elf.section_memo.{hit,miss,saved_bytes}]. *)
 val section_by_name : t -> string -> section option
 
-(** A handle on a live image: its bytes and its entry in the per-image
-    memo behind {!parse} and {!content_key}.  Making one looks the
-    image up in the memo, which hashes every byte of it; reading a
-    handle hashes nothing.  A holder that reads one image many times
-    (a [Feam_sysmodel.Vfs] file, a bundle's library copy) keeps its
-    handle.  Holding a handle keeps the image and its entry alive. *)
+(** A handle on an image: its bytes and their memo, the parse and the
+    content key, each filled on first demand.  Making one is free: no
+    lookup, no hash.  There is no table behind handles, so a holder
+    that reads one image many times (a [Feam_sysmodel.Vfs] file, a
+    bundle's library copy or probe) keeps its handle; a second handle
+    on the same string parses and hashes again.  Dropping every handle
+    frees the memo with the image. *)
 type image
 
-(** The handle of an image: the one lookup that hashes.  Physically
-    the same string ([==]) gets the same memo entry; an equal copy gets
-    a fresh one. *)
+(** A fresh handle on the image. *)
 val image : string -> image
 
 (** The image's bytes, the string the handle was made from. *)
 val image_bytes : image -> string
 
-(** Parse the image, once per memo entry: a later parse through any
-    handle on the same string returns the earlier result, [Ok] or
-    [Error], without re-reading the bytes.  Hits and misses count as
-    [elf.parse_memo.{hit,miss,saved_bytes}].  Not domain-safe. *)
+(** Parse the image, once per handle: a later parse through the same
+    handle returns the earlier result, [Ok] or [Error], without
+    re-reading the bytes.  Hits and misses count as
+    [elf.parse_memo.{hit,miss,saved_bytes}].  Not domain-safe: a handle
+    shared between domains needs a lock around its first parse. *)
 val parse_image : image -> (t, error) result
 
 (** The image's content key, {!Feam_util.Chash.of_bytes} of its bytes,
-    held in the same memo entry as {!parse_image}'s result, so one
-    string hashes once.  Never parses, and counts nothing in
+    computed once per handle.  Never parses, and counts nothing in
     [elf.parse_memo.*].  Works on any string, ELF or not.  This is the
     one place a live image's identity is computed (DESIGN §9). *)
 val image_key : image -> Feam_util.Chash.t
 
-(** [parse data] is [parse_image (image data)]: one lookup, then the
-    memoized parse.  Entries go away with their image (ephemeron keys),
-    so the memo holds only images the caller still references.  Code
-    that reads files from a [Feam_sysmodel.Vfs] uses the file's handle
-    instead. *)
+(** [parse data] is [parse_image (image data)]: a fresh handle, so
+    every call parses.  For bytes that are not held anywhere else. *)
 val parse : string -> (t, error) result
-
-(** [content_key data] is [image_key (image data)]. *)
-val content_key : string -> Feam_util.Chash.t
 
 (** @raise Invalid_argument when {!parse} would return an error. *)
 val parse_exn : string -> t

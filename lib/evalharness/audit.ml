@@ -34,7 +34,7 @@ let binary_of (b : Testset.binary) =
         (Feam_mpi.Impl.slug
            (Feam_mpi.Stack.impl
               (Feam_sysmodel.Stack_install.stack b.Testset.install)));
-    bin_facts = Factbase.facts_of_bytes b.Testset.bytes;
+    bin_facts = Factbase.facts_of_image b.Testset.image;
   }
 
 let cell_of (m : Migrate.migration) =
@@ -77,10 +77,7 @@ let build ?clock sites binaries migrations =
         let home = Site.name binary.Testset.home in
         List.iter
           (fun (c : Feam_core.Bdc.library_copy) ->
-            let facts =
-              Factbase.facts_of_bytes
-                (Feam_elf.Reader.image_bytes c.Feam_core.Bdc.copy_image)
-            in
+            let facts = Factbase.facts_of_image c.Feam_core.Bdc.copy_image in
             let key =
               ( c.Feam_core.Bdc.copy_request,
                 home,

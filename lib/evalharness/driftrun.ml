@@ -31,10 +31,10 @@ type perturbation = { pe_site : string; pe_what : Scengen.perturbation }
 let perturbation_label p =
   Printf.sprintf "%s @ %s" (Scengen.perturbation_to_string p.pe_what) p.pe_site
 
-(* Live images read their key from the parse memo; derived strings
+(* Live images read their key through their handle; derived strings
    (rendered specs, scripts, text) hash directly. *)
 let digest bytes = Chash.to_hex (Chash.of_bytes bytes)
-let image_digest bytes = Chash.to_hex (Feam_elf.Reader.content_key bytes)
+let image_digest image = Chash.to_hex (Feam_elf.Reader.image_key image)
 
 (* -- perturbation draws ------------------------------------------------ *)
 
@@ -130,8 +130,7 @@ let capture_site site =
            match Vfs.find vfs path with
            | Some { Vfs.kind = Vfs.Elf _; _ } ->
              Option.map
-               (fun (_, image) ->
-                 (path, Chash.to_hex (Feam_elf.Reader.image_key image)))
+               (fun (_, image) -> (path, image_digest image))
                (Vfs.resolve_image vfs path)
            | Some { Vfs.kind = Vfs.Symlink target; _ } ->
              Some (path, "->" ^ target)
@@ -154,12 +153,13 @@ let capture_site site =
    the provenance comments dropped instead: the probe's loader-relevant
    content, stable across recompiles, still sensitive to real home-site
    change (different needed libs, different interp, ...). *)
-let probe_fingerprint bytes =
-  match Feam_elf.Reader.spec_of_bytes bytes with
-  | Ok spec ->
+let probe_fingerprint image =
+  match Feam_elf.Reader.parse_image image with
+  | Ok parsed ->
+    let spec = Feam_elf.Reader.spec parsed in
     digest
       (Fmt.str "%a" Feam_elf.Spec.pp { spec with Feam_elf.Spec.comments = [] })
-  | Error _ -> image_digest bytes
+  | Error _ -> image_digest image
 
 let capture_binary ?ctx (binary : Testset.binary) =
   match Migrate.source_bundle ?ctx binary with
@@ -167,7 +167,7 @@ let capture_binary ?ctx (binary : Testset.binary) =
     {
       Snapshot.bs_id = binary.Testset.id;
       bs_home = Site.name binary.Testset.home;
-      bs_digest = image_digest binary.Testset.bytes;
+      bs_digest = image_digest binary.Testset.image;
       bs_error = Some e;
       bs_description = Json.Null;
       bs_bundle = [];
@@ -177,19 +177,19 @@ let capture_binary ?ctx (binary : Testset.binary) =
     {
       Snapshot.bs_id = binary.Testset.id;
       bs_home = Site.name binary.Testset.home;
-      bs_digest = image_digest binary.Testset.bytes;
+      bs_digest = image_digest binary.Testset.image;
       bs_error = None;
       bs_description = Description.to_json bundle.Bundle.binary_description;
       bs_bundle =
         List.map
           (fun c ->
             ( "copy:" ^ c.Bdc.copy_request,
-              Chash.to_hex (Feam_elf.Reader.image_key c.Bdc.copy_image) ))
+              image_digest c.Bdc.copy_image ))
           bundle.Bundle.copies
         @ List.map
             (fun p ->
               ("probe:" ^ p.Bundle.probe_name,
-               probe_fingerprint p.Bundle.probe_bytes))
+               probe_fingerprint p.Bundle.probe_image))
             bundle.Bundle.probes
         @ List.map (fun u -> ("unlocatable:" ^ u, "missing")) bundle.Bundle.unlocatable
         @ [

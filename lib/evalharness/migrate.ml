@@ -88,8 +88,8 @@ let migrated_dir = "/home/user/migrated"
 let with_staged binary target f =
   Vfs.scoped (Site.vfs target) @@ fun () ->
   let path = migrated_dir ^ "/" ^ Vfs.basename binary.Testset.home_path in
-  Vfs.add ~declared_size:binary.Testset.declared_size (Site.vfs target) path
-    (Vfs.Elf binary.Testset.bytes);
+  Vfs.add_image ~declared_size:binary.Testset.declared_size (Site.vfs target)
+    path binary.Testset.image;
   f path
 
 (* The source phase at the binary's home, under its build stack. *)

@@ -28,9 +28,10 @@ let examine binary target =
   match Migrate.user_stack_choice binary target with
   | None -> None
   | Some install -> (
-    match Feam_analysis.Factbase.spec_of_bytes binary.Testset.bytes with
+    match Feam_elf.Reader.parse_image binary.Testset.image with
     | Error _ -> None
-    | Ok spec ->
+    | Ok parsed ->
+      let spec = Feam_elf.Reader.spec parsed in
       let env = Modules_tool.load_stack (Site.base_env target) install in
       let r = Feam_dynlinker.Resolve.run target env spec in
       let sc = Feam_symcheck.Symcheck.of_resolve r in

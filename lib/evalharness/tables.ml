@@ -15,9 +15,10 @@ let table1 binaries =
   let correct, total =
     List.fold_left
       (fun (correct, total) (b : Testset.binary) ->
-        match Feam_analysis.Factbase.spec_of_bytes b.Testset.bytes with
+        match Feam_elf.Reader.parse_image b.Testset.image with
         | Error _ -> (correct, total + 1)
-        | Ok spec -> (
+        | Ok parsed -> (
+          let spec = Feam_elf.Reader.spec parsed in
           match Feam_core.Mpi_ident.identify spec.Feam_elf.Spec.needed with
           | Some ident
             when Feam_mpi.Impl.equal ident.Feam_core.Mpi_ident.impl

@@ -14,6 +14,7 @@ type binary = {
   install : Stack_install.t; (* the build stack's install at home *)
   home_path : string;
   bytes : string;
+  image : Feam_elf.Reader.image; (* the handle of [bytes], as home keeps it *)
   declared_size : int;
 }
 
@@ -46,8 +47,9 @@ let try_build (params : Params.t) site install benchmark =
     with
     | Error _ -> None
     | Ok path -> (
-      match Vfs.find (Site.vfs site) path with
-      | Some { Vfs.kind = Vfs.Elf bytes; declared_size } ->
+      let vfs = Site.vfs site in
+      match (Vfs.resolve_image vfs path, Vfs.file_size vfs path) with
+      | Some (_, image), Some declared_size ->
         Some
           {
             id = binary_id benchmark site install;
@@ -55,7 +57,8 @@ let try_build (params : Params.t) site install benchmark =
             home = site;
             install;
             home_path = path;
-            bytes;
+            bytes = Feam_elf.Reader.image_bytes image;
+            image;
             declared_size;
           }
       | _ -> None)

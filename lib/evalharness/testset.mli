@@ -10,6 +10,8 @@ type binary = {
   install : Feam_sysmodel.Stack_install.t;  (** build stack at home *)
   home_path : string;
   bytes : string;
+  image : Feam_elf.Reader.image;
+      (** the handle of [bytes], the one the home site's file keeps *)
   declared_size : int;
 }
 

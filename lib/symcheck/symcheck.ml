@@ -139,6 +139,50 @@ let interpositions_of defs =
     defs []
   |> List.sort (fun a b -> String.compare a.ip_symbol b.ip_symbol)
 
+(* The verdict as a flight-recorder decision. *)
+let journal result =
+  let open Feam_util in
+  let miss_json m =
+    Json.Obj
+      [
+        ("importer", Json.Str m.miss_importer);
+        ("symbol", Json.Str m.miss_symbol);
+        ( "version",
+          match m.miss_version with Some v -> Json.Str v | None -> Json.Null
+        );
+        ( "expected",
+          match m.miss_expected with Some p -> Json.Str p | None -> Json.Null
+        );
+        ("definitive", Json.Bool m.miss_definitive);
+      ]
+  in
+  Feam_flightrec.Recorder.decision ~determinant:"symcheck"
+    ~verdict:(if result.unresolved_strong = [] then "pass" else "fail")
+    (fun () ->
+      [
+        ( "scope",
+          Json.List (List.map (fun m -> Json.Str m.mb_label) result.scope) );
+        ("complete", Json.Bool result.complete);
+        ("bindings", Json.Int (List.length result.bindings));
+        ( "unresolved_strong",
+          Json.List (List.map miss_json result.unresolved_strong) );
+        ( "unresolved_weak",
+          Json.List (List.map miss_json result.unresolved_weak) );
+        ( "interpositions",
+          Json.List
+            (List.map
+               (fun ip ->
+                 Json.Obj
+                   [
+                     ("symbol", Json.Str ip.ip_symbol);
+                     ("winner", Json.Str ip.ip_winner);
+                     ( "shadowed",
+                       Json.List
+                         (List.map (fun s -> Json.Str s) ip.ip_shadowed) );
+                   ])
+               result.interpositions) );
+      ])
+
 let run ?(ignore_needed = fun _ -> false) scope =
   Feam_obs.Trace.with_span "symcheck.run" @@ fun () ->
   let defs = definition_index scope in
@@ -219,47 +263,7 @@ let run ?(ignore_needed = fun _ -> false) scope =
       interpositions = interpositions_of defs;
     }
   in
-  (let open Feam_util in
-   let miss_json m =
-     Json.Obj
-       [
-         ("importer", Json.Str m.miss_importer);
-         ("symbol", Json.Str m.miss_symbol);
-         ( "version",
-           match m.miss_version with Some v -> Json.Str v | None -> Json.Null
-         );
-         ( "expected",
-           match m.miss_expected with Some p -> Json.Str p | None -> Json.Null
-         );
-         ("definitive", Json.Bool m.miss_definitive);
-       ]
-   in
-   Feam_flightrec.Recorder.decision ~determinant:"symcheck"
-     ~verdict:(if result.unresolved_strong = [] then "pass" else "fail")
-     (fun () ->
-       [
-         ( "scope",
-           Json.List (List.map (fun m -> Json.Str m.mb_label) result.scope) );
-         ("complete", Json.Bool result.complete);
-         ("bindings", Json.Int (List.length result.bindings));
-         ( "unresolved_strong",
-           Json.List (List.map miss_json result.unresolved_strong) );
-         ( "unresolved_weak",
-           Json.List (List.map miss_json result.unresolved_weak) );
-         ( "interpositions",
-           Json.List
-             (List.map
-                (fun ip ->
-                  Json.Obj
-                    [
-                      ("symbol", Json.Str ip.ip_symbol);
-                      ("winner", Json.Str ip.ip_winner);
-                      ( "shadowed",
-                        Json.List
-                          (List.map (fun s -> Json.Str s) ip.ip_shadowed) );
-                    ])
-                result.interpositions) );
-       ]));
+  journal result;
   result
 
 let of_resolve (r : Feam_dynlinker.Resolve.t) =

@@ -57,6 +57,11 @@ type t = {
     count against completeness. *)
 val run : ?ignore_needed:(string -> bool) -> member list -> t
 
+(** Journal a verdict as {!run} does: one flight-recorder [symcheck]
+    decision.  For a caller that hands one result to several readers,
+    each of which would otherwise have run the simulation itself. *)
+val journal : t -> unit
+
 (** Binding scope of a live resolution: the root plus the resolved
     closure in load order. *)
 val of_resolve : Feam_dynlinker.Resolve.t -> t

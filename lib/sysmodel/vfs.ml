@@ -16,10 +16,10 @@ type kind =
 
 type file = { kind : kind; declared_size : int }
 
-(* A stored file and, once an ELF read asked for it, its image handle:
-   the parse memo's entry for the bytes, so later reads hash nothing
-   (DESIGN §15).  A write stores a new slot; an undo puts the old slot
-   back, handle and all. *)
+(* A stored file and, once an ELF read asked for it, its image handle,
+   which holds the bytes' parse and key, so later reads parse and hash
+   nothing (DESIGN §15).  A write stores a new slot; an undo puts the
+   old slot back, handle and all. *)
 type slot = { file : file; mutable image : Feam_elf.Reader.image option }
 
 (* One write made while a scope is open: the path and the slot it

@@ -58,10 +58,10 @@ val resolve : ?depth:int -> t -> string -> (string * file) option
 
 (** Like {!resolve}, for an ELF file: the real path and the file's image
     handle ({!Feam_elf.Reader.image}).  The handle is made on the first
-    such read of the stored file and kept with it, so later reads hash
-    nothing; a write stores a new file, and with it a new handle.
-    [None] when the path resolves to nothing or to a file that is not
-    ELF. *)
+    such read of the stored file and kept with it, so later reads parse
+    and hash nothing; a write stores a new file, and with it a new
+    handle.  [None] when the path resolves to nothing or to a file that
+    is not ELF. *)
 val resolve_image : t -> string -> (string * Feam_elf.Reader.image) option
 
 val find : t -> string -> file option

@@ -3,7 +3,7 @@
    different paths, sites, or times — always produce the same key,
    which is what makes the depot content-addressed and the transfer
    planner's dedup sound.  Live ELF images get their key through their
-   [Feam_elf.Reader.image] handle, which computes it once per image.
+   [Feam_elf.Reader.image] handle, which computes it once per handle.
 
    The hash is a domain-separated MD5 over the raw bytes: MD5 is in the
    OCaml standard library, stable across platforms, and collision

@@ -2,7 +2,7 @@
     alone.  Identical bytes yield identical keys regardless of the path,
     site, or time they were captured from.  A live ELF image's key is
     read through its handle, [Feam_elf.Reader.image_key], which computes
-    it once per image. *)
+    it once per handle. *)
 
 type t
 

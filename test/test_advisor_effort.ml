@@ -128,6 +128,7 @@ let fake_migration ~before ~after : Feam_evalharness.Migrate.migration =
       install;
       home_path = path;
       bytes = "";
+      image = Feam_elf.Reader.image "";
       declared_size = 0;
     }
   in

@@ -161,6 +161,25 @@ let test_metrics () =
     (List.length (List.filter (fun r -> r.Harness.r_unsound <> []) runs))
     (counter "agree.unsound")
 
+(* Each scenario's images are parsed through the handles their holders
+   keep (the home file, the bundle's copies and probes, the staged
+   binary), so a pass parses no image twice.  824 is the count measured
+   when the process-wide parse table was replaced by handles; a holder
+   that drops its handle and re-reads raw bytes pushes it up. *)
+let test_parse_misses_pinned () =
+  let misses () =
+    Option.value ~default:0
+      (Feam_obs.Metrics.counter_value "elf.parse_memo.miss")
+  in
+  let before = misses () in
+  ignore
+    (Harness.run_corpus ~seed:corpus_seed ~count:corpus_count ()
+      : Harness.run list);
+  let n = misses () - before in
+  if n > 824 then
+    Alcotest.failf "50 seed-42 scenarios parsed %d images, at most 824 expected"
+      n
+
 (* -- minimization ------------------------------------------------------- *)
 
 let first_unsound runs =
@@ -331,6 +350,8 @@ let suite =
       Alcotest.test_case "seed corpus surfaces disagreements" `Quick
         test_corpus_finds_disagreements;
       Alcotest.test_case "corpus metrics" `Quick test_metrics;
+      Alcotest.test_case "parse misses per corpus are pinned" `Quick
+        test_parse_misses_pinned;
       Alcotest.test_case "minimizer shrinks to 1-minimal" `Quick
         test_minimizer_shrinks;
       Alcotest.test_case "minimizer rejects sound scenarios" `Quick

@@ -43,7 +43,7 @@ let test_facts_extraction () =
       ~glibc:[ "GLIBC_2.3.4"; "GLIBC_2.5"; "GLIBC_2.2.5" ]
       ~needed:[ "libc.so.6" ] ()
   in
-  let f = Factbase.facts_of_bytes bytes in
+  let f = Factbase.facts_of_image (Feam_elf.Reader.image bytes) in
   Alcotest.(check (option string)) "soname" (Some "libx.so.1") f.Factbase.fb_soname;
   Alcotest.(check (list string)) "needed" [ "libc.so.6" ] f.Factbase.fb_needed;
   Alcotest.(check (list string)) "exports sorted, deduped"
@@ -58,15 +58,17 @@ let test_facts_extraction () =
     (Chash.equal f.Factbase.fb_key (Chash.of_bytes bytes))
 
 let test_facts_unparsable () =
-  let f = Factbase.facts_of_bytes "not an elf image" in
+  let f =
+    Factbase.facts_of_image (Feam_elf.Reader.image "not an elf image")
+  in
   Alcotest.(check bool) "no spec" true (f.Factbase.fb_spec = None);
   Alcotest.(check bool) "parse error recorded" true
     (f.Factbase.fb_parse_error <> None);
   Alcotest.(check (list string)) "no exports" [] f.Factbase.fb_exports
 
-(* The content key is read from the parse memo: hashing an image no one
-   has parsed must not count as a parse, and a later parse still misses
-   exactly once. *)
+(* The content key is held in the image's handle beside its parse:
+   keying an image no one has parsed must not count as a parse, and a
+   later parse through the same handle still misses exactly once. *)
 let test_content_key_not_a_parse () =
   let bytes = lib_image ~soname:"libkey.so.1" ~exports:[ "f" ] () in
   let count name =
@@ -77,19 +79,21 @@ let test_content_key_not_a_parse () =
       count "elf.parse_memo.miss",
       count "elf.parse_memo.saved_bytes" )
   in
+  let image = Feam_elf.Reader.image bytes in
   let c0 = counts () in
-  ignore (Feam_elf.Reader.content_key bytes);
-  ignore (Feam_elf.Reader.content_key bytes);
+  ignore (Feam_elf.Reader.image_key image);
+  ignore (Feam_elf.Reader.image_key image);
   Alcotest.(check (triple int int int)) "keys leave the parse counters" c0
     (counts ());
   let h0, m0, b0 = c0 in
-  ignore (Feam_elf.Reader.parse bytes);
+  ignore (Feam_elf.Reader.parse_image image);
   Alcotest.(check (triple int int int)) "the first parse still misses"
     (h0, m0 + 1, b0) (counts ())
 
 (* qcheck: for arbitrary payloads (ELF or not), the memoized key is the
-   content hash on first sight, on a repeat, on an equal copy that is
-   not the same string, and as the fact base reports it. *)
+   content hash on first sight, on a repeat through the same handle, on
+   an equal copy that is not the same string, and as the fact base
+   reports it. *)
 let gen_payload =
   QCheck.Gen.(
     oneof
@@ -105,12 +109,14 @@ let prop_content_key =
   QCheck.Test.make ~name:"content key is the chash" ~count:100
     (QCheck.make ~print:String.escaped gen_payload) (fun bytes ->
       let expected = Chash.of_bytes bytes in
-      let first = Feam_elf.Reader.content_key bytes in
-      let repeat = Feam_elf.Reader.content_key bytes in
+      let image = Feam_elf.Reader.image bytes in
+      let first = Feam_elf.Reader.image_key image in
+      let repeat = Feam_elf.Reader.image_key image in
       let copy =
-        Feam_elf.Reader.content_key (Bytes.to_string (Bytes.of_string bytes))
+        Feam_elf.Reader.(
+          image_key (image (Bytes.to_string (Bytes.of_string bytes))))
       in
-      let facts = (Factbase.facts_of_bytes bytes).Factbase.fb_key in
+      let facts = (Factbase.facts_of_image image).Factbase.fb_key in
       List.for_all (Chash.equal expected) [ first; repeat; copy; facts ])
 
 (* -- Synthetic fleets ---------------------------------------------------- *)
@@ -121,11 +127,12 @@ let site ?(stacks = [ "openmpi" ]) ?(glibc = "2.12") name =
 
 let library name site bytes =
   { Fleet.lib_name = name; lib_site = site;
-    lib_facts = Factbase.facts_of_bytes bytes }
+    lib_facts = Factbase.facts_of_image (Feam_elf.Reader.image bytes) }
 
 let binary ?(impl = Some "openmpi") ?(glibc = []) id home =
   { Fleet.bin_id = id; bin_home = home; bin_impl = impl;
-    bin_facts = Factbase.facts_of_bytes (bin_image ~glibc ()) }
+    bin_facts =
+      Factbase.facts_of_image (Feam_elf.Reader.image (bin_image ~glibc ())) }
 
 let cell ?(basic = true) ?(extended = true) bin home target =
   { Fleet.cell_binary = bin; cell_home = home; cell_target = target;

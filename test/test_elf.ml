@@ -304,37 +304,51 @@ let same_parse a b =
   | Error e, Error e' -> e = e'
   | _ -> false
 
+(* A handle is the parse memo: the same handle returns its first parse,
+   [Ok] or [Error], and a second handle on the same string parses
+   afresh to an equal result.  The digest is computed on demand, once
+   per parse, and is the image's [Digest.string]. *)
 let prop_parse_memo_transparent =
   QCheck.Test.make ~name:"elf: parse memo is transparent" ~count:300 arb_image
     (fun bytes ->
-      let first = Reader.parse bytes in
-      let again = Reader.parse bytes in
-      let fresh = Reader.parse (copy bytes) in
+      let img = Reader.image bytes in
+      let first = Reader.parse_image img in
+      let again = Reader.parse_image img in
+      let other = Reader.parse bytes in
       again == first
+      && (match (first, other) with Ok x, Ok y -> x != y | _ -> true)
       && same_parse first again
-      && same_parse first fresh
+      && same_parse first other
       &&
       match first with
-      | Ok t -> Reader.digest t = Digest.string bytes
+      | Ok t ->
+        Reader.digest t = Digest.string bytes
+        && Reader.digest t == Reader.digest t
       | Error _ -> true)
 
-(* The memo must not keep an image (or its parse) alive once the caller
-   drops it: a strong table would pin both forever. *)
+(* The memo lives in the handle: once the caller drops the handle, the
+   image and its parse go with it, and a held handle keeps both. *)
 let test_parse_memo_lifetime () =
   let bytes_freed = ref false and parsed_freed = ref false in
   let[@inline never] parse_and_drop () =
     let bytes = Builder.build (sample_spec ()) in
-    let parsed = Reader.parse_exn bytes in
+    let parsed = Result.get_ok (Reader.parse_image (Reader.image bytes)) in
     Gc.finalise_last (fun () -> bytes_freed := true) bytes;
     Gc.finalise_last (fun () -> parsed_freed := true) parsed
   in
   parse_and_drop ();
   Gc.full_major ();
   Alcotest.(check bool) "image collected" true !bytes_freed;
-  Alcotest.(check bool) "parse result collected" true !parsed_freed
+  Alcotest.(check bool) "parse result collected" true !parsed_freed;
+  let held = Reader.image (Builder.build (sample_spec ())) in
+  let parsed = Reader.parse_image held in
+  Gc.full_major ();
+  Alcotest.(check bool) "a held handle keeps its parse" true
+    (Reader.parse_image held == parsed)
 
-(* Hits and misses depend only on the call sequence: the same string
-   hits, an equal copy misses, and a collection changes neither. *)
+(* Hits and misses depend only on the call sequence: the same handle
+   hits, a second handle on the same string misses, and a collection
+   changes neither. *)
 let test_parse_memo_counters () =
   let count name =
     Option.value ~default:0 (Feam_obs.Metrics.counter_value name)
@@ -343,19 +357,20 @@ let test_parse_memo_counters () =
     (count "elf.parse_memo.hit", count "elf.parse_memo.miss")
   in
   let s = Builder.build (sample_spec ()) in
+  let img = Reader.image s in
   let h0, m0 = counts () in
-  ignore (Reader.parse s);
-  ignore (Reader.parse s);
-  Alcotest.(check (pair int int)) "same string: 1 miss, 1 hit" (h0 + 1, m0 + 1)
+  ignore (Reader.parse_image img);
+  ignore (Reader.parse_image img);
+  Alcotest.(check (pair int int)) "same handle: 1 miss, 1 hit" (h0 + 1, m0 + 1)
     (counts ());
-  ignore (Reader.parse (copy s));
-  Alcotest.(check (pair int int)) "equal copy: 1 more miss" (h0 + 1, m0 + 2)
-    (counts ());
+  ignore (Reader.parse_image (Reader.image s));
+  Alcotest.(check (pair int int)) "second handle, same string: 1 more miss"
+    (h0 + 1, m0 + 2) (counts ());
   let before = counts () in
   Gc.full_major ();
   Alcotest.(check (pair int int)) "unchanged by a collection" before (counts ());
-  ignore (Reader.parse s);
-  Alcotest.(check (pair int int)) "held image still hits" (h0 + 2, m0 + 2)
+  ignore (Reader.parse_image img);
+  Alcotest.(check (pair int int)) "held handle still hits" (h0 + 2, m0 + 2)
     (counts ())
 
 let suite =

@@ -107,6 +107,52 @@ let prop_symbol_tables_truncations =
       match Feam_elf.Reader.parse (String.sub symbol_image 0 len) with
       | Ok _ | Error _ -> true)
 
+(* Golden outcome of the ELF reader over fixed corpora: 800 seeded
+   mutations and every truncation of each image.  Each input renders
+   its spec and section table, or its error message; the digest of all
+   renderings pins both, so a change to the parse kernel that moves a
+   single field or error text fails here.  The values are those of the
+   reader that assembled every field byte by byte. *)
+let render_outcome = function
+  | Error e -> "error " ^ Feam_elf.Reader.error_to_string e
+  | Ok t ->
+    let spec = Feam_elf.Reader.spec t in
+    let section (s : Feam_elf.Reader.section) =
+      Printf.sprintf "%s/%d/%d/%d/%d/%d/%d" s.name s.sh_type s.sh_offset
+        s.sh_size s.sh_link s.sh_info s.sh_addr
+    in
+    String.concat "\n"
+      [
+        Fmt.str "%a" Feam_elf.Spec.pp spec;
+        Option.value ~default:"-" spec.Feam_elf.Spec.interp;
+        (match spec.Feam_elf.Spec.abi_note with
+        | Some (a, b, c) -> Printf.sprintf "%d.%d.%d" a b c
+        | None -> "-");
+        String.concat " " (List.map section (Feam_elf.Reader.sections t));
+        string_of_int (Feam_elf.Reader.size t);
+        Digest.to_hex (Feam_elf.Reader.digest t);
+      ]
+
+let corpus_digest image =
+  let mutated =
+    List.init 800 (fun seed -> mutate seed (1 + (seed mod 24)) image)
+  in
+  let truncated =
+    List.init (String.length image + 1) (fun len -> String.sub image 0 len)
+  in
+  Digest.to_hex
+    (Digest.string
+       (String.concat "\n--\n"
+          (List.map
+             (fun bytes -> render_outcome (Feam_elf.Reader.parse bytes))
+             (mutated @ truncated))))
+
+let test_reader_golden () =
+  Alcotest.(check (pair string string))
+    "base and symbol corpora"
+    ("4012b8c374340e3499d81ffe48d8c4f1", "d824a387f00fdfed3399c28c9bcf1eee")
+    (corpus_digest base_image, corpus_digest symbol_image)
+
 (* A valid bundle, and its bundle and manifest artifacts, to mutate. *)
 let base_bundle =
   lazy
@@ -284,6 +330,8 @@ let suite =
       QCheck_alcotest.to_alcotest prop_elf_reader_truncations;
       QCheck_alcotest.to_alcotest prop_symbol_tables_total;
       QCheck_alcotest.to_alcotest prop_symbol_tables_truncations;
+      Alcotest.test_case "fuzz: ELF reader outcomes are golden" `Quick
+        test_reader_golden;
       QCheck_alcotest.to_alcotest prop_bundle_parser_total;
       QCheck_alcotest.to_alcotest prop_manifest_parser_total;
       QCheck_alcotest.to_alcotest prop_no_silent_drop;

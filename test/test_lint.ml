@@ -125,7 +125,7 @@ let dirty_bundle () =
     binary_description =
       description ~needed:root_needed ~rpath:root_rpath
         ~verneeds:root_verneeds "/home/user/bin/app";
-    binary_bytes = Some root_bytes;
+    binary_image = Some (Feam_elf.Reader.image root_bytes);
     binary_declared_size = String.length root_bytes;
     copies =
       [
@@ -151,7 +151,7 @@ let dirty_bundle () =
         (let probe_bytes = image () in
          {
            Bundle.probe_name = "../hello_mpi";
-           probe_bytes;
+           probe_image = Feam_elf.Reader.image probe_bytes;
            probe_stack_slug = "openmpi-1.4.3";
            probe_declared_size = String.length probe_bytes;
          });

@@ -261,7 +261,7 @@ let test_source_phase_contents () =
     Fixtures.run_exn (Phases.source_phase config home env ~binary_path:home_path)
   in
   Alcotest.(check string) "created at" "home" bundle.Bundle.created_at;
-  Alcotest.(check bool) "binary carried" true (bundle.Bundle.binary_bytes <> None);
+  Alcotest.(check bool) "binary carried" true (Option.is_some bundle.Bundle.binary_image);
   Alcotest.(check int) "two probes (C + Fortran)" 2 (List.length bundle.Bundle.probes);
   Alcotest.(check bool) "copies nonempty" true (bundle.Bundle.copies <> []);
   Alcotest.(check bool) "library bytes accounted" true (Bundle.library_bytes bundle > 0)

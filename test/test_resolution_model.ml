@@ -54,7 +54,7 @@ let make_bundle copies =
     Bundle.created_at = "home";
     binary_description =
       (make_copy "libdummy.so.1").Bdc.copy_description;
-    binary_bytes = None;
+    binary_image = None;
     binary_declared_size = 0;
     copies;
     unlocatable = [];

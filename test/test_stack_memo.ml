@@ -237,7 +237,12 @@ let test_hit_redoes_effects () =
       Feam_core.Bundle.probes =
         List.map
           (fun (p : Feam_core.Bundle.probe) ->
-            { p with probe_bytes = p.probe_bytes ^ "" })
+            {
+              p with
+              probe_image =
+                Feam_elf.Reader.image
+                  (Feam_elf.Reader.image_bytes p.probe_image ^ "");
+            })
           bundle.Feam_core.Bundle.probes;
     }
   in

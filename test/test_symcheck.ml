@@ -340,7 +340,7 @@ let soname_keeping_symbol_dropping_bundle () =
     binary_description =
       description ~needed:root_needed ~verneeds:root_verneeds
         "/home/user/bin/app";
-    binary_bytes = Some root_bytes;
+    binary_image = Some (Feam_elf.Reader.image root_bytes);
     binary_declared_size = String.length root_bytes;
     copies =
       [
