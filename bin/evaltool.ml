@@ -315,33 +315,17 @@ let run_ablation seed =
 (* --trace/--trace-out: stream the evaluation's spans (per-scenario
    migrations, sweep seeds, phase breakdowns) to a trace sink. *)
 let setup_obs trace trace_out =
-  match trace with
-  | None -> ()
-  | Some format ->
-    let emit text =
-      match trace_out with
-      | Some file when file <> "-" ->
-        Out_channel.with_open_text file (fun oc ->
-            Out_channel.output_string oc text)
-      | _ -> (
-        match format with
-        | Feam_obs.Pretty -> prerr_string text
-        | Feam_obs.Jsonl | Feam_obs.Chrome -> print_string text)
-    in
-    Feam_obs.configure ~clock:Feam_obs.Clock.wall ~emit format;
-    at_exit Feam_obs.flush
+  Option.iter
+    (fun format ->
+      Feam_obs.trace_to ?file:trace_out format;
+      at_exit Feam_obs.flush)
+    trace
 
 let trace =
   Arg.(
     value
     & opt
-        (some
-           (enum
-              [
-                ("pretty", Feam_obs.Pretty);
-                ("jsonl", Feam_obs.Jsonl);
-                ("chrome", Feam_obs.Chrome);
-              ]))
+        (some (enum Feam_obs.trace_formats))
         None
     & info [ "trace" ] ~docv:"FORMAT"
         ~doc:"Trace the evaluation: 'pretty', 'jsonl', or 'chrome'.")

@@ -151,13 +151,7 @@ let trace_arg =
   Arg.(
     value
     & opt
-        (some
-           (enum
-              [
-                ("pretty", Feam_obs.Pretty);
-                ("jsonl", Feam_obs.Jsonl);
-                ("chrome", Feam_obs.Chrome);
-              ]))
+        (some (enum Feam_obs.trace_formats))
         None
     & info [ "trace" ] ~docv:"FORMAT"
         ~doc:"Trace the run: 'pretty' (human-readable span tree, stderr), \
@@ -199,20 +193,7 @@ let setup_obs ?(journal = None) ?(alloc = false) trace trace_out =
   (* Allocation accounting rides the trace: when requested, every span
      also reports the minor/major words its body allocated. *)
   if alloc then Feam_obs.Trace.set_record_alloc true;
-  (match trace with
-  | None -> ()
-  | Some format ->
-    let emit text =
-      match trace_out with
-      | Some file when file <> "-" ->
-        Out_channel.with_open_text file (fun oc ->
-            Out_channel.output_string oc text)
-      | _ -> (
-        match format with
-        | Feam_obs.Pretty -> prerr_string text
-        | Feam_obs.Jsonl | Feam_obs.Chrome -> print_string text)
-    in
-    Feam_obs.configure ~clock:Feam_obs.Clock.wall ~emit format);
+  Option.iter (Feam_obs.trace_to ?file:trace_out) trace;
   (match journal with
   | None -> ()
   | Some file ->

@@ -79,17 +79,3 @@ let table runs =
       "Rule severity calibration against the oracle (precision = co-fail \
        / warn+)"
     ~header (cells runs)
-
-let markdown_table runs =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf ("| " ^ String.concat " | " header ^ " |\n");
-  Buffer.add_string buf "|---|---|---|---|---|---|---|\n";
-  List.iter
-    (fun cells ->
-      match cells with
-      | rule :: rest ->
-        Buffer.add_string buf
-          (Printf.sprintf "| `%s` | %s |\n" rule (String.concat " | " rest))
-      | [] -> ())
-    (cells runs);
-  Buffer.contents buf

@@ -9,12 +9,6 @@ let level_to_string = function
   | Degraded -> "degraded"
   | Not_ready -> "not-ready"
 
-let level_of_string = function
-  | "ready" -> Some Ready
-  | "degraded" -> Some Degraded
-  | "not-ready" -> Some Not_ready
-  | _ -> None
-
 type attribution = { at_source : string; at_detail : string }
 
 type t = { v_level : level; v_attribution : attribution list }

@@ -12,15 +12,12 @@
 type level = Ready | Degraded | Not_ready
 
 val level_to_string : level -> string
-val level_of_string : string -> level option
 
 (** One reason a verdict is below [Ready]: the determinant or rule that
     fired, and a short detail. *)
 type attribution = { at_source : string; at_detail : string }
 
 type t = { v_level : level; v_attribution : attribution list }
-
-val ready : t
 
 (** Not outright rejected (ready or degraded). *)
 val accepts : t -> bool

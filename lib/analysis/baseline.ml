@@ -13,7 +13,6 @@ type t = Pairs.t
 let header = "FEAM-BASELINE 1"
 let empty = Pairs.empty
 let entries t = Pairs.elements t
-let size = Pairs.cardinal
 
 let key (f : Feam_core.Diagnose.finding) =
   (f.Feam_core.Diagnose.rule_id, f.Feam_core.Diagnose.subject)

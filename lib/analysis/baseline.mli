@@ -13,15 +13,8 @@ type t
 
 val empty : t
 
-(** Entries as sorted (rule_id, subject) pairs. *)
-val entries : t -> (string * string) list
-
-val size : t -> int
-
 (** A baseline covering exactly [findings]. *)
 val of_findings : Feam_core.Diagnose.finding list -> t
-
-val mem : t -> Feam_core.Diagnose.finding -> bool
 
 (** Split findings into (new, suppressed) against the baseline. *)
 val apply :

@@ -14,22 +14,9 @@ val run : ?rules:Rule.t list -> Context.t -> Feam_core.Diagnose.finding list
 val run_fleet :
   ?rules:Rule.t list -> Fleet.t -> Feam_core.Diagnose.finding list
 
-val errors : Feam_core.Diagnose.finding list -> int
-val warnings : Feam_core.Diagnose.finding list -> int
-val infos : Feam_core.Diagnose.finding list -> int
-
-(** The most severe level present. *)
-val worst : Feam_core.Diagnose.finding list -> Feam_core.Diagnose.level option
-
-(** The CI-gate contract: 0 clean (infos allowed), 1 warnings, 2 errors. *)
-val exit_code : Feam_core.Diagnose.finding list -> int
-
-(** The valid [--fail-on] levels, for usage messages. *)
-val fail_on_levels : string list
-
-(** Apply a [--fail-on] gate to the findings: ["warn"] is {!exit_code}
-    unchanged, ["error"] keeps only the error exit, ["never"] always
-    passes.  Any other level is an error naming the valid set — the
+(** Apply a [--fail-on] gate to the findings: ["warn"] exits 2 on an
+    error, 1 on a warning and 0 otherwise, ["error"] keeps only the error
+    exit, ["never"] always passes.  Any other level is an error naming the valid set — the
     gate never silently accepts an unknown severity. *)
 val gate :
   fail_on:string -> Feam_core.Diagnose.finding list -> (int, string) result

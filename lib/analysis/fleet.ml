@@ -45,8 +45,6 @@ type t = {
   store : store_object list;
 }
 
-let empty = { sites = []; binaries = []; libraries = []; cells = []; store = [] }
-
 let cells_of_binary t id =
   List.filter (fun c -> c.cell_binary = id) t.cells
 

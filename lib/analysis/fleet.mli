@@ -62,8 +62,6 @@ type t = {
   store : store_object list;
 }
 
-val empty : t
-
 (** Cells for one binary id, in matrix order. *)
 val cells_of_binary : t -> string -> cell list
 

@@ -25,18 +25,6 @@ let fleet_ids () = List.map (fun r -> r.Rule.id) (fleet_rules ())
 
 let count () = Hashtbl.length rules
 
-let markdown_table () =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "| Rule | Tier | Default level | Checks |\n|---|---|---|---|\n";
-  List.iter
-    (fun r ->
-      Buffer.add_string buf
-        (Printf.sprintf "| `%s` | %s | %s | %s |\n" r.Rule.id (Rule.tier r)
-           (Feam_core.Diagnose.level_to_string r.Rule.default_level)
-           r.Rule.title))
-    (all ());
-  Buffer.contents buf
-
 let () =
   List.iter register
     [

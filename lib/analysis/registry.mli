@@ -1,10 +1,6 @@
-(** The pluggable rule registry.  The built-in rule set — both tiers —
-    registers itself at load time; downstream code can add its own rules
-    with {!register} or run a curated subset via {!Engine.run}'s
-    [?rules]. *)
-
-(** @raise Invalid_argument on a duplicate rule id. *)
-val register : Rule.t -> unit
+(** The rule registry.  The built-in rule set — both tiers — registers
+    itself at load time; callers run a curated subset via
+    {!Engine.run}'s [?rules]. *)
 
 val find : string -> Rule.t option
 
@@ -28,8 +24,3 @@ val fleet_ids : unit -> string list
 (** Number of registered rules — the single source the docs and
     [--list-rules] derive their counts from, so they cannot drift. *)
 val count : unit -> int
-
-(** The registered rules as a GitHub-flavored markdown table
-    (Rule | Tier | Level | Checks), derived from the registry so the
-    README table is generated, not hand-counted. *)
-val markdown_table : unit -> string

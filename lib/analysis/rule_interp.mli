@@ -1,0 +1,2 @@
+(** Registered by {!Registry}; everything else is private. *)
+val rule : Rule.t

@@ -4,9 +4,6 @@
     against recompiling at the target (slower, needs source and a
     toolchain). *)
 
-(** Estimated wall-clock of recompiling a source tree at a site. *)
-val recompile_seconds : source_size_mb:float -> Feam_sysmodel.Site.t -> float
-
 type recompile_check = {
   rc_stack_slug : string;  (** stack whose wrappers would be used *)
   rc_estimate_seconds : float;
@@ -26,15 +23,6 @@ type advice = {
   considered_recompile : recompile_check option;
   rationale : string;
 }
-
-(** Can the program be rebuilt at the site?  Needs a native toolchain and
-    a functioning stack that accepts the source — any MPI implementation,
-    since source (unlike binaries) is portable across them. *)
-val recompile_viability :
-  ?clock:Feam_util.Sim_clock.t ->
-  Feam_sysmodel.Site.t ->
-  Feam_toolchain.Compile.program ->
-  (recompile_check, string) result
 
 (** Combine a binary prediction with the recompilation check.  Pass
     [source = None] for community codes distributed as binaries. *)

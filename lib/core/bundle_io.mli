@@ -6,15 +6,7 @@
     Derived description fields (required C library version, MPI
     identification) are recomputed on load from the stored primitives. *)
 
-(** First line of every bundle artifact. *)
-val magic : string
-
-(** First line of every depot-backed manifest artifact. *)
-val manifest_magic : string
-
 type parse_error = { line : int; message : string }
-
-val parse_error_to_string : parse_error -> string
 
 (** What makes an entry name unsafe to load: [Duplicate] names collide
     in the staging directory, [Traversal] names ([".."] components)

@@ -72,7 +72,7 @@ let of_bundle store (b : Bundle.t) =
               (Store.meta ?soname ?version ?provider
                  ~origin:c.Bdc.copy_origin_path ~deps
                  ~size:c.Bdc.copy_declared_size ())
-            (Feam_elf.Reader.image_bytes c.Bdc.copy_image)
+            c.Bdc.copy_image
         in
         {
           me_request = c.Bdc.copy_request;
@@ -94,7 +94,7 @@ let of_bundle store (b : Bundle.t) =
                ~origin:b.Bundle.binary_description.Description.path
                ~deps:(List.map (fun e -> Chash.to_hex e.me_key) man_entries)
                ~size:b.Bundle.binary_declared_size ())
-          (Feam_elf.Reader.image_bytes image)
+          image
       in
       Some (key, b.Bundle.binary_declared_size)
   in
@@ -106,7 +106,7 @@ let of_bundle store (b : Bundle.t) =
             ~meta:
               (Store.meta ?provider ~origin:p.Bundle.probe_name
                  ~size:p.Bundle.probe_declared_size ())
-            (Feam_elf.Reader.image_bytes p.Bundle.probe_image)
+            p.Bundle.probe_image
         in
         {
           mp_name = p.Bundle.probe_name;
@@ -221,11 +221,3 @@ let wants t =
         Feam_depot.Planner.want ~label:("probe:" ^ p.mp_name) ~key:p.mp_key
           ~size:p.mp_size)
       t.man_probes
-
-let library_bytes t =
-  List.fold_left (fun acc e -> acc + e.me_size) 0 t.man_entries
-
-let total_bytes t =
-  library_bytes t
-  + (match t.man_binary with Some (_, size) -> size | None -> 0)
-  + List.fold_left (fun acc p -> acc + p.mp_size) 0 t.man_probes

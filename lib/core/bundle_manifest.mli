@@ -47,10 +47,3 @@ val keys : t -> Chash.t list
 (** The transfer-planner view: binary first, then the library closure in
     bundle order, then the probes. *)
 val wants : t -> Feam_depot.Planner.want list
-
-(** Declared size of the shared-library part, mirroring
-    {!Bundle.library_bytes}. *)
-val library_bytes : t -> int
-
-(** Declared total, mirroring {!Bundle.total_bytes}. *)
-val total_bytes : t -> int

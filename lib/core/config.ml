@@ -32,19 +32,6 @@ let default =
     probe_np = 4;
   }
 
-let make ?(phase = Target_phase) ?binary_path ?serial_queue ?parallel_queue
-    ?(launcher_overrides = []) ?(staging_dir = default.staging_dir)
-    ?(probe_np = 4) () =
-  {
-    phase;
-    binary_path;
-    serial_queue;
-    parallel_queue;
-    launcher_overrides;
-    staging_dir;
-    probe_np;
-  }
-
 let launcher t impl =
   match List.assoc_opt impl t.launcher_overrides with
   | Some l -> l

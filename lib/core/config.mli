@@ -25,17 +25,6 @@ type t = {
 (** Sensible defaults: target phase, mpiexec, 4-process probes. *)
 val default : t
 
-val make :
-  ?phase:phase_selection ->
-  ?binary_path:string ->
-  ?serial_queue:string ->
-  ?parallel_queue:string ->
-  ?launcher_overrides:(Feam_mpi.Impl.t * string) list ->
-  ?staging_dir:string ->
-  ?probe_np:int ->
-  unit ->
-  t
-
 (** The launch command to use for binaries of the given MPI type. *)
 val launcher : t -> Feam_mpi.Impl.t -> string
 

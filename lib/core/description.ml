@@ -23,20 +23,8 @@ type t = {
   provenance : Objdump_parse.provenance;
 }
 
-let is_shared_library t = t.soname <> None
-
-(* Embedded version of a shared library, extracted from its official
-   shared object name (paper §V.A). *)
-let library_version t = Option.map Soname.version t.soname
-
 let required_glibc_of_verneeds verneeds =
-  verneeds
-  |> List.concat_map snd
-  |> List.filter_map Feam_toolchain.Glibc.version_of_symbol
-  |> List.fold_left
-       (fun acc v ->
-         match acc with None -> Some v | Some a -> Some (Version.max a v))
-       None
+  Feam_toolchain.Glibc.required_version (List.concat_map snd verneeds)
 
 let of_dynamic_info ~path ~provenance (info : Objdump_parse.dynamic_info) =
   match Objdump_parse.machine_of_format info.Objdump_parse.file_format with

@@ -22,12 +22,6 @@ type t = {
   provenance : Objdump_parse.provenance;
 }
 
-val is_shared_library : t -> bool
-
-(** Embedded version of a shared library, extracted from its official
-    shared object name (paper §V.A). *)
-val library_version : t -> int list option
-
 (** The newest GLIBC_* version among a verneed list. *)
 val required_glibc_of_verneeds :
   (string * string list) list -> Feam_util.Version.t option

@@ -59,28 +59,6 @@ let compare_finding a b =
     let c = String.compare a.rule_id b.rule_id in
     if c <> 0 then c else String.compare a.subject b.subject
 
-(* Fold lint findings into remediation guidance.  A finding with a fixit
-   names a concrete action the scientist can take; an error without one
-   needs heavier machinery (the analysis rules reserve fixit-less errors
-   for structural problems only a site administrator or rebuild cures). *)
-let remedies_of_findings findings =
-  findings
-  |> List.filter (fun f -> f.level <> Info)
-  |> List.sort compare_finding
-  |> List.map (fun f ->
-         let severity =
-           match (f.fixit, f.level) with
-           | Some _, _ -> User_fixable
-           | None, Error -> Needs_rebuild
-           | None, _ -> Needs_administrator
-         in
-         let action =
-           match f.fixit with
-           | Some fix -> Printf.sprintf "[%s] %s: %s — %s" f.rule_id f.subject f.message fix
-           | None -> Printf.sprintf "[%s] %s: %s" f.rule_id f.subject f.message
-         in
-         { severity; action })
-
 (* Remedies for one prediction, in determinant order. *)
 let remedies (p : Predict.t) : remedy list =
   let d = p.Predict.determinants in

@@ -3,15 +3,6 @@
     administrators, or only a rebuild) — the paper's §IV observation
     about which determinants are fixable made actionable. *)
 
-type severity =
-  | User_fixable  (** the scientist can act alone *)
-  | Needs_administrator  (** requires site privileges *)
-  | Needs_rebuild  (** only recompilation can fix it *)
-
-type remedy = { severity : severity; action : string }
-
-val severity_to_string : severity -> string
-
 (** {1 Static-analysis findings}
 
     The structured diagnostic emitted by the [feam lint] analysis layer
@@ -39,15 +30,6 @@ val level_rank : level -> int
 
 (** Severe first, then rule id, then subject. *)
 val compare_finding : finding -> finding -> int
-
-(** Fold lint findings into remediation guidance: a finding with a fixit
-    is user-fixable; errors without one need a rebuild, warnings without
-    one an administrator.  Info findings carry no remedy. *)
-val remedies_of_findings : finding list -> remedy list
-
-(** Remedies for one prediction, in determinant order; empty when the
-    prediction is ready. *)
-val remedies : Predict.t -> remedy list
 
 (** Render remediation guidance as report text. *)
 val render : Predict.t -> string

@@ -6,9 +6,6 @@
     MPI stacks via the user-environment management tools with a
     path-search fallback. *)
 
-(** Parse the banner the C library binary prints when executed. *)
-val parse_glibc_banner : string -> Feam_util.Version.t option
-
 (** Shared libraries of a binary missing under the given environment:
     ldd when usable, name-by-name search otherwise. *)
 val missing_libraries :

@@ -11,15 +11,6 @@ val owner_to_string : owner -> string
 (** Sites before binaries, each by name. *)
 val compare_owner : owner -> owner -> int
 
-(** The four determinant names, in the paper's evaluation order,
-    matching the flight recorder's decision records. *)
-val all_determinants : string list
-
-(** Determinants an (owner, path) atom feeds.  Unknown paths
-    conservatively return [all_determinants] — soundness over
-    precision. *)
-val determinants_of_atom : owner -> string -> string list
-
 type change = {
   ev_owner : owner;
   ev_path : string;

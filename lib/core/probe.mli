@@ -9,29 +9,6 @@
 
 type probe_result = (unit, string) result
 
-(** The batch queue probes are submitted through: the user-configured
-    queue when it exists at the site, the default (debug) queue
-    otherwise. *)
-val probe_queue :
-  Config.t ->
-  Feam_sysmodel.Site.t ->
-  parallel:bool ->
-  Feam_sysmodel.Batch.queue option
-
-(** Compile and run a native MPI hello world under the install's stack;
-    with a bundle, the probe runs with the bundle's staged copies
-    exposed (a natively compiled probe can need them too, e.g. with a
-    stale loader cache).  Fails when the site has no native compiler. *)
-val native :
-  ?clock:Feam_util.Sim_clock.t ->
-  ?bundle:Bundle.t ->
-  ?target_glibc:Feam_util.Version.t ->
-  Config.t ->
-  Feam_sysmodel.Site.t ->
-  Feam_sysmodel.Env.t ->
-  Feam_sysmodel.Stack_install.t ->
-  probe_result
-
 (** Full stack test: native probe when possible, then every shipped
     probe.  Passes only if all applicable probes pass; errors when no
     probe can be run at all (the stack cannot be vouched for). *)

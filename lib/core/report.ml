@@ -13,7 +13,6 @@ type t = {
 }
 
 let prediction t = t.prediction
-let findings t = t.findings
 
 let with_findings t findings =
   { t with findings = List.sort Diagnose.compare_finding findings }

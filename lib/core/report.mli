@@ -14,14 +14,9 @@ type t = {
 }
 
 val prediction : t -> Predict.t
-val findings : t -> Diagnose.finding list
 
 (** Attach (replace) the static-analysis findings of a report. *)
 val with_findings : t -> Diagnose.finding list -> t
-
-(** Generate the setup script for a ready plan: module loads,
-    LD_LIBRARY_PATH exports for staged copies, and the launch line. *)
-val make_setup_script : Predict.plan -> binary:string -> string
 
 val make :
   ?findings:Diagnose.finding list ->

@@ -161,7 +161,7 @@ let resolve ?clock ?depot config site env ~(bundle : Bundle.t) ~target_glibc
                ?soname:(Option.map Soname.to_string cd.Description.soname)
                ~origin:copy.Bdc.copy_origin_path
                ~size:copy.Bdc.copy_declared_size ())
-          (Feam_elf.Reader.image_bytes copy.Bdc.copy_image)
+          copy.Bdc.copy_image
       in
       let site_name = Site.name site in
       if

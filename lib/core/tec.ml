@@ -306,10 +306,6 @@ let missing_libraries ?clock input site env =
 
 (* -- journaling ------------------------------------------------------------ *)
 
-(* The decision records below journal under these determinant names;
-   the evidence store's dependency map answers in the same vocabulary. *)
-let determinant_names = Evidence.all_determinants
-
 let pass_fail b = if b then "pass" else "fail"
 
 let opt_str = function None -> Json.Null | Some s -> Json.Str s

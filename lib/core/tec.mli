@@ -30,11 +30,6 @@ type libs_evidence = {
   le_unresolved : (string * string) list;  (** name, why it failed *)
 }
 
-(** The four determinants [decide] evaluates, in order, named as the
-    flight recorder's decision records name them — the same vocabulary
-    [Evidence.determinants_of_atom] maps evidence atoms back to. *)
-val determinant_names : string list
-
 (** The pure decision core, shared between live evaluation and
     `feam replay`: computes the prediction from the description, the
     discovery, and the recorded outcomes of the effectful steps.

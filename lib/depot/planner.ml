@@ -81,9 +81,6 @@ module Possession = struct
   (* Executing a plan makes the site hold every shipped object. *)
   let commit (t : index) plan =
     List.iter (fun it -> add t ~site:plan.plan_site it.it_key) plan.items
-
-  let count (t : index) ~site =
-    Hashtbl.fold (fun (s, _) () acc -> if s = site then acc + 1 else acc) t 0
 end
 
 (* -- rendering ----------------------------------------------------------- *)

@@ -38,8 +38,6 @@ module Possession : sig
 
   (** Executing a plan makes the site hold every shipped object. *)
   val commit : index -> t -> unit
-
-  val count : index -> site:string -> int
 end
 
 (** Deterministic text rendering: ship order, then a summary line. *)

@@ -7,12 +7,10 @@
    the first capture is a miss that stores the bytes, every later one
    is a hit that stores nothing.
 
-   Lifetime is managed two ways:
-   - *pins* — refcounted holds taken by live manifests and in-flight
-     transfer plans; a pinned object is always a GC root;
-   - *mark-and-sweep GC* — mark from the pinned set plus caller-supplied
-     roots, following each object's recorded dependency keys, then
-     sweep everything unmarked.
+   Lifetime is managed by mark-and-sweep GC: mark from caller-supplied
+   roots, following each object's recorded dependency keys, then sweep
+   everything unmarked.  Listings keep a pin-count column, always 0:
+   nothing pins an object.
 
    All listings are emitted in key order so two stores built from the
    same captures render byte-identically (the CI determinism job diffs
@@ -44,7 +42,7 @@ type entry = {
   e_key : Chash.t;
   e_bytes : string;
   mutable e_meta : meta;
-  mutable e_pins : int;
+  e_pins : int;
 }
 
 type t = { objects : (string, entry) Hashtbl.t }
@@ -73,12 +71,13 @@ let journal_intern key status (m : meta) =
           match m.m_soname with Some s -> Json.Str s | None -> Json.Null );
       ])
 
-(* [intern t ~meta bytes] — add a payload, or recognize it.  On a hit
-   the stored sidecar wins; the new capture's metadata is only used to
-   fill fields the stored one lacks (a later capture may know the
-   provider or the dependency keys when the first did not). *)
-let intern t ~meta:m bytes =
-  let key = Chash.of_bytes bytes in
+(* [intern t ~meta image] — add a payload, or recognize it, keyed by the
+   image handle's cached content key.  On a hit the stored sidecar wins;
+   the new capture's metadata is only used to fill fields the stored one
+   lacks (a later capture may know the provider or the dependency keys
+   when the first did not). *)
+let intern t ~meta:m image =
+  let key = Feam_elf.Reader.image_key image in
   let hex = Chash.to_hex key in
   match Hashtbl.find_opt t.objects hex with
   | Some e ->
@@ -102,26 +101,18 @@ let intern t ~meta:m bytes =
     journal_intern key Hit merged;
     (Hit, key)
   | None ->
+    let bytes = Feam_elf.Reader.image_bytes image in
     let m = { m with m_size = (if m.m_size = 0 then String.length bytes else m.m_size) } in
     Hashtbl.add t.objects hex { e_key = key; e_bytes = bytes; e_meta = m; e_pins = 0 };
     Feam_obs.Metrics.incr "depot.miss";
     journal_intern key Miss m;
     (Miss, key)
 
-(* -- pins --------------------------------------------------------------- *)
-
-let pin t key =
-  match find t key with
-  | Some e -> e.e_pins <- e.e_pins + 1
-  | None -> invalid_arg ("Store.pin: no object " ^ Chash.to_hex key)
-
-let pins t key = match find t key with Some e -> e.e_pins | None -> 0
-
 (* -- mark-and-sweep GC --------------------------------------------------- *)
 
 type gc_report = { swept : Chash.t list; kept : int; swept_bytes : int }
 
-(* Mark from every pinned object plus [roots], following recorded
+(* Mark from [roots], following recorded
    dependency keys; sweep the rest.  Unknown dependency keys are
    ignored (the dependency was never captured — nothing to keep). *)
 let gc ?(roots = []) t =
@@ -134,7 +125,6 @@ let gc ?(roots = []) t =
         Hashtbl.add marked hex ();
         List.iter mark e.e_meta.m_deps
   in
-  Hashtbl.iter (fun hex e -> if e.e_pins > 0 then mark hex) t.objects;
   List.iter (fun k -> mark (Chash.to_hex k)) roots;
   let doomed =
     Hashtbl.fold

@@ -28,7 +28,7 @@ type entry = {
   e_key : Chash.t;
   e_bytes : string;
   mutable e_meta : meta;
-  mutable e_pins : int;
+  e_pins : int;  (** the listing's pin column; always 0 *)
 }
 
 type t
@@ -36,28 +36,23 @@ type t
 (** Whether an {!intern} found the payload already stored. *)
 type status = Hit | Miss
 
-val status_to_string : status -> string
-
 val create : unit -> t
 
-(** Add a payload or recognize it.  Bumps the [depot.hit] / [depot.miss]
-    counters and journals a depot evidence record.  On a hit the stored
-    sidecar wins; the new capture only fills fields it lacks. *)
-val intern : t -> meta:meta -> string -> status * Chash.t
+(** Add a payload or recognize it, keyed by the handle's content key
+    ({!Feam_elf.Reader.image_key}, hashed at most once per handle).
+    Bumps the [depot.hit] / [depot.miss] counters and journals a depot
+    evidence record.  On a hit the stored sidecar wins; the new capture
+    only fills fields it lacks. *)
+val intern : t -> meta:meta -> Feam_elf.Reader.image -> status * Chash.t
 
 val find : t -> Chash.t -> entry option
 val mem : t -> Chash.t -> bool
 val object_count : t -> int
 val total_bytes : t -> int
 
-(** Refcounted pins: a pinned object is always a GC root. *)
-val pin : t -> Chash.t -> unit
-
-val pins : t -> Chash.t -> int
-
 type gc_report = { swept : Chash.t list; kept : int; swept_bytes : int }
 
-(** Mark from every pinned object plus [roots], following recorded
+(** Mark from [roots], following recorded
     dependency keys; sweep everything unmarked (bumps [depot.gc_swept]). *)
 val gc : ?roots:Chash.t list -> t -> gc_report
 
@@ -73,11 +68,6 @@ val to_json : t -> Feam_util.Json.t
     ([objects/<aa>/<key>] payloads with [.meta] sidecars).  Pins are
     runtime state and are not persisted. *)
 val save_dir : t -> string -> unit
-
-(** Load a saved depot.  Total: a directory inside a shard, a payload
-    that does not hash to its file name, a payload under the wrong
-    shard, or an unreadable file is an [Error] naming the entry. *)
-val load_dir : string -> (t, string) result
 
 (** Load an existing depot directory, or start an empty store when the
     directory holds none. *)

@@ -11,11 +11,6 @@ let open_ dir =
 
 let file_of_epoch n = Printf.sprintf "epoch_%04d.jsonl" n
 
-let epoch_of_file name =
-  match Scanf.sscanf_opt name "epoch_%04d.jsonl%!" (fun n -> n) with
-  | Some n when file_of_epoch n = name -> Some n
-  | _ -> None
-
 let path t n = Filename.concat t.dir (file_of_epoch n)
 
 let put t snapshot =
@@ -23,22 +18,3 @@ let put t snapshot =
   Out_channel.with_open_text p (fun oc ->
       Out_channel.output_string oc (Snapshot.to_jsonl snapshot));
   p
-
-let get t n =
-  let p = path t n in
-  if not (Sys.file_exists p) then
-    Error (Printf.sprintf "no epoch %d in %s" n t.dir)
-  else
-    let body = In_channel.with_open_text p In_channel.input_all in
-    match Snapshot.of_jsonl body with
-    | Error e -> Error (Printf.sprintf "%s: %s" p e)
-    | Ok s -> Ok s
-
-let list t =
-  (if Sys.file_exists t.dir then Sys.readdir t.dir else [||])
-  |> Array.to_list
-  |> List.filter_map epoch_of_file
-  |> List.sort compare
-
-let latest t =
-  match List.rev (list t) with [] -> None | n :: _ -> Some n

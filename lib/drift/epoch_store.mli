@@ -10,12 +10,3 @@ val open_ : string -> t
 (** Write the snapshot under its epoch number; returns the file path.
     Idempotent: the same snapshot writes the same bytes. *)
 val put : t -> Snapshot.t -> string
-
-(** Load epoch [n]; typed error when absent or unparseable. *)
-val get : t -> int -> (Snapshot.t, string) result
-
-(** Stored epoch numbers, ascending. *)
-val list : t -> int list
-
-(** The highest stored epoch number, if any. *)
-val latest : t -> int option

@@ -77,11 +77,6 @@ let affected (a : Snapshot.t) (b : Snapshot.t) =
        (fun o -> Evidence.diff o (atoms_of atoms_a o) (atoms_of atoms_b o))
        owners)
 
-let is_affected plan ~binary ~target =
-  List.exists
-    (fun c -> c.ci_binary = binary && c.ci_target = target)
-    plan.pl_affected
-
 (* -- merging and flip accounting --------------------------------------- *)
 
 (* The incremental verdict table: re-evaluated cells replace their

@@ -37,8 +37,6 @@ val plan :
     cells.  Changes come out in (owner, path) order. *)
 val affected : Snapshot.t -> Snapshot.t -> plan
 
-val is_affected : plan -> binary:string -> target:string -> bool
-
 (** Incremental verdict table: re-evaluated cells replace their rows in
     [base]; untouched cells carry forward. *)
 val merge :

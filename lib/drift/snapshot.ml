@@ -57,8 +57,6 @@ type t = {
   cells : cell list;
 }
 
-let cell_key c = c.cl_binary ^ "->" ^ c.cl_target
-
 (* Canonical ordering: every list sorted by its natural key, so capture
    order never leaks into the serialization or the hash. *)
 let normalize t =
@@ -91,11 +89,6 @@ let readiness_rate t =
   match t.cells with
   | [] -> 0.0
   | cells -> float_of_int (ready_cells t) /. float_of_int (List.length cells)
-
-let find_cell t ~binary ~target =
-  List.find_opt
-    (fun c -> c.cl_binary = binary && c.cl_target = target)
-    t.cells
 
 (* -- serialization ---------------------------------------------------- *)
 

@@ -7,8 +7,6 @@
     The same world captured twice serializes byte-identically;
     [of_jsonl] of [to_jsonl] round-trips to the same bytes. *)
 
-val schema_version : int
-
 type site_state = {
   ss_name : string;
   ss_ld_cache_current : bool;
@@ -52,9 +50,6 @@ type t = {
   cells : cell list;
 }
 
-(** "binary->target", the matrix cell's display name. *)
-val cell_key : cell -> string
-
 (** Sort every list by its natural key so capture order never leaks
     into serialization or hashing.  Applied by [to_jsonl] itself. *)
 val normalize : t -> t
@@ -63,8 +58,6 @@ val ready_cells : t -> int
 
 (** Extended-ready cells over total cells; 0 on an empty matrix. *)
 val readiness_rate : t -> float
-
-val find_cell : t -> binary:string -> target:string -> cell option
 
 (** Serialize to the versioned JSONL epoch document (header line, then
     one record per site/binary/possession/cell).  Deterministic. *)

@@ -161,11 +161,6 @@ type rule =
   | Watch of string * severity
       (* fire on any flip (either direction) of the named binary *)
 
-let rule_to_string = function
-  | Rate_drop (f, s) -> Printf.sprintf "rate-drop %g %s" f (severity_to_string s)
-  | Regression s -> Printf.sprintf "regression %s" (severity_to_string s)
-  | Watch (b, s) -> Printf.sprintf "watch %s %s" b (severity_to_string s)
-
 (* The seeded single-atom perturbations move readiness a few cells at a
    time, so a 30% drop means a correlated fleet event, not noise. *)
 let default_rules = [ Rate_drop (0.30, Warn); Regression Info ]

@@ -2,8 +2,6 @@
     of per-epoch readiness, flips, and attribution — plus declarative
     alert rules gated exactly like [Engine.gate]. *)
 
-val schema_version : int
-
 type flip_entry = { fe_cell : string; fe_before : bool; fe_after : bool }
 
 type attribution_entry = {
@@ -36,8 +34,6 @@ val render_history : entry list -> string
 
 type severity = Info | Warn | Error
 
-val severity_to_string : severity -> string
-
 type rule =
   | Rate_drop of float * severity
       (** fire when an epoch's readiness rate drops more than the
@@ -47,8 +43,6 @@ type rule =
       (** fire on any flip of the named binary's cells; the name may be
           a full binary id or a bare benchmark name, which matches
           every homed variant ([name@site/stack]) *)
-
-val rule_to_string : rule -> string
 
 val default_rules : rule list
 
@@ -62,10 +56,6 @@ type finding = { fi_epoch : int; fi_severity : severity; fi_message : string }
 (** Evaluate rules over consecutive timeline entries; deterministic
     (epoch, rule) order. *)
 val check : rule list -> entry list -> finding list
-
-val exit_code : finding list -> int
-
-val fail_on_levels : string list
 
 (** Mirrors [Engine.gate]: "warn" gates on warnings and errors, "error"
     on errors only, "never" always exits 0; anything else is a usage

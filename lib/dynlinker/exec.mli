@@ -43,25 +43,6 @@ type params = Feam_sysmodel.Fault_model.t = {
 val failure_to_string : failure -> string
 val outcome_to_string : outcome -> string
 
-(** ISA execution rule: identity, plus 32-bit x86 on x86-64. *)
-val isa_compatible :
-  binary_machine:Feam_elf.Types.machine ->
-  site_machine:Feam_elf.Types.machine ->
-  bool
-
-(** One execution attempt.  [queue] selects the batch queue whose wait
-    is charged to the clock (default: the site's debug queue). *)
-val attempt :
-  ?clock:Feam_util.Sim_clock.t ->
-  ?params:params ->
-  ?queue:Feam_sysmodel.Batch.queue ->
-  Feam_sysmodel.Site.t ->
-  Feam_sysmodel.Env.t ->
-  binary_path:string ->
-  mode:mode ->
-  attempt_no:int ->
-  outcome
-
 (** Full run with the paper's retry policy: up to [attempts] tries
     (default 5); transient system errors are retried, deterministic
     failures return immediately. *)

@@ -7,18 +7,12 @@ type error =
   | `No_such_file of string
   | `Not_dynamic of string ]
 
-val error_to_string : error -> string
-
 val run :
   ?clock:Feam_util.Sim_clock.t ->
   Feam_sysmodel.Site.t ->
   Feam_sysmodel.Env.t ->
   string ->
   (Resolve.t, error) result
-
-(** Render the classic ldd text output (resolved arrows, "not found"
-    lines, version information). *)
-val render : string -> Resolve.t -> string
 
 (** Direct or transitive dependencies that could not be located. *)
 val missing_libraries : Resolve.t -> string list

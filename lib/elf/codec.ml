@@ -47,19 +47,12 @@ module Writer = struct
     let cur = length t in
     if cur > off then invalid_arg "Codec.Writer.pad_to: already past offset";
     zeros t (off - cur)
-
-  let align t n =
-    let cur = length t in
-    let rem = cur mod n in
-    if rem <> 0 then zeros t (n - rem)
 end
 
 module Reader = struct
   type t = { data : string; endian : Types.endian }
 
   let create ~endian data = { data; endian }
-
-  let length t = String.length t.data
 
   let check t off n =
     if off < 0 || n < 0 || off + n > String.length t.data then

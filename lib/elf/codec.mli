@@ -8,7 +8,6 @@ module Writer : sig
   (** [size] is the initial capacity in bytes; the writer grows past
       it as needed. *)
   val create : size:int -> Types.endian -> t
-  val length : t -> int
   val contents : t -> string
   val u8 : t -> int -> unit
   val u16 : t -> int -> unit
@@ -24,15 +23,12 @@ module Writer : sig
   (** Pad with zeros up to an absolute offset.
       @raise Invalid_argument when already past it. *)
   val pad_to : t -> int -> unit
-
-  val align : t -> int -> unit
 end
 
 module Reader : sig
   type t
 
   val create : endian:Types.endian -> string -> t
-  val length : t -> int
   val u8 : t -> int -> int
   val u16 : t -> int -> int
   val u32 : t -> int -> int

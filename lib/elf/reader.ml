@@ -36,7 +36,6 @@ type t = {
 
 let spec t = t.spec
 let sections t = Array.to_list t.sections
-let size t = String.length t.data
 
 let digest t =
   match t.digest with
@@ -45,17 +44,6 @@ let digest t =
     let d = Digest.string t.data in
     t.digest <- Some d;
     d
-
-(* First section of the name, as [List.find_opt] would give. *)
-let section_by_name t name =
-  match Array.find_opt (fun s -> s.name = name) t.sections with
-  | Some s ->
-    Feam_obs.Metrics.incr "elf.section_memo.hit";
-    Feam_obs.Metrics.incr ~by:s.sh_size "elf.section_memo.saved_bytes";
-    Some s
-  | None ->
-    Feam_obs.Metrics.incr "elf.section_memo.miss";
-    None
 
 (* Split a NUL-separated blob into its strings, dropping empties. *)
 let split_nul blob =
@@ -404,11 +392,6 @@ let image_key img =
     k
 
 let parse data = parse_image (image data)
-
-let parse_exn data =
-  match parse data with
-  | Ok t -> t
-  | Error e -> invalid_arg ("Elf.Reader.parse_exn: " ^ error_to_string e)
 
 (* Convenience used throughout the framework: just the spec. *)
 let spec_of_bytes data = Result.map (fun t -> t.spec) (parse data)

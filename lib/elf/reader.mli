@@ -22,18 +22,13 @@ type section = {
 type t
 
 val spec : t -> Spec.t
-val sections : t -> section list
 
-(** Image size in bytes. *)
-val size : t -> int
+(** The section headers, in file order. *)
+val sections : t -> section list
 
 (** [Digest.string] of the image bytes, computed on the first call and
     kept with the parse. *)
 val digest : t -> Digest.t
-
-(** The first section of the name.  Counts
-    [elf.section_memo.{hit,miss,saved_bytes}]. *)
-val section_by_name : t -> string -> section option
 
 (** A handle on an image: its bytes and their memo, the parse and the
     content key, each filled on first demand.  Making one is free: no
@@ -66,9 +61,6 @@ val image_key : image -> Feam_util.Chash.t
 (** [parse data] is [parse_image (image data)]: a fresh handle, so
     every call parses.  For bytes that are not held anywhere else. *)
 val parse : string -> (t, error) result
-
-(** @raise Invalid_argument when {!parse} would return an error. *)
-val parse_exn : string -> t
 
 (** Convenience: parse and return just the spec. *)
 val spec_of_bytes : string -> (Spec.t, error) result

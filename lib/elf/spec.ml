@@ -67,32 +67,6 @@ let make ?(file_type = Types.ET_EXEC) ?soname ?(needed = []) ?rpath ?runpath
     interp;
   }
 
-let equal_verneed a b = a.vn_file = b.vn_file && a.vn_versions = b.vn_versions
-
-let equal_dynsym a b =
-  a.sym_name = b.sym_name && a.sym_defined = b.sym_defined
-  && a.sym_binding = b.sym_binding && a.sym_version = b.sym_version
-
-let equal a b =
-  a.elf_class = b.elf_class && a.endian = b.endian && a.machine = b.machine
-  && a.file_type = b.file_type && a.soname = b.soname && a.needed = b.needed
-  && a.rpath = b.rpath && a.runpath = b.runpath
-  && List.length a.verneeds = List.length b.verneeds
-  && List.for_all2 equal_verneed a.verneeds b.verneeds
-  && a.verdefs = b.verdefs
-  && List.length a.dynsyms = List.length b.dynsyms
-  && List.for_all2 equal_dynsym a.dynsyms b.dynsyms
-  && a.comments = b.comments
-  && a.abi_note = b.abi_note && a.interp = b.interp
-
-(* All version names required from a given object, empty when none. *)
-let versions_required_from t file =
-  match List.find_opt (fun vn -> vn.vn_file = file) t.verneeds with
-  | Some vn -> vn.vn_versions
-  | None -> []
-
-let is_shared_library t = t.soname <> None
-
 (* Undefined entries: what the object imports at link time. *)
 let imports t = List.filter (fun s -> not s.sym_defined) t.dynsyms
 

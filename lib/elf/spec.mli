@@ -56,13 +56,6 @@ val make :
   Types.machine ->
   t
 
-val equal : t -> t -> bool
-
-(** All version names required from a given object; empty when none. *)
-val versions_required_from : t -> string -> string list
-
-val is_shared_library : t -> bool
-
 (** Undefined [.dynsym] entries: what the object imports at link time. *)
 val imports : t -> dynsym list
 

@@ -8,11 +8,7 @@ type confusion = {
   false_not_ready : int;  (** predicted not ready, ran *)
 }
 
-val empty : confusion
-val total : confusion -> int
-val correct : confusion -> int
 val accuracy : confusion -> float
-val add : confusion -> predicted:bool -> actual:bool -> confusion
 
 type mode = Basic | Extended
 

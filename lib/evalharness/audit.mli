@@ -8,19 +8,6 @@
     contract, so the audit report is byte-identical across runs of the
     same seed. *)
 
-(** [build sites binaries migrations] — one source-phase pass per
-    binary (bundles intern into a fresh shared store, library copies
-    become per-home-site observations keyed by content hash), one
-    transfer plan per reported matrix cell against the accumulating
-    per-site possession index (plan items mark store objects
-    referenced), and one fleet cell per migration verdict. *)
-val build :
-  ?clock:Feam_util.Sim_clock.t ->
-  Feam_sysmodel.Site.t list ->
-  Testset.binary list ->
-  Migrate.migration list ->
-  Feam_analysis.Fleet.t
-
 (** Provision the Table II sites, compile the corpus, run the matrix,
     and build the fleet — the whole [feam audit] pipeline for one seed.
     [on_progress] receives one human-readable line per stage. *)

@@ -1,12 +1,4 @@
 (** Corpus composition statistics: binaries per benchmark and build site
     (the quantitative version of §VI.A's subset narrative). *)
 
-type row = {
-  benchmark : string;
-  suite : Feam_suites.Benchmark.suite;
-  per_site : (string * int) list;
-  total : int;
-}
-
-val compute : Feam_sysmodel.Site.t list -> Testset.binary list -> row list
 val table : Feam_sysmodel.Site.t list -> Testset.binary list -> Feam_util.Table.t

@@ -238,17 +238,6 @@ let reevaluate ?(ctx = Feam_core.Eval_ctx.create ()) sites binaries ids =
         (Sites.find_by_name sites c.Invalidate.ci_target))
     ids
 
-let cell_of_migration (m : Migrate.migration) =
-  {
-    Snapshot.cl_binary = m.Migrate.binary.Testset.id;
-    cl_target = m.Migrate.target_name;
-    cl_basic = m.Migrate.basic_ready;
-    cl_basic_reasons = m.Migrate.basic_reasons;
-    cl_extended = m.Migrate.extended_ready;
-    cl_extended_reasons = m.Migrate.extended_reasons;
-    cl_staged = m.Migrate.staged_copies;
-  }
-
 (* Depot possession per target site, derived from ready cells: the
    bundle objects (by content address) their plans staged there. *)
 let derive_possession binaries cells =

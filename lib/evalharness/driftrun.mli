@@ -48,10 +48,6 @@ val run :
   unit ->
   t
 
-(** Project a full [Migrate] result onto the snapshot cell schema —
-    the bridge the byte-identity cross-check tests compare through. *)
-val cell_of_migration : Migrate.migration -> Feam_drift.Snapshot.cell
-
 (** The sequence's building blocks, exposed so tests and benches can
     replay single epochs without running a whole sequence. *)
 

@@ -5,9 +5,6 @@
 (** Make a name safe for use as a journal file name. *)
 val sanitize : string -> string
 
-(** The journal file name for one matrix cell. *)
-val cell_name : Testset.binary -> Feam_sysmodel.Site.t -> string
-
 (** Journal one cell (the extended prediction when the source phase
     succeeds, the basic one otherwise); returns the name written.
     [ctx] is the evaluation pass's context. *)

@@ -2,11 +2,7 @@
     (home, target) pair — the environment boundaries the aggregate
     tables average away. *)
 
-type cell = { attempts : int; successes : int }
-
 type t
 
 val build : Feam_sysmodel.Site.t list -> Migrate.migration list -> t
-val cell : t -> home:string -> target:string -> cell option
-val rate : cell -> float
 val table : t -> Feam_util.Table.t

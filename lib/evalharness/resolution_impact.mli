@@ -4,7 +4,6 @@
 
 type t = { migrations : int; successes_before : int; successes_after : int }
 
-val measure : Migrate.migration list -> t
 val of_suite : Feam_suites.Benchmark.suite -> Migrate.migration list -> t
 val rate_before : t -> float
 val rate_after : t -> float

@@ -6,14 +6,6 @@ type site_spec
 
 type parse_error = { line : int; message : string }
 
-val parse_error_to_string : parse_error -> string
-
-(** Parse scenario text into site specs. *)
-val parse : string -> (site_spec list, parse_error) result
-
-(** Build and provision one site from its spec. *)
-val build_site : site_spec -> Feam_sysmodel.Site.t
-
 (** Parse and build a whole scenario. *)
 val load : string -> (Feam_sysmodel.Site.t list, string) result
 

@@ -568,16 +568,3 @@ let bundle_filter t bundle =
             not (List.mem c.Feam_core.Bdc.copy_request dropped))
           bundle.Feam_core.Bundle.copies;
     }
-
-let describe t =
-  let perts =
-    match applied t with
-    | [] -> "no perturbations"
-    | ps -> String.concat ", " (List.map perturbation_to_string ps)
-  in
-  Printf.sprintf "%s: %s %s (%s -> %s); %s" (id t)
-    (if t.sc_program.Compile.uses_mpi then "mpi" else "serial")
-    t.sc_program.Compile.prog_name
-    (Version.to_string (Site.glibc t.sc_home))
-    (Version.to_string (Site.glibc t.sc_target))
-    perts

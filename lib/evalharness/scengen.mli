@@ -79,6 +79,3 @@ val build : seed:int -> index:int -> ?keep:int list -> unit -> t
 
 (** Drop the bundle copies a kept [Drop_bundle_copy] names. *)
 val bundle_filter : t -> Feam_core.Bundle.t -> Feam_core.Bundle.t
-
-(** One-line summary: id, program kind, applied perturbations. *)
-val describe : t -> string

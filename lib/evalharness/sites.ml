@@ -126,7 +126,7 @@ let specs =
       modules_flavor = Site.Environment_modules;
       (* No locate database on the stripped SGI front-end: exercises the
          find(1) fallback of the search methods. *)
-      tools = Tools.with_locate false Tools.full;
+      tools = { Tools.full with Tools.locate = false };
       batch =
         Batch.make ~queues:[ queue "debug" 30.0; queue "batch" 1200.0 ] Batch.Pbs;
     };

@@ -3,9 +3,6 @@
     foreign-binary defects) is drawn deterministically from the
     evaluation seed, per install. *)
 
-(** Interconnect assumption baked into a stack's build. *)
-val stack_interconnect : Feam_mpi.Impl.t -> Feam_mpi.Interconnect.t
-
 type spec = {
   site_name : string;
   site_description : string;

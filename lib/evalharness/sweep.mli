@@ -3,15 +3,6 @@
 
 type metrics = (string * float) list
 
-(** The headline metrics of one evaluation run, as percentages. *)
-val measure : Migrate.migration list -> metrics
-
-(** The paper's values for the same metrics. *)
-val paper_values : (string * float) list
-
-(** One full evaluation at a seed. *)
-val run_once : ?on_progress:(int -> unit) -> int -> metrics
-
 type aggregate = {
   metric : string;
   paper : float;

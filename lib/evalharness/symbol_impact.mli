@@ -11,8 +11,6 @@ type t = {
   miss_symbols : int;  (** definitive strong misses across overturned pairs *)
 }
 
-val measure : Feam_sysmodel.Site.t list -> Testset.binary list -> t
-
 val of_suite :
   Feam_suites.Benchmark.suite ->
   Feam_sysmodel.Site.t list ->

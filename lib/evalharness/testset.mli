@@ -15,20 +15,12 @@ type binary = {
   declared_size : int;
 }
 
-val binary_id :
-  Feam_suites.Benchmark.t ->
-  Feam_sysmodel.Site.t ->
-  Feam_sysmodel.Stack_install.t ->
-  string
-
 (** The full test set over the given sites and benchmarks. *)
 val build :
   Params.t ->
   Feam_sysmodel.Site.t list ->
   Feam_suites.Benchmark.t list ->
   binary list
-
-val of_suite : Feam_suites.Benchmark.suite -> binary list -> binary list
 
 (** (NPB count, SPEC count). *)
 val count_by_suite : binary list -> int * int

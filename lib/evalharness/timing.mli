@@ -9,9 +9,6 @@ type phase_timing = {
   target_seconds : float;
 }
 
-(** Time FEAM's phases for one migration on simulated clocks. *)
-val time_migration : Testset.binary -> Feam_sysmodel.Site.t -> phase_timing
-
 (** One binary per home site, timed to every matching target. *)
 val sample_timings :
   Feam_sysmodel.Site.t list -> Testset.binary list -> phase_timing list

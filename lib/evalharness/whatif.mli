@@ -17,9 +17,6 @@ type result = {
   migrations : int;
 }
 
-(** Additional successes the change unlocks. *)
-val delta : result -> int
-
 (** Evaluate one hypothetical change at one Table II site (runs the full
     evaluation twice: baseline and changed world). *)
 val evaluate : Params.t -> site_name:string -> change:change -> result

@@ -37,19 +37,6 @@ let is_empty t =
   && t.discovery_changes = [] && t.determinants = []
   && not (report_flipped t)
 
-(* The explicitly-empty diff: what comparing a journal against itself
-   yields.  Two identical journals must compare equal to this modulo
-   their (equal) report verdicts. *)
-let empty =
-  {
-    run_changes = [];
-    description_changes = [];
-    discovery_changes = [];
-    determinants = [];
-    report_a = None;
-    report_b = None;
-  }
-
 (* --- flattening ------------------------------------------------------ *)
 
 let atom = function

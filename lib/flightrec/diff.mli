@@ -26,15 +26,7 @@ type t = {
   report_b : string option;
 }
 
-val compare : Journal.t -> Journal.t -> t
-
-(** The explicitly-empty diff (no changes, no verdicts): the value a
-    journal compared against itself reduces to, modulo the (equal)
-    report verdicts. *)
-val empty : t
-
 val is_empty : t -> bool
-val report_flipped : t -> bool
 
 (** A side that failed to parse: truncated bodies, non-journal
     documents, schema mismatches.  Never an exception. *)
@@ -52,12 +44,6 @@ val of_strings : a:string -> b:string -> (t, journal_error) result
     for layers that diff other evidence documents (the drift
     observatory's epoch snapshots). *)
 val atoms : Feam_util.Json.t -> (string * string) list
-
-(** Atom-level diff of two flattened documents, in canonical
-    (path-sorted) order: atom ordering on either side never affects the
-    output. *)
-val diff_atoms :
-  (string * string) list -> (string * string) list -> change list
 
 val render_text : t -> string
 val to_json : t -> Feam_util.Json.t

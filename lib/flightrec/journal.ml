@@ -40,8 +40,6 @@ let parse body =
 
 let find_all ~kind t = List.filter (fun r -> r.kind = kind) t.records
 
-let find ~kind t = List.find_opt (fun r -> r.kind = kind) t.records
-
 let last ~kind t =
   List.fold_left
     (fun acc r -> if r.kind = kind then Some r else acc)

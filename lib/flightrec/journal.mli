@@ -17,13 +17,9 @@ type t = { schema : int; tool : string; records : record list }
 val parse : string -> (t, string) result
 
 val find_all : kind:string -> t -> record list
-val find : kind:string -> t -> record option
 val last : kind:string -> t -> record option
 val field : string -> record -> Feam_util.Json.t option
 val str_field : string -> record -> string option
-
-(** Decision records for a determinant, in journal order. *)
-val decisions : determinant:string -> t -> record list
 
 (** The decision that stood (the last one journaled). *)
 val last_decision : determinant:string -> t -> record option

@@ -13,12 +13,7 @@ let make family version = { family; version }
 let family t = t.family
 let version t = t.version
 
-let all_families = [ Gnu; Intel; Pgi ]
-
 let family_name = function Gnu -> "GNU" | Intel -> "Intel" | Pgi -> "PGI"
-
-(* One-letter code used in the paper's Table II ("i:Intel, g:GNU, p:PGI"). *)
-let family_letter = function Gnu -> 'g' | Intel -> 'i' | Pgi -> 'p'
 
 let family_slug = function Gnu -> "gnu" | Intel -> "intel" | Pgi -> "pgi"
 
@@ -76,5 +71,3 @@ let comment_string t =
 
 let to_string t =
   Printf.sprintf "%s %s" (family_name t.family) (Version.to_string t.version)
-
-let pp ppf t = Fmt.string ppf (to_string t)

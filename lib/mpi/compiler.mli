@@ -10,11 +10,7 @@ type t
 val make : family -> Feam_util.Version.t -> t
 val family : t -> family
 val version : t -> Feam_util.Version.t
-val all_families : family list
 val family_name : family -> string
-
-(** One-letter code, as in the paper's Table II ("i", "g", "p"). *)
-val family_letter : family -> char
 
 val family_slug : family -> string
 val family_of_slug : string -> family option
@@ -33,4 +29,3 @@ val fortran_runtime_libs : t -> Feam_util.Soname.t list
 val comment_string : t -> string
 
 val to_string : t -> string
-val pp : t Fmt.t

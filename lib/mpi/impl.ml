@@ -7,8 +7,6 @@ open Feam_util
 
 type t = Open_mpi | Mpich2 | Mvapich2
 
-let all = [ Open_mpi; Mpich2; Mvapich2 ]
-
 let name = function
   | Open_mpi -> "Open MPI"
   | Mpich2 -> "MPICH2"
@@ -28,8 +26,6 @@ let of_slug = function
   | _ -> None
 
 let equal (a : t) (b : t) = a = b
-
-let compare (a : t) (b : t) = Stdlib.compare a b
 
 (* Core C-binding MPI libraries the implementation's compiler wrapper
    links into every program.  Open MPI 1.3/1.4 exposes libmpi.so.0 plus
@@ -83,5 +79,3 @@ let extra_system_libs = function
    are NOT trusted because no backwards-compatibility guarantee was found
    between versions of the same implementation. *)
 let compatible ~binary ~site = equal binary site
-
-let pp ppf t = Fmt.string ppf (name t)

@@ -5,7 +5,6 @@
 
 type t = Open_mpi | Mpich2 | Mvapich2
 
-val all : t list
 val name : t -> string
 
 (** Short identifier used in module names and install prefixes. *)
@@ -13,7 +12,6 @@ val slug : t -> string
 
 val of_slug : string -> t option
 val equal : t -> t -> bool
-val compare : t -> t -> int
 
 (** Core C-binding MPI libraries the implementation's wrapper links into
     every program. *)
@@ -29,5 +27,3 @@ val extra_system_libs : t -> Feam_util.Soname.t list
 (** The paper's MPI compatibility rule (§III.B): same implementation
     type only; versions are not trusted. *)
 val compatible : binary:t -> site:t -> bool
-
-val pp : t Fmt.t

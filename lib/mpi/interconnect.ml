@@ -2,11 +2,7 @@
    built for InfiniBand needs the user-space verbs libraries and a working
    fabric; on a site without them the stack cannot launch programs. *)
 
-open Feam_util
-
 type t = Ethernet | Infiniband | Numalink
-
-let all = [ Ethernet; Infiniband; Numalink ]
 
 let name = function
   | Ethernet -> "Ethernet"
@@ -14,17 +10,6 @@ let name = function
   | Numalink -> "NUMAlink"
 
 let equal (a : t) (b : t) = a = b
-
-(* User-space libraries the fabric requires at runtime. *)
-let runtime_libs = function
-  | Ethernet -> []
-  | Infiniband ->
-    [
-      Soname.make ~version:[ 1 ] "libibverbs";
-      Soname.make ~version:[ 3 ] "libibumad";
-      Soname.make ~version:[ 1 ] "librdmacm";
-    ]
-  | Numalink -> []
 
 (* Can a binary whose stack assumed [binary] run over fabric [site]?
    MPI libraries fall back to TCP transports in practice only when the
@@ -38,5 +23,3 @@ let supports ~binary ~site =
   | Infiniband, (Ethernet | Numalink) -> false
   | Numalink, Numalink -> true
   | Numalink, (Ethernet | Infiniband) -> false
-
-let pp ppf t = Fmt.string ppf (name t)

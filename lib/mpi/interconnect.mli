@@ -4,16 +4,10 @@
 
 type t = Ethernet | Infiniband | Numalink
 
-val all : t list
 val name : t -> string
 val equal : t -> t -> bool
-
-(** User-space libraries the fabric requires at runtime. *)
-val runtime_libs : t -> Feam_util.Soname.t list
 
 (** Can a binary whose stack assumed [binary] run over fabric [site]?
     Ethernet/TCP endpoints exist everywhere; fabric-specific builds need
     their fabric. *)
 val supports : binary:t -> site:t -> bool
-
-val pp : t Fmt.t

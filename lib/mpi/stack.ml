@@ -64,21 +64,9 @@ let system_libs t language =
    toolchain adds for every program). *)
 let needed_libs t language = mpi_libs t language @ system_libs t language
 
-(* The paper's stack-compatibility rule: same MPI implementation type
-   (version ignored), same compiler family (its runtime libraries must
-   match), and a fabric the binary's build supports. *)
-let compatible ~binary ~site =
-  Impl.compatible ~binary:binary.impl ~site:site.impl
-  && Compiler.family_equal
-       (Compiler.family binary.compiler)
-       (Compiler.family site.compiler)
-  && Interconnect.supports ~binary:binary.interconnect ~site:site.interconnect
-
 (* Compiler wrapper names installed under the stack prefix. *)
 let wrapper_names = [ "mpicc"; "mpicxx"; "mpif77"; "mpif90" ]
 
 (* Default launch command (paper §V.C: mpiexec by default, user
    configurable per MPI type). *)
 let default_launcher = "mpiexec"
-
-let pp ppf t = Fmt.string ppf (to_string t)

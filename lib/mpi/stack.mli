@@ -28,14 +28,8 @@ val to_string : t -> string
 (** Full dynamic dependency set, excluding libc/libm/libpthread. *)
 val needed_libs : t -> language -> Feam_util.Soname.t list
 
-(** The full stack-compatibility rule: same implementation type (version
-    ignored), same compiler family, supportable fabric. *)
-val compatible : binary:t -> site:t -> bool
-
 (** Compiler wrapper names installed under a stack prefix. *)
 val wrapper_names : string list
 
 (** Default launch command ("mpiexec", §V.C). *)
 val default_launcher : string
-
-val pp : t Fmt.t

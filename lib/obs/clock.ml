@@ -3,9 +3,7 @@
    Spans measure durations through an injectable clock so that
    deterministic tests (and the simulated evaluation) stay reproducible:
    the default source is a fixed clock that always reads zero, the CLI
-   installs the wall clock, tests drive a manual clock by hand, and a
-   {!Feam_util.Sim_clock} can be read as nanoseconds so span durations
-   line up with the paper's simulated per-phase costs (§VI.C). *)
+   installs the wall clock and tests drive a manual clock by hand. *)
 
 type t = unit -> int64 (* nanoseconds *)
 
@@ -26,8 +24,3 @@ let of_manual m : t = fun () -> m.now_ns
 let advance m ns =
   if Int64.compare ns 0L < 0 then invalid_arg "Clock.advance: negative step";
   m.now_ns <- Int64.add m.now_ns ns
-
-(* Read a simulated wall clock as nanoseconds: span durations then
-   report the simulated seconds the operations under them charged. *)
-let of_sim_clock sim : t =
- fun () -> Int64.of_float (Feam_util.Sim_clock.elapsed sim *. 1e9)

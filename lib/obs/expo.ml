@@ -39,31 +39,6 @@ let escape_label v =
     v;
   Buffer.contents b
 
-(* Inverse of {!escape_label}; unknown escapes pass through verbatim so
-   unescape never fails. *)
-let unescape_label v =
-  let b = Buffer.create (String.length v) in
-  let n = String.length v in
-  let rec go i =
-    if i < n then
-      if v.[i] = '\\' && i + 1 < n then begin
-        (match v.[i + 1] with
-        | '\\' -> Buffer.add_char b '\\'
-        | '"' -> Buffer.add_char b '"'
-        | 'n' -> Buffer.add_char b '\n'
-        | c ->
-          Buffer.add_char b '\\';
-          Buffer.add_char b c);
-        go (i + 2)
-      end
-      else begin
-        Buffer.add_char b v.[i];
-        go (i + 1)
-      end
-  in
-  go 0;
-  Buffer.contents b
-
 let sorted_labels labels =
   List.sort (fun (a, _) (b, _) -> String.compare a b) labels
 

@@ -6,8 +6,8 @@
    paper's §VI cost evaluation: hierarchical spans over every BDC /
    EDC / prediction / resolution step, a counters-gauges-histograms
    registry, and pluggable exporters (human-readable, JSONL, Chrome
-   trace_event).  Everything is a no-op until [configure] selects a
-   sink, so the instrumented pipeline stays deterministic by default. *)
+   trace_event).  Everything is a no-op until a trace is configured,
+   so the instrumented pipeline stays deterministic by default. *)
 
 module Clock = Clock
 module Span = Span
@@ -22,27 +22,30 @@ module Benchtrend = Benchtrend
 
 type trace_format = Pretty | Jsonl | Chrome
 
-let format_of_string = function
-  | "pretty" -> Ok Pretty
-  | "jsonl" -> Ok Jsonl
-  | "chrome" -> Ok Chrome
-  | other -> Error (Printf.sprintf "unknown trace format %S (use pretty, jsonl, or chrome)" other)
+(* The --trace vocabulary every CLI accepts. *)
+let trace_formats = [ ("pretty", Pretty); ("jsonl", Jsonl); ("chrome", Chrome) ]
 
-let format_to_string = function
-  | Pretty -> "pretty"
-  | Jsonl -> "jsonl"
-  | Chrome -> "chrome"
-
-let sink_of_format ~emit = function
-  | Pretty -> Sink.pretty ~emit ()
-  | Jsonl -> Sink.jsonl ~emit ()
-  | Chrome -> Sink.chrome ~emit ()
-
-(* [configure ?clock ~emit format] turns tracing on: spans flow to a
-   sink of the given format, which hands its rendered output to [emit]
-   at {!flush}. *)
-let configure ?clock ~emit format =
-  Trace.configure ?clock (sink_of_format ~emit format)
+(* [trace_to ?file format] turns tracing on over the wall clock.  The
+   rendered trace goes to [file] (unless it is "-"), else to the
+   terminal: the pretty tree to stderr, the machine formats to
+   stdout. *)
+let trace_to ?file format =
+  let emit text =
+    match file with
+    | Some file when file <> "-" ->
+      Out_channel.with_open_text file (fun oc -> Out_channel.output_string oc text)
+    | _ -> (
+      match format with
+      | Pretty -> prerr_string text
+      | Jsonl | Chrome -> print_string text)
+  in
+  let sink =
+    match format with
+    | Pretty -> Sink.pretty ~emit ()
+    | Jsonl -> Sink.jsonl ~emit ()
+    | Chrome -> Sink.chrome ~emit ()
+  in
+  Trace.configure ~clock:Clock.wall sink
 
 (* Flush hooks: other sinks that buffer output (the flight recorder's
    journal, for one) register here, keyed so re-registration replaces

@@ -24,15 +24,6 @@ type entry = {
 
 let registry : (string, entry) Hashtbl.t = Hashtbl.create 64
 
-(* Recording can be switched off mid-run (e.g. to freeze a snapshot
-   while later pipeline stages keep executing); writes become no-ops
-   but reads keep working.  [reset] re-enables. *)
-let enabled = ref true
-
-let set_enabled v = enabled := v
-
-let is_enabled () = !enabled
-
 let key name labels =
   match labels with
   | [] -> name
@@ -93,18 +84,16 @@ type tape = (string * (string * string) list * int) list
 let capturing : (string list * tape) option ref = ref None
 
 let incr ?(by = 1) ?(labels = []) name =
-  if !enabled then begin
-    (match !capturing with
-    | Some (prefixes, l)
-      when List.exists (fun prefix -> String.starts_with ~prefix name) prefixes
-      ->
-      capturing := Some (prefixes, (name, labels, by) :: l)
-    | _ -> ());
-    match find_or_add name labels (fun () -> Counter (ref 0)) with
-    | Counter c -> c := !c + by
-    | Gauge _ | Histogram _ ->
-      invalid_arg ("Metrics.incr: " ^ name ^ " is not a counter")
-  end
+  (match !capturing with
+  | Some (prefixes, l)
+    when List.exists (fun prefix -> String.starts_with ~prefix name) prefixes
+    ->
+    capturing := Some (prefixes, (name, labels, by) :: l)
+  | _ -> ());
+  match find_or_add name labels (fun () -> Counter (ref 0)) with
+  | Counter c -> c := !c + by
+  | Gauge _ | Histogram _ ->
+    invalid_arg ("Metrics.incr: " ^ name ^ " is not a counter")
 
 (* Run [f], returning the increments it made to counters named with one
    of [prefixes]; {!replay} redoes them in order. *)
@@ -119,49 +108,39 @@ let replay tape =
   List.iter (fun (name, labels, by) -> incr ~by ~labels name) tape
 
 let set_gauge ?(labels = []) name v =
-  if !enabled then
-    match find_or_add name labels (fun () -> Gauge (ref 0.0)) with
-    | Gauge g -> g := v
-    | Counter _ | Histogram _ ->
-      invalid_arg ("Metrics.set_gauge: " ^ name ^ " is not a gauge")
+  match find_or_add name labels (fun () -> Gauge (ref 0.0)) with
+  | Gauge g -> g := v
+  | Counter _ | Histogram _ ->
+    invalid_arg ("Metrics.set_gauge: " ^ name ^ " is not a gauge")
 
 (* [bounds] only takes effect when the histogram is first created. *)
 let observe ?(labels = []) ?(bounds = default_bounds) name v =
-  if !enabled then begin
-    let make () =
-      Histogram
-        {
-          bounds;
-          counts = Array.make (Array.length bounds + 1) 0;
-          sum = 0.0;
-          count = 0;
-        }
+  let make () =
+    Histogram
+      {
+        bounds;
+        counts = Array.make (Array.length bounds + 1) 0;
+        sum = 0.0;
+        count = 0;
+      }
+  in
+  match find_or_add name labels make with
+  | Histogram h ->
+    let rec bucket i =
+      if i >= Array.length h.bounds then i
+      else if v <= h.bounds.(i) then i
+      else bucket (i + 1)
     in
-    match find_or_add name labels make with
-    | Histogram h ->
-      let rec bucket i =
-        if i >= Array.length h.bounds then i
-        else if v <= h.bounds.(i) then i
-        else bucket (i + 1)
-      in
-      let i =
-        if h.bounds == default_bounds then default_bucket v else bucket 0
-      in
-      h.counts.(i) <- h.counts.(i) + 1;
-      h.sum <- h.sum +. v;
-      h.count <- h.count + 1
-    | Counter _ | Gauge _ ->
-      invalid_arg ("Metrics.observe: " ^ name ^ " is not a histogram")
-  end
+    let i = if h.bounds == default_bounds then default_bucket v else bucket 0 in
+    h.counts.(i) <- h.counts.(i) + 1;
+    h.sum <- h.sum +. v;
+    h.count <- h.count + 1
+  | Counter _ | Gauge _ ->
+    invalid_arg ("Metrics.observe: " ^ name ^ " is not a histogram")
 
 let counter_value ?(labels = []) name =
   match Hashtbl.find_opt registry (key name labels) with
   | Some { metric = Counter c; _ } -> Some !c
-  | _ -> None
-
-let gauge_value ?(labels = []) name =
-  match Hashtbl.find_opt registry (key name labels) with
-  | Some { metric = Gauge g; _ } -> Some !g
   | _ -> None
 
 let histogram_value ?(labels = []) name =
@@ -171,30 +150,7 @@ let histogram_value ?(labels = []) name =
 
 let hist_mean h = if h.count = 0 then 0.0 else h.sum /. float_of_int h.count
 
-(* The [q]-quantile (0 < q <= 1) of a histogram, interpolated linearly
-   inside the bucket that holds it, so the estimate is off by at most
-   that bucket's width.  The overflow bucket has no upper edge and
-   reports the last bound; an empty histogram reports 0. *)
-let quantile h q =
-  if h.count = 0 then 0.0
-  else
-    let count = float_of_int h.count in
-    let rank = Float.min count (Float.max 1.0 (Float.ceil (q *. count))) in
-    let n = Array.length h.bounds in
-    let rec go i before =
-      let c = h.counts.(i) in
-      if i = n || float_of_int (before + c) >= rank then
-        let lower = if i = 0 then 0.0 else h.bounds.(i - 1) in
-        let upper = if i = n then lower else h.bounds.(i) in
-        lower
-        +. (upper -. lower) *. ((rank -. float_of_int before) /. float_of_int c)
-      else go (i + 1) (before + c)
-    in
-    go 0 0
-
-let reset () =
-  Hashtbl.reset registry;
-  enabled := true
+let reset () = Hashtbl.reset registry
 
 (* Entries in stable (key-sorted) order, for rendering and tests. *)
 let snapshot () =

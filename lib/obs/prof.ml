@@ -6,17 +6,13 @@
    feed the metrics registry so `feam stats` can expose the
    distributions.  Like tracing, the whole module is a strict no-op
    until [set_enabled true]: the disabled path is one ref read, so
-   timers left in hot paths cost nothing.
-
-   Writes go through {!Metrics}, so [Metrics.set_enabled false] freezes
-   timer recording too (the timed code still runs). *)
+   timers left in hot paths cost nothing. *)
 
 type state = { mutable enabled : bool; mutable clock : Clock.t }
 
 let st = { enabled = false; clock = Clock.fixed () }
 
 let set_enabled v = st.enabled <- v
-let is_enabled () = st.enabled
 
 (* The default fixed clock keeps timer output deterministic; the CLI
    installs {!Clock.wall} when real durations are wanted. *)

@@ -31,8 +31,6 @@ let st =
    the golden traces. *)
 let set_record_alloc v = st.record_alloc <- v
 
-let record_alloc () = st.record_alloc
-
 let configure ?(clock = Clock.fixed ()) sink =
   st.enabled <- true;
   st.sink <- sink;
@@ -45,8 +43,6 @@ let disable () =
   st.sink <- Sink.noop;
   st.next_id <- 1;
   st.stack <- []
-
-let enabled () = st.enabled
 
 let now_ns () = st.clock ()
 

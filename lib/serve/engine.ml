@@ -120,8 +120,6 @@ let resident_cells t = List.length t.cells
 
 let sites t = t.sites
 
-let epoch t = t.epoch
-
 (* -- incremental re-evaluation ----------------------------------------- *)
 
 (* Extend the matrix after a registration: evaluate the pairs the new

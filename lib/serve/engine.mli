@@ -43,9 +43,6 @@ val resident_cells : t -> int
 (** The resident sites, in registration order. *)
 val sites : t -> Feam_sysmodel.Site.t list
 
-(** Mutation count: 0 at baseline, +1 per accepted state change. *)
-val epoch : t -> int
-
 (** Serve one parsed request; returns the rendered response line
     (no trailing newline).  [write_file] receives the epoch document
     when a [snapshot] request names an [out] path; the default writes
@@ -55,7 +52,3 @@ val handle :
 
 (** The resident fleet as a drift epoch snapshot. *)
 val snapshot : t -> Feam_drift.Snapshot.t
-
-(** Byte-identity of the resident verdict table against a cold full
-    prediction pass over the same fleet. *)
-val crosscheck_matches : t -> bool

@@ -31,9 +31,6 @@ type error =
   | Missing_field of { verb : string; field : string }
   | Bad_field of { field : string; expected : string }
 
-(** Hard per-line byte cap; longer lines are rejected unparsed. *)
-val max_line_bytes : int
-
 val verb_of_request : request -> string
 
 val action_to_string : action -> string

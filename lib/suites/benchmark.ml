@@ -74,6 +74,3 @@ let compiles_with t stack ~fragility_draw =
         (Compiler.family_equal (Compiler.family (Stack.compiler stack)))
         t.incompatible_compilers))
   && not fragility_draw
-
-let pp ppf t =
-  Fmt.pf ppf "%s/%s (%s)" (suite_name t.suite) t.bench_name t.description

@@ -50,5 +50,3 @@ val to_program : site:Feam_sysmodel.Site.t -> t -> Feam_toolchain.Compile.progra
 (** Does the benchmark build with the stack, given the seeded fragility
     draw? *)
 val compiles_with : t -> Feam_mpi.Stack.t -> fragility_draw:bool -> bool
-
-val pp : t Fmt.t

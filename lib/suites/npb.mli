@@ -4,11 +4,5 @@
     block tridiagonal, scalar penta-diagonal and lower-upper Gauss-Seidel
     solvers. *)
 
-val is : Benchmark.t
-val ep : Benchmark.t
-val bt : Benchmark.t
-val sp : Benchmark.t
-val lu : Benchmark.t
-
 (** All seven, in the paper's order. *)
 val all : Benchmark.t list

@@ -281,8 +281,6 @@ let of_resolve (r : Feam_dynlinker.Resolve.t) =
   in
   run (root :: libs)
 
-let ok t = not (List.exists (fun m -> m.miss_definitive) t.unresolved_strong)
-
 (* The validator's currency: definitive strong misses, each of which
    refutes the library-level (soname) acceptance of the closure — the
    objects are all there, the symbols are not. *)

@@ -66,9 +66,6 @@ val journal : t -> unit
     closure in load order. *)
 val of_resolve : Feam_dynlinker.Resolve.t -> t
 
-(** No definitive strong miss. *)
-val ok : t -> bool
-
 (** Definitive strong misses: each refutes the library-level (soname)
     acceptance of the closure — the objects are all present, the
     symbols are not. *)

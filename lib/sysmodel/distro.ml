@@ -13,7 +13,6 @@ let make flavor ~version ~kernel = { flavor; version; kernel }
 
 let flavor t = t.flavor
 let version t = t.version
-let kernel t = t.kernel
 
 let flavor_name = function
   | Centos -> "CentOS"
@@ -61,5 +60,3 @@ let kernel_triple t =
   | [ maj; min_ ] -> (maj, min_, 0)
   | [ maj ] -> (maj, 0, 0)
   | [] -> (2, 6, 0)
-
-let pp ppf t = Fmt.string ppf (name t)

@@ -9,7 +9,6 @@ type t
 val make : flavor -> version:Feam_util.Version.t -> kernel:Feam_util.Version.t -> t
 val flavor : t -> flavor
 val version : t -> Feam_util.Version.t
-val kernel : t -> Feam_util.Version.t
 val flavor_name : flavor -> string
 val name : t -> string
 
@@ -25,5 +24,3 @@ val default_lib_dirs : bits:[ `B32 | `B64 ] -> string list
 
 (** Kernel version triple for .note.ABI-tag. *)
 val kernel_triple : t -> int * int * int
-
-val pp : t Fmt.t

@@ -10,15 +10,9 @@ let empty : t = M.empty
 
 let get t name = M.find_opt name t
 
-let get_or t name ~default = Option.value (get t name) ~default
-
 let set t name value = M.add name value t
 
-let unset t name = M.remove name t
-
 let bindings t = M.bindings t
-
-let of_list l = List.fold_left (fun t (k, v) -> set t k v) empty l
 
 (* Split a colon-separated path list, dropping empty components. *)
 let split_paths value =
@@ -34,17 +28,6 @@ let prepend_path t name dir =
   | None | Some "" -> set t name dir
   | Some v -> set t name (dir ^ ":" ^ v)
 
-let append_path t name dir =
-  match get t name with
-  | None | Some "" -> set t name dir
-  | Some v -> set t name (v ^ ":" ^ dir)
-
 let ld_library_path t = paths t "LD_LIBRARY_PATH"
 
 let path t = paths t "PATH"
-
-(* Render as `env` would print it. *)
-let to_string t =
-  bindings t
-  |> List.map (fun (k, v) -> k ^ "=" ^ v)
-  |> String.concat "\n"

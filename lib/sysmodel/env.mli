@@ -6,11 +6,8 @@ type t
 
 val empty : t
 val get : t -> string -> string option
-val get_or : t -> string -> default:string -> string
 val set : t -> string -> string -> t
-val unset : t -> string -> t
 val bindings : t -> (string * string) list
-val of_list : (string * string) list -> t
 
 (** Path components of a variable; empty when unset. *)
 val paths : t -> string -> string list
@@ -19,9 +16,5 @@ val paths : t -> string -> string list
     exposes staged library copies, paper §IV). *)
 val prepend_path : t -> string -> string -> t
 
-val append_path : t -> string -> string -> t
 val ld_library_path : t -> string list
 val path : t -> string list
-
-(** Render as `env` would print it (sorted). *)
-val to_string : t -> string

@@ -14,9 +14,6 @@ val provision : Site.t -> unit
     directories to PATH / LD_LIBRARY_PATH and record it as loaded. *)
 val load_stack : Env.t -> Stack_install.t -> Env.t
 
-(** `module list` contents of an environment. *)
-val loaded_modules : Env.t -> string list
-
 (** The stack install a session currently has loaded: modules listing
     first, PATH inspection as fallback — the paper's two mechanisms. *)
 val current_stack : Site.t -> Env.t -> Stack_install.t option

@@ -66,7 +66,6 @@ let make ?(description = "") ?(tools = Tools.full)
   }
 
 let name t = t.name
-let description t = t.description
 let machine t = t.machine
 let distro t = t.distro
 let glibc t = t.glibc
@@ -78,7 +77,6 @@ let stack_installs t = t.stack_installs
 let modules_flavor t = t.modules_flavor
 let compilers t = t.compilers
 let batch t = t.batch
-let seed t = t.seed
 let fault_model t = t.fault_model
 
 let elf_class t = Feam_elf.Types.machine_class t.machine

@@ -28,7 +28,6 @@ val make :
   t
 
 val name : t -> string
-val description : t -> string
 val machine : t -> Feam_elf.Types.machine
 val distro : t -> Distro.t
 val glibc : t -> Feam_util.Version.t
@@ -40,9 +39,7 @@ val stack_installs : t -> Stack_install.t list
 val modules_flavor : t -> modules_flavor
 val compilers : t -> Feam_mpi.Compiler.t list
 val batch : t -> Batch.t
-val seed : t -> int
 val fault_model : t -> Fault_model.t
-val elf_class : t -> Feam_elf.Types.elf_class
 val bits : t -> [ `B32 | `B64 ]
 val add_stack_install : t -> Stack_install.t -> unit
 

@@ -39,7 +39,6 @@ let make ?(health = Functioning) ?(registered = true) ?(static_libs = false)
   { stack; prefix; health; registered; static_libs }
 
 let stack t = t.stack
-let prefix t = t.prefix
 let health t = t.health
 let registered t = t.registered
 let static_libs t = t.static_libs

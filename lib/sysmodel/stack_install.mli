@@ -28,7 +28,6 @@ val make :
   t
 
 val stack : t -> Feam_mpi.Stack.t
-val prefix : t -> string
 val health : t -> health
 
 (** Appears in the site's user-environment management tool. *)

@@ -23,22 +23,3 @@ let full =
     find = true;
     c_compiler = true;
   }
-
-(* A deliberately spartan login environment: no locate database, no
-   native compiler — common on stripped-down compute front-ends. *)
-let minimal =
-  {
-    objdump = true;
-    readelf = false;
-    ldd = false;
-    locate = false;
-    uname = true;
-    find = true;
-    c_compiler = false;
-  }
-
-let with_objdump v t = { t with objdump = v }
-let with_readelf v t = { t with readelf = v }
-let with_ldd v t = { t with ldd = v }
-let with_locate v t = { t with locate = v }
-let with_c_compiler v t = { t with c_compiler = v }

@@ -15,13 +15,3 @@ type t = {
 
 (** Everything available. *)
 val full : t
-
-(** A spartan login environment: no readelf, no ldd, no locate, no
-    native compiler. *)
-val minimal : t
-
-val with_objdump : bool -> t -> t
-val with_readelf : bool -> t -> t
-val with_ldd : bool -> t -> t
-val with_locate : bool -> t -> t
-val with_c_compiler : bool -> t -> t

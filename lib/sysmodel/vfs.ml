@@ -187,38 +187,9 @@ let entry t path =
 
 let exists t path = find t path <> None
 
-let kind_of t path = Option.map (fun f -> f.kind) (find t path)
-
 (* Size in bytes as `du` would report it. *)
 let file_size t path =
   match find t path with Some f -> Some f.declared_size | None -> None
-
-let is_dir t path =
-  let path = normalize path in
-  let prefix = if path = "/" then "/" else path ^ "/" in
-  Hashtbl.fold
-    (fun p _ acc -> acc || String.starts_with ~prefix p)
-    t.files false
-
-(* Direct children names of a directory (files and subdirectories). *)
-let list_dir t path =
-  let path = normalize path in
-  let prefix = if path = "/" then "/" else path ^ "/" in
-  let plen = String.length prefix in
-  let children = Hashtbl.create 16 in
-  Hashtbl.iter
-    (fun p _ ->
-      if String.starts_with ~prefix p && String.length p > plen then begin
-        let rest = String.sub p plen (String.length p - plen) in
-        let child =
-          match String.index_opt rest '/' with
-          | Some i -> String.sub rest 0 i
-          | None -> rest
-        in
-        Hashtbl.replace children child ()
-      end)
-    t.files;
-  Hashtbl.fold (fun c () acc -> c :: acc) children [] |> List.sort String.compare
 
 (* All file paths, sorted: the `locate` database view. *)
 let all_paths t =
@@ -246,14 +217,3 @@ let remove_tree t dir =
       t.files []
   in
   List.iter (fun p -> write t p None) doomed
-
-(* Total declared size below a directory: `du -s`. *)
-let du t dir =
-  let dir = normalize dir in
-  let prefix = if dir = "/" then "/" else dir ^ "/" in
-  Hashtbl.fold
-    (fun p slot acc ->
-      if String.starts_with ~prefix p || p = dir then
-        acc + slot.file.declared_size
-      else acc)
-    t.files 0

@@ -18,12 +18,6 @@ type t
 
 val create : unit -> t
 
-(** Normalize an absolute path (collapse "//", resolve "." and "..",
-    drop a trailing "/").  A path that is already normal is returned
-    as it is ([==]), after one scan that allocates nothing.
-    @raise Invalid_argument on relative paths. *)
-val normalize : string -> string
-
 val dirname : string -> string
 val basename : string -> string
 
@@ -72,18 +66,9 @@ val find : t -> string -> file option
 val entry : t -> string -> file option
 
 val exists : t -> string -> bool
-val kind_of : t -> string -> kind option
 
 (** Declared size, as `du` would report for one file. *)
 val file_size : t -> string -> int option
-
-val is_dir : t -> string -> bool
-
-(** Direct children names of a directory, sorted. *)
-val list_dir : t -> string -> string list
-
-(** All file paths, sorted: the `locate` database view. *)
-val all_paths : t -> string list
 
 (** Paths whose basename satisfies the predicate. *)
 val find_by_basename : t -> (string -> bool) -> string list
@@ -94,6 +79,3 @@ val find_under : t -> string -> (string -> bool) -> string list
 
 (** Remove a whole subtree (`rm -rf`). *)
 val remove_tree : t -> string -> unit
-
-(** Total declared size below a directory (`du -s`). *)
-val du : t -> string -> int

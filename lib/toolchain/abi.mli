@@ -5,10 +5,6 @@
     that makes the soname-major heuristic unsound in the simulated
     world, and the one {!Feam_symcheck} is built to expose. *)
 
-(** Era rank of a build environment: coarse steps over the glibc
-    release history (Table II's sites fall into vintages 4 and 6). *)
-val vintage : Feam_util.Version.t -> int
-
 (** [.dynsym] contents of a catalog library. *)
 val library_dynsyms :
   bits:[ `B32 | `B64 ] ->

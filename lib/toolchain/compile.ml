@@ -60,11 +60,6 @@ let hello_world_mpi_fortran =
     ~glibc_appetite:(Version.of_string_exn "2.0")
     ~binary_size_mb:0.03 "hello_mpif"
 
-let hello_world_serial =
-  program ~is_probe:true ~uses_mpi:false
-    ~glibc_appetite:(Version.of_string_exn "2.0")
-    ~binary_size_mb:0.01 "hello_serial"
-
 type error =
   | Wrapper_missing of string  (* stack has no such compiler wrapper *)
   | Compiler_unavailable       (* no native serial compiler *)

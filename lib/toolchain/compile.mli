@@ -36,7 +36,6 @@ val program :
 val hello_world_mpi : program
 
 val hello_world_mpi_fortran : program
-val hello_world_serial : program
 
 type error =
   | Wrapper_missing of string

@@ -67,12 +67,6 @@ let defined_symbol_versions glibc =
   |> List.filter (fun v -> Version.(v <= glibc))
   |> List.map symbol_of_version
 
-(* Does a glibc release satisfy one required symbol version string? *)
-let provides ~glibc symbol =
-  match version_of_symbol symbol with
-  | None -> symbol = "GLIBC_PRIVATE" (* private versions only within one build *)
-  | Some v -> Version.(v <= glibc)
-
 (* Greatest release <= [cap]: the newest symbol set a program built on a
    [cap] system can reference. *)
 let newest_release_at_most cap =

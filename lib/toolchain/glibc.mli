@@ -27,9 +27,6 @@ val baseline : bits:[ `B32 | `B64 ] -> Feam_util.Version.t
 (** Symbol versions a glibc release defines: every release up to it. *)
 val defined_symbol_versions : Feam_util.Version.t -> string list
 
-(** Does a glibc release satisfy one required symbol-version string? *)
-val provides : glibc:Feam_util.Version.t -> string -> bool
-
 (** The symbol versions a program references, given the newest glibc
     feature level its code uses ([appetite]) and the glibc it was built
     against ([build]). *)

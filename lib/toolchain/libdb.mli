@@ -26,22 +26,6 @@ type entry = {
 
 val portable : Feam_util.Version.t
 
-val entry :
-  ?size_mb:float ->
-  ?appetite:Feam_util.Version.t ->
-  ?deps:Feam_util.Soname.t list ->
-  ?part_of_glibc:bool ->
-  ?copy_abi_fragility:float ->
-  origin:origin ->
-  Feam_util.Soname.t ->
-  entry
-
-val libm : entry
-val libpthread : entry
-val libdl : entry
-val librt : entry
-val libutil : entry
-val libnsl : entry
 val libz : entry
 val libstdcxx : entry
 val base_system : entry list

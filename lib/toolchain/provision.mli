@@ -11,23 +11,6 @@ val scientific_soname :
 (** Default compiler that built the site's distro packages. *)
 val distro_compiler : Feam_sysmodel.Site.t -> Feam_mpi.Compiler.t
 
-(** Install one catalog library (plus its dev symlink) into a directory. *)
-val install_library :
-  Feam_sysmodel.Site.t ->
-  dir:string ->
-  built_with:Feam_mpi.Compiler.t ->
-  Libdb.entry ->
-  unit
-
-(** Base system: libc and friends, GNU runtime, compat runtimes on EL5,
-    scientific libraries, InfiniBand user space where the fabric exists,
-    release files. *)
-val provision_base : Feam_sysmodel.Site.t -> unit
-
-(** Install a vendor compiler runtime under /opt and register it with the
-    linker cache (GNU runtimes come with the base system). *)
-val provision_compiler : Feam_sysmodel.Site.t -> Feam_mpi.Compiler.t -> unit
-
 (** Install an MPI stack under its prefix (libraries, wrappers, launcher)
     and register it on the site. *)
 val provision_stack :

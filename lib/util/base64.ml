@@ -79,8 +79,3 @@ let decode (s : string) : (string, error) result =
       Ok (Buffer.contents out)
     with Bad c -> Error (Bad_character c)
   end
-
-let decode_exn s =
-  match decode s with
-  | Ok v -> v
-  | Error e -> invalid_arg ("Base64.decode_exn: " ^ error_to_string e)

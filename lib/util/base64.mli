@@ -7,6 +7,3 @@ type error = Bad_length | Bad_character of char
 
 val error_to_string : error -> string
 val decode : string -> (string, error) result
-
-(** @raise Invalid_argument when {!decode} would return an error. *)
-val decode_exn : string -> string

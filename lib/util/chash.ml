@@ -29,6 +29,4 @@ let of_hex s =
    realistic store, short enough for a table column. *)
 let short t = String.sub t 0 12
 
-let equal = String.equal
 let compare = String.compare
-let pp ppf t = Fmt.string ppf t

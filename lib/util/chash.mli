@@ -19,6 +19,4 @@ val of_hex : string -> t option
 (** Leading 12 hex digits, for tables and log lines. *)
 val short : t -> string
 
-val equal : t -> t -> bool
 val compare : t -> t -> int
-val pp : t Fmt.t

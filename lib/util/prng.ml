@@ -8,8 +8,6 @@ let golden = 0x9E3779B97F4A7C15L
 
 let create seed = { state = Int64.of_int seed }
 
-let copy t = { state = t.state }
-
 let next_int64 t =
   t.state <- Int64.add t.state golden;
   let z = t.state in

@@ -7,14 +7,10 @@
 type t
 
 val create : int -> t
-val copy : t -> t
 
 (** Uniform int in [\[0, bound)].
     @raise Invalid_argument when [bound <= 0]. *)
 val int : t -> int -> int
-
-(** Uniform float in [\[0, 1)]. *)
-val float : t -> float
 
 (** Bernoulli draw with success probability [p].
     @raise Invalid_argument when [p] is outside [\[0, 1\]]. *)

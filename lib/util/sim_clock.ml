@@ -31,8 +31,6 @@ let replayed_charges t =
 
 let elapsed t = t.elapsed
 
-let reset t = t.elapsed <- 0.0
-
 (* Render "3m42s" style durations. *)
 let to_string t =
   let s = t.elapsed in

@@ -30,7 +30,6 @@ val charges : t -> float list
 val replayed_charges : t -> float list
 
 val elapsed : t -> float
-val reset : t -> unit
 
 (** "3m42s"-style rendering. *)
 val to_string : t -> string

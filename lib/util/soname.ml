@@ -102,12 +102,6 @@ let of_string_exn s =
     invalid_arg
       (Printf.sprintf "Soname.of_string_exn: %S (%s)" s (parse_error_to_string e))
 
-let equal a b = a.base = b.base && a.version = b.version
-
-let compare a b =
-  let c = String.compare a.base b.base in
-  if c <> 0 then c else Stdlib.compare a.version b.version
-
 (* [satisfies ~provided ~required]: can a library named [provided] satisfy a
    dependency on [required]?  Same base name and, when the requirement names
    a major version, the same major version (libraries sharing a major
@@ -120,9 +114,3 @@ let satisfies ~provided ~required =
   | None, _ -> true
   | Some _, None -> false
   | Some r, Some p -> r = p
-
-(* Order candidate providers for one requirement: higher versions first so
-   that searches pick the newest compatible copy. *)
-let newest_first a b = Stdlib.compare b.version a.version
-
-let pp ppf t = Fmt.string ppf (to_string t)

@@ -46,15 +46,7 @@ val of_string : string -> t option
 (** @raise Invalid_argument when {!of_string} would return [None]. *)
 val of_string_exn : string -> t
 
-val equal : t -> t -> bool
-val compare : t -> t -> int
-
 (** [satisfies ~provided ~required] — can a library named [provided]
     satisfy a dependency on [required]?  Requires an equal base name and,
     when [required] is versioned, an equal major version. *)
 val satisfies : provided:t -> required:t -> bool
-
-(** Comparison ordering higher versions first. *)
-val newest_first : t -> t -> int
-
-val pp : t Fmt.t

@@ -14,7 +14,6 @@ let make ?tag components =
   { components; tag }
 
 let components t = t.components
-let tag t = t.tag
 
 let of_ints components = make components
 
@@ -23,11 +22,6 @@ let major t =
   match t.components with
   | [] -> assert false
   | c :: _ -> c
-
-let minor t =
-  match t.components with
-  | _ :: c :: _ -> Some c
-  | _ -> None
 
 let to_string t =
   let base = String.concat "." (List.map string_of_int t.components) in
@@ -92,7 +86,6 @@ let compare a b =
 let equal a b = compare a b = 0
 let ( <= ) a b = compare a b <= 0
 let ( < ) a b = compare a b < 0
-let ( >= ) a b = compare a b >= 0
 let ( > ) a b = compare a b > 0
 
 let max a b = if Stdlib.( >= ) (compare a b) 0 then a else b

@@ -7,22 +7,13 @@
 
 type t
 
-(** [make ?tag components] builds a version from its numeric components,
-    most significant first.
-    @raise Invalid_argument on an empty list or a negative component. *)
-val make : ?tag:string -> int list -> t
-
 (** [of_ints cs] is [make cs]. *)
 val of_ints : int list -> t
 
 val components : t -> int list
-val tag : t -> string option
 
 (** First numeric component ("2" in "2.3.4"). *)
 val major : t -> int
-
-(** Second numeric component, if present. *)
-val minor : t -> int option
 
 val to_string : t -> string
 
@@ -41,7 +32,6 @@ val compare : t -> t -> int
 val equal : t -> t -> bool
 val ( <= ) : t -> t -> bool
 val ( < ) : t -> t -> bool
-val ( >= ) : t -> t -> bool
 val ( > ) : t -> t -> bool
 val max : t -> t -> t
 val min : t -> t -> t

@@ -83,7 +83,61 @@ let run_exn = function
 
 (* Alcotest testables. *)
 let version = Alcotest.testable Version.pp Version.equal
-let soname = Alcotest.testable Soname.pp Soname.equal
+(* Where an ldd resolution found a DT_NEEDED name, as ldd prints
+   "name => path". *)
+let ldd_path (r : Feam_dynlinker.Resolve.t) name =
+  List.find_map
+    (fun (l : Feam_dynlinker.Resolve.resolved_lib) ->
+      if l.lib_name = name then Some l.lib_path else None)
+    r.resolved
+
+(* A not-ready prediction that says nothing else, for code that reads
+   only the verdict. *)
+let not_ready reason =
+  {
+    Feam_core.Predict.verdict = Feam_core.Predict.Not_ready [ reason ];
+    determinants =
+      {
+        Feam_core.Predict.isa =
+          {
+            Feam_core.Predict.isa_compatible = true;
+            binary_machine = Feam_elf.Types.X86_64;
+            binary_class = Feam_elf.Types.C64;
+            site_machine = Some Feam_elf.Types.X86_64;
+          };
+        stack = None;
+        clib =
+          {
+            Feam_core.Predict.clib_compatible = true;
+            required = None;
+            available = None;
+          };
+        libs = None;
+      };
+  }
+
+(* A serial hello world, as the probes build one. *)
+let hello_serial =
+  Compile.program ~is_probe:true ~uses_mpi:false
+    ~glibc_appetite:(Version.of_string_exn "2.0")
+    ~binary_size_mb:0.01 "hello_serial"
+
+(* A benchmark of the paper's test set, by name. *)
+let npb name =
+  List.find (fun b -> b.Feam_suites.Benchmark.bench_name = name) Feam_suites.Npb.all
+
+let spec_mpi name =
+  List.find (fun b -> b.Feam_suites.Benchmark.bench_name = name) Feam_suites.Specmpi.all
+
+let all_impls = [ Impl.Open_mpi; Impl.Mvapich2; Impl.Mpich2 ]
+
+let parse_elf bytes =
+  match Feam_elf.Reader.parse bytes with
+  | Ok t -> t
+  | Error e -> Alcotest.failf "parse failed: %s" (Feam_elf.Reader.error_to_string e)
+
+let same_key a b = Chash.compare a b = 0
+let soname = Alcotest.testable (Fmt.of_to_string Soname.to_string) ( = )
 
 (* -- Site integrity ------------------------------------------------------------ *)
 
@@ -115,7 +169,7 @@ let site_digest sites =
           Site.name site;
           Digest.to_hex
             (Digest.string
-               (String.concat "\n" (List.map (file_line vfs) (Vfs.all_paths vfs))));
+               (String.concat "\n" (List.map (file_line vfs) (Vfs.find_by_basename vfs (fun _ -> true)))));
           "ld_cache_current=" ^ string_of_bool (Site.ld_cache_current site);
           "ld_conf_dirs=" ^ String.concat ":" (Site.ld_conf_dirs site);
           "stacks="

@@ -92,13 +92,19 @@ let test_advisor_not_viable_without_source () =
 let test_recompile_needs_toolchain () =
   let target, _ =
     Fixtures.small_site ~name:"notoolchain"
-      ~tools:(Tools.with_c_compiler false Tools.full) ()
+      ~tools:({ Tools.full with Tools.c_compiler = false }) ()
   in
-  match Advisor.recompile_viability target fortran_source with
-  | Error e ->
-    Alcotest.(check bool) "toolchain mentioned" true
-      (Str_split.contains ~sub:"compiler" e)
-  | Ok _ -> Alcotest.fail "expected no toolchain"
+  let advice =
+    Advisor.advise target ~binary_prediction:(Fixtures.not_ready "binary fails")
+      ~source:(Some fortran_source)
+  in
+  Alcotest.(check bool) "no rebuild considered" true
+    (advice.Advisor.considered_recompile = None);
+  match advice.Advisor.strategy with
+  | Advisor.Not_viable _ ->
+    Alcotest.(check bool) "rationale names the rebuild" true
+      (Str_split.contains ~sub:"cannot rebuild" advice.Advisor.rationale)
+  | s -> Alcotest.failf "expected Not_viable, got %s" (Advisor.strategy_to_string s)
 
 let test_recompile_skips_misconfigured () =
   let target, _ =
@@ -111,9 +117,13 @@ let test_recompile_skips_misconfigured () =
            ])
       ()
   in
-  match Advisor.recompile_viability target fortran_source with
-  | Error _ -> ()
-  | Ok check -> Alcotest.failf "unexpected viability via %s" check.Advisor.rc_stack_slug
+  match
+    (Advisor.advise target ~binary_prediction:(Fixtures.not_ready "binary fails")
+       ~source:(Some fortran_source))
+      .Advisor.considered_recompile
+  with
+  | None -> ()
+  | Some check -> Alcotest.failf "unexpected viability via %s" check.Advisor.rc_stack_slug
 
 (* -- Effort model ----------------------------------------------------------- *)
 
@@ -144,6 +154,29 @@ let fake_migration ~before ~after : Feam_evalharness.Migrate.migration =
     actual_after = after;
   }
 
+(* A row of the rendered effort table, NAS column: the fake migrations
+   are NAS binaries. *)
+let effort_cell migrations row =
+  let text = Feam_util.Table.render (Feam_evalharness.Effort.table migrations) in
+  match
+    List.find_map
+      (fun line ->
+        match
+          String.split_on_char '|' line |> List.map String.trim
+          |> List.filter (fun c -> c <> "")
+        with
+        | label :: nas :: _ when label = row -> Some nas
+        | _ -> None)
+      (String.split_on_char '\n' text)
+  with
+  | Some cell -> cell
+  | None -> Alcotest.failf "no %S row in:\n%s" row text
+
+(* Minutes of effort one migration costs: sixty copies make the table's
+   hours read as minutes. *)
+let effort_minutes row m =
+  float_of_string (effort_cell (List.init 60 (fun _ -> m)) row)
+
 let test_effort_ordering () =
   let open Feam_dynlinker.Exec in
   let clean = fake_migration ~before:Success ~after:Success in
@@ -155,11 +188,11 @@ let test_effort_ordering () =
       ~before:(Failure (Missing_libraries [ "libx.so.1" ]))
       ~after:(Failure (Missing_libraries [ "libx.so.1" ]))
   in
-  let e = Feam_evalharness.Effort.manual_minutes in
+  let e = effort_minutes "Manual effort (hours)" in
   Alcotest.(check bool) "rescued costs more than clean" true (e rescued > e clean);
   Alcotest.(check bool) "hopeless costs most" true (e hopeless > e rescued);
   (* FEAM effort is flat and much smaller *)
-  let f = Feam_evalharness.Effort.feam_minutes in
+  let f = effort_minutes "FEAM effort (hours)" in
   Alcotest.(check bool) "feam flat" true (f clean = f hopeless);
   Alcotest.(check bool) "feam cheaper" true (f hopeless < e clean)
 
@@ -173,9 +206,10 @@ let test_effort_summary () =
         ~after:Success;
     ]
   in
-  let s = Feam_evalharness.Effort.summarize migrations in
-  Alcotest.(check int) "count" 2 s.Feam_evalharness.Effort.migrations;
-  Alcotest.(check bool) "gain > 1" true (Feam_evalharness.Effort.gain s > 1.0);
+  Alcotest.(check string) "count" "2" (effort_cell migrations "Migrations");
+  let gain = effort_cell migrations "Efficiency gain" in
+  Alcotest.(check bool) "gain > 1" true
+    (float_of_string (String.sub gain 0 (String.length gain - 1)) > 1.0);
   (* the table renders *)
   let table = Feam_evalharness.Effort.table migrations in
   Alcotest.(check bool) "renders" true

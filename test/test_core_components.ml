@@ -134,7 +134,7 @@ let test_bdc_describe () =
   Alcotest.(check bool) "required glibc known" true (d.Description.required_glibc <> None);
   Alcotest.(check bool) "gfortran needed" true
     (List.mem "libgfortran.so.1" d.Description.needed);
-  Alcotest.(check bool) "not a library" false (Description.is_shared_library d)
+  Alcotest.(check bool) "not a library" true (d.Description.soname = None)
 
 let test_bdc_describe_library () =
   let site, _ = Fixtures.small_site () in
@@ -142,13 +142,13 @@ let test_bdc_describe_library () =
     Fixtures.run_exn
       (Bdc.describe site (Site.base_env site) ~path:"/usr/lib64/libgfortran.so.1")
   in
-  Alcotest.(check bool) "is library" true (Description.is_shared_library d);
-  Alcotest.(check bool) "embedded version" true
-    (Description.library_version d = Some [ 1 ])
+  (* the embedded version comes from the official shared object name *)
+  Alcotest.(check bool) "is library, embedded version" true
+    (Option.map Feam_util.Soname.version d.Description.soname = Some [ 1 ])
 
 let test_bdc_fallback_without_objdump () =
   let site, installs =
-    Fixtures.small_site ~tools:(Tools.with_objdump false Tools.full) ()
+    Fixtures.small_site ~tools:({ Tools.full with Tools.objdump = false }) ()
   in
   let path, install = Fixtures.compiled_binary site installs in
   (* with a session env ldd can resolve, so the fallback fills the fields *)
@@ -173,12 +173,12 @@ let test_bdc_gather_source () =
       Alcotest.(check bool)
         (c.Bdc.copy_request ^ " described as library")
         true
-        (Description.is_shared_library c.Bdc.copy_description))
+        (c.Bdc.copy_description.Description.soname <> None))
     gathered.Bdc.copies
 
 let test_bdc_gather_without_ldd () =
   let site, installs =
-    Fixtures.small_site ~tools:(Tools.with_ldd false Tools.full) ()
+    Fixtures.small_site ~tools:({ Tools.full with Tools.ldd = false }) ()
   in
   let path, install = Fixtures.compiled_binary site installs in
   let env = Fixtures.session_env site install in
@@ -250,10 +250,11 @@ let test_edc_missing_libraries () =
     (Edc.missing_libraries site env ~binary_path:path ~needed:d.Description.needed)
 
 let test_edc_glibc_banner_parse () =
+  (* discovery runs the C library binary and parses its banner *)
+  let site, _ = Fixtures.small_site ~name:"banner" ~glibc:"2.3.4" () in
+  let d = Edc.discover ~env_type:`Target site (Site.base_env site) in
   Alcotest.(check bool) "parse banner" true
-    (Edc.parse_glibc_banner
-       "GNU C Library stable release version 2.3.4, by Roland McGrath et al.\n"
-    = Some (v "2.3.4"))
+    (d.Discovery.glibc = Some (v "2.3.4"))
 
 (* -- Evidence: the one atom diff ---------------------------------------- *)
 

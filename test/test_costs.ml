@@ -51,22 +51,6 @@ let test_prof_disabled_noop () =
     "no histogram recorded" true
     (Metrics.histogram_value "idle.ns" = None)
 
-let test_prof_metrics_freeze () =
-  Feam_obs.reset ();
-  Prof.set_enabled true;
-  Metrics.set_enabled false;
-  let ran = ref false in
-  Prof.with_timer "frozen" (fun () -> ran := true);
-  Metrics.set_enabled true;
-  Alcotest.(check bool) "timed code still runs under freeze" true !ran;
-  Alcotest.(check (option int))
-    "freeze suppresses the counter write" None
-    (Metrics.counter_value "frozen.calls");
-  Alcotest.(check bool)
-    "freeze suppresses the histogram write" true
-    (Metrics.histogram_value "frozen.ns" = None);
-  Feam_obs.reset ()
-
 (* -- Trace: span allocation accounting ------------------------------------- *)
 
 let test_span_alloc_attrs () =
@@ -103,6 +87,42 @@ let test_span_alloc_attrs () =
 
 (* -- Expo: label escaping and exposition formats --------------------------- *)
 
+(* A label value as the Prometheus exposition renders it: escaping is
+   checked through the public renderer. *)
+let prom_label v =
+  Metrics.reset ();
+  Metrics.incr ~labels:[ ("v", v) ] "t.escape";
+  let out = Expo.render_prom () in
+  Metrics.reset ();
+  let prefix = "feam_t_escape{v=\"" in
+  match
+    List.find_opt (String.starts_with ~prefix) (String.split_on_char '\n' out)
+  with
+  | None -> Alcotest.failf "no t.escape sample in:\n%s" out
+  | Some line ->
+    (* the sample line ends with "\"} 1" *)
+    let close = String.rindex line '}' in
+    String.sub line (String.length prefix) (close - 1 - String.length prefix)
+
+(* The exposition format's label unescaping: backslash, quote and
+   newline. *)
+let unescape_prom v =
+  let b = Buffer.create (String.length v) in
+  let n = String.length v in
+  let rec go i =
+    if i < n then
+      if v.[i] = '\\' && i + 1 < n then begin
+        Buffer.add_char b (if v.[i + 1] = 'n' then '\n' else v.[i + 1]);
+        go (i + 2)
+      end
+      else begin
+        Buffer.add_char b v.[i];
+        go (i + 1)
+      end
+  in
+  go 0;
+  Buffer.contents b
+
 let test_label_escape_roundtrip () =
   let cases =
     [
@@ -119,16 +139,14 @@ let test_label_escape_roundtrip () =
       Alcotest.(check string)
         (Printf.sprintf "round-trip %S" v)
         v
-        (Expo.unescape_label (Expo.escape_label v)))
+        (unescape_prom (prom_label v)))
     cases;
   (* escaped forms contain no raw specials *)
-  let escaped = Expo.escape_label "a\"b\\c\nd" in
+  let escaped = prom_label "a\"b\\c\nd" in
   Alcotest.(check bool)
     "no raw newline in escaped form" false
     (String.contains escaped '\n');
-  Alcotest.(check string) "exact escaped form" "a\\\"b\\\\c\\nd" escaped;
-  (* unknown escapes pass through rather than fail *)
-  Alcotest.(check string) "unknown escape preserved" "\\x" (Expo.unescape_label "\\x")
+  Alcotest.(check string) "exact escaped form" "a\\\"b\\\\c\\nd" escaped
 
 let populate_registry () =
   Metrics.incr ~by:3 ~labels:[ ("site", "a\"b") ] "demo.requests";
@@ -201,41 +219,53 @@ let test_jsonl_records () =
 
 (* -- Ledger: self-cost attribution over a manual clock --------------------- *)
 
-let find_bucket t cell kind name =
+(* The cells of the rendered table row whose first cell is [name]. *)
+let ledger_row rendered name =
+  let cells line =
+    String.split_on_char '|' line |> List.map String.trim
+    |> List.filter (fun c -> c <> "")
+  in
   match
-    List.assoc_opt (cell, kind, name)
-      (List.map (fun (k, b) -> (k, b)) (Ledger.sorted_entries t))
+    List.find_opt
+      (fun line -> match cells line with c :: _ -> c = name | [] -> false)
+      (String.split_on_char '\n' rendered)
   with
-  | Some b -> b
-  | None -> Alcotest.failf "no ledger bucket for %s/%s" cell name
+  | Some line -> cells line
+  | None -> Alcotest.failf "no ledger row %S in:\n%s" name rendered
 
 let test_ledger_self_cost () =
   Feam_obs.reset ();
   let clock = Clock.manual () in
   let t = Ledger.create ~clock:(Clock.of_manual clock) () in
+  (* whole milliseconds, so the rendered ms columns are exact *)
+  let advance ms = Clock.advance clock (Int64.mul ms 1_000_000L) in
   Ledger.install t;
   Ledger.with_cell "bt.A->siteB" (fun () ->
       Ledger.with_stage "outer" (fun () ->
-          Clock.advance clock 10L;
-          Ledger.with_stage "inner" (fun () -> Clock.advance clock 5L);
-          Ledger.with_determinant "isa" (fun () -> Clock.advance clock 4L);
-          Clock.advance clock 2L));
+          advance 10L;
+          Ledger.with_stage "inner" (fun () -> advance 5L);
+          Ledger.with_determinant "isa" (fun () -> advance 4L);
+          advance 2L));
   Ledger.uninstall ();
-  let outer = find_bucket t "bt.A->siteB" Ledger.Stage "outer" in
-  let inner = find_bucket t "bt.A->siteB" Ledger.Stage "inner" in
-  let isa = find_bucket t "bt.A->siteB" Ledger.Determinant "isa" in
-  Alcotest.(check int64) "outer total includes children" 21L outer.Ledger.total_ns;
-  Alcotest.(check int64) "outer self excludes children" 12L outer.Ledger.self_ns;
-  Alcotest.(check int64) "inner self" 5L inner.Ledger.self_ns;
-  Alcotest.(check int64) "determinant self" 4L isa.Ledger.self_ns;
-  Alcotest.(check int) "each ran once" 1 outer.Ledger.calls;
+  let rendered = Ledger.render t in
+  let row = ledger_row rendered in
+  (* stage and determinant rows: name, calls, self kw, self ms, total
+     kw, total ms *)
+  Alcotest.(check string) "outer total includes children" "21.000"
+    (List.nth (row "outer") 5);
+  Alcotest.(check string) "outer self excludes children" "12.000"
+    (List.nth (row "outer") 3);
+  Alcotest.(check string) "inner self" "5.000" (List.nth (row "inner") 3);
+  Alcotest.(check string) "determinant self" "4.000" (List.nth (row "isa") 3);
+  Alcotest.(check string) "each ran once" "1" (List.nth (row "outer") 1);
+  Alcotest.(check bool)
+    "cell recorded" true
+    (String.starts_with ~prefix:"cost ledger: 1 cells," rendered);
   Alcotest.(check (list string))
-    "cell recorded" [ "bt.A->siteB" ] (Ledger.cells t);
-  Alcotest.(check (list string))
-    "determinant names" [ "isa" ] (Ledger.determinant_names t);
+    "determinant names" [ "Cell"; "Self kw"; "Self ms"; "isa kw" ] (row "Cell");
   (* cell cost = sum of self over all entries = 12 + 5 + 4 *)
-  let _, cell_ns = Ledger.cell_cost t "bt.A->siteB" in
-  Alcotest.(check int64) "cell self-cost sums" 21L cell_ns
+  Alcotest.(check string) "cell self-cost sums" "21.000"
+    (List.nth (row "bt.A->siteB") 2)
 
 let test_ledger_uninstalled_noop () =
   Ledger.uninstall ();
@@ -269,7 +299,7 @@ let test_benchtrend_outcomes () =
   match Benchtrend.evaluate ~window:5 ~threshold:1.30 runs with
   | Benchtrend.Compared report ->
     Alcotest.(check int) "two baseline runs used" 2 report.Benchtrend.window;
-    (match Benchtrend.regressions report with
+    (match List.filter (fun c -> c.Benchtrend.regressed) report.Benchtrend.rows with
     | [ c ] ->
       Alcotest.(check string) "bench a regressed" "a" c.Benchtrend.bench;
       Alcotest.(check (float 1e-9)) "ratio 1.5" 1.5 c.Benchtrend.ratio
@@ -356,8 +386,6 @@ let suite =
     [
       Alcotest.test_case "prof timer records" `Quick test_prof_records;
       Alcotest.test_case "prof disabled is a no-op" `Quick test_prof_disabled_noop;
-      Alcotest.test_case "metrics freeze stops timers" `Quick
-        test_prof_metrics_freeze;
       Alcotest.test_case "span alloc attrs" `Quick test_span_alloc_attrs;
       Alcotest.test_case "label escape round-trip" `Quick
         test_label_escape_roundtrip;

@@ -68,31 +68,31 @@ let check_sound name (p, actual) =
   Alcotest.(check bool) (name ^ ": predicted ready") true predicted
 
 let test_no_ldd () =
-  let tools = Tools.with_ldd false Tools.full in
+  let tools = { Tools.full with Tools.ldd = false } in
   let home, path, install, target = world ~home_tools:tools ~target_tools:tools in
   check_sound "no ldd" (run_pipeline home path install target)
 
 let test_no_locate () =
-  let tools = Tools.with_locate false Tools.full in
+  let tools = { Tools.full with Tools.locate = false } in
   let home, path, install, target = world ~home_tools:tools ~target_tools:tools in
   check_sound "no locate" (run_pipeline home path install target)
 
 let test_no_readelf () =
   (* without readelf the build provenance is unknown: candidate ordering
      loses the compiler-family hint but prediction soundness holds *)
-  let tools = Tools.with_readelf false Tools.full in
+  let tools = { Tools.full with Tools.readelf = false } in
   let home, path, install, target = world ~home_tools:tools ~target_tools:tools in
   check_sound "no readelf" (run_pipeline home path install target)
 
 let test_no_ldd_nor_locate () =
-  let tools = Tools.with_locate false (Tools.with_ldd false Tools.full) in
+  let tools = { Tools.full with Tools.locate = false; ldd = false } in
   let home, path, install, target = world ~home_tools:tools ~target_tools:tools in
   check_sound "no ldd nor locate" (run_pipeline home path install target)
 
 let test_no_objdump_target () =
   (* objdump missing only at the target: the bundle carries the
      description from home, so the target phase still works *)
-  let target_tools = Tools.with_objdump false Tools.full in
+  let target_tools = { Tools.full with Tools.objdump = false } in
   let home, path, install, target =
     world ~home_tools:Tools.full ~target_tools
   in
@@ -103,7 +103,7 @@ let test_no_compiler_at_target () =
      the shipped probes still verify the stack (paper §III.B: "if that
      is not possible, we use basic MPI programs compiled at other
      sites") *)
-  let target_tools = Tools.with_c_compiler false Tools.full in
+  let target_tools = { Tools.full with Tools.c_compiler = false } in
   let home, path, install, target =
     world ~home_tools:Tools.full ~target_tools
   in

@@ -17,7 +17,7 @@ let prop_chash_stable =
   QCheck.Test.make ~name:"chash: deterministic, 32-hex" ~count:200
     (QCheck.make ~print:String.escaped gen_bytes) (fun s ->
       let k = Chash.of_bytes s in
-      Chash.equal k (Chash.of_bytes s)
+      Fixtures.same_key k (Chash.of_bytes s)
       && String.length (Chash.to_hex k) = 32
       && Chash.of_hex (Chash.to_hex k) = Some k)
 
@@ -26,25 +26,42 @@ let prop_chash_distinct =
     QCheck.(pair (make ~print:String.escaped gen_bytes)
               (make ~print:String.escaped gen_bytes))
     (fun (a, b) ->
-      a = b || not (Chash.equal (Chash.of_bytes a) (Chash.of_bytes b)))
+      a = b || not (Fixtures.same_key (Chash.of_bytes a) (Chash.of_bytes b)))
 
 (* -- Store: intern, pins, GC -------------------------------------------- *)
 
 let intern_str ?deps store s =
-  Store.intern store ~meta:(Store.meta ?deps ~size:(String.length s) ()) s
+  Store.intern store
+    ~meta:(Store.meta ?deps ~size:(String.length s) ())
+    (Feam_elf.Reader.image s)
 
 let test_intern_hit_miss () =
   let store = Store.create () in
   let st1, k1 = intern_str store "alpha" in
   let st2, k2 = intern_str store "alpha" in
   let st3, k3 = intern_str store "beta" in
-  Alcotest.(check string) "first is a miss" "miss" (Store.status_to_string st1);
-  Alcotest.(check string) "second is a hit" "hit" (Store.status_to_string st2);
-  Alcotest.(check string) "other bytes miss" "miss" (Store.status_to_string st3);
-  Alcotest.(check bool) "same key" true (Chash.equal k1 k2);
-  Alcotest.(check bool) "distinct key" false (Chash.equal k1 k3);
+  Alcotest.(check string) "first is a miss" "miss" (if st1 = Store.Hit then "hit" else "miss");
+  Alcotest.(check string) "second is a hit" "hit" (if st2 = Store.Hit then "hit" else "miss");
+  Alcotest.(check string) "other bytes miss" "miss" (if st3 = Store.Hit then "hit" else "miss");
+  Alcotest.(check bool) "same key" true (Fixtures.same_key k1 k2);
+  Alcotest.(check bool) "distinct key" false (Fixtures.same_key k1 k3);
   Alcotest.(check int) "two objects" 2 (Store.object_count store);
   Alcotest.(check int) "bytes counted once" 9 (Store.total_bytes store)
+
+(* Interning keys a payload by its handle's content key: the same handle
+   twice is a hit, under the key of the handle's bytes. *)
+let test_intern_reads_the_handle_key () =
+  let store = Store.create () in
+  let image = Feam_elf.Reader.image "handle payload" in
+  let meta = Store.meta ~size:14 () in
+  let st1, k1 = Store.intern store ~meta image in
+  let st2, k2 = Store.intern store ~meta image in
+  Alcotest.(check bool) "first is a miss" true (st1 = Store.Miss);
+  Alcotest.(check bool) "same handle again is a hit" true (st2 = Store.Hit);
+  Alcotest.(check bool) "one key" true (Fixtures.same_key k1 k2);
+  Alcotest.(check string) "the key of the handle's bytes"
+    (Chash.to_hex (Chash.of_bytes (Feam_elf.Reader.image_bytes image)))
+    (Chash.to_hex k1)
 
 let test_gc_keeps_pinned_and_roots () =
   let store = Store.create () in
@@ -52,12 +69,11 @@ let test_gc_keeps_pinned_and_roots () =
   let _, kb = intern_str store ~deps:[ Chash.to_hex ka ] "bbbb" in
   let _, kc = intern_str store "cccc" in
   let _, kd = intern_str store "dddd" in
-  Store.pin store kd;
   (* roots: kb — marks kb and, through its recorded dep, ka. *)
-  let report = Store.gc ~roots:[ kb ] store in
+  let report = Store.gc ~roots:[ kb; kd ] store in
   Alcotest.(check bool) "root kept" true (Store.mem store kb);
   Alcotest.(check bool) "dep of root kept" true (Store.mem store ka);
-  Alcotest.(check bool) "pinned kept" true (Store.mem store kd);
+  Alcotest.(check bool) "second root kept" true (Store.mem store kd);
   Alcotest.(check bool) "unreferenced swept" false (Store.mem store kc);
   Alcotest.(check int) "one swept" 1 (List.length report.Store.swept);
   Alcotest.(check int) "three kept" 3 report.Store.kept;
@@ -98,7 +114,6 @@ let prop_gc_never_sweeps_reachable =
             in
             snd (intern_str store ~deps:dep_hexes (payload i)))
       in
-      List.iter (fun i -> Store.pin store keys.(i)) pins;
       (* expected survivors: closure over recorded deps from pins+roots *)
       let marked = Hashtbl.create 16 in
       let dep_edges i = List.filter_map (fun (a, b) -> if a = i && b < i then Some b else None) deps in
@@ -110,7 +125,7 @@ let prop_gc_never_sweeps_reachable =
       in
       List.iter mark pins;
       List.iter mark roots;
-      ignore (Store.gc ~roots:(List.map (fun i -> keys.(i)) roots) store);
+      ignore (Store.gc ~roots:(List.map (fun i -> keys.(i)) (pins @ roots)) store);
       List.for_all
         (fun i -> Store.mem store keys.(i))
         (List.of_seq (Hashtbl.to_seq_keys marked)))
@@ -125,12 +140,12 @@ let test_save_load_roundtrip () =
            ~origin:"/lib/libx.so.1"
            ~deps:[ Chash.to_hex ka ]
            ~size:11 ())
-      "payload two"
+      (Feam_elf.Reader.image "payload two")
   in
   let dir = Filename.temp_dir "feam_depot_test" "" in
   Store.save_dir store dir;
   let loaded =
-    match Store.load_dir dir with
+    match Store.open_dir dir with
     | Ok s -> s
     | Error e -> Alcotest.failf "load_dir: %s" e
   in
@@ -150,7 +165,7 @@ let saved_depot () =
   (dir, hex, Filename.concat (Filename.concat dir "objects") (String.sub hex 0 2))
 
 let check_rejected what dir ~mentions =
-  match Store.load_dir dir with
+  match Store.open_dir dir with
   | Ok _ -> Alcotest.failf "%s: load_dir accepted a damaged depot" what
   | Error e ->
     Alcotest.(check bool)
@@ -195,7 +210,7 @@ let test_manifest_render_parse_roundtrip () =
   let manifest = Bundle_manifest.of_bundle store bundle in
   let text = Bundle_io.render_manifest manifest in
   Alcotest.(check bool) "has manifest magic" true
-    (String.starts_with ~prefix:Bundle_io.manifest_magic text);
+    (String.starts_with ~prefix:"FEAM-MANIFEST 1" text);
   let manifest' =
     Fixtures.run_exn
       (Result.map_error Bundle_io.load_error_to_string
@@ -330,6 +345,7 @@ let suite =
       QCheck_alcotest.to_alcotest prop_chash_stable;
       QCheck_alcotest.to_alcotest prop_chash_distinct;
       Alcotest.test_case "intern hit/miss" `Quick test_intern_hit_miss;
+      Alcotest.test_case "intern reads the handle key" `Quick test_intern_reads_the_handle_key;
       Alcotest.test_case "gc keeps pinned and roots" `Quick
         test_gc_keeps_pinned_and_roots;
       QCheck_alcotest.to_alcotest prop_gc_never_sweeps_reachable;

@@ -27,24 +27,36 @@ let not_ready_prediction ~isa_ok ~clib_ok ~stack ~libs =
       };
   }
 
+(* The remediation guidance as rendered: one (severity, action) pair per
+   "  [severity] action" line. *)
+let remedies p =
+  String.split_on_char '\n' (Diagnose.render p)
+  |> List.filter_map (fun line ->
+         match String.index_opt line ']' with
+         | Some close when String.starts_with ~prefix:"  [" line ->
+           Some
+             ( String.sub line 3 (close - 3),
+               String.sub line (close + 2) (String.length line - close - 2) )
+         | _ -> None)
+
 let test_isa_remedy () =
   let p = not_ready_prediction ~isa_ok:false ~clib_ok:true ~stack:None ~libs:None in
-  match Diagnose.remedies p with
+  match remedies p with
   | [ r ] ->
-    Alcotest.(check bool) "needs rebuild" true (r.Diagnose.severity = Diagnose.Needs_rebuild);
+    Alcotest.(check bool) "needs rebuild" true (fst r = "needs rebuild");
     Alcotest.(check bool) "mentions machine" true
-      (Str_split.contains ~sub:"ppc64" r.Diagnose.action)
+      (Str_split.contains ~sub:"ppc64" (snd r))
   | l -> Alcotest.failf "expected one remedy, got %d" (List.length l)
 
 let test_clib_remedy () =
   let p = not_ready_prediction ~isa_ok:true ~clib_ok:false ~stack:None ~libs:None in
-  match Diagnose.remedies p with
+  match remedies p with
   | [ r ] ->
     Alcotest.(check bool) "needs admin" true
-      (r.Diagnose.severity = Diagnose.Needs_administrator);
+      (fst r = "needs administrator");
     Alcotest.(check bool) "versions in text" true
-      (Str_split.contains ~sub:"2.7" r.Diagnose.action
-      && Str_split.contains ~sub:"2.5" r.Diagnose.action)
+      (Str_split.contains ~sub:"2.7" (snd r)
+      && Str_split.contains ~sub:"2.5" (snd r))
   | l -> Alcotest.failf "expected one remedy, got %d" (List.length l)
 
 let test_stack_remedies () =
@@ -59,10 +71,10 @@ let test_stack_remedies () =
       }
   in
   let p = not_ready_prediction ~isa_ok:true ~clib_ok:true ~stack ~libs:None in
-  match Diagnose.remedies p with
+  match remedies p with
   | [ r ] ->
     Alcotest.(check bool) "names the implementation" true
-      (Str_split.contains ~sub:"MVAPICH2" r.Diagnose.action)
+      (Str_split.contains ~sub:"MVAPICH2" (snd r))
   | l -> Alcotest.failf "expected one remedy, got %d" (List.length l)
 
 let test_libs_remedies () =
@@ -80,12 +92,12 @@ let test_libs_remedies () =
       }
   in
   let p = not_ready_prediction ~isa_ok:true ~clib_ok:true ~stack:None ~libs in
-  match Diagnose.remedies p with
+  match remedies p with
   | [ a; b ] ->
     Alcotest.(check bool) "copy fix is user-fixable" true
-      (a.Diagnose.severity = Diagnose.User_fixable);
+      (fst a = "user-fixable");
     Alcotest.(check bool) "clib-rejected copy needs rebuild" true
-      (b.Diagnose.severity = Diagnose.Needs_rebuild)
+      (fst b = "needs rebuild")
   | l -> Alcotest.failf "expected two remedies, got %d" (List.length l)
 
 let test_ready_has_no_remedies () =
@@ -105,7 +117,7 @@ let test_ready_has_no_remedies () =
           .Predict.determinants;
     }
   in
-  Alcotest.(check int) "none" 0 (List.length (Diagnose.remedies p));
+  Alcotest.(check int) "none" 0 (List.length (remedies p));
   Alcotest.(check bool) "render" true
     (Str_split.contains ~sub:"no remediation needed" (Diagnose.render p))
 
@@ -142,24 +154,21 @@ let test_probe_queue_selection () =
       ~stacks:[ (Fixtures.ompi14 Fixtures.gnu412, Stack_install.Functioning) ]
   in
   let config_default = Config.default in
-  let config_wide = Config.make ~parallel_queue:"wide" () in
-  (* default: debug queue *)
-  (match Probe.probe_queue config_default site ~parallel:true with
-  | None -> ()
-  | Some q -> Alcotest.failf "unexpected queue %s" q.Batch.queue_name);
-  (* configured: the wide queue *)
-  (match Probe.probe_queue config_wide site ~parallel:true with
-  | Some q -> Alcotest.(check string) "wide" "wide" q.Batch.queue_name
-  | None -> Alcotest.fail "queue not found");
-  (* and the charged time reflects the choice *)
+  let queue name = { Config.default with Config.parallel_queue = Some name } in
+  (* the native probe waits in the queue it is submitted to *)
   let install = List.hd installs in
   let run config =
     let clock = Feam_util.Sim_clock.create () in
-    ignore (Probe.native ~clock config site (Site.base_env site) install);
+    ignore
+      (Probe.test_stack ~clock config site (Site.base_env site) install
+         ~bundle:None ~target_glibc:None);
     Feam_util.Sim_clock.elapsed clock
   in
   Alcotest.(check bool) "wide queue costs more" true
-    (run config_wide > run config_default +. 200.0)
+    (run (queue "wide") > run config_default +. 200.0);
+  (* a configured queue the site lacks falls back to the default *)
+  Alcotest.(check (float 1e-9)) "absent queue falls back"
+    (run config_default) (run (queue "absent"))
 
 let suite =
   ( "diagnose",

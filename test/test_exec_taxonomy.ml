@@ -96,10 +96,14 @@ let test_interconnect_unavailable () =
       ()
   in
   (* hand-copy the verbs stack so the link succeeds *)
-  let gcc = Feam_toolchain.Provision.distro_compiler eth_target in
   List.iter
-    (Feam_toolchain.Provision.install_library eth_target ~dir:"/usr/lib64"
-       ~built_with:gcc)
+    (fun (e : Feam_toolchain.Libdb.entry) ->
+      let name = Feam_util.Soname.to_string e.soname in
+      match Vfs.find_by_basename (Site.vfs ib_home) (String.equal name) with
+      | path :: _ ->
+        Vfs.add (Site.vfs eth_target) ("/usr/lib64/" ^ name)
+          (Option.get (Vfs.find (Site.vfs ib_home) path)).Vfs.kind
+      | [] -> Alcotest.failf "%s not installed at the InfiniBand home" name)
     Feam_toolchain.Libdb.infiniband_libs;
   let bytes =
     match Vfs.find (Site.vfs ib_home) binary_path with

@@ -124,7 +124,7 @@ let test_parse_roundtrip () =
   Alcotest.(check int) "schema" Recorder.schema_version j.Journal.schema;
   Alcotest.(check string) "tool" "test" j.Journal.tool;
   Alcotest.(check int) "two records" 2 (List.length j.Journal.records);
-  (match Journal.find ~kind:"custom" j with
+  (match List.nth_opt (Journal.find_all ~kind:"custom" j) 0 with
   | Some r ->
     Alcotest.(check int) "seq stamped" 2 r.Journal.seq;
     Alcotest.(check (option bool))
@@ -194,7 +194,7 @@ let test_pipeline_journal_landmarks () =
         (Journal.payload ~kind j <> None))
     [ "config"; "description"; "discovery" ];
   (* run + phase + report bookkeeping *)
-  Alcotest.(check bool) "run record" true (Journal.find ~kind:"run" j <> None);
+  Alcotest.(check bool) "run record" true (List.nth_opt (Journal.find_all ~kind:"run" j) 0 <> None);
   Alcotest.(check int) "two phase records" 2
     (List.length (Journal.find_all ~kind:"phase" j));
   match Journal.last ~kind:"report" j with
@@ -211,7 +211,7 @@ let test_identical_runs_journal_identically () =
   let _, text_a = with_recorder (fun () -> run_pipeline ()) in
   let _, text_b = with_recorder (fun () -> run_pipeline ()) in
   Alcotest.(check string) "byte-identical journals" text_a text_b;
-  let d = Diff.compare (parse_exn text_a) (parse_exn text_b) in
+  let d = Result.get_ok (Diff.of_strings ~a:text_a ~b:text_b) in
   Alcotest.(check bool) "diff of identical runs is empty" true (Diff.is_empty d);
   Alcotest.(check string)
     "and says so" "journal diff: no differences\n" (Diff.render_text d)
@@ -311,11 +311,12 @@ let test_replay_requires_payloads () =
 
 let test_diff_pins_changed_fact_and_flip () =
   Feam_obs.reset ();
-  let _, a = journaled_run () in
-  let _, b = journaled_run ~target_glibc:"2.0" () in
-  let d = Diff.compare a b in
+  let _, a = with_recorder (run_pipeline ?target_glibc:None) in
+  let _, b = with_recorder (run_pipeline ~target_glibc:"2.0") in
+  let d = Result.get_ok (Diff.of_strings ~a ~b) in
   Alcotest.(check bool) "runs differ" false (Diff.is_empty d);
-  Alcotest.(check bool) "overall verdict flipped" true (Diff.report_flipped d);
+  Alcotest.(check bool) "overall verdict flipped" true
+    (d.Diff.report_a <> d.Diff.report_b);
   (* the changed environment fact is pinned by name and both values *)
   (match
      List.find_opt (fun c -> c.Diff.path = "glibc") d.Diff.discovery_changes
@@ -371,19 +372,37 @@ let test_diff_of_strings_identical () =
     Alcotest.(check bool)
       "identical journals reduce to the explicitly-empty diff" true
       (Diff.is_empty d);
-    Alcotest.(check bool) "Diff.empty is empty too" true
-      (Diff.is_empty Diff.empty);
     Alcotest.(check string)
       "and render the no-difference notice"
       "journal diff: no differences\n" (Diff.render_text d)
 
+(* The description changes between two minimal journals whose
+   description payloads carry the given atoms, in the given order. *)
+let description_diff a b =
+  let journal atoms =
+    {|{"type":"journal","schema":1,"tool":"test"}|} ^ "\n"
+    ^ Json.render
+        (Json.Obj
+           [
+             ("type", Json.Str "payload");
+             ("seq", Json.Int 1);
+             ("span", Json.Null);
+             ("kind", Json.Str "description");
+             ("data", Json.Obj (List.map (fun (k, v) -> (k, Json.Str v)) atoms));
+           ])
+    ^ "\n"
+  in
+  match Diff.of_strings ~a:(journal a) ~b:(journal b) with
+  | Ok d -> d.Diff.description_changes
+  | Error e -> Alcotest.fail (Diff.journal_error_to_string e)
+
 let test_diff_atoms_order_invariance () =
   let a = [ ("x", "1"); ("y", "2"); ("z", "3") ] in
   let b = [ ("y", "2"); ("z", "9"); ("w", "4") ] in
-  let d = Diff.diff_atoms a b in
+  let d = description_diff a b in
   Alcotest.(check bool)
     "atom order on either side never affects the diff" true
-    (d = Diff.diff_atoms (List.rev a) (List.rev b));
+    (d = description_diff (List.rev a) (List.rev b));
   Alcotest.(check (list string))
     "output is path-sorted" [ "w"; "x"; "z" ]
     (List.map (fun c -> c.Diff.path) d)

@@ -29,7 +29,10 @@ let all_versions = function
 
 let stack_of impl version compiler =
   Stack.make ~impl ~impl_version:(v version) ~compiler
-    ~interconnect:(Feam_evalharness.Sites.stack_interconnect impl)
+    ~interconnect:
+      (match impl with
+      | Impl.Mvapich2 -> Interconnect.Infiniband
+      | Impl.Open_mpi | Impl.Mpich2 -> Interconnect.Ethernet)
 
 (* The DT_NEEDED list a binary built with this stack would carry
    (MPI + system libs + the universal base). *)
@@ -60,7 +63,7 @@ let test_exhaustive_identification () =
                 [ Stack.C; Stack.Fortran ])
             all_compilers)
         (all_versions impl))
-    Impl.all
+    Fixtures.all_impls
 
 let test_fortran_bindings_detected () =
   List.iter
@@ -70,7 +73,7 @@ let test_fortran_bindings_detected () =
       let f = Option.get (Mpi_ident.identify (needed_of stack Stack.Fortran)) in
       Alcotest.(check bool) (Impl.name impl ^ " C") false c.Mpi_ident.fortran_bindings;
       Alcotest.(check bool) (Impl.name impl ^ " F") true f.Mpi_ident.fortran_bindings)
-    Impl.all
+    Fixtures.all_impls
 
 (* Identification is order-insensitive and robust to extra non-MPI
    libraries in the list. *)
@@ -83,7 +86,7 @@ let gen_noise_libs =
 
 let gen_stack =
   QCheck.Gen.(
-    oneofl Impl.all >>= fun impl ->
+    oneofl Fixtures.all_impls >>= fun impl ->
     oneofl (all_versions impl) >>= fun version ->
     oneofl all_compilers >>= fun compiler ->
     oneofl [ Stack.C; Stack.Fortran ] >>= fun language ->

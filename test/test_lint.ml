@@ -186,7 +186,7 @@ let test_clean_bundle () =
   let ctx = clean_context () in
   let findings = Engine.run ctx in
   Alcotest.(check int) "no findings" 0 (List.length findings);
-  Alcotest.(check int) "exit code" 0 (Engine.exit_code findings);
+  Alcotest.(check int) "exit code" 0 (Result.get_ok (Engine.gate ~fail_on:"warn" findings));
   Alcotest.(check string) "summary" "0 errors, 0 warnings, 0 info"
     (Engine.summary findings)
 
@@ -238,7 +238,7 @@ let test_dirty_text_golden () =
   let findings = Engine.run ctx in
   Alcotest.(check string) "lint text" expected_dirty_text
     (Engine.render_text ctx findings);
-  Alcotest.(check int) "exit code" 2 (Engine.exit_code findings)
+  Alcotest.(check int) "exit code" 2 (Result.get_ok (Engine.gate ~fail_on:"warn" findings))
 
 let test_dirty_rule_coverage () =
   (* every registered cell rule fires on the dirty fixture (fleet rules
@@ -263,8 +263,11 @@ let test_dirty_json_golden () =
     (Json.to_string_opt (member "binary"));
   let summary = member "summary" in
   let count k = Json.to_int_opt (Option.get (Json.member k summary)) in
-  Alcotest.(check (option int)) "errors" (Some (Engine.errors findings)) (count "errors");
-  Alcotest.(check (option int)) "warnings" (Some (Engine.warnings findings))
+  let at level =
+    List.length (List.filter (fun f -> f.Diagnose.level = level) findings)
+  in
+  Alcotest.(check (option int)) "errors" (Some (at Diagnose.Error)) (count "errors");
+  Alcotest.(check (option int)) "warnings" (Some (at Diagnose.Warn))
     (count "warnings");
   Alcotest.(check (option int)) "exit code" (Some 2) (count "exit_code");
   let listed = Option.get (Json.to_list_opt (member "findings")) in
@@ -277,44 +280,33 @@ let test_dirty_json_golden () =
   in
   Alcotest.(check (list string)) "rule ids" (List.map (fun f -> f.Diagnose.rule_id) findings) ids
 
+(* Findings reach the user as remediation in the report: each finding
+   with a fixit renders a fix line naming it. *)
 let test_remedies_from_findings () =
   let ctx = dirty_context () in
   let findings = Engine.run ctx in
-  let remedies = Diagnose.remedies_of_findings findings in
-  (* info findings carry no remedy; everything else does *)
-  Alcotest.(check int) "remedy count"
-    (List.length findings - Engine.infos findings)
-    (List.length remedies);
-  (* findings with a concrete fixit are user-fixable *)
+  let text =
+    Report.render
+      (Report.make ~findings ~site_name:"india" ~binary:"/home/user/bin/app"
+         (Fixtures.not_ready "lint fixture"))
+  in
+  let fixits = List.filter_map (fun f -> f.Diagnose.fixit) findings in
+  Alcotest.(check bool) "some findings carry a fixit" true (fixits <> []);
   List.iter
-    (fun (r : Diagnose.remedy) ->
-      if Feam_sysmodel.Str_split.contains ~sub:" — " r.Diagnose.action then
-        Alcotest.(check string) "fixit remedies are user-fixable" "user-fixable"
-          (Diagnose.severity_to_string r.Diagnose.severity))
-    remedies
+    (fun fix ->
+      Alcotest.(check bool) ("fix rendered: " ^ fix) true
+        (Feam_sysmodel.Str_split.contains ~sub:("fix: " ^ fix) text))
+    fixits;
+  Alcotest.(check int) "one fix line per fixit" (List.length fixits)
+    (List.length
+       (List.filter
+          (fun l -> String.starts_with ~prefix:"fix: " (String.trim l))
+          (String.split_on_char '\n' text)))
 
 let test_report_carries_findings () =
   let ctx = dirty_context () in
   let findings = Engine.run ctx in
-  let prediction =
-    {
-      Predict.verdict = Predict.Not_ready [ "lint fixture" ];
-      determinants =
-        {
-          Predict.isa =
-            {
-              Predict.isa_compatible = true;
-              binary_machine = Feam_elf.Types.X86_64;
-              binary_class = Feam_elf.Types.C64;
-              site_machine = Some Feam_elf.Types.X86_64;
-            };
-          stack = None;
-          clib =
-            { Predict.clib_compatible = true; required = None; available = None };
-          libs = None;
-        };
-    }
-  in
+  let prediction = (Fixtures.not_ready "lint fixture") in
   let report =
     Report.make ~findings ~site_name:"india" ~binary:"/home/user/bin/app"
       prediction
@@ -365,18 +357,25 @@ let test_gate () =
           (Printf.sprintf "usage message names %S" level)
           true
           (Feam_sysmodel.Str_split.contains ~sub:level msg))
-      Engine.fail_on_levels
+      [ "warn"; "error"; "never" ]
 
 (* -- registry-derived docs ---------------------------------------------- *)
 
 let test_registry_count () =
   Alcotest.(check int) "count matches the registered rules"
     (List.length (Registry.all ()))
-    (Registry.count ());
-  Alcotest.(check int) "rule table row per rule"
-    (Registry.count () + 2)
-    (List.length
-       (String.split_on_char '\n' (String.trim (Registry.markdown_table ()))))
+    (Registry.count ())
+
+(* The registry as the README's markdown rule table. *)
+let markdown_rule_table () =
+  "| Rule | Tier | Default level | Checks |\n|---|---|---|---|\n"
+  ^ String.concat ""
+      (List.map
+         (fun r ->
+           Printf.sprintf "| `%s` | %s | %s | %s |\n" r.Rule.id (Rule.tier r)
+             (Feam_core.Diagnose.level_to_string r.Rule.default_level)
+             r.Rule.title)
+         (Registry.all ()))
 
 (* The README rule table is generated from the registry; re-derive it
    and compare the table region byte-for-byte so docs cannot drift from
@@ -386,7 +385,7 @@ let test_readme_table_in_sync () =
   let readme =
     In_channel.with_open_text "../README.md" In_channel.input_all
   in
-  let expected = Registry.markdown_table () in
+  let expected = markdown_rule_table () in
   Alcotest.(check bool)
     "README contains the registry-derived rule table verbatim" true
     (Feam_sysmodel.Str_split.contains ~sub:expected readme)

@@ -38,8 +38,20 @@ let test_bundle_total_includes_binary () =
 
 let test_recompile_seconds_monotone () =
   let site, _ = Fixtures.small_site ~name:"rc" () in
-  let small = Advisor.recompile_seconds ~source_size_mb:1.0 site in
-  let large = Advisor.recompile_seconds ~source_size_mb:10.0 site in
+  let estimate source_size_mb =
+    let source =
+      Feam_toolchain.Compile.program ~binary_size_mb:source_size_mb "rcapp"
+    in
+    match
+      (Advisor.advise site ~binary_prediction:(Fixtures.not_ready "binary fails")
+         ~source:(Some source))
+        .Advisor.strategy
+    with
+    | Advisor.Recompile check -> check.Advisor.rc_estimate_seconds
+    | s -> Alcotest.failf "expected Recompile, got %s" (Advisor.strategy_to_string s)
+  in
+  let small = estimate 1.0 in
+  let large = estimate 10.0 in
   Alcotest.(check bool) "bigger source builds longer" true (large > small);
   Alcotest.(check bool) "positive" true (small > 0.0)
 
@@ -58,14 +70,21 @@ let test_timing_helpers () =
           && Feam_evalharness.Migrate.has_matching_impl b s)
         sites
     in
-    let t = Feam_evalharness.Timing.time_migration b target in
-    Alcotest.(check bool) "source time positive" true
-      (t.Feam_evalharness.Timing.source_seconds > 0.0);
-    Alcotest.(check bool) "target time positive" true
-      (t.Feam_evalharness.Timing.target_seconds > 0.0);
-    Alcotest.(check bool) "both under the paper's bound" true
-      (t.Feam_evalharness.Timing.source_seconds < 300.0
-      && t.Feam_evalharness.Timing.target_seconds < 300.0);
+    let timings = Feam_evalharness.Timing.sample_timings sites [ b ] in
+    Alcotest.(check bool) "target timed" true
+      (List.exists
+         (fun t -> t.Feam_evalharness.Timing.target = Site.name target)
+         timings);
+    List.iter
+      (fun t ->
+        Alcotest.(check bool) "source time positive" true
+          (t.Feam_evalharness.Timing.source_seconds > 0.0);
+        Alcotest.(check bool) "target time positive" true
+          (t.Feam_evalharness.Timing.target_seconds > 0.0);
+        Alcotest.(check bool) "both under the paper's bound" true
+          (t.Feam_evalharness.Timing.source_seconds < 300.0
+          && t.Feam_evalharness.Timing.target_seconds < 300.0))
+      timings;
     Alcotest.(check (float 1e-9)) "mb helper" 2.0
       (Feam_evalharness.Timing.mb (2 * 1024 * 1024))
 

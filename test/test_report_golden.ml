@@ -24,8 +24,30 @@ let test_setup_script_golden () =
      #   libgfortran.so.1 -> /tmp/feam/staged_libs/libgfortran.so.1\n\
      exec mpiexec -n \"${NP:-4}\" /home/user/bin/solver \"$@\"\n"
   in
-  Alcotest.(check string) "script" expected
-    (Report.make_setup_script plan ~binary:"/home/user/bin/solver")
+  let prediction =
+    {
+      Predict.verdict = Predict.Ready plan;
+      determinants =
+        {
+          Predict.isa =
+            {
+              Predict.isa_compatible = true;
+              binary_machine = Feam_elf.Types.X86_64;
+              binary_class = Feam_elf.Types.C64;
+              site_machine = Some Feam_elf.Types.X86_64;
+            };
+          stack = None;
+          clib =
+            { Predict.clib_compatible = true; required = None; available = None };
+          libs = None;
+        };
+    }
+  in
+  let report =
+    Report.make ~site_name:"india" ~binary:"/home/user/bin/solver" prediction
+  in
+  Alcotest.(check (option string)) "script" (Some expected)
+    report.Report.setup_script
 
 let test_not_ready_report_golden () =
   let prediction =
@@ -69,10 +91,15 @@ let test_not_ready_report_golden () =
 
 let test_config_roundtrip () =
   let config =
-    Config.make ~phase:Config.Both_phases ~binary_path:"/home/u/bt.A"
-      ~serial_queue:"debug" ~parallel_queue:"batch"
-      ~launcher_overrides:[ (Feam_mpi.Impl.Mvapich2, "mpirun_rsh") ]
-      ~staging_dir:"/scratch/feam" ~probe_np:8 ()
+    {
+      Config.phase = Config.Both_phases;
+      binary_path = Some "/home/u/bt.A";
+      serial_queue = Some "debug";
+      parallel_queue = Some "batch";
+      launcher_overrides = [ (Feam_mpi.Impl.Mvapich2, "mpirun_rsh") ];
+      staging_dir = "/scratch/feam";
+      probe_np = 8;
+    }
   in
   let config' = Result.get_ok (Config.of_file_body (Config.to_file_body config)) in
   Alcotest.(check bool) "phase" true (config'.Config.phase = Config.Both_phases);

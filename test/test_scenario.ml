@@ -44,8 +44,7 @@ let test_full_directives () =
   Alcotest.(check string) "debug queue" "debug"
     (Batch.debug_queue (Site.batch site)).Batch.queue_name;
   Alcotest.(check bool) "fault model" true
-    (Site.fault_model site = Fault_model.default);
-  Alcotest.(check int) "seed" 99 (Site.seed site)
+    (Site.fault_model site = Fault_model.default)
 
 let test_parse_errors () =
   let reject text fragment =

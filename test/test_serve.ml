@@ -15,6 +15,9 @@ module Snapshot = Feam_drift.Snapshot
 module Driftrun = Feam_evalharness.Driftrun
 module Invalidate = Feam_drift.Invalidate
 
+(* The protocol's request-line limit: 64 KiB. *)
+let max_line_bytes = 1 lsl 16
+
 let contains ~affix s =
   let n = String.length affix and m = String.length s in
   let rec go i = i + n <= m && (String.sub s i n = affix || go (i + 1)) in
@@ -25,6 +28,22 @@ let seed = Feam_evalharness.Params.default.Feam_evalharness.Params.seed
 let with_engine f = f (Engine.create ~seed ())
 
 let handle = Engine.handle ~write_file:(fun _ _ -> ())
+
+let response_field engine req name =
+  match Json.parse (handle engine req) with
+  | Ok r -> Json.member name r
+  | Error e -> Alcotest.fail e
+
+(* Byte-identity of the resident table with a cold full pass, as the
+   crosscheck verb answers it. *)
+let crosscheck_matches engine =
+  response_field engine Protocol.Crosscheck "matches" = Some (Json.Bool true)
+
+(* The engine's mutation count, as the stats verb answers it. *)
+let epoch engine =
+  match Option.bind (response_field engine Protocol.Stats "epoch") Json.to_int_opt with
+  | Some n -> n
+  | None -> Alcotest.fail "stats carries no epoch"
 
 let member_exn name json =
   match Json.member name json with
@@ -83,7 +102,7 @@ let test_protocol_golden () =
   err {|{"verb":"predict","binary":"b"}|} "missing-field";
   err {|{"verb":"predict","binary":1,"target":"t"}|} "bad-field";
   err {|{"verb":"update-evidence","site":"fir","action":"explode"}|} "bad-field";
-  err (String.make (Protocol.max_line_bytes + 1) 'x') "oversized";
+  err (String.make (max_line_bytes + 1) 'x') "oversized";
   (* Error responses are closed-form and byte-stable. *)
   (match Protocol.parse {|{"verb":"frob"}|} with
   | Error e ->
@@ -119,9 +138,9 @@ let prop_parse_oversized =
        QCheck.Gen.(int_range 1 4096))
     (fun extra ->
       match
-        Protocol.parse (String.make (Protocol.max_line_bytes + extra) '{')
+        Protocol.parse (String.make (max_line_bytes + extra) '{')
       with
-      | Error (Protocol.Oversized n) -> n = Protocol.max_line_bytes + extra
+      | Error (Protocol.Oversized n) -> n = max_line_bytes + extra
       | _ -> false)
 
 (* -- engine ------------------------------------------------------------- *)
@@ -130,7 +149,7 @@ let test_baseline_matches_cold_pass () =
   with_engine @@ fun engine ->
   Alcotest.(check bool)
     "baseline table equals a cold full pass" true
-    (Engine.crosscheck_matches engine);
+    (crosscheck_matches engine);
   (* A resident predict answers from the table: same cell as a cold
      prediction of the same pair. *)
   let snap = Engine.snapshot engine in
@@ -233,10 +252,10 @@ let test_update_reevaluates_only_affected () =
   Alcotest.(check bool) "some cells re-evaluated" true (reevaluated > 0);
   Alcotest.(check bool)
     "strictly fewer than the whole matrix" true (reevaluated < total);
-  Alcotest.(check int) "epoch bumped" 1 (Engine.epoch engine);
+  Alcotest.(check int) "epoch bumped" 1 (epoch engine);
   Alcotest.(check bool)
     "incremental table equals a cold full pass" true
-    (Engine.crosscheck_matches engine);
+    (crosscheck_matches engine);
   (* The inverse update restores the baseline verdicts. *)
   let line =
     handle engine
@@ -249,7 +268,7 @@ let test_update_reevaluates_only_affected () =
     (int_field "cells_reevaluated" json = reevaluated);
   Alcotest.(check bool)
     "restored table equals a cold full pass" true
-    (Engine.crosscheck_matches engine);
+    (crosscheck_matches engine);
   (* From the restored baseline, a library removal. *)
   let line =
     handle engine
@@ -263,7 +282,7 @@ let test_update_reevaluates_only_affected () =
     (int_field "cells_reevaluated" json > 0);
   Alcotest.(check bool)
     "removal table equals a cold full pass" true
-    (Engine.crosscheck_matches engine)
+    (crosscheck_matches engine)
 
 let test_inert_update_reevaluates_nothing () =
   with_engine @@ fun engine ->
@@ -278,7 +297,7 @@ let test_inert_update_reevaluates_nothing () =
   Alcotest.(check int)
     "no cells re-evaluated" 0
     (int_field "cells_reevaluated" json);
-  Alcotest.(check int) "epoch unchanged" 0 (Engine.epoch engine)
+  Alcotest.(check int) "epoch unchanged" 0 (epoch engine)
 
 let test_register_extends_matrix () =
   with_engine @@ fun engine ->
@@ -290,7 +309,7 @@ let test_register_extends_matrix () =
     (int_field "cells_evaluated" json = int_field "cells_total" json - before);
   Alcotest.(check bool)
     "extended table equals a cold full pass" true
-    (Engine.crosscheck_matches engine);
+    (crosscheck_matches engine);
   let line =
     handle engine
       (Protocol.Register_binary { rb_home = "forge"; rb_benchmark = "is.A" })
@@ -303,15 +322,15 @@ let test_register_extends_matrix () =
     | _ -> false);
   Alcotest.(check bool)
     "matrix with new binaries equals a cold full pass" true
-    (Engine.crosscheck_matches engine);
+    (crosscheck_matches engine);
   (* Unknown names are typed errors, not state changes. *)
-  let epoch = Engine.epoch engine in
+  let epoch0 = epoch engine in
   let line = handle engine (Protocol.Register_site "atlantis") in
   Alcotest.(check bool)
     "unknown spec is a typed error" true
     (contains ~affix:{|"error":"unknown-site-spec"|} line);
-  Alcotest.(check int) "failed registration mutates nothing" epoch
-    (Engine.epoch engine)
+  Alcotest.(check int) "failed registration mutates nothing" epoch0
+    (epoch engine)
 
 let test_snapshot_is_a_drift_epoch () =
   with_engine @@ fun engine ->
@@ -558,7 +577,7 @@ let prop_label_escaping_roundtrip =
     ~name:"serve: prom label escaping round-trips verb labels" ~count:300
     (QCheck.make ~print:Fun.id QCheck.Gen.(string_size (int_range 0 40)))
     (fun s ->
-      Feam_obs.Expo.unescape_label (Feam_obs.Expo.escape_label s) = s)
+      Test_costs.unescape_prom (Test_costs.prom_label s) = s)
 
 (* Each engine owns its caches: closing one engine leaves another's
    describe memo warm, so its re-evaluation still hits. *)

@@ -190,13 +190,10 @@ let test_key_misses () =
   in
   Alcotest.(check bool) "one copy's bytes changed misses" true
     (missed memo target (Some changed));
-  List.iter
-    (fun (v : Ablation.variant) ->
-      Alcotest.(check bool)
-        (v.Ablation.variant_name ^ " bundle misses")
-        true
-        (missed memo target (Some (v.Ablation.bundle_filter bundle))))
-    [ Ablation.no_foreign_probes; Ablation.no_resolution ];
+  Alcotest.(check bool) "a bundle without probes misses" true
+    (missed memo target (Some { bundle with Feam_core.Bundle.probes = [] }));
+  Alcotest.(check bool) "a bundle without copies misses" true
+    (missed memo target (Some { bundle with Feam_core.Bundle.copies = [] }));
   let install = List.hd (Site.stack_installs target) in
   Alcotest.(check bool) "an env with an extra module misses" true
     (missed memo target

@@ -17,8 +17,7 @@ let static_site () =
       ~interconnect:Feam_mpi.Interconnect.Ethernet ~batch:Fixtures.default_batch
       "statichome"
   in
-  Feam_toolchain.Provision.provision_base site;
-  List.iter (Feam_toolchain.Provision.provision_compiler site) (Site.compilers site);
+  ignore (Feam_toolchain.Provision.provision_site site ~stacks:[]);
   let install =
     Feam_toolchain.Provision.provision_stack site ~static_libs:true
       (Fixtures.ompi14 Fixtures.gnu412)

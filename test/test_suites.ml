@@ -4,14 +4,14 @@
 open Feam_suites
 
 let test_npb_class_names () =
-  let bt_b = Npb_class.apply Npb_class.B Npb.bt in
+  let bt_b = Npb_class.apply Npb_class.B (Fixtures.npb "bt.A") in
   Alcotest.(check string) "renamed" "bt.B" bt_b.Benchmark.bench_name;
   Alcotest.(check bool) "bigger binary" true
-    (bt_b.Benchmark.binary_size_mb > Npb.bt.Benchmark.binary_size_mb);
-  let bt_s = Npb_class.apply Npb_class.S Npb.bt in
+    (bt_b.Benchmark.binary_size_mb > (Fixtures.npb "bt.A").Benchmark.binary_size_mb);
+  let bt_s = Npb_class.apply Npb_class.S (Fixtures.npb "bt.A") in
   Alcotest.(check string) "S class" "bt.S" bt_s.Benchmark.bench_name;
   Alcotest.(check bool) "smaller binary" true
-    (bt_s.Benchmark.binary_size_mb < Npb.bt.Benchmark.binary_size_mb)
+    (bt_s.Benchmark.binary_size_mb < (Fixtures.npb "bt.A").Benchmark.binary_size_mb)
 
 let test_npb_class_letters () =
   List.iter
@@ -35,16 +35,16 @@ let test_npb_class_sizes_monotone () =
     (Npb_class.memory_mb ~base_mb:100.0 Npb_class.B)
 
 let test_spectrum () =
-  let specs = Npb_class.spectrum Npb.lu in
+  let specs = Npb_class.spectrum (Fixtures.npb "lu.A") in
   Alcotest.(check int) "five classes" 5 (List.length specs);
   Alcotest.(check (list string)) "names"
     [ "lu.S"; "lu.W"; "lu.A"; "lu.B"; "lu.C" ]
     (List.map (fun b -> b.Benchmark.bench_name) specs)
 
 let test_np_rules () =
-  Alcotest.(check bool) "bt square" true (Npb.bt.Benchmark.np_rule = `Square);
-  Alcotest.(check bool) "sp square" true (Npb.sp.Benchmark.np_rule = `Square);
-  Alcotest.(check bool) "is pow2" true (Npb.is.Benchmark.np_rule = `Power_of_two);
+  Alcotest.(check bool) "bt square" true ((Fixtures.npb "bt.A").Benchmark.np_rule = `Square);
+  Alcotest.(check bool) "sp square" true ((Fixtures.npb "sp.A").Benchmark.np_rule = `Square);
+  Alcotest.(check bool) "is pow2" true ((Fixtures.npb "is.A").Benchmark.np_rule = `Power_of_two);
   Alcotest.(check bool) "spec any" true
     (List.for_all (fun b -> b.Benchmark.np_rule = `Any) Specmpi.all)
 
@@ -52,7 +52,7 @@ let test_np_rule_enforced () =
   (* a BT binary launched with np = 6 (not a square) aborts at startup *)
   let site, installs = Fixtures.small_site () in
   let install = List.hd installs in
-  let program = Benchmark.to_program ~site Npb.bt in
+  let program = Benchmark.to_program ~site (Fixtures.npb "bt.A") in
   let path =
     Result.get_ok
       (Feam_toolchain.Compile.compile_mpi_to site install program
@@ -84,20 +84,20 @@ let test_compiler_exclusions () =
       ~interconnect:Feam_mpi.Interconnect.Ethernet
   in
   Alcotest.(check bool) "fds4 rejects pgi" false
-    (Benchmark.compiles_with Specmpi.fds4 pgi_stack ~fragility_draw:false);
+    (Benchmark.compiles_with (Fixtures.spec_mpi "115.fds4") pgi_stack ~fragility_draw:false);
   Alcotest.(check bool) "fds4 accepts gnu" true
-    (Benchmark.compiles_with Specmpi.fds4
+    (Benchmark.compiles_with (Fixtures.spec_mpi "115.fds4")
        (Fixtures.ompi14 Fixtures.gnu412)
        ~fragility_draw:false);
   Alcotest.(check bool) "fragility draw kills" false
-    (Benchmark.compiles_with Specmpi.fds4
+    (Benchmark.compiles_with (Fixtures.spec_mpi "115.fds4")
        (Fixtures.ompi14 Fixtures.gnu412)
        ~fragility_draw:true)
 
 let test_lib_families_resolve_per_site () =
   (* lammps links the site generation's FFTW soname *)
   let old_site, _ = Fixtures.small_site ~name:"oldgen" () in
-  let program = Benchmark.to_program ~site:old_site Specmpi.lammps in
+  let program = Benchmark.to_program ~site:old_site (Fixtures.spec_mpi "126.lammps") in
   let libs =
     List.map Feam_util.Soname.to_string program.Feam_toolchain.Compile.extra_libs
   in

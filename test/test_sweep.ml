@@ -4,8 +4,7 @@ open Feam_evalharness
 
 let test_single_seed_sweep () =
   let aggregates = Sweep.run 1 in
-  Alcotest.(check int) "all metrics" (List.length Sweep.paper_values)
-    (List.length aggregates);
+  Alcotest.(check int) "all ten paper metrics" 10 (List.length aggregates);
   List.iter
     (fun a ->
       (* one seed: mean = min = max *)
@@ -30,11 +29,11 @@ let test_single_seed_sweep () =
     (String.length (Feam_util.Table.render (Sweep.table ~seeds:1 aggregates)) > 0)
 
 let test_sweep_deterministic () =
-  let a = Sweep.run_once Params.default.Params.seed in
-  let b = Sweep.run_once Params.default.Params.seed in
+  let a = Sweep.run 1 in
+  let b = Sweep.run 1 in
   List.iter2
-    (fun (name, va) (_, vb) ->
-      Alcotest.(check (float 1e-9)) name va vb)
+    (fun x y ->
+      Alcotest.(check (float 1e-9)) x.Sweep.metric x.Sweep.mean y.Sweep.mean)
     a b
 
 let suite =

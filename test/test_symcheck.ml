@@ -41,6 +41,9 @@ let member label s = { S.mb_label = label; mb_spec = s }
 
 (* -- binding semantics --------------------------------------------------- *)
 
+(* No definitive miss among the strong unresolved imports. *)
+let binds r = not (List.exists (fun m -> m.S.miss_definitive) r.S.unresolved_strong)
+
 let test_first_definition_wins () =
   let r =
     S.run
@@ -81,7 +84,7 @@ let test_versioned_binding () =
          ())
   in
   let r = S.run [ root; versioned ] in
-  Alcotest.(check bool) "versioned bind ok" true (S.ok r);
+  Alcotest.(check bool) "versioned bind ok" true (binds r);
   Alcotest.(check int) "bound" 1 (List.length r.S.bindings);
   (* a provider that predates symbol versioning (no verdefs) is
      accepted too, as ld.so does with a warning *)
@@ -90,7 +93,7 @@ let test_versioned_binding () =
       (spec ~soname:"liba.so.1" ~dynsyms:[ export "f" ] ())
   in
   let r = S.run [ root; unversioned ] in
-  Alcotest.(check bool) "pre-versioning provider ok" true (S.ok r)
+  Alcotest.(check bool) "pre-versioning provider ok" true (binds r)
 
 let test_versioned_miss_definitive () =
   (* the attributed provider is present but defines only A_1.0: a
@@ -110,7 +113,7 @@ let test_versioned_miss_definitive () =
              ());
       ]
   in
-  Alcotest.(check bool) "not ok" false (S.ok r);
+  Alcotest.(check bool) "not ok" false (binds r);
   match S.overturns r with
   | [ m ] ->
     Alcotest.(check (option string)) "consulted" (Some "liba.so.1")
@@ -131,7 +134,7 @@ let test_versioned_miss_absent_provider_skipped () =
              ());
       ]
   in
-  Alcotest.(check bool) "ok" true (S.ok r);
+  Alcotest.(check bool) "ok" true (binds r);
   Alcotest.(check int) "no strong misses" 0 (List.length r.S.unresolved_strong)
 
 let test_unversioned_miss_needs_complete_scope () =
@@ -142,14 +145,14 @@ let test_unversioned_miss_needs_complete_scope () =
   (* an absent DT_NEEDED could explain the miss: advisory only *)
   let r = S.run [ root [ "liba.so.1"; "libgone.so.1" ]; liba ] in
   Alcotest.(check bool) "incomplete scope" false r.S.complete;
-  Alcotest.(check bool) "ok despite miss" true (S.ok r);
+  Alcotest.(check bool) "ok despite miss" true (binds r);
   (match r.S.unresolved_strong with
   | [ m ] -> Alcotest.(check bool) "advisory" false m.S.miss_definitive
   | ms -> Alcotest.failf "expected one miss, got %d" (List.length ms));
   (* a complete scope turns the same miss definitive *)
   let r = S.run [ root [ "liba.so.1" ]; liba ] in
   Alcotest.(check bool) "complete scope" true r.S.complete;
-  Alcotest.(check bool) "refuted" false (S.ok r)
+  Alcotest.(check bool) "refuted" false (binds r)
 
 let test_weak_miss_is_not_an_overturn () =
   let r =
@@ -161,7 +164,7 @@ let test_weak_miss_is_not_an_overturn () =
              ());
       ]
   in
-  Alcotest.(check bool) "ok" true (S.ok r);
+  Alcotest.(check bool) "ok" true (binds r);
   Alcotest.(check int) "weak recorded" 1 (List.length r.S.unresolved_weak)
 
 let test_ignore_needed_keeps_scope_complete () =
@@ -195,7 +198,7 @@ let patch_u64 image off v = patch image off [ v; v lsr 8; v lsr 16; v lsr 24; v 
 let section_header_off image name =
   let shoff = u64_at image 40 in
   let shentsize = u16_at image 58 in
-  let reader = Feam_elf.Reader.parse_exn image in
+  let reader = Fixtures.parse_elf image in
   let idx =
     match
       List.mapi (fun i s -> (i, s)) (Feam_elf.Reader.sections reader)
@@ -232,9 +235,9 @@ let test_out_of_range_versym_degrades () =
   | ds -> Alcotest.failf "expected 2 dynsyms, got %d" (List.length ds));
   (* point symbol 1's version entry at an index no verdef/verneed
      defines: the parse must survive and drop to unversioned *)
-  let reader = Feam_elf.Reader.parse_exn image in
+  let reader = Fixtures.parse_elf image in
   let versym =
-    Option.get (Feam_elf.Reader.section_by_name reader ".gnu.version")
+    Option.get (List.find_opt (fun s -> s.Feam_elf.Reader.name = ".gnu.version") (Feam_elf.Reader.sections reader))
   in
   let mutated =
     patch_u16 image (versym.Feam_elf.Reader.sh_offset + 2) 0x7ffe
@@ -395,7 +398,7 @@ let test_symbol_rules_overturn () =
   let findings = Engine.run ctx in
   Alcotest.(check string) "overturn report" expected_acceptance_text
     (Engine.render_text ctx findings);
-  Alcotest.(check int) "exit code" 2 (Engine.exit_code findings)
+  Alcotest.(check int) "exit code" 2 (Result.get_ok (Engine.gate ~fail_on:"warn" findings))
 
 let suite =
   ( "symcheck",

@@ -24,7 +24,7 @@ let test_objdump_format_line () =
     (Str_split.contains ~sub:"required from libc.so.6:" out)
 
 let test_objdump_unavailable () =
-  let site, installs = Fixtures.small_site ~tools:(Tools.with_objdump false Tools.full) () in
+  let site, installs = Fixtures.small_site ~tools:({ Tools.full with Tools.objdump = false }) () in
   let path, _ = Fixtures.compiled_binary site installs in
   match Utilities.objdump_p site path with
   | Error (`Tool_unavailable "objdump") -> ()
@@ -90,7 +90,7 @@ let test_locate_and_find () =
   | Error _ -> Alcotest.fail "find failed"
 
 let test_locate_unavailable () =
-  let site, _ = Fixtures.small_site ~tools:(Tools.with_locate false Tools.full) () in
+  let site, _ = Fixtures.small_site ~tools:({ Tools.full with Tools.locate = false }) () in
   match Utilities.locate site "libmpi" with
   | Error (`Tool_unavailable "locate") -> ()
   | _ -> Alcotest.fail "expected locate unavailable"

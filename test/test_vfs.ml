@@ -9,8 +9,8 @@ let test_add_find () =
   Vfs.add fs "/etc/hosts" (Vfs.Text "localhost");
   Alcotest.(check bool) "exists" true (Vfs.exists fs "/etc/hosts");
   Alcotest.(check bool) "missing" false (Vfs.exists fs "/etc/nothing");
-  match Vfs.kind_of fs "/etc/hosts" with
-  | Some (Vfs.Text body) -> Alcotest.(check string) "body" "localhost" body
+  match Vfs.find fs "/etc/hosts" with
+  | Some { Vfs.kind = Vfs.Text body; _ } -> Alcotest.(check string) "body" "localhost" body
   | _ -> Alcotest.fail "wrong kind"
 
 let test_normalize () =
@@ -46,10 +46,13 @@ let test_list_dir () =
   Vfs.add fs "/opt/a/lib/libx.so" (Vfs.Text "");
   Vfs.add fs "/opt/a/bin/tool" (Vfs.Text "");
   Vfs.add fs "/opt/b" (Vfs.Text "");
-  Alcotest.(check (list string)) "children" [ "a"; "b" ] (Vfs.list_dir fs "/opt");
-  Alcotest.(check (list string)) "nested" [ "bin"; "lib" ] (Vfs.list_dir fs "/opt/a");
-  Alcotest.(check bool) "is_dir" true (Vfs.is_dir fs "/opt/a");
-  Alcotest.(check bool) "file not dir" false (Vfs.is_dir fs "/opt/b/zzz")
+  let under dir = Vfs.find_under fs dir (fun _ -> true) in
+  Alcotest.(check (list string)) "everything below, sorted"
+    [ "/opt/a/bin/tool"; "/opt/a/lib/libx.so"; "/opt/b" ]
+    (under "/opt");
+  Alcotest.(check (list string)) "nested" [ "/opt/a/bin/tool"; "/opt/a/lib/libx.so" ]
+    (under "/opt/a");
+  Alcotest.(check (list string)) "nothing below a file" [] (under "/opt/b/zzz")
 
 let test_find_by_basename () =
   let fs = mk () in
@@ -68,8 +71,7 @@ let test_sizes () =
   Vfs.add fs "/opt/b/three" (Vfs.Text "12345");
   Alcotest.(check (option int)) "declared" (Some 1000) (Vfs.file_size fs "/opt/a/one");
   Alcotest.(check (option int)) "default = content" (Some 5)
-    (Vfs.file_size fs "/opt/b/three");
-  Alcotest.(check int) "du" 3000 (Vfs.du fs "/opt/a")
+    (Vfs.file_size fs "/opt/b/three")
 
 let test_remove () =
   let fs = mk () in
@@ -87,9 +89,17 @@ let test_overwrite () =
   let fs = mk () in
   Vfs.add fs "/f" (Vfs.Text "old");
   Vfs.add fs "/f" (Vfs.Text "new");
-  match Vfs.kind_of fs "/f" with
-  | Some (Vfs.Text b) -> Alcotest.(check string) "replaced" "new" b
+  match Vfs.find fs "/f" with
+  | Some { Vfs.kind = Vfs.Text b; _ } -> Alcotest.(check string) "replaced" "new" b
   | _ -> Alcotest.fail "missing"
+
+(* The path a file added at [p] is stored under. *)
+let stored p =
+  let fs = mk () in
+  Vfs.add fs p (Vfs.Text "");
+  match Vfs.find_by_basename fs (fun _ -> true) with
+  | [ n ] -> n
+  | paths -> Alcotest.failf "%S stored as %d paths" p (List.length paths)
 
 (* qcheck: normalize is idempotent and stays absolute *)
 let gen_path =
@@ -100,8 +110,8 @@ let gen_path =
 let prop_normalize_idempotent =
   QCheck.Test.make ~name:"vfs: normalize idempotent" ~count:300
     (QCheck.make ~print:Fun.id gen_path) (fun p ->
-      let n = Vfs.normalize p in
-      Vfs.normalize n = n && String.length n > 0 && n.[0] = '/')
+      let n = stored p in
+      stored n = n && String.length n > 0 && n.[0] = '/')
 
 (* The fold over split components that [normalize] skips for a path
    that is already normal. *)
@@ -131,11 +141,7 @@ let gen_raw_path =
 let prop_normalize_reference =
   QCheck.Test.make ~name:"vfs: normalize equals the split/fold reference"
     ~count:1000 (QCheck.make ~print:Fun.id gen_raw_path) (fun p ->
-      let n = Vfs.normalize p in
-      n = reference_normalize p
-      (* a normal path comes back as it is *)
-      && Vfs.normalize n == n
-      && (n <> p || Vfs.normalize p == p))
+      stored p = reference_normalize p)
 
 (* -- Image handles --------------------------------------------------------- *)
 
@@ -197,11 +203,11 @@ let test_add_image () =
 (* -- Scopes ---------------------------------------------------------------- *)
 
 (* Every path with its file: the whole observable state. *)
-let state fs = List.map (fun p -> (p, Vfs.find fs p)) (Vfs.all_paths fs)
+let state fs = List.map (fun p -> (p, Vfs.find fs p)) (Vfs.find_by_basename fs (fun _ -> true))
 
 let check_state what expected fs =
   Alcotest.(check (list string)) what
-    (List.map fst expected) (Vfs.all_paths fs);
+    (List.map fst expected) (Vfs.find_by_basename fs (fun _ -> true));
   Alcotest.(check bool) (what ^ ": same files") true (state fs = expected)
 
 let seeded () =
@@ -223,7 +229,7 @@ let test_scoped_undoes () =
       Vfs.remove_tree fs "/tmp/feam";
       Alcotest.(check (list string)) "changed inside"
         [ "/etc/hosts"; "/new"; "/tmp/feam-old" ]
-        (Vfs.all_paths fs));
+        (Vfs.find_by_basename fs (fun _ -> true)));
   check_state "undone" before fs
 
 let test_scoped_raise () =
