@@ -1610,8 +1610,7 @@ let depot_keep_arg =
     & opt_all string []
     & info [ "keep" ] ~docv:"MANIFEST"
         ~doc:"Manifest whose objects (and their recorded dependencies) are \
-              GC roots.  Repeatable.  With no roots and no pins, gc sweeps \
-              everything.")
+              GC roots.  Repeatable.  With no roots, gc sweeps everything.")
 
 let depot_site_arg =
   Arg.(

@@ -42,7 +42,6 @@ type entry = {
   e_key : Chash.t;
   e_bytes : string;
   mutable e_meta : meta;
-  e_pins : int;
 }
 
 type t = { objects : (string, entry) Hashtbl.t }
@@ -103,7 +102,7 @@ let intern t ~meta:m image =
   | None ->
     let bytes = Feam_elf.Reader.image_bytes image in
     let m = { m with m_size = (if m.m_size = 0 then String.length bytes else m.m_size) } in
-    Hashtbl.add t.objects hex { e_key = key; e_bytes = bytes; e_meta = m; e_pins = 0 };
+    Hashtbl.add t.objects hex { e_key = key; e_bytes = bytes; e_meta = m };
     Feam_obs.Metrics.incr "depot.miss";
     journal_intern key Miss m;
     (Miss, key)
@@ -156,10 +155,9 @@ let listing t =
   List.iter
     (fun e ->
       Buffer.add_string buf
-        (Printf.sprintf "%s %10d %-24s pins=%d deps=%d %s\n"
+        (Printf.sprintf "%s %10d %-24s pins=0 deps=%d %s\n"
            (Chash.to_hex e.e_key) e.e_meta.m_size
            (opt_field e.e_meta.m_soname)
-           e.e_pins
            (List.length e.e_meta.m_deps)
            e.e_meta.m_origin))
     (entries t);
@@ -192,7 +190,7 @@ let to_json t =
                Json.Obj
                  [
                    ("key", Json.Str (Chash.to_hex e.e_key));
-                   ("pins", Json.Int e.e_pins);
+                   ("pins", Json.Int 0);
                    ("meta", meta_to_json e.e_meta);
                  ])
              (entries t)) );
@@ -276,7 +274,7 @@ let load_dir dir =
         else meta ~size:(String.length bytes) ()
       in
       Hashtbl.replace t.objects name
-        { e_key = key; e_bytes = bytes; e_meta = m; e_pins = 0 }
+        { e_key = key; e_bytes = bytes; e_meta = m }
     in
     try
       List.iter

@@ -1,5 +1,5 @@
 (** The content-addressed library store (DESIGN §9): ELF payloads keyed
-    by {!Chash.of_bytes} with metadata sidecars, refcounted pins, and a
+    by {!Chash.of_bytes} with metadata sidecars and a
     mark-and-sweep GC over recorded dependency keys.  All listings are
     key-ordered, so equal contents render byte-identically. *)
 
@@ -28,7 +28,6 @@ type entry = {
   e_key : Chash.t;
   e_bytes : string;
   mutable e_meta : meta;
-  e_pins : int;  (** the listing's pin column; always 0 *)
 }
 
 type t

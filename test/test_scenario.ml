@@ -44,7 +44,16 @@ let test_full_directives () =
   Alcotest.(check string) "debug queue" "debug"
     (Batch.debug_queue (Site.batch site)).Batch.queue_name;
   Alcotest.(check bool) "fault model" true
-    (Site.fault_model site = Fault_model.default)
+    (Site.fault_model site = Fault_model.default);
+  (* the seed drives the site's transient-fault draws *)
+  let keys = List.init 32 string_of_int in
+  let draw seed k = Feam_util.Prng.keyed_bool ~seed ~p:0.5 ("big/" ^ k) in
+  List.iter
+    (fun k ->
+      Alcotest.(check bool) ("seeded draw " ^ k) (draw 99 k) (Site.keyed_bool site ~p:0.5 k))
+    keys;
+  Alcotest.(check bool) "seed 99 is not the default stream" true
+    (List.exists (fun k -> draw 99 k <> draw 0 k) keys)
 
 let test_parse_errors () =
   let reject text fragment =

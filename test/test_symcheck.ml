@@ -41,8 +41,8 @@ let member label s = { S.mb_label = label; mb_spec = s }
 
 (* -- binding semantics --------------------------------------------------- *)
 
-(* No definitive miss among the strong unresolved imports. *)
-let binds r = not (List.exists (fun m -> m.S.miss_definitive) r.S.unresolved_strong)
+(* No strong miss overturns the closure's acceptance. *)
+let binds r = S.overturns r = []
 
 let test_first_definition_wins () =
   let r =

@@ -51,6 +51,8 @@ let test_prng_bounds () =
 
 let test_prng_invalid () =
   let g = Prng.of_key ~seed:1 "invalid" in
+  Alcotest.check_raises "bound" (Invalid_argument "Prng.int: bound must be positive")
+    (fun () -> ignore (Prng.int g 0));
   Alcotest.check_raises "empty choice" (Invalid_argument "Prng.pick: empty list")
     (fun () -> ignore (Prng.pick g []));
   Alcotest.check_raises "probability"
