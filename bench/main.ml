@@ -214,6 +214,37 @@ let bench_timing =
         (Feam_dynlinker.Exec.run Fixture.target env ~binary_path:path
            ~mode:(Feam_dynlinker.Exec.Mpi 4)) )
 
+(* The closure memo's two sides (DESIGN §21) on the fixture target: the
+   staged binary's dependency closure under its stack's session.  A
+   fresh memo walks it; a warm one checks the versions of the
+   directories the walk consulted and returns the stored closure. *)
+let closure_input =
+  lazy
+    ( Feam_sysmodel.Modules_tool.load_stack
+        (Feam_sysmodel.Site.base_env Fixture.target)
+        (List.hd (Feam_sysmodel.Site.stack_installs Fixture.target)),
+      Feam_elf.Reader.spec
+        (Result.get_ok (Feam_elf.Reader.parse_image Fixture.binary_image)) )
+
+let bench_closure_miss =
+  ( "dynlinker/closure-miss",
+    fun () ->
+      let env, spec = Lazy.force closure_input in
+      ignore
+        (Feam_dynlinker.Resolve.run
+           ~closures:(Feam_dynlinker.Resolve.create_memo ())
+           Fixture.target env spec) )
+
+let warm_closures = lazy (Feam_dynlinker.Resolve.create_memo ())
+
+let bench_closure_hit =
+  ( "dynlinker/closure-hit",
+    fun () ->
+      let env, spec = Lazy.force closure_input in
+      ignore
+        (Feam_dynlinker.Resolve.run ~closures:(Lazy.force warm_closures)
+           Fixture.target env spec) )
+
 let elf_bench_spec =
   Feam_elf.Spec.make
     ~needed:[ "libmpi.so.0"; "libc.so.6" ]
@@ -458,7 +489,8 @@ let all_benches =
   [
     bench_table1; bench_table2; bench_table3_basic; bench_table3_extended;
     bench_table4; bench_fig1; bench_fig2; bench_fig3; bench_fig4;
-    bench_timing; bench_elf; bench_elf_hit; bench_elf_parse; bench_depot_hash;
+    bench_timing; bench_closure_miss; bench_closure_hit; bench_elf;
+    bench_elf_hit; bench_elf_parse; bench_depot_hash;
     bench_depot_store; bench_depot_plan; bench_agree_scengen;
     bench_agree_pipeline;
     bench_drift_full; bench_drift_incremental;

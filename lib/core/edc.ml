@@ -146,8 +146,11 @@ let discover_current_stack ?clock site env =
 (* -- Missing shared libraries (for a given binary's needs) ---------------- *)
 
 (* ldd when usable; otherwise search for each name (paper §V.B). *)
-let missing_libraries ?clock site env ~binary_path ~needed =
-  match Feam_dynlinker.Ldd.run ?clock site env binary_path with
+let missing_libraries ?clock ?ctx site env ~binary_path ~needed =
+  match
+    Feam_dynlinker.Ldd.run ?clock ?closures:(Eval_ctx.closures ctx) site env
+      binary_path
+  with
   | Ok resolution -> Feam_dynlinker.Ldd.missing_libraries resolution
   | Error _ ->
     needed

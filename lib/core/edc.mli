@@ -7,9 +7,11 @@
     path-search fallback. *)
 
 (** Shared libraries of a binary missing under the given environment:
-    ldd when usable, name-by-name search otherwise. *)
+    ldd when usable, name-by-name search otherwise.  ldd resolves
+    through [ctx]'s closure memo, if any. *)
 val missing_libraries :
   ?clock:Feam_util.Sim_clock.t ->
+  ?ctx:Eval_ctx.t ->
   Feam_sysmodel.Site.t ->
   Feam_sysmodel.Env.t ->
   binary_path:string ->

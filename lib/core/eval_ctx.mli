@@ -12,8 +12,16 @@ type t = {
   memo : Pass_memo.t option;
       (** the MPI-stack and source-phase memo; [None] computes every
           time *)
+  closures : Feam_dynlinker.Resolve.memo option;
+      (** the closure memo under ldd, the probes and ground-truth runs
+          (DESIGN §21); [None] walks every time, for a caller whose
+          every unit of work is a fresh world, where most walks are
+          first walks *)
 }
 
-(** A fresh context: a fresh pass memo over [describe] (default: a
-    fresh describe memo). *)
+(** A fresh context: a fresh pass memo and closure memo over [describe]
+    (default: a fresh describe memo). *)
 val create : ?describe:Bdc.memo -> unit -> t
+
+(** The closure memo of an optional context, if any. *)
+val closures : t option -> Feam_dynlinker.Resolve.memo option

@@ -25,13 +25,15 @@ let probe_queue config site ~parallel =
   in
   Option.bind wanted (Batch.queue_by_name (Site.batch site))
 
-let run_binary ?clock config site env ~binary_path ~parallel =
+let run_binary ?clock ?closures config site env ~binary_path ~parallel =
   let mode =
     if parallel then Feam_dynlinker.Exec.Mpi config.Config.probe_np
     else Feam_dynlinker.Exec.Serial
   in
   let queue = probe_queue config site ~parallel in
-  match Feam_dynlinker.Exec.run ?clock ?queue site env ~binary_path ~mode with
+  match
+    Feam_dynlinker.Exec.run ?clock ?closures ?queue site env ~binary_path ~mode
+  with
   | Feam_dynlinker.Exec.Success -> Ok ()
   | Feam_dynlinker.Exec.Failure f ->
     Error (Feam_dynlinker.Exec.failure_to_string f)
@@ -67,7 +69,8 @@ let resolve_probe_env ?clock config site env ~bundle ~target_glibc image =
    exposed — a natively compiled probe can need them too (e.g. a
    compiler runtime present on disk but absent from a stale loader
    cache). *)
-let native ?clock ?bundle ?target_glibc config site env install : probe_result =
+let native ?clock ?closures ?bundle ?target_glibc config site env install :
+    probe_result =
   Feam_obs.Trace.with_span "probe.native" @@ fun () ->
   (* [target_glibc] is the discovered C-library version, when known *)
   if not (Site.tools site).Tools.c_compiler then
@@ -86,15 +89,16 @@ let native ?clock ?bundle ?target_glibc config site env install : probe_result =
           resolve_probe_env ?clock config site env ~bundle ~target_glibc image
         | None -> env
       in
-      run_binary ?clock config site env ~binary_path:path ~parallel:true
+      run_binary ?clock ?closures config site env ~binary_path:path
+        ~parallel:true
 
 (* Stage and run a shipped hello-world probe under [install]'s stack.
    The probe travelled with the bundle, so the bundle's library copies
    travel with it: any of its dependencies missing at the target (the
    application's compiler runtime, typically) are resolved from the
    bundle before the run, exactly as for the application itself. *)
-let foreign ?clock config site env install ~(bundle : Bundle.t) ~target_glibc
-    (probe : Bundle.probe) : probe_result =
+let foreign ?clock ?closures config site env install ~(bundle : Bundle.t)
+    ~target_glibc (probe : Bundle.probe) : probe_result =
   Feam_obs.Trace.with_span "probe.foreign"
     ~attrs:[ ("probe", Feam_obs.Span.Str probe.Bundle.probe_name) ]
   @@ fun () ->
@@ -109,13 +113,13 @@ let foreign ?clock config site env install ~(bundle : Bundle.t) ~target_glibc
     resolve_probe_env ?clock config site env ~bundle:(Some bundle) ~target_glibc
       probe.Bundle.probe_image
   in
-  run_binary ?clock config site env ~binary_path:path ~parallel:true
+  run_binary ?clock ?closures config site env ~binary_path:path ~parallel:true
 
 (* Full stack test: native probe when possible, then every shipped probe
    compiled with a matching implementation.  A stack passes only if all
    applicable probes pass; when no probe can be run at all the stack's
    mere presence cannot be verified and we report that. *)
-let test_stack ?clock config site env install ~(bundle : Bundle.t option)
+let test_stack ?clock ?ctx config site env install ~(bundle : Bundle.t option)
     ~target_glibc : probe_result =
   Feam_obs.Trace.with_span "probe.test_stack"
     ~attrs:
@@ -147,9 +151,10 @@ let test_stack ?clock config site env install ~(bundle : Bundle.t option)
   in
   record
   @@
+  let closures = Eval_ctx.closures ctx in
   let native_result =
     if (Site.tools site).Tools.c_compiler then
-      Some (native ?clock ?bundle ?target_glibc config site env install)
+      Some (native ?clock ?closures ?bundle ?target_glibc config site env install)
     else None
   in
   let foreign_results =
@@ -159,7 +164,8 @@ let test_stack ?clock config site env install ~(bundle : Bundle.t option)
       b.Bundle.probes
       |> List.map (fun p ->
              ( p.Bundle.probe_stack_slug,
-               foreign ?clock config site env install ~bundle:b ~target_glibc p ))
+               foreign ?clock ?closures config site env install ~bundle:b
+                 ~target_glibc p ))
   in
   match native_result with
   | Some (Error e) -> Error ("native probe failed: " ^ e)

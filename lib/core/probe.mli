@@ -11,9 +11,11 @@ type probe_result = (unit, string) result
 
 (** Full stack test: native probe when possible, then every shipped
     probe.  Passes only if all applicable probes pass; errors when no
-    probe can be run at all (the stack cannot be vouched for). *)
+    probe can be run at all (the stack cannot be vouched for).  The
+    probe runs resolve through [ctx]'s closure memo, if any. *)
 val test_stack :
   ?clock:Feam_util.Sim_clock.t ->
+  ?ctx:Eval_ctx.t ->
   Config.t ->
   Feam_sysmodel.Site.t ->
   Feam_sysmodel.Env.t ->

@@ -250,7 +250,7 @@ let decide ~config ~(description : Description.t) ~(discovery : Discovery.t)
 (* -- effectful evidence gathering ------------------------------------------ *)
 
 (* Probe candidates in preference order; first functioning one wins. *)
-let probe_candidates ?clock input site env candidates =
+let probe_candidates ?clock ?ctx input site env candidates =
   let rec try_candidates failures = function
     | [] -> (None, List.rev failures)
     | candidate :: rest -> (
@@ -261,7 +261,7 @@ let probe_candidates ?clock input site env candidates =
           rest
       | Some install -> (
         match
-          Probe.test_stack ?clock input.config site env install
+          Probe.test_stack ?clock ?ctx input.config site env install
             ~bundle:input.bundle
             ~target_glibc:input.discovery.Discovery.glibc
         with
@@ -285,19 +285,19 @@ let probe_candidates ?clock input site env candidates =
 let select_stack ?clock ?ctx input site env candidates =
   Vfs.scoped (Site.vfs site) @@ fun () ->
   match Option.bind ctx (fun c -> c.Eval_ctx.memo) with
-  | None -> probe_candidates ?clock input site env candidates
+  | None -> probe_candidates ?clock ?ctx input site env candidates
   | Some memo ->
     Pass_memo.find_or_probe memo ?clock ~config:input.config site env
       ~bundle:input.bundle ~target_glibc:input.discovery.Discovery.glibc
       ~candidates (fun ~clock ->
-        probe_candidates ~clock input site env candidates)
+        probe_candidates ~clock ?ctx input site env candidates)
 
 (* Missing shared libraries under [env]: ldd on the binary when present,
    name-by-name search otherwise (the bundle-only case). *)
-let missing_libraries ?clock input site env =
+let missing_libraries ?clock ?ctx input site env =
   match input.binary_path with
   | Some path ->
-    Edc.missing_libraries ?clock site env ~binary_path:path
+    Edc.missing_libraries ?clock ?ctx site env ~binary_path:path
       ~needed:input.description.Description.needed
   | None ->
     input.description.Description.needed
@@ -443,7 +443,7 @@ let evaluate_inner ?clock ?depot ?ctx site env (input : input) : Predict.t =
           | Some (_, install) -> Modules_tool.load_stack env install
           | None -> env
         in
-        let missing = missing_libraries ?clock input site session_env in
+        let missing = missing_libraries ?clock ?ctx input site session_env in
         if missing <> [] then
           Log.info (fun m ->
               m "missing shared libraries: %s" (String.concat ", " missing));

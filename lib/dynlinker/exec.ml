@@ -120,7 +120,8 @@ let np_allowed rule np =
   | `Square -> is_square np
 
 (* One execution attempt. *)
-let attempt ?clock ?params ?queue site env ~binary_path ~mode ~attempt_no =
+let attempt ?clock ?closures ?params ?queue site env ~binary_path ~mode
+    ~attempt_no =
   let params = Option.value params ~default:(Site.fault_model site) in
   charge_attempt clock site mode queue;
   let vfs = Site.vfs site in
@@ -128,7 +129,7 @@ let attempt ?clock ?params ?queue site env ~binary_path ~mode ~attempt_no =
   | None when Vfs.exists vfs binary_path ->
     Failure (Not_executable (binary_path ^ ": not an ELF binary"))
   | None -> Failure (Not_executable (binary_path ^ ": no such file"))
-  | Some (_, image) -> (
+  | Some (real_path, image) -> (
     match Feam_elf.Reader.parse_image image with
     | Error e -> Failure (Not_executable (Feam_elf.Reader.error_to_string e))
     | Ok parsed ->
@@ -146,7 +147,7 @@ let attempt ?clock ?params ?queue site env ~binary_path ~mode ~attempt_no =
           Failure (Interpreter_missing interp)
         | _ ->
         (* Link phase. *)
-        let resolution = Resolve.run site env spec in
+        let resolution = Resolve.run ?closures ~path:real_path site env spec in
         if resolution.Resolve.missing <> [] then
           Failure (Missing_libraries resolution.Resolve.missing)
         else if resolution.Resolve.arch_mismatches <> [] then
@@ -289,12 +290,14 @@ let attempt ?clock ?params ?queue site env ~binary_path ~mode ~attempt_no =
 (* Full run with the paper's retry policy: up to [attempts] tries, spaced
    in time (we only charge the clock); classified failed only when every
    attempt fails.  Deterministic failures return immediately. *)
-let run ?clock ?params ?queue ?(attempts = 5) site env ~binary_path ~mode =
+let run ?clock ?closures ?params ?queue ?(attempts = 5) site env ~binary_path
+    ~mode =
   let rec go n last =
     if n > attempts then last
     else
       match
-        attempt ?clock ?params ?queue site env ~binary_path ~mode ~attempt_no:n
+        attempt ?clock ?closures ?params ?queue site env ~binary_path ~mode
+          ~attempt_no:n
       with
       | Success -> Success
       | Failure (System_error _) as f ->

@@ -45,9 +45,11 @@ val outcome_to_string : outcome -> string
 
 (** Full run with the paper's retry policy: up to [attempts] tries
     (default 5); transient system errors are retried, deterministic
-    failures return immediately. *)
+    failures return immediately.  Each attempt's link phase resolves
+    through [closures] when given ({!Resolve.run}). *)
 val run :
   ?clock:Feam_util.Sim_clock.t ->
+  ?closures:Resolve.memo ->
   ?params:params ->
   ?queue:Feam_sysmodel.Batch.queue ->
   ?attempts:int ->

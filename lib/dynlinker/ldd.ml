@@ -11,7 +11,7 @@ type error =
   | `No_such_file of string
   | `Not_dynamic of string ]
 
-let run ?clock site env path =
+let run ?clock ?closures site env path =
   if not (Site.tools site).Tools.ldd then Error (`Tool_unavailable "ldd")
   else begin
     Cost.charge clock Cost.ldd_call;
@@ -19,7 +19,7 @@ let run ?clock site env path =
     match Vfs.resolve_image vfs path with
     | None when Vfs.exists vfs path -> Error (`Not_dynamic path)
     | None -> Error (`No_such_file path)
-    | Some (_, image) -> (
+    | Some (real_path, image) -> (
       match Feam_elf.Reader.parse_image image with
       | Error _ -> Error (`Not_dynamic path)
       | Ok parsed ->
@@ -31,7 +31,7 @@ let run ?clock site env path =
           || spec.Feam_elf.Spec.elf_class
              <> Feam_elf.Types.machine_class (Site.machine site)
         then Error (`Not_dynamic path)
-        else Ok (Resolve.run site env spec))
+        else Ok (Resolve.run ?closures ~path:real_path site env spec))
   end
 
 (* Names of direct or transitive dependencies that could not be located:

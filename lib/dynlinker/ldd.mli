@@ -7,8 +7,11 @@ type error =
   | `No_such_file of string
   | `Not_dynamic of string ]
 
+(** The resolution goes through [closures] when given
+    ({!Resolve.run}). *)
 val run :
   ?clock:Feam_util.Sim_clock.t ->
+  ?closures:Resolve.memo ->
   Feam_sysmodel.Site.t ->
   Feam_sysmodel.Env.t ->
   string ->

@@ -46,14 +46,19 @@ let consulted_provider resolved file =
   in
   go 0 resolved
 
-(* [run site env spec] resolves the dependency closure of an object whose
-   parsed spec is [spec].  Each dependency is searched with its
-   requester's own DT_RPATH chain, then the root object's search
-   directories, an adequate approximation of ld.so's per-object rpath
-   stacking.  A requester's list is built once, when the first of its
-   names is searched for. *)
-let run site env (root : Feam_elf.Spec.t) =
-  let root_dirs = Search.search_dirs site env root in
+(* The closure walk: [walk ?reads ?origin site env root] resolves the
+   dependency closure of an object whose parsed spec is [root], read
+   from a file in directory [origin] when known.  Each dependency is
+   searched with its requester's own DT_RPATH chain, then the root
+   object's search directories, an adequate approximation of ld.so's
+   per-object rpath stacking.  A requester's list is built once, when
+   the first of its names is searched for.  A dependency's $ORIGIN is
+   the directory of the name as searched, symlinks not followed, as
+   ld.so takes it from the path it opened; only the root's is the
+   caller's real path.  Every lookup is tracked in [reads] when
+   given. *)
+let walk ?reads ?origin site env (root : Feam_elf.Spec.t) =
+  let root_dirs = Search.search_dirs ?origin site env root in
   let seen : (string, unit) Hashtbl.t = Hashtbl.create 32 in
   let resolved = ref [] in
   let missing = ref [] in
@@ -61,9 +66,9 @@ let run site env (root : Feam_elf.Spec.t) =
   let rec visit dirs name =
     if not (Hashtbl.mem seen name) then begin
       Hashtbl.add seen name ();
-      match Search.locate_elf site (Lazy.force dirs) name with
+      match Search.locate_elf ?reads site (Lazy.force dirs) name with
       | None -> missing := name :: !missing
-      | Some (path, parsed) ->
+      | Some (dir, path, parsed) ->
         let spec = Feam_elf.Reader.spec parsed in
         if spec.elf_class <> root.elf_class || spec.machine <> root.machine
         then arch_mismatches := { am_lib = name; am_path = path } :: !arch_mismatches
@@ -77,7 +82,12 @@ let run site env (root : Feam_elf.Spec.t) =
             }
             :: !resolved;
           List.iter
-            (visit (lazy (Search.search_dirs site env spec @ root_dirs)))
+            (visit
+               (lazy
+                 (Search.search_dirs
+                    ~origin:(Feam_sysmodel.Vfs.dirname (dir ^ "/" ^ name))
+                    site env spec
+                 @ root_dirs)))
             spec.needed
         end
     end
@@ -135,18 +145,18 @@ let run site env (root : Feam_elf.Spec.t) =
     check_object "a.out" root
     @ List.concat_map (fun r -> check_object r.lib_name r.lib_spec) resolved
   in
-  let result =
-    {
-      root_spec = root;
-      resolved;
-      missing = List.rev !missing;
-      arch_mismatches = List.rev !arch_mismatches;
-      version_failures;
-    }
-  in
-  (* Journal the resolution: the load order with each provider's scope
-     position is the evidence the version check and symcheck verdicts
-     rest on. *)
+  {
+    root_spec = root;
+    resolved;
+    missing = List.rev !missing;
+    arch_mismatches = List.rev !arch_mismatches;
+    version_failures;
+  }
+
+(* Journal a resolution: the load order with each provider's scope
+   position is the evidence the version check and symcheck verdicts
+   rest on. *)
+let journal result =
   let open Feam_util in
   Feam_flightrec.Recorder.evidence ~stage:"dynlinker" ~kind:"resolve"
     (fun () ->
@@ -181,5 +191,94 @@ let run site env (root : Feam_elf.Spec.t) =
                      ("version", Json.Str vf.vf_version);
                    ])
                result.version_failures) );
-      ]);
+      ])
+
+(* -- the closure memo (DESIGN §21) --------------------------------------- *)
+
+(* Everything a walk reads besides the files: the root's loader-relevant
+   fields, its directory when its own search path names $ORIGIN, and
+   the search path's other parts. *)
+type key = {
+  k_class : Feam_elf.Types.elf_class;
+  k_machine : Feam_elf.Types.machine;
+  k_needed : string list;
+  k_verneeds : Feam_elf.Spec.verneed list;
+  k_rpath : string option;
+  k_runpath : string option;
+  k_origin : string option;
+  k_ld_library_path : string list;
+  k_cache_dirs : string list;
+  k_default_dirs : string list;
+}
+
+module Keys = Hashtbl.Make (struct
+  type t = key
+
+  let equal = ( = )
+
+  (* deep enough to see past the first few needed names *)
+  let hash = Hashtbl.hash_param 64 256
+end)
+
+(* A walk's closure and the directories it consulted, with their
+   versions: the entry holds while none of them moved. *)
+type entry = { reads : Feam_sysmodel.Vfs.reads; closure : t }
+
+(* One site name's entries, all read from [vfs]. *)
+type held = { vfs : Feam_sysmodel.Vfs.t; entries : entry Keys.t }
+
+type memo = (string, held) Hashtbl.t (* by site name *)
+
+let create_memo () : memo = Hashtbl.create 8
+
+let key ?origin site env (root : Feam_elf.Spec.t) =
+  {
+    k_class = root.elf_class;
+    k_machine = root.machine;
+    k_needed = root.needed;
+    k_verneeds = root.verneeds;
+    k_rpath = root.rpath;
+    k_runpath = root.runpath;
+    k_origin =
+      (if Search.names_origin root.rpath || Search.names_origin root.runpath
+       then origin
+       else None);
+    k_ld_library_path = Feam_sysmodel.Env.ld_library_path env;
+    k_cache_dirs = Feam_sysmodel.Site.ld_cache_dirs site;
+    k_default_dirs = Feam_sysmodel.Site.default_lib_dirs site;
+  }
+
+(* The entries held for [site]'s name, dropped first when they were
+   read from another file system: a rebuilt world under the same
+   names. *)
+let held (memo : memo) site =
+  let vfs = Feam_sysmodel.Site.vfs site in
+  let name = Feam_sysmodel.Site.name site in
+  match Hashtbl.find_opt memo name with
+  | Some held when held.vfs == vfs -> held
+  | Some _ | None ->
+    let held = { vfs; entries = Keys.create 64 } in
+    Hashtbl.replace memo name held;
+    held
+
+let run ?closures ?path site env root =
+  let origin = Option.map Feam_sysmodel.Vfs.dirname path in
+  let result =
+    match closures with
+    | None -> walk ?origin site env root
+    | Some memo -> (
+      let key = key ?origin site env root in
+      let held = held memo site in
+      match Keys.find_opt held.entries key with
+      | Some entry when Feam_sysmodel.Vfs.unchanged entry.reads ->
+        Feam_obs.Metrics.incr "dynlinker.closure_memo.hit";
+        { entry.closure with root_spec = root }
+      | Some _ | None ->
+        Feam_obs.Metrics.incr "dynlinker.closure_memo.miss";
+        let reads = Feam_sysmodel.Vfs.reads () in
+        let closure = walk ~reads ?origin site env root in
+        Keys.replace held.entries key { reads; closure };
+        closure)
+  in
+  journal result;
   result

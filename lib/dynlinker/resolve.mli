@@ -42,6 +42,34 @@ val ok : t -> bool
 val consulted_provider :
   resolved_lib list -> string -> (int * resolved_lib) option
 
+(** The closure memo (DESIGN §21): one walk per distinct input while
+    the directories it consulted keep their versions.  A pass carries
+    one in its evaluation context; there is no global instance. *)
+type memo
+
+val create_memo : unit -> memo
+
 (** Resolve the dependency closure of an object under the given
-    environment at the given site. *)
-val run : Feam_sysmodel.Site.t -> Feam_sysmodel.Env.t -> Feam_elf.Spec.t -> t
+    environment at the given site.  [path] is the file the object was
+    read from; its directory is what [$ORIGIN] in the object's own
+    DT_RPATH or DT_RUNPATH stands for.  A dependency's [$ORIGIN] is the
+    directory it was found in by search, symlinks not followed.
+
+    With [closures], a walk is made once per key and reused while every
+    directory it consulted ({!Feam_sysmodel.Vfs.resolve_image}'s read
+    set, symlink hops included) keeps its version.  The key is the
+    root's class, machine, needed list, verneeds, rpath and runpath, its
+    directory when those name [$ORIGIN], [LD_LIBRARY_PATH], and the
+    site's ld-cache and default directories.  Entries are held per site
+    name; a lookup that finds the name on another file system than its
+    entries were read from drops them first.  A hit returns the stored
+    closure with this call's [root_spec] and journals the same
+    [dynlinker]/[resolve] evidence as a miss.  Lookups count as
+    [dynlinker.closure_memo.hit] / [dynlinker.closure_memo.miss]. *)
+val run :
+  ?closures:memo ->
+  ?path:string ->
+  Feam_sysmodel.Site.t ->
+  Feam_sysmodel.Env.t ->
+  Feam_elf.Spec.t ->
+  t

@@ -8,19 +8,33 @@
     environment edits is found exactly as a real system would. *)
 
 (** Search directories for resolving the dependencies of a parsed object
-    under an environment at a site. *)
+    under an environment at a site.  [origin] is the directory of the
+    file the object was read from: [$ORIGIN] and [${ORIGIN}] in its
+    DT_RPATH or DT_RUNPATH stand for it.  An entry that is still relative
+    after that expansion (or with no [origin]) is skipped, as is a
+    relative [LD_LIBRARY_PATH] entry. *)
 val search_dirs :
-  Feam_sysmodel.Site.t -> Feam_sysmodel.Env.t -> Feam_elf.Spec.t -> string list
+  ?origin:string ->
+  Feam_sysmodel.Site.t ->
+  Feam_sysmodel.Env.t ->
+  Feam_elf.Spec.t ->
+  string list
+
+(** Whether a DT_RPATH or DT_RUNPATH value, if any, names [$ORIGIN]. *)
+val names_origin : string option -> bool
 
 (** First regular-file match for a name across the directories (symlinks
     followed). *)
 val locate_in_dirs :
   Feam_sysmodel.Site.t -> string list -> string -> string option
 
-(** Locate and parse: the path and the parsed image; [None] when not
-    found or not parseable ELF. *)
+(** Locate and parse: the search directory that matched, the path with
+    symlinks followed, and the parsed image; [None] when not found or
+    not parseable ELF.  With [reads], every lookup is tracked
+    ({!Feam_sysmodel.Vfs.resolve_image}). *)
 val locate_elf :
+  ?reads:Feam_sysmodel.Vfs.reads ->
   Feam_sysmodel.Site.t ->
   string list ->
   string ->
-  (string * Feam_elf.Reader.t) option
+  (string * string * Feam_elf.Reader.t) option

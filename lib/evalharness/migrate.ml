@@ -167,8 +167,9 @@ let extended_prediction ?clock ?ctx ?(bundle_filter = fun b -> b) binary
 
 (* Ground truth for one prediction: run on the stack it chose (falling
    back to the user's own matching choice when it found none), with the
-   staged copies on LD_LIBRARY_PATH when it resolved any. *)
-let run_binary (params : Params.t) binary target staged_path verdict =
+   staged copies on LD_LIBRARY_PATH when it resolved any.  The link
+   phase resolves through the pass's closure memo. *)
+let run_binary ?ctx (params : Params.t) binary target staged_path verdict =
   let install =
     match verdict.stack with
     | Some slug -> Site.find_stack_install target ~slug
@@ -185,8 +186,10 @@ let run_binary (params : Params.t) binary target staged_path verdict =
           Feam_core.Config.default.Feam_core.Config.staging_dir
     in
     Feam_obs.Ledger.with_stage "exec.ground_truth" @@ fun () ->
-    Feam_dynlinker.Exec.run ~params:params.Params.exec
-      ~attempts:params.Params.attempts target env ~binary_path:staged_path
+    Feam_dynlinker.Exec.run
+      ?closures:(Feam_core.Eval_ctx.closures ctx)
+      ~params:params.Params.exec ~attempts:params.Params.attempts target env
+      ~binary_path:staged_path
       ~mode:(Feam_dynlinker.Exec.Mpi 4)
 
 (* One migration: stage, basic prediction, the before-resolution run,
@@ -206,12 +209,14 @@ let migrate ?clock ?ctx ?bundle_filter (params : Params.t) binary target =
   let basic = basic_prediction ?clock ?ctx target staged_path in
   (* Before resolution: the stack the basic prediction selected, no
      library fixes. *)
-  let actual_before = run_binary params binary target staged_path basic in
+  let actual_before = run_binary ?ctx params binary target staged_path basic in
   let extended =
     extended_prediction ?clock ?ctx ?bundle_filter binary target staged_path
   in
   (* After resolution: FEAM's configuration applied. *)
-  let actual_after = run_binary params binary target staged_path extended in
+  let actual_after =
+    run_binary ?ctx params binary target staged_path extended
+  in
   {
     binary;
     target_name = Site.name target;
@@ -230,9 +235,12 @@ let migrate ?clock ?ctx ?bundle_filter (params : Params.t) binary target =
    (bdc.describe_cache metrics).  Its pass memo runs each binary's
    source phase once (phases.source_memo metrics) and replays an
    MPI-stack determinant whose inputs an earlier cell already probed
-   instead of probing again (tec.stack_memo metrics).  The pass memo is
-   invisible in the results: the cells, the clock and the counters come
-   out as a cell-by-cell run under the same describe memo would. *)
+   instead of probing again (tec.stack_memo metrics).  Its closure
+   memo walks each dependency closure once while the directories it
+   consulted stay unchanged (dynlinker.closure_memo metrics, DESIGN
+   §21).  The memos are invisible in the results: the cells, the clock
+   and the counters come out as a cell-by-cell run under the same
+   describe memo would. *)
 let run_all ?clock ?bundle_filter params sites binaries =
   let ctx = Feam_core.Eval_ctx.create () in
   List.map

@@ -22,8 +22,9 @@ let empty = { migrations = 0; lib_accepted = 0; overturned = 0; miss_symbols = 0
 
 (* One pair: resolve at the target under the user's stack choice and
    diff the closure's exports against its imports.  The binary itself
-   is examined from its bytes — resolution only needs the spec, so no
-   staging into the target's file system is required. *)
+   is examined from its bytes — resolution only needs the spec and the
+   directory a migration stages it in (its $ORIGIN), so no staging into
+   the target's file system is required. *)
 let examine binary target =
   match Migrate.user_stack_choice binary target with
   | None -> None
@@ -33,7 +34,10 @@ let examine binary target =
     | Ok parsed ->
       let spec = Feam_elf.Reader.spec parsed in
       let env = Modules_tool.load_stack (Site.base_env target) install in
-      let r = Feam_dynlinker.Resolve.run target env spec in
+      let path =
+        Migrate.migrated_dir ^ "/" ^ Vfs.basename binary.Testset.home_path
+      in
+      let r = Feam_dynlinker.Resolve.run ~path target env spec in
       let sc = Feam_symcheck.Symcheck.of_resolve r in
       Some (Feam_dynlinker.Resolve.ok r, Feam_symcheck.Symcheck.overturns sc))
 

@@ -26,30 +26,66 @@ type slot = { file : file; mutable image : Feam_elf.Reader.image option }
    replaced ([None]: no file). *)
 type change = { path : string; before : slot option }
 
+(* A directory's version cell (DESIGN §21).  A write or an undo in the
+   directory sets it to the file system's next tick, so a cell's value
+   only grows and a version never repeats. *)
+type cell = { mutable version : int }
+
 (* [log] holds every write, newest first, while [depth] scopes are open;
    outside them it is empty and nothing is logged.  Each scope remembers
    the log as it found it and undoes only the changes newer than that
    mark.  [generation] counts the writes made outside every scope: the
-   ones no scope undoes. *)
+   ones no scope undoes.  [dirs] holds a version cell for each directory
+   a tracked lookup consulted, made on its first such lookup; [tick] is
+   the last version handed out. *)
 type t = {
   files : (string, slot) Hashtbl.t;
   mutable log : change list;
   mutable depth : int;
   mutable generation : int;
+  dirs : (string, cell) Hashtbl.t;
+  mutable tick : int;
 }
 
 let create () =
-  { files = Hashtbl.create 256; log = []; depth = 0; generation = 0 }
+  {
+    files = Hashtbl.create 256;
+    log = [];
+    depth = 0;
+    generation = 0;
+    dirs = Hashtbl.create 16;
+    tick = 0;
+  }
 
 let generation t = t.generation
+
+let dirname path =
+  match String.rindex_opt path '/' with
+  | None | Some 0 -> "/"
+  | Some i -> String.sub path 0 i
+
+(* Move the version of [path]'s directory, if a reader ever asked for
+   it.  Until one has, a write only finds the table empty. *)
+let touch t path =
+  if Hashtbl.length t.dirs > 0 then
+    match Hashtbl.find_opt t.dirs (dirname path) with
+    | Some cell ->
+      t.tick <- t.tick + 1;
+      cell.version <- t.tick
+    | None -> ()
+
+(* Store [after] at [path]: the one place a file changes. *)
+let set t path after =
+  touch t path;
+  match after with
+  | Some slot -> Hashtbl.replace t.files path slot
+  | None -> Hashtbl.remove t.files path
 
 let write t path after =
   if t.depth > 0 then
     t.log <- { path; before = Hashtbl.find_opt t.files path } :: t.log
   else t.generation <- t.generation + 1;
-  match after with
-  | Some slot -> Hashtbl.replace t.files path slot
-  | None -> Hashtbl.remove t.files path
+  set t path after
 
 (* Is [path] (absolute) already normal: no empty, "." or ".." component
    and no trailing "/" (except for "/" itself)?  One scan, no
@@ -88,11 +124,6 @@ let normalize path =
     in
     "/" ^ String.concat "/" (List.rev stack)
 
-let dirname path =
-  match String.rindex_opt path '/' with
-  | None | Some 0 -> "/"
-  | Some i -> String.sub path 0 i
-
 let basename path =
   match String.rindex_opt path '/' with
   | None -> path
@@ -129,9 +160,7 @@ let scoped t f =
     if l != mark then
       match l with
       | e :: rest ->
-        (match e.before with
-        | Some slot -> Hashtbl.replace t.files e.path slot
-        | None -> Hashtbl.remove t.files e.path);
+        set t e.path e.before;
         undo rest
       | [] -> assert false
   in
@@ -143,19 +172,44 @@ let scoped t f =
       t.depth <- t.depth - 1)
     f
 
+(* The directories a run of tracked lookups consulted, each with its
+   cell and the version it had then. *)
+type reads = (string, cell * int) Hashtbl.t
+
+let reads () : reads = Hashtbl.create 16
+
+(* Note that a lookup consulted [dir], making its cell on first ask. *)
+let note t (reads : reads) dir =
+  if not (Hashtbl.mem reads dir) then begin
+    let cell =
+      match Hashtbl.find_opt t.dirs dir with
+      | Some cell -> cell
+      | None ->
+        let cell = { version = t.tick } in
+        Hashtbl.add t.dirs dir cell;
+        cell
+    in
+    Hashtbl.add reads dir (cell, cell.version)
+  end
+
+let unchanged (reads : reads) =
+  Hashtbl.fold (fun _ (cell, version) ok -> ok && cell.version = version) reads true
+
 (* Resolve symlinks (bounded depth to terminate on cycles): the real
-   path and its slot. *)
-let rec resolve_slot depth t path =
+   path and its slot.  With [reads], each path looked up notes its
+   directory. *)
+let rec resolve_slot ?reads depth t path =
   if depth = 0 then None
   else
     let path = normalize path in
+    (match reads with Some reads -> note t reads (dirname path) | None -> ());
     match Hashtbl.find_opt t.files path with
     | Some { file = { kind = Symlink target; _ }; _ } ->
       let target =
         if String.length target > 0 && target.[0] = '/' then target
         else dirname path ^ "/" ^ target
       in
-      resolve_slot (depth - 1) t target
+      resolve_slot ?reads (depth - 1) t target
     | Some slot -> Some (path, slot)
     | None -> None
 
@@ -164,8 +218,8 @@ let resolve ?(depth = 16) t path =
   | Some (path, slot) -> Some (path, slot.file)
   | None -> None
 
-let resolve_image t path =
-  match resolve_slot 16 t path with
+let resolve_image ?reads t path =
+  match resolve_slot ?reads 16 t path with
   | Some (path, ({ file = { kind = Elf bytes; _ }; image } as slot)) -> (
     match image with
     | Some image -> Some (path, image)

@@ -50,13 +50,30 @@ val generation : t -> int
     real path and the file. *)
 val resolve : ?depth:int -> t -> string -> (string * file) option
 
+(** The directories a run of tracked lookups consulted, with the
+    version each had then (DESIGN §21).  Every directory has a version:
+    each write to a file in it moves it, inside a {!scoped} scope or
+    outside one, and so does each undo a scope makes.  A version never
+    repeats, so a directory whose version is the one a lookup saw holds
+    exactly the files it held then. *)
+type reads
+
+(** An empty read set. *)
+val reads : unit -> reads
+
+(** Whether every directory in the read set still has the version the
+    lookups saw. *)
+val unchanged : reads -> bool
+
 (** Like {!resolve}, for an ELF file: the real path and the file's image
     handle ({!Feam_elf.Reader.image}).  The handle is made on the first
     such read of the stored file and kept with it, so later reads parse
     and hash nothing; a write stores a new file, and with it a new
     handle.  [None] when the path resolves to nothing or to a file that
-    is not ELF. *)
-val resolve_image : t -> string -> (string * Feam_elf.Reader.image) option
+    is not ELF.  With [reads] the lookup is tracked: it adds to [reads]
+    the directory of the path and of every symlink target it followed. *)
+val resolve_image :
+  ?reads:reads -> t -> string -> (string * Feam_elf.Reader.image) option
 
 val find : t -> string -> file option
 

@@ -263,6 +263,114 @@ let test_ldd_unavailable () =
 let quiet_params =
   { Exec.p_transient = 0.0; p_sticky = 0.0; p_copy_abi = 0.0 }
 
+(* -- $ORIGIN ------------------------------------------------------------------ *)
+
+(* A binary at <bindir> whose DT_RPATH or DT_RUNPATH names
+   [$ORIGIN/../lib] (or [${ORIGIN}]) and a relative entry, with the
+   library it needs at <bindir>/../lib. *)
+let origin_binary ?rpath ?runpath () =
+  let site, _ = Fixtures.small_site () in
+  let vfs = Site.vfs site in
+  Vfs.add vfs "/opt/app/lib/libx.so.1"
+    (Vfs.Elf
+       (Feam_elf.Builder.build
+          (Feam_elf.Spec.make ~file_type:Feam_elf.Types.ET_DYN ~soname:"libx.so.1"
+             Feam_elf.Types.X86_64)));
+  Vfs.add vfs "/opt/app/bin/prog"
+    (Vfs.Elf
+       (Feam_elf.Builder.build
+          (Feam_elf.Spec.make ?rpath ?runpath ~needed:[ "libx.so.1"; "libc.so.6" ]
+             Feam_elf.Types.X86_64)));
+  site
+
+let test_origin_search_dirs () =
+  let site, _ = Fixtures.small_site () in
+  let spec =
+    Feam_elf.Spec.make ~runpath:"$ORIGIN/../lib:${ORIGIN}/sub:lib:/abs" Feam_elf.Types.X86_64
+  in
+  let dirs = Search.search_dirs ~origin:"/opt/app/bin" site (Site.base_env site) spec in
+  Alcotest.(check (list string)) "expanded, relative entries skipped"
+    [ "/opt/app/bin/../lib"; "/opt/app/bin/sub"; "/abs" ]
+    (List.filteri (fun i _ -> i < 3) dirs);
+  let dirs = Search.search_dirs site (Site.base_env site) spec in
+  Alcotest.(check bool) "without an origin only /abs is searched" true
+    (List.hd dirs = "/abs")
+
+let test_origin_ldd_exec () =
+  List.iter
+    (fun (what, rpath, runpath) ->
+      let site = origin_binary ?rpath ?runpath () in
+      let env = Site.base_env site in
+      (match Ldd.run site env "/opt/app/bin/prog" with
+      | Ok r ->
+        Alcotest.(check (option string)) (what ^ ": ldd finds it")
+          (Some "/opt/app/lib/libx.so.1") (Fixtures.ldd_path r "libx.so.1")
+      | Error _ -> Alcotest.failf "%s: ldd failed" what);
+      Alcotest.(check string) (what ^ ": exec runs") "success"
+        (Exec.outcome_to_string
+           (Exec.run ~params:quiet_params site env ~binary_path:"/opt/app/bin/prog"
+              ~mode:Exec.Serial)))
+    [
+      ("runpath", None, Some "$ORIGIN/../lib:lib");
+      ("rpath", Some "lib:${ORIGIN}/../lib", None);
+    ]
+
+(* A dependency reached through a symlink from another directory takes
+   its $ORIGIN from the directory it was searched in, not from the link
+   target's: liby.so.1 sits beside the link only, in a directory only
+   liba's own runpath names, so the root's search path cannot find it
+   either. *)
+let test_origin_through_symlink () =
+  let site, _ = Fixtures.small_site () in
+  let vfs = Site.vfs site in
+  let lib ?runpath ?(needed = []) soname =
+    Vfs.Elf
+      (Feam_elf.Builder.build
+         (Feam_elf.Spec.make ~file_type:Feam_elf.Types.ET_DYN ~soname ?runpath
+            ~needed Feam_elf.Types.X86_64))
+  in
+  Vfs.add vfs "/opt/app/lib/liba.so.1"
+    (lib ~runpath:"/opt/plugins" ~needed:[ "libx.so.1" ] "liba.so.1");
+  Vfs.add vfs "/store/libx/libx.so.1"
+    (lib ~runpath:"$ORIGIN" ~needed:[ "liby.so.1" ] "libx.so.1");
+  Vfs.add vfs "/opt/plugins/libx.so.1" (Vfs.Symlink "/store/libx/libx.so.1");
+  Vfs.add vfs "/opt/plugins/liby.so.1" (lib "liby.so.1");
+  Vfs.add vfs "/opt/app/bin/prog"
+    (Vfs.Elf
+       (Feam_elf.Builder.build
+          (Feam_elf.Spec.make ~runpath:"$ORIGIN/../lib"
+             ~needed:[ "liba.so.1"; "libc.so.6" ] Feam_elf.Types.X86_64)));
+  let env = Site.base_env site in
+  let closures = Resolve.create_memo () in
+  List.iter
+    (fun (what, closures) ->
+      match Ldd.run ?closures site env "/opt/app/bin/prog" with
+      | Ok r ->
+        Alcotest.(check (option string)) (what ^ ": libx is the link target")
+          (Some "/store/libx/libx.so.1") (Fixtures.ldd_path r "libx.so.1");
+        Alcotest.(check (option string)) (what ^ ": liby beside the link")
+          (Some "/opt/plugins/liby.so.1") (Fixtures.ldd_path r "liby.so.1");
+        Alcotest.(check (list string)) (what ^ ": nothing missing") []
+          (Ldd.missing_libraries r)
+      | Error _ -> Alcotest.failf "%s: ldd failed" what)
+    [ ("plain", None); ("memo miss", Some closures); ("memo hit", Some closures) ]
+
+let test_relative_rpath_never_raises () =
+  let site = origin_binary ~rpath:"lib:../lib" () in
+  let env = Site.base_env site in
+  (match Ldd.run site env "/opt/app/bin/prog" with
+  | Ok r ->
+    Alcotest.(check (list string)) "a relative entry names nothing" [ "libx.so.1" ]
+      (Ldd.missing_libraries r)
+  | Error _ -> Alcotest.fail "ldd failed");
+  match
+    Exec.run ~params:quiet_params site env ~binary_path:"/opt/app/bin/prog"
+      ~mode:Exec.Serial
+  with
+  | Exec.Failure (Exec.Missing_libraries [ "libx.so.1" ]) -> ()
+  | o -> Alcotest.failf "unexpected: %s" (Exec.outcome_to_string o)
+
+
 let run_with site env path =
   Exec.run ~params:quiet_params site env ~binary_path:path ~mode:(Exec.Mpi 4)
 
@@ -405,6 +513,12 @@ let suite =
       Alcotest.test_case "ldd not found" `Quick test_ldd_not_found_lines;
       Alcotest.test_case "ldd foreign binary" `Quick test_ldd_foreign_binary;
       Alcotest.test_case "ldd unavailable" `Quick test_ldd_unavailable;
+      Alcotest.test_case "search dirs expand $ORIGIN" `Quick test_origin_search_dirs;
+      Alcotest.test_case "ldd and exec follow $ORIGIN" `Quick test_origin_ldd_exec;
+      Alcotest.test_case "a symlinked dependency's $ORIGIN is its search dir" `Quick
+        test_origin_through_symlink;
+      Alcotest.test_case "relative rpath never raises" `Quick
+        test_relative_rpath_never_raises;
       Alcotest.test_case "exec success" `Quick test_exec_success;
       Alcotest.test_case "exec no stack" `Quick test_exec_no_stack;
       Alcotest.test_case "exec wrong ISA" `Quick test_exec_wrong_isa;

@@ -375,6 +375,90 @@ let test_generation () =
   Alcotest.(check int) "a removal outside any scope bumps it" (gen + 1)
     (Vfs.generation fs)
 
+(* Directory versions (DESIGN §21).  A read set taken by a tracked
+   lookup stays unchanged exactly until a write or an undo touches a
+   directory it consulted. *)
+let tracked fs paths =
+  let reads = Vfs.reads () in
+  List.iter (fun p -> ignore (Vfs.resolve_image ~reads fs p)) paths;
+  reads
+
+let test_versions_move_with_writes () =
+  let fs = mk () in
+  Vfs.add fs "/a/x" (Vfs.Text "1");
+  let moved what write =
+    let a = tracked fs [ "/a/x" ] and b = tracked fs [ "/b/y" ] in
+    write ();
+    Alcotest.(check bool) (what ^ " moves /a") false (Vfs.unchanged a);
+    Alcotest.(check bool) (what ^ " leaves /b") true (Vfs.unchanged b)
+  in
+  moved "add" (fun () -> Vfs.add fs "/a/new" (Vfs.Text "n"));
+  moved "replace" (fun () -> Vfs.add fs "/a/x" (Vfs.Text "2"));
+  moved "add_image" (fun () ->
+      Vfs.add_image fs "/a/img" (Feam_elf.Reader.image "\x7fELF"));
+  moved "remove" (fun () -> Vfs.remove fs "/a/new");
+  moved "remove_tree" (fun () -> Vfs.remove_tree fs "/a");
+  moved "a missing file's directory" (fun () -> Vfs.add fs "/a/x" (Vfs.Text "3"));
+  moved "a scoped write" (fun () ->
+      Vfs.scoped fs (fun () ->
+          let inside = tracked fs [ "/a/x" ] in
+          Vfs.add fs "/a/z" (Vfs.Text "z");
+          Alcotest.(check bool) "inside the scope too" false (Vfs.unchanged inside)));
+  (* An undo moves the version: a read set taken inside a scope, after
+     its writes, does not survive the scope's end. *)
+  let inside = ref (Vfs.reads ()) in
+  Vfs.scoped fs (fun () ->
+      Vfs.add fs "/a/z" (Vfs.Text "z");
+      inside := tracked fs [ "/a/x"; "/a/z" ]);
+  Alcotest.(check bool) "the undo moves it" false (Vfs.unchanged !inside);
+  (try
+     Vfs.scoped fs (fun () ->
+         Vfs.add fs "/a/z" (Vfs.Text "z");
+         inside := tracked fs [ "/a/z" ];
+         raise Exit)
+   with Exit -> ());
+  Alcotest.(check bool) "the undo of a raising scope moves it" false
+    (Vfs.unchanged !inside)
+
+(* A version never repeats: a scope that puts every file back still
+   leaves its directories at new versions. *)
+let test_versions_never_repeat () =
+  let fs = mk () in
+  Vfs.add fs "/a/x" (Vfs.Text "1");
+  let before = tracked fs [ "/a/x" ] in
+  Vfs.scoped fs (fun () -> Vfs.add fs "/a/x" (Vfs.Text "2"));
+  Alcotest.(check bool) "same files, new version" false (Vfs.unchanged before);
+  let after = tracked fs [ "/a/x" ] in
+  Vfs.scoped fs (fun () -> Vfs.scoped fs (fun () -> Vfs.remove fs "/a/x"));
+  Alcotest.(check bool) "nested undos move it too" false (Vfs.unchanged after);
+  let quiet = tracked fs [ "/a/x" ] in
+  Vfs.scoped fs (fun () -> ignore (Vfs.find fs "/a/x"));
+  Alcotest.(check bool) "a scope that writes nothing moves nothing" true
+    (Vfs.unchanged quiet)
+
+(* A tracked lookup through a symlink consults the link's directory and
+   the target's. *)
+let test_tracked_symlink () =
+  let fs = mk () in
+  Vfs.add fs "/lib/real/libz.so.1.2" (Vfs.Elf "\x7fELF");
+  Vfs.add fs "/lib/libz.so.1" (Vfs.Symlink "real/libz.so.1.2");
+  let via_link () =
+    let reads = Vfs.reads () in
+    Alcotest.(check (option string)) "the link resolves"
+      (Some "/lib/real/libz.so.1.2")
+      (Option.map fst (Vfs.resolve_image ~reads fs "/lib/libz.so.1"));
+    reads
+  in
+  let reads = via_link () in
+  Vfs.add fs "/lib/real/other" (Vfs.Text "");
+  Alcotest.(check bool) "the target's directory is in the set" false (Vfs.unchanged reads);
+  let reads = via_link () in
+  Vfs.add fs "/lib/other" (Vfs.Text "");
+  Alcotest.(check bool) "the link's directory is in the set" false (Vfs.unchanged reads);
+  let reads = via_link () in
+  Vfs.add fs "/usr/lib/other" (Vfs.Text "");
+  Alcotest.(check bool) "no other directory is" true (Vfs.unchanged reads)
+
 let test_entry_restores_symlink () =
   let fs = mk () in
   Vfs.add ~declared_size:4096 fs "/lib/libz.so.1.2" (Vfs.Elf "\x7fELF");
@@ -418,6 +502,12 @@ let suite =
       Alcotest.test_case "scoped undoes every write" `Quick test_scoped_undoes;
       Alcotest.test_case "scoped undoes after a raise" `Quick test_scoped_raise;
       Alcotest.test_case "nested scopes" `Quick test_scoped_nested;
+      Alcotest.test_case "writes and undos move directory versions" `Quick
+        test_versions_move_with_writes;
+      Alcotest.test_case "a directory version never repeats" `Quick
+        test_versions_never_repeat;
+      Alcotest.test_case "a tracked lookup sees both ends of a symlink" `Quick
+        test_tracked_symlink;
       QCheck_alcotest.to_alcotest prop_scoped_restores;
       Alcotest.test_case "entry is the stored file, link not followed" `Quick
         test_entry_restores_symlink;
