@@ -885,6 +885,11 @@ let ensure_dir dir = if not (Sys.file_exists dir) then Sys.mkdir dir 0o755
 let write_file file text =
   Out_channel.with_open_text file (fun oc -> Out_channel.output_string oc text)
 
+(* Write out the journal being recorded, if any, and stop recording. *)
+let close_journal () =
+  Feam_flightrec.Recorder.flush ();
+  Feam_flightrec.Recorder.disable ()
+
 (* Journal one reproducer's rerun into its own replayable journal. *)
 let journal_reproducer file rp =
   Feam_flightrec.Recorder.configure ~tool:"feam"
@@ -896,8 +901,7 @@ let journal_reproducer file rp =
       ~keep:rp.Minimize.rp_keep
   in
   Harness.record_report [ run ];
-  Feam_flightrec.Recorder.flush ();
-  Feam_flightrec.Recorder.disable ()
+  close_journal ()
 
 let write_minimized out_dir reproducers =
   let open Feam_agree in
@@ -944,6 +948,9 @@ let cmd_agree_run debug trace trace_out journal seed count json out minimize =
   let open Feam_agree in
   let runs = Harness.run_corpus ~seed ~count () in
   Harness.record_report runs;
+  (* The corpus journal ends with its report: minimization's reruns
+     stay out of it, and each reproducer records its own journal. *)
+  close_journal ();
   let report = Harness.render_report runs in
   let reproducers = if minimize then Minimize.shrink_all runs else [] in
   if json then

@@ -4,9 +4,9 @@
     A pass is one world state: {!Feam_evalharness.Migrate.run_all},
     Audit's build, the depot statistics.  A drift run and a serve
     engine each keep one context for their lifetime: their sites change
-    in place, each change moves the site's generation, and the pass
-    memo keys every entry on it, so an entry serves every epoch or
-    request until its site changes. *)
+    in place, and the pass memo keeps every entry under its site's
+    state, so an entry serves every epoch or request that finds its
+    site in the state it was made in. *)
 type t = {
   describe : Bdc.memo;  (** BDC descriptions, keyed by image content *)
   memo : Pass_memo.t option;

@@ -10,9 +10,9 @@
    phase is the paper's once-per-binary step, but a pass runs it once
    per matrix cell, and none of its inputs is the target.  A memo is
    passed down explicitly; callers that pass none compute every time.
-   Its keys carry each site's committed generation, so a memo may
-   outlive a pass: a serve engine keeps one across requests, and an
-   entry serves until its site changes.
+   Its entries are kept per site state, so a memo may outlive a pass: a
+   serve engine keeps one across requests, and an entry serves whenever
+   its site is in the state it was made in.
 
    A hit must leave the world exactly as a miss would, so a miss runs
    under recorders for every channel its effects outlive it on, and a
@@ -65,53 +65,72 @@ let replay ?clock tape =
 type selection =
   (Discovery.discovered_stack * Stack_install.t) option * (string * string) list
 
-(* One site's entries, all made at one generation of it: the
-   determinants run at the site and the source phases of binaries homed
-   there. *)
-type entries = {
-  site : Site.t;  (* the site the name stood for in earlier lookups *)
-  generation : int;
+(* The determinants run at a site and the source phases of binaries
+   homed there, in one state of the site. *)
+type tables = {
   stacks : (string, selection tape) Hashtbl.t;
   sources : (string, (Bundle.t, string) result tape) Hashtbl.t;
+}
+
+(* One site's tables, all made at one generation of its file system and
+   with one value of each setter list; one pair per ld-cache flag. *)
+type entries = {
+  site : Site.t;  (* the site the name stood for in earlier lookups *)
+  vfs_generation : int;
+  ld_conf_dirs : string list;
+  stack_installs : Stack_install.t list;
+  mutable by_flag : (bool * tables) list;
 }
 
 type t = (string, entries) Hashtbl.t  (* by site name *)
 
 let create () = Hashtbl.create 8
 
-(* The site's entries at its current generation.  A site found at a
-   newer generation than its entries' loses them: they describe a site
-   that has since changed, and generations only grow, so no lookup can
-   match them again.  A key names a site; the site must not be another
-   world's. *)
-let entries t site =
+(* The tables for the site's current state.  A site found at a newer
+   file-system generation, or with a setter list grown, loses every
+   table: generations only grow, and so do the lists, so no lookup can
+   match them again.  A setter replaces a list only to grow it, so the
+   lists compare physically.  A key names a site; the site must not be
+   another world's. *)
+let tables t site =
   let name = Site.name site in
-  let generation = Site.generation site in
-  let fresh () =
-    let e =
-      {
-        site;
-        generation;
-        stacks = Hashtbl.create 16;
-        sources = Hashtbl.create 16;
-      }
-    in
-    Hashtbl.replace t name e;
-    e
+  let vfs_generation = Vfs.generation (Site.vfs site) in
+  let ld_conf_dirs = Site.ld_conf_dirs site in
+  let stack_installs = Site.stack_installs site in
+  let e =
+    match Hashtbl.find_opt t name with
+    | Some e when e.site != site ->
+      invalid_arg
+        ("Pass_memo: site " ^ name
+       ^ " is another world's; start a new pass for a rebuilt world")
+    | Some e
+      when e.vfs_generation = vfs_generation
+           && e.ld_conf_dirs == ld_conf_dirs
+           && e.stack_installs == stack_installs ->
+      e
+    | _ ->
+      let e =
+        { site; vfs_generation; ld_conf_dirs; stack_installs; by_flag = [] }
+      in
+      Hashtbl.replace t name e;
+      e
   in
-  match Hashtbl.find_opt t name with
-  | None -> fresh ()
-  | Some e when e.site != site ->
-    invalid_arg
-      ("Pass_memo: site " ^ name
-     ^ " is another world's; start a new pass for a rebuilt world")
-  | Some e when e.generation = generation -> e
-  | Some _ -> fresh ()
+  let flag = Site.ld_cache_current site in
+  match List.assoc_opt flag e.by_flag with
+  | Some tables -> tables
+  | None ->
+    let tables = { stacks = Hashtbl.create 16; sources = Hashtbl.create 16 } in
+    e.by_flag <- (flag, tables) :: e.by_flag;
+    tables
 
 let held t =
   Hashtbl.fold
     (fun name e acc ->
-      (name, e.generation, Hashtbl.length e.stacks + Hashtbl.length e.sources)
+      ( name,
+        e.vfs_generation,
+        List.map
+          (fun (_, s) -> Hashtbl.length s.stacks + Hashtbl.length s.sources)
+          e.by_flag )
       :: acc)
     t []
   |> List.sort compare
@@ -146,9 +165,7 @@ let add_list b f l =
   add b (string_of_int (List.length l));
   List.iter f l
 
-let add_context b ~config site env =
-  add b (Site.name site);
-  add b (string_of_int (Site.generation site));
+let add_context b ~config env =
   add_list b (fun (k, v) -> add b k; add b v) (Env.bindings env);
   add b (Config.to_file_body config)
 
@@ -160,9 +177,9 @@ let stack_counters = [ "edc.probe_"; "resolve." ]
 
 (* The inputs a determinant's outcome depends on.  Probe bytes and the
    target's /tmp/feam are left out on purpose; DESIGN §17 argues why. *)
-let stack_key ~config site env ~bundle ~target_glibc ~candidates =
+let stack_key ~config env ~bundle ~target_glibc ~candidates =
   let b = key_buffer () in
-  add_context b ~config site env;
+  add_context b ~config env;
   add b (match target_glibc with Some v -> Version.to_string v | None -> "-");
   add_list b (fun c -> add b c.Discovery.slug) candidates;
   (match bundle with
@@ -185,9 +202,9 @@ let stack_key ~config site env ~bundle ~target_glibc ~candidates =
 
 let find_or_probe t ?clock ~config site env ~bundle ~target_glibc ~candidates
     probe =
-  find_or_record (entries t site).stacks ~name:"tec.stack_memo"
+  find_or_record (tables t site).stacks ~name:"tec.stack_memo"
     ~prefixes:stack_counters ?clock
-    (stack_key ~config site env ~bundle ~target_glibc ~candidates)
+    (stack_key ~config env ~bundle ~target_glibc ~candidates)
     probe
 
 (* -- the source phase -------------------------------------------------- *)
@@ -206,11 +223,11 @@ let source_counters =
     "bdc.objdump_parse_failures";
   ]
 
-(* The home site's generation fixes its lasting contents; the image
-   keys what the path holds, also under a scope's writes. *)
-let source_key ~config site env ~binary_path ~image =
+(* The home site's state fixes its lasting contents; the image keys
+   what the path holds, also under a scope's writes. *)
+let source_key ~config env ~binary_path ~image =
   let b = key_buffer () in
-  add_context b ~config site env;
+  add_context b ~config env;
   add b binary_path;
   (match image with
   | Some (image, declared_size) ->
@@ -220,7 +237,7 @@ let source_key ~config site env ~binary_path ~image =
   Buffer.contents b
 
 let find_or_source t ?clock ~config site env ~binary_path ~image source =
-  find_or_record (entries t site).sources ~name:"phases.source_memo"
+  find_or_record (tables t site).sources ~name:"phases.source_memo"
     ~prefixes:source_counters ?clock
-    (source_key ~config site env ~binary_path ~image)
+    (source_key ~config env ~binary_path ~image)
     source

@@ -1,6 +1,6 @@
 (** The evaluation memo (DESIGN §17): one MPI-stack probe outcome
     (paper §III.B, §V.C) and one source-phase bundle (paper §V) per
-    distinct input and site generation.
+    distinct input and site state.
 
     A pass ({!Feam_evalharness.Migrate.run_all}, the matrix journals)
     creates one memo, inside its {!Eval_ctx}, and hands it down to
@@ -13,12 +13,13 @@
     them: the determinant runs in its own file-system scope
     ({!Tec.select_stack}) and the source phase writes nothing.
 
-    Every key carries its site's committed generation
-    ({!Feam_sysmodel.Site.generation}), which grows with every change to
-    the site that lasts, so an entry is valid exactly while its site
-    stays at that generation.  A lookup that finds its site at a newer
-    generation drops the site's entries first: the memo holds at most
-    one generation per site.  To catch a memo carried into a rebuilt
+    Entries are kept per site state: its file system's generation
+    ({!Feam_sysmodel.Vfs.generation}) and its setter fields (the
+    loader-cache flag, ld.so.conf directories, stack installs) compared
+    by value, so an entry serves whenever its site is in the state it
+    was made in, also after leaving it and coming back.  The memo holds
+    one file-system generation and at most two setter states, one per
+    cache flag, per site.  To catch a memo carried into a rebuilt
     world, every lookup also checks that its site is physically the one
     its name stood for in earlier lookups. *)
 
@@ -36,8 +37,8 @@ val create : unit -> t
     ~candidates probe] is [probe ~clock] on a miss, run under recorders
     and charged to [clock] afterwards, and the recorded outcome replayed
     on a hit, with its [edc.probe_*] and [resolve.*] counters.  The key
-    is whether the flight recorder is on, the site's name and
-    generation, [env], [config], [target_glibc], the candidates' slugs
+    is the site's state, whether the flight recorder is on, [env],
+    [config], [target_glibc], the candidates' slugs
     in order and, for a bundle, its origin site, its probes' names,
     stacks and sizes, and its copies' requests, content keys and sizes.
     Lookups count as [tec.stack_memo.hit] / [tec.stack_memo.miss].
@@ -63,8 +64,8 @@ val find_or_probe :
     [edc.discoveries], [bdc.library_copies], [bdc.unlocatable],
     [bdc.locate_failures] and [bdc.objdump_parse_failures] counters;
     the describe and parse caches' counters count real work only.  The
-    key is whether the flight recorder is on, the site's name and
-    generation, [env], [config], [binary_path] and the image's content
+    key is the site's state, whether the flight recorder is on, [env],
+    [config], [binary_path] and the image's content
     key and declared size.  Lookups count as [phases.source_memo.hit] /
     [phases.source_memo.miss].
 
@@ -80,6 +81,6 @@ val find_or_source :
   (clock:Feam_util.Sim_clock.t -> (Bundle.t, string) result) ->
   (Bundle.t, string) result
 
-(** Each site the memo holds entries for, sorted by name, with the
-    generation its entries were made at and their number. *)
-val held : t -> (string * int * int) list
+(** Each site the memo holds entries for, sorted by name, with their
+    file-system generation and their number per setter state. *)
+val held : t -> (string * int * int list) list

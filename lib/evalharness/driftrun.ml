@@ -6,8 +6,8 @@
    perturbations land, so the matrix shape is constant across the
    sequence and cells can be compared epoch to epoch — and each epoch
    changes that live world in place.  One evaluation context serves the
-   whole run: every change moves its site's generation, so the pass
-   memo's entries for the other sites serve on.  The closing
+   whole run: the pass memo keeps its entries per site state, so the
+   entries for the other sites serve on.  The closing
    cross-check compares the live world's last epoch with a world
    rebuilt from scratch.
 
@@ -360,8 +360,9 @@ let run ?(specs = Sites.specs) ?(benchmarks = Feam_suites.Npb.all @ Feam_suites.
     ?(progress = fun _ -> ()) ~seed ~epochs () =
   let params = { Params.default with Params.seed } in
   (* One live world and one context for the whole run: an epoch changes
-     the world in place, the change moves the changed site's generation,
-     and the pass memo's entries for every other site serve on.
+     one site in place, and the pass memo's entries for every other
+     site, and the changed site's for a state it was in before, serve
+     on.
      Candidate removals come from the pristine world. *)
   let sites, binaries = build_world params specs benchmarks [] in
   let ctx = Feam_core.Eval_ctx.create () in

@@ -37,8 +37,8 @@ type t = {
     worlds.  The run builds its world once and keeps one
     {!Feam_core.Eval_ctx} for its whole length: each epoch applies its
     draw to the live sites, or undoes it exactly when the draw toggles
-    an active perturbation off, so the change moves only that site's
-    generation and the pass memo serves the other sites on. *)
+    an active perturbation off, so the change touches only that site's
+    state and the pass memo serves the other sites on. *)
 val run :
   ?specs:Sites.spec list ->
   ?benchmarks:Feam_suites.Benchmark.t list ->
@@ -122,7 +122,7 @@ val predict_cell :
 (** A full prediction pass: {!predict_cell} over {!all_cells}, in
     matrix order, under [ctx] (default: a fresh {!Feam_core.Eval_ctx}).
     A context's pass memo serves one world, across changes to its
-    sites (each moves the site's generation), as {!run} and a serve
+    sites (it keeps entries per site state), as {!run} and a serve
     engine keep one; a caller that rebuilds the world creates a new
     context for it. *)
 val predict_all :

@@ -37,7 +37,7 @@ type t = {
   clock : Feam_obs.Clock.t;
   ctx : Feam_core.Eval_ctx.t;
       (* the engine's caches, warm for its lifetime: a pass-memo entry
-         serves until its site's generation moves *)
+         serves whenever its site is in the state it was made in *)
   store : Evidence.Store.t;
   index : (string * string, Snapshot.cell) Hashtbl.t;
   mutable sites : Site.t list;
@@ -241,9 +241,9 @@ let update_evidence t site_name action =
     | Protocol.Remove_lib name ->
       ignore (Driftrun.remove_lib site name : _ list));
     (* A home-site change surfaces through its binaries' bundles, so
-       recapture them along with the site itself.  The change moved the
-       site's generation, so their source phases rerun and the other
-       sites' entries serve on. *)
+       recapture them along with the site itself.  Their source phases
+       rerun only if the site is in a state not seen since its last
+       file change; the other sites' entries serve on. *)
     let changes =
       store_site t site
       @ List.concat_map

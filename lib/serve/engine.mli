@@ -21,9 +21,11 @@ type t
     its lifetime, warm across requests: the baseline, every update's
     recapture and re-evaluation, every registration's capture and new
     cells and every snapshot share its describe memo and pass memo.  A
-    pass-memo entry is keyed on its site's generation, so an update
-    reruns the source phase only for binaries homed at the site it
-    changed and keeps every probe outcome whose key still matches.
+    pass-memo entry is kept under its site's state, so an update reruns
+    the source phase only for binaries homed at the site it changed,
+    none when it puts the site back into a state seen since its last
+    file change, and keeps every probe outcome whose key still
+    matches.
     Only a crosscheck runs a cold pass, with a fresh pass memo: it is
     the oracle. *)
 val create :

@@ -30,9 +30,6 @@ type t = {
      register a directory but forget to run ldconfig, leaving libraries
      on disk yet invisible to the loader. *)
   mutable ld_cache_current : bool;
-  (* Changes the three setters below made; with the file system's
-     generation it makes the site's. *)
-  mutable changes : int;
   modules_flavor : modules_flavor;
   compilers : Compiler.t list; (* natively installed compiler suites *)
   batch : Batch.t;
@@ -57,7 +54,6 @@ let make ?(description = "") ?(tools = Tools.full)
     stack_installs = [];
     ld_conf_dirs = [];
     ld_cache_current = true;
-    changes = 0;
     modules_flavor;
     compilers;
     batch;
@@ -83,13 +79,8 @@ let elf_class t = Feam_elf.Types.machine_class t.machine
 
 let bits t = match elf_class t with Feam_elf.Types.C64 -> `B64 | Feam_elf.Types.C32 -> `B32
 
-let changed t = t.changes <- t.changes + 1
-
-let generation t = t.changes + Vfs.generation t.vfs
-
 let add_stack_install t install =
-  t.stack_installs <- t.stack_installs @ [ install ];
-  changed t
+  t.stack_installs <- t.stack_installs @ [ install ]
 
 (* Directories the dynamic loader actually consults: the registered ones
    only when the cache has been rebuilt. *)
@@ -99,17 +90,11 @@ let ld_conf_dirs t = t.ld_conf_dirs
 
 let ld_cache_current t = t.ld_cache_current
 
-let set_ld_cache_current t v =
-  if v <> t.ld_cache_current then begin
-    t.ld_cache_current <- v;
-    changed t
-  end
+let set_ld_cache_current t v = t.ld_cache_current <- v
 
 let add_ld_conf_dir t dir =
-  if not (List.mem dir t.ld_conf_dirs) then begin
-    t.ld_conf_dirs <- t.ld_conf_dirs @ [ dir ];
-    changed t
-  end
+  if not (List.mem dir t.ld_conf_dirs) then
+    t.ld_conf_dirs <- t.ld_conf_dirs @ [ dir ]
 
 let find_stack_install t ~slug =
   List.find_opt (fun i -> Stack.slug (Stack_install.stack i) = slug) t.stack_installs

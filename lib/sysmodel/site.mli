@@ -41,15 +41,9 @@ val compilers : t -> Feam_mpi.Compiler.t list
 val batch : t -> Batch.t
 val fault_model : t -> Fault_model.t
 val bits : t -> [ `B32 | `B64 ]
-val add_stack_install : t -> Stack_install.t -> unit
 
-(** The site's committed generation: it grows with every change that
-    lasts — each file-system write outside a {!Vfs.scoped} scope
-    ({!Vfs.generation}) and each real change through
-    {!add_stack_install}, {!add_ld_conf_dir} or {!set_ld_cache_current}
-    — and with nothing else.  A result computed from the site stays
-    true while the generation does (DESIGN §17). *)
-val generation : t -> int
+(** Append an install: this list and {!ld_conf_dirs} only grow. *)
+val add_stack_install : t -> Stack_install.t -> unit
 
 (** Extra directories registered in /etc/ld.so.conf: compiler runtime
     locations the administrator added. *)

@@ -465,18 +465,22 @@ let test_live_world_equals_rebuilt () =
         && List.exists (contains ~affix:"stale-ld-cache") !undos))
     [ (42, 20); (7, 22) ]
 
-(* An epoch moves only the perturbed site's generation, so the run's one
-   pass memo reruns the source phase of the binaries homed there and
-   serves every other binary's bundle on.  A toggle that changes nothing
-   at its site (a library it does not have) reruns none: the small world's
-   sites share their libraries, so a blacklight/india world at seed 11
-   supplies one, at epoch 1. *)
+(* An epoch changes only the perturbed site, so the run's one pass memo
+   reruns at most the source phases of the binaries homed there and
+   serves every other binary's bundle on.  The memo keys on the site's
+   state, so an epoch reruns them only when it puts the site into a
+   state not seen since the site's last file-system change: a removal
+   (or its undo) always does, and a loader-cache toggle does unless it
+   puts the site back into a state seen since.  A toggle that changes
+   nothing at its site (a library it does not have) reruns none: the
+   small world's sites share their libraries, so a blacklight/india
+   world at seed 11 supplies one, at epoch 1. *)
 let test_epoch_reruns_changed_home_only () =
   let misses () =
     Option.value ~default:0
       (Feam_obs.Metrics.counter_value "phases.source_memo.miss")
   in
-  let inert = ref 0 in
+  let inert = ref 0 and repeated = ref 0 in
   let check_run specs ~seed ~epochs =
     let _, benchmarks = Lazy.force small_world in
     Feam_obs.reset ();
@@ -490,29 +494,58 @@ let test_epoch_reruns_changed_home_only () =
     in
     let candidates = Driftrun.removal_candidates sites in
     let site_names = List.map Feam_sysmodel.Site.name sites in
+    (* Per site: its loader-cache flag, whether a stale-cache draw is
+       active there, and the flags seen since its last file change (the
+       baseline evaluates every binary in the pristine state). *)
+    let pristine name =
+      Feam_sysmodel.Site.ld_cache_current (Sites.find_by_name sites name)
+    in
+    let flag = Hashtbl.create 8 and stale = Hashtbl.create 8 in
+    let seen = Hashtbl.create 8 in
+    List.iter
+      (fun name ->
+        Hashtbl.replace flag name (pristine name);
+        Hashtbl.replace seen name [ pristine name ])
+      site_names;
     for k = 1 to epochs do
       let p = Driftrun.draw ~seed ~epoch:k ~site_names ~candidates in
-      let site = Sites.find_by_name sites p.Driftrun.pe_site in
-      let changes =
+      let name = p.Driftrun.pe_site in
+      let site = Sites.find_by_name sites name in
+      let new_state =
         match p.Driftrun.pe_what with
-        | Scengen.Remove_lib name ->
-          Feam_sysmodel.Vfs.find_by_basename (Feam_sysmodel.Site.vfs site)
-            (fun b -> b = name)
-          <> []
-        | _ -> Feam_sysmodel.Site.ld_cache_current site
+        | Scengen.Remove_lib lib ->
+          let changes =
+            Feam_sysmodel.Vfs.find_by_basename (Feam_sysmodel.Site.vfs site)
+              (fun b -> b = lib)
+            <> []
+          in
+          if changes then Hashtbl.replace seen name [ Hashtbl.find flag name ]
+          else incr inert;
+          changes
+        | _ ->
+          let active = Hashtbl.mem stale name in
+          if active then Hashtbl.remove stale name
+          else Hashtbl.replace stale name ();
+          let before = Hashtbl.find flag name in
+          let after = if active then pristine name else false in
+          Hashtbl.replace flag name after;
+          let seen_before = List.mem after (Hashtbl.find seen name) in
+          if after = before then incr inert
+          else if seen_before then incr repeated
+          else Hashtbl.replace seen name (after :: Hashtbl.find seen name);
+          not seen_before
       in
       let homed =
         List.length
           (List.filter
              (fun (b : Testset.binary) ->
-               Feam_sysmodel.Site.name b.Testset.home = p.Driftrun.pe_site)
+               Feam_sysmodel.Site.name b.Testset.home = name)
              binaries)
       in
-      if not changes then incr inert;
       Alcotest.(check int)
         (Printf.sprintf "seed %d epoch %d (%s): source-phase misses" seed k
            (Driftrun.perturbation_label p))
-        (if changes then homed else 0)
+        (if new_state then homed else 0)
         (marks.(k) - marks.(k - 1))
     done
   in
@@ -522,7 +555,9 @@ let test_epoch_reruns_changed_home_only () =
        (fun (sp : Sites.spec) -> List.mem sp.Sites.site_name [ "blacklight"; "india" ])
        Sites.specs)
     ~seed:11 ~epochs:3;
-  Alcotest.(check bool) "the draws include an inert toggle" true (!inert > 0)
+  Alcotest.(check bool) "the draws include an inert toggle" true (!inert > 0);
+  Alcotest.(check bool) "the draws include a toggle back to a seen state" true
+    (!repeated > 0)
 
 let test_sequence_is_deterministic () =
   let specs, benchmarks = Lazy.force small_world in

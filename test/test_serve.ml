@@ -299,6 +299,57 @@ let test_inert_update_reevaluates_nothing () =
     (int_field "cells_reevaluated" json);
   Alcotest.(check int) "epoch unchanged" 0 (epoch engine)
 
+let counter name =
+  Option.value ~default:0 (Feam_obs.Metrics.counter_value name)
+
+(* The lifetime memo keys an entry on its site's state, so a site that
+   returns to a state it was in serves from the memo.  fir goes stale ->
+   fresh -> stale -> fresh: the first stale state misses, and the third
+   and fourth toggles repeat states seen since fir's last file change
+   and miss nothing.  A library removal moves fir's file system, so the
+   same toggles after it miss again: the flag repeats, the site does
+   not.  Every step crosschecks against a cold pass. *)
+let test_memo_serves_a_repeated_state () =
+  with_engine @@ fun engine ->
+  let update what action =
+    let stack = counter "tec.stack_memo.miss"
+    and source = counter "phases.source_memo.miss" in
+    ignore
+      (handle engine
+         (Protocol.Update_evidence { ue_site = "fir"; ue_action = action })
+        : string);
+    let misses =
+      ( counter "tec.stack_memo.miss" - stack,
+        counter "phases.source_memo.miss" - source )
+    in
+    Alcotest.(check bool)
+      (what ^ ": incremental table equals a cold full pass") true
+      (crosscheck_matches engine);
+    misses
+  in
+  let toggles what =
+    List.mapi
+      (fun i action -> update (Printf.sprintf "%s toggle %d" what (i + 1)) action)
+      Protocol.[ Stale_ld_cache; Fresh_ld_cache; Stale_ld_cache; Fresh_ld_cache ]
+  in
+  let misses = Alcotest.(pair int int) in
+  let check_toggles what = function
+    | [ (_, first); _; third; fourth ] ->
+      Alcotest.(check bool)
+        (what ^ ": the first stale state reruns fir's source phases") true
+        (first > 0);
+      Alcotest.(check misses) (what ^ ": the third toggle misses nothing")
+        (0, 0) third;
+      Alcotest.(check misses) (what ^ ": the fourth toggle misses nothing")
+        (0, 0) fourth
+    | _ -> assert false
+  in
+  check_toggles "before the removal" (toggles "before the removal");
+  let _, removal = update "remove-lib" (Protocol.Remove_lib "libm.so") in
+  Alcotest.(check bool) "the removal reruns fir's source phases" true
+    (removal > 0);
+  check_toggles "after the removal" (toggles "after the removal")
+
 let test_register_extends_matrix () =
   with_engine @@ fun engine ->
   let before = Engine.resident_cells engine in
@@ -616,6 +667,8 @@ let suite =
         test_inert_update_reevaluates_nothing;
       Alcotest.test_case "closing one engine keeps another's memo" `Quick
         test_close_keeps_other_engines_memo;
+      Alcotest.test_case "a repeated site state serves from the memo" `Slow
+        test_memo_serves_a_repeated_state;
       Alcotest.test_case "registration extends the matrix" `Slow
         test_register_extends_matrix;
       Alcotest.test_case "snapshot dumps a drift epoch" `Quick

@@ -184,34 +184,64 @@ let test_current_stack_path_fallback () =
       (Stack_install.module_name found)
   | None -> Alcotest.fail "PATH fallback failed"
 
-(* -- Site generation ---------------------------------------------------- *)
+(* -- Site state and the evaluation memo ------------------------------- *)
 
-(* A site's generation moves with every change that lasts and with
-   nothing else: a setter that changes nothing and a scope's writes
-   leave it. *)
-let test_site_generation () =
+(* The pass memo keys an entry on its site's state — the file system's
+   generation and the setter fields — and not on how often the site
+   changed: a lookup misses in a state not seen since the site's last
+   file-system write and hits in one seen since, also after the site
+   left it.  A setter that changes nothing and a scope's writes change
+   no state. *)
+let test_memo_keys_on_site_state () =
   let site, installs = Fixtures.small_site () in
-  let check what expected =
-    Alcotest.(check int) what expected (Site.generation site)
+  let memo = Feam_core.Pass_memo.create () in
+  let runs = ref 0 in
+  let lookup () =
+    let before = !runs in
+    ignore
+      (Feam_core.Pass_memo.find_or_source memo ~config:Feam_core.Config.default
+         site (Site.base_env site) ~binary_path:"/home/user/app" ~image:None
+         (fun ~clock:_ ->
+           incr runs;
+           Error "no binary")
+        : (Feam_core.Bundle.t, string) result);
+    !runs - before
   in
-  let gen = Site.generation site in
+  let check what expected = Alcotest.(check int) what expected (lookup ()) in
+  let states () =
+    match Feam_core.Pass_memo.held memo with
+    | [ (_, _, states) ] -> List.length states
+    | _ -> Alcotest.fail "the memo holds one site"
+  in
+  check "a first lookup misses" 1;
+  check "the same state hits" 0;
   Site.set_ld_cache_current site (Site.ld_cache_current site);
-  check "setting the loader cache to its value does not bump it" gen;
+  check "setting the loader cache to its value changes no state" 0;
   Site.set_ld_cache_current site false;
-  check "marking the loader cache stale bumps it" (gen + 1);
+  check "a stale loader cache is a new state" 1;
+  Site.set_ld_cache_current site true;
+  check "back to a current cache: a state seen before" 0;
   Site.set_ld_cache_current site false;
-  check "marking it stale again does not" (gen + 1);
-  Site.add_ld_conf_dir site "/custom/lib";
-  check "a new ld.so.conf dir bumps it" (gen + 2);
-  Site.add_ld_conf_dir site "/custom/lib";
-  check "a registered one does not" (gen + 2);
-  Site.add_stack_install site (List.hd installs);
-  check "a stack install bumps it" (gen + 3);
+  check "stale again: seen before too" 0;
+  Alcotest.(check int) "one table per loader-cache flag" 2 (states ());
   let vfs = Site.vfs site in
   Vfs.scoped vfs (fun () -> Vfs.add vfs "/tmp/feam/x" (Vfs.Text ""));
-  check "a scoped write does not" (gen + 3);
+  check "a scoped write changes no state" 0;
   Vfs.add vfs "/opt/x" (Vfs.Text "");
-  check "a lasting write does" (gen + 4)
+  check "a lasting write is a new state" 1;
+  Alcotest.(check int) "the write dropped the other flag's table" 1 (states ());
+  Site.set_ld_cache_current site true;
+  check "the other flag after the write misses again" 1;
+  Site.add_ld_conf_dir site "/custom/lib";
+  check "a new ld.so.conf dir is a new state" 1;
+  Site.add_ld_conf_dir site "/custom/lib";
+  check "a registered one is not" 0;
+  Alcotest.(check int) "the shorter list's tables are gone" 1 (states ());
+  Site.add_stack_install site (List.hd installs);
+  check "a stack install is a new state" 1;
+  Site.set_ld_cache_current site false;
+  check "and so is the other flag with it" 1;
+  Alcotest.(check int) "at most two setter states" 2 (states ())
 
 let source_misses () =
   Option.value ~default:0
@@ -247,9 +277,10 @@ let test_inert_update_no_source_miss () =
   Alcotest.(check int) "an inert update reruns none" 0
     (update Protocol.Stale_ld_cache)
 
-(* An evaluation context kept across 50 alternating site changes holds
-   entries for one generation per site, its current one, and no more of
-   them than after the first round. *)
+(* An evaluation context kept across 50 alternating loader-cache
+   toggles holds entries for one file-system generation per site, its
+   current one, and at most two setter states.  By round 3 each site
+   has been seen in both states, so later rounds add no entry. *)
 let test_memo_one_generation_per_site () =
   let module Driftrun = Feam_evalharness.Driftrun in
   let sites, binaries =
@@ -267,21 +298,31 @@ let test_memo_one_generation_per_site () =
         if target == site then ignore (Driftrun.predict_cell ~ctx b target))
       (Driftrun.all_cells sites binaries)
   in
-  round 0;
-  round 1;
-  let entries () =
-    List.fold_left (fun acc (_, _, n) -> acc + n) 0 (Feam_core.Pass_memo.held memo)
-  in
-  let first = entries () in
-  for i = 2 to 51 do
+  for i = 0 to 3 do
     round i
   done;
+  let entries () =
+    List.fold_left
+      (fun acc (_, _, states) -> List.fold_left ( + ) acc states)
+      0 (Feam_core.Pass_memo.held memo)
+  in
+  let first = entries () in
+  for i = 4 to 51 do
+    round i
+  done;
+  let held = Feam_core.Pass_memo.held memo in
   Alcotest.(check (list (pair string int)))
-    "one generation per site, its current one"
+    "one file-system generation per site, its current one"
     (List.sort compare
-       (List.map (fun s -> (Site.name s, Site.generation s)) sites))
-    (List.map (fun (name, gen, _) -> (name, gen)) (Feam_core.Pass_memo.held memo));
-  Alcotest.(check bool) "no more entries than after the first round" true
+       (List.map (fun s -> (Site.name s, Vfs.generation (Site.vfs s))) sites))
+    (List.map (fun (name, gen, _) -> (name, gen)) held);
+  List.iter
+    (fun (name, _, states) ->
+      Alcotest.(check bool)
+        (name ^ ": at most two setter states") true
+        (List.length states <= 2))
+    held;
+  Alcotest.(check bool) "no more entries than after round 3" true
     (entries () <= first)
 
 let suite =
@@ -302,8 +343,8 @@ let suite =
       Alcotest.test_case "no tool" `Quick test_modules_none;
       Alcotest.test_case "module load/current" `Quick test_modules_load_and_current;
       Alcotest.test_case "current via PATH" `Quick test_current_stack_path_fallback;
-      Alcotest.test_case "site generation counts lasting changes" `Quick
-        test_site_generation;
+      Alcotest.test_case "the memo keys on the site's state" `Quick
+        test_memo_keys_on_site_state;
       Alcotest.test_case "an inert update reruns no source phase" `Quick
         test_inert_update_no_source_miss;
       Alcotest.test_case "the memo holds one generation per site" `Slow
