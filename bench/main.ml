@@ -40,7 +40,7 @@ module Fixture = struct
       ~interconnect:Interconnect.Ethernet
 
   let batch =
-    Batch.make ~queues:[ { Batch.queue_name = "debug"; wait_seconds = 5.0 } ] Batch.Pbs
+    Batch.make ~queues:[ { Batch.queue_name = "debug"; wait_seconds = 5.0 } ]
 
   let make_site ~name ~glibc ~compiler ~distro_ver =
     let site =

@@ -37,7 +37,7 @@ let demo_scenario () =
   let open Feam_mpi in
   let v = Version.of_string_exn in
   let batch =
-    Batch.make ~queues:[ { Batch.queue_name = "debug"; wait_seconds = 5.0 } ] Batch.Pbs
+    Batch.make ~queues:[ { Batch.queue_name = "debug"; wait_seconds = 5.0 } ]
   in
   let make ~name ~glibc ~gcc ~distro_version =
     let compiler = Compiler.make Compiler.Gnu (v gcc) in

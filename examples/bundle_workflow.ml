@@ -15,7 +15,7 @@ open Feam_mpi
 let v = Version.of_string_exn
 
 let batch =
-  Batch.make ~queues:[ { Batch.queue_name = "debug"; wait_seconds = 5.0 } ] Batch.Pbs
+  Batch.make ~queues:[ { Batch.queue_name = "debug"; wait_seconds = 5.0 } ]
 
 let make_site ~name ~glibc ~gcc ~distro_version =
   let compiler = Compiler.make Compiler.Gnu (v gcc) in

@@ -17,7 +17,7 @@ let v = Version.of_string_exn
 (* -- 1. Describe the two computing sites. --------------------------------- *)
 
 let batch =
-  Batch.make ~queues:[ { Batch.queue_name = "debug"; wait_seconds = 10.0 } ] Batch.Pbs
+  Batch.make ~queues:[ { Batch.queue_name = "debug"; wait_seconds = 10.0 } ]
 
 let make_site ~name ~glibc ~gcc ~distro_version =
   let compiler = Compiler.make Compiler.Gnu (v gcc) in

@@ -1,5 +1,4 @@
-(* The determinant<-evidence dependency map and the resident evidence
-   store.
+(* The determinant<-evidence dependency map and the one atom diff.
 
    `Tec.decide`'s verdict over a (binary, target) cell is a pure
    function of two documents — the binary's description and the target
@@ -7,11 +6,13 @@
    resolution walk consults.  Flattened through `Feam_flightrec.Diff`,
    those documents become (owner, dotted path, value) *evidence atoms*,
    and this module records which of the four determinants each atom
-   feeds.  It is also the only place atoms are diffed: epoch drift
-   ([Feam_drift.Invalidate.affected]) runs [diff] over two epochs'
-   atoms, the resident prediction service runs it through a [Store]
-   against each owner's resident atoms, and both hand the resulting
-   changes to the one reach rule, [Feam_drift.Invalidate.plan].
+   feeds.  It is also the only place atoms are diffed: the resident
+   world that drift and the prediction service keep
+   ([Feam_evalharness.Driftrun.World]) runs [diff] of each recaptured
+   owner against its resident capture, the cold reference
+   ([Feam_drift.Invalidate.affected]) over two epochs' atoms, and both
+   hand the resulting changes to the one reach rule,
+   [Feam_drift.Invalidate.plan].
 
    Soundness (DESIGN §13/§14): an atom whose path the map does not
    recognise conservatively invalidates every determinant, so a cell
@@ -101,9 +102,6 @@ type change = {
   ev_determinants : string list;
 }
 
-let sort_atoms atoms =
-  List.sort_uniq (fun (a, _) (b, _) -> String.compare a b) atoms
-
 let change owner path before after =
   {
     ev_owner = owner;
@@ -113,8 +111,9 @@ let change owner path before after =
     ev_determinants = determinants_of_atom owner path;
   }
 
-(* Merge-diff two path-sorted atom lists. *)
-let diff_sorted owner olds news =
+(* Sort both captures by path, then merge-diff them. *)
+let diff owner olds news =
+  let sort = List.sort_uniq (fun (a, _) (b, _) -> String.compare a b) in
   let rec go olds news acc =
     match (olds, news) with
     | [], [] -> List.rev acc
@@ -127,25 +126,4 @@ let diff_sorted owner olds news =
       else if String.equal vo vn then go olds' news' acc
       else go olds' news' (change owner po (Some vo) (Some vn) :: acc)
   in
-  go olds news []
-
-let diff owner olds news = diff_sorted owner (sort_atoms olds) (sort_atoms news)
-
-(* -- the resident evidence store --------------------------------------- *)
-
-module Store = struct
-  (* Per-owner atom lists, each kept sorted by path so the change lists
-     [replace] produces are deterministic. *)
-  type t = (owner, (string * string) list) Hashtbl.t
-
-  let create () : t = Hashtbl.create 64
-
-  let size (t : t) =
-    Hashtbl.fold (fun _ atoms acc -> acc + List.length atoms) t 0
-
-  let replace (t : t) owner new_atoms =
-    let news = sort_atoms new_atoms in
-    let olds = Option.value ~default:[] (Hashtbl.find_opt t owner) in
-    Hashtbl.replace t owner news;
-    diff_sorted owner olds news
-end
+  go (sort olds) (sort news) []

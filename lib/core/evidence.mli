@@ -1,8 +1,9 @@
 (** The determinant<-evidence dependency map and the one atom diff:
     [Tec.decide]'s inputs flattened into flightrec evidence atoms, the
     map from each atom path to the determinants it feeds, and the diff
-    that epoch drift ([Feam_drift.Invalidate]) and the resident
-    prediction service ([Feam_serve]) both run. *)
+    that the resident world of drift and the prediction service
+    ([Feam_evalharness.Driftrun.World]) and the cold epoch diff
+    ([Feam_drift.Invalidate.affected]) both run. *)
 
 type owner = Site_owner of string | Binary_owner of string
 
@@ -24,18 +25,3 @@ type change = {
     and annotated with the determinants each feeds.  The inputs need
     not be sorted; unchanged atoms yield nothing. *)
 val diff : owner -> (string * string) list -> (string * string) list -> change list
-
-(** A mutable store of the fleet's current evidence atoms, keyed by
-    owner. *)
-module Store : sig
-  type t
-
-  val create : unit -> t
-
-  (** Total resident atom count. *)
-  val size : t -> int
-
-  (** Replace an owner's atoms with a fresh capture; returns
-      [diff owner resident fresh]. *)
-  val replace : t -> owner -> (string * string) list -> change list
-end

@@ -34,7 +34,10 @@ val plan :
 
 (** Diff the evidence atoms of two epochs ([Feam_core.Evidence.diff],
     owner by owner) and [plan] the changes over the base epoch's
-    cells.  Changes come out in (owner, path) order. *)
+    cells.  Changes come out in (owner, path) order.  The cold
+    reference for the resident world's recapture
+    ([Feam_evalharness.Driftrun.World]), and what [feam drift diff]
+    runs. *)
 val affected : Snapshot.t -> Snapshot.t -> plan
 
 (** Incremental verdict table: re-evaluated cells replace their rows in

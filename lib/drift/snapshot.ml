@@ -267,9 +267,8 @@ let of_jsonl body =
 (* The invalidation engine's vocabulary: each fleet-evidence fact as a
    (dotted path, value) atom of its owner.  Cells and possession are
    derived data — they are never inputs to invalidation, so they
-   contribute no atoms.  The owner type is the core evidence store's —
-   drift and the resident prediction service share one atom
-   vocabulary. *)
+   contribute no atoms.  The owner type is the core evidence map's, so
+   the atom diff and the reach rule share one vocabulary. *)
 
 type owner = Feam_core.Evidence.owner =
   | Site_owner of string

@@ -73,8 +73,9 @@ val of_jsonl : string -> (t, string) result
 val hash : t -> string
 
 (** Who an evidence atom belongs to — the unit invalidation maps back
-    to matrix cells.  Shared with the core evidence store so drift and
-    the resident prediction service speak one atom vocabulary. *)
+    to matrix cells.  The core evidence map's owner
+    ({!Feam_core.Evidence.owner}), so the atom diff and the reach rule
+    speak one vocabulary. *)
 type owner = Feam_core.Evidence.owner =
   | Site_owner of string
   | Binary_owner of string

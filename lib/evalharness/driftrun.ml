@@ -4,12 +4,13 @@
 
    A run builds its world once — binaries are compiled *before*
    perturbations land, so the matrix shape is constant across the
-   sequence and cells can be compared epoch to epoch — and each epoch
-   changes that live world in place.  One evaluation context serves the
-   whole run: the pass memo keeps its entries per site state, so the
-   entries for the other sites serve on.  The closing
-   cross-check compares the live world's last epoch with a world
-   rebuilt from scratch.
+   sequence and cells can be compared epoch to epoch — and keeps it
+   resident ([World], which `feam serve` keeps too): each epoch changes
+   one site in place and recaptures only that site and the binaries
+   homed there.  One evaluation context serves the whole run: the pass
+   memo keeps its entries per site state, so the entries for the other
+   sites serve on.  The closing cross-check compares the live world's
+   last epoch with a world rebuilt from scratch.
 
    Perturbations reuse the scenario generator's vocabulary (Remove_lib,
    Stale_ld_cache), pinned to a Table II site, drawn from the keyed
@@ -132,11 +133,10 @@ let capture_site site =
              Option.map
                (fun (_, image) -> (path, image_digest image))
                (Vfs.resolve_image vfs path)
-           | Some { Vfs.kind = Vfs.Symlink target; _ } ->
-             Some (path, "->" ^ target)
            | Some { Vfs.kind = Vfs.Script bytes | Vfs.Text bytes; _ } ->
              Some (path, digest bytes)
-           | None -> None)
+           (* [Vfs.find] follows links, so it never returns one *)
+           | Some { Vfs.kind = Vfs.Symlink _; _ } | None -> None)
   in
   {
     Snapshot.ss_name = Site.name site;
@@ -269,12 +269,8 @@ let derive_possession binaries cells =
   |> List.map (fun (s, ds) -> (s, List.rev ds))
   |> List.rev
 
-(* Capture a whole world as an epoch snapshot around an already-computed
-   verdict table.  Top-level (not a closure inside [run]) so tests and
-   benches snapshot the same way the sequence does. *)
-let snapshot_of_world ?ctx ~epoch ~seed ~label sites binaries ~cells =
-  let site_states = List.map capture_site sites in
-  let binary_states = List.map (capture_binary ?ctx) binaries in
+(* An epoch snapshot from captured evidence around a verdict table. *)
+let assemble ~epoch ~seed ~label site_states binary_states cells =
   Snapshot.normalize
     {
       Snapshot.epoch;
@@ -285,6 +281,129 @@ let snapshot_of_world ?ctx ~epoch ~seed ~label sites binaries ~cells =
       possession = derive_possession binary_states cells;
       cells;
     }
+
+(* Capture a whole world as an epoch snapshot around an already-computed
+   verdict table: the cold reference the resident world is checked
+   against. *)
+let snapshot_of_world ?ctx ~epoch ~seed ~label sites binaries ~cells =
+  assemble ~epoch ~seed ~label
+    (List.map capture_site sites)
+    (List.map (capture_binary ?ctx) binaries)
+    cells
+
+(* -- the resident world ------------------------------------------------ *)
+
+(* The world drift and serve keep between changes: its sites and
+   binaries, each owner's last capture and the verdict table, under one
+   context for the world's lifetime.  A change recaptures only the site
+   it touched and the binaries homed there, so the other owners'
+   captures serve on. *)
+module World = struct
+  type t = {
+    ctx : Feam_core.Eval_ctx.t;
+    mutable sites : Site.t list;
+    mutable binaries : Testset.binary list;
+    site_captures : (string, Snapshot.site_state) Hashtbl.t;
+    binary_captures : (string, Snapshot.binary_state) Hashtbl.t;
+    mutable cells : Snapshot.cell list;  (* matrix enumeration order *)
+  }
+
+  let sites w = w.sites
+  let binaries w = w.binaries
+  let cells w = w.cells
+
+  (* Replace an owner's capture; the changes are the atom diff against
+     the one it replaces (every atom is new for a new owner). *)
+  let replace tbl key owner atoms state =
+    let before = Option.fold ~none:[] ~some:atoms (Hashtbl.find_opt tbl key) in
+    Hashtbl.replace tbl key state;
+    Feam_core.Evidence.diff owner before (atoms state)
+
+  let capture w sites binaries =
+    List.concat_map
+      (fun site ->
+        let name = Site.name site in
+        replace w.site_captures name (Snapshot.Site_owner name)
+          Snapshot.site_atoms (capture_site site))
+      sites
+    @ List.concat_map
+        (fun (b : Testset.binary) ->
+          let id = b.Testset.id in
+          replace w.binary_captures id (Snapshot.Binary_owner id)
+            Snapshot.binary_atoms (capture_binary ~ctx:w.ctx b))
+        binaries
+
+  let create sites binaries =
+    let ctx = Feam_core.Eval_ctx.create () in
+    let w =
+      {
+        ctx;
+        sites;
+        binaries;
+        site_captures = Hashtbl.create 16;
+        binary_captures = Hashtbl.create 256;
+        cells = predict_all ~ctx sites binaries;
+      }
+    in
+    ignore (capture w sites binaries : Feam_core.Evidence.change list);
+    w
+
+  (* A change at a site surfaces in the site's own evidence and, through
+     their bundles, in the binaries homed there; nothing else moves.
+     Changes come out in (owner, path) order, as [Invalidate.affected]
+     lists them. *)
+  let recapture w site_name =
+    let open Feam_core.Evidence in
+    capture w
+      [ Sites.find_by_name w.sites site_name ]
+      (List.filter
+         (fun (b : Testset.binary) -> Site.name b.Testset.home = site_name)
+         w.binaries)
+    |> List.sort (fun a b ->
+           match compare_owner a.ev_owner b.ev_owner with
+           | 0 -> String.compare a.ev_path b.ev_path
+           | c -> c)
+
+  let step w ~epoch_a ~epoch_b changes =
+    let plan = Invalidate.plan ~epoch_a ~epoch_b w.cells changes in
+    let before = w.cells in
+    w.cells <-
+      Invalidate.merge ~base:before
+        ~reevaluated:
+          (reevaluate ~ctx:w.ctx w.sites w.binaries plan.Invalidate.pl_affected);
+    (plan, Invalidate.flips ~before ~after:w.cells)
+
+  (* New owners join: capture them and evaluate only the matrix pairs
+     they create. *)
+  let extend w sites binaries =
+    w.sites <- w.sites @ sites;
+    w.binaries <- w.binaries @ binaries;
+    ignore (capture w sites binaries : Feam_core.Evidence.change list);
+    let resident = Hashtbl.create 1024 in
+    List.iter
+      (fun (c : Snapshot.cell) ->
+        Hashtbl.replace resident (c.Snapshot.cl_binary, c.Snapshot.cl_target) c)
+      w.cells;
+    let fresh = ref 0 in
+    w.cells <-
+      List.map
+        (fun ((b : Testset.binary), target) ->
+          match Hashtbl.find_opt resident (b.Testset.id, Site.name target) with
+          | Some c -> c
+          | None ->
+            incr fresh;
+            predict_cell ~ctx:w.ctx b target)
+        (all_cells w.sites w.binaries);
+    !fresh
+
+  let snapshot w ~epoch ~seed ~label =
+    assemble ~epoch ~seed ~label
+      (List.map (fun s -> Hashtbl.find w.site_captures (Site.name s)) w.sites)
+      (List.map
+         (fun (b : Testset.binary) -> Hashtbl.find w.binary_captures b.Testset.id)
+         w.binaries)
+      w.cells
+end
 
 (* -- the sequence ------------------------------------------------------ *)
 
@@ -356,120 +475,99 @@ let cells_doc ~epoch ~seed cells =
       cells;
     }
 
+(* The one check on resident evidence: a live snapshot must serialize
+   byte for byte as a cold capture and a full prediction pass over
+   [sites] and [binaries] under a fresh context. *)
+let crosscheck (live : Snapshot.t) sites binaries =
+  let epoch = live.Snapshot.epoch and seed = live.Snapshot.seed in
+  let ctx = Feam_core.Eval_ctx.create () in
+  let cells = predict_all ~ctx sites binaries in
+  (* The capture replays source phases the pass has just run.  Put the
+     build serial back after it: binaries a serve engine registers later
+     take their build IDs from the serial, so a capture that moved it
+     would change the bytes of the transcripts this check guards. *)
+  let builds = Feam_toolchain.Build_id.serial () in
+  let cold =
+    snapshot_of_world ~ctx ~epoch ~seed ~label:live.Snapshot.label sites binaries
+      ~cells
+  in
+  Feam_toolchain.Build_id.(reset (); skip builds);
+  if
+    not
+      (String.equal
+         (cells_doc ~epoch ~seed live.Snapshot.cells)
+         (cells_doc ~epoch ~seed cold.Snapshot.cells))
+  then
+    Error
+      (Printf.sprintf
+         "incremental verdicts diverge from full re-evaluation at epoch %d" epoch)
+  else if not (String.equal (Snapshot.to_jsonl live) (Snapshot.to_jsonl cold))
+  then
+    Error
+      (Printf.sprintf "resident evidence diverges from a cold capture at epoch %d"
+         epoch)
+  else Ok ()
+
 let run ?(specs = Sites.specs) ?(benchmarks = Feam_suites.Npb.all @ Feam_suites.Specmpi.all)
     ?(progress = fun _ -> ()) ~seed ~epochs () =
   let params = { Params.default with Params.seed } in
-  (* One live world and one context for the whole run: an epoch changes
-     one site in place, and the pass memo's entries for every other
-     site, and the changed site's for a state it was in before, serve
-     on.
+  (* One resident world for the whole run: an epoch changes one site in
+     place and recaptures only it and the binaries homed there, and the
+     pass memo's entries for every other site, and the changed site's
+     for a state it was in before, serve on.
      Candidate removals come from the pristine world. *)
   let sites, binaries = build_world params specs benchmarks [] in
-  let ctx = Feam_core.Eval_ctx.create () in
   let candidates = removal_candidates sites in
   let site_names = List.map Site.name sites in
-  (* Baseline: evaluate every cell once. *)
-  let cells0 = predict_all ~ctx sites binaries in
-  let base_snapshot =
-    snapshot_of_world ~ctx ~epoch:0 ~seed ~label:"" sites binaries ~cells:cells0
-  in
+  (* Baseline: evaluate every cell and capture every owner once. *)
+  let world = World.create sites binaries in
+  let base_snapshot = World.snapshot world ~epoch:0 ~seed ~label:"" in
   Invalidate.record_epoch_gauges base_snapshot;
+  let cells_total = List.length (World.cells world) in
   let base_entry =
-    entry_of_epoch ~label:"" ~reevaluated:(List.length cells0) ~plan:None
-      ~flips:[] base_snapshot
+    entry_of_epoch ~label:"" ~reevaluated:cells_total ~plan:None ~flips:[]
+      base_snapshot
   in
-  progress
-    (Printf.sprintf "epoch 0: baseline, %d cells evaluated" (List.length cells0));
-  let cells_total = List.length cells0 in
-  let rec go k active prev acc reeval =
+  progress (Printf.sprintf "epoch 0: baseline, %d cells evaluated" cells_total);
+  let rec go k active acc reeval =
     if k > epochs then (List.rev acc, reeval, List.map fst active)
     else begin
-      let active, label =
-        toggle sites active (draw ~seed ~epoch:k ~site_names ~candidates)
+      let p = draw ~seed ~epoch:k ~site_names ~candidates in
+      let active, label = toggle sites active p in
+      let plan, flips =
+        World.step world ~epoch_a:(k - 1) ~epoch_b:k
+          (World.recapture world p.pe_site)
       in
-      (* Capture the new epoch's evidence with the previous verdicts
-         still in place, diff, then re-evaluate only the plan. *)
-      let candidate =
-        snapshot_of_world ~ctx ~epoch:k ~seed ~label sites binaries
-          ~cells:prev.er_snapshot.Snapshot.cells
-      in
-      let plan = Invalidate.affected prev.er_snapshot candidate in
-      let reevaluated =
-        reevaluate ~ctx sites binaries plan.Invalidate.pl_affected
-      in
-      let cells =
-        Invalidate.merge ~base:prev.er_snapshot.Snapshot.cells ~reevaluated
-      in
-      let flips = Invalidate.flips ~before:prev.er_snapshot.Snapshot.cells ~after:cells in
-      let snapshot =
-        Snapshot.normalize
-          {
-            candidate with
-            Snapshot.cells;
-            possession = derive_possession candidate.Snapshot.binaries cells;
-          }
-      in
+      let snapshot = World.snapshot world ~epoch:k ~seed ~label in
+      let reevaluated = List.length plan.Invalidate.pl_affected in
       Invalidate.record_metrics plan;
       Invalidate.record_epoch_gauges snapshot;
       let entry =
-        entry_of_epoch ~label
-          ~reevaluated:(List.length plan.Invalidate.pl_affected)
-          ~plan:(Some plan) ~flips snapshot
+        entry_of_epoch ~label ~reevaluated ~plan:(Some plan) ~flips snapshot
       in
       progress
         (Printf.sprintf "epoch %d: %s — %d/%d cells re-evaluated, %d flip%s" k
-           label
-           (List.length plan.Invalidate.pl_affected)
-           cells_total (List.length flips)
+           label reevaluated cells_total (List.length flips)
            (if List.length flips = 1 then "" else "s"));
       let er =
         { er_snapshot = snapshot; er_label = label; er_plan = Some plan;
           er_flips = flips; er_entry = entry }
       in
-      go (k + 1) active er (er :: acc)
-        (reeval + List.length plan.Invalidate.pl_affected)
+      go (k + 1) active (er :: acc) (reeval + reevaluated)
     end
   in
   let base =
     { er_snapshot = base_snapshot; er_label = ""; er_plan = None; er_flips = [];
       er_entry = base_entry }
   in
-  let later, reeval, final_active = go 1 [] base [] 0 in
+  let later, reeval, final_active = go 1 [] [] 0 in
   let epochs_list = base :: later in
-  (* Cross-check: the live world's last snapshot — sites, binaries,
-     possession and the incrementally maintained verdicts — must equal,
-     byte for byte, a cold capture and a full prediction pass over a
-     world rebuilt with the same active set, under a fresh context. *)
+  (* Cross-check the live world's last snapshot against a world rebuilt
+     from scratch with the same active set. *)
   let final = List.nth epochs_list (List.length epochs_list - 1) in
   let crosscheck =
-    let epoch = final.er_snapshot.Snapshot.epoch in
-    let rebuilt =
-      let sites, binaries = build_world params specs benchmarks final_active in
-      let ctx = Feam_core.Eval_ctx.create () in
-      snapshot_of_world ~ctx ~epoch ~seed ~label:final.er_label sites binaries
-        ~cells:(predict_all ~ctx sites binaries)
-    in
-    if
-      not
-        (String.equal
-           (cells_doc ~epoch ~seed final.er_snapshot.Snapshot.cells)
-           (cells_doc ~epoch ~seed rebuilt.Snapshot.cells))
-    then
-      Error
-        (Printf.sprintf
-           "incremental verdicts diverge from full re-evaluation at epoch %d"
-           epoch)
-    else if
-      not
-        (String.equal
-           (Snapshot.to_jsonl final.er_snapshot)
-           (Snapshot.to_jsonl rebuilt))
-    then
-      Error
-        (Printf.sprintf
-           "the live world's evidence diverges from a rebuilt world's at epoch %d"
-           epoch)
-    else Ok ()
+    let sites, binaries = build_world params specs benchmarks final_active in
+    crosscheck final.er_snapshot sites binaries
   in
   {
     dr_seed = seed;

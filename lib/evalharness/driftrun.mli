@@ -25,20 +25,19 @@ type t = {
   dr_cells_reevaluated : int;  (** post-baseline incremental work *)
   dr_cells_full : int;  (** what full re-evaluation would have cost *)
   dr_crosscheck : (unit, string) result;
-      (** byte-identity of the final snapshot ({!Feam_drift.Snapshot.to_jsonl}:
-          sites, binaries, possession and the incrementally maintained
-          cells) against a cold {!snapshot_of_world} and a full
-          {!predict_all} of {!build_world} with the final active set,
-          under a fresh context *)
+      (** {!crosscheck} of the final snapshot against {!build_world}
+          with the final active set *)
 }
 
 (** Replay a drift sequence.  [specs]/[benchmarks] default to the full
     Table II fleet and NPB+SPEC corpus; tests and benches pass reduced
-    worlds.  The run builds its world once and keeps one
-    {!Feam_core.Eval_ctx} for its whole length: each epoch applies its
-    draw to the live sites, or undoes it exactly when the draw toggles
-    an active perturbation off, so the change touches only that site's
-    state and the pass memo serves the other sites on. *)
+    worlds.  The run builds its world once and keeps it resident
+    ({!World}): each epoch applies its draw to the live sites ({!toggle}),
+    recaptures the drawn site and the binaries homed there
+    ({!World.recapture}), re-evaluates what the changes reach
+    ({!World.step}) and snapshots the resident captures
+    ({!World.snapshot}).  Only the closing {!crosscheck} captures a
+    whole world. *)
 val run :
   ?specs:Sites.spec list ->
   ?benchmarks:Feam_suites.Benchmark.t list ->
@@ -91,15 +90,6 @@ val build_world :
 val remove_lib :
   Feam_sysmodel.Site.t -> string -> (string * Feam_sysmodel.Vfs.file) list
 
-(** Capture one site's evidence (discovery + loader-visible library
-    inventory) as a snapshot site record. *)
-val capture_site : Feam_sysmodel.Site.t -> Feam_drift.Snapshot.site_state
-
-(** Capture one binary's evidence (description + bundle digests) as a
-    snapshot binary record; the source phase runs under [ctx]. *)
-val capture_binary :
-  ?ctx:Feam_core.Eval_ctx.t -> Testset.binary -> Feam_drift.Snapshot.binary_state
-
 (** The matrix: {!Migrate.cells}, the cell criterion every harness
     shares. *)
 val all_cells :
@@ -143,8 +133,10 @@ val reevaluate :
   Feam_drift.Snapshot.cell list
 
 (** Capture a world as a normalized epoch snapshot around an
-    already-computed verdict table; {!capture_binary} runs under
-    [ctx]. *)
+    already-computed verdict table: each site's discovery and library
+    inventory, each binary's description and bundle digests, with the
+    source phases under [ctx].  The cold reference: {!World.snapshot}
+    assembles the same document from resident captures. *)
 val snapshot_of_world :
   ?ctx:Feam_core.Eval_ctx.t ->
   epoch:int ->
@@ -154,6 +146,63 @@ val snapshot_of_world :
   Testset.binary list ->
   cells:Feam_drift.Snapshot.cell list ->
   Feam_drift.Snapshot.t
+
+(** The resident world drift and [feam serve] keep between changes:
+    the sites, the binaries, each owner's last capture (as
+    {!snapshot_of_world} captures it) and the verdict table, under
+    one {!Feam_core.Eval_ctx} for the world's lifetime.  The sites are
+    the caller's, changed in place; the world learns of a change only
+    through {!recapture}. *)
+module World : sig
+  type t
+
+  (** The baseline: {!predict_all} and a capture of every owner. *)
+  val create : Feam_sysmodel.Site.t list -> Testset.binary list -> t
+
+  val sites : t -> Feam_sysmodel.Site.t list
+
+  val binaries : t -> Testset.binary list
+
+  (** The verdict table, in matrix order. *)
+  val cells : t -> Feam_drift.Snapshot.cell list
+
+  (** Recapture the named site and the binaries homed there, replacing
+      their resident captures; returns the atom changes
+      ({!Feam_core.Evidence.diff}) in (owner, path) order, as
+      {!Feam_drift.Invalidate.affected} lists them. *)
+  val recapture : t -> string -> Feam_core.Evidence.change list
+
+  (** The one incremental step: {!Feam_drift.Invalidate.plan} over the
+      resident table, {!reevaluate} of the reached cells and
+      {!Feam_drift.Invalidate.merge}; returns the plan and the flips. *)
+  val step :
+    t ->
+    epoch_a:int ->
+    epoch_b:int ->
+    Feam_core.Evidence.change list ->
+    Feam_drift.Invalidate.plan * Feam_drift.Invalidate.flip list
+
+  (** Registration: append new sites and binaries, capture them and
+      evaluate only the matrix pairs they create, keeping the table in
+      matrix order.  Returns how many cells were evaluated. *)
+  val extend : t -> Feam_sysmodel.Site.t list -> Testset.binary list -> int
+
+  (** The world as an epoch snapshot, assembled from the resident
+      captures: nothing is recaptured. *)
+  val snapshot : t -> epoch:int -> seed:int -> label:string -> Feam_drift.Snapshot.t
+end
+
+(** The one check on resident evidence and verdicts: [crosscheck live
+    sites binaries] compares [live]'s {!Feam_drift.Snapshot.to_jsonl}
+    with a cold {!snapshot_of_world} and a full {!predict_all} of
+    [sites] and [binaries] under a fresh context, at [live]'s epoch,
+    seed and label.  The error names whether the verdicts or only the
+    evidence diverge. *)
+val crosscheck :
+  Feam_drift.Snapshot.t ->
+  Feam_sysmodel.Site.t list ->
+  Testset.binary list ->
+  (unit, string) result
 
 (** Serialize just a verdict table, for byte-level comparison between
     incremental and full re-evaluation. *)

@@ -195,7 +195,7 @@ let build_site (spec : site_spec) : Site.t =
         (Distro.make spec.s_distro ~version:spec.s_distro_version
            ~kernel:spec.s_kernel)
       ~glibc:spec.s_glibc ~interconnect:spec.s_interconnect
-      ~batch:(Batch.make ~queues Batch.Pbs)
+      ~batch:(Batch.make ~queues)
       spec.s_name
   in
   let _ =

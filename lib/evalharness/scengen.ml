@@ -117,7 +117,6 @@ let generation_of pf =
 let batch =
   Batch.make
     ~queues:[ { Batch.queue_name = "debug"; wait_seconds = 5.0 } ]
-    Batch.Pbs
 
 let make_site ~name ~machine pf =
   Site.make

@@ -91,8 +91,7 @@ let specs =
       modules_flavor = Site.Environment_modules;
       tools = Tools.full;
       batch =
-        Batch.make ~queues:[ queue "development" 20.0; queue "normal" 600.0 ]
-          Batch.Sge;
+        Batch.make ~queues:[ queue "development" 20.0; queue "normal" 600.0 ];
     };
     {
       site_name = "forge";
@@ -109,7 +108,7 @@ let specs =
         ];
       modules_flavor = Site.Environment_modules;
       tools = Tools.full;
-      batch = Batch.make ~queues:[ queue "debug" 15.0; queue "batch" 900.0 ] Batch.Pbs;
+      batch = Batch.make ~queues:[ queue "debug" 15.0; queue "batch" 900.0 ];
     };
     {
       site_name = "blacklight";
@@ -128,7 +127,7 @@ let specs =
          find(1) fallback of the search methods. *)
       tools = { Tools.full with Tools.locate = false };
       batch =
-        Batch.make ~queues:[ queue "debug" 30.0; queue "batch" 1200.0 ] Batch.Pbs;
+        Batch.make ~queues:[ queue "debug" 30.0; queue "batch" 1200.0 ];
     };
     {
       site_name = "india";
@@ -147,7 +146,7 @@ let specs =
       modules_flavor = Site.Softenv;
       tools = Tools.full;
       batch =
-        Batch.make ~queues:[ queue "debug" 10.0; queue "batch" 300.0 ] Batch.Pbs;
+        Batch.make ~queues:[ queue "debug" 10.0; queue "batch" 300.0 ];
     };
     {
       site_name = "fir";
@@ -163,7 +162,7 @@ let specs =
          @ List.map (stack Impl.Mpich2 "1.3") compilers);
       modules_flavor = Site.Environment_modules;
       tools = Tools.full;
-      batch = Batch.make ~queues:[ queue "debug" 5.0; queue "batch" 240.0 ] Batch.Pbs;
+      batch = Batch.make ~queues:[ queue "debug" 5.0; queue "batch" 240.0 ];
     };
   ]
 

@@ -1,31 +1,32 @@
 (* The resident fleet engine: the daemon's state and request
    semantics, transport-free so tests drive it directly.
 
-   One world — sites, compiled test binaries, the migration matrix's
-   verdict table — stays resident across requests, together with an
-   evidence store ([Feam_core.Evidence.Store]) holding every owner's
-   current atoms.  `predict` is a table lookup.  `update-evidence`
-   recaptures the touched site and the binaries homed there into the
-   store, which diffs them against the resident atoms
-   ([Evidence.diff]); the changes go through the reach rule
-   ([Invalidate.plan]), the reached cells through the re-evaluation
-   step ([Driftrun.reevaluate]), and [Invalidate.merge] carries every
-   untouched verdict forward — the drift observatory's path between
-   epochs, here applied between requests.  Registrations evaluate only
-   the matrix pairs the new owner creates.
+   The engine keeps drift's resident world ([Driftrun.World]): sites,
+   compiled test binaries, each owner's last capture and the migration
+   matrix's verdict table.  `predict` is a table lookup.
+   `update-evidence` changes the touched site, then runs drift's epoch
+   step between requests: [World.recapture] captures that site and the
+   binaries homed there and diffs them against the resident captures
+   ([Evidence.diff]), and [World.step] takes the changes through the
+   reach rule ([Invalidate.plan]), the reached cells through the
+   re-evaluation step ([Driftrun.reevaluate]) and carries every
+   untouched verdict forward ([Invalidate.merge]).  Registrations
+   capture the new owner and evaluate only the matrix pairs it creates
+   ([World.extend]); `snapshot` assembles the resident captures, and
+   `crosscheck` compares that snapshot with a cold capture and pass
+   ([Driftrun.crosscheck]).
 
-   Every response is byte-deterministic for a given store state: no
+   Every response is byte-deterministic for a given request sequence: no
    timestamps, no table-iteration order, no wall-clock anywhere in a
    response body (the query-latency histogram is metrics-only). *)
 
 module Json = Feam_util.Json
-module Evidence = Feam_core.Evidence
 module Site = Feam_sysmodel.Site
-module Vfs = Feam_sysmodel.Vfs
 module Snapshot = Feam_drift.Snapshot
 module Invalidate = Feam_drift.Invalidate
 module Metrics = Feam_obs.Metrics
 module Driftrun = Feam_evalharness.Driftrun
+module World = Driftrun.World
 module Sites = Feam_evalharness.Sites
 module Testset = Feam_evalharness.Testset
 module Params = Feam_evalharness.Params
@@ -35,43 +36,27 @@ type t = {
   params : Params.t;
   seed : int;
   clock : Feam_obs.Clock.t;
-  ctx : Feam_core.Eval_ctx.t;
-      (* the engine's caches, warm for its lifetime: a pass-memo entry
-         serves whenever its site is in the state it was made in *)
-  store : Evidence.Store.t;
+  world : Driftrun.World.t;
+      (* its context stays warm for the engine's lifetime: a pass-memo
+         entry serves whenever its site is in the state it was made in *)
   index : (string * string, Snapshot.cell) Hashtbl.t;
-  mutable sites : Site.t list;
-  mutable binaries : Testset.binary list;
-  mutable cells : Snapshot.cell list;  (* matrix enumeration order *)
   mutable epoch : int;  (* bumped by every accepted mutation *)
   mutable requests : int;
   mutable reevaluated : int;  (* incremental evaluations since start *)
 }
 
-(* -- evidence capture into the store ----------------------------------- *)
-
-let store_site t site =
-  let s = Driftrun.capture_site site in
-  Evidence.Store.replace t.store
-    (Evidence.Site_owner s.Snapshot.ss_name)
-    (Snapshot.site_atoms s)
-
-let store_binary t (binary : Testset.binary) =
-  let b = Driftrun.capture_binary ~ctx:t.ctx binary in
-  Evidence.Store.replace t.store
-    (Evidence.Binary_owner b.Snapshot.bs_id)
-    (Snapshot.binary_atoms b)
-
 (* -- bookkeeping ------------------------------------------------------- *)
+
+let cells t = World.cells t.world
 
 let reindex t =
   Hashtbl.reset t.index;
   List.iter
     (fun (c : Snapshot.cell) ->
       Hashtbl.replace t.index (c.Snapshot.cl_binary, c.Snapshot.cl_target) c)
-    t.cells;
+    (cells t);
   Metrics.set_gauge "serve.resident_cells"
-    (float_of_int (List.length t.cells))
+    (float_of_int (List.length (cells t)))
 
 let count_reevaluated t n =
   t.reevaluated <- t.reevaluated + n;
@@ -87,26 +72,18 @@ let create ?specs ?benchmarks ?(clock = Feam_obs.Clock.fixed ()) ~seed () =
   in
   let params = { Params.default with Params.seed } in
   let sites, binaries = Driftrun.build_world params specs benchmarks [] in
-  let ctx = Feam_core.Eval_ctx.create () in
-  let cells = Driftrun.predict_all ~ctx sites binaries in
   let t =
     {
       params;
       seed;
       clock;
-      ctx;
-      store = Evidence.Store.create ();
+      world = World.create sites binaries;
       index = Hashtbl.create 1024;
-      sites;
-      binaries;
-      cells;
       epoch = 0;
       requests = 0;
       reevaluated = 0;
     }
   in
-  List.iter (fun site -> ignore (store_site t site)) sites;
-  List.iter (fun b -> ignore (store_binary t b)) binaries;
   reindex t;
   (* Register the exported counters at zero so the Prometheus expo
      lists them before the first request arrives. *)
@@ -116,35 +93,22 @@ let create ?specs ?benchmarks ?(clock = Feam_obs.Clock.fixed ()) ~seed () =
 
 let close _t = ()
 
-let resident_cells t = List.length t.cells
+let resident_cells t = List.length (cells t)
 
-let sites t = t.sites
+let sites t = World.sites t.world
 
-(* -- incremental re-evaluation ----------------------------------------- *)
+let binaries t = World.binaries t.world
 
-(* Extend the matrix after a registration: evaluate the pairs the new
-   owners created, keep the resident table in enumeration order. *)
-let extend_matrix t =
-  let pairs = Driftrun.all_cells t.sites t.binaries in
-  let fresh =
-    List.filter
-      (fun ((b : Testset.binary), target) ->
-        not (Hashtbl.mem t.index (b.Testset.id, Site.name target)))
-      pairs
-  in
-  List.iter
-    (fun (b, target) ->
-      Hashtbl.replace t.index (b.Testset.id, Site.name target)
-        (Driftrun.predict_cell ~ctx:t.ctx b target))
-    fresh;
-  t.cells <-
-    List.map
-      (fun ((b : Testset.binary), target) ->
-        Hashtbl.find t.index (b.Testset.id, Site.name target))
-      pairs;
+(* -- registration ------------------------------------------------------ *)
+
+(* New owners join the world, which evaluates only the matrix pairs they
+   create; a registration is a mutation. *)
+let register t new_sites new_binaries =
+  let fresh = World.extend t.world new_sites new_binaries in
   reindex t;
-  count_reevaluated t (List.length fresh);
-  List.length fresh
+  count_reevaluated t fresh;
+  t.epoch <- t.epoch + 1;
+  fresh
 
 (* -- response building ------------------------------------------------- *)
 
@@ -162,10 +126,10 @@ let err ?(fields = []) code detail =
         :: ("detail", Json.Str detail)
         :: fields))
 
-let find_site t name = List.find_opt (fun s -> Site.name s = name) t.sites
+let find_site t name = List.find_opt (fun s -> Site.name s = name) (sites t)
 
 let find_binary t id =
-  List.find_opt (fun (b : Testset.binary) -> b.Testset.id = id) t.binaries
+  List.find_opt (fun (b : Testset.binary) -> b.Testset.id = id) (binaries t)
 
 (* One query's result as response fields — shared by predict and the
    per-entry objects of predict-batch. *)
@@ -240,45 +204,24 @@ let update_evidence t site_name action =
     | Protocol.Fresh_ld_cache -> Site.set_ld_cache_current site true
     | Protocol.Remove_lib name ->
       ignore (Driftrun.remove_lib site name : _ list));
-    (* A home-site change surfaces through its binaries' bundles, so
-       recapture them along with the site itself.  Their source phases
-       rerun only if the site is in a state not seen since its last
-       file change; the other sites' entries serve on. *)
-    let changes =
-      store_site t site
-      @ List.concat_map
-          (fun (b : Testset.binary) ->
-            if Site.name b.Testset.home = site_name then store_binary t b
-            else [])
-          t.binaries
-    in
-    let plan =
-      Invalidate.plan ~epoch_a:t.epoch ~epoch_b:(t.epoch + 1) t.cells changes
+    let changes = World.recapture t.world site_name in
+    let plan, flips =
+      World.step t.world ~epoch_a:t.epoch ~epoch_b:(t.epoch + 1) changes
     in
     (* An update that changes no atom is not a mutation: the epoch,
        the table and the counters stay as they were. *)
-    let flips =
-      if changes = [] then []
-      else begin
-        let reevaluated =
-          Driftrun.reevaluate ~ctx:t.ctx t.sites t.binaries
-            plan.Invalidate.pl_affected
-        in
-        let before = t.cells in
-        t.cells <- Invalidate.merge ~base:before ~reevaluated;
-        reindex t;
-        count_reevaluated t (List.length reevaluated);
-        t.epoch <- t.epoch + 1;
-        Invalidate.flips ~before ~after:t.cells
-      end
-    in
+    if changes <> [] then begin
+      reindex t;
+      count_reevaluated t (List.length plan.Invalidate.pl_affected);
+      t.epoch <- t.epoch + 1
+    end;
     ok "update-evidence"
       [
         ("site", Json.Str site_name);
         ("action", Json.Str (Protocol.action_to_string action));
         ("changed_atoms", Json.Int (List.length changes));
         ("cells_reevaluated", Json.Int (List.length plan.Invalidate.pl_affected));
-        ("cells_total", Json.Int (List.length t.cells));
+        ("cells_total", Json.Int (resident_cells t));
         ("flips", Json.List (List.map flip_json flips));
         ("epoch", Json.Int t.epoch);
       ]
@@ -296,15 +239,12 @@ let register_site t name =
         | [ s ] -> s
         | _ -> assert false
       in
-      t.sites <- t.sites @ [ site ];
-      ignore (store_site t site);
-      let evaluated = extend_matrix t in
-      t.epoch <- t.epoch + 1;
+      let evaluated = register t [ site ] [] in
       ok "register-site"
         [
           ("site", Json.Str name);
           ("cells_evaluated", Json.Int evaluated);
-          ("cells_total", Json.Int (List.length t.cells));
+          ("cells_total", Json.Int (resident_cells t));
           ("epoch", Json.Int t.epoch);
         ]
 
@@ -332,10 +272,7 @@ let register_binary t ~home ~benchmark =
       else if fresh = [] then
         err "binary-resident" "every built binary is already resident"
       else begin
-        t.binaries <- t.binaries @ fresh;
-        List.iter (fun b -> ignore (store_binary t b)) fresh;
-        let evaluated = extend_matrix t in
-        t.epoch <- t.epoch + 1;
+        let evaluated = register t [] fresh in
         ok "register-binary"
           [
             ("home", Json.Str home);
@@ -346,16 +283,14 @@ let register_binary t ~home ~benchmark =
                    (List.map (fun (b : Testset.binary) -> b.Testset.id) fresh))
             );
             ("cells_evaluated", Json.Int evaluated);
-            ("cells_total", Json.Int (List.length t.cells));
+            ("cells_total", Json.Int (resident_cells t));
             ("epoch", Json.Int t.epoch);
           ]
       end)
 
 (* -- snapshot / crosscheck / stats ------------------------------------- *)
 
-let snapshot t =
-  Driftrun.snapshot_of_world ~ctx:t.ctx ~epoch:t.epoch ~seed:t.seed
-    ~label:"serve" t.sites t.binaries ~cells:t.cells
+let snapshot t = World.snapshot t.world ~epoch:t.epoch ~seed:t.seed ~label:"serve"
 
 let snapshot_fleet t ~out ~write_file =
   let snap = snapshot t in
@@ -366,42 +301,43 @@ let snapshot_fleet t ~out ~write_file =
     [
       ("epoch", Json.Int t.epoch);
       ("hash", Json.Str (Snapshot.hash snap));
-      ("sites", Json.Int (List.length t.sites));
-      ("binaries", Json.Int (List.length t.binaries));
-      ("cells", Json.Int (List.length t.cells));
+      ("sites", Json.Int (List.length (sites t)));
+      ("binaries", Json.Int (List.length (binaries t)));
+      ("cells", Json.Int (resident_cells t));
       ("ready", Json.Int (Snapshot.ready_cells snap));
       ("out", match out with Some p -> Json.Str p | None -> Json.Null);
     ]
 
-(* The drift harness's byte-identity contract, live: a cold full
-   prediction pass over the resident world, with a fresh pass memo,
-   must serialize identically to the incrementally maintained table. *)
-let crosscheck_matches t =
-  let ctx =
-    Feam_core.Eval_ctx.create ~describe:t.ctx.Feam_core.Eval_ctx.describe ()
-  in
-  let full = Driftrun.predict_all ~ctx t.sites t.binaries in
-  String.equal
-    (Driftrun.cells_doc ~epoch:t.epoch ~seed:t.seed t.cells)
-    (Driftrun.cells_doc ~epoch:t.epoch ~seed:t.seed full)
-
+(* Drift's crosscheck, live: the resident snapshot (evidence and the
+   incrementally maintained table) must serialize identically to a cold
+   capture and full prediction pass over the resident world, under a
+   fresh context. *)
 let crosscheck t =
   ok "crosscheck"
     [
-      ("cells", Json.Int (List.length t.cells));
-      ("matches", Json.Bool (crosscheck_matches t));
+      ("cells", Json.Int (resident_cells t));
+      ( "matches",
+        Json.Bool
+          (Result.is_ok (Driftrun.crosscheck (snapshot t) (sites t) (binaries t)))
+      );
       ("epoch", Json.Int t.epoch);
     ]
 
 let stats t =
+  let snap = snapshot t in
   ok "stats"
     [
       ("epoch", Json.Int t.epoch);
-      ("sites", Json.Int (List.length t.sites));
-      ("binaries", Json.Int (List.length t.binaries));
-      ("resident_cells", Json.Int (List.length t.cells));
-      ("ready_cells", Json.Int (List.length (List.filter (fun (c : Snapshot.cell) -> c.Snapshot.cl_extended) t.cells)));
-      ("resident_atoms", Json.Int (Evidence.Store.size t.store));
+      ("sites", Json.Int (List.length (sites t)));
+      ("binaries", Json.Int (List.length (binaries t)));
+      ("resident_cells", Json.Int (resident_cells t));
+      ("ready_cells", Json.Int (Snapshot.ready_cells snap));
+      ( "resident_atoms",
+        Json.Int
+          (List.fold_left
+             (fun n (_, atoms) -> n + List.length atoms)
+             0
+             (Snapshot.evidence_atoms snap)) );
       ("requests", Json.Int t.requests);
       ("cells_reevaluated", Json.Int t.reevaluated);
     ]

@@ -1,14 +1,15 @@
-(** The resident fleet engine: one world (sites, binaries, verdict
-    table) plus an evidence store, kept warm across requests.
+(** The resident fleet engine: drift's resident world
+    ({!Feam_evalharness.Driftrun.World}: sites, binaries, each owner's
+    last capture, verdict table), kept warm across requests.
     Transport-free — the daemon and the tests drive it directly.
 
     Contract (DESIGN §14): [predict] answers from the resident verdict
-    table; mutating verbs recapture only the touched owners, diff the
-    fresh atoms against the store, map the changed paths through the
-    shared determinant<-evidence dependency map
-    ([Feam_core.Evidence]), and re-evaluate only the cells those
-    changes reach.  All responses are byte-deterministic for a given
-    store state. *)
+    table; [update-evidence] recaptures only the touched site and the
+    binaries homed there, diffs them against their resident captures,
+    maps the changed paths through the shared determinant<-evidence
+    dependency map ([Feam_core.Evidence]), and re-evaluates only the
+    cells those changes reach — drift's epoch step, between requests.
+    All responses are byte-deterministic for a given request sequence. *)
 
 type t
 
@@ -19,15 +20,15 @@ type t
     defaults to the fixed zero clock, keeping tests deterministic.
     The engine keeps one evaluation context ({!Feam_core.Eval_ctx}) for
     its lifetime, warm across requests: the baseline, every update's
-    recapture and re-evaluation, every registration's capture and new
-    cells and every snapshot share its describe memo and pass memo.  A
+    recapture and re-evaluation and every registration's capture and
+    new cells share its describe memo and pass memo.  A
     pass-memo entry is kept under its site's state, so an update reruns
     the source phase only for binaries homed at the site it changed,
     none when it puts the site back into a state seen since its last
     file change, and keeps every probe outcome whose key still
     matches.
-    Only a crosscheck runs a cold pass, with a fresh pass memo: it is
-    the oracle. *)
+    Only a crosscheck captures and evaluates cold, under a fresh
+    context: it is the oracle. *)
 val create :
   ?specs:Feam_evalharness.Sites.spec list ->
   ?benchmarks:Feam_suites.Benchmark.t list ->
@@ -52,5 +53,6 @@ val sites : t -> Feam_sysmodel.Site.t list
 val handle :
   ?write_file:(string -> string -> unit) -> t -> Protocol.request -> string
 
-(** The resident fleet as a drift epoch snapshot. *)
+(** The resident fleet as a drift epoch snapshot, assembled from the
+    resident captures without recapturing. *)
 val snapshot : t -> Feam_drift.Snapshot.t

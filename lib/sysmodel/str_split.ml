@@ -1,9 +1,5 @@
-(* Split a string on a multi-character separator (Stdlib only splits on
-   single characters).  Matching compares in place: only the pieces
-   returned are allocated. *)
-
-let empty_separator () =
-  invalid_arg "Str_split.split_on_string: empty separator"
+(* Substring search, which Stdlib lacks.  Matching compares in place,
+   so a scan allocates nothing. *)
 
 (* Does [sub] occur in [s] at offset [i], with [0 <= i] and
    [i + String.length sub <= String.length s]?  Compares from [sub]'s
@@ -21,18 +17,8 @@ let rec find_from sub s last i =
   else find_from sub s last (i + 1)
 
 let find ?(from = 0) ?until ~sub s =
-  if sub = "" then empty_separator ();
+  if sub = "" then invalid_arg "Str_split.find: empty substring";
   let until = match until with Some u -> min u (String.length s) | None -> String.length s in
   find_from sub s (until - String.length sub) (max from 0)
-
-let split_on_string ~sep s =
-  let seplen = String.length sep in
-  let n = String.length s in
-  let rec go start acc =
-    match find ~from:start ~sub:sep s with
-    | None -> List.rev (String.sub s start (n - start) :: acc)
-    | Some i -> go (i + seplen) (String.sub s start (i - start) :: acc)
-  in
-  go 0 []
 
 let contains ~sub s = find ~sub s <> None

@@ -1,9 +1,5 @@
 (** String helpers missing from the standard library. *)
 
-(** Split on a multi-character separator.
-    @raise Invalid_argument on an empty separator. *)
-val split_on_string : sep:string -> string -> string list
-
 (** [occurs_at ~sub s i]: does [sub] occur in [s] at offset [i]?
     Compares in place; [false] when [sub] would not fit there. *)
 val occurs_at : sub:string -> string -> int -> bool

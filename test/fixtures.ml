@@ -26,7 +26,7 @@ let mpich2 compiler =
     ~interconnect:Interconnect.Ethernet
 
 let default_batch =
-  Batch.make ~queues:[ { Batch.queue_name = "debug"; wait_seconds = 5.0 } ] Batch.Pbs
+  Batch.make ~queues:[ { Batch.queue_name = "debug"; wait_seconds = 5.0 } ]
 
 (* A small fully-provisioned x86-64 site with one healthy Open MPI stack
    and one MVAPICH2 stack. *)

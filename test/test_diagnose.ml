@@ -137,7 +137,6 @@ let test_probe_queue_selection () =
           { Batch.queue_name = "debug"; wait_seconds = 5.0 };
           { Batch.queue_name = "wide"; wait_seconds = 300.0 };
         ]
-      Batch.Pbs
   in
   let site =
     Site.make ~compilers:[ Fixtures.gnu412 ] ~seed:1

@@ -412,27 +412,36 @@ let test_sequence_incremental_matches_full () =
   | _ -> Alcotest.fail "drift.epoch gauge not set");
   Feam_obs.reset ()
 
-(* A run keeps one live world and toggles each draw on it in place.
+(* A run keeps one resident world and toggles each draw on it in place.
    Replay the draws with the run's own step ([Driftrun.toggle]) on a
    live world and check, after every epoch, that its sites digest as a
    world rebuilt with the same active set — every file as stored, so a
-   symlink restored as a copy of its target shows — and that the run's
-   snapshot hashes as a cold capture of that rebuilt world.  Both seeds'
-   draws undo a library removal and a stale cache. *)
+   symlink restored as a copy of its target shows — that the run's
+   snapshot hashes as a cold capture of that rebuilt world, and that
+   the run's plan and flips read as the cold reference's
+   ([Invalidate.affected] over the rebuilt epochs): the same changes in
+   the same order, reaching the same cells.  Both seeds' draws undo a
+   library removal and a stale cache. *)
 let test_live_world_equals_rebuilt () =
   let specs, benchmarks = Lazy.force small_world in
   List.iter
     (fun (seed, epochs) ->
       let params = { params with Params.seed } in
-      let snapshots =
+      let epoch_results =
         Array.of_list
-          (Driftrun.snapshots (Driftrun.run ~specs ~benchmarks ~seed ~epochs ()))
+          (Driftrun.run ~specs ~benchmarks ~seed ~epochs ()).Driftrun.dr_epochs
       in
-      let sites, _ = Driftrun.build_world params specs benchmarks [] in
+      let cold ~label sites binaries k =
+        let ctx = Feam_core.Eval_ctx.create () in
+        Driftrun.snapshot_of_world ~ctx ~epoch:k ~seed ~label sites binaries
+          ~cells:(Driftrun.predict_all ~ctx sites binaries)
+      in
+      let sites, binaries = Driftrun.build_world params specs benchmarks [] in
+      let baseline = cold ~label:"" sites binaries 0 in
       let candidates = Driftrun.removal_candidates sites in
       let site_names = List.map Feam_sysmodel.Site.name sites in
       let undos = ref [] in
-      let rec go k active =
+      let rec go k active prev =
         if k <= epochs then begin
           let active, label =
             Driftrun.toggle sites active
@@ -446,18 +455,25 @@ let test_live_world_equals_rebuilt () =
           Alcotest.(check (list string))
             (what ^ ": live sites equal rebuilt sites")
             (Fixtures.site_digest rsites) (Fixtures.site_digest sites);
-          let ctx = Feam_core.Eval_ctx.create () in
-          let rebuilt =
-            Driftrun.snapshot_of_world ~ctx ~epoch:k ~seed ~label rsites rbinaries
-              ~cells:(Driftrun.predict_all ~ctx rsites rbinaries)
-          in
+          let rebuilt = cold ~label rsites rbinaries k in
+          let er = epoch_results.(k) in
           Alcotest.(check string)
             (what ^ ": snapshot hash") (Snapshot.hash rebuilt)
-            (Snapshot.hash snapshots.(k));
-          go (k + 1) active
+            (Snapshot.hash er.Driftrun.er_snapshot);
+          let plan_doc plan flips =
+            Feam_util.Json.render (Invalidate.to_json plan flips)
+          in
+          Alcotest.(check string)
+            (what ^ ": plan and flips")
+            (plan_doc
+               (Invalidate.affected prev rebuilt)
+               (Invalidate.flips ~before:prev.Snapshot.cells
+                  ~after:rebuilt.Snapshot.cells))
+            (plan_doc (Option.get er.Driftrun.er_plan) er.Driftrun.er_flips);
+          go (k + 1) active rebuilt
         end
       in
-      go 1 [];
+      go 1 [] baseline;
       Alcotest.(check bool)
         (Printf.sprintf "seed %d undoes a removal and a stale cache" seed)
         true

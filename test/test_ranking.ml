@@ -15,7 +15,6 @@ let bundle_from home home_installs =
 let make_target ~name ~wait ~glibc =
   let batch =
     Batch.make ~queues:[ { Batch.queue_name = "debug"; wait_seconds = wait } ]
-      Batch.Pbs
   in
   let site =
     Site.make ~compilers:[ Fixtures.gnu412 ] ~seed:4

@@ -407,6 +407,20 @@ let test_snapshot_is_a_drift_epoch () =
         | Json.Str h -> h
         | _ -> Alcotest.fail "hash is not a string"))
 
+(* The crosscheck is the one check on resident evidence: a file written
+   into a resident site's library directory behind the engine's back
+   changes no verdict, but a cold capture inventories it, so the
+   resident snapshot no longer matches. *)
+let test_crosscheck_sees_unrecaptured_evidence () =
+  with_engine @@ fun engine ->
+  Alcotest.(check bool) "the baseline matches" true (crosscheck_matches engine);
+  let site = List.hd (Engine.sites engine) in
+  let dir = List.hd (Feam_sysmodel.Site.default_lib_dirs site) in
+  Feam_sysmodel.Vfs.add (Feam_sysmodel.Site.vfs site) (dir ^ "/README.txt")
+    (Feam_sysmodel.Vfs.Text "not a library\n");
+  Alcotest.(check bool) "an unrecaptured file does not match" false
+    (crosscheck_matches engine)
+
 (* -- transcript replay -------------------------------------------------- *)
 
 let transcript =
@@ -673,6 +687,8 @@ let suite =
         test_register_extends_matrix;
       Alcotest.test_case "snapshot dumps a drift epoch" `Quick
         test_snapshot_is_a_drift_epoch;
+      Alcotest.test_case "crosscheck sees evidence no update recaptured" `Quick
+        test_crosscheck_sees_unrecaptured_evidence;
       Alcotest.test_case "transcript replays byte-for-byte" `Slow
         test_transcript_replay_byte_identity;
       Alcotest.test_case "the lifetime memo serves as fresh passes did" `Slow

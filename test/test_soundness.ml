@@ -62,7 +62,7 @@ let print_world w =
     w.program_appetite
 
 let batch =
-  Batch.make ~queues:[ { Batch.queue_name = "debug"; wait_seconds = 1.0 } ] Batch.Pbs
+  Batch.make ~queues:[ { Batch.queue_name = "debug"; wait_seconds = 1.0 } ]
 
 let make_stack impl gcc_version =
   Stack.make ~impl ~impl_version:(v "1.4")

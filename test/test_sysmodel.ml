@@ -37,22 +37,6 @@ let test_lib_dirs () =
 
 (* -- Batch ----------------------------------------------------------------- *)
 
-let test_batch_render () =
-  let b =
-    Batch.make
-      ~queues:[ { Batch.queue_name = "debug"; wait_seconds = 10.0 } ]
-      Batch.Pbs
-  in
-  let script =
-    Batch.render_script b.Batch.parallel_template ~queue:(Batch.debug_queue b)
-      ~launcher:"mpiexec" ~np:16 ~command:"./bt.A"
-  in
-  Alcotest.(check bool) "queue substituted" true (Str_split.contains ~sub:"debug" script);
-  Alcotest.(check bool) "np substituted" true (Str_split.contains ~sub:"-n 16" script);
-  Alcotest.(check bool) "command substituted" true (Str_split.contains ~sub:"./bt.A" script);
-  Alcotest.(check bool) "no leftover placeholder" false
-    (Str_split.contains ~sub:"%queue%" script)
-
 let test_batch_queues () =
   let b =
     Batch.make
@@ -61,13 +45,12 @@ let test_batch_queues () =
           { Batch.queue_name = "debug"; wait_seconds = 5.0 };
           { Batch.queue_name = "batch"; wait_seconds = 600.0 };
         ]
-      Batch.Slurm
   in
   Alcotest.(check string) "debug first" "debug" (Batch.debug_queue b).Batch.queue_name;
   Alcotest.(check bool) "lookup" true (Batch.queue_by_name b "batch" <> None);
   Alcotest.(check bool) "missing" true (Batch.queue_by_name b "zzz" = None);
   Alcotest.check_raises "no queues" (Invalid_argument "Batch.make: need at least one queue")
-    (fun () -> ignore (Batch.make ~queues:[] Batch.Pbs))
+    (fun () -> ignore (Batch.make ~queues:[]))
 
 (* -- Site ------------------------------------------------------------------ *)
 
@@ -292,7 +275,7 @@ let test_memo_one_generation_per_site () =
   let round i =
     let site = List.nth sites (i mod 2) in
     Site.set_ld_cache_current site (i mod 4 >= 2);
-    List.iter (fun b -> ignore (Driftrun.capture_binary ~ctx b)) binaries;
+    List.iter (fun b -> ignore (Feam_evalharness.Migrate.source_bundle ~ctx b)) binaries;
     List.iter
       (fun (b, target) ->
         if target == site then ignore (Driftrun.predict_cell ~ctx b target))
@@ -332,7 +315,6 @@ let suite =
       Alcotest.test_case "distro /proc/version" `Quick test_distro_proc_version;
       Alcotest.test_case "distro kernel triple" `Quick test_distro_kernel_triple;
       Alcotest.test_case "default lib dirs" `Quick test_lib_dirs;
-      Alcotest.test_case "batch render" `Quick test_batch_render;
       Alcotest.test_case "batch queues" `Quick test_batch_queues;
       Alcotest.test_case "site basics" `Quick test_site_basics;
       Alcotest.test_case "site keyed bool" `Quick test_site_keyed_bool_stable;

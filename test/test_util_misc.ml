@@ -118,10 +118,6 @@ let test_clock_render () =
 (* -- Str_split ------------------------------------------------------------ *)
 
 let test_str_split () =
-  Alcotest.(check (list string)) "split" [ "a"; "b"; "c" ]
-    (Feam_sysmodel.Str_split.split_on_string ~sep:"--" "a--b--c");
-  Alcotest.(check (list string)) "no sep" [ "abc" ]
-    (Feam_sysmodel.Str_split.split_on_string ~sep:"--" "abc");
   Alcotest.(check bool) "contains" true
     (Feam_sysmodel.Str_split.contains ~sub:"orl" "world");
   Alcotest.(check bool) "not contains" false
