@@ -202,10 +202,14 @@ let run_one ?ctx (sc : Scengen.t) =
    could (a fresh file system under a known name drops that name's
    entries), but in a fresh world most walks are first walks: a
    500-scenario corpus hit 626 of 1,528 lookups and ran slower with the
-   memo than without it. *)
+   memo than without it.  The describe memo is invisible in the report
+   and the journal: they read as under {!Feam_core.Eval_ctx.reference}. *)
 let run_corpus ~seed ~count () =
   let ctx =
-    { (Feam_core.Eval_ctx.create ()) with memo = None; closures = None }
+    {
+      Feam_core.Eval_ctx.reference with
+      describe = Some (Feam_core.Bdc.create_memo ());
+    }
   in
   List.init count (fun index ->
       let r = run_one ~ctx (Scengen.build ~seed ~index ()) in

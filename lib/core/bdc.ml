@@ -113,8 +113,11 @@ let describe_via_file_and_ldd ?clock site env path =
    field.  A pass carries one memo ([Eval_ctx]) keyed by (site name,
    content key), the key read through the file's image handle so a hit
    hashes nothing; only objdump-path successes are cached, so
-   tool-fallback behaviour is untouched. *)
-type memo = (string * Chash.t, Description.t) Hashtbl.t
+   tool-fallback behaviour is untouched.  An entry keeps the clock
+   charges of the work it took over and a hit replays them, as a
+   pass-memo hit does, so a clock reads the same with a memo or
+   without. *)
+type memo = (string * Chash.t, Description.t * float list) Hashtbl.t
 
 let create_memo () : memo = Hashtbl.create 256
 
@@ -168,12 +171,13 @@ let describe ?clock ?memo site env ~path =
     | _ -> None
   in
   match cached with
-  | Some d ->
+  | Some (d, charges) ->
     Feam_obs.Metrics.incr "bdc.describe_cache.hit";
     (match memo_key with
     | Some (_, size) ->
       Feam_obs.Metrics.incr ~by:size "bdc.describe_cache.saved_bytes"
     | None -> ());
+    List.iter (Cost.charge clock) charges;
     let d = { d with Description.path } in
     (* Only objdump results are cached: a hit journals what the miss did,
        so a journal does not depend on what ran before it. *)
@@ -181,27 +185,22 @@ let describe ?clock ?memo site env ~path =
     Ok d
   | None -> (
     if memo_key <> None then Feam_obs.Metrics.incr "bdc.describe_cache.miss";
-    let via_objdump =
-      match (clock, memo_key) with
-      | Some outer, Some _ ->
-        (* A success is work the memo takes over: charged as cached, so
-           a replayed source phase (Pass_memo) charges what a rerun
-           hitting the memo would. *)
+    let via_objdump, charges =
+      match memo_key with
+      | Some _ ->
         let work = Sim_clock.recording () in
         let r = describe_via_objdump ~clock:work site path in
-        let charge =
-          if Result.is_ok r then Sim_clock.charge_cached else Sim_clock.charge
-        in
-        List.iter (charge outer) (Sim_clock.charges work);
-        r
-      | _ -> describe_via_objdump ?clock site path
+        let charges = Sim_clock.charges work in
+        List.iter (Cost.charge clock) charges;
+        (r, charges)
+      | None -> (describe_via_objdump ?clock site path, [])
     in
     match via_objdump with
     | Ok d ->
       Feam_obs.Metrics.incr "bdc.describe" ~labels:[ ("method", "objdump") ];
       journal_describe "objdump" d;
       (match (memo_key, memo) with
-      | Some (key, _), Some tbl -> Hashtbl.replace tbl key d
+      | Some (key, _), Some tbl -> Hashtbl.replace tbl key (d, charges)
       | _ -> ());
       Ok d
     | Error _ ->

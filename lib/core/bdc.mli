@@ -41,7 +41,9 @@ val locate_library :
 (** The describe memo of one evaluation pass ({!Eval_ctx}): successful
     objdump descriptions keyed by (site name, content key of the
     image), so the same library image described at the same site many
-    times is parsed once.  Hit/miss counts surface as
+    times is parsed once.  An entry keeps the clock charges of the miss
+    and a hit replays them, so a pass charges its clock as a pass with
+    no memo would.  Hit/miss counts surface as
     [bdc.describe_cache.hit] / [.miss].  Fallback-path (file/ldd)
     results are never cached, so a hit journals its method as
     [objdump], as the miss did. *)

@@ -37,8 +37,8 @@ type 'a tape = {
 (* Run [f] under a recording clock, the journal and counter recorders
    (counters named with one of [prefixes]) and the build-ID serial.  The
    run's other effects happen live; its charges reach [clock] once it
-   returns.  The tape keeps the charges a rerun would make: work a
-   cache took over (a describe-memo miss) is not redone by a hit. *)
+   returns.  A rerun would charge what the miss did: a describe-memo hit
+   inside it replays its miss's charges too. *)
 let record ?clock ~prefixes f =
   let recording = Sim_clock.recording () in
   let builds = Feam_toolchain.Build_id.serial () in
@@ -46,13 +46,14 @@ let record ?clock ~prefixes f =
     Feam_obs.Metrics.capture ~prefixes @@ fun () ->
     Feam_flightrec.Recorder.capture @@ fun () -> f ~clock:recording
   in
-  List.iter (Cost.charge clock) (Sim_clock.charges recording);
+  let charges = Sim_clock.charges recording in
+  List.iter (Cost.charge clock) charges;
   {
     value;
     records;
     counters;
     builds = Feam_toolchain.Build_id.serial () - builds;
-    charges = Sim_clock.replayed_charges recording;
+    charges;
   }
 
 let replay ?clock tape =

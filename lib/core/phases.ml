@@ -16,7 +16,7 @@ module Log = (val Logs.src_log src : Logs.LOG)
 let staging_binary_dir = "/tmp/feam/binary"
 
 (* The BDC memo of the pass's context, if any. *)
-let bdc_memo ctx = Option.map (fun c -> c.Eval_ctx.describe) ctx
+let bdc_memo ctx = Option.bind ctx (fun c -> c.Eval_ctx.describe)
 
 (* -- Source phase --------------------------------------------------------- *)
 

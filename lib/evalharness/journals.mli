@@ -19,8 +19,8 @@ val journal_cell :
 (** Journal every reported cell of the migration matrix (each binary at
     every other site with a matching MPI implementation) under one
     {!Feam_core.Eval_ctx}; each journal is byte-identical to
-    {!journal_cell}'s without one.  Returns the journal names
-    written. *)
+    {!journal_cell}'s under {!Feam_core.Eval_ctx.reference}, with no
+    cache.  Returns the journal names written. *)
 val write_cells :
   ?clock:Feam_util.Sim_clock.t ->
   write:(name:string -> string -> unit) ->

@@ -239,8 +239,8 @@ let migrate ?clock ?ctx ?bundle_filter (params : Params.t) binary target =
    memo walks each dependency closure once while the directories it
    consulted stay unchanged (dynlinker.closure_memo metrics, DESIGN
    §21).  The memos are invisible in the results: the cells, the clock
-   and the counters come out as a cell-by-cell run under the same
-   describe memo would. *)
+   and the counters come out as a cell-by-cell run with no cache
+   ([Eval_ctx.reference]) would. *)
 let run_all ?clock ?bundle_filter params sites binaries =
   let ctx = Feam_core.Eval_ctx.create () in
   List.map

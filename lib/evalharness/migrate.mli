@@ -113,9 +113,10 @@ val migrate :
 (** All migrations of a corpus, one per {!cells} entry, as one
     evaluation pass: the cells share one {!Feam_core.Eval_ctx}, so each
     distinct MPI-stack determinant input is probed once and each library
-    image is described once per site.  The result, the [clock] and the
-    probe and resolution counters are those of {!migrate} run cell by
-    cell under the same describe memo without a stack memo. *)
+    image is described once per site.  The result, the [clock], the
+    build-ID serial and every counter outside the cache families are
+    those of {!migrate} run cell by cell under
+    {!Feam_core.Eval_ctx.reference}, with no cache. *)
 val run_all :
   ?clock:Feam_util.Sim_clock.t ->
   ?bundle_filter:(Feam_core.Bundle.t -> Feam_core.Bundle.t) ->

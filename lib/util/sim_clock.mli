@@ -15,19 +15,9 @@ val charge : t -> float -> unit
     recorded work would have: float sums depend on their order. *)
 val recording : unit -> t
 
-(** [charge_cached t s] is [charge t s] for work whose result a cache
-    now holds: a recording clock remembers it, but it is not among the
-    {!replayed_charges}, since running the work again would hit the
-    cache and charge nothing. *)
-val charge_cached : t -> float -> unit
-
 (** The charges a {!recording} clock received, oldest first; [[]] for
     any other clock. *)
 val charges : t -> float list
-
-(** The {!charges} that were not {!charge_cached}, oldest first: what
-    running the recorded work again would charge. *)
-val replayed_charges : t -> float list
 
 val elapsed : t -> float
 

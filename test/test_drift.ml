@@ -33,19 +33,12 @@ let build_with active =
   let specs, benchmarks = Lazy.force small_world in
   Driftrun.build_world params specs benchmarks active
 
-(* One describe memo per test, held as a drift run holds one; every
-   world gets its own pass, [pass describe]. *)
-let with_memo f = f (Feam_core.Bdc.create_memo ())
-
-let pass describe = Feam_core.Eval_ctx.create ~describe ()
-
 (* -- snapshots ----------------------------------------------------------- *)
 
 let test_double_snapshot_byte_identity () =
-  with_memo @@ fun describe ->
   let snap () =
     let sites, binaries = build_with [] in
-    let ctx = pass describe in
+    let ctx = Feam_core.Eval_ctx.create () in
     let cells = Driftrun.predict_all ~ctx sites binaries in
     Snapshot.to_jsonl
       (Driftrun.snapshot_of_world ~ctx ~epoch:0 ~seed ~label:"" sites binaries
@@ -56,9 +49,8 @@ let test_double_snapshot_byte_identity () =
   Alcotest.(check string) "the same world snapshots byte-identically" a b
 
 let test_snapshot_roundtrip () =
-  with_memo @@ fun describe ->
   let sites, binaries = build_with [] in
-  let ctx = pass describe in
+  let ctx = Feam_core.Eval_ctx.create () in
   let cells = Driftrun.predict_all ~ctx sites binaries in
   let snapshot =
     Driftrun.snapshot_of_world ~ctx ~epoch:3 ~seed ~label:"x @ y" sites binaries
@@ -92,12 +84,11 @@ let test_snapshot_parse_errors () =
       (contains ~affix:"schema" e)
 
 let test_epoch_store_roundtrip () =
-  with_memo @@ fun describe ->
   let dir = Filename.temp_file "feam_drift" "" in
   Sys.remove dir;
   let store = Epoch_store.open_ dir in
   let sites, binaries = build_with [] in
-  let ctx = pass describe in
+  let ctx = Feam_core.Eval_ctx.create () in
   let cells = Driftrun.predict_all ~ctx sites binaries in
   let s0 =
     Driftrun.snapshot_of_world ~ctx ~epoch:0 ~seed ~label:"" sites binaries ~cells
@@ -294,9 +285,8 @@ let prop_flips_within_affected =
   QCheck.Test.make ~count:6 ~name:"changed-verdict cells are in the plan"
     QCheck.(int_range 1 1000)
     (fun pseed ->
-      with_memo @@ fun describe ->
       let sites0, binaries0 = build_with [] in
-      let ctx0 = pass describe in
+      let ctx0 = Feam_core.Eval_ctx.create () in
       let cells0 = Driftrun.predict_all ~ctx:ctx0 sites0 binaries0 in
       let base =
         Driftrun.snapshot_of_world ~ctx:ctx0 ~epoch:0 ~seed:pseed ~label:"" sites0
@@ -308,7 +298,7 @@ let prop_flips_within_affected =
           ~candidates:(Driftrun.removal_candidates sites0)
       in
       let sites, binaries = build_with [ p ] in
-      let ctx = pass describe in
+      let ctx = Feam_core.Eval_ctx.create () in
       let candidate =
         Driftrun.snapshot_of_world ~ctx ~epoch:1 ~seed:pseed
           ~label:(Driftrun.perturbation_label p) sites binaries ~cells:cells0
@@ -417,7 +407,9 @@ let test_sequence_incremental_matches_full () =
    live world and check, after every epoch, that its sites digest as a
    world rebuilt with the same active set — every file as stored, so a
    symlink restored as a copy of its target shows — that the run's
-   snapshot hashes as a cold capture of that rebuilt world, and that
+   snapshot hashes as a cold capture of that rebuilt world under
+   [Eval_ctx.reference], with no cache (the drift leg of
+   test_reference.ml's oracle; the run must hit every cache), and that
    the run's plan and flips read as the cold reference's
    ([Invalidate.affected] over the rebuilt epochs): the same changes in
    the same order, reaching the same cells.  Both seeds' draws undo a
@@ -427,12 +419,16 @@ let test_live_world_equals_rebuilt () =
   List.iter
     (fun (seed, epochs) ->
       let params = { params with Params.seed } in
+      Feam_obs.Metrics.reset ();
       let epoch_results =
         Array.of_list
           (Driftrun.run ~specs ~benchmarks ~seed ~epochs ()).Driftrun.dr_epochs
       in
+      Alcotest.(check (list string))
+        (Printf.sprintf "seed %d: the run hits every cache" seed)
+        Test_reference.caches (Test_reference.moved ".hit");
       let cold ~label sites binaries k =
-        let ctx = Feam_core.Eval_ctx.create () in
+        let ctx = Feam_core.Eval_ctx.reference in
         Driftrun.snapshot_of_world ~ctx ~epoch:k ~seed ~label sites binaries
           ~cells:(Driftrun.predict_all ~ctx sites binaries)
       in

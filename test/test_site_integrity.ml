@@ -86,7 +86,6 @@ let test_drift_passes () =
   let specs = Driftrun.small_specs () in
   let benchmarks = Driftrun.small_benchmarks () in
   let ctx = Feam_core.Eval_ctx.create () in
-  let describe = ctx.Feam_core.Eval_ctx.describe in
   let sites0, binaries0 = Driftrun.build_world params specs benchmarks [] in
   let cells =
     check_unchanged "Driftrun.predict_all" sites0 (fun () ->
@@ -98,8 +97,8 @@ let test_drift_passes () =
   in
   let p = { Driftrun.pe_site = "fir"; pe_what = Scengen.Stale_ld_cache } in
   let sites, binaries = Driftrun.build_world params specs benchmarks [ p ] in
-  (* the rebuilt world's pass, as a drift epoch's *)
-  let ctx = Feam_core.Eval_ctx.create ~describe () in
+  (* the rebuilt world's own pass *)
+  let ctx = Feam_core.Eval_ctx.create () in
   let reevaluated =
     check_unchanged "Driftrun.reevaluate" sites (fun () ->
         let after =

@@ -1,8 +1,7 @@
-(* The pass memo's source-phase table (DESIGN §17).  The journal oracle
-   runs a prediction pass under an armed flight recorder once with a
-   pass memo and once cell by cell without one, and demands the same
-   journal byte for byte.  The key tests pin what must miss, and the
-   guard test that a pass cannot be carried into a rebuilt world. *)
+(* The pass memo's source-phase table (DESIGN §17).  test_reference.ml
+   checks it end to end, against a pass with no cache.  The key tests
+   here pin what must miss, and the guard test that a pass cannot be
+   carried into a rebuilt world. *)
 
 open Feam_sysmodel
 open Feam_evalharness
@@ -21,41 +20,11 @@ let three_site_world () =
     (List.filteri (fun i _ -> i >= n - 3) Sites.specs)
     (Driftrun.small_benchmarks ()) []
 
-(* The journal of [predict] over a fresh world. *)
-let journal predict =
-  let sites, binaries = three_site_world () in
-  let body = ref "" in
-  Recorder.configure ~tool:"test" ~emit:(( := ) body) ();
-  Fun.protect ~finally:Recorder.disable (fun () ->
-      predict sites binaries;
-      Recorder.flush ());
-  !body
-
-let test_journal_matches_cell_by_cell () =
-  Feam_obs.Metrics.reset ();
-  let memo =
-    journal (fun sites binaries ->
-        ignore (Driftrun.predict_all sites binaries : Feam_drift.Snapshot.cell list))
-  in
-  let hits = counter "phases.source_memo.hit" in
-  let plain =
-    journal (fun sites binaries ->
-        (* the same describe memo for the pass, no pass memo *)
-        let ctx = { (Eval_ctx.create ()) with memo = None } in
-        List.iter
-          (fun (b, t) -> ignore (Driftrun.predict_cell ~ctx b t))
-          (Driftrun.all_cells sites binaries))
-  in
-  Alcotest.(check bool) "the source memo hit" true (hits > 0);
-  Alcotest.(check bool) "the journal has describe records" true
-    (Test_flightrec.contains ~affix:{|"kind":"describe"|} plain);
-  Alcotest.(check bool) "the same journal, byte for byte" true
-    (String.equal memo plain)
-
 (* -- the key ------------------------------------------------------------ *)
 
-(* Run the binary's source phase under [ctx]; true when it missed. *)
-let missed ctx ?env (binary : Testset.binary) =
+(* Run the binary's source phase under [ctx], at [path] (default: its
+   home path); true when it missed. *)
+let missed ctx ?env ?path (binary : Testset.binary) =
   let home = binary.Testset.home in
   let env =
     match env with
@@ -66,7 +35,7 @@ let missed ctx ?env (binary : Testset.binary) =
   let misses = counter "phases.source_memo.miss" in
   ignore
     (Feam_core.Phases.source_phase ~ctx Feam_core.Config.default home env
-       ~binary_path:binary.Testset.home_path
+       ~binary_path:(Option.value path ~default:binary.Testset.home_path)
       : (Feam_core.Bundle.t, string) result);
   counter "phases.source_memo.miss" > misses
 
@@ -93,9 +62,22 @@ let test_key_misses () =
   let bytes = Bytes.of_string binary.Testset.bytes in
   let last = Bytes.length bytes - 1 in
   Bytes.set bytes last (Char.chr (Char.code (Bytes.get bytes last) lxor 1));
-  Vfs.add ~declared_size:binary.Testset.declared_size (Site.vfs home)
-    binary.Testset.home_path
-    (Vfs.Elf (Bytes.to_string bytes));
+  let write path =
+    Vfs.add ~declared_size:binary.Testset.declared_size (Site.vfs home) path
+      (Vfs.Elf (Bytes.to_string bytes))
+  in
+  (* Writes inside a scope leave the site's state as it was, so only
+     the key can tell these lookups from the first. *)
+  Vfs.scoped (Site.vfs home) (fun () ->
+      let copy = binary.Testset.home_path ^ ".copy" in
+      Vfs.add_image ~declared_size:binary.Testset.declared_size (Site.vfs home)
+        copy binary.Testset.image;
+      Alcotest.(check bool) "the same image at another path misses" true
+        (missed ctx ~path:copy binary);
+      write binary.Testset.home_path;
+      Alcotest.(check bool) "changed bytes in a scope miss" true
+        (missed ctx binary));
+  write binary.Testset.home_path;
   Alcotest.(check bool) "changed bytes at the same path miss" true
     (missed ctx binary)
 
@@ -116,15 +98,13 @@ let test_pass_bound_to_its_world () =
     (raised (fun () ->
          ignore
            (Driftrun.predict_all
-              ~ctx:(Eval_ctx.create ~describe:ctx.Eval_ctx.describe ())
+              ~ctx:(Eval_ctx.create ?describe:ctx.Eval_ctx.describe ())
               sites binaries)))
 
 let suite =
   ( "source memo",
     [
-      Alcotest.test_case "predict_all journals as cell by cell" `Slow
-        test_journal_matches_cell_by_cell;
-      Alcotest.test_case "key: journaling, module, binary bytes" `Quick
+      Alcotest.test_case "key: journaling, module, binary bytes, path" `Quick
         test_key_misses;
       Alcotest.test_case "a pass is bound to its world" `Quick
         test_pass_bound_to_its_world;

@@ -1,10 +1,8 @@
-(* The pass memo's MPI-stack table (DESIGN §17).  The oracle runs the
-   default matrix as one memo-carrying pass and cell by cell without a
-   pass memo, and demands the same cells, the same simulated clock to
-   the last bit, the same counters outside the cache families and the
-   same journals.  The key tests pin what must miss; the replay test
-   pins what a hit must redo, and the digest test that neither a hit nor
-   a miss leaves a file behind. *)
+(* The pass memo's MPI-stack table (DESIGN §17).  test_reference.ml
+   checks it end to end, against a pass with no cache.  The key tests
+   here pin what must miss; the replay test pins what a hit must redo,
+   and the digest test that neither a hit nor a miss leaves a file
+   behind. *)
 
 open Feam_sysmodel
 open Feam_evalharness
@@ -13,115 +11,7 @@ module Metrics = Feam_obs.Metrics
 
 let params = Params.default
 
-let default_world () =
-  let sites = Sites.build_all params in
-  let binaries =
-    Testset.build params sites (Feam_suites.Npb.all @ Feam_suites.Specmpi.all)
-  in
-  (sites, binaries)
-
-let cell_line (m : Migrate.migration) =
-  String.concat " | "
-    [
-      m.Migrate.binary.Testset.id;
-      m.Migrate.target_name;
-      string_of_bool m.Migrate.basic_ready;
-      String.concat "; " m.Migrate.basic_reasons;
-      string_of_bool m.Migrate.extended_ready;
-      String.concat "; " m.Migrate.extended_reasons;
-      String.concat "," m.Migrate.staged_copies;
-      Feam_dynlinker.Exec.outcome_to_string m.Migrate.actual_before;
-      Feam_dynlinker.Exec.outcome_to_string m.Migrate.actual_after;
-    ]
-
-(* Every counter outside the cache families, by registry key, with its
-   value: the counters a memo hit must leave as a miss would. *)
-let work_counters () =
-  let cache name =
-    List.exists
-      (fun suffix -> String.ends_with ~suffix name)
-      [ ".hit"; ".miss"; ".saved_bytes" ]
-  in
-  Metrics.snapshot ()
-  |> List.filter_map (fun (k, e) ->
-         match e.Metrics.metric with
-         | Metrics.Counter c when not (cache e.Metrics.name) -> Some (k, !c)
-         | _ -> None)
-
 let counter name = Option.value ~default:0 (Metrics.counter_value name)
-
-(* Run [f] on a fresh default world from a reset registry; return its
-   result, the work counters it moved and the build-ID serial it ended
-   on. *)
-let fresh_run f =
-  Metrics.reset ();
-  let sites, binaries = default_world () in
-  let r = f sites binaries in
-  (r, work_counters (), Feam_toolchain.Build_id.serial ())
-
-let test_run_all_matches_cell_by_cell () =
-  let clock_a = Feam_util.Sim_clock.create () in
-  let corpus = ref 0 in
-  let memo_lines, memo_counters, memo_serial =
-    fresh_run (fun sites binaries ->
-        corpus := List.length binaries;
-        List.map cell_line
-          (Migrate.run_all ~clock:clock_a params sites binaries))
-  in
-  let hits = counter "tec.stack_memo.hit" in
-  let source_hits = counter "phases.source_memo.hit" in
-  let source_misses = counter "phases.source_memo.miss" in
-  let clock_b = Feam_util.Sim_clock.create () in
-  let lines, counters, serial =
-    fresh_run (fun sites binaries ->
-        (* a describe memo as run_all's, so only the pass memo differs
-           between the two runs *)
-        let ctx = { (Feam_core.Eval_ctx.create ()) with memo = None } in
-        List.map
-          (fun (b, t) ->
-            cell_line (Migrate.migrate ~clock:clock_b ~ctx params b t))
-          (Migrate.cells sites binaries))
-  in
-  Alcotest.(check bool) "the memo hit" true (hits > 0);
-  Alcotest.(check bool) "the source memo hit" true (source_hits > 0);
-  Alcotest.(check int) "264 binaries" 264 !corpus;
-  Alcotest.(check int) "one source phase per binary" !corpus source_misses;
-  Alcotest.(check int) "no memo, no lookups" 0 (counter "tec.stack_memo.miss");
-  Alcotest.(check int) "no memo, no source lookups" 0
-    (counter "phases.source_memo.miss");
-  Alcotest.(check (list string)) "the same cells" lines memo_lines;
-  Alcotest.(check (float 0.0))
-    "the same simulated clock, to the bit"
-    (Feam_util.Sim_clock.elapsed clock_b)
-    (Feam_util.Sim_clock.elapsed clock_a);
-  Alcotest.(check (list (pair string int)))
-    "the same counters outside the cache families" counters memo_counters;
-  Alcotest.(check int) "the same build-ID serial" serial memo_serial
-
-let test_journals_match_cell_by_cell () =
-  let journals run =
-    let bodies = Buffer.create (1 lsl 20) in
-    let write ~name body =
-      Buffer.add_string bodies name;
-      Buffer.add_string bodies body
-    in
-    let _, _, _ = fresh_run (run ~write) in
-    Buffer.contents bodies
-  in
-  let memo =
-    journals (fun ~write sites binaries ->
-        ignore (Journals.write_cells ~write sites binaries : string list))
-  in
-  let hits = counter "tec.stack_memo.hit" in
-  let plain =
-    journals (fun ~write sites binaries ->
-        List.iter
-          (fun (b, t) -> ignore (Journals.journal_cell ~write b t : string))
-          (Migrate.cells sites binaries))
-  in
-  Alcotest.(check bool) "the memo hit" true (hits > 0);
-  Alcotest.(check bool) "the same journals, byte for byte" true
-    (String.equal memo plain)
 
 (* -- the key ------------------------------------------------------------ *)
 
@@ -144,12 +34,14 @@ let small_cell () =
   | Ok bundle -> (target, bundle)
   | Error e -> Alcotest.fail e
 
-(* Look [bundle] and [env] up in [memo]; true when the probe ran. *)
-let missed memo target ?(env = Site.base_env target) bundle =
+(* Look [bundle], [env] and [target_glibc] (default: the target's) up
+   in [memo]; true when the probe ran. *)
+let missed memo target ?(env = Site.base_env target)
+    ?(target_glibc = Site.glibc target) bundle =
   let ran = ref false in
   ignore
     (Pass_memo.find_or_probe memo ~config:Feam_core.Config.default target env
-       ~bundle ~target_glibc:(Some (Site.glibc target)) ~candidates:[]
+       ~bundle ~target_glibc:(Some target_glibc) ~candidates:[]
        (fun ~clock:_ ->
          ran := true;
          (None, []))
@@ -194,6 +86,10 @@ let test_key_misses () =
     (missed memo target (Some { bundle with Feam_core.Bundle.probes = [] }));
   Alcotest.(check bool) "a bundle without copies misses" true
     (missed memo target (Some { bundle with Feam_core.Bundle.copies = [] }));
+  Alcotest.(check bool) "another target glibc misses" true
+    (missed memo target
+       ~target_glibc:(Feam_util.Version.of_ints [ 1; 0 ])
+       (Some bundle));
   let install = List.hd (Site.stack_installs target) in
   Alcotest.(check bool) "an env with an extra module misses" true
     (missed memo target
@@ -324,11 +220,7 @@ let test_probes_leave_no_file () =
 let suite =
   ( "stack memo",
     [
-      Alcotest.test_case "run_all matches cell by cell without a memo" `Slow
-        test_run_all_matches_cell_by_cell;
-      Alcotest.test_case "write_cells matches journal_cell without a memo"
-        `Slow test_journals_match_cell_by_cell;
-      Alcotest.test_case "key: journaling, changed copy, ablation, module"
+      Alcotest.test_case "key: journaling, changed copy, ablation, module, glibc"
         `Quick test_key_misses;
       Alcotest.test_case "a hit redoes records, counters, build IDs, charges"
         `Quick test_hit_redoes_effects;
