@@ -245,6 +245,24 @@ let bench_closure_hit =
         (Feam_dynlinker.Resolve.run ~closures:(Lazy.force warm_closures)
            Fixture.target env spec) )
 
+(* The discovery table's two sides (DESIGN §17) on the fixture target:
+   a fresh pass memo runs discovery under its recorders, a warm one
+   replays the recorded tape. *)
+let discover_under ctx =
+  ignore
+    (Feam_core.Edc.discover ~ctx ~env_type:`Target Fixture.target
+       (Feam_sysmodel.Site.base_env Fixture.target))
+
+let memo_only () =
+  { Feam_core.Eval_ctx.reference with memo = Some (Feam_core.Pass_memo.create ()) }
+
+let bench_discover_miss = ("edc/discover-miss", fun () -> discover_under (memo_only ()))
+
+let warm_discoveries = lazy (memo_only ())
+
+let bench_discover_hit =
+  ("edc/discover-hit", fun () -> discover_under (Lazy.force warm_discoveries))
+
 let elf_bench_spec =
   Feam_elf.Spec.make
     ~needed:[ "libmpi.so.0"; "libc.so.6" ]
@@ -382,7 +400,7 @@ let drift_fixture =
   lazy
     (let specs = Driftrun.small_specs () in
      let benchmarks = Driftrun.small_benchmarks () in
-     let describe = Feam_core.Bdc.create_memo () in
+     let describe = Feam_core.Eval_ctx.create_describe_memo () in
      let sites0, binaries0 = Driftrun.build_world params specs benchmarks [] in
      let ctx = Feam_core.Eval_ctx.create ~describe () in
      let cells0 = Driftrun.predict_all ~ctx sites0 binaries0 in
@@ -489,7 +507,8 @@ let all_benches =
   [
     bench_table1; bench_table2; bench_table3_basic; bench_table3_extended;
     bench_table4; bench_fig1; bench_fig2; bench_fig3; bench_fig4;
-    bench_timing; bench_closure_miss; bench_closure_hit; bench_elf;
+    bench_timing; bench_closure_miss; bench_closure_hit; bench_discover_miss;
+    bench_discover_hit; bench_elf;
     bench_elf_hit; bench_elf_parse; bench_depot_hash;
     bench_depot_store; bench_depot_plan; bench_agree_scengen;
     bench_agree_pipeline;

@@ -208,7 +208,7 @@ let run_corpus ~seed ~count () =
   let ctx =
     {
       Feam_core.Eval_ctx.reference with
-      describe = Some (Feam_core.Bdc.create_memo ());
+      describe = Some (Feam_core.Eval_ctx.create_describe_memo ());
     }
   in
   List.init count (fun index ->

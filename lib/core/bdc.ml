@@ -11,11 +11,11 @@
 open Feam_util
 open Feam_sysmodel
 
-type library_copy = {
-  copy_request : string;      (* the DT_NEEDED name this copy satisfies *)
-  copy_origin_path : string;  (* where it was found at the guaranteed site *)
-  copy_image : Feam_elf.Reader.image; (* the library image, by its handle *)
-  copy_declared_size : int;   (* on-disk size, for bundle accounting *)
+type library_copy = Bundle.library_copy = {
+  copy_request : string;
+  copy_origin_path : string;
+  copy_image : Feam_elf.Reader.image;
+  copy_declared_size : int;
   copy_description : Description.t;
 }
 
@@ -53,7 +53,7 @@ let describe_via_objdump ?clock site path =
    requirements (paper §V.A notes ldd "cannot be relied on to always
    provide this information" — it fails for foreign-architecture
    binaries, and then we must give up on those fields). *)
-let describe_via_file_and_ldd ?clock site env path =
+let describe_via_file_and_ldd ?clock ?closures site env path =
   match Utilities.file_cmd ?clock site path with
   | Error e -> Error (Utilities.error_to_string e)
   | Ok file_text ->
@@ -76,7 +76,7 @@ let describe_via_file_and_ldd ?clock site env path =
       | None -> Error (path ^ ": unrecognized ELF machine in file(1) output")
       | Some (_, (machine, elf_class, file_format)) ->
         let needed, verneeds =
-          match Feam_dynlinker.Ldd.run ?clock site env path with
+          match Feam_dynlinker.Ldd.run ?clock ?closures site env path with
           | Ok resolution ->
             let root = resolution.Feam_dynlinker.Resolve.root_spec in
             ( root.Feam_elf.Spec.needed,
@@ -110,22 +110,21 @@ let describe_via_file_and_ldd ?clock site env path =
    sites.  A description is a function of the image bytes and the site's
    tooling alone (every fault draw is keyed and seeded), so identical
    bytes at the same site always describe identically up to the path
-   field.  A pass carries one memo ([Eval_ctx]) keyed by (site name,
-   content key), the key read through the file's image handle so a hit
-   hashes nothing; only objdump-path successes are cached, so
-   tool-fallback behaviour is untouched.  An entry keeps the clock
-   charges of the work it took over and a hit replays them, as a
+   field.  A pass carries one memo ([Eval_ctx.describe_memo]) keyed by
+   (site name, content key), the key read through the file's image
+   handle so a hit hashes nothing; only objdump-path successes are
+   cached, so tool-fallback behaviour is untouched.  An entry keeps the
+   clock charges of the work it took over and a hit replays them, as a
    pass-memo hit does, so a clock reads the same with a memo or
    without. *)
-type memo = (string * Chash.t, Description.t * float list) Hashtbl.t
-
-let create_memo () : memo = Hashtbl.create 256
 
 (* The memo [describe] reads when its caller passes none: unset unless
    the benchmark harness installs one through the two shims below. *)
-let default_memo : memo option ref = ref None
+let default_memo : Eval_ctx.describe_memo option ref = ref None
 
-let set_describe_memo () = default_memo := Some (create_memo ())
+let set_describe_memo () =
+  default_memo := Some (Eval_ctx.create_describe_memo ())
+
 let clear_describe_memo () = default_memo := None
 
 (* Returns the memo key plus the image size, so a hit can credit the
@@ -138,9 +137,10 @@ let memo_key_of site path =
         String.length (Feam_elf.Reader.image_bytes image) )
   | None -> None
 
-(* [describe ?clock ?memo site env ~path] — full description with
-   fallbacks. *)
-let describe ?clock ?memo site env ~path =
+(* [describe ?clock ?ctx site env ~path] — full description with
+   fallbacks, through the context's describe memo (else the default
+   one) and its closure memo. *)
+let describe ?clock ?ctx site env ~path =
   Feam_obs.Ledger.with_stage "bdc.describe" @@ fun () ->
   Feam_obs.Prof.with_timer "bdc.describe" @@ fun () ->
   Feam_obs.Trace.with_span "bdc.describe"
@@ -161,7 +161,11 @@ let describe ?clock ?memo site env ~path =
             | None -> Json.Null );
         ])
   in
-  let memo = match memo with Some _ -> memo | None -> !default_memo in
+  let memo =
+    match Option.bind ctx (fun c -> c.Eval_ctx.describe) with
+    | Some _ as memo -> memo
+    | None -> !default_memo
+  in
   let memo_key =
     match memo with Some _ -> memo_key_of site path | None -> None
   in
@@ -206,7 +210,10 @@ let describe ?clock ?memo site env ~path =
     | Error _ ->
       Feam_obs.Metrics.incr "bdc.describe" ~labels:[ ("method", "file_ldd") ];
       Feam_obs.Trace.with_span "bdc.file_ldd_describe" @@ fun () ->
-      let r = describe_via_file_and_ldd ?clock site env path in
+      let r =
+        describe_via_file_and_ldd ?clock ?closures:(Eval_ctx.closures ctx)
+          site env path
+      in
       Result.iter (journal_describe "file_ldd") r;
       r)
 
@@ -270,9 +277,9 @@ let locate_library ?clock site env name =
 
 (* Paths of the binary's shared libraries at a guaranteed site: ldd when
    it works, per-name searches otherwise. *)
-let dependency_paths ?clock site env ~path ~needed =
+let dependency_paths ?clock ?closures site env ~path ~needed =
   Feam_obs.Trace.with_span "bdc.dependency_paths" @@ fun () ->
-  match Feam_dynlinker.Ldd.run ?clock site env path with
+  match Feam_dynlinker.Ldd.run ?clock ?closures site env path with
   | Ok resolution ->
     let from_ldd =
       resolution.Feam_dynlinker.Resolve.resolved
@@ -304,18 +311,18 @@ let dependency_paths ?clock site env ~path ~needed =
     List.iter visit needed;
     List.rev !acc
 
-(* [gather_source ?clock ?memo site env ~path] — the source phase's BDC run:
+(* [gather_source ?clock ?ctx site env ~path] — the source phase's BDC run:
    describe the binary, then copy and describe every shared library in
    its dependency closure except the C library. *)
-let gather_source ?clock ?memo site env ~path =
+let gather_source ?clock ?ctx site env ~path =
   Feam_obs.Trace.with_span "bdc.gather_source"
     ~attrs:[ ("path", Feam_obs.Span.Str path) ]
   @@ fun () ->
-  match describe ?clock ?memo site env ~path with
+  match describe ?clock ?ctx site env ~path with
   | Error e -> Error e
   | Ok binary_description ->
     let deps =
-      dependency_paths ?clock site env ~path
+      dependency_paths ?clock ?closures:(Eval_ctx.closures ctx) site env ~path
         ~needed:binary_description.Description.needed
     in
     let copies = ref [] in
@@ -331,7 +338,7 @@ let gather_source ?clock ?memo site env ~path =
             | Some (_, image), Some declared_size -> (
               Cost.charge clock
                 (Cost.copy_per_mb *. (float_of_int declared_size /. 1048576.0));
-              match describe ?clock ?memo site env ~path:origin with
+              match describe ?clock ?ctx site env ~path:origin with
               | Ok copy_description ->
                 Feam_obs.Trace.event "copy"
                   ~attrs:

@@ -8,13 +8,12 @@
     shared library in the binary's dependency closure (except the C
     library). *)
 
-type library_copy = {
-  copy_request : string;  (** the DT_NEEDED name this copy satisfies *)
-  copy_origin_path : string;  (** where it was found at the guaranteed site *)
+(** A shared library copied for the bundle ({!Bundle.library_copy}). *)
+type library_copy = Bundle.library_copy = {
+  copy_request : string;
+  copy_origin_path : string;
   copy_image : Feam_elf.Reader.image;
-      (** the library image itself, by its handle: a copy keys and
-          parses without hashing its bytes again *)
-  copy_declared_size : int;  (** on-disk size, for bundle accounting *)
+  copy_declared_size : int;
   copy_description : Description.t;
 }
 
@@ -38,19 +37,6 @@ val locate_library :
   string ->
   string option
 
-(** The describe memo of one evaluation pass ({!Eval_ctx}): successful
-    objdump descriptions keyed by (site name, content key of the
-    image), so the same library image described at the same site many
-    times is parsed once.  An entry keeps the clock charges of the miss
-    and a hit replays them, so a pass charges its clock as a pass with
-    no memo would.  Hit/miss counts surface as
-    [bdc.describe_cache.hit] / [.miss].  Fallback-path (file/ldd)
-    results are never cached, so a hit journals its method as
-    [objdump], as the miss did. *)
-type memo
-
-val create_memo : unit -> memo
-
 (** Benchmark-harness shims: install a fresh default memo, which
     {!describe} and {!gather_source} read when passed none, or drop it.
     Library code passes its pass's memo instead and never calls
@@ -59,22 +45,24 @@ val set_describe_memo : unit -> unit
 
 val clear_describe_memo : unit -> unit
 
-(** Describe a binary, with fallbacks for missing tools, through [memo]
-    when given. *)
+(** Describe a binary, with fallbacks for missing tools.  An objdump
+    description goes through [ctx]'s describe memo
+    ({!Eval_ctx.describe_memo}), else the default one; the file/ldd
+    fallback's ldd resolves through [ctx]'s closure memo, if any. *)
 val describe :
   ?clock:Feam_util.Sim_clock.t ->
-  ?memo:memo ->
+  ?ctx:Eval_ctx.t ->
   Feam_sysmodel.Site.t ->
   Feam_sysmodel.Env.t ->
   path:string ->
   (Description.t, string) result
 
 (** The source phase's BDC run: describe the binary, then copy and
-    describe its dependency closure, every description through
-    [memo] when given. *)
+    describe its dependency closure, every description and the ldd
+    walk of the closure through [ctx]'s caches, as {!describe}. *)
 val gather_source :
   ?clock:Feam_util.Sim_clock.t ->
-  ?memo:memo ->
+  ?ctx:Eval_ctx.t ->
   Feam_sysmodel.Site.t ->
   Feam_sysmodel.Env.t ->
   path:string ->

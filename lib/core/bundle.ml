@@ -10,6 +10,14 @@
 
 open Feam_util
 
+type library_copy = {
+  copy_request : string;      (* the DT_NEEDED name this copy satisfies *)
+  copy_origin_path : string;  (* where it was found at the guaranteed site *)
+  copy_image : Feam_elf.Reader.image; (* the library image, by its handle *)
+  copy_declared_size : int;   (* on-disk size, for bundle accounting *)
+  copy_description : Description.t;
+}
+
 type probe = {
   probe_name : string;
   probe_image : Feam_elf.Reader.image; (* compiled at the guaranteed site *)
@@ -22,7 +30,7 @@ type t = {
   binary_description : Description.t;
   binary_image : Feam_elf.Reader.image option; (* the application binary *)
   binary_declared_size : int;
-  copies : Bdc.library_copy list;
+  copies : library_copy list;
   unlocatable : string list;
   probes : probe list;
   source_discovery : Discovery.t;
@@ -31,7 +39,7 @@ type t = {
 (* Size of the shared-library part of the bundle, in bytes: the figure
    the paper reports averaging 45 MB per site (§VI.C). *)
 let library_bytes t =
-  List.fold_left (fun acc c -> acc + c.Bdc.copy_declared_size) 0 t.copies
+  List.fold_left (fun acc c -> acc + c.copy_declared_size) 0 t.copies
 
 let total_bytes t =
   library_bytes t + t.binary_declared_size
@@ -43,9 +51,9 @@ let copies_for t name =
   let requested = Soname.of_string name in
   t.copies
   |> List.filter (fun c ->
-         c.Bdc.copy_request = name
+         c.copy_request = name
          ||
-         match (requested, c.Bdc.copy_description.Description.soname) with
+         match (requested, c.copy_description.Description.soname) with
          | Some required, Some provided -> Soname.satisfies ~provided ~required
          | _ -> false)
 
@@ -57,11 +65,11 @@ let merged_library_bytes bundles =
     (fun acc b ->
       List.fold_left
         (fun acc c ->
-          let key = c.Bdc.copy_origin_path in
+          let key = c.copy_origin_path in
           if Hashtbl.mem seen key then acc
           else begin
             Hashtbl.add seen key ();
-            acc + c.Bdc.copy_declared_size
+            acc + c.copy_declared_size
           end)
         acc b.copies)
     0 bundles

@@ -4,6 +4,18 @@
     guaranteed environment's discovery record — bundled for transfer to
     target sites. *)
 
+(** One shared library copied at the guaranteed site; {!Bdc} gathers
+    them. *)
+type library_copy = {
+  copy_request : string;  (** the DT_NEEDED name this copy satisfies *)
+  copy_origin_path : string;  (** where it was found at the guaranteed site *)
+  copy_image : Feam_elf.Reader.image;
+      (** the library image itself, by its handle: a copy keys and
+          parses without hashing its bytes again *)
+  copy_declared_size : int;  (** on-disk size, for bundle accounting *)
+  copy_description : Description.t;
+}
+
 type probe = {
   probe_name : string;
   probe_image : Feam_elf.Reader.image;
@@ -18,7 +30,7 @@ type t = {
   binary_image : Feam_elf.Reader.image option;
       (** the application binary, by the handle its file keeps *)
   binary_declared_size : int;
-  copies : Bdc.library_copy list;
+  copies : library_copy list;
   unlocatable : string list;
   probes : probe list;
   source_discovery : Discovery.t;
@@ -33,7 +45,7 @@ val total_bytes : t -> int
 
 (** Copies that can satisfy a given DT_NEEDED name, applying the soname
     compatibility convention (§III.D). *)
-val copies_for : t -> string -> Bdc.library_copy list
+val copies_for : t -> string -> library_copy list
 
 (** Merged size of several bundles' distinct library copies (the
     evaluation's per-site bundles). *)

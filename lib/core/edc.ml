@@ -103,17 +103,22 @@ let stacks_via_modules ?clock site =
     in
     Some (List.filter_map (Discovery.parse_stack_slug ~via) names)
 
+(* The names a path search for MPI libraries lists, and where the ones
+   it keeps live: a stack's slug is the directory under /opt. *)
+let mpi_library_prefix = "libmpi"
+let stack_root = "/opt/"
+
 (* Fallback: search for MPI libraries and wrappers in the filesystem and
    parse stack identity out of path naming (paper §V.B). *)
 let stacks_via_path_search ?clock site =
   let candidates =
-    match Utilities.locate ?clock site "libmpi" with
+    match Utilities.locate ?clock site mpi_library_prefix with
     | Ok paths -> paths
     | Error _ -> (
       match
         Utilities.find_in_dirs ?clock site
           ([ "/opt"; "/usr/local" ] @ Site.default_lib_dirs site)
-          "libmpi"
+          mpi_library_prefix
       with
       | Ok paths -> paths
       | Error _ -> [])
@@ -158,7 +163,25 @@ let missing_libraries ?clock ?ctx site env ~binary_path ~needed =
 
 (* -- Full discovery -------------------------------------------------------- *)
 
-let discover ?clock ~env_type site env =
+(* Whether a write to [path] can change what discovery finds at [site]:
+   one of the release files, an MPI library the path search keeps, or
+   a path the lookup of libc.so.6 in a default library directory passes
+   through.  uname, /proc/version, the C library's banner and the
+   module tools read no file. *)
+let reads site =
+  let libc =
+    lazy
+      (List.concat_map (Vfs.lookup_chain (Site.vfs site))
+         (Utilities.libc_candidates site))
+  in
+  fun path ->
+    List.mem path Utilities.release_files
+    || String.starts_with ~prefix:stack_root path
+       && Str_split.occurs_at ~sub:mpi_library_prefix path
+            (String.rindex path '/' + 1)
+    || List.mem path (Lazy.force libc)
+
+let run ?clock ~env_type site env =
   let env_label =
     match env_type with `Guaranteed -> "guaranteed" | `Target -> "target"
   in
@@ -238,3 +261,15 @@ let discover ?clock ~env_type site env =
     stacks;
     current_stack;
   }
+
+(* Through the context's pass memo, once per site state, environment
+   type and environment.  A write in an open scope leaves the site's
+   state as it was, so a discovery it could change runs live and is not
+   kept. *)
+let discover ?clock ?ctx ~env_type site env =
+  match Option.bind ctx (fun c -> c.Eval_ctx.memo) with
+  | Some memo
+    when not (Vfs.written_in_scope (Site.vfs site) (reads site)) ->
+    Pass_memo.find_or_discover memo ?clock site env ~env_type (fun ~clock ->
+        run ~clock ~env_type site env)
+  | Some _ | None -> run ?clock ~env_type site env

@@ -18,9 +18,16 @@ val missing_libraries :
   needed:string list ->
   string list
 
-(** Full environment discovery. *)
+(** Full environment discovery, through [ctx]'s pass memo when it has
+    one ({!Pass_memo.find_or_discover}).  While a write in an open
+    file-system scope is to a path discovery reads (a release file, an
+    MPI library under /opt, which the path search reads a stack's slug
+    from, or a path the lookup of libc.so.6 in a default library
+    directory passes through), discovery runs live and nothing is
+    kept. *)
 val discover :
   ?clock:Feam_util.Sim_clock.t ->
+  ?ctx:Eval_ctx.t ->
   env_type:[ `Target | `Guaranteed ] ->
   Feam_sysmodel.Site.t ->
   Feam_sysmodel.Env.t ->

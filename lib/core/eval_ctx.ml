@@ -1,12 +1,17 @@
 (* The caches of an evaluation.  See eval_ctx.mli. *)
 
+type describe_memo =
+  (string * Feam_util.Chash.t, Description.t * float list) Hashtbl.t
+
 type t = {
-  describe : Bdc.memo option;
+  describe : describe_memo option;
   memo : Pass_memo.t option;
   closures : Feam_dynlinker.Resolve.memo option;
 }
 
-let create ?(describe = Bdc.create_memo ()) () =
+let create_describe_memo () : describe_memo = Hashtbl.create 256
+
+let create ?(describe = create_describe_memo ()) () =
   {
     describe = Some describe;
     memo = Some (Pass_memo.create ());

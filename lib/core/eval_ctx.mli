@@ -14,9 +14,24 @@
     families' counters and [bdc.describe], which count real work.  A cache that is [None] computes every time; a
     [None] describe memo reads {!Bdc}'s default memo, which only the
     benchmark harness installs. *)
+
+(** The describe memo: {!Bdc.describe}'s successful objdump
+    descriptions, each with the clock charges of its miss, by (site
+    name, content key of the image), so the same library image
+    described at the same site many times is parsed once.  A hit
+    replays the charges, so a pass charges its clock as a pass with no
+    memo would.  Hit/miss counts surface as [bdc.describe_cache.hit] /
+    [.miss].  Fallback-path (file/ldd) results are never cached, so a
+    hit journals its method as [objdump], as the miss did.  Only {!Bdc}
+    reads and writes it. *)
+type describe_memo =
+  (string * Feam_util.Chash.t, Description.t * float list) Hashtbl.t
+
 type t = {
-  describe : Bdc.memo option;  (** BDC descriptions, keyed by image content *)
-  memo : Pass_memo.t option;  (** the MPI-stack and source-phase memo *)
+  describe : describe_memo option;
+      (** BDC descriptions, keyed by site and image content *)
+  memo : Pass_memo.t option;
+      (** the MPI-stack, source-phase and discovery memo *)
   closures : Feam_dynlinker.Resolve.memo option;
       (** the closure memo under ldd, the probes and ground-truth runs
           (DESIGN §21) *)
@@ -24,7 +39,10 @@ type t = {
 
 (** A fresh context: a fresh pass memo and closure memo over [describe]
     (default: a fresh describe memo). *)
-val create : ?describe:Bdc.memo -> unit -> t
+val create : ?describe:describe_memo -> unit -> t
+
+(** An empty describe memo. *)
+val create_describe_memo : unit -> describe_memo
 
 (** The context with no cache, against which every other is checked.
     A context with some caches off starts from it. *)

@@ -1,6 +1,7 @@
 (* The evaluation memo (DESIGN §17): the MPI-stack
-   determinant's outcomes (paper §III.B, §V.C) and the source phase's
-   bundles (paper §V, Figure 2).
+   determinant's outcomes (paper §III.B, §V.C), the source phase's
+   bundles (paper §V, Figure 2) and environment discoveries (paper
+   §V.B).
 
    Probing candidate stacks — compile a hello world at the target, stage
    the shipped probes and the bundle copies they need, run each through
@@ -17,10 +18,11 @@
    A hit must leave the world exactly as a miss would, so a miss runs
    under recorders for every channel its effects outlive it on, and a
    hit replays the recording in order: flight-recorder records, the
-   pass's counters, build-ID serials and clock charges.  Both tables
-   keep the same tape.  Files need no replay: {!Tec.select_stack} runs
-   the determinant in one file-system scope, and the source phase
-   writes nothing. *)
+   pass's counters, build-ID serials and clock charges.  Every table
+   keeps the same tape, and recordings nest: a discovery missed inside
+   a source-phase miss is recorded by both.  Files need no replay:
+   {!Tec.select_stack} runs the determinant in one file-system scope,
+   and neither the source phase nor discovery writes. *)
 
 open Feam_util
 open Feam_sysmodel
@@ -66,11 +68,12 @@ let replay ?clock tape =
 type selection =
   (Discovery.discovered_stack * Stack_install.t) option * (string * string) list
 
-(* The determinants run at a site and the source phases of binaries
-   homed there, in one state of the site. *)
+(* The determinants run at a site, the source phases of binaries homed
+   there and the site's discoveries, in one state of the site. *)
 type tables = {
   stacks : (string, selection tape) Hashtbl.t;
   sources : (string, (Bundle.t, string) result tape) Hashtbl.t;
+  discoveries : (string, Discovery.t tape) Hashtbl.t;
 }
 
 (* One site's tables, all made at one generation of its file system and
@@ -120,7 +123,13 @@ let tables t site =
   match List.assoc_opt flag e.by_flag with
   | Some tables -> tables
   | None ->
-    let tables = { stacks = Hashtbl.create 16; sources = Hashtbl.create 16 } in
+    let tables =
+      {
+        stacks = Hashtbl.create 16;
+        sources = Hashtbl.create 16;
+        discoveries = Hashtbl.create 4;
+      }
+    in
     e.by_flag <- (flag, tables) :: e.by_flag;
     tables
 
@@ -130,7 +139,9 @@ let held t =
       ( name,
         e.vfs_generation,
         List.map
-          (fun (_, s) -> Hashtbl.length s.stacks + Hashtbl.length s.sources)
+          (fun (_, s) ->
+            Hashtbl.length s.stacks + Hashtbl.length s.sources
+            + Hashtbl.length s.discoveries)
           e.by_flag )
       :: acc)
     t []
@@ -166,8 +177,11 @@ let add_list b f l =
   add b (string_of_int (List.length l));
   List.iter f l
 
+let add_env b env =
+  add_list b (fun (k, v) -> add b k; add b v) (Env.bindings env)
+
 let add_context b ~config env =
-  add_list b (fun (k, v) -> add b k; add b v) (Env.bindings env);
+  add_env b env;
   add b (Config.to_file_body config)
 
 (* -- the MPI-stack determinant ----------------------------------------- *)
@@ -195,9 +209,9 @@ let stack_key ~config env ~bundle ~target_glibc ~candidates =
       bundle.Bundle.probes;
     add_list b
       (fun c ->
-        add b c.Bdc.copy_request;
-        add b (Chash.to_hex (Feam_elf.Reader.image_key c.Bdc.copy_image));
-        add b (string_of_int c.Bdc.copy_declared_size))
+        add b c.Bundle.copy_request;
+        add b (Chash.to_hex (Feam_elf.Reader.image_key c.Bundle.copy_image));
+        add b (string_of_int c.Bundle.copy_declared_size))
       bundle.Bundle.copies);
   Buffer.contents b
 
@@ -242,3 +256,22 @@ let find_or_source t ?clock ~config site env ~binary_path ~image source =
     ~prefixes:source_counters ?clock
     (source_key ~config env ~binary_path ~image)
     source
+
+(* -- environment discovery --------------------------------------------- *)
+
+(* Discovery's own counter. *)
+let discovery_counters = [ "edc.discoveries" ]
+
+(* The site's state fixes what discovery reads; the environment type
+   labels its records and the environment names the loaded stack. *)
+let discovery_key ~env_type env =
+  let b = key_buffer () in
+  add b (match env_type with `Guaranteed -> "guaranteed" | `Target -> "target");
+  add_env b env;
+  Buffer.contents b
+
+let find_or_discover t ?clock site env ~env_type discover =
+  find_or_record (tables t site).discoveries ~name:"edc.discover_memo"
+    ~prefixes:discovery_counters ?clock
+    (discovery_key ~env_type env)
+    discover

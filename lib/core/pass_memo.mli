@@ -1,17 +1,21 @@
 (** The evaluation memo (DESIGN §17): one MPI-stack probe outcome
-    (paper §III.B, §V.C) and one source-phase bundle (paper §V) per
-    distinct input and site state.
+    (paper §III.B, §V.C), one source-phase bundle (paper §V) and one
+    environment discovery (paper §V.B) per distinct input and site
+    state.
 
     A pass ({!Feam_evalharness.Migrate.run_all}, the matrix journals)
     creates one memo, inside its {!Eval_ctx}, and hands it down to
-    {!Tec.evaluate} and {!Phases.source_phase}; a drift run and a serve
-    engine keep one for their lifetime.  There is no global instance.  Both
-    tables store one tape per entry: the result plus everything the miss
+    {!Tec.evaluate}, {!Phases.source_phase} and {!Edc.discover}; a drift
+    run and a serve engine keep one for their lifetime.  There is no
+    global instance.  Every table stores one tape per entry: the result plus everything the miss
     did beyond it that outlives it — flight-recorder records, the
     table's counters, the build-ID serial and the simulated-clock
     charges.  A hit replays the tape in that order.  Files are not among
     them: the determinant runs in its own file-system scope
-    ({!Tec.select_stack}) and the source phase writes nothing.
+    ({!Tec.select_stack}), and the source phase and discovery write
+    nothing.  Recordings nest: a discovery missed inside a source-phase
+    miss lands on both tapes, and a discovery hit there replays onto
+    the source phase's.
 
     Entries are kept per site state: its file system's generation
     ({!Feam_sysmodel.Vfs.generation}) and its setter fields (the
@@ -80,6 +84,27 @@ val find_or_source :
   image:(Feam_elf.Reader.image * int) option ->
   (clock:Feam_util.Sim_clock.t -> (Bundle.t, string) result) ->
   (Bundle.t, string) result
+
+(** [find_or_discover t ?clock site env ~env_type discover] is
+    [discover ~clock] on a miss and the recorded discovery on a hit, as
+    for {!find_or_probe}.  A hit replays the discovery's [edc] evidence
+    records, its [edc.discoveries] counter and its tool, module and
+    locate charges.  The key is the site's state, whether the flight
+    recorder is on, [env_type] and [env]'s bindings.  Writes in an open
+    file-system scope do not move the site's state, so a caller must
+    not look up a discovery that such a write could change
+    ({!Edc.discover} runs those live).  Lookups count as
+    [edc.discover_memo.hit] / [edc.discover_memo.miss].
+
+    @raise Invalid_argument as {!find_or_probe}. *)
+val find_or_discover :
+  t ->
+  ?clock:Feam_util.Sim_clock.t ->
+  Feam_sysmodel.Site.t ->
+  Feam_sysmodel.Env.t ->
+  env_type:[ `Target | `Guaranteed ] ->
+  (clock:Feam_util.Sim_clock.t -> Discovery.t) ->
+  Discovery.t
 
 (** Each site the memo holds entries for, sorted by name, with their
     file-system generation and their number per setter state. *)

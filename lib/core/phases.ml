@@ -15,9 +15,6 @@ module Log = (val Logs.src_log src : Logs.LOG)
 (* Where a bundle-carried binary is materialized at the target. *)
 let staging_binary_dir = "/tmp/feam/binary"
 
-(* The BDC memo of the pass's context, if any. *)
-let bdc_memo ctx = Option.bind ctx (fun c -> c.Eval_ctx.describe)
-
 (* -- Source phase --------------------------------------------------------- *)
 
 (* The ELF image at [path]: its handle and declared size. *)
@@ -61,10 +58,10 @@ let run_source ?clock ?ctx site env ~binary_path =
       m "source phase at %s for %s" (Site.name site) binary_path);
   finish
   @@
-  match Bdc.gather_source ?clock ?memo:(bdc_memo ctx) site env ~path:binary_path with
+  match Bdc.gather_source ?clock ?ctx site env ~path:binary_path with
   | Error e -> Error ("source phase: " ^ e)
   | Ok gathered ->
-    let discovery = Edc.discover ?clock ~env_type:`Guaranteed site env in
+    let discovery = Edc.discover ?clock ?ctx ~env_type:`Guaranteed site env in
     (* Confirm the currently selected stack matches the BDC's finding
        (paper §V.B) — a mismatch means this environment cannot vouch for
        the binary. *)
@@ -229,7 +226,7 @@ let target_phase ?clock ?depot ?ctx config site env ?bundle ?binary_path () =
         Error
           "target phase: need either a source-phase bundle or the binary at \
            the target site"
-      | Some path -> Bdc.describe ?clock ?memo:(bdc_memo ctx) site env ~path)
+      | Some path -> Bdc.describe ?clock ?ctx site env ~path)
   in
   match description with
   | Error e -> Error ("target phase: " ^ e)
@@ -245,7 +242,7 @@ let target_phase ?clock ?depot ?ctx config site env ?bundle ?binary_path () =
             ("binary", Feam_util.Json.Str description.Description.path);
             ("extended", Feam_util.Json.Bool (bundle <> None));
           ]);
-    let discovery = Edc.discover ?clock ~env_type:`Target site env in
+    let discovery = Edc.discover ?clock ?ctx ~env_type:`Target site env in
     let input =
       { Tec.config; description; binary_path; bundle; discovery }
     in

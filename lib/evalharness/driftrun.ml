@@ -120,7 +120,7 @@ let build_world params specs benchmarks active =
 
 (* -- evidence capture -------------------------------------------------- *)
 
-let capture_site site =
+let capture_site ?ctx site =
   let vfs = Site.vfs site in
   let inventory =
     List.concat_map
@@ -143,7 +143,8 @@ let capture_site site =
     ss_ld_cache_current = Site.ld_cache_current site;
     ss_discovery =
       Feam_core.Discovery.to_json
-        (Feam_core.Edc.discover ~env_type:`Target site (Site.base_env site));
+        (Feam_core.Edc.discover ?ctx ~env_type:`Target site
+           (Site.base_env site));
     ss_inventory = inventory;
   }
 
@@ -287,7 +288,7 @@ let assemble ~epoch ~seed ~label site_states binary_states cells =
    against. *)
 let snapshot_of_world ?ctx ~epoch ~seed ~label sites binaries ~cells =
   assemble ~epoch ~seed ~label
-    (List.map capture_site sites)
+    (List.map (capture_site ?ctx) sites)
     (List.map (capture_binary ?ctx) binaries)
     cells
 
@@ -324,7 +325,7 @@ module World = struct
       (fun site ->
         let name = Site.name site in
         replace w.site_captures name (Snapshot.Site_owner name)
-          Snapshot.site_atoms (capture_site site))
+          Snapshot.site_atoms (capture_site ~ctx:w.ctx site))
       sites
     @ List.concat_map
         (fun (b : Testset.binary) ->

@@ -135,7 +135,7 @@ val reevaluate :
 (** Capture a world as a normalized epoch snapshot around an
     already-computed verdict table: each site's discovery and library
     inventory, each binary's description and bundle digests, with the
-    source phases under [ctx].  The cold reference: {!World.snapshot}
+    discoveries and source phases under [ctx].  The cold reference: {!World.snapshot}
     assembles the same document from resident captures. *)
 val snapshot_of_world :
   ?ctx:Feam_core.Eval_ctx.t ->

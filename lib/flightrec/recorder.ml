@@ -27,7 +27,8 @@ type state = {
   mutable next_seq : int;
   mutable records : Json.t list; (* reversed *)
   mutable flushed_at : int;      (* record count at the last flush *)
-  mutable tape : tape option;    (* newest first, while {!capture} runs *)
+  mutable captures : tape ref list;
+      (* the running captures, innermost first; each tape newest first *)
 }
 
 let st =
@@ -38,7 +39,7 @@ let st =
     next_seq = 1;
     records = [];
     flushed_at = -1;
-    tape = None;
+    captures = [];
   }
 
 let enabled () = st.enabled
@@ -91,9 +92,7 @@ let no_fields () = []
 let record ?(fields = no_fields) kind =
   if st.enabled then begin
     let fields = fields () in
-    (match st.tape with
-    | Some l -> st.tape <- Some ((kind, fields) :: l)
-    | None -> ());
+    List.iter (fun tape -> tape := (kind, fields) :: !tape) st.captures;
     let span =
       match Feam_obs.Trace.current_span_id () with
       | Some id -> Json.Int id
@@ -113,13 +112,15 @@ let record ?(fields = no_fields) kind =
 
 (* Run [f], returning the records it journaled as a tape: replaying the
    tape later journals what [f] would.  Disabled, the recorder keeps
-   nothing, so the tape is empty. *)
+   nothing, so the tape is empty.  Captures nest: a record reaches every
+   running capture. *)
 let capture f =
-  if st.tape <> None then invalid_arg "Recorder.capture: already capturing";
-  st.tape <- Some [];
-  Fun.protect ~finally:(fun () -> st.tape <- None) @@ fun () ->
+  let tape = ref [] in
+  let outer = st.captures in
+  st.captures <- tape :: outer;
+  Fun.protect ~finally:(fun () -> st.captures <- outer) @@ fun () ->
   let r = f () in
-  (r, List.rev (Option.get st.tape))
+  (r, List.rev !tape)
 
 let replay tape =
   List.iter (fun (kind, fields) -> record ~fields:(fun () -> fields) kind) tape

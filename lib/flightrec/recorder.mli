@@ -28,8 +28,8 @@ type tape
 
 (** [capture f] runs [f] and returns, with its result, every record [f]
     journaled.  The recorder keeps nothing while disabled, so the tape
-    is then empty.
-    @raise Invalid_argument inside another capture. *)
+    is then empty.  Captures nest: a record made or replayed inside an
+    inner capture is also the enclosing captures'. *)
 val capture : (unit -> 'a) -> 'a * tape
 
 (** Record a tape's records again, in order: each gets a fresh sequence

@@ -77,32 +77,42 @@ let find_or_add name labels make =
     metric
 
 (* Counter increments (name, labels, amount) captured while {!capture}
-   runs, newest first, for the counters whose names start with one of
-   the capture's prefixes. *)
+   runs, for the counters whose names start with one of the capture's
+   prefixes. *)
 type tape = (string * (string * string) list * int) list
 
-let capturing : (string list * tape) option ref = ref None
+(* One running capture: its prefixes and what it took, newest first. *)
+type capture = { prefixes : string list; mutable taken : tape }
+
+(* The running captures, innermost first.  An increment reaches every
+   capture whose prefixes match it, so an inner capture's increments
+   are also the outer's, filtered by the outer prefixes. *)
+let capturing : capture list ref = ref []
 
 let incr ?(by = 1) ?(labels = []) name =
   (match !capturing with
-  | Some (prefixes, l)
-    when List.exists (fun prefix -> String.starts_with ~prefix name) prefixes
-    ->
-    capturing := Some (prefixes, (name, labels, by) :: l)
-  | _ -> ());
+  | [] -> ()
+  | captures ->
+    List.iter
+      (fun c ->
+        if
+          List.exists (fun prefix -> String.starts_with ~prefix name) c.prefixes
+        then c.taken <- (name, labels, by) :: c.taken)
+      captures);
   match find_or_add name labels (fun () -> Counter (ref 0)) with
   | Counter c -> c := !c + by
   | Gauge _ | Histogram _ ->
     invalid_arg ("Metrics.incr: " ^ name ^ " is not a counter")
 
 (* Run [f], returning the increments it made to counters named with one
-   of [prefixes]; {!replay} redoes them in order. *)
+   of [prefixes]; {!replay} redoes them in order.  Captures nest. *)
 let capture ~prefixes f =
-  if !capturing <> None then invalid_arg "Metrics.capture: already capturing";
-  capturing := Some (prefixes, []);
-  Fun.protect ~finally:(fun () -> capturing := None) @@ fun () ->
+  let c = { prefixes; taken = [] } in
+  let outer = !capturing in
+  capturing := c :: outer;
+  Fun.protect ~finally:(fun () -> capturing := outer) @@ fun () ->
   let r = f () in
-  (r, match !capturing with Some (_, l) -> List.rev l | None -> [])
+  (r, List.rev c.taken)
 
 let replay tape =
   List.iter (fun (name, labels, by) -> incr ~by ~labels name) tape

@@ -20,8 +20,10 @@ val incr : ?by:int -> ?labels:(string * string) list -> string -> unit
 type tape = (string * (string * string) list * int) list
 
 (** Run [f], returning the increments it made to counters named with
-    one of [prefixes].
-    @raise Invalid_argument when a capture is already running. *)
+    one of [prefixes].  Captures nest: an increment made inside an inner
+    capture, or replayed there, also reaches every enclosing capture
+    whose prefixes match it.  When [f] raises, the increments it made
+    stay with the enclosing captures. *)
 val capture : prefixes:string list -> (unit -> 'a) -> 'a * tape
 
 (** Redo a captured tape's increments, in order. *)

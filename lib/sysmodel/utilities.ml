@@ -183,12 +183,15 @@ let proc_version ?clock site =
   Cost.charge clock Cost.tool_call;
   Distro.proc_version (Site.distro site) ~machine:(Site.machine site)
 
+let release_files =
+  [ "/etc/redhat-release"; "/etc/SuSE-release"; "/etc/lsb-release" ]
+
 (* `cat /etc/*release`, reading whatever release files the site's vfs
    holds. *)
 let etc_release ?clock site =
   Cost.charge clock Cost.tool_call;
   let vfs = Site.vfs site in
-  [ "/etc/redhat-release"; "/etc/SuSE-release"; "/etc/lsb-release" ]
+  release_files
   |> List.filter_map (fun p ->
          match Vfs.find vfs p with
          | Some { Vfs.kind = Vfs.Text body; _ } -> Some (p, body)
@@ -230,11 +233,17 @@ let glibc_banner ?clock site =
      Compiled by GNU CC version 4.1.2.\n"
     (Version.to_string (Site.glibc site))
 
+let libc_in bits =
+  List.map (fun dir -> dir ^ "/libc.so.6") (Distro.default_lib_dirs ~bits)
+
+let libc_64 = libc_in `B64
+let libc_32 = libc_in `B32
+
+let libc_candidates site =
+  match Site.bits site with `B64 -> libc_64 | `B32 -> libc_32
+
 (* Locate libc.so.6 in the site's default library directories. *)
 let find_libc ?clock site =
   Cost.charge clock Cost.tool_call;
   let vfs = Site.vfs site in
-  Site.default_lib_dirs site
-  |> List.find_map (fun dir ->
-         let p = dir ^ "/libc.so.6" in
-         if Vfs.exists vfs p then Some p else None)
+  List.find_opt (Vfs.exists vfs) (libc_candidates site)

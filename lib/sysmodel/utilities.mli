@@ -36,6 +36,9 @@ val uname_p :
 (** `cat /proc/version` (always available). *)
 val proc_version : ?clock:Feam_util.Sim_clock.t -> Site.t -> string
 
+(** The /etc/*release files {!etc_release} reads. *)
+val release_files : string list
+
 (** Contents of the /etc/*release files present at the site. *)
 val etc_release :
   ?clock:Feam_util.Sim_clock.t -> Site.t -> (string * string) list
@@ -58,6 +61,10 @@ val find_in_dirs :
 (** The banner the C library binary prints when executed; the EDC parses
     the version out of it (paper §V.B). *)
 val glibc_banner : ?clock:Feam_util.Sim_clock.t -> Site.t -> string
+
+(** The paths {!find_libc} tries, in order: libc.so.6 in each of the
+    site's default library directories. *)
+val libc_candidates : Site.t -> string list
 
 (** Locate libc.so.6 in the site's default library directories. *)
 val find_libc : ?clock:Feam_util.Sim_clock.t -> Site.t -> string option

@@ -59,6 +59,8 @@ let create () =
 
 let generation t = t.generation
 
+let written_in_scope t pred = List.exists (fun c -> pred c.path) t.log
+
 let dirname path =
   match String.rindex_opt path '/' with
   | None | Some 0 -> "/"
@@ -195,6 +197,25 @@ let note t (reads : reads) dir =
 let unchanged (reads : reads) =
   Hashtbl.fold (fun _ (cell, version) ok -> ok && cell.version = version) reads true
 
+(* Where the link at [path] to [target] points. *)
+let link_target path target =
+  if String.length target > 0 && target.[0] = '/' then target
+  else dirname path ^ "/" ^ target
+
+(* The normal paths a lookup of [path] passes through, in order: the
+   path and each link's target, as {!resolve_slot} follows them. *)
+let lookup_chain t path =
+  let rec go depth path =
+    let path = normalize path in
+    path
+    ::
+    (match Hashtbl.find_opt t.files path with
+    | Some { file = { kind = Symlink target; _ }; _ } when depth > 1 ->
+      go (depth - 1) (link_target path target)
+    | _ -> [])
+  in
+  go 16 path
+
 (* Resolve symlinks (bounded depth to terminate on cycles): the real
    path and its slot.  With [reads], each path looked up notes its
    directory. *)
@@ -205,11 +226,7 @@ let rec resolve_slot ?reads depth t path =
     (match reads with Some reads -> note t reads (dirname path) | None -> ());
     match Hashtbl.find_opt t.files path with
     | Some { file = { kind = Symlink target; _ }; _ } ->
-      let target =
-        if String.length target > 0 && target.[0] = '/' then target
-        else dirname path ^ "/" ^ target
-      in
-      resolve_slot ?reads (depth - 1) t target
+      resolve_slot ?reads (depth - 1) t (link_target path target)
     | Some slot -> Some (path, slot)
     | None -> None
 

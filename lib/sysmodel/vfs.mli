@@ -46,6 +46,16 @@ val scoped : t -> (unit -> 'a) -> 'a
     scope undoes them. *)
 val generation : t -> int
 
+(** [written_in_scope t pred] is whether a write made in a {!scoped}
+    scope that is still open was to a path satisfying [pred]: the
+    changes {!generation} does not count.  False outside every scope. *)
+val written_in_scope : t -> (string -> bool) -> bool
+
+(** The normalized paths a lookup of [path] passes through, in order:
+    [path] itself, then each symlink's target, as far as {!resolve}
+    follows them.  A write to any of them can change the lookup. *)
+val lookup_chain : t -> string -> string list
+
 (** Resolve symlinks (bounded depth; cycles yield [None]); returns the
     real path and the file. *)
 val resolve : ?depth:int -> t -> string -> (string * file) option

@@ -16,7 +16,7 @@ let counter name = Option.value ~default:0 (Metrics.counter_value name)
 (* The caches of a context [Eval_ctx.create] makes. *)
 let caches =
   [ "bdc.describe_cache"; "tec.stack_memo"; "phases.source_memo";
-    "dynlinker.closure_memo" ]
+    "edc.discover_memo"; "dynlinker.closure_memo" ]
 
 (* The caches whose [suffix] counter moved since the registry's last
    reset. *)
