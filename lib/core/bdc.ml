@@ -114,7 +114,7 @@ let describe_via_file_and_ldd ?clock ?closures site env path =
    (site name, content key), the key read through the file's image
    handle so a hit hashes nothing; only objdump-path successes are
    cached, so tool-fallback behaviour is untouched.  An entry keeps the
-   clock charges of the work it took over and a hit replays them, as a
+   effect tape of the work it took over and a hit replays it, as a
    pass-memo hit does, so a clock reads the same with a memo or
    without. *)
 
@@ -175,37 +175,32 @@ let describe ?clock ?ctx site env ~path =
     | _ -> None
   in
   match cached with
-  | Some (d, charges) ->
+  | Some tape ->
     Feam_obs.Metrics.incr "bdc.describe_cache.hit";
     (match memo_key with
     | Some (_, size) ->
       Feam_obs.Metrics.incr ~by:size "bdc.describe_cache.saved_bytes"
     | None -> ());
-    List.iter (Cost.charge clock) charges;
-    let d = { d with Description.path } in
+    let d = { (Pass_memo.replay ?clock tape) with Description.path } in
     (* Only objdump results are cached: a hit journals what the miss did,
        so a journal does not depend on what ran before it. *)
     journal_describe "objdump" d;
     Ok d
   | None -> (
-    if memo_key <> None then Feam_obs.Metrics.incr "bdc.describe_cache.miss";
-    let via_objdump, charges =
-      match memo_key with
-      | Some _ ->
-        let work = Sim_clock.recording () in
-        let r = describe_via_objdump ~clock:work site path in
-        let charges = Sim_clock.charges work in
-        List.iter (Cost.charge clock) charges;
-        (r, charges)
-      | None -> (describe_via_objdump ?clock site path, [])
+    let objdump () = describe_via_objdump ?clock site path in
+    let via_objdump, keep =
+      match (memo_key, memo) with
+      | Some (key, _), Some tbl ->
+        Feam_obs.Metrics.incr "bdc.describe_cache.miss";
+        let tape = Pass_memo.record objdump in
+        (tape.value, fun d -> Hashtbl.replace tbl key { tape with value = d })
+      | _ -> (objdump (), ignore)
     in
     match via_objdump with
     | Ok d ->
       Feam_obs.Metrics.incr "bdc.describe" ~labels:[ ("method", "objdump") ];
       journal_describe "objdump" d;
-      (match (memo_key, memo) with
-      | Some (key, _), Some tbl -> Hashtbl.replace tbl key (d, charges)
-      | _ -> ());
+      keep d;
       Ok d
     | Error _ ->
       Feam_obs.Metrics.incr "bdc.describe" ~labels:[ ("method", "file_ldd") ];

@@ -270,6 +270,6 @@ let discover ?clock ?ctx ~env_type site env =
   match Option.bind ctx (fun c -> c.Eval_ctx.memo) with
   | Some memo
     when not (Vfs.written_in_scope (Site.vfs site) (reads site)) ->
-    Pass_memo.find_or_discover memo ?clock site env ~env_type (fun ~clock ->
-        run ~clock ~env_type site env)
+    Pass_memo.find_or_discover memo ?clock site env ~env_type (fun () ->
+        run ?clock ~env_type site env)
   | Some _ | None -> run ?clock ~env_type site env

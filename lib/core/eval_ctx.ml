@@ -1,7 +1,7 @@
 (* The caches of an evaluation.  See eval_ctx.mli. *)
 
 type describe_memo =
-  (string * Feam_util.Chash.t, Description.t * float list) Hashtbl.t
+  (string * Feam_util.Chash.t, Description.t Pass_memo.tape) Hashtbl.t
 
 type t = {
   describe : describe_memo option;

@@ -10,22 +10,25 @@
 
     Every cache is invisible in the results: a pass under any context
     gives the verdicts, journals, build-ID serials, simulated clock and
-    counters of the same pass under {!reference}, except the cache
-    families' counters and [bdc.describe], which count real work.  A cache that is [None] computes every time; a
+    counters of the same pass under {!reference}, except the counters
+    that count real work ({!Feam_obs.Metrics.counts_work}): a memo hit
+    replays its miss's effect tape ({!Pass_memo.replay}), which takes
+    every other counter.  A cache that is [None] computes every time; a
     [None] describe memo reads {!Bdc}'s default memo, which only the
     benchmark harness installs. *)
 
 (** The describe memo: {!Bdc.describe}'s successful objdump
-    descriptions, each with the clock charges of its miss, by (site
+    descriptions, each on the {!Pass_memo.tape} of its miss, by (site
     name, content key of the image), so the same library image
     described at the same site many times is parsed once.  A hit
-    replays the charges, so a pass charges its clock as a pass with no
-    memo would.  Hit/miss counts surface as [bdc.describe_cache.hit] /
-    [.miss].  Fallback-path (file/ldd) results are never cached, so a
-    hit journals its method as [objdump], as the miss did.  Only {!Bdc}
-    reads and writes it. *)
+    replays the tape, so a pass charges its clock as a pass with no
+    memo would.  The objdump work journals nothing, so a tape holds no
+    record and the key needs no recorder flag.  Hit/miss counts surface
+    as [bdc.describe_cache.hit] / [.miss].  Fallback-path (file/ldd)
+    results are never cached, so a hit journals its method as
+    [objdump], as the miss did.  Only {!Bdc} reads and writes it. *)
 type describe_memo =
-  (string * Feam_util.Chash.t, Description.t * float list) Hashtbl.t
+  (string * Feam_util.Chash.t, Description.t Pass_memo.tape) Hashtbl.t
 
 type t = {
   describe : describe_memo option;

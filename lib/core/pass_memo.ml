@@ -16,11 +16,11 @@
    its site is in the state it was made in.
 
    A hit must leave the world exactly as a miss would, so a miss runs
-   under recorders for every channel its effects outlive it on, and a
-   hit replays the recording in order: flight-recorder records, the
-   pass's counters, build-ID serials and clock charges.  Every table
-   keeps the same tape, and recordings nest: a discovery missed inside
-   a source-phase miss is recorded by both.  Files need no replay:
+   under an effect capture and keeps its tape, and a hit replays the
+   tape in program order: counters, flight-recorder records, build IDs
+   and clock charges.  Every table, and the describe memo, keeps the
+   same tape, and captures nest: a discovery missed inside a
+   source-phase miss is on both tapes.  Files need no replay:
    {!Tec.select_stack} runs the determinant in one file-system scope,
    and neither the source phase nor discovery writes. *)
 
@@ -28,41 +28,24 @@ open Feam_util
 open Feam_sysmodel
 
 (* One computation's result and every effect of it a hit redoes. *)
-type 'a tape = {
-  value : 'a;
-  records : Feam_flightrec.Recorder.tape;
-  counters : Feam_obs.Metrics.tape;
-  builds : int;  (* build IDs the computation's compiles handed out *)
-  charges : float list;
-}
+type 'a tape = { value : 'a; effects : Effects.event list }
 
-(* Run [f] under a recording clock, the journal and counter recorders
-   (counters named with one of [prefixes]) and the build-ID serial.  The
-   run's other effects happen live; its charges reach [clock] once it
-   returns.  A rerun would charge what the miss did: a describe-memo hit
-   inside it replays its miss's charges too. *)
-let record ?clock ~prefixes f =
-  let recording = Sim_clock.recording () in
-  let builds = Feam_toolchain.Build_id.serial () in
-  let ((value, records), counters) =
-    Feam_obs.Metrics.capture ~prefixes @@ fun () ->
-    Feam_flightrec.Recorder.capture @@ fun () -> f ~clock:recording
-  in
-  let charges = Sim_clock.charges recording in
-  List.iter (Cost.charge clock) charges;
-  {
-    value;
-    records;
-    counters;
-    builds = Feam_toolchain.Build_id.serial () - builds;
-    charges;
-  }
+(* Run [f] under an effect capture.  Its effects happen live, its
+   charges to the caller's clock included. *)
+let record f =
+  let value, effects = Effects.capture f in
+  { value; effects }
 
 let replay ?clock tape =
-  Feam_flightrec.Recorder.replay tape.records;
-  Feam_obs.Metrics.replay tape.counters;
-  Feam_toolchain.Build_id.skip tape.builds;
-  List.iter (Cost.charge clock) tape.charges;
+  List.iter
+    (function
+      | Effects.Count (name, labels, by) ->
+        Feam_obs.Metrics.incr ~by ~labels name
+      | Record (kind, fields) ->
+        Feam_flightrec.Recorder.record ~fields:(fun () -> fields) kind
+      | Build -> Feam_toolchain.Build_id.skip 1
+      | Charge seconds -> Cost.charge clock seconds)
+    tape.effects;
   tape.value
 
 type selection =
@@ -148,14 +131,14 @@ let held t =
   |> List.sort compare
 
 (* [name].hit / [name].miss count the lookups. *)
-let find_or_record table ~name ~prefixes ?clock key f =
+let find_or_record table ~name ?clock key f =
   match Hashtbl.find_opt table key with
   | Some tape ->
     Feam_obs.Metrics.incr (name ^ ".hit");
     replay ?clock tape
   | None ->
     Feam_obs.Metrics.incr (name ^ ".miss");
-    let tape = record ?clock ~prefixes f in
+    let tape = record f in
     Hashtbl.add table key tape;
     tape.value
 
@@ -186,10 +169,6 @@ let add_context b ~config env =
 
 (* -- the MPI-stack determinant ----------------------------------------- *)
 
-(* Counters the probes move that the pass reports; cache counters
-   (elf.parse_memo and the like) are left to count real work. *)
-let stack_counters = [ "edc.probe_"; "resolve." ]
-
 (* The inputs a determinant's outcome depends on.  Probe bytes and the
    target's /tmp/feam are left out on purpose; DESIGN §17 argues why. *)
 let stack_key ~config env ~bundle ~target_glibc ~candidates =
@@ -217,26 +196,11 @@ let stack_key ~config env ~bundle ~target_glibc ~candidates =
 
 let find_or_probe t ?clock ~config site env ~bundle ~target_glibc ~candidates
     probe =
-  find_or_record (tables t site).stacks ~name:"tec.stack_memo"
-    ~prefixes:stack_counters ?clock
+  find_or_record (tables t site).stacks ~name:"tec.stack_memo" ?clock
     (stack_key ~config env ~bundle ~target_glibc ~candidates)
     probe
 
 (* -- the source phase -------------------------------------------------- *)
-
-(* The source phase's own counters.  The describe and parse caches'
-   counters are left out (they count real work), and so is bdc.describe,
-   which only describe-cache misses move: an earlier source phase of the
-   same binary in the same pass leaves nothing for it to count. *)
-let source_counters =
-  [
-    "phases.source";
-    "edc.discoveries";
-    "bdc.library_copies";
-    "bdc.unlocatable";
-    "bdc.locate_failures";
-    "bdc.objdump_parse_failures";
-  ]
 
 (* The home site's state fixes its lasting contents; the image keys
    what the path holds, also under a scope's writes. *)
@@ -252,15 +216,11 @@ let source_key ~config env ~binary_path ~image =
   Buffer.contents b
 
 let find_or_source t ?clock ~config site env ~binary_path ~image source =
-  find_or_record (tables t site).sources ~name:"phases.source_memo"
-    ~prefixes:source_counters ?clock
+  find_or_record (tables t site).sources ~name:"phases.source_memo" ?clock
     (source_key ~config env ~binary_path ~image)
     source
 
 (* -- environment discovery --------------------------------------------- *)
-
-(* Discovery's own counter. *)
-let discovery_counters = [ "edc.discoveries" ]
 
 (* The site's state fixes what discovery reads; the environment type
    labels its records and the environment names the loaded stack. *)
@@ -271,7 +231,6 @@ let discovery_key ~env_type env =
   Buffer.contents b
 
 let find_or_discover t ?clock site env ~env_type discover =
-  find_or_record (tables t site).discoveries ~name:"edc.discover_memo"
-    ~prefixes:discovery_counters ?clock
+  find_or_record (tables t site).discoveries ~name:"edc.discover_memo" ?clock
     (discovery_key ~env_type env)
     discover

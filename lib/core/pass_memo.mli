@@ -7,15 +7,17 @@
     creates one memo, inside its {!Eval_ctx}, and hands it down to
     {!Tec.evaluate}, {!Phases.source_phase} and {!Edc.discover}; a drift
     run and a serve engine keep one for their lifetime.  There is no
-    global instance.  Every table stores one tape per entry: the result plus everything the miss
-    did beyond it that outlives it — flight-recorder records, the
-    table's counters, the build-ID serial and the simulated-clock
-    charges.  A hit replays the tape in that order.  Files are not among
-    them: the determinant runs in its own file-system scope
-    ({!Tec.select_stack}), and the source phase and discovery write
-    nothing.  Recordings nest: a discovery missed inside a source-phase
-    miss lands on both tapes, and a discovery hit there replays onto
-    the source phase's.
+    global instance.
+
+    Every table stores one {!tape} per entry: the result plus every
+    effect of the miss that outlives it, in program order.  The miss
+    runs under one {!Feam_util.Effects.capture}, so its effects,
+    charges to the caller's clock included, happen live; a hit
+    replays the tape.  Files are not among the effects: the determinant
+    runs in its own file-system scope ({!Tec.select_stack}), and the
+    source phase and discovery write nothing.  Captures nest: a
+    discovery missed inside a source-phase miss lands on both tapes,
+    and a discovery hit there replays onto the source phase's.
 
     Entries are kept per site state: its file system's generation
     ({!Feam_sysmodel.Vfs.generation}) and its setter fields (the
@@ -33,14 +35,30 @@ type selection =
   (Discovery.discovered_stack * Feam_sysmodel.Stack_install.t) option
   * (string * string) list
 
+(** A computation's result and its effects, oldest first.  The
+    describe memo ({!Eval_ctx.describe_memo}) keeps the same tape. *)
+type 'a tape = { value : 'a; effects : Feam_util.Effects.event list }
+
+(** [record f] runs [f] under an effect capture. *)
+val record : (unit -> 'a) -> 'a tape
+
+(** Redo a tape's effects in order and return its value: each [Count]
+    through {!Feam_obs.Metrics.incr}, each [Record] through
+    {!Feam_flightrec.Recorder.record} (a fresh sequence number and the
+    current span), each [Build] through {!Feam_toolchain.Build_id.skip}
+    and each [Charge] to [clock] through {!Feam_sysmodel.Cost.charge}.
+    Inside a running capture the replayed effects are that capture's
+    too. *)
+val replay : ?clock:Feam_util.Sim_clock.t -> 'a tape -> 'a
+
 type t
 
 val create : unit -> t
 
 (** [find_or_probe t ?clock ~config site env ~bundle ~target_glibc
-    ~candidates probe] is [probe ~clock] on a miss, run under recorders
-    and charged to [clock] afterwards, and the recorded outcome replayed
-    on a hit, with its [edc.probe_*] and [resolve.*] counters.  The key
+    ~candidates probe] is [probe ()] on a miss, recorded, and the
+    recorded outcome on a hit, its tape replayed with charges to
+    [clock].  [probe] charges the caller's clock itself.  The key
     is the site's state, whether the flight recorder is on, [env],
     [config], [target_glibc], the candidates' slugs
     in order and, for a bundle, its origin site, its probes' names,
@@ -58,16 +76,13 @@ val find_or_probe :
   bundle:Bundle.t option ->
   target_glibc:Feam_util.Version.t option ->
   candidates:Discovery.discovered_stack list ->
-  (clock:Feam_util.Sim_clock.t -> selection) ->
+  (unit -> selection) ->
   selection
 
 (** [find_or_source t ?clock ~config site env ~binary_path ~image
-    source] is [source ~clock] on a miss and the recorded bundle (or
+    source] is [source ()] on a miss and the recorded bundle (or
     error) on a hit, as for {!find_or_probe}.  [image] is the handle and
-    declared size of the ELF image at [binary_path], if any.  A hit replays the [phases.source],
-    [edc.discoveries], [bdc.library_copies], [bdc.unlocatable],
-    [bdc.locate_failures] and [bdc.objdump_parse_failures] counters;
-    the describe and parse caches' counters count real work only.  The
+    declared size of the ELF image at [binary_path], if any.  The
     key is the site's state, whether the flight recorder is on, [env],
     [config], [binary_path] and the image's content
     key and declared size.  Lookups count as [phases.source_memo.hit] /
@@ -82,12 +97,12 @@ val find_or_source :
   Feam_sysmodel.Env.t ->
   binary_path:string ->
   image:(Feam_elf.Reader.image * int) option ->
-  (clock:Feam_util.Sim_clock.t -> (Bundle.t, string) result) ->
+  (unit -> (Bundle.t, string) result) ->
   (Bundle.t, string) result
 
 (** [find_or_discover t ?clock site env ~env_type discover] is
-    [discover ~clock] on a miss and the recorded discovery on a hit, as
-    for {!find_or_probe}.  A hit replays the discovery's [edc] evidence
+    [discover ()] on a miss and the recorded discovery on a hit, as for
+    {!find_or_probe}: a hit replays the discovery's [edc] evidence
     records, its [edc.discoveries] counter and its tool, module and
     locate charges.  The key is the site's state, whether the flight
     recorder is on, [env_type] and [env]'s bindings.  Writes in an open
@@ -103,7 +118,7 @@ val find_or_discover :
   Feam_sysmodel.Site.t ->
   Feam_sysmodel.Env.t ->
   env_type:[ `Target | `Guaranteed ] ->
-  (clock:Feam_util.Sim_clock.t -> Discovery.t) ->
+  (unit -> Discovery.t) ->
   Discovery.t
 
 (** Each site the memo holds entries for, sorted by name, with their

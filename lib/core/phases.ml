@@ -153,8 +153,8 @@ let source_phase ?clock ?ctx config site env ~binary_path =
   | None -> run_source ?clock ?ctx site env ~binary_path
   | Some memo ->
     Pass_memo.find_or_source memo ?clock ~config site env ~binary_path
-      ~image:(binary_image site binary_path) (fun ~clock ->
-        run_source ~clock ?ctx site env ~binary_path)
+      ~image:(binary_image site binary_path) (fun () ->
+        run_source ?clock ?ctx site env ~binary_path)
 
 (* -- Target phase ---------------------------------------------------------- *)
 

@@ -289,8 +289,8 @@ let select_stack ?clock ?ctx input site env candidates =
   | Some memo ->
     Pass_memo.find_or_probe memo ?clock ~config:input.config site env
       ~bundle:input.bundle ~target_glibc:input.discovery.Discovery.glibc
-      ~candidates (fun ~clock ->
-        probe_candidates ~clock ?ctx input site env candidates)
+      ~candidates (fun () ->
+        probe_candidates ?clock ?ctx input site env candidates)
 
 (* Missing shared libraries under [env]: ldd on the binary when present,
    name-by-name search otherwise (the bundle-only case). *)

@@ -17,9 +17,6 @@ module Json = Feam_util.Json
    refuses journals from the future. *)
 let schema_version = 1
 
-(* Captured records: each one's type and caller fields. *)
-type tape = (string * (string * Json.t) list) list
-
 type state = {
   mutable enabled : bool;
   mutable emit : string -> unit;
@@ -27,8 +24,6 @@ type state = {
   mutable next_seq : int;
   mutable records : Json.t list; (* reversed *)
   mutable flushed_at : int;      (* record count at the last flush *)
-  mutable captures : tape ref list;
-      (* the running captures, innermost first; each tape newest first *)
 }
 
 let st =
@@ -39,7 +34,6 @@ let st =
     next_seq = 1;
     records = [];
     flushed_at = -1;
-    captures = [];
   }
 
 let enabled () = st.enabled
@@ -88,11 +82,14 @@ let disable () =
 let no_fields () = []
 
 (* Append one record.  [seq] and the current span id are stamped here;
-   everything else is the caller's fields, built only now. *)
+   everything else is the caller's fields, built only now.  A running
+   effect capture keeps the type and fields, so a memo hit can record
+   them again. *)
 let record ?(fields = no_fields) kind =
   if st.enabled then begin
     let fields = fields () in
-    List.iter (fun tape -> tape := (kind, fields) :: !tape) st.captures;
+    if Feam_util.Effects.capturing () then
+      Feam_util.Effects.(note (Record (kind, fields)));
     let span =
       match Feam_obs.Trace.current_span_id () with
       | Some id -> Json.Int id
@@ -109,21 +106,6 @@ let record ?(fields = no_fields) kind =
     st.records <- r :: st.records;
     Feam_obs.Metrics.incr ~labels:[ ("type", kind) ] "flightrec.records"
   end
-
-(* Run [f], returning the records it journaled as a tape: replaying the
-   tape later journals what [f] would.  Disabled, the recorder keeps
-   nothing, so the tape is empty.  Captures nest: a record reaches every
-   running capture. *)
-let capture f =
-  let tape = ref [] in
-  let outer = st.captures in
-  st.captures <- tape :: outer;
-  Fun.protect ~finally:(fun () -> st.captures <- outer) @@ fun () ->
-  let r = f () in
-  (r, List.rev !tape)
-
-let replay tape =
-  List.iter (fun (kind, fields) -> record ~fields:(fun () -> fields) kind) tape
 
 (* A raw fact consulted during discovery — an objdump/readelf/ldd
    parse, an environment probe, a library location. *)

@@ -17,24 +17,13 @@ val enabled : unit -> bool
 
 (** Append one record of the given type.  The sequence number and the
     innermost open {!Feam_obs.Trace} span id are stamped automatically.
+    While a {!Feam_util.Effects.capture} runs, the type and fields are
+    also noted as a [Record].
 
     Every function below that journals takes its fields (or data) as a
     thunk, run only while the recorder is on: a disabled call builds
     nothing. *)
 val record : ?fields:(unit -> (string * Feam_util.Json.t) list) -> string -> unit
-
-(** Records captured from a run of some work, in order. *)
-type tape
-
-(** [capture f] runs [f] and returns, with its result, every record [f]
-    journaled.  The recorder keeps nothing while disabled, so the tape
-    is then empty.  Captures nest: a record made or replayed inside an
-    inner capture is also the enclosing captures'. *)
-val capture : (unit -> 'a) -> 'a * tape
-
-(** Record a tape's records again, in order: each gets a fresh sequence
-    number and the current span, as {!record} stamps them. *)
-val replay : tape -> unit
 
 (** A raw fact consulted during discovery (objdump parse, ldd walk,
     environment probe, library location). *)

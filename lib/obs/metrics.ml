@@ -76,46 +76,32 @@ let find_or_add name labels make =
     Hashtbl.add registry k { name; labels; metric };
     metric
 
-(* Counter increments (name, labels, amount) captured while {!capture}
-   runs, for the counters whose names start with one of the capture's
-   prefixes. *)
-type tape = (string * (string * string) list * int) list
+(* Counters that count real work: the cache families ([*.hit],
+   [*.miss], [*.saved_bytes]) and bdc.describe, which only a
+   describe-memo miss moves.  A memo hit must not move them, so no
+   tape takes them, and the reference oracle leaves them out. *)
+let counts_work name =
+  String.equal name "bdc.describe"
+  || String.ends_with ~suffix:".hit" name
+  || String.ends_with ~suffix:".miss" name
+  || String.ends_with ~suffix:".saved_bytes" name
 
-(* One running capture: its prefixes and what it took, newest first. *)
-type capture = { prefixes : string list; mutable taken : tape }
-
-(* The running captures, innermost first.  An increment reaches every
-   capture whose prefixes match it, so an inner capture's increments
-   are also the outer's, filtered by the outer prefixes. *)
-let capturing : capture list ref = ref []
+(* The counters a tape takes: all but those that count real work, the
+   profiler's [*.calls], and flightrec.records, which a replayed record
+   moves by itself. *)
+let taped name =
+  not
+    (counts_work name
+    || String.ends_with ~suffix:".calls" name
+    || String.equal name "flightrec.records")
 
 let incr ?(by = 1) ?(labels = []) name =
-  (match !capturing with
-  | [] -> ()
-  | captures ->
-    List.iter
-      (fun c ->
-        if
-          List.exists (fun prefix -> String.starts_with ~prefix name) c.prefixes
-        then c.taken <- (name, labels, by) :: c.taken)
-      captures);
+  if Feam_util.Effects.capturing () && taped name then
+    Feam_util.Effects.(note (Count (name, labels, by)));
   match find_or_add name labels (fun () -> Counter (ref 0)) with
   | Counter c -> c := !c + by
   | Gauge _ | Histogram _ ->
     invalid_arg ("Metrics.incr: " ^ name ^ " is not a counter")
-
-(* Run [f], returning the increments it made to counters named with one
-   of [prefixes]; {!replay} redoes them in order.  Captures nest. *)
-let capture ~prefixes f =
-  let c = { prefixes; taken = [] } in
-  let outer = !capturing in
-  capturing := c :: outer;
-  Fun.protect ~finally:(fun () -> capturing := outer) @@ fun () ->
-  let r = f () in
-  (r, List.rev c.taken)
-
-let replay tape =
-  List.iter (fun (name, labels, by) -> incr ~by ~labels name) tape
 
 let set_gauge ?(labels = []) name v =
   match find_or_add name labels (fun () -> Gauge (ref 0.0)) with

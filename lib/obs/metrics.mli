@@ -14,20 +14,17 @@ type metric = Counter of int ref | Gauge of float ref | Histogram of hist
 
 type entry = { name : string; labels : (string * string) list; metric : metric }
 
+(** Add to a counter.  While a {!Feam_util.Effects.capture} runs, the
+    increment is also noted as a [Count], unless the counter counts
+    real work ({!counts_work}), is the profiler's [*.calls] or is
+    [flightrec.records]. *)
 val incr : ?by:int -> ?labels:(string * string) list -> string -> unit
 
-(** Counter increments (name, labels, amount), in order. *)
-type tape = (string * (string * string) list * int) list
-
-(** Run [f], returning the increments it made to counters named with
-    one of [prefixes].  Captures nest: an increment made inside an inner
-    capture, or replayed there, also reaches every enclosing capture
-    whose prefixes match it.  When [f] raises, the increments it made
-    stay with the enclosing captures. *)
-val capture : prefixes:string list -> (unit -> 'a) -> 'a * tape
-
-(** Redo a captured tape's increments, in order. *)
-val replay : tape -> unit
+(** Whether a counter counts real work: the cache families ([*.hit],
+    [*.miss], [*.saved_bytes]) and [bdc.describe], which only a
+    describe-memo miss moves.  A memo hit leaves them alone; every other
+    counter reads the same with or without a cache. *)
+val counts_work : string -> bool
 
 val set_gauge : ?labels:(string * string) list -> string -> float -> unit
 

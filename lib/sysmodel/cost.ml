@@ -15,7 +15,12 @@ let probe_run_mpi = 8.0       (* MPI probe execution once scheduled *)
 let copy_per_mb = 0.02        (* staging a shared-library copy *)
 let bundle_pack_base = 3.0    (* tar/ssh overhead for the source bundle *)
 
+(* The only charge in lib/: a running effect capture notes it, also
+   with no clock, so a memo entry a clockless caller made still charges
+   a later caller's clock on a hit. *)
 let charge clock seconds =
-  match clock with
+  (match clock with
   | None -> ()
-  | Some c -> Feam_util.Sim_clock.charge c seconds
+  | Some c -> Feam_util.Sim_clock.charge c seconds);
+  if Feam_util.Effects.capturing () then
+    Feam_util.Effects.(note (Charge seconds))

@@ -13,5 +13,7 @@ val probe_run_mpi : float
 val copy_per_mb : float
 val bundle_pack_base : float
 
-(** Charge a duration to an optional clock (no-op on [None]). *)
+(** Charge a duration to an optional clock.  A running
+    {!Feam_util.Effects.capture} notes a [Charge] either way, so a memo
+    hit can charge its caller's clock what the miss charged. *)
 val charge : Feam_util.Sim_clock.t option -> float -> unit

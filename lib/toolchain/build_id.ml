@@ -10,13 +10,20 @@ let counter = ref 0
 
 let reset () = counter := 0
 
-(* A .comment-style build-id string, unique per call. *)
+(* A .comment-style build-id string, unique per call.  A running effect
+   capture notes it, so a memo hit can skip the serial past it. *)
 let next ~site_name =
   incr counter;
+  if Feam_util.Effects.capturing () then Feam_util.Effects.(note Build);
   let raw = Printf.sprintf "%s/%d" site_name !counter in
   Printf.sprintf "GNU Build ID: %s" (Digest.to_hex (Digest.string raw))
 
 let serial () = !counter
 
-(* Advance the serial as [n] calls to [next] would. *)
-let skip n = counter := !counter + n
+(* Advance the serial as [n] calls to [next] would, noted alike. *)
+let skip n =
+  counter := !counter + n;
+  if Feam_util.Effects.capturing () then
+    for _ = 1 to n do
+      Feam_util.Effects.(note Build)
+    done

@@ -7,12 +7,14 @@
 (** Reset the serial (done per evaluation world for reproducibility). *)
 val reset : unit -> unit
 
-(** A fresh .comment-style build-id string. *)
+(** A fresh .comment-style build-id string.  A running
+    {!Feam_util.Effects.capture} notes a [Build]. *)
 val next : site_name:string -> string
 
 (** How many build IDs were handed out since the last {!reset}. *)
 val serial : unit -> int
 
-(** Advance the serial as [n] calls to {!next} would, for work replayed
-    from a memo: later builds then get the IDs they would have had. *)
+(** Advance the serial as [n] calls to {!next} would, noting [n]
+    [Build]s in a running capture: a memo hit replays a build this way,
+    so later builds get the IDs they would have had. *)
 val skip : int -> unit

@@ -1,0 +1,41 @@
+(** The effect tape (DESIGN §17): everything a computation did that
+    outlives it, in program order, so that a memo hit can redo it and
+    leave the world exactly as a rerun would.
+
+    There is one capture stack.  Each channel notes its own events, and
+    only while a capture runs:
+    - {!Feam_obs.Metrics.incr} notes a [Count], for every counter except
+      those that count real work ({!Feam_obs.Metrics.counts_work}),
+      the profiler's [*.calls] and [flightrec.records], which a
+      replayed record moves by itself;
+    - {!Feam_flightrec.Recorder.record} notes a [Record] while the
+      recorder is on;
+    - {!Feam_toolchain.Build_id.next} and [skip] note one [Build] per
+      build ID;
+    - {!Feam_sysmodel.Cost.charge} notes a [Charge], also when it is
+      given no clock, so an entry a clockless caller made still charges
+      a later caller's clock.
+
+    The replay lives above every channel, in {!Feam_core.Pass_memo}. *)
+
+type event =
+  | Count of string * (string * string) list * int
+      (** a counter's name, labels and increment *)
+  | Record of string * (string * Json.t) list
+      (** a journal record's type and caller fields *)
+  | Build  (** one build ID handed out *)
+  | Charge of float  (** seconds charged to the simulated clock *)
+
+(** Whether a capture runs.  Allocates nothing: channels test it before
+    they build an event. *)
+val capturing : unit -> bool
+
+(** Hand an event to every running capture. *)
+val note : event -> unit
+
+(** [capture f] runs [f] and returns, with its result, every event
+    noted meanwhile, oldest first.  Captures nest: an event noted inside
+    an inner capture, a replayed one included, is also every enclosing
+    capture's.  When [f] raises, its events stay with the enclosing
+    captures, since they happened. *)
+val capture : (unit -> 'a) -> 'a * event list

@@ -3,19 +3,13 @@
    that the evaluation can report how long FEAM phases take (paper §VI.C:
    both phases always completed in under five minutes). *)
 
-(* [tape] holds every charge, newest first, on a recording clock. *)
-type t = { mutable elapsed : float; mutable tape : float list option }
+type t = { mutable elapsed : float }
 
-let create () = { elapsed = 0.0; tape = None }
-
-let recording () = { elapsed = 0.0; tape = Some [] }
+let create () = { elapsed = 0.0 }
 
 let charge t seconds =
   if seconds < 0.0 then invalid_arg "Sim_clock.charge: negative duration";
-  t.elapsed <- t.elapsed +. seconds;
-  match t.tape with Some l -> t.tape <- Some (seconds :: l) | None -> ()
-
-let charges t = List.rev (Option.value t.tape ~default:[])
+  t.elapsed <- t.elapsed +. seconds
 
 let elapsed t = t.elapsed
 

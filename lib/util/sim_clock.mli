@@ -7,17 +7,11 @@ type t
 
 val create : unit -> t
 
-(** @raise Invalid_argument on negative durations. *)
+(** Library code charges through {!Feam_sysmodel.Cost.charge}, which
+    also notes the charge on a running effect capture.
+
+    @raise Invalid_argument on negative durations. *)
 val charge : t -> float -> unit
-
-(** A fresh clock that also remembers each charge.  Re-applying
-    {!charges} in order to another clock advances it exactly as the
-    recorded work would have: float sums depend on their order. *)
-val recording : unit -> t
-
-(** The charges a {!recording} clock received, oldest first; [[]] for
-    any other clock. *)
-val charges : t -> float list
 
 val elapsed : t -> float
 

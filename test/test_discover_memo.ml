@@ -2,15 +2,17 @@
    checks it end to end, against a pass with no cache.  The key tests
    here pin what must miss and what must hit; the replay test pins what
    a hit must redo; the guard test pins that a scoped write discovery
-   reads is never served stale.  Also here: nested counter and journal
-   captures, which a discovery missed inside a source-phase miss needs,
-   and the describe memo's site in its key. *)
+   reads is never served stale.  Also here: the effect tape every memo
+   keeps (nested captures, which a discovery missed inside a
+   source-phase miss needs, the counter rule and clockless misses), and
+   the describe memo's tape and the site in its key. *)
 
 open Feam_sysmodel
 module Edc = Feam_core.Edc
 module Eval_ctx = Feam_core.Eval_ctx
 module Metrics = Feam_obs.Metrics
 module Recorder = Feam_flightrec.Recorder
+module Effects = Feam_util.Effects
 module Json = Feam_util.Json
 
 let counter ?labels name =
@@ -143,65 +145,141 @@ let test_guard () =
       Vfs.add (Site.vfs site) "/opt/mpich2-1.4-gnu/lib/libmpi.so"
         (Vfs.Text "library"))
 
-(* -- nested captures ------------------------------------------------------ *)
+(* -- the effect tape ------------------------------------------------------- *)
 
+let show = function
+  | Effects.Count (name, _, by) -> Printf.sprintf "count %s+%d" name by
+  | Record (kind, _) -> "record " ^ kind
+  | Build -> "build"
+  | Charge seconds -> Printf.sprintf "charge %g" seconds
+
+(* Every channel in program order, nested captures, a raising inner
+   capture and a replay inside a capture. *)
 let test_captures_nest () =
   Metrics.reset ();
   Recorder.configure ~tool:"test" ~emit:ignore ();
   Fun.protect ~finally:Recorder.disable @@ fun () ->
-  let names tape = List.map (fun (name, _, by) -> Printf.sprintf "%s+%d" name by) tape in
-  let record kind = Recorder.record kind in
-  let (((inner_m, inner_r), outer_r), outer_m) =
-    Metrics.capture ~prefixes:[ "a."; "b." ] @@ fun () ->
-    Recorder.capture @@ fun () ->
+  let clock = Feam_util.Sim_clock.create () in
+  let serial = Feam_toolchain.Build_id.serial () in
+  let inner, outer =
+    Effects.capture @@ fun () ->
     Metrics.incr "a.before";
-    record "before";
-    let (((), inner_r), inner_m) =
-      Metrics.capture ~prefixes:[ "b." ] @@ fun () ->
-      Recorder.capture @@ fun () ->
-      Metrics.incr "a.inner";
+    Recorder.record "before";
+    Cost.charge None 0.5;
+    (* counts real work: on no tape *)
+    Metrics.incr "a.memo.hit";
+    let (), inner =
+      Effects.capture @@ fun () ->
       Metrics.incr ~by:2 "b.inner";
-      record "inner"
+      Recorder.record "inner";
+      ignore (Feam_toolchain.Build_id.next ~site_name:"test" : string);
+      Cost.charge (Some clock) 0.25
     in
     (* a raising inner capture: what it did before raising stays with
        the outer one, and the outer keeps capturing *)
     (try
        ignore
-         (Metrics.capture ~prefixes:[ "b." ] (fun () ->
-              Recorder.capture (fun () ->
-                  Metrics.incr "b.raised";
-                  record "raised";
-                  failwith "inner")))
+         (Effects.capture (fun () ->
+              Metrics.incr "b.raised";
+              Recorder.record "raised";
+              failwith "inner"))
      with Failure _ -> ());
-    Metrics.replay [ ("b.replayed", [], 1) ];
+    Feam_core.Pass_memo.replay ~clock { value = (); effects = inner };
     Metrics.incr "a.after";
-    record "after";
-    (inner_m, inner_r)
+    inner
   in
-  let journal tape =
-    let out = ref "" in
-    Recorder.configure ~tool:"test" ~emit:(( := ) out) ();
-    Recorder.replay tape;
-    Recorder.flush ();
-    List.filter_map
-      (fun line ->
-        List.find_opt
-          (fun k -> Str_split.contains ~sub:(Printf.sprintf {|"type":"%s"|} k) line)
-          [ "before"; "inner"; "raised"; "after" ])
-      (String.split_on_char '\n' !out)
-  in
-  Alcotest.(check (list string)) "the inner capture keeps its prefixes"
-    [ "b.inner+2" ] (names inner_m);
-  Alcotest.(check (list string)) "the outer capture sees every match, in order"
-    [ "a.before+1"; "a.inner+1"; "b.inner+2"; "b.raised+1"; "b.replayed+1"; "a.after+1" ]
-    (names outer_m);
-  Alcotest.(check (list string)) "the inner journal capture" [ "inner" ]
-    (journal inner_r);
-  Alcotest.(check (list string)) "the outer journal capture"
-    [ "before"; "inner"; "raised"; "after" ] (journal outer_r);
+  let inner_events = [ "count b.inner+2"; "record inner"; "build"; "charge 0.25" ] in
+  Alcotest.(check (list string)) "the inner tape, every kind in order"
+    inner_events (List.map show inner);
+  Alcotest.(check (list string)) "the outer tape holds the inner's and the replay's"
+    ([ "count a.before+1"; "record before"; "charge 0.5" ]
+    @ inner_events
+    @ [ "count b.raised+1"; "record raised" ]
+    @ inner_events @ [ "count a.after+1" ])
+    (List.map show outer);
+  Alcotest.(check int) "the replay skipped a build ID" 2
+    (Feam_toolchain.Build_id.serial () - serial);
+  Alcotest.(check (float 0.0)) "the replay charged the clock" 0.5
+    (Feam_util.Sim_clock.elapsed clock);
+  Alcotest.(check bool) "no capture runs afterwards" false (Effects.capturing ());
   Metrics.incr "a.outside";
-  let ((), tape) = Metrics.capture ~prefixes:[ "a." ] (fun () -> Metrics.incr "a.next") in
-  Alcotest.(check (list string)) "a later capture starts empty" [ "a.next+1" ] (names tape)
+  let (), later = Effects.capture (fun () -> Metrics.incr "a.next") in
+  Alcotest.(check (list string)) "a later capture starts empty"
+    [ "count a.next+1" ] (List.map show later)
+
+(* A hit redoes every counter the miss moved, whatever its name, except
+   those that count real work. *)
+let test_hit_replays_any_counter () =
+  let site, _ = Fixtures.small_site () in
+  let env = Site.base_env site in
+  let memo = Feam_core.Pass_memo.create () in
+  let lookup () =
+    render
+      (Feam_core.Pass_memo.find_or_discover memo site env ~env_type:`Target
+         (fun () ->
+           Metrics.incr ~labels:[ ("k", "v") ] "test.unlisted";
+           Metrics.incr "test.cache.miss";
+           Edc.discover ~env_type:`Target site env))
+  in
+  Metrics.reset ();
+  let miss = lookup () in
+  let hit = lookup () in
+  Alcotest.(check int) "the second lookup hits" 1 (counter "edc.discover_memo.hit");
+  Alcotest.(check string) "the hit's discovery" miss hit;
+  Alcotest.(check int) "an unlisted counter replayed" 2
+    (counter ~labels:[ ("k", "v") ] "test.unlisted");
+  Alcotest.(check int) "a cache counter counts real work" 1
+    (counter "test.cache.miss")
+
+(* An entry made with no clock charges a later hit's clock what a
+   reference discovery charges. *)
+let test_clockless_miss_charges_hit () =
+  let site, _ = Fixtures.small_site () in
+  let env = Site.base_env site in
+  let ctx = Eval_ctx.create () in
+  let charged ctx =
+    let clock = Feam_util.Sim_clock.create () in
+    ignore (Edc.discover ~clock ~ctx ~env_type:`Target site env : Feam_core.Discovery.t);
+    Feam_util.Sim_clock.elapsed clock
+  in
+  ignore (Edc.discover ~ctx ~env_type:`Target site env : Feam_core.Discovery.t);
+  let hits = counter "edc.discover_memo.hit" in
+  let hit = charged ctx in
+  Alcotest.(check int) "the clocked lookup hits" 1
+    (counter "edc.discover_memo.hit" - hits);
+  let reference = charged Eval_ctx.reference in
+  Alcotest.(check bool) "the reference charged its tools" true (reference > 0.0);
+  Alcotest.(check (float 0.0)) "the hit charges what the miss did" reference hit
+
+(* The describe memo's key has no recorder flag, so its tapes must hold
+   no record, also when the miss ran with the recorder on. *)
+let test_describe_tape_holds_no_record () =
+  let site, installs = Fixtures.small_site () in
+  let path, install = Fixtures.compiled_binary site installs in
+  let ctx = Eval_ctx.create () in
+  Metrics.reset ();
+  Recorder.configure ~tool:"test" ~emit:ignore ();
+  Fun.protect ~finally:Recorder.disable @@ fun () ->
+  ignore
+    (Fixtures.run_exn
+       (Feam_core.Bdc.describe ~ctx site (Fixtures.session_env site install) ~path)
+      : Feam_core.Description.t);
+  Alcotest.(check bool) "the describe journaled" true
+    (counter ~labels:[ ("type", "evidence") ] "flightrec.records" > 0);
+  let tapes =
+    match ctx.Eval_ctx.describe with
+    | Some memo -> Hashtbl.fold (fun _ tape acc -> tape :: acc) memo []
+    | None -> []
+  in
+  Alcotest.(check int) "one entry" 1 (List.length tapes);
+  List.iter
+    (fun (tape : _ Feam_core.Pass_memo.tape) ->
+      let has p = List.exists p tape.effects in
+      Alcotest.(check bool) "the tape holds the objdump charges" true
+        (has (function Effects.Charge _ -> true | _ -> false));
+      Alcotest.(check bool) "the tape holds no record" false
+        (has (function Effects.Record _ -> true | _ -> false)))
+    tapes
 
 (* -- the describe memo's key ---------------------------------------------- *)
 
@@ -260,6 +338,12 @@ let suite =
         test_guard;
       Alcotest.test_case "counter and journal captures nest" `Quick
         test_captures_nest;
+      Alcotest.test_case "a hit replays a counter no list names" `Quick
+        test_hit_replays_any_counter;
+      Alcotest.test_case "a clockless miss charges a later hit" `Quick
+        test_clockless_miss_charges_hit;
+      Alcotest.test_case "a describe tape holds no record" `Quick
+        test_describe_tape_holds_no_record;
       Alcotest.test_case "the describe memo keys on the site" `Quick
         test_describe_memo_keys_site;
     ] )

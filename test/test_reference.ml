@@ -31,19 +31,15 @@ let cell_line (m : Migrate.migration) =
       (String.concat "; " m.extended_reasons) (String.concat "," m.staged_copies)
       (outcome m.actual_before) (outcome m.actual_after))
 
-(* Every counter outside the cache families, with its value: the
-   counters a cache hit must leave as a miss would.
-   [bdc.describe{method=…}] counts describe-memo misses, real work by
-   design, and is left out too. *)
+(* Every counter but those that count real work (the cache families
+   and [bdc.describe{method=…}], which counts describe-memo misses), with
+   its value: the counters a cache hit must leave as a miss would. *)
 let work_counters () =
-  let cache name =
-    name = "bdc.describe"
-    || List.exists (fun suffix -> String.ends_with ~suffix name) [ ".hit"; ".miss"; ".saved_bytes" ]
-  in
   List.filter_map
     (fun (k, e) ->
       match e.Metrics.metric with
-      | Metrics.Counter c when not (cache e.Metrics.name) -> Some (Printf.sprintf "%s %d" k !c)
+      | Metrics.Counter c when not (Metrics.counts_work e.Metrics.name) ->
+        Some (Printf.sprintf "%s %d" k !c)
       | _ -> None)
     (Metrics.snapshot ())
 

@@ -42,7 +42,7 @@ let missed memo target ?(env = Site.base_env target)
   ignore
     (Pass_memo.find_or_probe memo ~config:Feam_core.Config.default target env
        ~bundle ~target_glibc:(Some target_glibc) ~candidates:[]
-       (fun ~clock:_ ->
+       (fun () ->
          ran := true;
          (None, []))
       : Pass_memo.selection);
@@ -101,7 +101,9 @@ let test_key_misses () =
 let test_hit_redoes_effects () =
   let target, bundle = small_cell () in
   (* one effect on every channel a hit redoes *)
-  let work ~clock =
+  let memo = Pass_memo.create () in
+  let clock = Feam_util.Sim_clock.create () in
+  let work () =
     Feam_flightrec.Recorder.evidence ~stage:"probe" ~kind:"test_stack" (fun () -> []);
     Metrics.incr "edc.probe_successes";
     Metrics.incr "elf.parse_memo.miss";
@@ -110,8 +112,6 @@ let test_hit_redoes_effects () =
     Cost.charge (Some clock) 0.2;
     (None, [ ("stack", "why") ])
   in
-  let memo = Pass_memo.create () in
-  let clock = Feam_util.Sim_clock.create () in
   let lookup bundle =
     Pass_memo.find_or_probe memo ~clock ~config:Feam_core.Config.default
       target (Site.base_env target) ~bundle:(Some bundle) ~target_glibc:None

@@ -1,45 +1,7 @@
-(* Tests for the benchmark-suite models: NPB classes, process-count
-   rules, and the workload generator's compile behaviour. *)
+(* Tests for the benchmark-suite models: process-count rules and the
+   workload generator's compile behaviour. *)
 
 open Feam_suites
-
-let test_npb_class_names () =
-  let bt_b = Npb_class.apply Npb_class.B (Fixtures.npb "bt.A") in
-  Alcotest.(check string) "renamed" "bt.B" bt_b.Benchmark.bench_name;
-  Alcotest.(check bool) "bigger binary" true
-    (bt_b.Benchmark.binary_size_mb > (Fixtures.npb "bt.A").Benchmark.binary_size_mb);
-  let bt_s = Npb_class.apply Npb_class.S (Fixtures.npb "bt.A") in
-  Alcotest.(check string) "S class" "bt.S" bt_s.Benchmark.bench_name;
-  Alcotest.(check bool) "smaller binary" true
-    (bt_s.Benchmark.binary_size_mb < (Fixtures.npb "bt.A").Benchmark.binary_size_mb)
-
-let test_npb_class_letters () =
-  List.iter
-    (fun cls ->
-      Alcotest.(check bool) (Npb_class.letter cls) true
-        (Npb_class.of_letter (Npb_class.letter cls) = Some cls))
-    Npb_class.all
-
-let test_npb_class_sizes_monotone () =
-  let rec check = function
-    | a :: (b :: _ as rest) ->
-      Alcotest.(check bool) "monotone" true
-        (Npb_class.size_factor a < Npb_class.size_factor b);
-      check rest
-    | _ -> ()
-  in
-  check Npb_class.all;
-  Alcotest.(check (float 1e-9)) "class A is the unit" 1.0
-    (Npb_class.size_factor Npb_class.A);
-  Alcotest.(check (float 1e-9)) "memory scales" 400.0
-    (Npb_class.memory_mb ~base_mb:100.0 Npb_class.B)
-
-let test_spectrum () =
-  let specs = Npb_class.spectrum (Fixtures.npb "lu.A") in
-  Alcotest.(check int) "five classes" 5 (List.length specs);
-  Alcotest.(check (list string)) "names"
-    [ "lu.S"; "lu.W"; "lu.A"; "lu.B"; "lu.C" ]
-    (List.map (fun b -> b.Benchmark.bench_name) specs)
 
 let test_np_rules () =
   Alcotest.(check bool) "bt square" true ((Fixtures.npb "bt.A").Benchmark.np_rule = `Square);
@@ -106,10 +68,6 @@ let test_lib_families_resolve_per_site () =
 let suite =
   ( "suites",
     [
-      Alcotest.test_case "npb class names" `Quick test_npb_class_names;
-      Alcotest.test_case "npb class letters" `Quick test_npb_class_letters;
-      Alcotest.test_case "npb class sizes" `Quick test_npb_class_sizes_monotone;
-      Alcotest.test_case "npb spectrum" `Quick test_spectrum;
       Alcotest.test_case "np rules assigned" `Quick test_np_rules;
       Alcotest.test_case "np rule enforced" `Quick test_np_rule_enforced;
       Alcotest.test_case "compiler exclusions" `Quick test_compiler_exclusions;

@@ -184,7 +184,7 @@ let test_memo_keys_on_site_state () =
     ignore
       (Feam_core.Pass_memo.find_or_source memo ~config:Feam_core.Config.default
          site (Site.base_env site) ~binary_path:"/home/user/app" ~image:None
-         (fun ~clock:_ ->
+         (fun () ->
            incr runs;
            Error "no binary")
         : (Feam_core.Bundle.t, string) result);
