@@ -263,6 +263,24 @@ let warm_discoveries = lazy (memo_only ())
 let bench_discover_hit =
   ("edc/discover-hit", fun () -> discover_under (Lazy.force warm_discoveries))
 
+(* The template table's two sides (DESIGN §19) on the fixture home: a
+   hello-world probe compiled through a fresh table builds its image and
+   stamps it, through a warm one it only stamps the cached image. *)
+let probe_compile templates =
+  ignore
+    (Feam_toolchain.Compile.compile_mpi ~templates Fixture.home
+       Fixture.home_install Feam_toolchain.Compile.hello_world_mpi)
+
+let bench_probe_compile_miss =
+  ( "toolchain/probe-compile-miss",
+    fun () -> probe_compile (Feam_toolchain.Compile.create_templates ()) )
+
+let warm_templates = lazy (Feam_toolchain.Compile.create_templates ())
+
+let bench_probe_compile_hit =
+  ( "toolchain/probe-compile-hit",
+    fun () -> probe_compile (Lazy.force warm_templates) )
+
 let elf_bench_spec =
   Feam_elf.Spec.make
     ~needed:[ "libmpi.so.0"; "libc.so.6" ]
@@ -508,7 +526,8 @@ let all_benches =
     bench_table1; bench_table2; bench_table3_basic; bench_table3_extended;
     bench_table4; bench_fig1; bench_fig2; bench_fig3; bench_fig4;
     bench_timing; bench_closure_miss; bench_closure_hit; bench_discover_miss;
-    bench_discover_hit; bench_elf;
+    bench_discover_hit; bench_probe_compile_miss; bench_probe_compile_hit;
+    bench_elf;
     bench_elf_hit; bench_elf_parse; bench_depot_hash;
     bench_depot_store; bench_depot_plan; bench_agree_scengen;
     bench_agree_pipeline;

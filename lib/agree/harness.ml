@@ -196,19 +196,23 @@ let run_one ?ctx (sc : Scengen.t) =
   record_run r;
   r
 
-(* One describe memo per corpus, without a pass memo or a closure
-   memo: every scenario builds a fresh world under the same site names,
-   which the pass memo's keys cannot tell apart.  The closure memo
-   could (a fresh file system under a known name drops that name's
-   entries), but in a fresh world most walks are first walks: a
-   500-scenario corpus hit 626 of 1,528 lookups and ran slower with the
-   memo than without it.  The describe memo is invisible in the report
-   and the journal: they read as under {!Feam_core.Eval_ctx.reference}. *)
+(* One describe memo and one template table per corpus, without a pass
+   memo or a closure memo: both key on values a fresh world cannot
+   disguise (the image's content, the site's tool flags, everything a
+   compile reads), but every scenario builds a fresh world under the
+   same site names, which the pass memo's keys cannot tell apart.  The
+   closure memo could (a fresh file system under a known name drops
+   that name's entries), but in a fresh world most walks are first
+   walks: a 500-scenario corpus hit 626 of 1,528 lookups and ran slower
+   with the memo than without it.  Both caches are invisible in the
+   report and the journal: they read as under
+   {!Feam_core.Eval_ctx.reference}. *)
 let run_corpus ~seed ~count () =
   let ctx =
     {
       Feam_core.Eval_ctx.reference with
       describe = Some (Feam_core.Eval_ctx.create_describe_memo ());
+      templates = Some (Feam_toolchain.Compile.create_templates ());
     }
   in
   List.init count (fun index ->

@@ -31,7 +31,9 @@ let comment_provenance ?clock site path =
     Objdump_parse.provenance_of_comments (Objdump_parse.parse_readelf_comment text)
   | Error _ -> { Objdump_parse.compiler_banner = None; build_os = None }
 
-(* Primary path: objdump -p. *)
+(* Primary path: objdump -p.  Of the site it reads two tool flags,
+   [Tools.objdump] (here) and [Tools.readelf] (in [comment_provenance]),
+   and the image at [path]: the describe memo's key is those three. *)
 let describe_via_objdump ?clock site path =
   Feam_obs.Trace.with_span "bdc.objdump_describe" @@ fun () ->
   match Utilities.objdump_p ?clock site path with
@@ -106,17 +108,18 @@ let describe_via_file_and_ldd ?clock ?closures site env path =
 
 (* -- describe memo --------------------------------------------------- *)
 
-(* Within an evaluation pass the same library image is described at many
-   sites.  A description is a function of the image bytes and the site's
-   tooling alone (every fault draw is keyed and seeded), so identical
-   bytes at the same site always describe identically up to the path
+(* Within an evaluation pass the same image is described at many sites:
+   a library at every home that links it, a binary at its home and
+   staged at each target.  The objdump path reads the image and the
+   site's objdump and readelf flags, nothing else, so identical bytes
+   at sites whose two flags agree describe identically up to the path
    field.  A pass carries one memo ([Eval_ctx.describe_memo]) keyed by
-   (site name, content key), the key read through the file's image
-   handle so a hit hashes nothing; only objdump-path successes are
-   cached, so tool-fallback behaviour is untouched.  An entry keeps the
-   effect tape of the work it took over and a hit replays it, as a
-   pass-memo hit does, so a clock reads the same with a memo or
-   without. *)
+   (objdump flag, readelf flag, content key), the key read through the
+   file's image handle so a hit hashes nothing; only objdump-path
+   successes are cached, so tool-fallback behaviour is untouched.  An
+   entry keeps the effect tape of the work it took over and a hit
+   replays it, as a pass-memo hit does, so a clock reads the same with
+   a memo or without. *)
 
 (* The memo [describe] reads when its caller passes none: unset unless
    the benchmark harness installs one through the two shims below. *)
@@ -132,8 +135,11 @@ let clear_describe_memo () = default_memo := None
 let memo_key_of site path =
   match Vfs.resolve_image (Site.vfs site) path with
   | Some (_, image) ->
+    let tools = Site.tools site in
     Some
-      ( (Site.name site, Feam_elf.Reader.image_key image),
+      ( ( tools.Tools.objdump,
+          tools.Tools.readelf,
+          Feam_elf.Reader.image_key image ),
         String.length (Feam_elf.Reader.image_bytes image) )
   | None -> None
 

@@ -18,17 +18,19 @@
     benchmark harness installs. *)
 
 (** The describe memo: {!Bdc.describe}'s successful objdump
-    descriptions, each on the {!Pass_memo.tape} of its miss, by (site
-    name, content key of the image), so the same library image
-    described at the same site many times is parsed once.  A hit
-    replays the tape, so a pass charges its clock as a pass with no
-    memo would.  The objdump work journals nothing, so a tape holds no
-    record and the key needs no recorder flag.  Hit/miss counts surface
-    as [bdc.describe_cache.hit] / [.miss].  Fallback-path (file/ldd)
+    descriptions, each on the {!Pass_memo.tape} of its miss, by what
+    the objdump path reads: the site's [objdump] and [readelf] flags
+    ({!Feam_sysmodel.Tools.t}) and the content key of the image.  The
+    same image described many times, at its home and staged at every
+    target whose tools agree, is parsed once.  A hit replays the tape,
+    so a pass charges its clock as a pass with no memo would.  The
+    objdump work journals nothing, so a tape holds no record and the
+    key needs no recorder flag.  Hit/miss counts surface as
+    [bdc.describe_cache.hit] / [.miss].  Fallback-path (file/ldd)
     results are never cached, so a hit journals its method as
     [objdump], as the miss did.  Only {!Bdc} reads and writes it. *)
 type describe_memo =
-  (string * Feam_util.Chash.t, Description.t Pass_memo.tape) Hashtbl.t
+  (bool * bool * Feam_util.Chash.t, Description.t Pass_memo.tape) Hashtbl.t
 
 type t = {
   describe : describe_memo option;
@@ -38,10 +40,14 @@ type t = {
   closures : Feam_dynlinker.Resolve.memo option;
       (** the closure memo under ldd, the probes and ground-truth runs
           (DESIGN §21) *)
+  templates : Feam_toolchain.Compile.templates option;
+      (** the probe compiles' templates ({!Feam_toolchain.Compile}):
+          a hit skips building the image and only stamps its build
+          ID, so a hit hands out the build ID a miss would *)
 }
 
-(** A fresh context: a fresh pass memo and closure memo over [describe]
-    (default: a fresh describe memo). *)
+(** A fresh context: a fresh pass memo, closure memo and template table
+    over [describe] (default: a fresh describe memo). *)
 val create : ?describe:describe_memo -> unit -> t
 
 (** An empty describe memo. *)
@@ -53,3 +59,6 @@ val reference : t
 
 (** The closure memo of an optional context, if any. *)
 val closures : t option -> Feam_dynlinker.Resolve.memo option
+
+(** The template table of an optional context, if any. *)
+val templates : t option -> Feam_toolchain.Compile.templates option

@@ -107,7 +107,8 @@ let run_source ?clock ?ctx site env ~binary_path =
             List.filter_map
               (fun program ->
                 match
-                  Feam_toolchain.Compile.compile_mpi ?clock site install program
+                  Feam_toolchain.Compile.compile_mpi ?clock
+                    ?templates:(Eval_ctx.templates ctx) site install program
                 with
                 | Error _ -> None
                 | Ok bytes ->

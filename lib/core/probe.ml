@@ -64,12 +64,12 @@ let resolve_probe_env ?clock config site env ~bundle ~target_glibc image =
         in
         resolution.Resolve_model.env)
 
-(* Compile and run a native MPI hello world under [install]'s stack.
-   When a bundle is available, the probe runs with its staged copies
-   exposed — a natively compiled probe can need them too (e.g. a
-   compiler runtime present on disk but absent from a stale loader
-   cache). *)
-let native ?clock ?closures ?bundle ?target_glibc config site env install :
+(* Compile and run a native MPI hello world under [install]'s stack,
+   through [ctx]'s template table and closure memo.  When a bundle is
+   available, the probe runs with its staged copies exposed — a
+   natively compiled probe can need them too (e.g. a compiler runtime
+   present on disk but absent from a stale loader cache). *)
+let native ?clock ?ctx ?bundle ?target_glibc config site env install :
     probe_result =
   Feam_obs.Trace.with_span "probe.native" @@ fun () ->
   (* [target_glibc] is the discovered C-library version, when known *)
@@ -78,7 +78,8 @@ let native ?clock ?closures ?bundle ?target_glibc config site env install :
   else
     let env = Modules_tool.load_stack env install in
     match
-      Feam_toolchain.Compile.compile_mpi_to ?clock site install
+      Feam_toolchain.Compile.compile_mpi_to ?clock
+        ?templates:(Eval_ctx.templates ctx) site install
         Feam_toolchain.Compile.hello_world_mpi ~dir:probe_dir
     with
     | Error e -> Error (Feam_toolchain.Compile.error_to_string e)
@@ -89,8 +90,8 @@ let native ?clock ?closures ?bundle ?target_glibc config site env install :
           resolve_probe_env ?clock config site env ~bundle ~target_glibc image
         | None -> env
       in
-      run_binary ?clock ?closures config site env ~binary_path:path
-        ~parallel:true
+      run_binary ?clock ?closures:(Eval_ctx.closures ctx) config site env
+        ~binary_path:path ~parallel:true
 
 (* Stage and run a shipped hello-world probe under [install]'s stack.
    The probe travelled with the bundle, so the bundle's library copies
@@ -154,7 +155,7 @@ let test_stack ?clock ?ctx config site env install ~(bundle : Bundle.t option)
   let closures = Eval_ctx.closures ctx in
   let native_result =
     if (Site.tools site).Tools.c_compiler then
-      Some (native ?clock ?closures ?bundle ?target_glibc config site env install)
+      Some (native ?clock ?ctx ?bundle ?target_glibc config site env install)
     else None
   in
   let foreign_results =

@@ -12,7 +12,8 @@ type probe_result = (unit, string) result
 (** Full stack test: native probe when possible, then every shipped
     probe.  Passes only if all applicable probes pass; errors when no
     probe can be run at all (the stack cannot be vouched for).  The
-    probe runs resolve through [ctx]'s closure memo, if any. *)
+    native probe compiles through [ctx]'s template table and the probe
+    runs resolve through its closure memo, if any. *)
 val test_stack :
   ?clock:Feam_util.Sim_clock.t ->
   ?ctx:Eval_ctx.t ->

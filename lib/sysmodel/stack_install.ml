@@ -28,20 +28,14 @@ type t = {
   prefix : string;   (* install prefix, e.g. /opt/openmpi-1.4.3-intel *)
   health : health;
   registered : bool; (* appears in the user-environment management tool *)
-  (* Whether the implementation was installed with static libraries
-     (.a archives): without them, users cannot prepare statically
-     linked binaries for migration (paper SVI.C). *)
-  static_libs : bool;
 }
 
-let make ?(health = Functioning) ?(registered = true) ?(static_libs = false)
-    ~prefix stack =
-  { stack; prefix; health; registered; static_libs }
+let make ?(health = Functioning) ?(registered = true) ~prefix stack =
+  { stack; prefix; health; registered }
 
 let stack t = t.stack
 let health t = t.health
 let registered t = t.registered
-let static_libs t = t.static_libs
 
 let lib_dir t = t.prefix ^ "/lib"
 let bin_dir t = t.prefix ^ "/bin"

@@ -22,7 +22,6 @@ type t
 val make :
   ?health:health ->
   ?registered:bool ->
-  ?static_libs:bool ->
   prefix:string ->
   Feam_mpi.Stack.t ->
   t
@@ -32,10 +31,6 @@ val health : t -> health
 
 (** Appears in the site's user-environment management tool. *)
 val registered : t -> bool
-
-(** Installed with static libraries (.a archives): only then can users
-    prepare statically linked binaries for migration (paper SVI.C). *)
-val static_libs : t -> bool
 
 val lib_dir : t -> string
 val bin_dir : t -> string

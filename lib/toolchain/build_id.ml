@@ -10,13 +10,18 @@ let counter = ref 0
 
 let reset () = counter := 0
 
+let prefix = "GNU Build ID: "
+
 (* A .comment-style build-id string, unique per call.  A running effect
    capture notes it, so a memo hit can skip the serial past it. *)
 let next ~site_name =
   incr counter;
   if Feam_util.Effects.capturing () then Feam_util.Effects.(note Build);
   let raw = Printf.sprintf "%s/%d" site_name !counter in
-  Printf.sprintf "GNU Build ID: %s" (Digest.to_hex (Digest.string raw))
+  prefix ^ Digest.to_hex (Digest.string raw)
+
+(* [next]'s shape with zero digits: every build-id string is this long. *)
+let placeholder = prefix ^ String.make 32 '0'
 
 let serial () = !counter
 

@@ -11,6 +11,10 @@ val reset : unit -> unit
     {!Feam_util.Effects.capture} notes a [Build]. *)
 val next : site_name:string -> string
 
+(** A string as long as every {!next} string, with zero digits: a
+    compile template holds it where a stamp puts the build ID. *)
+val placeholder : string
+
 (** How many build IDs were handed out since the last {!reset}. *)
 val serial : unit -> int
 

@@ -2,7 +2,15 @@
    a given site.  The output is a real ELF image whose dependency set,
    symbol-version references and .comment provenance strings follow from
    the stack, the compiler family and the site's glibc — the exact
-   channels the prediction model later reads. *)
+   channels the prediction model later reads.
+
+   Every compile makes its image in two steps: a template (the spec
+   built with a placeholder where the build ID goes, and the provenance
+   record) and a stamp (a copy of the template's bytes with a fresh
+   build ID written over the placeholder, registered with that
+   provenance).  Two compiles of the same inputs differ only in the
+   build ID, so a [templates] table lets a caller that compiles the same
+   image again skip the first step. *)
 
 open Feam_util
 open Feam_sysmodel
@@ -64,19 +72,17 @@ type error =
   | Wrapper_missing of string  (* stack has no such compiler wrapper *)
   | Compiler_unavailable       (* no native serial compiler *)
   | Source_incompatible of string (* source does not build with this stack *)
-  | No_static_libraries        (* the MPI install ships no .a archives *)
 
 let error_to_string = function
   | Wrapper_missing w -> Printf.sprintf "wrapper %s not found" w
   | Compiler_unavailable -> "no native compiler available"
   | Source_incompatible why -> "source incompatible: " ^ why
-  | No_static_libraries ->
-    "the MPI implementation was not installed with static libraries"
 
 (* Toolchain provenance comments embedded in .comment: compiler banner
    decorated with the distro packaging tag, as real distro toolchains
-   do — this is what lets the BDC report the build OS (paper §V.A). *)
-let comments site compiler =
+   do — this is what lets the BDC report the build OS (paper §V.A).
+   The build ID follows them. *)
+let toolchain_comments site compiler =
   let distro = Site.distro site in
   let compiler_comment =
     match Compiler.family compiler with
@@ -89,7 +95,6 @@ let comments site compiler =
   [
     compiler_comment;
     Printf.sprintf "GNU ld version 2.17.50.0.6 (%s)" (Distro.name distro);
-    Build_id.next ~site_name:(Site.name site);
   ]
 
 let libc_name = Soname.to_string Glibc.libc_soname
@@ -113,7 +118,17 @@ let verneeds_for site program =
     { Feam_elf.Spec.vn_file = libm_name; vn_versions = libm_versions };
   ]
 
-let build_image ?stack site ~needed ~compiler program =
+(* -- Templates and stamps --------------------------------------------- *)
+
+(* An image whose build ID is {!Build_id.placeholder} at [id_offset],
+   and the provenance of every image stamped from it. *)
+type template = {
+  bytes : string;
+  id_offset : int;
+  provenance : Provenance.t;
+}
+
+let template ?stack site ~needed ~compiler program =
   let bits = Site.bits site in
   let libc_versions =
     Glibc.referenced_versions ~bits ~appetite:program.glibc_appetite
@@ -122,32 +137,103 @@ let build_image ?stack site ~needed ~compiler program =
   let dynsyms =
     Abi.binary_dynsyms ~bits ~glibc:(Site.glibc site) ~libc_versions ~needed
   in
+  let toolchain = toolchain_comments site compiler in
   let spec =
     Feam_elf.Spec.make ~file_type:Feam_elf.Types.ET_EXEC ~needed
       ~verneeds:(verneeds_for site program) ~dynsyms
-      ~comments:(comments site compiler)
+      ~comments:(toolchain @ [ Build_id.placeholder ])
       ~abi_note:(Distro.kernel_triple (Site.distro site))
       ~interp:(Feam_elf.Types.default_interp (Site.machine site))
       (Site.machine site)
   in
-  let image = Feam_elf.Builder.build spec in
-  Provenance.register image
-    {
-      Provenance.program_name = program.prog_name;
-      build_site = Site.name site;
-      build_glibc = Site.glibc site;
-      stack;
-      compiler;
-      runtime_fragility = program.runtime_fragility;
-      copy_abi_fragility = 0.0;
-      is_probe = program.is_probe;
-      np_rule = program.np_rule;
-    };
+  let bytes, comment_offset = Feam_elf.Builder.build_placed spec in
+  {
+    bytes;
+    (* each comment is followed by its NUL *)
+    id_offset =
+      List.fold_left (fun off c -> off + String.length c + 1) comment_offset
+        toolchain;
+    provenance =
+      {
+        Provenance.program_name = program.prog_name;
+        build_site = Site.name site;
+        build_glibc = Site.glibc site;
+        stack;
+        compiler;
+        runtime_fragility = program.runtime_fragility;
+        copy_abi_fragility = 0.0;
+        is_probe = program.is_probe;
+        np_rule = program.np_rule;
+      };
+  }
+
+(* A fresh build of [t]: its bytes with the next build ID over the
+   placeholder. *)
+let stamp t =
+  let image = Bytes.of_string t.bytes in
+  Bytes.blit_string
+    (Build_id.next ~site_name:t.provenance.Provenance.build_site)
+    0 image t.id_offset (String.length Build_id.placeholder);
+  let image = Bytes.unsafe_to_string image in
+  Provenance.register image t.provenance;
   image
 
-(* [compile_mpi ?clock site install program] — run the stack's compiler
-   wrapper on [program] at [site]. *)
-let compile_mpi ?clock site install program =
+(* Everything [template] reads, compared by value. *)
+type template_key = {
+  site_name : string;
+  machine : Feam_elf.Types.machine;
+  glibc : Version.t;
+  distro : Distro.t;
+  stack : Stack.t option;
+  compiler : Compiler.t;
+  needed : string list;
+  program : program;
+}
+
+module Template_table = Hashtbl.Make (struct
+  type t = template_key
+
+  let equal = ( = )
+
+  (* deep enough to reach the stack and the program *)
+  let hash = Hashtbl.hash_param 64 256
+end)
+
+type templates = template Template_table.t
+
+let create_templates () : templates = Template_table.create 64
+
+let build_image ?templates ?stack site ~needed ~compiler program =
+  let make () = template ?stack site ~needed ~compiler program in
+  stamp
+    (match templates with
+    | None -> make ()
+    | Some table -> (
+      let key =
+        {
+          site_name = Site.name site;
+          machine = Site.machine site;
+          glibc = Site.glibc site;
+          distro = Site.distro site;
+          stack;
+          compiler;
+          needed;
+          program;
+        }
+      in
+      match Template_table.find_opt table key with
+      | Some t ->
+        Feam_obs.Metrics.incr "toolchain.template.hit";
+        t
+      | None ->
+        Feam_obs.Metrics.incr "toolchain.template.miss";
+        let t = make () in
+        Template_table.add table key t;
+        t))
+
+(* [compile_mpi ?clock ?templates site install program] — run the
+   stack's compiler wrapper on [program] at [site]. *)
+let compile_mpi ?clock ?templates site install program =
   let stack = Stack_install.stack install in
   let wrapper =
     match program.language with Stack.C -> "mpicc" | Stack.Fortran -> "mpif90"
@@ -162,7 +248,9 @@ let compile_mpi ?clock site install program =
         (Stack.needed_libs stack program.language @ program.extra_libs)
       @ base_needed
     in
-    Ok (build_image ~stack site ~needed ~compiler:(Stack.compiler stack) program)
+    Ok
+      (build_image ?templates ~stack site ~needed
+         ~compiler:(Stack.compiler stack) program)
   end
 
 (* [compile_serial ?clock site program] — native `cc` on the login node,
@@ -176,44 +264,13 @@ let compile_serial ?clock site program =
     Ok (build_image site ~needed ~compiler program)
   end
 
-(* Statically linked build: every library is folded into the image, so
-   the result has no dynamic dependencies at all — the most portable
-   artifact a user can make, available only where the MPI implementation
-   was installed with static libraries (paper SVI.C). *)
-let compile_mpi_static ?clock site install program =
-  if not (Stack_install.static_libs install) then Error No_static_libraries
-  else begin
-    Cost.charge clock (2.0 *. Cost.compile_mpi) (* static links are slower *);
-    let stack = Stack_install.stack install in
-    let spec =
-      Feam_elf.Spec.make ~file_type:Feam_elf.Types.ET_EXEC
-        ~comments:(comments site (Stack.compiler stack))
-        ~abi_note:(Distro.kernel_triple (Site.distro site))
-        (Site.machine site)
-    in
-    let image = Feam_elf.Builder.build spec in
-    Provenance.register image
-      {
-        Provenance.program_name = program.prog_name;
-        build_site = Site.name site;
-        build_glibc = Site.glibc site;
-        stack = Some stack;
-        compiler = Stack.compiler stack;
-        runtime_fragility = program.runtime_fragility;
-        copy_abi_fragility = 0.0;
-        is_probe = program.is_probe;
-        np_rule = program.np_rule;
-      };
-    Ok image
-  end
-
 let declared_size program =
   int_of_float (program.binary_size_mb *. 1024.0 *. 1024.0)
 
 (* Compile and install the binary into the site's filesystem (a user's
    home or scratch directory), returning its path. *)
-let compile_mpi_to ?clock site install program ~dir =
-  match compile_mpi ?clock site install program with
+let compile_mpi_to ?clock ?templates site install program ~dir =
+  match compile_mpi ?clock ?templates site install program with
   | Error _ as e -> e
   | Ok image ->
     let path = dir ^ "/" ^ program.prog_name in

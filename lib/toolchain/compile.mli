@@ -2,7 +2,13 @@
     on a given site.  The output is a real ELF image whose dependency
     set, symbol-version references and .comment provenance follow from
     the stack, compiler family and site glibc — the channels the
-    prediction model later reads. *)
+    prediction model later reads.
+
+    Every compile stamps a template: the image is built once with a
+    placeholder build ID ({!Build_id.placeholder}), and each compile
+    copies those bytes, writes {!Build_id.next} over the placeholder and
+    registers the copy's {!Provenance}.  A {!templates} table keeps the
+    templates, so compiling the same image again costs a copy. *)
 
 (** A program source as the toolchain sees it. *)
 type program = {
@@ -41,22 +47,25 @@ type error =
   | Wrapper_missing of string
   | Compiler_unavailable
   | Source_incompatible of string
-  | No_static_libraries
 
 val error_to_string : error -> string
 
-(** Compile with the stack's MPI wrapper; returns the ELF image bytes. *)
+(** Compile templates by everything a template reads, compared by
+    value: the site's name, machine, glibc and distro, the MPI stack,
+    the compiler, the needed list and the program.  Lookups count as
+    [toolchain.template.hit] / [.miss].  A pass holds one in its
+    evaluation context. *)
+type templates
+
+val create_templates : unit -> templates
+
+(** Compile with the stack's MPI wrapper; returns the ELF image bytes.
+    The clock is charged before the build ID is handed out.  With
+    [templates], the image's template is looked up there, and made and
+    kept on a miss. *)
 val compile_mpi :
   ?clock:Feam_util.Sim_clock.t ->
-  Feam_sysmodel.Site.t ->
-  Feam_sysmodel.Stack_install.t ->
-  program ->
-  (string, error) result
-
-(** Statically linked build: no dynamic dependencies at all; available
-    only where the MPI install ships static libraries (paper SVI.C). *)
-val compile_mpi_static :
-  ?clock:Feam_util.Sim_clock.t ->
+  ?templates:templates ->
   Feam_sysmodel.Site.t ->
   Feam_sysmodel.Stack_install.t ->
   program ->
@@ -76,6 +85,7 @@ val declared_size : program -> int
     path. *)
 val compile_mpi_to :
   ?clock:Feam_util.Sim_clock.t ->
+  ?templates:templates ->
   Feam_sysmodel.Site.t ->
   Feam_sysmodel.Stack_install.t ->
   program ->

@@ -202,11 +202,9 @@ let wrapper_script install name =
     name
 
 let provision_stack site ?(health = Stack_install.Functioning)
-    ?(registered = true) ?(static_libs = false) stack =
+    ?(registered = true) stack =
   let prefix = "/opt/" ^ Stack.slug stack in
-  let install =
-    Stack_install.make ~health ~registered ~static_libs ~prefix stack
-  in
+  let install = Stack_install.make ~health ~registered ~prefix stack in
   let vfs = Site.vfs site in
   let lib_dir = Stack_install.lib_dir install in
   List.iter

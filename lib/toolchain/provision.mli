@@ -17,7 +17,6 @@ val provision_stack :
   Feam_sysmodel.Site.t ->
   ?health:Feam_sysmodel.Stack_install.health ->
   ?registered:bool ->
-  ?static_libs:bool ->
   Feam_mpi.Stack.t ->
   Feam_sysmodel.Stack_install.t
 

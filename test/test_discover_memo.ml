@@ -5,7 +5,7 @@
    reads is never served stale.  Also here: the effect tape every memo
    keeps (nested captures, which a discovery missed inside a
    source-phase miss needs, the counter rule and clockless misses), and
-   the describe memo's tape and the site in its key. *)
+   the describe memo's tape and the tool flags in its key. *)
 
 open Feam_sysmodel
 module Edc = Feam_core.Edc
@@ -283,21 +283,11 @@ let test_describe_tape_holds_no_record () =
 
 (* -- the describe memo's key ---------------------------------------------- *)
 
-(* One image at two sites: one with every tool, one without objdump,
-   whose description takes the file/ldd fallback.  In one describe
-   memo, each description and its charges must equal a reference
-   describe at its own site: an entry made at the first site must not
-   serve the second. *)
-let test_describe_memo_keys_site () =
-  let full, installs = Fixtures.small_site ~name:"full" () in
-  let path, install = Fixtures.compiled_binary full installs in
-  let no_objdump, _ =
-    Fixtures.small_site ~name:"no-objdump"
-      ~tools:{ Tools.full with Tools.objdump = false } ()
-  in
-  (match Vfs.resolve_image (Site.vfs full) path with
-  | Some (_, image) -> Vfs.add_image (Site.vfs no_objdump) path image
-  | None -> Alcotest.fail "the compiled binary has no image");
+(* Describe [path] at each site in turn, with [install]'s session,
+   under [ctx] and under the reference: each description, its charges
+   and its journal must be the reference's at that site.  Returns the
+   describe memo's hits. *)
+let describe_each ctx ~install ~path sites =
   let describe ctx site =
     let journal = ref "" in
     Recorder.configure ~tool:"test" ~emit:(( := ) journal) ();
@@ -313,7 +303,6 @@ let test_describe_memo_keys_site () =
       Feam_util.Sim_clock.elapsed clock,
       !journal )
   in
-  let ctx = Eval_ctx.create () in
   let hits = counter "bdc.describe_cache.hit" in
   List.iter
     (fun site ->
@@ -323,9 +312,53 @@ let test_describe_memo_keys_site () =
       Alcotest.(check string) (what ^ ": the description") d' d;
       Alcotest.(check (float 0.0)) (what ^ ": the charges") clock' clock;
       Alcotest.(check string) (what ^ ": the journal") journal' journal)
-    [ full; no_objdump; full ];
+    sites;
+  counter "bdc.describe_cache.hit" - hits
+
+(* A site named [name] with [tools], holding [full]'s image at [path]. *)
+let holding ~full ~path name tools =
+  let site, _ = Fixtures.small_site ~name ~tools () in
+  (match Vfs.resolve_image (Site.vfs full) path with
+  | Some (_, image) -> Vfs.add_image (Site.vfs site) path image
+  | None -> Alcotest.fail "the compiled binary has no image");
+  site
+
+(* One image at two sites: one with every tool, one without objdump,
+   whose description takes the file/ldd fallback.  In one describe
+   memo, each description and its charges must equal a reference
+   describe at its own site: an entry made at the first site must not
+   serve the second. *)
+let test_describe_memo_keys_site () =
+  let full, installs = Fixtures.small_site ~name:"full" () in
+  let path, install = Fixtures.compiled_binary full installs in
+  let no_objdump =
+    holding ~full ~path "no-objdump" { Tools.full with Tools.objdump = false }
+  in
   Alcotest.(check int) "the first site's second describe hits" 1
-    (counter "bdc.describe_cache.hit" - hits)
+    (describe_each (Eval_ctx.create ()) ~install ~path [ full; no_objdump; full ])
+
+(* The key is what the objdump path reads: the objdump and readelf
+   flags and the image.  A site of another name whose ldd and locate
+   differ describes the image from the entry its home made; a site
+   without readelf, whose description has no build provenance, does
+   not. *)
+let test_describe_memo_keys_tools () =
+  let full, installs = Fixtures.small_site ~name:"home" () in
+  let path, install = Fixtures.compiled_binary full installs in
+  let other_tools =
+    holding ~full ~path "elsewhere"
+      { Tools.full with Tools.ldd = false; Tools.locate = false }
+  in
+  let no_readelf =
+    holding ~full ~path "no-readelf" { Tools.full with Tools.readelf = false }
+  in
+  let ctx = Eval_ctx.create () in
+  Alcotest.(check int) "a site sharing objdump and readelf hits" 1
+    (describe_each ctx ~install ~path [ full; other_tools ]);
+  let misses = counter "bdc.describe_cache.miss" in
+  Alcotest.(check int) "a site without readelf does not hit" 0
+    (describe_each ctx ~install ~path [ no_readelf ]);
+  Alcotest.(check int) "it misses" 1 (counter "bdc.describe_cache.miss" - misses)
 
 let suite =
   ( "discover memo",
@@ -346,4 +379,6 @@ let suite =
         test_describe_tape_holds_no_record;
       Alcotest.test_case "the describe memo keys on the site" `Quick
         test_describe_memo_keys_site;
+      Alcotest.test_case "the describe memo keys on objdump and readelf"
+        `Quick test_describe_memo_keys_tools;
     ] )

@@ -1,9 +1,10 @@
 (* The reference oracle (DESIGN §17): every cache is invisible.  Each
    leg runs a pass cached and under [Eval_ctx.reference], which holds no
    cache, and demands the same bytes: (a) the matrix's cells, clock,
-   build-ID serial and work counters; (b) its journals; (c) the agree
-   corpus's report and journal.  Leg (d) is test_drift.ml's live-world
-   test.  The cached side must hit every cache it holds. *)
+   build-ID serial and work counters; (b) its journals and work
+   counters; (c) the agree corpus's report, journal and work counters.
+   Leg (d) is test_drift.ml's live-world test.  The cached side must
+   hit every cache it holds. *)
 
 open Feam_evalharness
 module Eval_ctx = Feam_core.Eval_ctx
@@ -16,7 +17,7 @@ let counter name = Option.value ~default:0 (Metrics.counter_value name)
 (* The caches of a context [Eval_ctx.create] makes. *)
 let caches =
   [ "bdc.describe_cache"; "tec.stack_memo"; "phases.source_memo";
-    "edc.discover_memo"; "dynlinker.closure_memo" ]
+    "edc.discover_memo"; "dynlinker.closure_memo"; "toolchain.template" ]
 
 (* The caches whose [suffix] counter moved since the registry's last
    reset. *)
@@ -33,7 +34,9 @@ let cell_line (m : Migrate.migration) =
 
 (* Every counter but those that count real work (the cache families
    and [bdc.describe{method=…}], which counts describe-memo misses), with
-   its value: the counters a cache hit must leave as a miss would. *)
+   its value: the counters a cache hit must leave as a miss would.
+   [flightrec.records] is among them, so a tape that took it would count
+   a replayed record twice. *)
 let work_counters () =
   List.filter_map
     (fun (k, e) ->
@@ -102,7 +105,7 @@ let journals seed run =
   let bodies = Buffer.create (1 lsl 20) in
   run ~write:(fun ~name body -> Buffer.add_string bodies (name ^ "\n" ^ body))
     sites binaries;
-  Buffer.contents bodies
+  String.concat "\n" (Buffer.contents bodies :: work_counters ())
 
 let test_journals seed () =
   leg (Printf.sprintf "journals, seed %d" seed)
@@ -115,8 +118,9 @@ let test_journals seed () =
            (Migrate.cells sites binaries)))
 
 (* (c) Harness.run_corpus against run_one one scenario at a time: the
-   report and the corpus journal.  The corpus holds the describe memo
-   alone. *)
+   report, the corpus journal and the work counters but the corpus's
+   own tallies ([agree.*]), which run_one does not keep.  The corpus
+   holds the describe memo and the template table. *)
 let corpus runs =
   side @@ fun () ->
   let journal = ref "" in
@@ -125,11 +129,13 @@ let corpus runs =
   let runs = runs () in
   Harness.record_report runs;
   Recorder.flush ();
-  Harness.render_report runs ^ !journal
+  let tallies = List.filter (fun c -> not (String.starts_with ~prefix:"agree." c)) in
+  String.concat "\n"
+    ((Harness.render_report runs ^ !journal) :: tallies (work_counters ()))
 
 let test_agree seed () =
   let count = 500 in
-  leg (Printf.sprintf "agree, seed %d" seed) ~held:[ "bdc.describe_cache" ]
+  leg (Printf.sprintf "agree, seed %d" seed) ~held:[ "bdc.describe_cache"; "toolchain.template" ]
     (corpus (Harness.run_corpus ~seed ~count))
     (corpus (fun () ->
          List.init count (fun index ->
