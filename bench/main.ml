@@ -42,9 +42,12 @@ module Fixture = struct
   let batch =
     Batch.make ~queues:[ { Batch.queue_name = "debug"; wait_seconds = 5.0 } ]
 
+  (* The sites below are built together: one build world. *)
+  let world = World.create ()
+
   let make_site ~name ~glibc ~compiler ~distro_ver =
     let site =
-      Site.make ~description:"bench site" ~compilers:[ compiler ] ~seed:4
+      Site.make ~world ~description:"bench site" ~compilers:[ compiler ] ~seed:4
         ~fault_model:Fault_model.none
         ~machine:Feam_elf.Types.X86_64
         ~distro:(Distro.make Distro.Centos ~version:(v distro_ver) ~kernel:(v "2.6.18"))
@@ -117,7 +120,7 @@ let bench_table1 =
 
 let bench_table2 =
   ( "table2/site-provisioning",
-    fun () -> ignore (Sites.build_site params (List.hd Sites.specs)) )
+    fun () -> ignore (Sites.build_site ~world:(Feam_sysmodel.World.create ()) params (List.hd Sites.specs)) )
 
 let bench_table3_basic =
   ( "table3/basic-prediction",
@@ -264,8 +267,8 @@ let bench_discover_hit =
   ("edc/discover-hit", fun () -> discover_under (Lazy.force warm_discoveries))
 
 (* The template table's two sides (DESIGN §19) on the fixture home: a
-   hello-world probe compiled through a fresh table builds its image and
-   stamps it, through a warm one it only stamps the cached image. *)
+   hello-world probe compiled through a fresh table builds its image,
+   through a warm one it is the cached image's handle. *)
 let probe_compile templates =
   ignore
     (Feam_toolchain.Compile.compile_mpi ~templates Fixture.home

@@ -39,6 +39,7 @@ let demo_scenario () =
   let batch =
     Batch.make ~queues:[ { Batch.queue_name = "debug"; wait_seconds = 5.0 } ]
   in
+  let world = World.create () in
   let make ~name ~glibc ~gcc ~distro_version =
     let compiler = Compiler.make Compiler.Gnu (v gcc) in
     let stack =
@@ -46,7 +47,7 @@ let demo_scenario () =
         ~interconnect:Interconnect.Ethernet
     in
     let site =
-      Site.make ~description:"demo site" ~compilers:[ compiler ] ~seed:4
+      Site.make ~world ~description:"demo site" ~compilers:[ compiler ] ~seed:4
         ~fault_model:Fault_model.none ~machine:Feam_elf.Types.X86_64
         ~distro:(Distro.make Distro.Centos ~version:(v distro_version) ~kernel:(v "2.6.18"))
         ~glibc:(v glibc) ~interconnect:Interconnect.Ethernet ~batch name

@@ -17,6 +17,9 @@ let v = Version.of_string_exn
 let batch =
   Batch.make ~queues:[ { Batch.queue_name = "debug"; wait_seconds = 5.0 } ]
 
+(* The sites below are built together: one build world. *)
+let world = World.create ()
+
 let make_site ~name ~glibc ~gcc ~distro_version =
   let compiler = Compiler.make Compiler.Gnu (v gcc) in
   let stack =
@@ -24,7 +27,7 @@ let make_site ~name ~glibc ~gcc ~distro_version =
       ~interconnect:Interconnect.Ethernet
   in
   let site =
-    Site.make ~compilers:[ compiler ] ~seed:4 ~fault_model:Fault_model.none
+    Site.make ~world ~compilers:[ compiler ] ~seed:4 ~fault_model:Fault_model.none
       ~machine:Feam_elf.Types.X86_64
       ~distro:(Distro.make Distro.Centos ~version:(v distro_version) ~kernel:(v "2.6.18"))
       ~glibc:(v glibc) ~interconnect:Interconnect.Ethernet ~batch name

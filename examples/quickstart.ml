@@ -19,6 +19,9 @@ let v = Version.of_string_exn
 let batch =
   Batch.make ~queues:[ { Batch.queue_name = "debug"; wait_seconds = 10.0 } ]
 
+(* The sites below are built together: one build world. *)
+let world = World.create ()
+
 let make_site ~name ~glibc ~gcc ~distro_version =
   let compiler = Compiler.make Compiler.Gnu (v gcc) in
   let stack =
@@ -26,7 +29,7 @@ let make_site ~name ~glibc ~gcc ~distro_version =
       ~interconnect:Interconnect.Ethernet
   in
   let site =
-    Site.make ~description:"quickstart cluster" ~compilers:[ compiler ] ~seed:4
+    Site.make ~world ~description:"quickstart cluster" ~compilers:[ compiler ] ~seed:4
       ~fault_model:Fault_model.none
       ~machine:Feam_elf.Types.X86_64
       ~distro:

@@ -9,7 +9,7 @@
     site in the state it was made in.
 
     Every cache is invisible in the results: a pass under any context
-    gives the verdicts, journals, build-ID serials, simulated clock and
+    gives the verdicts, journals, world build serials, simulated clock and
     counters of the same pass under {!reference}, except the counters
     that count real work ({!Feam_obs.Metrics.counts_work}): a memo hit
     replays its miss's effect tape ({!Pass_memo.replay}), which takes

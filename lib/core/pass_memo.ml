@@ -17,8 +17,9 @@
 
    A hit must leave the world exactly as a miss would, so a miss runs
    under an effect capture and keeps its tape, and a hit replays the
-   tape in program order: counters, flight-recorder records, build IDs
-   and clock charges.  Every table, and the describe memo, keeps the
+   tape in program order: counters, flight-recorder records and clock
+   charges.  Builds need no replay: a memo compiles only probes, which
+   take no serial of their world (DESIGN §19).  Every table, and the describe memo, keeps the
    same tape, and captures nest: a discovery missed inside a
    source-phase miss is on both tapes.  Files need no replay:
    {!Tec.select_stack} runs the determinant in one file-system scope,
@@ -43,7 +44,6 @@ let replay ?clock tape =
         Feam_obs.Metrics.incr ~by ~labels name
       | Record (kind, fields) ->
         Feam_flightrec.Recorder.record ~fields:(fun () -> fields) kind
-      | Build -> Feam_toolchain.Build_id.skip 1
       | Charge seconds -> Cost.charge clock seconds)
     tape.effects;
   tape.value

@@ -45,8 +45,8 @@ val record : (unit -> 'a) -> 'a tape
 (** Redo a tape's effects in order and return its value: each [Count]
     through {!Feam_obs.Metrics.incr}, each [Record] through
     {!Feam_flightrec.Recorder.record} (a fresh sequence number and the
-    current span), each [Build] through {!Feam_toolchain.Build_id.skip}
-    and each [Charge] to [clock] through {!Feam_sysmodel.Cost.charge}.
+    current span) and each [Charge] to [clock] through
+    {!Feam_sysmodel.Cost.charge}.
     Inside a running capture the replayed effects are that capture's
     too. *)
 val replay : ?clock:Feam_util.Sim_clock.t -> 'a tape -> 'a

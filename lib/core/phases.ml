@@ -111,12 +111,12 @@ let run_source ?clock ?ctx site env ~binary_path =
                     ?templates:(Eval_ctx.templates ctx) site install program
                 with
                 | Error _ -> None
-                | Ok bytes ->
+                | Ok image ->
                   Some
                     {
                       Bundle.probe_name =
                         program.Feam_toolchain.Compile.prog_name;
-                      probe_image = Feam_elf.Reader.image bytes;
+                      probe_image = image;
                       probe_stack_slug = current.Discovery.slug;
                       probe_declared_size =
                         Feam_toolchain.Compile.declared_size program;

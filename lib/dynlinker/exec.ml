@@ -88,17 +88,16 @@ let charge_attempt clock site mode queue =
    (library, build site, target site). *)
 let copy_has_abi_defect params site (lib : Resolve.resolved_lib) =
   match
-    Feam_toolchain.Provenance.find_digest
-      (Feam_elf.Reader.digest lib.Resolve.lib_parsed)
+    World.find (Site.world site) (Feam_elf.Reader.image_digest lib.Resolve.lib_image)
   with
-  | Some prov when prov.Feam_toolchain.Provenance.build_site <> Site.name site ->
+  | Some prov when prov.Provenance.build_site <> Site.name site ->
     let p =
       Float.min 1.0
-        (prov.Feam_toolchain.Provenance.copy_abi_fragility *. params.p_copy_abi)
+        (prov.Provenance.copy_abi_fragility *. params.p_copy_abi)
     in
     let key =
       Printf.sprintf "copy-abi/%s/%s" lib.Resolve.lib_name
-        prov.Feam_toolchain.Provenance.build_site
+        prov.Provenance.build_site
     in
     if p > 0.0 && Site.keyed_bool site ~p key then Some lib.Resolve.lib_name
     else None
@@ -158,18 +157,18 @@ let attempt ?clock ?closures ?params ?queue site env ~binary_path ~mode
           Failure (Unsatisfied_versions resolution.Resolve.version_failures)
         else
           (* Launch phase. *)
-          let digest = Feam_elf.Reader.digest parsed in
-          let provenance = Feam_toolchain.Provenance.find_digest digest in
+          let digest = Feam_elf.Reader.image_digest image in
+          let provenance = World.find (Site.world site) digest in
           let np_check =
             match (mode, provenance) with
             | Mpi np, Some prov
-              when not (np_allowed prov.Feam_toolchain.Provenance.np_rule np) ->
+              when not (np_allowed prov.Provenance.np_rule np) ->
               Error
                 (Invalid_process_count
                    {
                      np;
                      rule =
-                       (match prov.Feam_toolchain.Provenance.np_rule with
+                       (match prov.Provenance.np_rule with
                        | `Any -> "any positive count"
                        | `Power_of_two -> "a power of two"
                        | `Square -> "a perfect square");
@@ -195,7 +194,7 @@ let attempt ?clock ?closures ?params ?queue site env ~binary_path ~mode
                      compiled programs never see. *)
                   let foreign_check =
                     match provenance with
-                    | Some { Feam_toolchain.Provenance.stack = Some bstack; _ }
+                    | Some { Provenance.stack = Some bstack; _ }
                       when not (Stack.equal bstack (Stack_install.stack install)) ->
                       Stack_install.accepts_foreign_build install
                         ~build_version:(Stack.impl_version bstack)
@@ -216,7 +215,7 @@ let attempt ?clock ?closures ?params ?queue site env ~binary_path ~mode
                   | Ok () -> (
                     (* Fabric assumed by the binary's build must exist. *)
                     match provenance with
-                    | Some { Feam_toolchain.Provenance.stack = Some bstack; _ }
+                    | Some { Provenance.stack = Some bstack; _ }
                       when not
                              (Interconnect.supports
                                 ~binary:(Stack.interconnect bstack)
@@ -240,14 +239,14 @@ let attempt ?clock ?closures ?params ?queue site env ~binary_path ~mode
             let app_defect =
               match provenance with
               | Some prov
-                when prov.Feam_toolchain.Provenance.runtime_fragility > 0.0
-                     && prov.Feam_toolchain.Provenance.build_site
+                when prov.Provenance.runtime_fragility > 0.0
+                     && prov.Provenance.build_site
                         <> Site.name site ->
                 Site.keyed_bool site
-                  ~p:prov.Feam_toolchain.Provenance.runtime_fragility
+                  ~p:prov.Provenance.runtime_fragility
                   (Printf.sprintf "app-defect/%s/%s"
-                     prov.Feam_toolchain.Provenance.program_name
-                     prov.Feam_toolchain.Provenance.build_site)
+                     prov.Provenance.program_name
+                     prov.Provenance.build_site)
               | _ -> false
             in
             match copy_defects with
@@ -262,7 +261,7 @@ let attempt ?clock ?closures ?params ?queue site env ~binary_path ~mode
                  queue) do not trip the load-induced error class. *)
               let is_probe =
                 match provenance with
-                | Some prov -> prov.Feam_toolchain.Provenance.is_probe
+                | Some prov -> prov.Provenance.is_probe
                 | None -> false
               in
               let hex = Digest.to_hex digest in

@@ -7,7 +7,7 @@ type resolved_lib = {
   lib_name : string;   (* the requested DT_NEEDED string *)
   lib_path : string;   (* where it was found *)
   lib_spec : Feam_elf.Spec.t;
-  lib_parsed : Feam_elf.Reader.t; (* the parse, for its digest on demand *)
+  lib_image : Feam_elf.Reader.image; (* the handle, for its digest on demand *)
 }
 
 type version_failure = {
@@ -68,8 +68,7 @@ let walk ?reads ?origin site env (root : Feam_elf.Spec.t) =
       Hashtbl.add seen name ();
       match Search.locate_elf ?reads site (Lazy.force dirs) name with
       | None -> missing := name :: !missing
-      | Some (dir, path, parsed) ->
-        let spec = Feam_elf.Reader.spec parsed in
+      | Some (dir, path, image, spec) ->
         if spec.elf_class <> root.elf_class || spec.machine <> root.machine
         then arch_mismatches := { am_lib = name; am_path = path } :: !arch_mismatches
         else begin
@@ -78,7 +77,7 @@ let walk ?reads ?origin site env (root : Feam_elf.Spec.t) =
               lib_name = name;
               lib_path = path;
               lib_spec = spec;
-              lib_parsed = parsed;
+              lib_image = image;
             }
             :: !resolved;
           List.iter

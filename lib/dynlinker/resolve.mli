@@ -7,9 +7,9 @@ type resolved_lib = {
   lib_name : string;  (** the requested DT_NEEDED string *)
   lib_path : string;  (** where it was found *)
   lib_spec : Feam_elf.Spec.t;
-  lib_parsed : Feam_elf.Reader.t;
-      (** the parse; {!Feam_elf.Reader.digest} reads the image's digest
-          from it on demand *)
+  lib_image : Feam_elf.Reader.image;
+      (** the handle; {!Feam_elf.Reader.image_digest} reads the image's
+          digest from it on demand *)
 }
 
 type version_failure = {

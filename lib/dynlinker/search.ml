@@ -74,8 +74,8 @@ let locate_in_dirs site dirs name =
     dirs
 
 (* Locate and parse: returns the directory that matched, the resolved
-   path and the parsed image, read through the file's image handle, so
-   a repeat lookup hashes nothing. *)
+   path, the file's image handle and its spec, parsed through the
+   handle, so a repeat lookup hashes nothing. *)
 let locate_elf ?reads site dirs name =
   let vfs = Site.vfs site in
   Option.bind
@@ -87,5 +87,5 @@ let locate_elf ?reads site dirs name =
        dirs)
     (fun (dir, (path, image)) ->
       match Feam_elf.Reader.parse_image image with
-      | Ok parsed -> Some (dir, path, parsed)
+      | Ok parsed -> Some (dir, path, image, Feam_elf.Reader.spec parsed)
       | Error _ -> None)

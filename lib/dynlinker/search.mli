@@ -29,12 +29,12 @@ val locate_in_dirs :
   Feam_sysmodel.Site.t -> string list -> string -> string option
 
 (** Locate and parse: the search directory that matched, the path with
-    symlinks followed, and the parsed image; [None] when not found or
-    not parseable ELF.  With [reads], every lookup is tracked
+    symlinks followed, the image's handle and its spec; [None] when not
+    found or not parseable ELF.  With [reads], every lookup is tracked
     ({!Feam_sysmodel.Vfs.resolve_image}). *)
 val locate_elf :
   ?reads:Feam_sysmodel.Vfs.reads ->
   Feam_sysmodel.Site.t ->
   string list ->
   string ->
-  (string * string * Feam_elf.Reader.t) option
+  (string * string * Feam_elf.Reader.image * Feam_elf.Spec.t) option

@@ -27,23 +27,10 @@ type section = {
   sh_addr : int;
 }
 
-type t = {
-  spec : Spec.t;
-  sections : section array;
-  data : string; (* the image, for the digest *)
-  mutable digest : Digest.t option; (* computed on first demand *)
-}
+type t = { spec : Spec.t; sections : section array }
 
 let spec t = t.spec
 let sections t = Array.to_list t.sections
-
-let digest t =
-  match t.digest with
-  | Some d -> d
-  | None ->
-    let d = Digest.string t.data in
-    t.digest <- Some d;
-    d
 
 (* Split a NUL-separated blob into its strings, dropping empties. *)
 let split_nul blob =
@@ -348,7 +335,7 @@ let parse_uncached (data : string) : (t, error) result =
       Spec.make ~file_type ?soname ~needed ?rpath ?runpath ~verneeds ~verdefs
         ~dynsyms ~comments ?abi_note ?interp ~elf_class:cls ~endian machine
     in
-    Ok { spec; sections; data; digest = None }
+    Ok { spec; sections }
   with
   | Parse_error e -> Error e
   | Codec.Truncated what -> Error (Malformed ("truncated: " ^ what))
@@ -364,9 +351,10 @@ type image = {
   data : string;
   mutable parsed : (t, error) result option;
   mutable key : Feam_util.Chash.t option;
+  mutable image_digest : Digest.t option;
 }
 
-let image data = { data; parsed = None; key = None }
+let image data = { data; parsed = None; key = None; image_digest = None }
 
 let image_bytes img = img.data
 
@@ -390,6 +378,14 @@ let image_key img =
     let k = Feam_util.Chash.of_bytes img.data in
     img.key <- Some k;
     k
+
+let image_digest img =
+  match img.image_digest with
+  | Some d -> d
+  | None ->
+    let d = Digest.string img.data in
+    img.image_digest <- Some d;
+    d
 
 let parse data = parse_image (image data)
 

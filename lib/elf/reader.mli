@@ -26,12 +26,8 @@ val spec : t -> Spec.t
 (** The section headers, in file order. *)
 val sections : t -> section list
 
-(** [Digest.string] of the image bytes, computed on the first call and
-    kept with the parse. *)
-val digest : t -> Digest.t
-
-(** A handle on an image: its bytes and their memo, the parse and the
-    content key, each filled on first demand.  Making one is free: no
+(** A handle on an image: its bytes and their memo, the parse, the
+    content key and the digest, each filled on first demand.  Making one is free: no
     lookup, no hash.  There is no table behind handles, so a holder
     that reads one image many times (a [Feam_sysmodel.Vfs] file, a
     bundle's library copy or probe) keeps its handle; a second handle
@@ -57,6 +53,11 @@ val parse_image : image -> (t, error) result
     [elf.parse_memo.*].  Works on any string, ELF or not.  This is the
     one place a live image's identity is computed (DESIGN §9). *)
 val image_key : image -> Feam_util.Chash.t
+
+(** [Digest.string] of the image's bytes, computed once per handle:
+    what the ground truth keys provenance and fault draws on.  Never
+    parses. *)
+val image_digest : image -> Digest.t
 
 (** [parse data] is [parse_image (image data)]: a fresh handle, so
     every call parses.  For bytes that are not held anywhere else. *)

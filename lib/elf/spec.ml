@@ -74,39 +74,3 @@ let imports t = List.filter (fun s -> not s.sym_defined) t.dynsyms
 let exports t = List.filter (fun s -> s.sym_defined) t.dynsyms
 
 let binding_to_string = function Global -> "GLOBAL" | Weak -> "WEAK"
-
-let pp_verneed ppf vn =
-  Fmt.pf ppf "@[<h>%s: %a@]" vn.vn_file
-    Fmt.(list ~sep:(any ", ") string)
-    vn.vn_versions
-
-let pp_dynsym ppf s =
-  Fmt.pf ppf "%s%s %s%s"
-    (if s.sym_defined then "" else "U ")
-    (binding_to_string s.sym_binding)
-    s.sym_name
-    (match s.sym_version with Some v -> "@" ^ v | None -> "")
-
-let pp ppf t =
-  Fmt.pf ppf
-    "@[<v>class: %a@ endian: %a@ machine: %a@ type: %a@ soname: %a@ needed: \
-     %a@ rpath: %a@ runpath: %a@ verneeds: %a@ verdefs: %a@ dynsyms: %a@ \
-     comments: %a@]"
-    Types.pp_class t.elf_class Types.pp_endian t.endian Types.pp_machine
-    t.machine Types.pp_file_type t.file_type
-    Fmt.(option ~none:(any "-") string)
-    t.soname
-    Fmt.(list ~sep:(any ", ") string)
-    t.needed
-    Fmt.(option ~none:(any "-") string)
-    t.rpath
-    Fmt.(option ~none:(any "-") string)
-    t.runpath
-    Fmt.(list ~sep:(any "; ") pp_verneed)
-    t.verneeds
-    Fmt.(list ~sep:(any ", ") string)
-    t.verdefs
-    Fmt.(list ~sep:(any "; ") pp_dynsym)
-    t.dynsyms
-    Fmt.(list ~sep:(any " | ") string)
-    t.comments

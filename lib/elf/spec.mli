@@ -63,4 +63,3 @@ val imports : t -> dynsym list
 val exports : t -> dynsym list
 
 val binding_to_string : sym_binding -> string
-val pp : t Fmt.t

@@ -95,19 +95,9 @@ let machine_of_uname = function
   | "ia64" -> Some IA64
   | _ -> None
 
-let pp_machine ppf m = Fmt.string ppf (machine_name m)
-
 let pp_class ppf = function
   | C32 -> Fmt.string ppf "32-bit"
   | C64 -> Fmt.string ppf "64-bit"
-
-let pp_endian ppf = function
-  | LE -> Fmt.string ppf "little-endian"
-  | BE -> Fmt.string ppf "big-endian"
-
-let pp_file_type ppf = function
-  | ET_EXEC -> Fmt.string ppf "EXEC (Executable file)"
-  | ET_DYN -> Fmt.string ppf "DYN (Shared object file)"
 
 (* Conventional dynamic-loader path for each machine: what PT_INTERP
    carries in executables of the era.  A missing loader at a site is a

@@ -39,10 +39,7 @@ val machine_of_uname : string -> machine option
 (** Conventional PT_INTERP dynamic-loader path per machine. *)
 val default_interp : machine -> string
 
-val pp_machine : machine Fmt.t
 val pp_class : elf_class Fmt.t
-val pp_endian : endian Fmt.t
-val pp_file_type : file_type Fmt.t
 
 (** Program header type codes. *)
 module Pt : sig

@@ -148,20 +148,6 @@ let capture_site ?ctx site =
     ss_inventory = inventory;
   }
 
-(* Probe images embed a fresh [Build_id] per compile, so raw probe bytes
-   differ between two captures of the same world (and between epochs
-   that didn't touch the home site).  Fingerprint the parsed spec with
-   the provenance comments dropped instead: the probe's loader-relevant
-   content, stable across recompiles, still sensitive to real home-site
-   change (different needed libs, different interp, ...). *)
-let probe_fingerprint image =
-  match Feam_elf.Reader.parse_image image with
-  | Ok parsed ->
-    let spec = Feam_elf.Reader.spec parsed in
-    digest
-      (Fmt.str "%a" Feam_elf.Spec.pp { spec with Feam_elf.Spec.comments = [] })
-  | Error _ -> image_digest image
-
 let capture_binary ?ctx (binary : Testset.binary) =
   match Migrate.source_bundle ?ctx binary with
   | Error e ->
@@ -189,8 +175,7 @@ let capture_binary ?ctx (binary : Testset.binary) =
           bundle.Bundle.copies
         @ List.map
             (fun p ->
-              ("probe:" ^ p.Bundle.probe_name,
-               probe_fingerprint p.Bundle.probe_image))
+              ("probe:" ^ p.Bundle.probe_name, image_digest p.Bundle.probe_image))
             bundle.Bundle.probes
         @ List.map (fun u -> ("unlocatable:" ^ u, "missing")) bundle.Bundle.unlocatable
         @ [
@@ -483,16 +468,10 @@ let crosscheck (live : Snapshot.t) sites binaries =
   let epoch = live.Snapshot.epoch and seed = live.Snapshot.seed in
   let ctx = Feam_core.Eval_ctx.create () in
   let cells = predict_all ~ctx sites binaries in
-  (* The capture replays source phases the pass has just run.  Put the
-     build serial back after it: binaries a serve engine registers later
-     take their build IDs from the serial, so a capture that moved it
-     would change the bytes of the transcripts this check guards. *)
-  let builds = Feam_toolchain.Build_id.serial () in
   let cold =
     snapshot_of_world ~ctx ~epoch ~seed ~label:live.Snapshot.label sites binaries
       ~cells
   in
-  Feam_toolchain.Build_id.(reset (); skip builds);
   if
     not
       (String.equal

@@ -114,7 +114,7 @@ val migrate :
     evaluation pass: the cells share one {!Feam_core.Eval_ctx}, so each
     distinct MPI-stack determinant input is probed once and each library
     image is described once per site.  The result, the [clock], the
-    build-ID serial and every counter outside the cache families are
+    world's build serial and every counter outside the cache families are
     those of {!migrate} run cell by cell under
     {!Feam_core.Eval_ctx.reference}, with no cache. *)
 val run_all :

@@ -180,15 +180,15 @@ let parse (text : string) : (site_spec list, parse_error) result =
     else Ok (List.rev !sites)
   with Failure message -> Error { line = 0; message }
 
-(* Build and provision one site from its spec. *)
-let build_site (spec : site_spec) : Site.t =
+(* Build and provision one site from its spec, in [world]. *)
+let build_site ~world (spec : site_spec) : Site.t =
   let queues =
     if spec.s_queues = [] then
       [ { Batch.queue_name = "debug"; wait_seconds = 10.0 } ]
     else spec.s_queues
   in
   let site =
-    Site.make ~compilers:spec.s_compilers ~seed:spec.s_seed
+    Site.make ~world ~compilers:spec.s_compilers ~seed:spec.s_seed
       ~fault_model:spec.s_faults ~modules_flavor:spec.s_modules
       ~machine:spec.s_machine
       ~distro:
@@ -205,11 +205,13 @@ let build_site (spec : site_spec) : Site.t =
   in
   site
 
-(* Parse and build a whole scenario. *)
+(* Parse and build a whole scenario, as one world. *)
 let load text =
   match parse text with
   | Error e -> Error (parse_error_to_string e)
-  | Ok specs -> Ok (List.map build_site specs)
+  | Ok specs ->
+    let world = World.create () in
+    Ok (List.map (build_site ~world) specs)
 
 (* A commented example scenario, shipped for `feam scenario-template`. *)
 let template =

@@ -6,7 +6,8 @@ type site_spec
 
 type parse_error = { line : int; message : string }
 
-(** Parse and build a whole scenario. *)
+(** Parse and build a whole scenario: its sites share one fresh
+    world. *)
 val load : string -> (Feam_sysmodel.Site.t list, string) result
 
 (** A commented example scenario file. *)

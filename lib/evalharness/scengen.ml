@@ -118,8 +118,8 @@ let batch =
   Batch.make
     ~queues:[ { Batch.queue_name = "debug"; wait_seconds = 5.0 } ]
 
-let make_site ~name ~machine pf =
-  Site.make
+let make_site ~world ~name ~machine pf =
+  Site.make ~world
     ~description:
       (Printf.sprintf "generated %s (%s %s, glibc %s)" name
          (Distro.flavor_name pf.pf_flavor) pf.pf_distro pf.pf_glibc)
@@ -358,9 +358,9 @@ let catalog ~focus =
   ]
 
 let build ~seed ~index ?keep () =
-  (* Per-scenario world: image counters restart so scenario i built
-     standalone equals scenario i built mid-corpus. *)
-  Build_id.reset ();
+  (* Per-scenario world: scenario i built standalone equals scenario i
+     built mid-corpus. *)
+  let world = World.create () in
   let stream what = Prng.of_key ~seed (Printf.sprintf "scen/%d/%s" index what) in
   let draw_bool what p = Prng.bool (stream what) p in
   let draw_pick what xs = Prng.pick (stream what) xs in
@@ -410,8 +410,8 @@ let build ~seed ~index ?keep () =
   let target_machine =
     if has Cross_isa then Feam_elf.Types.PPC64 else Feam_elf.Types.X86_64
   in
-  let home = make_site ~name:"home" ~machine:Feam_elf.Types.X86_64 home_pf in
-  let target = make_site ~name:"target" ~machine:target_machine target_pf in
+  let home = make_site ~world ~name:"home" ~machine:Feam_elf.Types.X86_64 home_pf in
+  let target = make_site ~world ~name:"target" ~machine:target_machine target_pf in
   let mk_stack pf =
     Stack.make ~impl ~impl_version:(v "1.4")
       ~compiler:(Compiler.make Compiler.Gnu (v pf.pf_gcc))
@@ -467,9 +467,9 @@ let build ~seed ~index ?keep () =
       | Error e -> failwith ("scengen compile: " ^ Compile.error_to_string e)
       | Ok image ->
         let path = "/home/user/bin/" ^ program.Compile.prog_name in
-        Vfs.add
+        Vfs.add_image
           ~declared_size:(Compile.declared_size program)
-          (Site.vfs home) path (Vfs.Elf image);
+          (Site.vfs home) path image;
         path
   in
   (* Binary perturbations, rewritten in place at home so the source
@@ -512,12 +512,12 @@ let build ~seed ~index ?keep () =
           ~declared_size:(Compile.declared_size program)
           (Site.vfs home) binary_path (Vfs.Elf bytes);
         (* A stripped .comment hides the binary's identity from the
-           provenance registry too — that is the point of the
+           world's provenance table too — that is the point of the
            perturbation.  Every other tamper keeps the program's ABI
            identity. *)
         (if not (has Strip_comments) then
-           match Provenance.find original_bytes with
-           | Some prov -> Provenance.register bytes prov
+           match World.find world (Feam_elf.Reader.image_digest original) with
+           | Some prov -> World.register world (Digest.string bytes) prov
            | None -> ());
         bytes
     end

@@ -73,8 +73,9 @@ val applied : t -> perturbation list
 
 (** Build scenario [index] of stream [seed].  [keep] (default: all)
     selects which drawn perturbations to apply, by index into the drawn
-    list.  Each build starts from [Build_id.reset], so a scenario built
-    standalone is byte-identical to the same scenario built mid-corpus. *)
+    list.  Each build makes its own world
+    ({!Feam_sysmodel.World.create}), so a scenario built standalone is
+    byte-identical to the same scenario built mid-corpus. *)
 val build : seed:int -> index:int -> ?keep:int list -> unit -> t
 
 (** Drop the bundle copies a kept [Drop_bundle_copy] names. *)

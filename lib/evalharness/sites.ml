@@ -166,10 +166,10 @@ let specs =
     };
   ]
 
-(* Build and provision one site. *)
-let build_site (params : Params.t) spec =
+(* Build and provision one site in [world]. *)
+let build_site ~world (params : Params.t) spec =
   let site =
-    Site.make ~description:spec.site_description ~tools:spec.tools
+    Site.make ~world ~description:spec.site_description ~tools:spec.tools
       ~modules_flavor:spec.modules_flavor ~compilers:spec.compilers
       ~seed:(Prng.hash_key params.Params.seed ("site/" ^ spec.site_name))
       ~fault_model:params.Params.exec
@@ -184,13 +184,12 @@ let build_site (params : Params.t) spec =
   let _installs = Provision.provision_site site ~stacks in
   site
 
-(* All five sites, freshly provisioned.  The build-id counter is reset so
-   that an evaluation world — and everything later compiled in it — is
-   byte-reproducible regardless of what the process built before. *)
-(* Build an arbitrary spec list as a reproducible world. *)
+(* Build an arbitrary spec list as one fresh world: everything later
+   compiled in it is byte-reproducible regardless of what the process
+   built before. *)
 let build_specs params specs_to_build =
-  Build_id.reset ();
-  List.map (build_site params) specs_to_build
+  let world = World.create () in
+  List.map (build_site ~world params) specs_to_build
 
 let build_all params = build_specs params specs
 

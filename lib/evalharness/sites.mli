@@ -19,9 +19,14 @@ type spec = {
 (** Ranger, Forge, Blacklight, India, Fir — as published in Table II. *)
 val specs : spec list
 
-val build_site : Params.t -> spec -> Feam_sysmodel.Site.t
+(** Build and provision one site in [world], whose build sequence and
+    provenance table it shares with the sites already built there. *)
+val build_site :
+  world:Feam_sysmodel.World.t -> Params.t -> spec -> Feam_sysmodel.Site.t
 
-(** Build an arbitrary spec list as a reproducible world. *)
+(** Build an arbitrary spec list as one fresh world
+    ({!Feam_sysmodel.World.create}), byte-reproducible whatever the
+    process built before. *)
 val build_specs : Params.t -> spec list -> Feam_sysmodel.Site.t list
 
 (** All five sites, freshly provisioned. *)

@@ -234,11 +234,14 @@ let register_site t name =
     with
     | None -> err "unknown-site-spec" "no such spec in the site catalog"
     | Some spec ->
-      let site =
-        match Sites.build_specs t.params [ spec ] with
-        | [ s ] -> s
-        | _ -> assert false
+      (* The new site joins the resident sites' world: its builds take
+         that world's next serials. *)
+      let world =
+        match sites t with
+        | s :: _ -> Site.world s
+        | [] -> Feam_sysmodel.World.create ()
       in
+      let site = Sites.build_site ~world t.params spec in
       let evaluated = register t [ site ] [] in
       ok "register-site"
         [

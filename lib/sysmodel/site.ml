@@ -35,12 +35,13 @@ type t = {
   batch : Batch.t;
   seed : int; (* per-site stochastic stream for transient system errors *)
   fault_model : Fault_model.t;
+  world : World.t; (* shared with every site built alongside *)
 }
 
 let make ?(description = "") ?(tools = Tools.full)
     ?(modules_flavor = Environment_modules) ?(compilers = []) ?(base_env = Env.empty)
     ?(seed = 0) ?(fault_model = Fault_model.default) ~machine ~distro ~glibc
-    ~interconnect ~batch name =
+    ~interconnect ~batch ~world name =
   {
     name;
     description;
@@ -59,6 +60,7 @@ let make ?(description = "") ?(tools = Tools.full)
     batch;
     seed;
     fault_model;
+    world;
   }
 
 let name t = t.name
@@ -74,6 +76,7 @@ let modules_flavor t = t.modules_flavor
 let compilers t = t.compilers
 let batch t = t.batch
 let fault_model t = t.fault_model
+let world t = t.world
 
 let elf_class t = Feam_elf.Types.machine_class t.machine
 

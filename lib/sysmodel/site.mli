@@ -24,6 +24,7 @@ val make :
   glibc:Feam_util.Version.t ->
   interconnect:Feam_mpi.Interconnect.t ->
   batch:Batch.t ->
+  world:World.t ->
   string ->
   t
 
@@ -40,6 +41,10 @@ val modules_flavor : t -> modules_flavor
 val compilers : t -> Feam_mpi.Compiler.t list
 val batch : t -> Batch.t
 val fault_model : t -> Fault_model.t
+
+(** The world the site was built in: the build sequence and provenance
+    table it shares with the sites built alongside it. *)
+val world : t -> World.t
 val bits : t -> [ `B32 | `B64 ]
 
 (** Append an install: this list and {!ld_conf_dirs} only grow. *)

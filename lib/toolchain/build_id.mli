@@ -1,24 +1,18 @@
-(** Unique build identification: a process-global serial folded into a
-    comment string in every built image, as real toolchains' build IDs
-    and timestamps guarantee.  Keeps the bytes-keyed provenance registry
-    collision-free and gives every probe compile an independent
-    identity. *)
+(** Build identification: a comment string in every built image, as
+    real toolchains' build IDs and timestamps guarantee.  A build that is
+    not a probe takes the next serial of its site's world, so its image
+    is unique there and the world's provenance table, keyed by image
+    digest, never confuses two builds.  A probe takes no serial: its ID
+    names its whole template key (DESIGN §19). *)
 
-(** Reset the serial (done per evaluation world for reproducibility). *)
-val reset : unit -> unit
+(** The build ID of the build [raw] names: equal strings give equal
+    IDs. *)
+val of_string : string -> string
 
-(** A fresh .comment-style build-id string.  A running
-    {!Feam_util.Effects.capture} notes a [Build]. *)
-val next : site_name:string -> string
+(** The build ID of the next build at [site]: the site's name and the
+    next serial of its world ({!Feam_sysmodel.World.next_serial}). *)
+val next : Feam_sysmodel.Site.t -> string
 
-(** A string as long as every {!next} string, with zero digits: a
-    compile template holds it where a stamp puts the build ID. *)
+(** A string as long as every build ID, with zero digits: a compile
+    template holds it where a stamp puts the build ID. *)
 val placeholder : string
-
-(** How many build IDs were handed out since the last {!reset}. *)
-val serial : unit -> int
-
-(** Advance the serial as [n] calls to {!next} would, noting [n]
-    [Build]s in a running capture: a memo hit replays a build this way,
-    so later builds get the IDs they would have had. *)
-val skip : int -> unit

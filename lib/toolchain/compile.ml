@@ -4,13 +4,15 @@
    the stack, the compiler family and the site's glibc — the exact
    channels the prediction model later reads.
 
-   Every compile makes its image in two steps: a template (the spec
-   built with a placeholder where the build ID goes, and the provenance
-   record) and a stamp (a copy of the template's bytes with a fresh
-   build ID written over the placeholder, registered with that
-   provenance).  Two compiles of the same inputs differ only in the
-   build ID, so a [templates] table lets a caller that compiles the same
-   image again skip the first step. *)
+   Every compile makes its image in two steps: a template (the image
+   and the provenance record) and a stamp (the build, registered with
+   that provenance in the site's world).  A probe is its template: one
+   handle, whose build ID names the template's whole key, so it is
+   copied, hashed, parsed and described once per template.  Any other
+   template holds a placeholder where the build ID goes, and its stamp
+   is a copy with the world's next build ID written over it.  A
+   [templates] table lets a caller that compiles the same image again
+   skip the first step. *)
 
 open Feam_util
 open Feam_sysmodel
@@ -120,64 +122,6 @@ let verneeds_for site program =
 
 (* -- Templates and stamps --------------------------------------------- *)
 
-(* An image whose build ID is {!Build_id.placeholder} at [id_offset],
-   and the provenance of every image stamped from it. *)
-type template = {
-  bytes : string;
-  id_offset : int;
-  provenance : Provenance.t;
-}
-
-let template ?stack site ~needed ~compiler program =
-  let bits = Site.bits site in
-  let libc_versions =
-    Glibc.referenced_versions ~bits ~appetite:program.glibc_appetite
-      ~build:(Site.glibc site)
-  in
-  let dynsyms =
-    Abi.binary_dynsyms ~bits ~glibc:(Site.glibc site) ~libc_versions ~needed
-  in
-  let toolchain = toolchain_comments site compiler in
-  let spec =
-    Feam_elf.Spec.make ~file_type:Feam_elf.Types.ET_EXEC ~needed
-      ~verneeds:(verneeds_for site program) ~dynsyms
-      ~comments:(toolchain @ [ Build_id.placeholder ])
-      ~abi_note:(Distro.kernel_triple (Site.distro site))
-      ~interp:(Feam_elf.Types.default_interp (Site.machine site))
-      (Site.machine site)
-  in
-  let bytes, comment_offset = Feam_elf.Builder.build_placed spec in
-  {
-    bytes;
-    (* each comment is followed by its NUL *)
-    id_offset =
-      List.fold_left (fun off c -> off + String.length c + 1) comment_offset
-        toolchain;
-    provenance =
-      {
-        Provenance.program_name = program.prog_name;
-        build_site = Site.name site;
-        build_glibc = Site.glibc site;
-        stack;
-        compiler;
-        runtime_fragility = program.runtime_fragility;
-        copy_abi_fragility = 0.0;
-        is_probe = program.is_probe;
-        np_rule = program.np_rule;
-      };
-  }
-
-(* A fresh build of [t]: its bytes with the next build ID over the
-   placeholder. *)
-let stamp t =
-  let image = Bytes.of_string t.bytes in
-  Bytes.blit_string
-    (Build_id.next ~site_name:t.provenance.Provenance.build_site)
-    0 image t.id_offset (String.length Build_id.placeholder);
-  let image = Bytes.unsafe_to_string image in
-  Provenance.register image t.provenance;
-  image
-
 (* Everything [template] reads, compared by value. *)
 type template_key = {
   site_name : string;
@@ -189,6 +133,77 @@ type template_key = {
   needed : string list;
   program : program;
 }
+
+(* A probe's image, or an image whose build ID is {!Build_id.placeholder}
+   at [id_offset]; and the provenance of every image made from it. *)
+type template = {
+  image : Feam_elf.Reader.image;
+  id_offset : int;
+  provenance : Provenance.t;
+}
+
+(* A probe's build ID names its whole key: two probes whose keys differ
+   anywhere (Open MPI 1.3 and 1.4 link the same libraries) are distinct
+   images, and equal keys give equal bytes in any world. *)
+let probe_id key = Build_id.of_string (Marshal.to_string key [ Marshal.No_sharing ])
+
+let template site key =
+  let program = key.program in
+  let bits = Site.bits site in
+  let libc_versions =
+    Glibc.referenced_versions ~bits ~appetite:program.glibc_appetite
+      ~build:(Site.glibc site)
+  in
+  let dynsyms =
+    Abi.binary_dynsyms ~bits ~glibc:(Site.glibc site) ~libc_versions
+      ~needed:key.needed
+  in
+  let toolchain = toolchain_comments site key.compiler in
+  let id = if program.is_probe then probe_id key else Build_id.placeholder in
+  let spec =
+    Feam_elf.Spec.make ~file_type:Feam_elf.Types.ET_EXEC ~needed:key.needed
+      ~verneeds:(verneeds_for site program) ~dynsyms
+      ~comments:(toolchain @ [ id ])
+      ~abi_note:(Distro.kernel_triple (Site.distro site))
+      ~interp:(Feam_elf.Types.default_interp (Site.machine site))
+      (Site.machine site)
+  in
+  let bytes, comment_offset = Feam_elf.Builder.build_placed spec in
+  {
+    image = Feam_elf.Reader.image bytes;
+    (* each comment is followed by its NUL *)
+    id_offset =
+      List.fold_left (fun off c -> off + String.length c + 1) comment_offset
+        toolchain;
+    provenance =
+      {
+        Provenance.program_name = program.prog_name;
+        build_site = Site.name site;
+        build_glibc = Site.glibc site;
+        stack = key.stack;
+        compiler = key.compiler;
+        runtime_fragility = program.runtime_fragility;
+        copy_abi_fragility = 0.0;
+        is_probe = program.is_probe;
+        np_rule = program.np_rule;
+      };
+  }
+
+(* A build of [t] at [site]: a probe is the template's own handle, any
+   other image a copy with the world's next build ID over the
+   placeholder.  Either is registered in the site's world. *)
+let stamp site t =
+  let image =
+    if t.provenance.Provenance.is_probe then t.image
+    else begin
+      let bytes = Bytes.of_string (Feam_elf.Reader.image_bytes t.image) in
+      Bytes.blit_string (Build_id.next site) 0 bytes t.id_offset
+        (String.length Build_id.placeholder);
+      Feam_elf.Reader.image (Bytes.unsafe_to_string bytes)
+    end
+  in
+  World.register (Site.world site) (Feam_elf.Reader.image_digest image) t.provenance;
+  image
 
 module Template_table = Hashtbl.Make (struct
   type t = template_key
@@ -204,30 +219,29 @@ type templates = template Template_table.t
 let create_templates () : templates = Template_table.create 64
 
 let build_image ?templates ?stack site ~needed ~compiler program =
-  let make () = template ?stack site ~needed ~compiler program in
-  stamp
+  let key =
+    {
+      site_name = Site.name site;
+      machine = Site.machine site;
+      glibc = Site.glibc site;
+      distro = Site.distro site;
+      stack;
+      compiler;
+      needed;
+      program;
+    }
+  in
+  stamp site
     (match templates with
-    | None -> make ()
+    | None -> template site key
     | Some table -> (
-      let key =
-        {
-          site_name = Site.name site;
-          machine = Site.machine site;
-          glibc = Site.glibc site;
-          distro = Site.distro site;
-          stack;
-          compiler;
-          needed;
-          program;
-        }
-      in
       match Template_table.find_opt table key with
       | Some t ->
         Feam_obs.Metrics.incr "toolchain.template.hit";
         t
       | None ->
         Feam_obs.Metrics.incr "toolchain.template.miss";
-        let t = make () in
+        let t = template site key in
         Template_table.add table key t;
         t))
 
@@ -274,6 +288,6 @@ let compile_mpi_to ?clock ?templates site install program ~dir =
   | Error _ as e -> e
   | Ok image ->
     let path = dir ^ "/" ^ program.prog_name in
-    Vfs.add ~declared_size:(declared_size program) (Site.vfs site) path
-      (Vfs.Elf image);
+    Vfs.add_image ~declared_size:(declared_size program) (Site.vfs site) path
+      image;
     Ok path

@@ -4,11 +4,16 @@
     the stack, compiler family and site glibc — the channels the
     prediction model later reads.
 
-    Every compile stamps a template: the image is built once with a
-    placeholder build ID ({!Build_id.placeholder}), and each compile
-    copies those bytes, writes {!Build_id.next} over the placeholder and
-    registers the copy's {!Provenance}.  A {!templates} table keeps the
-    templates, so compiling the same image again costs a copy. *)
+    Every compile stamps a template and registers the result's
+    {!Feam_sysmodel.Provenance} in the site's world
+    ({!Feam_sysmodel.World.register}).  A probe ([is_probe]) is its
+    template's one {!Feam_elf.Reader.image} handle, its build ID naming
+    the template's whole key, so equal keys give equal bytes and distinct
+    keys distinct ones.  Any other image is a copy of its template with
+    {!Build_id.next} written over a placeholder ({!Build_id.placeholder}),
+    unique in its world.  A {!templates} table keeps the templates, so
+    compiling the same image again costs a copy, or nothing for a
+    probe. *)
 
 (** A program source as the toolchain sees it. *)
 type program = {
@@ -59,24 +64,23 @@ type templates
 
 val create_templates : unit -> templates
 
-(** Compile with the stack's MPI wrapper; returns the ELF image bytes.
-    The clock is charged before the build ID is handed out.  With
-    [templates], the image's template is looked up there, and made and
-    kept on a miss. *)
+(** Compile with the stack's MPI wrapper; returns the ELF image's
+    handle.  With [templates], the image's template is looked up there,
+    and made and kept on a miss. *)
 val compile_mpi :
   ?clock:Feam_util.Sim_clock.t ->
   ?templates:templates ->
   Feam_sysmodel.Site.t ->
   Feam_sysmodel.Stack_install.t ->
   program ->
-  (string, error) result
+  (Feam_elf.Reader.image, error) result
 
 (** Native serial compile (probe programs); needs a native compiler. *)
 val compile_serial :
   ?clock:Feam_util.Sim_clock.t ->
   Feam_sysmodel.Site.t ->
   program ->
-  (string, error) result
+  (Feam_elf.Reader.image, error) result
 
 (** Declared on-disk size of the program's binary. *)
 val declared_size : program -> int

@@ -11,7 +11,7 @@ open Feam_mpi
 
 
 (* The ELF image of one catalog library as built/packaged on [site]. *)
-let library_image site (entry : Libdb.entry) ~built_with : string =
+let library_image site (entry : Libdb.entry) ~built_with =
   let bits = Site.bits site in
   let libc_name = Soname.to_string Glibc.libc_soname in
   let needed = List.map Soname.to_string entry.Libdb.deps @ [ libc_name ] in
@@ -41,13 +41,13 @@ let library_image site (entry : Libdb.entry) ~built_with : string =
       ~comments:
         [
           Compiler.comment_string built_with;
-          Build_id.next ~site_name:(Site.name site);
+          Build_id.next site;
         ]
       ~abi_note:(Distro.kernel_triple (Site.distro site))
       (Site.machine site)
   in
-  let image = Feam_elf.Builder.build spec in
-  Provenance.register image
+  let image = Feam_elf.Reader.image (Feam_elf.Builder.build spec) in
+  World.register (Site.world site) (Feam_elf.Reader.image_digest image)
     {
       Provenance.program_name = Soname.to_string entry.Libdb.soname;
       build_site = Site.name site;
@@ -104,7 +104,7 @@ let install_library site ~dir ~built_with (entry : Libdb.entry) =
   let image = library_image site entry ~built_with in
   let name = Soname.to_string entry.Libdb.soname in
   let path = dir ^ "/" ^ name in
-  Vfs.add ~declared_size:(Libdb.size_bytes entry) vfs path (Vfs.Elf image);
+  Vfs.add_image ~declared_size:(Libdb.size_bytes entry) vfs path image;
   (* Development symlink, as ldconfig would maintain (only when the
      soname is versioned; an unversioned soname IS the link name). *)
   let link = Soname.link_name entry.Libdb.soname in

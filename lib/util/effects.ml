@@ -3,13 +3,12 @@
    effect the computation had that outlives it, and a hit redoes them
    in order.  Each channel notes its own events, and only while a
    capture runs: counters (Feam_obs.Metrics.incr), journal records
-   (Feam_flightrec.Recorder.record), build IDs (Feam_toolchain.Build_id)
-   and clock charges (Feam_sysmodel.Cost.charge). *)
+   (Feam_flightrec.Recorder.record) and clock charges
+   (Feam_sysmodel.Cost.charge). *)
 
 type event =
   | Count of string * (string * string) list * int
   | Record of string * (string * Json.t) list
-  | Build
   | Charge of float
 
 (* One running capture's events, newest first. *)

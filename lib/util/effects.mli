@@ -10,8 +10,6 @@
       replayed record moves by itself;
     - {!Feam_flightrec.Recorder.record} notes a [Record] while the
       recorder is on;
-    - {!Feam_toolchain.Build_id.next} and [skip] note one [Build] per
-      build ID;
     - {!Feam_sysmodel.Cost.charge} notes a [Charge], also when it is
       given no clock, so an entry a clockless caller made still charges
       a later caller's clock.
@@ -23,7 +21,6 @@ type event =
       (** a counter's name, labels and increment *)
   | Record of string * (string * Json.t) list
       (** a journal record's type and caller fields *)
-  | Build  (** one build ID handed out *)
   | Charge of float  (** seconds charged to the simulated clock *)
 
 (** Whether a capture runs.  Allocates nothing: channels test it before

@@ -28,6 +28,10 @@ let mpich2 compiler =
 let default_batch =
   Batch.make ~queues:[ { Batch.queue_name = "debug"; wait_seconds = 5.0 } ]
 
+(* The build world every fixture site joins, so a binary or library
+   staged from one test site to another keeps its provenance. *)
+let world = World.create ()
+
 (* A small fully-provisioned x86-64 site with one healthy Open MPI stack
    and one MVAPICH2 stack. *)
 let small_site ?(name = "testbed") ?(glibc = "2.5") ?(tools = Tools.full)
@@ -35,7 +39,7 @@ let small_site ?(name = "testbed") ?(glibc = "2.5") ?(tools = Tools.full)
     ?(interconnect = Interconnect.Infiniband)
     ?(machine = Feam_elf.Types.X86_64) ?(stacks = None) ?fault_model () =
   let site =
-    Site.make ~description:"unit-test site" ~tools ~modules_flavor
+    Site.make ~world ~description:"unit-test site" ~tools ~modules_flavor
       ~compilers:[ gnu412; intel11 ] ~seed:7 ~machine ?fault_model
       ~distro:(Distro.make Distro.Centos ~version:(v "5.6") ~kernel:(v "2.6.18"))
       ~glibc:(v glibc) ~interconnect ~batch:default_batch name
@@ -179,3 +183,36 @@ let site_digest sites =
                  (Site.stack_installs site));
         ])
     sites
+
+(* A spec, every field on its own line: the fuzz corpora's golden digests
+   and the property tests' counterexamples print specs this way. *)
+let pp_spec ppf (t : Feam_elf.Spec.t) =
+  let open Feam_elf in
+  let pp_verneed ppf (vn : Spec.verneed) =
+    Fmt.pf ppf "@[<h>%s: %a@]" vn.vn_file Fmt.(list ~sep:(any ", ") string) vn.vn_versions
+  in
+  let pp_dynsym ppf (s : Spec.dynsym) =
+    Fmt.pf ppf "%s%s %s%s"
+      (if s.sym_defined then "" else "U ")
+      (Spec.binding_to_string s.sym_binding)
+      s.sym_name
+      (match s.sym_version with Some v -> "@" ^ v | None -> "")
+  in
+  Fmt.pf ppf
+    "@[<v>class: %a@ endian: %s@ machine: %s@ type: %s@ soname: %a@ needed: \
+     %a@ rpath: %a@ runpath: %a@ verneeds: %a@ verdefs: %a@ dynsyms: %a@ \
+     comments: %a@]"
+    Types.pp_class t.elf_class
+    (match t.endian with Types.LE -> "little-endian" | Types.BE -> "big-endian")
+    (Types.machine_name t.machine)
+    (match t.file_type with
+    | Types.ET_EXEC -> "EXEC (Executable file)"
+    | Types.ET_DYN -> "DYN (Shared object file)")
+    Fmt.(option ~none:(any "-") string) t.soname
+    Fmt.(list ~sep:(any ", ") string) t.needed
+    Fmt.(option ~none:(any "-") string) t.rpath
+    Fmt.(option ~none:(any "-") string) t.runpath
+    Fmt.(list ~sep:(any "; ") pp_verneed) t.verneeds
+    Fmt.(list ~sep:(any ", ") string) t.verdefs
+    Fmt.(list ~sep:(any "; ") pp_dynsym) t.dynsyms
+    Fmt.(list ~sep:(any " | ") string) t.comments

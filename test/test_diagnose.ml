@@ -139,7 +139,7 @@ let test_probe_queue_selection () =
         ]
   in
   let site =
-    Site.make ~compilers:[ Fixtures.gnu412 ] ~seed:1
+    Site.make ~world:Fixtures.world ~compilers:[ Fixtures.gnu412 ] ~seed:1
       ~fault_model:Fault_model.none ~machine:Feam_elf.Types.X86_64
       ~distro:
         (Distro.make Distro.Centos

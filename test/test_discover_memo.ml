@@ -150,7 +150,6 @@ let test_guard () =
 let show = function
   | Effects.Count (name, _, by) -> Printf.sprintf "count %s+%d" name by
   | Record (kind, _) -> "record " ^ kind
-  | Build -> "build"
   | Charge seconds -> Printf.sprintf "charge %g" seconds
 
 (* Every channel in program order, nested captures, a raising inner
@@ -160,7 +159,6 @@ let test_captures_nest () =
   Recorder.configure ~tool:"test" ~emit:ignore ();
   Fun.protect ~finally:Recorder.disable @@ fun () ->
   let clock = Feam_util.Sim_clock.create () in
-  let serial = Feam_toolchain.Build_id.serial () in
   let inner, outer =
     Effects.capture @@ fun () ->
     Metrics.incr "a.before";
@@ -172,7 +170,6 @@ let test_captures_nest () =
       Effects.capture @@ fun () ->
       Metrics.incr ~by:2 "b.inner";
       Recorder.record "inner";
-      ignore (Feam_toolchain.Build_id.next ~site_name:"test" : string);
       Cost.charge (Some clock) 0.25
     in
     (* a raising inner capture: what it did before raising stays with
@@ -188,7 +185,7 @@ let test_captures_nest () =
     Metrics.incr "a.after";
     inner
   in
-  let inner_events = [ "count b.inner+2"; "record inner"; "build"; "charge 0.25" ] in
+  let inner_events = [ "count b.inner+2"; "record inner"; "charge 0.25" ] in
   Alcotest.(check (list string)) "the inner tape, every kind in order"
     inner_events (List.map show inner);
   Alcotest.(check (list string)) "the outer tape holds the inner's and the replay's"
@@ -197,8 +194,6 @@ let test_captures_nest () =
     @ [ "count b.raised+1"; "record raised" ]
     @ inner_events @ [ "count a.after+1" ])
     (List.map show outer);
-  Alcotest.(check int) "the replay skipped a build ID" 2
-    (Feam_toolchain.Build_id.serial () - serial);
   Alcotest.(check (float 0.0)) "the replay charged the clock" 0.5
     (Feam_util.Sim_clock.elapsed clock);
   Alcotest.(check bool) "no capture runs afterwards" false (Effects.capturing ());

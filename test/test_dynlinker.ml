@@ -469,7 +469,7 @@ let test_exec_serial_mode () =
       (Feam_toolchain.Compile.compile_serial site
          Fixtures.hello_serial)
   in
-  Vfs.add (Site.vfs site) "/home/user/hello" (Vfs.Elf image);
+  Vfs.add_image (Site.vfs site) "/home/user/hello" image;
   match
     Exec.run ~params:quiet_params site (Site.base_env site)
       ~binary_path:"/home/user/hello" ~mode:Exec.Serial

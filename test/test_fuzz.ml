@@ -123,14 +123,14 @@ let render_outcome bytes = function
     in
     String.concat "\n"
       [
-        Fmt.str "%a" Feam_elf.Spec.pp spec;
+        Fmt.str "%a" Fixtures.pp_spec spec;
         Option.value ~default:"-" spec.Feam_elf.Spec.interp;
         (match spec.Feam_elf.Spec.abi_note with
         | Some (a, b, c) -> Printf.sprintf "%d.%d.%d" a b c
         | None -> "-");
         String.concat " " (List.map section (Feam_elf.Reader.sections t));
         string_of_int (String.length bytes);
-        Digest.to_hex (Feam_elf.Reader.digest t);
+        Digest.to_hex (Digest.string bytes);
       ]
 
 let corpus_digest image =

@@ -152,7 +152,7 @@ let fortran_home ?(glibc = "2.5") name =
 (* Target whose GNU runtime has a different gfortran soname. *)
 let gcc44_target ?(glibc = "2.12") name =
   let site =
-    Site.make ~description:"gcc 4.4 target" ~tools:Tools.full
+    Site.make ~world:Fixtures.world ~description:"gcc 4.4 target" ~tools:Tools.full
       ~modules_flavor:Site.Environment_modules
       ~compilers:[ Fixtures.gnu445 ] ~seed:13 ~machine:Feam_elf.Types.X86_64
       ~distro:
@@ -332,9 +332,9 @@ let test_serial_binary_skips_stack () =
       (Feam_toolchain.Compile.compile_serial site
          (Feam_toolchain.Compile.program ~uses_mpi:false "serialtool"))
   in
-  Vfs.add (Site.vfs site) "/home/user/serialtool" (Vfs.Elf image);
+  Vfs.add_image (Site.vfs site) "/home/user/serialtool" image;
   let target, _ = Fixtures.small_site ~name:"target2" () in
-  Vfs.add (Site.vfs target) "/home/user/serialtool" (Vfs.Elf image);
+  Vfs.add_image (Site.vfs target) "/home/user/serialtool" image;
   let report =
     Fixtures.run_exn
       (Phases.target_phase config target (Site.base_env target)

@@ -17,7 +17,7 @@ let make_target ~name ~wait ~glibc =
     Batch.make ~queues:[ { Batch.queue_name = "debug"; wait_seconds = wait } ]
   in
   let site =
-    Site.make ~compilers:[ Fixtures.gnu412 ] ~seed:4
+    Site.make ~world:Fixtures.world ~compilers:[ Fixtures.gnu412 ] ~seed:4
       ~fault_model:Fault_model.none ~machine:Feam_elf.Types.X86_64
       ~distro:
         (Distro.make Distro.Centos
@@ -41,7 +41,7 @@ let test_ready_sites_first_and_ordered () =
      matching MPI impl instead *)
   let blocked =
     let site =
-      Site.make ~compilers:[ Fixtures.gnu412 ] ~seed:4
+      Site.make ~world:Fixtures.world ~compilers:[ Fixtures.gnu412 ] ~seed:4
         ~fault_model:Fault_model.none ~machine:Feam_elf.Types.X86_64
         ~distro:
           (Distro.make Distro.Centos

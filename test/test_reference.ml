@@ -1,7 +1,7 @@
 (* The reference oracle (DESIGN §17): every cache is invisible.  Each
    leg runs a pass cached and under [Eval_ctx.reference], which holds no
    cache, and demands the same bytes: (a) the matrix's cells, clock,
-   build-ID serial and work counters; (b) its journals and work
+   world serial and work counters; (b) its journals and work
    counters; (c) the agree corpus's report, journal and work counters.
    Leg (d) is test_drift.ml's live-world test.  The cached side must
    hit every cache it holds. *)
@@ -87,7 +87,10 @@ let matrix seed evaluate =
   String.concat "\n"
     (cells
     @ [ Printf.sprintf "clock %h" (Feam_util.Sim_clock.elapsed clock);
-        Printf.sprintf "serial %d" (Feam_toolchain.Build_id.serial ()) ]
+        (* a memo compiles only probes, which take no serial: a non-probe
+           compile inside one would leave a hit's world behind *)
+        Printf.sprintf "serial %d"
+          (Feam_sysmodel.World.serial (Feam_sysmodel.Site.world (List.hd sites))) ]
     @ work_counters ())
 
 let test_matrix seed () =

@@ -566,6 +566,122 @@ let test_lifetime_memo_matches_fresh_passes () =
     "responses, journal and counters as with a pass per request" expected
     got
 
+(* -- build identity ------------------------------------------------------ *)
+
+let request line =
+  match Protocol.parse line with
+  | Ok req -> req
+  | Error e -> Alcotest.failf "%s: %s" line (Protocol.error_code e)
+
+(* The resident world's provenance records: its probes' and the rest. *)
+let provenance engine =
+  List.partition
+    (fun p -> p.Feam_sysmodel.Provenance.is_probe)
+    Feam_sysmodel.(World.provenance (Site.world (List.hd (Engine.sites engine))))
+
+(* The last .comment of every ELF file at every resident site that
+   carries a build ID and is not a probe, with where it lives. *)
+let build_ids engine =
+  let open Feam_sysmodel in
+  List.concat_map
+    (fun site ->
+      let vfs = Site.vfs site in
+      List.filter_map
+        (fun path ->
+          match Vfs.resolve_image vfs path with
+          | Some (real, image) when real = path -> (
+            match Feam_elf.Reader.parse_image image with
+            | Ok parsed -> (
+              let probe =
+                match World.find (Site.world site) (Feam_elf.Reader.image_digest image) with
+                | Some p -> p.Provenance.is_probe
+                | None -> false
+              in
+              match List.rev (Feam_elf.Reader.spec parsed).Feam_elf.Spec.comments with
+              | id :: _ when (not probe) && String.starts_with ~prefix:"GNU Build ID: " id ->
+                Some (id, Site.name site ^ ":" ^ path)
+              | _ -> None)
+            | Error _ -> None)
+          | _ -> None)
+        (Vfs.find_under vfs "/" (fun _ -> true)))
+    (Engine.sites engine)
+
+(* A registered site joins the resident world: its builds and the
+   binaries registered after it take serials no earlier build took. *)
+let test_registered_site_joins_the_world () =
+  with_engine @@ fun engine ->
+  List.iter
+    (fun line -> ignore (handle engine (request line)))
+    [ {|{"verb":"register-site","site":"forge"}|};
+      {|{"verb":"register-binary","home":"fir","benchmark":"cg.A"}|};
+      {|{"verb":"register-binary","home":"forge","benchmark":"is.A"}|};
+      {|{"verb":"crosscheck"}|} ];
+  let ids = build_ids engine in
+  Alcotest.(check bool) "the resident sites hold built images" true (List.length ids > 100);
+  let sorted = List.sort compare ids in
+  List.iteri
+    (fun i (id, where) ->
+      match List.nth_opt sorted (i + 1) with
+      | Some (id', where') when id = id' ->
+        Alcotest.failf "%s and %s carry one build ID: %s" where where' id
+      | _ -> ())
+    sorted
+
+(* Reads change nothing: inserting predict, crosscheck, snapshot or
+   stats anywhere in a transcript that registers a binary and later
+   snapshots the fleet leaves every other response as it was. *)
+let test_reads_leave_answers_alone () =
+  let base =
+    [ {|{"verb":"update-evidence","site":"fir","action":"stale-ld-cache"}|};
+      {|{"verb":"register-binary","home":"fir","benchmark":"cg.A"}|};
+      {|{"verb":"update-evidence","site":"fir","action":"fresh-ld-cache"}|};
+      {|{"verb":"snapshot"}|} ]
+  in
+  let run lines = with_engine @@ fun engine -> List.map (fun l -> handle engine (request l)) lines in
+  let expected = run base in
+  let reads =
+    [ {|{"verb":"predict","binary":"NAS/cg.A@fir/openmpi-1.4-intel","target":"india"}|};
+      {|{"verb":"crosscheck"}|}; {|{"verb":"snapshot"}|}; {|{"verb":"stats"}|} ]
+  in
+  List.iter
+    (fun read ->
+      for at = 0 to List.length base do
+        let lines = List.filteri (fun i _ -> i < at) base @ (read :: List.filteri (fun i _ -> i >= at) base) in
+        let answers = List.filteri (fun i _ -> i <> at) (run lines) in
+        List.iter2
+          (fun want got ->
+            Alcotest.(check string) (Printf.sprintf "%s inserted at %d" read at) want got)
+          expected answers
+      done)
+    reads
+
+(* Probe compiles add provenance once per template: over the lifetime
+   transcript, the resident world's table gains an image that is not a
+   probe only at a registration, one probe record per template at most,
+   and nothing when the transcript's other requests run again. *)
+let test_provenance_grows_only_by_registration () =
+  with_engine @@ fun engine ->
+  let run line =
+    let _, before = provenance engine in
+    ignore (handle engine (request line));
+    if not (contains ~affix:{|"verb":"register-|} line) then
+      Alcotest.(check int) (line ^ " builds nothing") (List.length before)
+        (List.length (snd (provenance engine)))
+  in
+  let lines = List.filter (( <> ) {|{"verb":"shutdown"}|}) (memo_transcript ()) in
+  List.iter run lines;
+  let probes, rest = provenance engine in
+  let template (p : Feam_sysmodel.Provenance.t) =
+    (p.build_site, Option.map Feam_mpi.Stack.slug p.stack, p.program_name)
+  in
+  Alcotest.(check int) "one probe record per template"
+    (List.length (List.sort_uniq compare (List.map template probes)))
+    (List.length probes);
+  List.iter run (List.filter (fun l -> not (contains ~affix:{|"verb":"register-|} l)) lines);
+  Alcotest.(check (pair int int)) "the requests again add nothing"
+    (List.length probes, List.length rest)
+    (let p, r = provenance engine in (List.length p, List.length r))
+
 (* -- graceful drain ----------------------------------------------------- *)
 
 let test_sigint_drains_and_journal_is_whole () =
@@ -693,6 +809,12 @@ let suite =
         test_transcript_replay_byte_identity;
       Alcotest.test_case "the lifetime memo serves as fresh passes did" `Slow
         test_lifetime_memo_matches_fresh_passes;
+      Alcotest.test_case "a registered site joins the resident world" `Slow
+        test_registered_site_joins_the_world;
+      Alcotest.test_case "reads leave every other answer alone" `Slow
+        test_reads_leave_answers_alone;
+      Alcotest.test_case "provenance grows only by registration" `Slow
+        test_provenance_grows_only_by_registration;
       Alcotest.test_case "SIGINT drains and the journal stays whole" `Quick
         test_sigint_drains_and_journal_is_whole;
       Alcotest.test_case "prom exposition covers serve metrics" `Quick

@@ -189,7 +189,6 @@ let pinned_site_lines_digest = "18272c19192959590a40838859ec6361"
 let pinned_testset_digest = "75442fd48730dbdfe8112f6174a870a8"
 
 let test_pinned_bytes () =
-  Feam_toolchain.Build_id.reset ();
   let sites = Sites.build_all params in
   let binaries =
     Testset.build params sites (Feam_suites.Npb.all @ Feam_suites.Specmpi.all)

@@ -72,10 +72,13 @@ let make_stack impl gcc_version =
       | Impl.Mvapich2 -> Interconnect.Infiniband
       | Impl.Open_mpi | Impl.Mpich2 -> Interconnect.Ethernet)
 
+(* The sites below are built together: one build world. *)
+let world = World.create ()
+
 let make_site ~name ~glibc ~gcc ~impls =
   let compiler = Compiler.make Compiler.Gnu (v gcc) in
   let site =
-    Site.make ~compilers:[ compiler ] ~seed:1 ~fault_model:Fault_model.none
+    Site.make ~world ~compilers:[ compiler ] ~seed:1 ~fault_model:Fault_model.none
       ~machine:Feam_elf.Types.X86_64
       ~distro:(Distro.make Distro.Centos ~version:(v "5.6") ~kernel:(v "2.6.18"))
       ~glibc:(v glibc) ~interconnect:Interconnect.Infiniband ~batch name

@@ -107,7 +107,6 @@ let test_hit_redoes_effects () =
     Feam_flightrec.Recorder.evidence ~stage:"probe" ~kind:"test_stack" (fun () -> []);
     Metrics.incr "edc.probe_successes";
     Metrics.incr "elf.parse_memo.miss";
-    ignore (Feam_toolchain.Build_id.next ~site_name:"x" : string);
     Cost.charge (Some clock) 0.1;
     Cost.charge (Some clock) 0.2;
     (None, [ ("stack", "why") ])
@@ -121,9 +120,8 @@ let test_hit_redoes_effects () =
   let journal = ref "" in
   Feam_flightrec.Recorder.configure ~tool:"test" ~emit:(( := ) journal) ();
   Feam_util.Sim_clock.charge clock 0.3;
-  let serial = Feam_toolchain.Build_id.serial () in
   let first = lookup bundle in
-  (* a second source phase: equal inputs, fresh probe bytes *)
+  (* equal inputs, each probe on a fresh handle *)
   let again =
     {
       bundle with
@@ -147,8 +145,6 @@ let test_hit_redoes_effects () =
   Alcotest.(check (float 0.0)) "charges replayed in order"
     (0.3 +. 0.1 +. 0.2 +. 0.1 +. 0.2)
     (Feam_util.Sim_clock.elapsed clock);
-  Alcotest.(check int) "build IDs skipped" 2
-    (Feam_toolchain.Build_id.serial () - serial);
   Alcotest.(check int) "probe counters replayed" 2
     (counter "edc.probe_successes");
   Alcotest.(check int) "cache counters count real work only" 1

@@ -14,7 +14,7 @@ let config = Config.default
 let world () =
   let make name =
     let site =
-      Site.make ~compilers:[ Fixtures.intel11 ] ~seed:4
+      Site.make ~world:Fixtures.world ~compilers:[ Fixtures.intel11 ] ~seed:4
         ~fault_model:Fault_model.none ~machine:Feam_elf.Types.X86_64
         ~distro:
           (Distro.make Distro.Centos

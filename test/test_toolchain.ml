@@ -138,7 +138,7 @@ let test_library_provenance () =
   let site, _ = Fixtures.small_site () in
   match Vfs.find (Site.vfs site) "/usr/lib64/libgfortran.so.1" with
   | Some { Vfs.kind = Vfs.Elf bytes; _ } -> (
-    match Provenance.find bytes with
+    match World.find (Site.world site) (Digest.string bytes) with
     | Some prov ->
       Alcotest.(check string) "build site" "testbed"
         prov.Provenance.build_site;
@@ -149,12 +149,15 @@ let test_library_provenance () =
 
 (* -- Compile -------------------------------------------------------------------- *)
 
+let compiled_spec image =
+  Feam_elf.Reader.spec (Result.get_ok (Feam_elf.Reader.parse_image image))
+
 let test_compile_dependencies () =
   let site, installs = Fixtures.small_site () in
   let install = List.hd installs (* openmpi-1.4-gnu *) in
   let program = Compile.program ~language:Feam_mpi.Stack.Fortran "fapp" in
   let image = Result.get_ok (Compile.compile_mpi site install program) in
-  let spec = Result.get_ok (Feam_elf.Reader.spec_of_bytes image) in
+  let spec = compiled_spec image in
   let needed = spec.Feam_elf.Spec.needed in
   List.iter
     (fun dep -> Alcotest.(check bool) dep true (List.mem dep needed))
@@ -166,7 +169,7 @@ let test_compile_required_glibc () =
   let install = List.hd installs in
   let program = Compile.program ~glibc_appetite:(v "2.7") "hungry" in
   let image = Result.get_ok (Compile.compile_mpi site install program) in
-  let spec = Result.get_ok (Feam_elf.Reader.spec_of_bytes image) in
+  let spec = compiled_spec image in
   let req =
     Glibc.required_version
       (List.concat_map (fun vn -> vn.Feam_elf.Spec.vn_versions) spec.Feam_elf.Spec.verneeds)
@@ -180,7 +183,7 @@ let test_compile_comments () =
   let image =
     Result.get_ok (Compile.compile_mpi site install (Compile.program "app"))
   in
-  let spec = Result.get_ok (Feam_elf.Reader.spec_of_bytes image) in
+  let spec = compiled_spec image in
   Alcotest.(check bool) "gcc comment" true
     (List.exists (String.starts_with ~prefix:"GCC:") spec.Feam_elf.Spec.comments);
   Alcotest.(check bool) "distro in comment" true
@@ -192,7 +195,8 @@ let test_compile_unique_images () =
   let p = Compile.program "app" in
   let a = Result.get_ok (Compile.compile_mpi site install p) in
   let b = Result.get_ok (Compile.compile_mpi site install p) in
-  Alcotest.(check bool) "distinct builds differ" true (a <> b)
+  Alcotest.(check bool) "distinct builds differ" true
+    (Feam_elf.Reader.(image_bytes a <> image_bytes b))
 
 let test_compile_serial_requires_compiler () =
   let site, _ = Fixtures.small_site ~tools:({ Tools.full with Tools.c_compiler = false }) () in
@@ -214,7 +218,7 @@ let test_probe_provenance () =
   let site, installs = Fixtures.small_site () in
   let install = List.hd installs in
   let image = Result.get_ok (Compile.compile_mpi site install Compile.hello_world_mpi) in
-  match Provenance.find image with
+  match World.find (Site.world site) (Feam_elf.Reader.image_digest image) with
   | Some prov -> Alcotest.(check bool) "probe flag" true prov.Provenance.is_probe
   | None -> Alcotest.fail "no provenance"
 
