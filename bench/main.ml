@@ -43,7 +43,7 @@ module Fixture = struct
     Batch.make ~queues:[ { Batch.queue_name = "debug"; wait_seconds = 5.0 } ]
 
   (* The sites below are built together: one build world. *)
-  let world = World.create ()
+  let world = Build_world.create ()
 
   let make_site ~name ~glibc ~compiler ~distro_ver =
     let site =
@@ -120,7 +120,7 @@ let bench_table1 =
 
 let bench_table2 =
   ( "table2/site-provisioning",
-    fun () -> ignore (Sites.build_site ~world:(Feam_sysmodel.World.create ()) params (List.hd Sites.specs)) )
+    fun () -> ignore (Sites.build_site ~world:(Feam_sysmodel.Build_world.create ()) params (List.hd Sites.specs)) )
 
 let bench_table3_basic =
   ( "table3/basic-prediction",

@@ -39,7 +39,7 @@ let demo_scenario () =
   let batch =
     Batch.make ~queues:[ { Batch.queue_name = "debug"; wait_seconds = 5.0 } ]
   in
-  let world = World.create () in
+  let world = Build_world.create () in
   let make ~name ~glibc ~gcc ~distro_version =
     let compiler = Compiler.make Compiler.Gnu (v gcc) in
     let stack =

@@ -18,7 +18,7 @@ let batch =
   Batch.make ~queues:[ { Batch.queue_name = "debug"; wait_seconds = 5.0 } ]
 
 (* The sites below are built together: one build world. *)
-let world = World.create ()
+let world = Build_world.create ()
 
 let make_site ~name ~glibc ~gcc ~distro_version =
   let compiler = Compiler.make Compiler.Gnu (v gcc) in

@@ -42,8 +42,8 @@ type t = {
           (DESIGN §21) *)
   templates : Feam_toolchain.Compile.templates option;
       (** the probe compiles' templates ({!Feam_toolchain.Compile}):
-          a hit skips building the image and only stamps its build
-          ID, so a hit hands out the build ID a miss would *)
+          a hit returns the probe's one image handle, whose bytes a
+          miss would build *)
 }
 
 (** A fresh context: a fresh pass memo, closure memo and template table

@@ -88,7 +88,7 @@ let charge_attempt clock site mode queue =
    (library, build site, target site). *)
 let copy_has_abi_defect params site (lib : Resolve.resolved_lib) =
   match
-    World.find (Site.world site) (Feam_elf.Reader.image_digest lib.Resolve.lib_image)
+    Build_world.find (Site.world site) (Feam_elf.Reader.image_digest lib.Resolve.lib_image)
   with
   | Some prov when prov.Provenance.build_site <> Site.name site ->
     let p =
@@ -158,7 +158,7 @@ let attempt ?clock ?closures ?params ?queue site env ~binary_path ~mode
         else
           (* Launch phase. *)
           let digest = Feam_elf.Reader.image_digest image in
-          let provenance = World.find (Site.world site) digest in
+          let provenance = Build_world.find (Site.world site) digest in
           let np_check =
             match (mode, provenance) with
             | Mpi np, Some prov

@@ -253,9 +253,8 @@ let dynamic_body spec cls endian dynstr ~size ~dynstr_addr ~dynstr_size
   entry Types.Dt.null 0;
   Codec.Writer.contents w
 
-(* [build_placed spec] renders the spec as ELF bytes and returns them
-   with the file offset of the .comment body. *)
-let build_placed (spec : Spec.t) : string * int =
+(* [build spec] renders the spec as ELF bytes. *)
+let build (spec : Spec.t) : string =
   let cls = spec.elf_class and endian = spec.endian in
   let dynstr = Strtab.create () in
   (* Build string-referencing bodies first so that .dynstr is complete
@@ -543,6 +542,4 @@ let build_placed (spec : Spec.t) : string * int =
         Codec.Writer.u32 w s.sh_addralign;
         Codec.Writer.u32 w s.sh_entsize)
     sections offsets;
-  (Codec.Writer.contents w, comment_off)
-
-let build spec = fst (build_placed spec)
+  Codec.Writer.contents w

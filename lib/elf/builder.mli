@@ -11,10 +11,3 @@
 (** [build spec] renders the spec as ELF bytes; the result parses back
     with {!Reader.parse} to an equal spec. *)
 val build : Spec.t -> string
-
-(** [build_placed spec] is [build spec] with the file offset of its
-    .comment body.  The comments are a plain concatenation there and
-    nowhere else, so two specs that differ only in the contents of
-    equally long comments build images that differ only in those
-    bytes. *)
-val build_placed : Spec.t -> string * int

@@ -210,7 +210,7 @@ let load text =
   match parse text with
   | Error e -> Error (parse_error_to_string e)
   | Ok specs ->
-    let world = World.create () in
+    let world = Build_world.create () in
     Ok (List.map (build_site ~world) specs)
 
 (* A commented example scenario, shipped for `feam scenario-template`. *)

@@ -360,7 +360,7 @@ let catalog ~focus =
 let build ~seed ~index ?keep () =
   (* Per-scenario world: scenario i built standalone equals scenario i
      built mid-corpus. *)
-  let world = World.create () in
+  let world = Build_world.create () in
   let stream what = Prng.of_key ~seed (Printf.sprintf "scen/%d/%s" index what) in
   let draw_bool what p = Prng.bool (stream what) p in
   let draw_pick what xs = Prng.pick (stream what) xs in
@@ -516,8 +516,8 @@ let build ~seed ~index ?keep () =
            perturbation.  Every other tamper keeps the program's ABI
            identity. *)
         (if not (has Strip_comments) then
-           match World.find world (Feam_elf.Reader.image_digest original) with
-           | Some prov -> World.register world (Digest.string bytes) prov
+           match Build_world.find world (Feam_elf.Reader.image_digest original) with
+           | Some prov -> Build_world.register world (Digest.string bytes) prov
            | None -> ());
         bytes
     end

@@ -74,7 +74,7 @@ val applied : t -> perturbation list
 (** Build scenario [index] of stream [seed].  [keep] (default: all)
     selects which drawn perturbations to apply, by index into the drawn
     list.  Each build makes its own world
-    ({!Feam_sysmodel.World.create}), so a scenario built standalone is
+    ({!Feam_sysmodel.Build_world.create}), so a scenario built standalone is
     byte-identical to the same scenario built mid-corpus. *)
 val build : seed:int -> index:int -> ?keep:int list -> unit -> t
 

@@ -188,7 +188,7 @@ let build_site ~world (params : Params.t) spec =
    compiled in it is byte-reproducible regardless of what the process
    built before. *)
 let build_specs params specs_to_build =
-  let world = World.create () in
+  let world = Build_world.create () in
   List.map (build_site ~world params) specs_to_build
 
 let build_all params = build_specs params specs

@@ -22,10 +22,10 @@ val specs : spec list
 (** Build and provision one site in [world], whose build sequence and
     provenance table it shares with the sites already built there. *)
 val build_site :
-  world:Feam_sysmodel.World.t -> Params.t -> spec -> Feam_sysmodel.Site.t
+  world:Feam_sysmodel.Build_world.t -> Params.t -> spec -> Feam_sysmodel.Site.t
 
 (** Build an arbitrary spec list as one fresh world
-    ({!Feam_sysmodel.World.create}), byte-reproducible whatever the
+    ({!Feam_sysmodel.Build_world.create}), byte-reproducible whatever the
     process built before. *)
 val build_specs : Params.t -> spec list -> Feam_sysmodel.Site.t list
 

@@ -239,7 +239,7 @@ let register_site t name =
       let world =
         match sites t with
         | s :: _ -> Site.world s
-        | [] -> Feam_sysmodel.World.create ()
+        | [] -> Feam_sysmodel.Build_world.create ()
       in
       let site = Sites.build_site ~world t.params spec in
       let evaluated = register t [ site ] [] in

@@ -6,7 +6,7 @@
     executor still needs the full ABI to decide subtle failures —
     foreign-binary defects, incompatible library copies — so the
     toolchain registers each image's provenance in its world's table
-    ({!World.register}), keyed by the image's digest.  FEAM never
+    ({!Build_world.register}), keyed by the image's digest.  FEAM never
     consults it: it sees only ELF bytes through the tool emulations.
     The module is this one type, so it has no separate interface. *)
 

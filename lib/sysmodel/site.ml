@@ -35,7 +35,7 @@ type t = {
   batch : Batch.t;
   seed : int; (* per-site stochastic stream for transient system errors *)
   fault_model : Fault_model.t;
-  world : World.t; (* shared with every site built alongside *)
+  world : Build_world.t; (* shared with every site built alongside *)
 }
 
 let make ?(description = "") ?(tools = Tools.full)

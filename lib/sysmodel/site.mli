@@ -24,7 +24,7 @@ val make :
   glibc:Feam_util.Version.t ->
   interconnect:Feam_mpi.Interconnect.t ->
   batch:Batch.t ->
-  world:World.t ->
+  world:Build_world.t ->
   string ->
   t
 
@@ -44,7 +44,7 @@ val fault_model : t -> Fault_model.t
 
 (** The world the site was built in: the build sequence and provenance
     table it shares with the sites built alongside it. *)
-val world : t -> World.t
+val world : t -> Build_world.t
 val bits : t -> [ `B32 | `B64 ]
 
 (** Append an install: this list and {!ld_conf_dirs} only grow. *)

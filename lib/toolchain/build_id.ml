@@ -16,8 +16,4 @@ let of_string raw = prefix ^ Digest.to_hex (Digest.string raw)
 
 let next site =
   of_string
-    (Printf.sprintf "%s/%d" (Site.name site) (World.next_serial (Site.world site)))
-
-(* [of_string]'s shape with zero digits: every build-id string is this
-   long. *)
-let placeholder = prefix ^ String.make 32 '0'
+    (Printf.sprintf "%s/%d" (Site.name site) (Build_world.next_serial (Site.world site)))

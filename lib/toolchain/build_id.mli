@@ -10,9 +10,5 @@
 val of_string : string -> string
 
 (** The build ID of the next build at [site]: the site's name and the
-    next serial of its world ({!Feam_sysmodel.World.next_serial}). *)
+    next serial of its world ({!Feam_sysmodel.Build_world.next_serial}). *)
 val next : Feam_sysmodel.Site.t -> string
-
-(** A string as long as every build ID, with zero digits: a compile
-    template holds it where a stamp puts the build ID. *)
-val placeholder : string

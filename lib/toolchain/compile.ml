@@ -4,15 +4,12 @@
    the stack, the compiler family and the site's glibc — the exact
    channels the prediction model later reads.
 
-   Every compile makes its image in two steps: a template (the image
-   and the provenance record) and a stamp (the build, registered with
-   that provenance in the site's world).  A probe is its template: one
-   handle, whose build ID names the template's whole key, so it is
+   Every compile makes a template (the image and its provenance
+   record) and registers that provenance in the site's world.  A probe
+   takes no serial: its build ID names the template's whole key, and a
+   [templates] table keeps its template, so a probe is one handle,
    copied, hashed, parsed and described once per template.  Any other
-   template holds a placeholder where the build ID goes, and its stamp
-   is a copy with the world's next build ID written over it.  A
-   [templates] table lets a caller that compiles the same image again
-   skip the first step. *)
+   build takes its world's next build ID. *)
 
 open Feam_util
 open Feam_sysmodel
@@ -120,7 +117,7 @@ let verneeds_for site program =
     { Feam_elf.Spec.vn_file = libm_name; vn_versions = libm_versions };
   ]
 
-(* -- Templates and stamps --------------------------------------------- *)
+(* -- Templates ---------------------------------------------------------- *)
 
 (* Everything [template] reads, compared by value. *)
 type template_key = {
@@ -134,11 +131,9 @@ type template_key = {
   program : program;
 }
 
-(* A probe's image, or an image whose build ID is {!Build_id.placeholder}
-   at [id_offset]; and the provenance of every image made from it. *)
+(* An image and its provenance. *)
 type template = {
   image : Feam_elf.Reader.image;
-  id_offset : int;
   provenance : Provenance.t;
 }
 
@@ -158,23 +153,17 @@ let template site key =
     Abi.binary_dynsyms ~bits ~glibc:(Site.glibc site) ~libc_versions
       ~needed:key.needed
   in
-  let toolchain = toolchain_comments site key.compiler in
-  let id = if program.is_probe then probe_id key else Build_id.placeholder in
+  let id = if program.is_probe then probe_id key else Build_id.next site in
   let spec =
     Feam_elf.Spec.make ~file_type:Feam_elf.Types.ET_EXEC ~needed:key.needed
       ~verneeds:(verneeds_for site program) ~dynsyms
-      ~comments:(toolchain @ [ id ])
+      ~comments:(toolchain_comments site key.compiler @ [ id ])
       ~abi_note:(Distro.kernel_triple (Site.distro site))
       ~interp:(Feam_elf.Types.default_interp (Site.machine site))
       (Site.machine site)
   in
-  let bytes, comment_offset = Feam_elf.Builder.build_placed spec in
   {
-    image = Feam_elf.Reader.image bytes;
-    (* each comment is followed by its NUL *)
-    id_offset =
-      List.fold_left (fun off c -> off + String.length c + 1) comment_offset
-        toolchain;
+    image = Feam_elf.Reader.image (Feam_elf.Builder.build spec);
     provenance =
       {
         Provenance.program_name = program.prog_name;
@@ -188,22 +177,6 @@ let template site key =
         np_rule = program.np_rule;
       };
   }
-
-(* A build of [t] at [site]: a probe is the template's own handle, any
-   other image a copy with the world's next build ID over the
-   placeholder.  Either is registered in the site's world. *)
-let stamp site t =
-  let image =
-    if t.provenance.Provenance.is_probe then t.image
-    else begin
-      let bytes = Bytes.of_string (Feam_elf.Reader.image_bytes t.image) in
-      Bytes.blit_string (Build_id.next site) 0 bytes t.id_offset
-        (String.length Build_id.placeholder);
-      Feam_elf.Reader.image (Bytes.unsafe_to_string bytes)
-    end
-  in
-  World.register (Site.world site) (Feam_elf.Reader.image_digest image) t.provenance;
-  image
 
 module Template_table = Hashtbl.Make (struct
   type t = template_key
@@ -231,10 +204,9 @@ let build_image ?templates ?stack site ~needed ~compiler program =
       program;
     }
   in
-  stamp site
-    (match templates with
-    | None -> template site key
-    | Some table -> (
+  let t =
+    match templates with
+    | Some table when program.is_probe -> (
       match Template_table.find_opt table key with
       | Some t ->
         Feam_obs.Metrics.incr "toolchain.template.hit";
@@ -243,7 +215,12 @@ let build_image ?templates ?stack site ~needed ~compiler program =
         Feam_obs.Metrics.incr "toolchain.template.miss";
         let t = template site key in
         Template_table.add table key t;
-        t))
+        t)
+    | _ -> template site key
+  in
+  Build_world.register (Site.world site) (Feam_elf.Reader.image_digest t.image)
+    t.provenance;
+  t.image
 
 (* [compile_mpi ?clock ?templates site install program] — run the
    stack's compiler wrapper on [program] at [site]. *)

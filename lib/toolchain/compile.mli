@@ -4,16 +4,13 @@
     the stack, compiler family and site glibc — the channels the
     prediction model later reads.
 
-    Every compile stamps a template and registers the result's
-    {!Feam_sysmodel.Provenance} in the site's world
-    ({!Feam_sysmodel.World.register}).  A probe ([is_probe]) is its
-    template's one {!Feam_elf.Reader.image} handle, its build ID naming
-    the template's whole key, so equal keys give equal bytes and distinct
-    keys distinct ones.  Any other image is a copy of its template with
-    {!Build_id.next} written over a placeholder ({!Build_id.placeholder}),
-    unique in its world.  A {!templates} table keeps the templates, so
-    compiling the same image again costs a copy, or nothing for a
-    probe. *)
+    Every compile registers its image's {!Feam_sysmodel.Provenance} in
+    the site's world ({!Feam_sysmodel.Build_world.register}).  A probe
+    ([is_probe]) takes no serial: its build ID names its template's
+    whole key, so equal keys give equal bytes and distinct keys distinct
+    ones, and a {!templates} table keeps it as one
+    {!Feam_elf.Reader.image} handle.  Any other build takes
+    {!Build_id.next}, unique in its world. *)
 
 (** A program source as the toolchain sees it. *)
 type program = {
@@ -55,7 +52,7 @@ type error =
 
 val error_to_string : error -> string
 
-(** Compile templates by everything a template reads, compared by
+(** Probe templates by everything a template reads, compared by
     value: the site's name, machine, glibc and distro, the MPI stack,
     the compiler, the needed list and the program.  Lookups count as
     [toolchain.template.hit] / [.miss].  A pass holds one in its
@@ -65,8 +62,8 @@ type templates
 val create_templates : unit -> templates
 
 (** Compile with the stack's MPI wrapper; returns the ELF image's
-    handle.  With [templates], the image's template is looked up there,
-    and made and kept on a miss. *)
+    handle.  With [templates], a probe's template is looked up there,
+    and made and kept on a miss; any other program builds anew. *)
 val compile_mpi :
   ?clock:Feam_util.Sim_clock.t ->
   ?templates:templates ->

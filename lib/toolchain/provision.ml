@@ -47,7 +47,7 @@ let library_image site (entry : Libdb.entry) ~built_with =
       (Site.machine site)
   in
   let image = Feam_elf.Reader.image (Feam_elf.Builder.build spec) in
-  World.register (Site.world site) (Feam_elf.Reader.image_digest image)
+  Build_world.register (Site.world site) (Feam_elf.Reader.image_digest image)
     {
       Provenance.program_name = Soname.to_string entry.Libdb.soname;
       build_site = Site.name site;

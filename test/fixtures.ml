@@ -30,7 +30,7 @@ let default_batch =
 
 (* The build world every fixture site joins, so a binary or library
    staged from one test site to another keeps its provenance. *)
-let world = World.create ()
+let world = Build_world.create ()
 
 (* A small fully-provisioned x86-64 site with one healthy Open MPI stack
    and one MVAPICH2 stack. *)

@@ -90,7 +90,7 @@ let matrix seed evaluate =
         (* a memo compiles only probes, which take no serial: a non-probe
            compile inside one would leave a hit's world behind *)
         Printf.sprintf "serial %d"
-          (Feam_sysmodel.World.serial (Feam_sysmodel.Site.world (List.hd sites))) ]
+          (Feam_sysmodel.Build_world.serial (Feam_sysmodel.Site.world (List.hd sites))) ]
     @ work_counters ())
 
 let test_matrix seed () =

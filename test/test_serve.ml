@@ -577,7 +577,7 @@ let request line =
 let provenance engine =
   List.partition
     (fun p -> p.Feam_sysmodel.Provenance.is_probe)
-    Feam_sysmodel.(World.provenance (Site.world (List.hd (Engine.sites engine))))
+    Feam_sysmodel.(Build_world.provenance (Site.world (List.hd (Engine.sites engine))))
 
 (* The last .comment of every ELF file at every resident site that
    carries a build ID and is not a probe, with where it lives. *)
@@ -593,7 +593,7 @@ let build_ids engine =
             match Feam_elf.Reader.parse_image image with
             | Ok parsed -> (
               let probe =
-                match World.find (Site.world site) (Feam_elf.Reader.image_digest image) with
+                match Build_world.find (Site.world site) (Feam_elf.Reader.image_digest image) with
                 | Some p -> p.Provenance.is_probe
                 | None -> false
               in

@@ -73,7 +73,7 @@ let make_stack impl gcc_version =
       | Impl.Open_mpi | Impl.Mpich2 -> Interconnect.Ethernet)
 
 (* The sites below are built together: one build world. *)
-let world = World.create ()
+let world = Build_world.create ()
 
 let make_site ~name ~glibc ~gcc ~impls =
   let compiler = Compiler.make Compiler.Gnu (v gcc) in

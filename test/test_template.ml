@@ -1,9 +1,7 @@
-(* Compile templates (DESIGN §19): every compile stamps a template, and a
-   table of templates skips only the building.  A probe is its
-   template: one handle through a warm table, and equal bytes through a
-   fresh table or none ([Eval_ctx.reference]), its build ID naming the
-   template's whole key.  Any other compile takes its world's next
-   serial. *)
+(* Compile templates (DESIGN §19): a probe is its template, one handle
+   through a warm table and equal bytes through a fresh table or none
+   ([Eval_ctx.reference]), its build ID naming the template's whole key.
+   Any other compile takes its world's next serial. *)
 
 open Feam_sysmodel
 module Compile = Feam_toolchain.Compile
@@ -21,7 +19,7 @@ let compile ?templates site install program =
 
 (* The provenance the executor finds for [image] at [site]. *)
 let provenance site image =
-  World.find (Site.world site) (Feam_elf.Reader.image_digest image)
+  Build_world.find (Site.world site) (Feam_elf.Reader.image_digest image)
 
 let bytes = Feam_elf.Reader.image_bytes
 
@@ -46,7 +44,7 @@ let check_probes cases =
     (List.map2
        (fun ((site, install, program) as case) first ->
          let what = describe case in
-         let serial = World.serial (Site.world site) in
+         let serial = Build_world.serial (Site.world site) in
          let hits = counter "toolchain.template.hit" in
          let again = compile ~templates:warm site install program in
          let fresh = compile ~templates:(Compile.create_templates ()) site install program in
@@ -55,7 +53,7 @@ let check_probes cases =
              program
          in
          Alcotest.(check int) (what ^ ": a probe takes no serial") serial
-           (World.serial (Site.world site));
+           (Build_world.serial (Site.world site));
          match (first, again, fresh, reference) with
          | Error a, Error b, Error c, Error d ->
            List.iter (Alcotest.(check string) (what ^ ": the errors agree") a) [ b; c; d ];
@@ -149,7 +147,7 @@ let test_stack_in_key () =
    in its interconnect: one table must not give them one image. *)
 let test_interconnect_in_key () =
   let site interconnect =
-    let world = World.create () in
+    let world = Build_world.create () in
     let site =
       Site.make ~world ~compilers:[ Fixtures.gnu412 ] ~seed:7
         ~machine:Feam_elf.Types.X86_64
@@ -178,9 +176,8 @@ let test_interconnect_in_key () =
 let test_serial_stamps () =
   let site, installs = Fixtures.small_site () in
   let program = Compile.program "app" in
-  let templates = Compile.create_templates () in
   let stamp () =
-    match compile ~templates site (List.hd installs) program with
+    match compile site (List.hd installs) program with
     | Ok image -> image
     | Error e -> Alcotest.failf "app: %s" e
   in
@@ -188,7 +185,7 @@ let test_serial_stamps () =
     List.map
       (fun () ->
         let image = stamp () in
-        let serial = World.serial (Site.world site) in
+        let serial = Build_world.serial (Site.world site) in
         Alcotest.(check (option string)) "the serial's build ID is stamped"
           (Some (Build_id.of_string (Printf.sprintf "%s/%d" (Site.name site) serial)))
           (last_comment image);
@@ -212,17 +209,17 @@ let test_matrix_provenance () =
     Feam_evalharness.Testset.build params sites
       (Feam_suites.Npb.all @ Feam_suites.Specmpi.all)
   in
-  let built = List.length (World.provenance world) in
+  let built = List.length (Build_world.provenance world) in
   Feam_obs.Metrics.reset ();
   ignore (Feam_evalharness.Migrate.run_all params sites binaries);
   let compiles = counter "toolchain.template.hit" + counter "toolchain.template.miss" in
-  let probes = List.filter (fun p -> p.Provenance.is_probe) (World.provenance world) in
+  let probes = List.filter (fun p -> p.Provenance.is_probe) (Build_world.provenance world) in
   Alcotest.(check int) "the pass builds 52 probe templates" 52
     (counter "toolchain.template.miss");
   Alcotest.(check int) "one probe record per template"
     (counter "toolchain.template.miss") (List.length probes);
   Alcotest.(check int) "and nothing else" (built + List.length probes)
-    (List.length (World.provenance world));
+    (List.length (Build_world.provenance world));
   Alcotest.(check bool) "far fewer than the probe compiles" true
     (compiles > 10 * List.length probes)
 

@@ -138,7 +138,7 @@ let test_library_provenance () =
   let site, _ = Fixtures.small_site () in
   match Vfs.find (Site.vfs site) "/usr/lib64/libgfortran.so.1" with
   | Some { Vfs.kind = Vfs.Elf bytes; _ } -> (
-    match World.find (Site.world site) (Digest.string bytes) with
+    match Build_world.find (Site.world site) (Digest.string bytes) with
     | Some prov ->
       Alcotest.(check string) "build site" "testbed"
         prov.Provenance.build_site;
@@ -218,7 +218,7 @@ let test_probe_provenance () =
   let site, installs = Fixtures.small_site () in
   let install = List.hd installs in
   let image = Result.get_ok (Compile.compile_mpi site install Compile.hello_world_mpi) in
-  match World.find (Site.world site) (Feam_elf.Reader.image_digest image) with
+  match Build_world.find (Site.world site) (Feam_elf.Reader.image_digest image) with
   | Some prov -> Alcotest.(check bool) "probe flag" true prov.Provenance.is_probe
   | None -> Alcotest.fail "no provenance"
 
