@@ -381,6 +381,7 @@ let run_predict_pipeline ?(announce_source = true) ?(symbols = false)
       depot_store
   in
   let result =
+    Effects.with_clock clock @@ fun () ->
     if basic_only then begin
       (* stage the binary by hand, target phase only *)
       let bytes =
@@ -392,12 +393,12 @@ let run_predict_pipeline ?(announce_source = true) ?(symbols = false)
         Feam_evalharness.Migrate.migrated_dir ^ "/" ^ Vfs.basename home_path
       in
       Vfs.add (Site.vfs target) staged (Vfs.Elf bytes);
-      Feam_core.Phases.target_phase ~clock ?depot config target
+      Feam_core.Phases.target_phase ?depot config target
         (Site.base_env target) ~binary_path:staged ()
     end
     else
       match
-        Feam_core.Phases.source_phase ~clock config home home_env
+        Feam_core.Phases.source_phase config home home_env
           ~binary_path:home_path
       with
       | Error e -> Error e
@@ -409,7 +410,7 @@ let run_predict_pipeline ?(announce_source = true) ?(symbols = false)
             (float_of_int (Feam_core.Bundle.total_bytes bundle) /. 1048576.0)
             (List.length bundle.Feam_core.Bundle.copies)
             (List.length bundle.Feam_core.Bundle.probes);
-        Feam_core.Phases.target_phase ~clock ?depot config target
+        Feam_core.Phases.target_phase ?depot config target
           (Site.base_env target) ~bundle ()
   in
   Option.iter

@@ -69,7 +69,8 @@ let () =
   let clock = Sim_clock.create () in
   let bundle =
     match
-      Feam_core.Phases.source_phase ~clock config home home_env ~binary_path
+      Effects.with_clock clock @@ fun () ->
+      Feam_core.Phases.source_phase config home home_env ~binary_path
     with
     | Ok b -> b
     | Error e -> failwith e
@@ -86,7 +87,8 @@ let () =
   let clock = Sim_clock.create () in
   let report =
     match
-      Feam_core.Phases.target_phase ~clock config target (Site.base_env target)
+      Effects.with_clock clock @@ fun () ->
+      Feam_core.Phases.target_phase config target (Site.base_env target)
         ~bundle ()
     with
     | Ok r -> r

@@ -42,8 +42,8 @@ let () =
   let source_clock = Sim_clock.create () in
   let bundle =
     Result.get_ok
-      (Feam_core.Phases.source_phase ~clock:source_clock config home home_env
-         ~binary_path:path)
+      ( Effects.with_clock source_clock @@ fun () ->
+        Feam_core.Phases.source_phase config home home_env ~binary_path:path )
   in
   Fmt.pr "Source phase at %s: %s (simulated), bundle %.1f MB@.@." (Site.name home)
     (Sim_clock.to_string source_clock)
@@ -57,7 +57,8 @@ let () =
            let clock = Sim_clock.create () in
            let verdict, stack, libs =
              match
-               Feam_core.Phases.target_phase ~clock config target
+               Effects.with_clock clock @@ fun () ->
+               Feam_core.Phases.target_phase config target
                  (Site.base_env target) ~bundle ()
              with
              | Ok report -> (

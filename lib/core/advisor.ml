@@ -45,7 +45,7 @@ type advice = {
 (* Can [program] be rebuilt at [site]?  Needs a native toolchain and a
    stack whose wrappers accept the source (any MPI implementation: source
    is portable across implementations, unlike binaries). *)
-let recompile_viability ?clock site (program : Feam_toolchain.Compile.program) =
+let recompile_viability site (program : Feam_toolchain.Compile.program) =
   if not (Site.tools site).Tools.c_compiler then
     Error "no native compiler toolchain at the target"
   else
@@ -55,7 +55,7 @@ let recompile_viability ?clock site (program : Feam_toolchain.Compile.program) =
     let viable =
       List.find_map
         (fun install ->
-          match Feam_toolchain.Compile.compile_mpi ?clock site install program with
+          match Feam_toolchain.Compile.compile_mpi site install program with
           | Ok _ ->
             Some
               {
@@ -75,13 +75,13 @@ let recompile_viability ?clock site (program : Feam_toolchain.Compile.program) =
 (* [advise] combines the binary prediction with the recompilation check.
    [source] is the program model of the source tree when the user owns
    it; community codes distributed as binaries pass [None]. *)
-let advise ?clock site ~(binary_prediction : Predict.t)
+let advise site ~(binary_prediction : Predict.t)
     ~(source : Feam_toolchain.Compile.program option) : advice =
   let considered_recompile =
     match source with
     | None -> None
     | Some program -> (
-      match recompile_viability ?clock site program with
+      match recompile_viability site program with
       | Ok check -> Some check
       | Error _ -> None)
   in

@@ -27,7 +27,6 @@ type advice = {
 (** Combine a binary prediction with the recompilation check.  Pass
     [source = None] for community codes distributed as binaries. *)
 val advise :
-  ?clock:Feam_util.Sim_clock.t ->
   Feam_sysmodel.Site.t ->
   binary_prediction:Predict.t ->
   source:Feam_toolchain.Compile.program option ->

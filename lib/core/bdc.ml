@@ -25,8 +25,8 @@ type source_output = {
   unlocatable : string list; (* dependencies we failed to find for copying *)
 }
 
-let comment_provenance ?clock site path =
-  match Utilities.readelf_comment ?clock site path with
+let comment_provenance site path =
+  match Utilities.readelf_comment site path with
   | Ok text ->
     Objdump_parse.provenance_of_comments (Objdump_parse.parse_readelf_comment text)
   | Error _ -> { Objdump_parse.compiler_banner = None; build_os = None }
@@ -34,9 +34,9 @@ let comment_provenance ?clock site path =
 (* Primary path: objdump -p.  Of the site it reads two tool flags,
    [Tools.objdump] (here) and [Tools.readelf] (in [comment_provenance]),
    and the image at [path]: the describe memo's key is those three. *)
-let describe_via_objdump ?clock site path =
+let describe_via_objdump site path =
   Feam_obs.Trace.with_span "bdc.objdump_describe" @@ fun () ->
-  match Utilities.objdump_p ?clock site path with
+  match Utilities.objdump_p site path with
   | Error e -> Error (Utilities.error_to_string e)
   | Ok text -> (
     let parse_start = Feam_obs.Trace.now_ns () in
@@ -48,15 +48,15 @@ let describe_via_objdump ?clock site path =
       Feam_obs.Metrics.incr "bdc.objdump_parse_failures";
       Error e
     | Ok info ->
-      let provenance = comment_provenance ?clock site path in
+      let provenance = comment_provenance site path in
       Description.of_dynamic_info ~path ~provenance info)
 
 (* Fallback: file(1) for format/ISA, ldd -v for dependencies and version
    requirements (paper §V.A notes ldd "cannot be relied on to always
    provide this information" — it fails for foreign-architecture
    binaries, and then we must give up on those fields). *)
-let describe_via_file_and_ldd ?clock ?closures site env path =
-  match Utilities.file_cmd ?clock site path with
+let describe_via_file_and_ldd ?closures site env path =
+  match Utilities.file_cmd site path with
   | Error e -> Error (Utilities.error_to_string e)
   | Ok file_text ->
     if not (Str_split.contains ~sub:"ELF" file_text) then
@@ -78,7 +78,7 @@ let describe_via_file_and_ldd ?clock ?closures site env path =
       | None -> Error (path ^ ": unrecognized ELF machine in file(1) output")
       | Some (_, (machine, elf_class, file_format)) ->
         let needed, verneeds =
-          match Feam_dynlinker.Ldd.run ?clock ?closures site env path with
+          match Feam_dynlinker.Ldd.run ?closures site env path with
           | Ok resolution ->
             let root = resolution.Feam_dynlinker.Resolve.root_spec in
             ( root.Feam_elf.Spec.needed,
@@ -88,7 +88,7 @@ let describe_via_file_and_ldd ?clock ?closures site env path =
                 root.Feam_elf.Spec.verneeds )
           | Error _ -> ([], [])
         in
-        let provenance = comment_provenance ?clock site path in
+        let provenance = comment_provenance site path in
         Ok
           {
             Description.path;
@@ -143,10 +143,10 @@ let memo_key_of site path =
         String.length (Feam_elf.Reader.image_bytes image) )
   | None -> None
 
-(* [describe ?clock ?ctx site env ~path] — full description with
+(* [describe ?ctx site env ~path] — full description with
    fallbacks, through the context's describe memo (else the default
    one) and its closure memo. *)
-let describe ?clock ?ctx site env ~path =
+let describe ?ctx site env ~path =
   Feam_obs.Ledger.with_stage "bdc.describe" @@ fun () ->
   Feam_obs.Prof.with_timer "bdc.describe" @@ fun () ->
   Feam_obs.Trace.with_span "bdc.describe"
@@ -187,13 +187,13 @@ let describe ?clock ?ctx site env ~path =
     | Some (_, size) ->
       Feam_obs.Metrics.incr ~by:size "bdc.describe_cache.saved_bytes"
     | None -> ());
-    let d = { (Pass_memo.replay ?clock tape) with Description.path } in
+    let d = { (Pass_memo.replay tape) with Description.path } in
     (* Only objdump results are cached: a hit journals what the miss did,
        so a journal does not depend on what ran before it. *)
     journal_describe "objdump" d;
     Ok d
   | None -> (
-    let objdump () = describe_via_objdump ?clock site path in
+    let objdump () = describe_via_objdump site path in
     let via_objdump, keep =
       match (memo_key, memo) with
       | Some (key, _), Some tbl ->
@@ -212,7 +212,7 @@ let describe ?clock ?ctx site env ~path =
       Feam_obs.Metrics.incr "bdc.describe" ~labels:[ ("method", "file_ldd") ];
       Feam_obs.Trace.with_span "bdc.file_ldd_describe" @@ fun () ->
       let r =
-        describe_via_file_and_ldd ?clock ?closures:(Eval_ctx.closures ctx)
+        describe_via_file_and_ldd ?closures:(Eval_ctx.closures ctx)
           site env path
       in
       Result.iter (journal_describe "file_ldd") r;
@@ -227,7 +227,7 @@ let is_c_library name =
 
 (* Locate one dependency by name using locate(1), then find(1) over the
    common library locations and LD_LIBRARY_PATH. *)
-let locate_library ?clock site env name =
+let locate_library site env name =
   Feam_obs.Trace.with_span "bdc.locate_library"
     ~attrs:[ ("library", Feam_obs.Span.Str name) ]
   @@ fun () ->
@@ -238,7 +238,7 @@ let locate_library ?clock site env name =
     |> fun l -> List.nth_opt l 0
   in
   let via_locate () =
-    match Utilities.locate ?clock site name with
+    match Utilities.locate site name with
     | Ok paths -> pick paths
     | Error _ -> None
   in
@@ -247,7 +247,7 @@ let locate_library ?clock site env name =
       Site.default_lib_dirs site @ Env.ld_library_path env
       @ Site.ld_conf_dirs site
     in
-    match Utilities.find_in_dirs ?clock site dirs name with
+    match Utilities.find_in_dirs site dirs name with
     | Ok paths -> pick paths
     | Error _ -> None
   in
@@ -278,9 +278,9 @@ let locate_library ?clock site env name =
 
 (* Paths of the binary's shared libraries at a guaranteed site: ldd when
    it works, per-name searches otherwise. *)
-let dependency_paths ?clock ?closures site env ~path ~needed =
+let dependency_paths ?closures site env ~path ~needed =
   Feam_obs.Trace.with_span "bdc.dependency_paths" @@ fun () ->
-  match Feam_dynlinker.Ldd.run ?clock ?closures site env path with
+  match Feam_dynlinker.Ldd.run ?closures site env path with
   | Ok resolution ->
     let from_ldd =
       resolution.Feam_dynlinker.Resolve.resolved
@@ -299,12 +299,12 @@ let dependency_paths ?clock ?closures site env ~path ~needed =
     let rec visit name =
       if not (Hashtbl.mem seen name) then begin
         Hashtbl.add seen name ();
-        let found = locate_library ?clock site env name in
+        let found = locate_library site env name in
         acc := (name, found) :: !acc;
         match found with
         | None -> ()
         | Some p -> (
-          match describe_via_objdump ?clock site p with
+          match describe_via_objdump site p with
           | Ok d -> List.iter visit d.Description.needed
           | Error _ -> ())
       end
@@ -312,18 +312,18 @@ let dependency_paths ?clock ?closures site env ~path ~needed =
     List.iter visit needed;
     List.rev !acc
 
-(* [gather_source ?clock ?ctx site env ~path] — the source phase's BDC run:
+(* [gather_source ?ctx site env ~path] — the source phase's BDC run:
    describe the binary, then copy and describe every shared library in
    its dependency closure except the C library. *)
-let gather_source ?clock ?ctx site env ~path =
+let gather_source ?ctx site env ~path =
   Feam_obs.Trace.with_span "bdc.gather_source"
     ~attrs:[ ("path", Feam_obs.Span.Str path) ]
   @@ fun () ->
-  match describe ?clock ?ctx site env ~path with
+  match describe ?ctx site env ~path with
   | Error e -> Error e
   | Ok binary_description ->
     let deps =
-      dependency_paths ?clock ?closures:(Eval_ctx.closures ctx) site env ~path
+      dependency_paths ?closures:(Eval_ctx.closures ctx) site env ~path
         ~needed:binary_description.Description.needed
     in
     let copies = ref [] in
@@ -337,9 +337,9 @@ let gather_source ?clock ?ctx site env ~path =
             let vfs = Site.vfs site in
             match (Vfs.resolve_image vfs origin, Vfs.file_size vfs origin) with
             | Some (_, image), Some declared_size -> (
-              Cost.charge clock
+              Cost.charge
                 (Cost.copy_per_mb *. (float_of_int declared_size /. 1048576.0));
-              match describe ?clock ?ctx site env ~path:origin with
+              match describe ?ctx site env ~path:origin with
               | Ok copy_description ->
                 Feam_obs.Trace.event "copy"
                   ~attrs:

@@ -31,7 +31,6 @@ val is_c_library : string -> bool
 (** Locate one dependency by name: locate(1), then find(1) over the
     common library locations and LD_LIBRARY_PATH (paper §V.A). *)
 val locate_library :
-  ?clock:Feam_util.Sim_clock.t ->
   Feam_sysmodel.Site.t ->
   Feam_sysmodel.Env.t ->
   string ->
@@ -50,7 +49,6 @@ val clear_describe_memo : unit -> unit
     ({!Eval_ctx.describe_memo}), else the default one; the file/ldd
     fallback's ldd resolves through [ctx]'s closure memo, if any. *)
 val describe :
-  ?clock:Feam_util.Sim_clock.t ->
   ?ctx:Eval_ctx.t ->
   Feam_sysmodel.Site.t ->
   Feam_sysmodel.Env.t ->
@@ -61,7 +59,6 @@ val describe :
     describe its dependency closure, every description and the ldd
     walk of the closure through [ctx]'s caches, as {!describe}. *)
 val gather_source :
-  ?clock:Feam_util.Sim_clock.t ->
   ?ctx:Eval_ctx.t ->
   Feam_sysmodel.Site.t ->
   Feam_sysmodel.Env.t ->

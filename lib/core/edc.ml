@@ -11,21 +11,21 @@ open Feam_sysmodel
 
 (* -- ISA ----------------------------------------------------------------- *)
 
-let discover_isa ?clock site =
-  match Utilities.uname_p ?clock site with
+let discover_isa site =
+  match Utilities.uname_p site with
   | Ok uname -> Feam_elf.Types.machine_of_uname uname
   | Error _ -> None
 
 (* -- OS ------------------------------------------------------------------ *)
 
-let discover_os ?clock site =
+let discover_os site =
   (* /etc/*release confirmed against /proc/version (paper §V.B). *)
-  match Utilities.etc_release ?clock site with
+  match Utilities.etc_release site with
   | (_, body) :: _ -> Some (String.trim (List.hd (String.split_on_char '\n' body)))
   | [] -> None
 
-let discover_kernel ?clock site =
-  let text = Utilities.proc_version ?clock site in
+let discover_kernel site =
+  let text = Utilities.proc_version site in
   (* "Linux version 2.6.18-194.el5 (...)" *)
   match String.split_on_char ' ' text with
   | "Linux" :: "version" :: v :: _ -> Some v
@@ -69,21 +69,21 @@ let glibc_via_api site path =
     | Error _ -> None)
   | None -> None
 
-let discover_glibc ?clock site =
-  match Utilities.find_libc ?clock site with
+let discover_glibc site =
+  match Utilities.find_libc site with
   | None -> None
   | Some path -> (
     (* Running the C library binary prints its banner; if it cannot be
        run (e.g. foreign format), fall back to the API. *)
-    match parse_glibc_banner (Utilities.glibc_banner ?clock site) with
+    match parse_glibc_banner (Utilities.glibc_banner site) with
     | Some v -> Some v
     | None -> glibc_via_api site path)
 
 (* -- MPI stacks ------------------------------------------------------------ *)
 
 (* Discovery through the user-environment management tools. *)
-let stacks_via_modules ?clock site =
-  Cost.charge clock Cost.module_query;
+let stacks_via_modules site =
+  Cost.charge Cost.module_query;
   match Modules_tool.render_avail site with
   | None -> None
   | Some listing ->
@@ -110,13 +110,13 @@ let stack_root = "/opt/"
 
 (* Fallback: search for MPI libraries and wrappers in the filesystem and
    parse stack identity out of path naming (paper §V.B). *)
-let stacks_via_path_search ?clock site =
+let stacks_via_path_search site =
   let candidates =
-    match Utilities.locate ?clock site mpi_library_prefix with
+    match Utilities.locate site mpi_library_prefix with
     | Ok paths -> paths
     | Error _ -> (
       match
-        Utilities.find_in_dirs ?clock site
+        Utilities.find_in_dirs site
           ([ "/opt"; "/usr/local" ] @ Site.default_lib_dirs site)
           mpi_library_prefix
       with
@@ -134,14 +134,14 @@ let stacks_via_path_search ?clock site =
 
 (* Available stacks: user-environment management tools first, path
    search as fallback. *)
-let discover_stacks ?clock site =
-  match stacks_via_modules ?clock site with
+let discover_stacks site =
+  match stacks_via_modules site with
   | Some (_ :: _ as stacks) -> stacks
-  | Some [] | None -> stacks_via_path_search ?clock site
+  | Some [] | None -> stacks_via_path_search site
 
 (* Currently loaded stack: module list first, PATH inspection second. *)
-let discover_current_stack ?clock site env =
-  Cost.charge clock Cost.module_query;
+let discover_current_stack site env =
+  Cost.charge Cost.module_query;
   match Modules_tool.current_stack site env with
   | None -> None
   | Some install ->
@@ -151,15 +151,15 @@ let discover_current_stack ?clock site env =
 (* -- Missing shared libraries (for a given binary's needs) ---------------- *)
 
 (* ldd when usable; otherwise search for each name (paper §V.B). *)
-let missing_libraries ?clock ?ctx site env ~binary_path ~needed =
+let missing_libraries ?ctx site env ~binary_path ~needed =
   match
-    Feam_dynlinker.Ldd.run ?clock ?closures:(Eval_ctx.closures ctx) site env
+    Feam_dynlinker.Ldd.run ?closures:(Eval_ctx.closures ctx) site env
       binary_path
   with
   | Ok resolution -> Feam_dynlinker.Ldd.missing_libraries resolution
   | Error _ ->
     needed
-    |> List.filter (fun name -> Bdc.locate_library ?clock site env name = None)
+    |> List.filter (fun name -> Bdc.locate_library site env name = None)
 
 (* -- Full discovery -------------------------------------------------------- *)
 
@@ -181,7 +181,7 @@ let reads site =
             (String.rindex path '/' + 1)
     || List.mem path (Lazy.force libc)
 
-let run ?clock ~env_type site env =
+let run ~env_type site env =
   let env_label =
     match env_type with `Guaranteed -> "guaranteed" | `Target -> "target"
   in
@@ -208,31 +208,31 @@ let run ?clock ~env_type site env =
   in
   let machine =
     sub "edc.isa" (fun () ->
-        let m = discover_isa ?clock site in
+        let m = discover_isa site in
         fact "isa" (Option.map Feam_elf.Types.machine_uname m);
         m)
   in
   let os =
     sub "edc.os" (fun () ->
-        let os = discover_os ?clock site in
+        let os = discover_os site in
         fact "os" os;
         os)
   in
   let kernel =
     sub "edc.kernel" (fun () ->
-        let k = discover_kernel ?clock site in
+        let k = discover_kernel site in
         fact "kernel" k;
         k)
   in
   let glibc =
     sub "edc.glibc" (fun () ->
-        let g = discover_glibc ?clock site in
+        let g = discover_glibc site in
         fact "glibc" (Option.map Version.to_string g);
         g)
   in
   let stacks =
     sub "edc.stacks" (fun () ->
-        let stacks = discover_stacks ?clock site in
+        let stacks = discover_stacks site in
         Feam_flightrec.Recorder.evidence ~stage:"edc" ~kind:"stacks"
           (fun () ->
             [
@@ -245,7 +245,7 @@ let run ?clock ~env_type site env =
   in
   let current_stack =
     sub "edc.current_stack" (fun () ->
-        let c = discover_current_stack ?clock site env in
+        let c = discover_current_stack site env in
         fact "current_stack" (Option.map (fun s -> s.Discovery.slug) c);
         c)
   in
@@ -266,10 +266,10 @@ let run ?clock ~env_type site env =
    type and environment.  A write in an open scope leaves the site's
    state as it was, so a discovery it could change runs live and is not
    kept. *)
-let discover ?clock ?ctx ~env_type site env =
+let discover ?ctx ~env_type site env =
   match Option.bind ctx (fun c -> c.Eval_ctx.memo) with
   | Some memo
     when not (Vfs.written_in_scope (Site.vfs site) (reads site)) ->
-    Pass_memo.find_or_discover memo ?clock site env ~env_type (fun () ->
-        run ?clock ~env_type site env)
-  | Some _ | None -> run ?clock ~env_type site env
+    Pass_memo.find_or_discover memo site env ~env_type (fun () ->
+        run ~env_type site env)
+  | Some _ | None -> run ~env_type site env

@@ -10,7 +10,6 @@
     ldd when usable, name-by-name search otherwise.  ldd resolves
     through [ctx]'s closure memo, if any. *)
 val missing_libraries :
-  ?clock:Feam_util.Sim_clock.t ->
   ?ctx:Eval_ctx.t ->
   Feam_sysmodel.Site.t ->
   Feam_sysmodel.Env.t ->
@@ -26,7 +25,6 @@ val missing_libraries :
     directory passes through), discovery runs live and nothing is
     kept. *)
 val discover :
-  ?clock:Feam_util.Sim_clock.t ->
   ?ctx:Eval_ctx.t ->
   env_type:[ `Target | `Guaranteed ] ->
   Feam_sysmodel.Site.t ->

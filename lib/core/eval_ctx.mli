@@ -9,7 +9,7 @@
     site in the state it was made in.
 
     Every cache is invisible in the results: a pass under any context
-    gives the verdicts, journals, world build serials, simulated clock and
+    gives the verdicts, journals, world build serials, clock charges and
     counters of the same pass under {!reference}, except the counters
     that count real work ({!Feam_obs.Metrics.counts_work}): a memo hit
     replays its miss's effect tape ({!Pass_memo.replay}), which takes
@@ -23,7 +23,7 @@
     ({!Feam_sysmodel.Tools.t}) and the content key of the image.  The
     same image described many times, at its home and staged at every
     target whose tools agree, is parsed once.  A hit replays the tape,
-    so a pass charges its clock as a pass with no memo would.  The
+    so a pass charges its clocks in scope as one with no memo would.  The
     objdump work journals nothing, so a tape holds no record and the
     key needs no recorder flag.  Hit/miss counts surface as
     [bdc.describe_cache.hit] / [.miss].  Fallback-path (file/ldd)

@@ -32,19 +32,19 @@ open Feam_sysmodel
 type 'a tape = { value : 'a; effects : Effects.event list }
 
 (* Run [f] under an effect capture.  Its effects happen live, its
-   charges to the caller's clock included. *)
+   charges to the clocks in scope included. *)
 let record f =
   let value, effects = Effects.capture f in
   { value; effects }
 
-let replay ?clock tape =
+let replay tape =
   List.iter
     (function
       | Effects.Count (name, labels, by) ->
         Feam_obs.Metrics.incr ~by ~labels name
       | Record (kind, fields) ->
         Feam_flightrec.Recorder.record ~fields:(fun () -> fields) kind
-      | Charge seconds -> Cost.charge clock seconds)
+      | Charge seconds -> Cost.charge seconds)
     tape.effects;
   tape.value
 
@@ -131,11 +131,11 @@ let held t =
   |> List.sort compare
 
 (* [name].hit / [name].miss count the lookups. *)
-let find_or_record table ~name ?clock key f =
+let find_or_record table ~name key f =
   match Hashtbl.find_opt table key with
   | Some tape ->
     Feam_obs.Metrics.incr (name ^ ".hit");
-    replay ?clock tape
+    replay tape
   | None ->
     Feam_obs.Metrics.incr (name ^ ".miss");
     let tape = record f in
@@ -194,9 +194,9 @@ let stack_key ~config env ~bundle ~target_glibc ~candidates =
       bundle.Bundle.copies);
   Buffer.contents b
 
-let find_or_probe t ?clock ~config site env ~bundle ~target_glibc ~candidates
+let find_or_probe t ~config site env ~bundle ~target_glibc ~candidates
     probe =
-  find_or_record (tables t site).stacks ~name:"tec.stack_memo" ?clock
+  find_or_record (tables t site).stacks ~name:"tec.stack_memo"
     (stack_key ~config env ~bundle ~target_glibc ~candidates)
     probe
 
@@ -215,8 +215,8 @@ let source_key ~config env ~binary_path ~image =
   | None -> add b "no image");
   Buffer.contents b
 
-let find_or_source t ?clock ~config site env ~binary_path ~image source =
-  find_or_record (tables t site).sources ~name:"phases.source_memo" ?clock
+let find_or_source t ~config site env ~binary_path ~image source =
+  find_or_record (tables t site).sources ~name:"phases.source_memo"
     (source_key ~config env ~binary_path ~image)
     source
 
@@ -230,7 +230,7 @@ let discovery_key ~env_type env =
   add_env b env;
   Buffer.contents b
 
-let find_or_discover t ?clock site env ~env_type discover =
-  find_or_record (tables t site).discoveries ~name:"edc.discover_memo" ?clock
+let find_or_discover t site env ~env_type discover =
+  find_or_record (tables t site).discoveries ~name:"edc.discover_memo"
     (discovery_key ~env_type env)
     discover

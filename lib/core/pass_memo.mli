@@ -12,10 +12,11 @@
     Every table stores one {!tape} per entry: the result plus every
     effect of the miss that outlives it, in program order.  The miss
     runs under one {!Feam_util.Effects.capture}, so its effects,
-    charges to the caller's clock included, happen live; a hit
-    replays the tape.  Files are not among the effects: the determinant
-    runs in its own file-system scope ({!Tec.select_stack}), and the
-    source phase and discovery write nothing.  Captures nest: a
+    charges to the clocks in scope included, happen live; a hit
+    replays the tape, and a miss that raises keeps no entry.  Files are
+    not among the effects: the determinant runs in its own file-system
+    scope ({!Tec.select_stack}), and the source phase and discovery
+    write nothing.  Captures nest: a
     discovery missed inside a source-phase miss lands on both tapes,
     and a discovery hit there replays onto the source phase's.
 
@@ -45,20 +46,20 @@ val record : (unit -> 'a) -> 'a tape
 (** Redo a tape's effects in order and return its value: each [Count]
     through {!Feam_obs.Metrics.incr}, each [Record] through
     {!Feam_flightrec.Recorder.record} (a fresh sequence number and the
-    current span) and each [Charge] to [clock] through
+    current span) and each [Charge] to the clocks in scope through
     {!Feam_sysmodel.Cost.charge}.
     Inside a running capture the replayed effects are that capture's
     too. *)
-val replay : ?clock:Feam_util.Sim_clock.t -> 'a tape -> 'a
+val replay : 'a tape -> 'a
 
 type t
 
 val create : unit -> t
 
-(** [find_or_probe t ?clock ~config site env ~bundle ~target_glibc
+(** [find_or_probe t ~config site env ~bundle ~target_glibc
     ~candidates probe] is [probe ()] on a miss, recorded, and the
-    recorded outcome on a hit, its tape replayed with charges to
-    [clock].  [probe] charges the caller's clock itself.  The key
+    recorded outcome on a hit, its tape replayed, so a hit charges
+    the clocks in scope what the miss charged.  The key
     is the site's state, whether the flight recorder is on, [env],
     [config], [target_glibc], the candidates' slugs
     in order and, for a bundle, its origin site, its probes' names,
@@ -69,7 +70,6 @@ val create : unit -> t
     value with [site]'s name. *)
 val find_or_probe :
   t ->
-  ?clock:Feam_util.Sim_clock.t ->
   config:Config.t ->
   Feam_sysmodel.Site.t ->
   Feam_sysmodel.Env.t ->
@@ -79,7 +79,7 @@ val find_or_probe :
   (unit -> selection) ->
   selection
 
-(** [find_or_source t ?clock ~config site env ~binary_path ~image
+(** [find_or_source t ~config site env ~binary_path ~image
     source] is [source ()] on a miss and the recorded bundle (or
     error) on a hit, as for {!find_or_probe}.  [image] is the handle and
     declared size of the ELF image at [binary_path], if any.  The
@@ -91,7 +91,6 @@ val find_or_probe :
     @raise Invalid_argument as {!find_or_probe}. *)
 val find_or_source :
   t ->
-  ?clock:Feam_util.Sim_clock.t ->
   config:Config.t ->
   Feam_sysmodel.Site.t ->
   Feam_sysmodel.Env.t ->
@@ -100,7 +99,7 @@ val find_or_source :
   (unit -> (Bundle.t, string) result) ->
   (Bundle.t, string) result
 
-(** [find_or_discover t ?clock site env ~env_type discover] is
+(** [find_or_discover t site env ~env_type discover] is
     [discover ()] on a miss and the recorded discovery on a hit, as for
     {!find_or_probe}: a hit replays the discovery's [edc] evidence
     records, its [edc.discoveries] counter and its tool, module and
@@ -114,7 +113,6 @@ val find_or_source :
     @raise Invalid_argument as {!find_or_probe}. *)
 val find_or_discover :
   t ->
-  ?clock:Feam_util.Sim_clock.t ->
   Feam_sysmodel.Site.t ->
   Feam_sysmodel.Env.t ->
   env_type:[ `Target | `Guaranteed ] ->

@@ -15,6 +15,18 @@ module Log = (val Logs.src_log src : Logs.LOG)
 (* Where a bundle-carried binary is materialized at the target. *)
 let staging_binary_dir = "/tmp/feam/binary"
 
+(* Run [f] and set the current span's [sim_s] attribute to what it
+   charged the innermost clock in scope, when there is one. *)
+let with_sim_s f =
+  match Feam_util.Effects.clock () with
+  | None -> f ()
+  | Some clock ->
+    let before = Feam_util.Sim_clock.elapsed clock in
+    let result = f () in
+    Feam_obs.Trace.set_attr "sim_s"
+      (Feam_obs.Span.Float (Feam_util.Sim_clock.elapsed clock -. before));
+    result
+
 (* -- Source phase --------------------------------------------------------- *)
 
 (* The ELF image at [path]: its handle and declared size. *)
@@ -24,7 +36,7 @@ let binary_image site path =
   | Some (_, image), Some declared_size -> Some (image, declared_size)
   | _ -> None
 
-let run_source ?clock ?ctx site env ~binary_path =
+let run_source ?ctx site env ~binary_path =
   Feam_obs.Ledger.with_stage "phases.source" @@ fun () ->
   Feam_obs.Trace.with_span "phases.source"
     ~attrs:
@@ -33,15 +45,7 @@ let run_source ?clock ?ctx site env ~binary_path =
         ("binary", Feam_obs.Span.Str binary_path);
       ]
   @@ fun () ->
-  let sim_before =
-    match clock with Some c -> Feam_util.Sim_clock.elapsed c | None -> 0.0
-  in
   let finish result =
-    (match clock with
-    | Some c ->
-      Feam_obs.Trace.set_attr "sim_s"
-        (Feam_obs.Span.Float (Feam_util.Sim_clock.elapsed c -. sim_before))
-    | None -> ());
     let outcome = match result with Ok _ -> "ok" | Error _ -> "error" in
     Feam_obs.Metrics.incr "phases.source" ~labels:[ ("result", outcome) ];
     Feam_flightrec.Recorder.record "phase"
@@ -57,11 +61,12 @@ let run_source ?clock ?ctx site env ~binary_path =
   Log.info (fun m ->
       m "source phase at %s for %s" (Site.name site) binary_path);
   finish
-  @@
-  match Bdc.gather_source ?clock ?ctx site env ~path:binary_path with
+  @@ with_sim_s
+  @@ fun () ->
+  match Bdc.gather_source ?ctx site env ~path:binary_path with
   | Error e -> Error ("source phase: " ^ e)
   | Ok gathered ->
-    let discovery = Edc.discover ?clock ?ctx ~env_type:`Guaranteed site env in
+    let discovery = Edc.discover ?ctx ~env_type:`Guaranteed site env in
     (* Confirm the currently selected stack matches the BDC's finding
        (paper §V.B) — a mismatch means this environment cannot vouch for
        the binary. *)
@@ -107,7 +112,7 @@ let run_source ?clock ?ctx site env ~binary_path =
             List.filter_map
               (fun program ->
                 match
-                  Feam_toolchain.Compile.compile_mpi ?clock
+                  Feam_toolchain.Compile.compile_mpi
                     ?templates:(Eval_ctx.templates ctx) site install program
                 with
                 | Error _ -> None
@@ -128,7 +133,7 @@ let run_source ?clock ?ctx site env ~binary_path =
         | Some (image, declared_size) -> (Some image, declared_size)
         | None -> (None, 0)
       in
-      Cost.charge clock Cost.bundle_pack_base;
+      Cost.charge Cost.bundle_pack_base;
       Log.info (fun m ->
           m "bundle ready: %d copies, %d unlocatable, %d probes"
             (List.length gathered.Bdc.copies)
@@ -149,13 +154,13 @@ let run_source ?clock ?ctx site env ~binary_path =
 
 (* Once per binary per pass when the context carries a pass memo: none
    of the phase's inputs is a target, and a pass changes no home site. *)
-let source_phase ?clock ?ctx config site env ~binary_path =
+let source_phase ?ctx config site env ~binary_path =
   match Option.bind ctx (fun c -> c.Eval_ctx.memo) with
-  | None -> run_source ?clock ?ctx site env ~binary_path
+  | None -> run_source ?ctx site env ~binary_path
   | Some memo ->
-    Pass_memo.find_or_source memo ?clock ~config site env ~binary_path
+    Pass_memo.find_or_source memo ~config site env ~binary_path
       ~image:(binary_image site binary_path) (fun () ->
-        run_source ?clock ?ctx site env ~binary_path)
+        run_source ?ctx site env ~binary_path)
 
 (* -- Target phase ---------------------------------------------------------- *)
 
@@ -163,7 +168,7 @@ let source_phase ?clock ?ctx config site env ~binary_path =
    binary's path at the target (basic mode) must be supplied; with a
    bundle carrying the binary bytes, the binary is materialized at the
    target automatically. *)
-let target_phase ?clock ?depot ?ctx config site env ?bundle ?binary_path () =
+let target_phase ?depot ?ctx config site env ?bundle ?binary_path () =
   Feam_obs.Ledger.with_stage "phases.target" @@ fun () ->
   Feam_obs.Trace.with_span "phases.target"
     ~attrs:
@@ -172,15 +177,7 @@ let target_phase ?clock ?depot ?ctx config site env ?bundle ?binary_path () =
         ("extended", Feam_obs.Span.Bool (bundle <> None));
       ]
   @@ fun () ->
-  let sim_before =
-    match clock with Some c -> Feam_util.Sim_clock.elapsed c | None -> 0.0
-  in
   let finish result =
-    (match clock with
-    | Some c ->
-      Feam_obs.Trace.set_attr "sim_s"
-        (Feam_obs.Span.Float (Feam_util.Sim_clock.elapsed c -. sim_before))
-    | None -> ());
     let outcome = match result with Ok _ -> "ok" | Error _ -> "error" in
     Feam_obs.Metrics.incr "phases.target" ~labels:[ ("result", outcome) ];
     Feam_flightrec.Recorder.record "phase"
@@ -194,7 +191,8 @@ let target_phase ?clock ?depot ?ctx config site env ?bundle ?binary_path () =
     result
   in
   finish
-  @@
+  @@ with_sim_s
+  @@ fun () ->
   let vfs = Site.vfs site in
   (* Make the binary available at the target if the bundle carries it. *)
   let binary_path =
@@ -209,7 +207,7 @@ let target_phase ?clock ?depot ?ctx config site env ?bundle ?binary_path () =
         in
         Vfs.add_image ~declared_size:b.Bundle.binary_declared_size vfs path
           image;
-        Cost.charge clock
+        Cost.charge
           (Cost.copy_per_mb
           *. (float_of_int b.Bundle.binary_declared_size /. 1048576.0));
         Some path
@@ -227,7 +225,7 @@ let target_phase ?clock ?depot ?ctx config site env ?bundle ?binary_path () =
         Error
           "target phase: need either a source-phase bundle or the binary at \
            the target site"
-      | Some path -> Bdc.describe ?clock ?ctx site env ~path)
+      | Some path -> Bdc.describe ?ctx site env ~path)
   in
   match description with
   | Error e -> Error ("target phase: " ^ e)
@@ -243,11 +241,11 @@ let target_phase ?clock ?depot ?ctx config site env ?bundle ?binary_path () =
             ("binary", Feam_util.Json.Str description.Description.path);
             ("extended", Feam_util.Json.Bool (bundle <> None));
           ]);
-    let discovery = Edc.discover ?clock ?ctx ~env_type:`Target site env in
+    let discovery = Edc.discover ?ctx ~env_type:`Target site env in
     let input =
       { Tec.config; description; binary_path; bundle; discovery }
     in
-    let prediction = Tec.evaluate ?clock ?depot ?ctx site env input in
+    let prediction = Tec.evaluate ?depot ?ctx site env input in
     let report =
       Report.make ~site_name:(Site.name site)
         ~binary:description.Description.path prediction

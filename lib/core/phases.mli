@@ -13,7 +13,6 @@
     run, and its pass memo runs the phase once per distinct input
     ({!Pass_memo.find_or_source}). *)
 val source_phase :
-  ?clock:Feam_util.Sim_clock.t ->
   ?ctx:Eval_ctx.t ->
   Config.t ->
   Feam_sysmodel.Site.t ->
@@ -26,7 +25,6 @@ val source_phase :
     (basic mode).  [ctx] is the evaluation pass's context: its describe
     memo serves the basic-mode BDC run, its pass memo {!Tec.evaluate}. *)
 val target_phase :
-  ?clock:Feam_util.Sim_clock.t ->
   ?depot:Resolve_model.depot ->
   ?ctx:Eval_ctx.t ->
   Config.t ->

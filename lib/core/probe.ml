@@ -25,14 +25,14 @@ let probe_queue config site ~parallel =
   in
   Option.bind wanted (Batch.queue_by_name (Site.batch site))
 
-let run_binary ?clock ?closures config site env ~binary_path ~parallel =
+let run_binary ?closures config site env ~binary_path ~parallel =
   let mode =
     if parallel then Feam_dynlinker.Exec.Mpi config.Config.probe_np
     else Feam_dynlinker.Exec.Serial
   in
   let queue = probe_queue config site ~parallel in
   match
-    Feam_dynlinker.Exec.run ?clock ?closures ?queue site env ~binary_path ~mode
+    Feam_dynlinker.Exec.run ?closures ?queue site env ~binary_path ~mode
   with
   | Feam_dynlinker.Exec.Success -> Ok ()
   | Feam_dynlinker.Exec.Failure f ->
@@ -42,7 +42,7 @@ let run_binary ?clock ?closures config site env ~binary_path ~parallel =
    missing under [env]: probes travel (or run) with the bundle's
    libraries, exactly like the application (paper SIV applied to the
    probe binaries themselves). *)
-let resolve_probe_env ?clock config site env ~bundle ~target_glibc image =
+let resolve_probe_env config site env ~bundle ~target_glibc image =
   match bundle with
   | None -> env
   | Some bundle -> (
@@ -58,7 +58,7 @@ let resolve_probe_env ?clock config site env ~bundle ~target_glibc image =
       if missing = [] then env
       else
         let resolution =
-          Resolve_model.resolve ?clock config site env ~bundle ~target_glibc
+          Resolve_model.resolve config site env ~bundle ~target_glibc
             ~binary_machine:spec.Feam_elf.Spec.machine
             ~binary_class:spec.Feam_elf.Spec.elf_class ~missing
         in
@@ -69,7 +69,7 @@ let resolve_probe_env ?clock config site env ~bundle ~target_glibc image =
    available, the probe runs with its staged copies exposed — a
    natively compiled probe can need them too (e.g. a compiler runtime
    present on disk but absent from a stale loader cache). *)
-let native ?clock ?ctx ?bundle ?target_glibc config site env install :
+let native ?ctx ?bundle ?target_glibc config site env install :
     probe_result =
   Feam_obs.Trace.with_span "probe.native" @@ fun () ->
   (* [target_glibc] is the discovered C-library version, when known *)
@@ -78,7 +78,7 @@ let native ?clock ?ctx ?bundle ?target_glibc config site env install :
   else
     let env = Modules_tool.load_stack env install in
     match
-      Feam_toolchain.Compile.compile_mpi_to ?clock
+      Feam_toolchain.Compile.compile_mpi_to
         ?templates:(Eval_ctx.templates ctx) site install
         Feam_toolchain.Compile.hello_world_mpi ~dir:probe_dir
     with
@@ -87,10 +87,10 @@ let native ?clock ?ctx ?bundle ?target_glibc config site env install :
       let env =
         match Vfs.resolve_image (Site.vfs site) path with
         | Some (_, image) ->
-          resolve_probe_env ?clock config site env ~bundle ~target_glibc image
+          resolve_probe_env config site env ~bundle ~target_glibc image
         | None -> env
       in
-      run_binary ?clock ?closures:(Eval_ctx.closures ctx) config site env
+      run_binary ?closures:(Eval_ctx.closures ctx) config site env
         ~binary_path:path ~parallel:true
 
 (* Stage and run a shipped hello-world probe under [install]'s stack.
@@ -98,7 +98,7 @@ let native ?clock ?ctx ?bundle ?target_glibc config site env install :
    travel with it: any of its dependencies missing at the target (the
    application's compiler runtime, typically) are resolved from the
    bundle before the run, exactly as for the application itself. *)
-let foreign ?clock ?closures config site env install ~(bundle : Bundle.t)
+let foreign ?closures config site env install ~(bundle : Bundle.t)
     ~target_glibc (probe : Bundle.probe) : probe_result =
   Feam_obs.Trace.with_span "probe.foreign"
     ~attrs:[ ("probe", Feam_obs.Span.Str probe.Bundle.probe_name) ]
@@ -107,20 +107,20 @@ let foreign ?clock ?closures config site env install ~(bundle : Bundle.t)
   let path = probe_dir ^ "/" ^ probe.Bundle.probe_name ^ ".shipped" in
   Vfs.add_image ~declared_size:probe.Bundle.probe_declared_size (Site.vfs site)
     path probe.Bundle.probe_image;
-  Cost.charge clock
+  Cost.charge
     (Cost.copy_per_mb
     *. (float_of_int probe.Bundle.probe_declared_size /. 1048576.0));
   let env =
-    resolve_probe_env ?clock config site env ~bundle:(Some bundle) ~target_glibc
+    resolve_probe_env config site env ~bundle:(Some bundle) ~target_glibc
       probe.Bundle.probe_image
   in
-  run_binary ?clock ?closures config site env ~binary_path:path ~parallel:true
+  run_binary ?closures config site env ~binary_path:path ~parallel:true
 
 (* Full stack test: native probe when possible, then every shipped probe
    compiled with a matching implementation.  A stack passes only if all
    applicable probes pass; when no probe can be run at all the stack's
    mere presence cannot be verified and we report that. *)
-let test_stack ?clock ?ctx config site env install ~(bundle : Bundle.t option)
+let test_stack ?ctx config site env install ~(bundle : Bundle.t option)
     ~target_glibc : probe_result =
   Feam_obs.Trace.with_span "probe.test_stack"
     ~attrs:
@@ -155,7 +155,7 @@ let test_stack ?clock ?ctx config site env install ~(bundle : Bundle.t option)
   let closures = Eval_ctx.closures ctx in
   let native_result =
     if (Site.tools site).Tools.c_compiler then
-      Some (native ?clock ?ctx ?bundle ?target_glibc config site env install)
+      Some (native ?ctx ?bundle ?target_glibc config site env install)
     else None
   in
   let foreign_results =
@@ -165,7 +165,7 @@ let test_stack ?clock ?ctx config site env install ~(bundle : Bundle.t option)
       b.Bundle.probes
       |> List.map (fun p ->
              ( p.Bundle.probe_stack_slug,
-               foreign ?clock ?closures config site env install ~bundle:b
+               foreign ?closures config site env install ~bundle:b
                  ~target_glibc p ))
   in
   match native_result with

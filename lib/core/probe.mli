@@ -15,7 +15,6 @@ type probe_result = (unit, string) result
     native probe compiles through [ctx]'s template table and the probe
     runs resolve through its closure memo, if any. *)
 val test_stack :
-  ?clock:Feam_util.Sim_clock.t ->
   ?ctx:Eval_ctx.t ->
   Config.t ->
   Feam_sysmodel.Site.t ->

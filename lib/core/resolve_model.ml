@@ -61,10 +61,10 @@ let present_at_target site env name =
   Feam_dynlinker.Search.locate_in_dirs site (search_dirs_for_name site env) name
   <> None
 
-(* [resolve ?clock config site env ~bundle ~target_glibc ~binary_machine
+(* [resolve config site env ~bundle ~target_glibc ~binary_machine
    ~missing] — attempt to resolve every name in [missing] from the
    bundle's copies. *)
-let resolve ?clock ?depot config site env ~(bundle : Bundle.t) ~target_glibc
+let resolve ?depot config site env ~(bundle : Bundle.t) ~target_glibc
     ~binary_machine ~binary_class ~missing =
   Feam_obs.Ledger.with_stage "resolve.resolve" @@ fun () ->
   Feam_obs.Trace.with_span "resolve.resolve"
@@ -144,7 +144,7 @@ let resolve ?clock ?depot config site env ~(bundle : Bundle.t) ~target_glibc
     Vfs.add_image ~declared_size:copy.Bdc.copy_declared_size vfs path
       copy.Bdc.copy_image;
     let charge () =
-      Cost.charge clock
+      Cost.charge
         (Cost.copy_per_mb
         *. (float_of_int copy.Bdc.copy_declared_size /. 1048576.0))
     in

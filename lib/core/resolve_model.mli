@@ -41,7 +41,6 @@ val present_at_target :
     stages usable copies (and their staged-only dependencies) into the
     configuration's staging directory. *)
 val resolve :
-  ?clock:Feam_util.Sim_clock.t ->
   ?depot:depot ->
   Config.t ->
   Feam_sysmodel.Site.t ->

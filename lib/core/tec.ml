@@ -250,7 +250,7 @@ let decide ~config ~(description : Description.t) ~(discovery : Discovery.t)
 (* -- effectful evidence gathering ------------------------------------------ *)
 
 (* Probe candidates in preference order; first functioning one wins. *)
-let probe_candidates ?clock ?ctx input site env candidates =
+let probe_candidates ?ctx input site env candidates =
   let rec try_candidates failures = function
     | [] -> (None, List.rev failures)
     | candidate :: rest -> (
@@ -261,7 +261,7 @@ let probe_candidates ?clock ?ctx input site env candidates =
           rest
       | Some install -> (
         match
-          Probe.test_stack ?clock ?ctx input.config site env install
+          Probe.test_stack ?ctx input.config site env install
             ~bundle:input.bundle
             ~target_glibc:input.discovery.Discovery.glibc
         with
@@ -282,22 +282,22 @@ let probe_candidates ?clock ?ctx input site env candidates =
    found it and a memo hit has no files to redo.  The scope spans every
    candidate, because one candidate's staged copies can shadow the
    next's libraries (DESIGN §17). *)
-let select_stack ?clock ?ctx input site env candidates =
+let select_stack ?ctx input site env candidates =
   Vfs.scoped (Site.vfs site) @@ fun () ->
   match Option.bind ctx (fun c -> c.Eval_ctx.memo) with
-  | None -> probe_candidates ?clock ?ctx input site env candidates
+  | None -> probe_candidates ?ctx input site env candidates
   | Some memo ->
-    Pass_memo.find_or_probe memo ?clock ~config:input.config site env
+    Pass_memo.find_or_probe memo ~config:input.config site env
       ~bundle:input.bundle ~target_glibc:input.discovery.Discovery.glibc
       ~candidates (fun () ->
-        probe_candidates ?clock ?ctx input site env candidates)
+        probe_candidates ?ctx input site env candidates)
 
 (* Missing shared libraries under [env]: ldd on the binary when present,
    name-by-name search otherwise (the bundle-only case). *)
-let missing_libraries ?clock ?ctx input site env =
+let missing_libraries ?ctx input site env =
   match input.binary_path with
   | Some path ->
-    Edc.missing_libraries ?clock ?ctx site env ~binary_path:path
+    Edc.missing_libraries ?ctx site env ~binary_path:path
       ~needed:input.description.Description.needed
   | None ->
     input.description.Description.needed
@@ -374,7 +374,7 @@ let journal_libs le ~compatible =
 
 (* -- live evaluation ------------------------------------------------------- *)
 
-let evaluate_inner ?clock ?depot ?ctx site env (input : input) : Predict.t =
+let evaluate_inner ?depot ?ctx site env (input : input) : Predict.t =
   let d = input.description in
   let disc = input.discovery in
   let decide_now ?stack ?libs () =
@@ -416,7 +416,7 @@ let evaluate_inner ?clock ?depot ?ctx site env (input : input) : Predict.t =
       let requested_impl = requested_impl_of d in
       let selection, probe_failures =
         if requested_impl = None then (None, [])
-        else select_stack ?clock ?ctx input site env candidates
+        else select_stack ?ctx input site env candidates
       in
       let stack_ev =
         {
@@ -443,7 +443,7 @@ let evaluate_inner ?clock ?depot ?ctx site env (input : input) : Predict.t =
           | Some (_, install) -> Modules_tool.load_stack env install
           | None -> env
         in
-        let missing = missing_libraries ?clock ?ctx input site session_env in
+        let missing = missing_libraries ?ctx input site session_env in
         if missing <> [] then
           Log.info (fun m ->
               m "missing shared libraries: %s" (String.concat ", " missing));
@@ -452,7 +452,7 @@ let evaluate_inner ?clock ?depot ?ctx site env (input : input) : Predict.t =
           | [], _ -> None
           | _ :: _, Some bundle ->
             Some
-              (Resolve_model.resolve ?clock ?depot input.config site session_env
+              (Resolve_model.resolve ?depot input.config site session_env
                  ~bundle
                  ~target_glibc:disc.Discovery.glibc
                  ~binary_machine:d.Description.machine
@@ -483,7 +483,7 @@ let evaluate_inner ?clock ?depot ?ctx site env (input : input) : Predict.t =
       in
       decide_now ~stack:stack_ev ~libs:libs_ev ()
 
-let evaluate ?clock ?depot ?ctx site env (input : input) : Predict.t =
+let evaluate ?depot ?ctx site env (input : input) : Predict.t =
   Feam_obs.Ledger.with_stage "tec.evaluate" @@ fun () ->
   Feam_obs.Trace.with_span "tec.evaluate"
     ~attrs:
@@ -496,7 +496,7 @@ let evaluate ?clock ?depot ?ctx site env (input : input) : Predict.t =
       Description.to_json input.description);
   Recorder.payload ~kind:"discovery" (fun () ->
       Discovery.to_json input.discovery);
-  let t = evaluate_inner ?clock ?depot ?ctx site env input in
+  let t = evaluate_inner ?depot ?ctx site env input in
   let outcome = if Predict.is_ready t then "ready" else "not_ready" in
   Recorder.decision ~determinant:"predict"
     ~verdict:(if Predict.is_ready t then "ready" else "not ready")

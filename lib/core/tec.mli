@@ -49,7 +49,6 @@ val decide :
     MPI-stack determinant goes through it; otherwise it probes every
     time. *)
 val evaluate :
-  ?clock:Feam_util.Sim_clock.t ->
   ?depot:Resolve_model.depot ->
   ?ctx:Eval_ctx.t ->
   Feam_sysmodel.Site.t ->

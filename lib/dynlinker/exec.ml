@@ -74,14 +74,14 @@ let isa_compatible ~binary_machine ~site_machine =
   binary_machine = site_machine
   || (binary_machine = Feam_elf.Types.I386 && site_machine = Feam_elf.Types.X86_64)
 
-let charge_attempt clock site mode queue =
+let charge_attempt site mode queue =
   let queue =
     match queue with
     | Some q -> q
     | None -> Batch.debug_queue (Site.batch site)
   in
-  Cost.charge clock queue.Batch.wait_seconds;
-  Cost.charge clock
+  Cost.charge queue.Batch.wait_seconds;
+  Cost.charge
     (match mode with Serial -> Cost.probe_run_serial | Mpi _ -> Cost.probe_run_mpi)
 
 (* ABI defect of one staged foreign library copy: deterministic in
@@ -119,10 +119,10 @@ let np_allowed rule np =
   | `Square -> is_square np
 
 (* One execution attempt. *)
-let attempt ?clock ?closures ?params ?queue site env ~binary_path ~mode
+let attempt ?closures ?params ?queue site env ~binary_path ~mode
     ~attempt_no =
   let params = Option.value params ~default:(Site.fault_model site) in
-  charge_attempt clock site mode queue;
+  charge_attempt site mode queue;
   let vfs = Site.vfs site in
   match Vfs.resolve_image vfs binary_path with
   | None when Vfs.exists vfs binary_path ->
@@ -289,13 +289,13 @@ let attempt ?clock ?closures ?params ?queue site env ~binary_path ~mode
 (* Full run with the paper's retry policy: up to [attempts] tries, spaced
    in time (we only charge the clock); classified failed only when every
    attempt fails.  Deterministic failures return immediately. *)
-let run ?clock ?closures ?params ?queue ?(attempts = 5) site env ~binary_path
+let run ?closures ?params ?queue ?(attempts = 5) site env ~binary_path
     ~mode =
   let rec go n last =
     if n > attempts then last
     else
       match
-        attempt ?clock ?closures ?params ?queue site env ~binary_path ~mode
+        attempt ?closures ?params ?queue site env ~binary_path ~mode
           ~attempt_no:n
       with
       | Success -> Success

@@ -48,7 +48,6 @@ val outcome_to_string : outcome -> string
     failures return immediately.  Each attempt's link phase resolves
     through [closures] when given ({!Resolve.run}). *)
 val run :
-  ?clock:Feam_util.Sim_clock.t ->
   ?closures:Resolve.memo ->
   ?params:params ->
   ?queue:Feam_sysmodel.Batch.queue ->

@@ -11,10 +11,10 @@ type error =
   | `No_such_file of string
   | `Not_dynamic of string ]
 
-let run ?clock ?closures site env path =
+let run ?closures site env path =
   if not (Site.tools site).Tools.ldd then Error (`Tool_unavailable "ldd")
   else begin
-    Cost.charge clock Cost.ldd_call;
+    Cost.charge Cost.ldd_call;
     let vfs = Site.vfs site in
     match Vfs.resolve_image vfs path with
     | None when Vfs.exists vfs path -> Error (`Not_dynamic path)

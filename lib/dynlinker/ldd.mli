@@ -10,7 +10,6 @@ type error =
 (** The resolution goes through [closures] when given
     ({!Resolve.run}). *)
 val run :
-  ?clock:Feam_util.Sim_clock.t ->
   ?closures:Resolve.memo ->
   Feam_sysmodel.Site.t ->
   Feam_sysmodel.Env.t ->

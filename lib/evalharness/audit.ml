@@ -46,7 +46,7 @@ let cell_of (m : Migrate.migration) =
     cell_extended = m.Migrate.extended_ready;
   }
 
-let build ?clock sites binaries migrations =
+let build sites binaries migrations =
   let store = Store.create () in
   let possession = Planner.Possession.create () in
   let referenced : (string, unit) Hashtbl.t = Hashtbl.create 256 in
@@ -71,7 +71,7 @@ let build ?clock sites binaries migrations =
   Feam_obs.Trace.with_span "audit.build" @@ fun () ->
   List.iter
     (fun (binary : Testset.binary) ->
-      match Migrate.source_bundle ?clock ~ctx binary with
+      match Migrate.source_bundle ~ctx binary with
       | Error _ -> ()
       | Ok bundle ->
         let home = Site.name binary.Testset.home in

@@ -30,14 +30,14 @@ type t = {
 
 let counter name = Option.value (Feam_obs.Metrics.counter_value name) ~default:0
 
-(* [run ?clock sites binaries] — intern every binary's bundle into a
+(* [run sites binaries] — intern every binary's bundle into a
    fresh shared store and plan every reported matrix cell
    ({!Migrate.targets}) against one possession index, in
    deterministic corpus order.  The source phases share one evaluation
    context: the same library image re-described across bundles parses
    once per site.  The describe memo's lookups are this run's own, a
    delta of the process-wide counters. *)
-let run ?clock sites binaries =
+let run sites binaries =
   let hits0 = counter "bdc.describe_cache.hit" in
   let misses0 = counter "bdc.describe_cache.miss" in
   let store = Store.create () in
@@ -47,7 +47,7 @@ let run ?clock sites binaries =
   let cells =
     List.concat_map
       (fun (binary : Testset.binary) ->
-        match Migrate.source_bundle ?clock ~ctx binary with
+        match Migrate.source_bundle ~ctx binary with
         | Error _ ->
           skipped := binary.Testset.id :: !skipped;
           []

@@ -28,7 +28,6 @@ type t = {
     {!Migrate.run_all}) in deterministic corpus order, as one
     evaluation pass ({!Feam_core.Eval_ctx}). *)
 val run :
-  ?clock:Feam_util.Sim_clock.t ->
   Feam_sysmodel.Site.t list ->
   Testset.binary list ->
   t

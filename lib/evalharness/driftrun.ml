@@ -97,7 +97,8 @@ let apply_perturbation sites p =
         (fun (path, { Vfs.kind; declared_size }) ->
           Vfs.add ~declared_size (Site.vfs site) path kind)
         removed
-  | _ -> Fun.id (* the drift draw only emits the two kinds above *)
+  | other (* the drift draw only emits the two kinds above *) ->
+    invalid_arg ("Driftrun: no drift epoch applies " ^ Scengen.perturbation_to_string other)
 
 type active = (perturbation * (unit -> unit)) list
 

@@ -70,7 +70,8 @@ type active = (perturbation * (unit -> unit)) list
     [p] is already active, undoes it: a removed library's files come
     back as they were stored, a stale cache gets back the flag it had
     before.  Returns the new active set and the epoch's label
-    ([perturbation_label], prefixed with ["undo "] for an undo). *)
+    ([perturbation_label], prefixed with ["undo "] for an undo).
+    @raise Invalid_argument naming any other kind than {!draw} emits. *)
 val toggle : Feam_sysmodel.Site.t list -> active -> perturbation -> active * string
 
 (** Fresh world (specs + testset, compiled before perturbations) with

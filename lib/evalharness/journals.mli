@@ -9,7 +9,6 @@ val sanitize : string -> string
     succeeds, the basic one otherwise); returns the name written.
     [ctx] is the evaluation pass's context. *)
 val journal_cell :
-  ?clock:Feam_util.Sim_clock.t ->
   ?ctx:Feam_core.Eval_ctx.t ->
   write:(name:string -> string -> unit) ->
   Testset.binary ->
@@ -22,7 +21,6 @@ val journal_cell :
     {!journal_cell}'s under {!Feam_core.Eval_ctx.reference}, with no
     cache.  Returns the journal names written. *)
 val write_cells :
-  ?clock:Feam_util.Sim_clock.t ->
   write:(name:string -> string -> unit) ->
   Feam_sysmodel.Site.t list ->
   Testset.binary list ->

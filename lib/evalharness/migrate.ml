@@ -93,8 +93,8 @@ let with_staged binary target f =
   f path
 
 (* The source phase at the binary's home, under its build stack. *)
-let source_bundle ?clock ?ctx binary =
-  Feam_core.Phases.source_phase ?clock ?ctx Feam_core.Config.default
+let source_bundle ?ctx binary =
+  Feam_core.Phases.source_phase ?ctx Feam_core.Config.default
     binary.Testset.home
     (Modules_tool.load_stack
        (Site.base_env binary.Testset.home)
@@ -113,11 +113,11 @@ let failed e = { ready = false; reasons = [ e ]; staged = []; stack = None }
 (* Basic prediction: target phase only, no bundle.  [stack] is the
    functioning stack FEAM found.  The phase runs in its own scope, so
    the steps that follow find the target as it was before. *)
-let basic_prediction ?clock ?ctx target staged_path =
+let basic_prediction ?ctx target staged_path =
   let open Feam_core in
   let basic =
     Vfs.scoped (Site.vfs target) @@ fun () ->
-    Phases.target_phase ?clock ?ctx Config.default target
+    Phases.target_phase ?ctx Config.default target
       (Site.base_env target) ~binary_path:staged_path ()
   in
   match basic with
@@ -135,14 +135,14 @@ let basic_prediction ?clock ?ctx target staged_path =
    [bundle_filter] transforms the bundle before the target phase.
    [stack] is the plan's chosen stack; [staged] the libraries resolved
    from the bundle. *)
-let extended_prediction ?clock ?ctx ?(bundle_filter = fun b -> b) binary
+let extended_prediction ?ctx ?(bundle_filter = fun b -> b) binary
     target staged_path =
   let open Feam_core in
   let extended =
-    match source_bundle ?clock ?ctx binary with
+    match source_bundle ?ctx binary with
     | Error e -> Error e
     | Ok bundle ->
-      Phases.target_phase ?clock ?ctx Config.default target
+      Phases.target_phase ?ctx Config.default target
         (Site.base_env target) ~bundle:(bundle_filter bundle)
         ~binary_path:staged_path ()
   in
@@ -195,7 +195,7 @@ let run_binary ?ctx (params : Params.t) binary target staged_path verdict =
 (* One migration: stage, basic prediction, the before-resolution run,
    extended prediction, the after-resolution run.  [bundle_filter] is
    the ablation study's hook to strip probes or library copies. *)
-let migrate ?clock ?ctx ?bundle_filter (params : Params.t) binary target =
+let migrate ?ctx ?bundle_filter (params : Params.t) binary target =
   (* One matrix cell in the cost ledger, named binary->site like the
      evaluation tables; the Prof timer sees the same work per target. *)
   Feam_obs.Ledger.with_cell
@@ -206,12 +206,12 @@ let migrate ?clock ?ctx ?bundle_filter (params : Params.t) binary target =
     "evalharness.migrate"
   @@ fun () ->
   with_staged binary target @@ fun staged_path ->
-  let basic = basic_prediction ?clock ?ctx target staged_path in
+  let basic = basic_prediction ?ctx target staged_path in
   (* Before resolution: the stack the basic prediction selected, no
      library fixes. *)
   let actual_before = run_binary ?ctx params binary target staged_path basic in
   let extended =
-    extended_prediction ?clock ?ctx ?bundle_filter binary target staged_path
+    extended_prediction ?ctx ?bundle_filter binary target staged_path
   in
   (* After resolution: FEAM's configuration applied. *)
   let actual_after =
@@ -241,11 +241,11 @@ let migrate ?clock ?ctx ?bundle_filter (params : Params.t) binary target =
    §21).  The memos are invisible in the results: the cells, the clock
    and the counters come out as a cell-by-cell run with no cache
    ([Eval_ctx.reference]) would. *)
-let run_all ?clock ?bundle_filter params sites binaries =
+let run_all ?bundle_filter params sites binaries =
   let ctx = Feam_core.Eval_ctx.create () in
   List.map
     (fun (binary, target) ->
-      migrate ?clock ~ctx ?bundle_filter params binary target)
+      migrate ~ctx ?bundle_filter params binary target)
     (cells sites binaries)
 
 let of_suite suite migrations =

@@ -63,7 +63,6 @@ val with_staged :
 (** The source phase at the binary's home site under its build stack.
     [ctx] is the evaluation pass's context, as for every step below. *)
 val source_bundle :
-  ?clock:Feam_util.Sim_clock.t ->
   ?ctx:Feam_core.Eval_ctx.t ->
   Testset.binary ->
   (Feam_core.Bundle.t, string) result
@@ -80,7 +79,6 @@ type verdict = {
 (** Basic prediction of the staged binary: the target phase without a
     bundle, in its own scope, so it leaves the target as it found it. *)
 val basic_prediction :
-  ?clock:Feam_util.Sim_clock.t ->
   ?ctx:Feam_core.Eval_ctx.t ->
   Feam_sysmodel.Site.t ->
   string ->
@@ -89,7 +87,6 @@ val basic_prediction :
 (** Extended prediction of the staged binary: {!source_bundle}, passed
     through [bundle_filter], then the target phase with the bundle. *)
 val extended_prediction :
-  ?clock:Feam_util.Sim_clock.t ->
   ?ctx:Feam_core.Eval_ctx.t ->
   ?bundle_filter:(Feam_core.Bundle.t -> Feam_core.Bundle.t) ->
   Testset.binary ->
@@ -102,7 +99,6 @@ val extended_prediction :
     run.  [bundle_filter] transforms the source-phase bundle before the
     extended target phase — the ablation study's hook. *)
 val migrate :
-  ?clock:Feam_util.Sim_clock.t ->
   ?ctx:Feam_core.Eval_ctx.t ->
   ?bundle_filter:(Feam_core.Bundle.t -> Feam_core.Bundle.t) ->
   Params.t ->
@@ -113,12 +109,11 @@ val migrate :
 (** All migrations of a corpus, one per {!cells} entry, as one
     evaluation pass: the cells share one {!Feam_core.Eval_ctx}, so each
     distinct MPI-stack determinant input is probed once and each library
-    image is described once per site.  The result, the [clock], the
-    world's build serial and every counter outside the cache families are
-    those of {!migrate} run cell by cell under
+    image is described once per site.  The result, the charges to the
+    clocks in scope, the world's build serial and every counter outside
+    the cache families are those of {!migrate} run cell by cell under
     {!Feam_core.Eval_ctx.reference}, with no cache. *)
 val run_all :
-  ?clock:Feam_util.Sim_clock.t ->
   ?bundle_filter:(Feam_core.Bundle.t -> Feam_core.Bundle.t) ->
   Params.t ->
   Feam_sysmodel.Site.t list ->

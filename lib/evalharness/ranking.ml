@@ -28,8 +28,8 @@ let evaluate_site config bundle target =
   let clock = Feam_util.Sim_clock.create () in
   let queue = Batch.debug_queue (Site.batch target) in
   match
-    Feam_core.Phases.target_phase ~clock config target (Site.base_env target)
-      ~bundle ()
+    Feam_util.Effects.with_clock clock @@ fun () ->
+    Feam_core.Phases.target_phase config target (Site.base_env target) ~bundle ()
   with
   | Error e ->
     {

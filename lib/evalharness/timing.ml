@@ -34,7 +34,7 @@ let time_migration binary target =
   let bundle =
     Feam_obs.with_sim_phase ~name:"eval.source_phase" ~metric:phase_metric
       ~phase:"source" source_clock
-    @@ fun () -> Migrate.source_bundle ~clock:source_clock binary
+    @@ fun () -> Migrate.source_bundle binary
   in
   let target_clock = Sim_clock.create () in
   Feam_obs.with_sim_phase ~name:"eval.target_phase" ~metric:phase_metric
@@ -43,8 +43,7 @@ let time_migration binary target =
   (match bundle with
   | Ok bundle ->
     ignore
-      (Feam_core.Phases.target_phase ~clock:target_clock
-         Feam_core.Config.default target
+      (Feam_core.Phases.target_phase Feam_core.Config.default target
          (Site.base_env target) ~bundle ())
   | Error _ -> ());
   {

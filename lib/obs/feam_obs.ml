@@ -75,14 +75,14 @@ let reset () =
    budget (§VI.C). *)
 let sim_seconds_bounds = [| 0.1; 1.0; 5.0; 15.0; 60.0; 300.0 |]
 
-(* Run [f] under a span named [name], attributing the simulated seconds
-   it charges to [sim] both as a span attribute and as a sample of the
-   [metric]{phase=[phase]} histogram — the shared shape of every
-   evaluation-harness phase timer. *)
+(* Run [f] under a span named [name] with [sim] in scope, attributing
+   the simulated seconds it charges both as a span attribute and as a
+   sample of the [metric]{phase=[phase]} histogram — the shared shape of
+   every evaluation-harness phase timer. *)
 let with_sim_phase ~name ~metric ~phase sim f =
   Trace.with_span name @@ fun () ->
   let before = Feam_util.Sim_clock.elapsed sim in
-  let result = f () in
+  let result = Feam_util.Effects.with_clock sim f in
   let spent = Feam_util.Sim_clock.elapsed sim -. before in
   Trace.set_attr "sim_s" (Span.Float spent);
   Metrics.observe

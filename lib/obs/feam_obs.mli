@@ -41,9 +41,9 @@ val flush : unit -> unit
 val reset : unit -> unit
 
 (** [with_sim_phase ~name ~metric ~phase sim f] runs [f] under a span
-    named [name], recording the simulated seconds it charges to [sim]
-    as the span's [sim_s] attribute and as a sample of the
-    [metric{phase}] histogram. *)
+    named [name] with [sim] in scope ({!Feam_util.Effects.with_clock}),
+    recording the simulated seconds it charges as the span's [sim_s]
+    attribute and as a sample of the [metric{phase}] histogram. *)
 val with_sim_phase :
   name:string ->
   metric:string ->

@@ -1,5 +1,5 @@
-(* Simulated durations of site operations, in seconds.  Charged to a
-   {!Feam_util.Sim_clock} so the evaluation can report FEAM phase
+(* Simulated durations of site operations, in seconds.  Charged to the
+   {!Feam_util.Sim_clock}s in scope so the evaluation can report FEAM phase
    durations (paper §VI.C: each phase under five minutes, dominated by
    probe runs through the batch queue). *)
 
@@ -15,12 +15,8 @@ let probe_run_mpi = 8.0       (* MPI probe execution once scheduled *)
 let copy_per_mb = 0.02        (* staging a shared-library copy *)
 let bundle_pack_base = 3.0    (* tar/ssh overhead for the source bundle *)
 
-(* The only charge in lib/: a running effect capture notes it, also
-   with no clock, so a memo entry a clockless caller made still charges
-   a later caller's clock on a hit. *)
-let charge clock seconds =
-  (match clock with
-  | None -> ()
-  | Some c -> Feam_util.Sim_clock.charge c seconds);
+(* The only charge in lib/: every clock in scope takes it, and every
+   running tape keeps it for a memo hit to charge again. *)
+let charge seconds =
   if Feam_util.Effects.capturing () then
     Feam_util.Effects.(note (Charge seconds))

@@ -1,5 +1,5 @@
-(** Simulated durations of site operations, in seconds, charged to a
-    {!Feam_util.Sim_clock} (paper §VI.C timing). *)
+(** Simulated durations of site operations, in seconds, charged to the
+    {!Feam_util.Sim_clock}s in scope (paper §VI.C timing). *)
 
 val tool_call : float
 val ldd_call : float
@@ -13,7 +13,8 @@ val probe_run_mpi : float
 val copy_per_mb : float
 val bundle_pack_base : float
 
-(** Charge a duration to an optional clock.  A running
-    {!Feam_util.Effects.capture} notes a [Charge] either way, so a memo
-    hit can charge its caller's clock what the miss charged. *)
-val charge : Feam_util.Sim_clock.t option -> float -> unit
+(** Charge a duration to every clock in scope
+    ({!Feam_util.Effects.with_clock}) and note it on every running
+    {!Feam_util.Effects.capture}.  With neither open it costs one
+    allocation-free test. *)
+val charge : float -> unit

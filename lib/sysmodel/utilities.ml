@@ -45,11 +45,11 @@ let parse_elf site path =
 (* `objdump -p PATH`: file format line, Dynamic Section, Version
    References and Version definitions — the BDC's primary information
    source. *)
-let objdump_p ?clock site path =
+let objdump_p site path =
   if not (Site.tools site).Tools.objdump then
     Error (`Tool_unavailable "objdump")
   else begin
-    Cost.charge clock Cost.tool_call;
+    Cost.charge Cost.tool_call;
     match parse_elf site path with
     | Error _ as e -> e
     | Ok parsed ->
@@ -118,8 +118,8 @@ let objdump_p ?clock site path =
 
 (* `file PATH`: always available (file(1) is ubiquitous); the BDC's
    fallback for format/ISA identification when objdump is absent. *)
-let file_cmd ?clock site path =
-  Cost.charge clock Cost.tool_call;
+let file_cmd site path =
+  Cost.charge Cost.tool_call;
   match Vfs.find (Site.vfs site) path with
   | None -> Error (`No_such_file path)
   | Some { Vfs.kind = Vfs.Script _; _ } ->
@@ -145,11 +145,11 @@ let file_cmd ?clock site path =
            (machine_name spec.Feam_elf.Spec.machine)))
 
 (* `readelf -p .comment PATH`. *)
-let readelf_comment ?clock site path =
+let readelf_comment site path =
   if not (Site.tools site).Tools.readelf then
     Error (`Tool_unavailable "readelf")
   else begin
-    Cost.charge clock Cost.tool_call;
+    Cost.charge Cost.tool_call;
     match parse_elf site path with
     | Error _ as e -> e
     | Ok parsed ->
@@ -171,16 +171,16 @@ let readelf_comment ?clock site path =
   end
 
 (* `uname -p`. *)
-let uname_p ?clock site =
+let uname_p site =
   if not (Site.tools site).Tools.uname then Error (`Tool_unavailable "uname")
   else begin
-    Cost.charge clock Cost.tool_call;
+    Cost.charge Cost.tool_call;
     Ok (Feam_elf.Types.machine_uname (Site.machine site))
   end
 
 (* `cat /proc/version`, always available. *)
-let proc_version ?clock site =
-  Cost.charge clock Cost.tool_call;
+let proc_version site =
+  Cost.charge Cost.tool_call;
   Distro.proc_version (Site.distro site) ~machine:(Site.machine site)
 
 let release_files =
@@ -188,8 +188,8 @@ let release_files =
 
 (* `cat /etc/*release`, reading whatever release files the site's vfs
    holds. *)
-let etc_release ?clock site =
-  Cost.charge clock Cost.tool_call;
+let etc_release site =
+  Cost.charge Cost.tool_call;
   let vfs = Site.vfs site in
   release_files
   |> List.filter_map (fun p ->
@@ -199,21 +199,21 @@ let etc_release ?clock site =
 
 (* `locate NAME`: every path in the (virtual) locate database whose
    basename starts with NAME. *)
-let locate ?clock site name =
+let locate site name =
   if not (Site.tools site).Tools.locate then
     Error (`Tool_unavailable "locate")
   else begin
-    Cost.charge clock Cost.locate_query;
+    Cost.charge Cost.locate_query;
     Ok
       (Vfs.find_by_basename (Site.vfs site) (fun base ->
            String.starts_with ~prefix:name base))
   end
 
 (* `find DIR -name NAME*`: search specific directories. *)
-let find_in_dirs ?clock site dirs name =
+let find_in_dirs site dirs name =
   if not (Site.tools site).Tools.find then Error (`Tool_unavailable "find")
   else begin
-    Cost.charge clock Cost.find_walk;
+    Cost.charge Cost.find_walk;
     let vfs = Site.vfs site in
     Ok
       (List.concat_map
@@ -226,8 +226,8 @@ let find_in_dirs ?clock site dirs name =
 (* Identify the site's C library binary and its version banner.  Running
    libc.so.6 on a command line prints a banner whose first line carries
    the version; that is what the EDC parses (paper §V.B). *)
-let glibc_banner ?clock site =
-  Cost.charge clock Cost.tool_call;
+let glibc_banner site =
+  Cost.charge Cost.tool_call;
   Printf.sprintf
     "GNU C Library stable release version %s, by Roland McGrath et al.\n\
      Compiled by GNU CC version 4.1.2.\n"
@@ -243,7 +243,7 @@ let libc_candidates site =
   match Site.bits site with `B64 -> libc_64 | `B32 -> libc_32
 
 (* Locate libc.so.6 in the site's default library directories. *)
-let find_libc ?clock site =
-  Cost.charge clock Cost.tool_call;
+let find_libc site =
+  Cost.charge Cost.tool_call;
   let vfs = Site.vfs site in
   List.find_opt (Vfs.exists vfs) (libc_candidates site)

@@ -18,41 +18,39 @@ val error_to_string : error -> string
 (** `objdump -p PATH`: format line, Dynamic Section, Version
     References/definitions — the BDC's primary information source. *)
 val objdump_p :
-  ?clock:Feam_util.Sim_clock.t -> Site.t -> string -> (string, error) result
+  Site.t -> string -> (string, error) result
 
 (** `file PATH`: always available; the BDC's fallback for format/ISA
     identification. *)
 val file_cmd :
-  ?clock:Feam_util.Sim_clock.t -> Site.t -> string -> (string, error) result
+  Site.t -> string -> (string, error) result
 
 (** `readelf -p .comment PATH`. *)
 val readelf_comment :
-  ?clock:Feam_util.Sim_clock.t -> Site.t -> string -> (string, error) result
+  Site.t -> string -> (string, error) result
 
 (** `uname -p`. *)
 val uname_p :
-  ?clock:Feam_util.Sim_clock.t -> Site.t -> (string, error) result
+  Site.t -> (string, error) result
 
 (** `cat /proc/version` (always available). *)
-val proc_version : ?clock:Feam_util.Sim_clock.t -> Site.t -> string
+val proc_version : Site.t -> string
 
 (** The /etc/*release files {!etc_release} reads. *)
 val release_files : string list
 
 (** Contents of the /etc/*release files present at the site. *)
 val etc_release :
-  ?clock:Feam_util.Sim_clock.t -> Site.t -> (string * string) list
+  Site.t -> (string * string) list
 
 (** `locate NAME`: paths whose basename starts with NAME. *)
 val locate :
-  ?clock:Feam_util.Sim_clock.t ->
   Site.t ->
   string ->
   (string list, error) result
 
 (** `find DIR... -name NAME*`. *)
 val find_in_dirs :
-  ?clock:Feam_util.Sim_clock.t ->
   Site.t ->
   string list ->
   string ->
@@ -60,11 +58,11 @@ val find_in_dirs :
 
 (** The banner the C library binary prints when executed; the EDC parses
     the version out of it (paper §V.B). *)
-val glibc_banner : ?clock:Feam_util.Sim_clock.t -> Site.t -> string
+val glibc_banner : Site.t -> string
 
 (** The paths {!find_libc} tries, in order: libc.so.6 in each of the
     site's default library directories. *)
 val libc_candidates : Site.t -> string list
 
 (** Locate libc.so.6 in the site's default library directories. *)
-val find_libc : ?clock:Feam_util.Sim_clock.t -> Site.t -> string option
+val find_libc : Site.t -> string option

@@ -222,9 +222,9 @@ let build_image ?templates ?stack site ~needed ~compiler program =
     t.provenance;
   t.image
 
-(* [compile_mpi ?clock ?templates site install program] — run the
+(* [compile_mpi ?templates site install program] — run the
    stack's compiler wrapper on [program] at [site]. *)
-let compile_mpi ?clock ?templates site install program =
+let compile_mpi ?templates site install program =
   let stack = Stack_install.stack install in
   let wrapper =
     match program.language with Stack.C -> "mpicc" | Stack.Fortran -> "mpif90"
@@ -233,7 +233,7 @@ let compile_mpi ?clock ?templates site install program =
   if not (Vfs.exists (Site.vfs site) wrapper_path) then
     Error (Wrapper_missing wrapper)
   else begin
-    Cost.charge clock Cost.compile_mpi;
+    Cost.charge Cost.compile_mpi;
     let needed =
       List.map Soname.to_string
         (Stack.needed_libs stack program.language @ program.extra_libs)
@@ -244,12 +244,12 @@ let compile_mpi ?clock ?templates site install program =
          ~compiler:(Stack.compiler stack) program)
   end
 
-(* [compile_serial ?clock site program] — native `cc` on the login node,
+(* [compile_serial site program] — native `cc` on the login node,
    used for probe programs.  Requires a native compiler. *)
-let compile_serial ?clock site program =
+let compile_serial site program =
   if not (Site.tools site).Tools.c_compiler then Error Compiler_unavailable
   else begin
-    Cost.charge clock Cost.compile_serial;
+    Cost.charge Cost.compile_serial;
     let compiler = Provision.distro_compiler site in
     let needed = List.map Soname.to_string program.extra_libs @ base_needed in
     Ok (build_image site ~needed ~compiler program)
@@ -260,8 +260,8 @@ let declared_size program =
 
 (* Compile and install the binary into the site's filesystem (a user's
    home or scratch directory), returning its path. *)
-let compile_mpi_to ?clock ?templates site install program ~dir =
-  match compile_mpi ?clock ?templates site install program with
+let compile_mpi_to ?templates site install program ~dir =
+  match compile_mpi ?templates site install program with
   | Error _ as e -> e
   | Ok image ->
     let path = dir ^ "/" ^ program.prog_name in

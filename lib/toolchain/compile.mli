@@ -65,7 +65,6 @@ val create_templates : unit -> templates
     handle.  With [templates], a probe's template is looked up there,
     and made and kept on a miss; any other program builds anew. *)
 val compile_mpi :
-  ?clock:Feam_util.Sim_clock.t ->
   ?templates:templates ->
   Feam_sysmodel.Site.t ->
   Feam_sysmodel.Stack_install.t ->
@@ -74,7 +73,6 @@ val compile_mpi :
 
 (** Native serial compile (probe programs); needs a native compiler. *)
 val compile_serial :
-  ?clock:Feam_util.Sim_clock.t ->
   Feam_sysmodel.Site.t ->
   program ->
   (Feam_elf.Reader.image, error) result
@@ -85,7 +83,6 @@ val declared_size : program -> int
 (** Compile and install the binary into the site filesystem; returns its
     path. *)
 val compile_mpi_to :
-  ?clock:Feam_util.Sim_clock.t ->
   ?templates:templates ->
   Feam_sysmodel.Site.t ->
   Feam_sysmodel.Stack_install.t ->

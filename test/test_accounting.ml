@@ -1,5 +1,5 @@
-(* Cost-accounting tests: every simulated operation charges the clock it
-   is given, retries multiply the charge, and the paper-facing tables
+(* Cost-accounting tests: every simulated operation charges the clock in
+   scope, retries multiply the charge, and the paper-facing tables
    render. *)
 
 open Feam_sysmodel
@@ -14,17 +14,19 @@ let test_exec_charges_per_attempt () =
   (* one successful attempt charges one queue wait + one MPI run *)
   let clock = Sim_clock.create () in
   ignore
-    (Feam_dynlinker.Exec.run ~clock ~params:Fault_model.none site env
-       ~binary_path:path ~mode:(Feam_dynlinker.Exec.Mpi 4));
+    ( Effects.with_clock clock @@ fun () ->
+      Feam_dynlinker.Exec.run ~params:Fault_model.none site env
+        ~binary_path:path ~mode:(Feam_dynlinker.Exec.Mpi 4) );
   Alcotest.(check (float 1e-6)) "one attempt"
     (queue_wait +. Cost.probe_run_mpi)
     (Sim_clock.elapsed clock);
   (* a sticky system error exhausts all five attempts *)
   let clock = Sim_clock.create () in
   ignore
-    (Feam_dynlinker.Exec.run ~clock
-       ~params:{ Fault_model.none with Fault_model.p_sticky = 1.0 }
-       site env ~binary_path:path ~mode:(Feam_dynlinker.Exec.Mpi 4));
+    ( Effects.with_clock clock @@ fun () ->
+      Feam_dynlinker.Exec.run
+        ~params:{ Fault_model.none with Fault_model.p_sticky = 1.0 }
+        site env ~binary_path:path ~mode:(Feam_dynlinker.Exec.Mpi 4) );
   Alcotest.(check (float 1e-6)) "five attempts"
     (5.0 *. (queue_wait +. Cost.probe_run_mpi))
     (Sim_clock.elapsed clock)
@@ -40,8 +42,9 @@ let test_source_phase_charges_copies () =
   let clock = Sim_clock.create () in
   let bundle =
     Fixtures.run_exn
-      (Feam_core.Phases.source_phase ~clock Feam_core.Config.default site env
-         ~binary_path:path)
+      ( Effects.with_clock clock @@ fun () ->
+        Feam_core.Phases.source_phase Feam_core.Config.default site env
+          ~binary_path:path )
   in
   let elapsed = Sim_clock.elapsed clock in
   let copy_cost =

@@ -159,8 +159,9 @@ let test_probe_queue_selection () =
   let run config =
     let clock = Feam_util.Sim_clock.create () in
     ignore
-      (Probe.test_stack ~clock config site (Site.base_env site) install
-         ~bundle:None ~target_glibc:None);
+      ( Feam_util.Effects.with_clock clock @@ fun () ->
+        Probe.test_stack config site (Site.base_env site) install ~bundle:None
+          ~target_glibc:None );
     Feam_util.Sim_clock.elapsed clock
   in
   Alcotest.(check bool) "wide queue costs more" true

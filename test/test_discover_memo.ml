@@ -4,8 +4,9 @@
    a hit must redo; the guard test pins that a scoped write discovery
    reads is never served stale.  Also here: the effect tape every memo
    keeps (nested captures, which a discovery missed inside a
-   source-phase miss needs, the counter rule and clockless misses), and
-   the describe memo's tape and the tool flags in its key. *)
+   source-phase miss needs, the counter rule and charges under a clock's
+   scope), a miss that raises, and the describe memo's tape and the
+   tool flags in its key. *)
 
 open Feam_sysmodel
 module Edc = Feam_core.Edc
@@ -75,7 +76,7 @@ let journaled discover =
   let clock = Feam_util.Sim_clock.create () in
   let labels = [ ("env", "target") ] in
   let before = counter ~labels "edc.discoveries" in
-  let d = discover ~clock in
+  let d = Effects.with_clock clock discover in
   Recorder.flush ();
   ( render d,
     Feam_util.Sim_clock.elapsed clock,
@@ -85,7 +86,7 @@ let journaled discover =
 let test_hit_replays () =
   let site, _ = Fixtures.small_site () in
   let env = Site.base_env site in
-  let discover ctx ~clock = Edc.discover ~clock ~ctx ~env_type:`Target site env in
+  let discover ctx () = Edc.discover ~ctx ~env_type:`Target site env in
   let ctx = Eval_ctx.create () in
   let reference = journaled (discover Eval_ctx.reference) in
   let miss = journaled (discover ctx) in
@@ -163,14 +164,14 @@ let test_captures_nest () =
     Effects.capture @@ fun () ->
     Metrics.incr "a.before";
     Recorder.record "before";
-    Cost.charge None 0.5;
+    Cost.charge 0.5;
     (* counts real work: on no tape *)
     Metrics.incr "a.memo.hit";
     let (), inner =
       Effects.capture @@ fun () ->
       Metrics.incr ~by:2 "b.inner";
       Recorder.record "inner";
-      Cost.charge (Some clock) 0.25
+      Effects.with_clock clock (fun () -> Cost.charge 0.25)
     in
     (* a raising inner capture: what it did before raising stays with
        the outer one, and the outer keeps capturing *)
@@ -181,7 +182,8 @@ let test_captures_nest () =
               Recorder.record "raised";
               failwith "inner"))
      with Failure _ -> ());
-    Feam_core.Pass_memo.replay ~clock { value = (); effects = inner };
+    Effects.with_clock clock (fun () ->
+        Feam_core.Pass_memo.replay { value = (); effects = inner });
     Metrics.incr "a.after";
     inner
   in
@@ -226,25 +228,97 @@ let test_hit_replays_any_counter () =
   Alcotest.(check int) "a cache counter counts real work" 1
     (counter "test.cache.miss")
 
-(* An entry made with no clock charges a later hit's clock what a
-   reference discovery charges. *)
-let test_clockless_miss_charges_hit () =
+(* A hit inside a clock's scope charges that clock what its miss
+   charged the clock in scope at the miss, and what a reference
+   discovery charges; so does a hit after a miss outside every scope,
+   whose tape still kept the charges. *)
+let test_hit_in_scope_charges_miss () =
   let site, _ = Fixtures.small_site () in
   let env = Site.base_env site in
   let ctx = Eval_ctx.create () in
   let charged ctx =
     let clock = Feam_util.Sim_clock.create () in
-    ignore (Edc.discover ~clock ~ctx ~env_type:`Target site env : Feam_core.Discovery.t);
+    Effects.with_clock clock (fun () ->
+        ignore (Edc.discover ~ctx ~env_type:`Target site env : Feam_core.Discovery.t));
     Feam_util.Sim_clock.elapsed clock
   in
-  ignore (Edc.discover ~ctx ~env_type:`Target site env : Feam_core.Discovery.t);
+  let miss = charged ctx in
   let hits = counter "edc.discover_memo.hit" in
   let hit = charged ctx in
-  Alcotest.(check int) "the clocked lookup hits" 1
+  Alcotest.(check int) "the second lookup hits" 1
     (counter "edc.discover_memo.hit" - hits);
   let reference = charged Eval_ctx.reference in
   Alcotest.(check bool) "the reference charged its tools" true (reference > 0.0);
-  Alcotest.(check (float 0.0)) "the hit charges what the miss did" reference hit
+  Alcotest.(check (float 0.0)) "the miss charges what the reference did" reference miss;
+  Alcotest.(check (float 0.0)) "the hit charges what the miss did" miss hit;
+  let unscoped = Eval_ctx.create () in
+  ignore (Edc.discover ~ctx:unscoped ~env_type:`Target site env : Feam_core.Discovery.t);
+  Alcotest.(check (float 0.0)) "a hit after a miss outside every scope" reference
+    (charged unscoped)
+
+(* -- a miss that raises ---------------------------------------------------- *)
+
+(* A source-phase computation that raises keeps no entry: the next
+   lookup misses again, runs its computation and returns its value. *)
+let test_raising_source_miss_keeps_no_entry () =
+  let site, _ = Fixtures.small_site () in
+  let memo = Feam_core.Pass_memo.create () in
+  let lookup source =
+    Feam_core.Pass_memo.find_or_source memo ~config:Feam_core.Config.default
+      site (Site.base_env site) ~binary_path:"/home/user/app" ~image:None source
+  in
+  Metrics.reset ();
+  Alcotest.check_raises "the first computation raises" (Failure "source")
+    (fun () -> ignore (lookup (fun () -> failwith "source")));
+  let ran = ref false in
+  let second =
+    lookup (fun () ->
+        ran := true;
+        Error "second")
+  in
+  Alcotest.(check int) "the second lookup misses too" 2
+    (counter "phases.source_memo.miss");
+  Alcotest.(check int) "and hits nothing" 0 (counter "phases.source_memo.hit");
+  Alcotest.(check bool) "it runs its computation" true !ran;
+  Alcotest.(check bool) "and returns its value" true
+    (match second with Error "second" -> true | _ -> false)
+
+(* A describe whose objdump run raises keeps no entry in the describe
+   memo.  Here a trace sink fails as the objdump span closes, which the
+   span's unwinding reports as [Fun.Finally_raised]. *)
+let test_raising_describe_miss_keeps_no_entry () =
+  let site, installs = Fixtures.small_site () in
+  let path, install = Fixtures.compiled_binary site installs in
+  let env = Fixtures.session_env site install in
+  let ctx = Eval_ctx.create () in
+  let describe () =
+    Fixtures.run_exn (Feam_core.Bdc.describe ~ctx site env ~path)
+  in
+  let fail_objdump = ref true in
+  Feam_obs.Trace.configure
+    {
+      Feam_obs.Sink.on_span =
+        (fun span ->
+          if !fail_objdump && span.Feam_obs.Span.name = "bdc.objdump_describe"
+          then failwith "sink");
+      flush = ignore;
+    };
+  Fun.protect ~finally:Feam_obs.Trace.disable @@ fun () ->
+  Metrics.reset ();
+  Alcotest.check_raises "the first describe raises"
+    (Fun.Finally_raised (Failure "sink"))
+    (fun () -> ignore (describe () : Feam_core.Description.t));
+  fail_objdump := false;
+  let second = describe () in
+  Alcotest.(check int) "the second describe misses too" 2
+    (counter "bdc.describe_cache.miss");
+  Alcotest.(check int) "and hits nothing" 0 (counter "bdc.describe_cache.hit");
+  Alcotest.(check string) "it returns a reference description"
+    (Json.render
+       (Feam_core.Description.to_json
+          (Fixtures.run_exn
+             (Feam_core.Bdc.describe ~ctx:Eval_ctx.reference site env ~path))))
+    (Json.render (Feam_core.Description.to_json second))
 
 (* The describe memo's key has no recorder flag, so its tapes must hold
    no record, also when the miss ran with the recorder on. *)
@@ -290,8 +364,9 @@ let describe_each ctx ~install ~path sites =
     let clock = Feam_util.Sim_clock.create () in
     let d =
       Fixtures.run_exn
-        (Feam_core.Bdc.describe ~clock ~ctx site
-           (Fixtures.session_env site install) ~path)
+        ( Effects.with_clock clock @@ fun () ->
+          Feam_core.Bdc.describe ~ctx site (Fixtures.session_env site install)
+            ~path )
     in
     Recorder.flush ();
     ( Json.render (Feam_core.Description.to_json d),
@@ -368,8 +443,12 @@ let suite =
         test_captures_nest;
       Alcotest.test_case "a hit replays a counter no list names" `Quick
         test_hit_replays_any_counter;
-      Alcotest.test_case "a clockless miss charges a later hit" `Quick
-        test_clockless_miss_charges_hit;
+      Alcotest.test_case "a hit in a scope charges what its miss did" `Quick
+        test_hit_in_scope_charges_miss;
+      Alcotest.test_case "a source miss that raises keeps no entry" `Quick
+        test_raising_source_miss_keeps_no_entry;
+      Alcotest.test_case "a describe miss that raises keeps no entry" `Quick
+        test_raising_describe_miss_keeps_no_entry;
       Alcotest.test_case "a describe tape holds no record" `Quick
         test_describe_tape_holds_no_record;
       Alcotest.test_case "the describe memo keys on the site" `Quick

@@ -709,6 +709,26 @@ let test_timeline_rules_parse () =
     Alcotest.(check bool) "error carries the line number" true
       (contains ~affix:"line 1" e)
 
+(* A kind no drift epoch applies raises, naming it, and changes no site
+   and no active set. *)
+let test_toggle_rejects_unsupported_kind () =
+  let specs, benchmarks = Lazy.force small_world in
+  let sites, _ = Driftrun.build_world params specs benchmarks [] in
+  let before = Fixtures.site_digest sites in
+  let p =
+    {
+      Driftrun.pe_site = Feam_sysmodel.Site.name (List.hd sites);
+      pe_what = Scengen.Drop_stack;
+    }
+  in
+  Alcotest.check_raises "Drop_stack is refused"
+    (Invalid_argument
+       ("Driftrun: no drift epoch applies "
+       ^ Scengen.perturbation_to_string Scengen.Drop_stack))
+    (fun () -> ignore (Driftrun.toggle sites [] p : Driftrun.active * string));
+  Alcotest.(check (list string)) "no site changed" before
+    (Fixtures.site_digest sites)
+
 let suite =
   ( "drift",
     [
@@ -735,6 +755,8 @@ let suite =
         `Slow test_live_world_equals_rebuilt;
       Alcotest.test_case "an epoch reruns source phases only at the changed home"
         `Slow test_epoch_reruns_changed_home_only;
+      Alcotest.test_case "toggle refuses a kind drift does not apply" `Quick
+        test_toggle_rejects_unsupported_kind;
       Alcotest.test_case "timeline history round-trip" `Quick
         test_timeline_roundtrip;
       Alcotest.test_case "alert rules and the exit-code gate" `Quick

@@ -205,7 +205,7 @@ let test_with_sim_phase () =
   Trace.configure sink;
   let sim = Feam_util.Sim_clock.create () in
   Feam_obs.with_sim_phase ~name:"t.phase" ~metric:"t.phase_s" ~phase:"source"
-    sim (fun () -> Feam_util.Sim_clock.charge sim 2.5);
+    sim (fun () -> Feam_sysmodel.Cost.charge 2.5);
   Trace.disable ();
   (match collected spans with
   | [ s ] -> (

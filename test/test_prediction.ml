@@ -355,12 +355,14 @@ let test_phase_timing_bound () =
   let env = Fixtures.session_env home home_install in
   let bundle =
     Fixtures.run_exn
-      (Phases.source_phase ~clock config home env ~binary_path:home_path)
+      ( Effects.with_clock clock @@ fun () ->
+        Phases.source_phase config home env ~binary_path:home_path )
   in
   Alcotest.(check bool) "source under 5 min" true (Sim_clock.elapsed clock < 300.0);
   let clock2 = Sim_clock.create () in
   ignore
-    (Phases.target_phase ~clock:clock2 config target (Site.base_env target) ~bundle ());
+    ( Effects.with_clock clock2 @@ fun () ->
+      Phases.target_phase config target (Site.base_env target) ~bundle () );
   Alcotest.(check bool) "target under 5 min" true (Sim_clock.elapsed clock2 < 300.0)
 
 let suite =

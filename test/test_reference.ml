@@ -83,7 +83,11 @@ let matrix seed evaluate =
   side @@ fun () ->
   let params, sites, binaries = world seed in
   let clock = Feam_util.Sim_clock.create () in
-  let cells = List.map cell_line (evaluate ~clock params sites binaries) in
+  let cells =
+    List.map cell_line
+      (Feam_util.Effects.with_clock clock @@ fun () ->
+       evaluate params sites binaries)
+  in
   String.concat "\n"
     (cells
     @ [ Printf.sprintf "clock %h" (Feam_util.Sim_clock.elapsed clock);
@@ -95,10 +99,10 @@ let matrix seed evaluate =
 
 let test_matrix seed () =
   leg (Printf.sprintf "matrix, seed %d" seed)
-    (matrix seed (fun ~clock params -> Migrate.run_all ~clock params))
-    (matrix seed (fun ~clock params sites binaries ->
+    (matrix seed (fun params -> Migrate.run_all params))
+    (matrix seed (fun params sites binaries ->
          List.map
-           (fun (b, t) -> Migrate.migrate ~clock ~ctx:Eval_ctx.reference params b t)
+           (fun (b, t) -> Migrate.migrate ~ctx:Eval_ctx.reference params b t)
            (Migrate.cells sites binaries)))
 
 (* (b) Journals.write_cells against journal_cell one cell at a time. *)
@@ -144,10 +148,37 @@ let test_agree seed () =
          List.init count (fun index ->
              Harness.run_one ~ctx:Eval_ctx.reference (Scengen.build ~seed ~index ()))))
 
+(* A clock in scope changes nothing but the clock: a [Migrate.run_all]
+   pass inside one and a pass outside every scope give the same cells,
+   journal and work counters. *)
+let test_clock_scope_is_invisible () =
+  let pass clocked =
+    Metrics.reset ();
+    let journal = ref "" in
+    Recorder.configure ~tool:"test" ~emit:(( := ) journal) ();
+    Fun.protect ~finally:Recorder.disable @@ fun () ->
+    let params, sites, binaries = world 42 in
+    let run () = Migrate.run_all params sites binaries in
+    let clock = Feam_util.Sim_clock.create () in
+    let cells = if clocked then Feam_util.Effects.with_clock clock run else run () in
+    Recorder.flush ();
+    ( String.concat "\n" (List.map cell_line cells @ (!journal :: work_counters ())),
+      Feam_util.Sim_clock.elapsed clock )
+  in
+  let scoped, charged = pass true in
+  let unscoped, _ = pass false in
+  Alcotest.(check bool) "the scope's clock was charged" true (charged > 0.0);
+  Alcotest.(check bool) "the pass journaled" true (String.length scoped > 100_000);
+  Alcotest.(check bool) "the cells, journal and counters are the same bytes" true
+    (String.equal scoped unscoped)
+
 let suite =
   let case seed (name, test) =
     Alcotest.test_case (Printf.sprintf "seed %d: %s equals the reference" seed name) `Slow
       (test seed)
   in
   let legs = [ ("run_all", test_matrix); ("write_cells", test_journals); ("run_corpus", test_agree) ] in
-  ("reference", List.concat_map (fun seed -> List.map (case seed) legs) [ 42; 7 ])
+  ( "reference",
+    List.concat_map (fun seed -> List.map (case seed) legs) [ 42; 7 ]
+    @ [ Alcotest.test_case "seed 42: a clock in scope leaves run_all's output as it is"
+          `Slow test_clock_scope_is_invisible ] )

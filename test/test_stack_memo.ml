@@ -107,12 +107,13 @@ let test_hit_redoes_effects () =
     Feam_flightrec.Recorder.evidence ~stage:"probe" ~kind:"test_stack" (fun () -> []);
     Metrics.incr "edc.probe_successes";
     Metrics.incr "elf.parse_memo.miss";
-    Cost.charge (Some clock) 0.1;
-    Cost.charge (Some clock) 0.2;
+    Cost.charge 0.1;
+    Cost.charge 0.2;
     (None, [ ("stack", "why") ])
   in
   let lookup bundle =
-    Pass_memo.find_or_probe memo ~clock ~config:Feam_core.Config.default
+    Feam_util.Effects.with_clock clock @@ fun () ->
+    Pass_memo.find_or_probe memo ~config:Feam_core.Config.default
       target (Site.base_env target) ~bundle:(Some bundle) ~target_glibc:None
       ~candidates:[] work
   in

@@ -1,4 +1,5 @@
-(* Tests for the remaining Feam_util modules: Prng, Table, Sim_clock. *)
+(* Tests for the remaining Feam_util modules: Prng, Table, Sim_clock and
+   a clock's scope on the effect stack. *)
 
 open Feam_util
 
@@ -115,6 +116,54 @@ let test_clock_render () =
   Sim_clock.charge d 3.25;
   Alcotest.(check string) "seconds" "3.2s" (Sim_clock.to_string d)
 
+(* -- a clock's scope ------------------------------------------------------- *)
+
+let charge = Feam_sysmodel.Cost.charge
+
+let in_scope c =
+  match Effects.clock () with Some c' -> c' == c | None -> false
+
+(* Nested scopes both take a charge; the innermost is the one in scope. *)
+let test_scopes_nest () =
+  let outer = Sim_clock.create () and inner = Sim_clock.create () in
+  Effects.with_clock outer (fun () ->
+      charge 1.0;
+      Effects.with_clock inner (fun () ->
+          Alcotest.(check bool) "the inner clock is innermost" true
+            (in_scope inner);
+          charge 2.0);
+      Alcotest.(check bool) "the outer clock is innermost again" true
+        (in_scope outer));
+  Alcotest.(check (float 0.0)) "the outer clock took both" 3.0
+    (Sim_clock.elapsed outer);
+  Alcotest.(check (float 0.0)) "the inner clock took its own" 2.0
+    (Sim_clock.elapsed inner)
+
+(* Outside every scope a charge reaches no clock, but a running tape
+   still keeps it. *)
+let test_charge_outside_scope () =
+  let c = Sim_clock.create () in
+  Effects.with_clock c ignore;
+  Alcotest.(check bool) "no clock in scope" true (Effects.clock () = None);
+  let (), events = Effects.capture (fun () -> charge 0.5) in
+  Alcotest.(check bool) "the tape keeps the charge" true
+    (events = [ Effects.Charge 0.5 ]);
+  Alcotest.(check (float 0.0)) "no clock took it" 0.0 (Sim_clock.elapsed c)
+
+(* A body that raises closes its scope. *)
+let test_raising_body_closes_scope () =
+  let c = Sim_clock.create () in
+  (try
+     Effects.with_clock c (fun () ->
+         charge 1.0;
+         failwith "body")
+   with Failure _ -> ());
+  Alcotest.(check bool) "no clock in scope" true (Effects.clock () = None);
+  Alcotest.(check bool) "no capture open" false (Effects.capturing ());
+  charge 2.0;
+  Alcotest.(check (float 0.0)) "the clock kept what came before the raise" 1.0
+    (Sim_clock.elapsed c)
+
 (* -- Str_split ------------------------------------------------------------ *)
 
 let test_str_split () =
@@ -153,5 +202,10 @@ let suite =
       Alcotest.test_case "percent" `Quick test_percent;
       Alcotest.test_case "sim clock" `Quick test_clock;
       Alcotest.test_case "sim clock render" `Quick test_clock_render;
+      Alcotest.test_case "clock scopes nest" `Quick test_scopes_nest;
+      Alcotest.test_case "a charge outside every scope" `Quick
+        test_charge_outside_scope;
+      Alcotest.test_case "a raising body closes its scope" `Quick
+        test_raising_body_closes_scope;
       Alcotest.test_case "str split" `Quick test_str_split;
     ] )

@@ -106,8 +106,9 @@ let test_glibc_discovery_channels () =
 let test_clock_charging () =
   let site, _, path, _ = compiled () in
   let clock = Sim_clock.create () in
-  ignore (Utilities.objdump_p ~clock site path);
-  ignore (Utilities.locate ~clock site "libm");
+  Effects.with_clock clock (fun () ->
+      ignore (Utilities.objdump_p site path);
+      ignore (Utilities.locate site "libm"));
   Alcotest.(check bool) "charged" true (Sim_clock.elapsed clock > 0.0)
 
 let suite =
