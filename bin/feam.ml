@@ -184,26 +184,28 @@ let journal_arg =
               determinant decisions, replay payloads — to FILE.  Feed it \
               to 'feam replay' or 'feam diff'.")
 
-(* Turn tracing and/or journaling on for this process.  Both sinks
-   drain through the single idempotent [Feam_obs.flush] (the recorder
-   registers itself as a flush hook), which is also installed with
-   at_exit so output survives early `exit 1` / `exit 2` paths
-   (e.g. `feam lint --fail-on`); the normal end-of-command flush does
-   not double-write. *)
-let setup_obs ?(journal = None) ?(alloc = false) trace trace_out =
+let write_file file text =
+  Out_channel.with_open_text file (fun oc -> Out_channel.output_string oc text)
+
+(* Turn tracing on for this process and run [f] with the journal, if
+   any, in scope; the journal is written when the scope closes.  An
+   early `exit 1` / `exit 2` (e.g. `feam lint --fail-on`) leaves with
+   the scope open, so at_exit drains the trace sink and the open
+   journal; both drains are idempotent, so the normal end-of-command
+   flush does not double-write. *)
+let with_obs ?journal ?(alloc = false) trace trace_out f =
   (* Allocation accounting rides the trace: when requested, every span
      also reports the minor/major words its body allocated. *)
   if alloc then Feam_obs.Trace.set_record_alloc true;
   Option.iter (Feam_obs.trace_to ?file:trace_out) trace;
-  (match journal with
-  | None -> ()
+  if trace <> None || journal <> None then
+    at_exit (fun () ->
+        Feam_obs.flush ();
+        Feam_flightrec.Recorder.flush ());
+  match journal with
+  | None -> f ()
   | Some file ->
-    let emit body =
-      Out_channel.with_open_text file (fun oc ->
-          Out_channel.output_string oc body)
-    in
-    Feam_flightrec.Recorder.configure ~tool:"feam" ~emit ());
-  if trace <> None || journal <> None then at_exit Feam_obs.flush
+    Feam_flightrec.Recorder.with_journal ~tool:"feam" ~emit:(write_file file) f
 
 let scenario_arg =
   Arg.(
@@ -260,7 +262,7 @@ let cmd_sites debug scenario_name =
 
 let cmd_describe debug trace trace_out journal scenario_name site binary =
   setup_logs debug;
-  setup_obs ~journal trace trace_out;
+  with_obs ?journal trace trace_out @@ fun () ->
   let scenario = load_scenario scenario_name in
   let site = require_site scenario site in
   let path, install =
@@ -285,7 +287,7 @@ let cmd_describe debug trace trace_out journal scenario_name site binary =
 
 let cmd_discover debug trace trace_out journal scenario_name site =
   setup_logs debug;
-  setup_obs ~journal trace trace_out;
+  with_obs ?journal trace trace_out @@ fun () ->
   let scenario = load_scenario scenario_name in
   let site = require_site scenario site in
   let d = Feam_core.Edc.discover ~env_type:`Target site (Site.base_env site) in
@@ -463,7 +465,7 @@ let run_predict_pipeline ?(announce_source = true) ?(symbols = false)
 let cmd_predict debug trace trace_out trace_alloc journal scenario_name
     from_site to_site binary basic_only json lint symbols depot_dir =
   setup_logs debug;
-  setup_obs ~journal ~alloc:trace_alloc trace trace_out;
+  with_obs ?journal ~alloc:trace_alloc trace trace_out @@ fun () ->
   let result, clock =
     run_predict_pipeline ~symbols ?depot_dir scenario_name from_site to_site
       binary basic_only lint
@@ -490,7 +492,7 @@ let cmd_predict debug trace trace_out trace_alloc journal scenario_name
 let cmd_metrics debug trace trace_out scenario_name from_site to_site binary
     basic_only lint json =
   setup_logs debug;
-  setup_obs trace trace_out;
+  with_obs trace trace_out @@ fun () ->
   let result, _clock =
     run_predict_pipeline ~announce_source:false scenario_name from_site to_site
       binary basic_only lint
@@ -559,7 +561,7 @@ let lint_target scenario_name target_site target_glibc =
 let cmd_lint debug trace trace_out scenario_name site binary bundle_file
     target_site target_glibc json list_rules explain fail_on =
   setup_logs debug;
-  setup_obs trace trace_out;
+  with_obs trace trace_out @@ fun () ->
   if list_rules then begin
     let rows =
       List.map
@@ -627,7 +629,7 @@ let cmd_lint debug trace trace_out scenario_name site binary bundle_file
 let cmd_audit debug trace trace_out seed json fail_on baseline_file
     write_baseline =
   setup_logs debug;
-  setup_obs trace trace_out;
+  with_obs trace trace_out @@ fun () ->
   let baseline =
     match baseline_file with
     | None -> Feam_analysis.Baseline.empty
@@ -680,7 +682,7 @@ let cmd_audit debug trace trace_out seed json fail_on baseline_file
 let cmd_symcheck debug trace trace_out journal scenario_name site binary
     bundle_file target_site target_glibc json bind_log fail_on =
   setup_logs debug;
-  setup_obs ~journal trace trace_out;
+  with_obs ?journal trace trace_out @@ fun () ->
   let module S = Feam_symcheck.Symcheck in
   let bundle = lint_bundle scenario_name site binary bundle_file in
   let target = lint_target scenario_name target_site target_glibc in
@@ -884,26 +886,16 @@ let cmd_journal_diff debug json file_a file_b =
 
 let ensure_dir dir = if not (Sys.file_exists dir) then Sys.mkdir dir 0o755
 
-let write_file file text =
-  Out_channel.with_open_text file (fun oc -> Out_channel.output_string oc text)
-
-(* Write out the journal being recorded, if any, and stop recording. *)
-let close_journal () =
-  Feam_flightrec.Recorder.flush ();
-  Feam_flightrec.Recorder.disable ()
-
 (* Journal one reproducer's rerun into its own replayable journal. *)
 let journal_reproducer file rp =
-  Feam_flightrec.Recorder.configure ~tool:"feam"
-    ~emit:(fun body -> write_file file body)
-    ();
+  Feam_flightrec.Recorder.with_journal ~tool:"feam" ~emit:(write_file file)
+  @@ fun () ->
   let open Feam_agree in
   let run =
     Harness.rerun ~seed:rp.Minimize.rp_seed ~index:rp.Minimize.rp_index
       ~keep:rp.Minimize.rp_keep
   in
-  Harness.record_report [ run ];
-  close_journal ()
+  Harness.record_report [ run ]
 
 let write_minimized out_dir reproducers =
   let open Feam_agree in
@@ -946,13 +938,15 @@ let agree_unsound_json runs =
 
 let cmd_agree_run debug trace trace_out journal seed count json out minimize =
   setup_logs debug;
-  setup_obs ~journal trace trace_out;
   let open Feam_agree in
-  let runs = Harness.run_corpus ~seed ~count () in
-  Harness.record_report runs;
   (* The corpus journal ends with its report: minimization's reruns
      stay out of it, and each reproducer records its own journal. *)
-  close_journal ();
+  let runs =
+    with_obs ?journal trace trace_out @@ fun () ->
+    let runs = Harness.run_corpus ~seed ~count () in
+    Harness.record_report runs;
+    runs
+  in
   let report = Harness.render_report runs in
   let reproducers = if minimize then Minimize.shrink_all runs else [] in
   if json then
@@ -1170,7 +1164,7 @@ let cmd_depot_gc debug depot_dir keep json =
    manifest wants minus what --have says the site already possesses. *)
 let cmd_depot_plan debug journal depot_dir site manifest_file have json =
   setup_logs debug;
-  setup_obs ~journal None None;
+  with_obs ?journal None None @@ fun () ->
   let store = open_depot depot_dir in
   let manifest = load_manifest manifest_file in
   let missing =
@@ -2115,7 +2109,7 @@ let drift_cmd =
 
 let cmd_serve debug trace trace_out journal seed full socket port =
   setup_logs debug;
-  setup_obs ~journal trace trace_out;
+  with_obs ?journal trace trace_out @@ fun () ->
   let open Feam_evalharness in
   let specs = if full then Sites.specs else Driftrun.small_specs () in
   let benchmarks =

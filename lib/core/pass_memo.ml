@@ -142,10 +142,10 @@ let find_or_record table ~name key f =
     Hashtbl.add table key tape;
     tape.value
 
-(* Keys are length-prefixed strings.  The flight recorder's state leads:
-   a miss keeps journal records only while journaling is on (a pass that
-   journals nothing would otherwise hold every record for nothing), so
-   an entry serves only lookups in the same state. *)
+(* Keys are length-prefixed strings.  Whether a journal is in scope
+   leads: a miss keeps journal records only inside one (a pass that
+   journals nothing would otherwise hold every record for nothing), and
+   a hit replays them into the innermost journal in scope at the hit. *)
 let key_buffer () =
   let b = Buffer.create 512 in
   Buffer.add_char b (if Feam_flightrec.Recorder.enabled () then 'j' else '-');

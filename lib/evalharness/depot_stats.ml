@@ -201,10 +201,6 @@ let journal_plan ~write t =
         (Journals.sanitize best.dc_binary.Testset.id)
         (Journals.sanitize best.dc_target)
     in
-    Feam_flightrec.Recorder.configure ~tool:"evaltool"
-      ~emit:(fun body -> write ~name body)
-      ();
-    Planner.journal ~wants:best.dc_wants best.dc_plan;
-    Feam_flightrec.Recorder.flush ();
-    Feam_flightrec.Recorder.disable ();
+    Feam_flightrec.Recorder.with_journal ~tool:"evaltool" ~emit:(write ~name)
+      (fun () -> Planner.journal ~wants:best.dc_wants best.dc_plan);
     Some name

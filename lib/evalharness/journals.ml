@@ -27,20 +27,19 @@ let cell_name binary target =
    the journaled target phase) of [binary] at [target]. *)
 let journal_cell ?ctx ~write binary target =
   Migrate.with_staged binary target @@ fun staged_path ->
-  (* The source phase runs before the recorder is armed: the cell's
+  (* The source phase runs before the journal's scope opens: the cell's
      journal covers the target phase, which re-journals everything
      replay needs (payloads included). *)
   let bundle = Migrate.source_bundle ?ctx binary in
   let name = cell_name binary target in
-  Recorder.configure ~tool:"evaltool" ~emit:(fun body -> write ~name body) ();
-  Fun.protect ~finally:Recorder.disable @@ fun () ->
-  (* No bundle: journal the basic prediction instead. *)
-  ignore
-    (Feam_core.Phases.target_phase ?ctx Feam_core.Config.default
-       target (Site.base_env target) ?bundle:(Result.to_option bundle)
-       ~binary_path:staged_path ()
-      : (Feam_core.Report.t, string) result);
-  Recorder.flush ();
+  (* No bundle: journal the basic prediction instead.  A cell that
+     raises still leaves the journal of what it did. *)
+  Recorder.with_journal ~tool:"evaltool" ~emit:(write ~name) (fun () ->
+      ignore
+        (Feam_core.Phases.target_phase ?ctx Feam_core.Config.default
+           target (Site.base_env target) ?bundle:(Result.to_option bundle)
+           ~binary_path:staged_path ()
+          : (Feam_core.Report.t, string) result));
   name
 
 (* Journal every cell of the migration matrix ({!Migrate.cells}, the

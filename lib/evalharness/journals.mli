@@ -7,7 +7,8 @@ val sanitize : string -> string
 
 (** Journal one cell (the extended prediction when the source phase
     succeeds, the basic one otherwise); returns the name written.
-    [ctx] is the evaluation pass's context. *)
+    [ctx] is the evaluation pass's context.  A cell that raises still
+    writes the journal of what it recorded, then re-raises. *)
 val journal_cell :
   ?ctx:Feam_core.Eval_ctx.t ->
   write:(name:string -> string -> unit) ->

@@ -2,26 +2,29 @@
     versioned event log — one JSON object per line, no timestamps, so
     identical inputs yield byte-identical journals.
 
-    A strict no-op until {!configure}, mirroring {!Feam_obs.Trace}. *)
+    A strict no-op outside every {!with_journal} scope, mirroring
+    {!Feam_obs.Trace}. *)
 
 (** Current journal schema version (header field [schema]). *)
 val schema_version : int
 
-(** [configure ~tool ~emit ()] turns journaling on.  [emit] receives
-    the complete rendered journal at every {!flush}; the recorder also
-    registers itself as a {!Feam_obs.on_flush} hook so a single
-    [Feam_obs.flush ()] drains trace sink and journal alike. *)
-val configure : tool:string -> emit:(string -> unit) -> unit -> unit
+(** [with_journal ~tool ~emit f] runs [f] with a fresh journal on the
+    effect stack ({!Feam_util.Effects}), which takes every record made
+    in no inner journal's scope.  [emit] gets the rendered journal at
+    each {!flush} and when the scope closes, also when [f] raises, whose
+    exception then surfaces. *)
+val with_journal : tool:string -> emit:(string -> unit) -> (unit -> 'a) -> 'a
 
+(** Whether a journal is in scope.  Allocates nothing. *)
 val enabled : unit -> bool
 
-(** Append one record of the given type.  The sequence number and the
-    innermost open {!Feam_obs.Trace} span id are stamped automatically.
-    While a {!Feam_util.Effects.capture} runs, the type and fields are
-    also noted as a [Record].
+(** Append one record of the given type to the innermost journal,
+    stamped with its sequence number (per journal, from 1) and the
+    innermost open {!Feam_obs.Trace} span id; every running
+    {!Feam_util.Effects.capture} keeps its type and fields too.
 
     Every function below that journals takes its fields (or data) as a
-    thunk, run only while the recorder is on: a disabled call builds
+    thunk, run only while a journal is in scope: any other call builds
     nothing. *)
 val record : ?fields:(unit -> (string * Feam_util.Json.t) list) -> string -> unit
 
@@ -46,9 +49,7 @@ val payload : kind:string -> (unit -> Feam_util.Json.t) -> unit
 val serve_request :
   verb:string -> ok:bool -> bytes_in:int -> bytes_out:int -> unit
 
-(** Render and hand the journal to [emit].  Idempotent: does nothing
-    when no records were added since the last flush. *)
+(** Emit the innermost journal in scope, if records arrived since its
+    last emission: the daemon's drain, and the CLI's at-exit path,
+    which leaves through [exit] with the scope open. *)
 val flush : unit -> unit
-
-(** Back to the pristine no-op state; unregisters the flush hook. *)
-val disable : unit -> unit

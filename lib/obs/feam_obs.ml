@@ -47,20 +47,9 @@ let trace_to ?file format =
   in
   Trace.configure ~clock:Clock.wall sink
 
-(* Flush hooks: other sinks that buffer output (the flight recorder's
-   journal, for one) register here, keyed so re-registration replaces
-   rather than duplicates.  [flush] then drains *every* buffered
-   output in one idempotent call — the single helper every CLI exit
-   path is expected to use before [exit]. *)
-let hooks : (string * (unit -> unit)) list ref = ref []
-
-let on_flush ~key f = hooks := (key, f) :: List.remove_assoc key !hooks
-
-let remove_flush_hook key = hooks := List.remove_assoc key !hooks
-
-let flush () =
-  Trace.flush ();
-  List.iter (fun (_, f) -> f ()) !hooks
+(* Drain the trace sink: idempotent, so an exit path may call it
+   again.  A journal drains through Feam_flightrec.Recorder.flush. *)
+let flush = Trace.flush
 
 (* Back to the pristine no-op state (tests). *)
 let reset () =
@@ -68,8 +57,7 @@ let reset () =
   Trace.set_record_alloc false;
   Metrics.reset ();
   Prof.reset ();
-  Ledger.uninstall ();
-  hooks := []
+  Ledger.uninstall ()
 
 (* Simulated seconds, bucketed against the paper's five-minute phase
    budget (§VI.C). *)

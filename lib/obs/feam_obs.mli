@@ -26,18 +26,14 @@ val trace_formats : (string * trace_format) list
     stdout. *)
 val trace_to : ?file:string -> trace_format -> unit
 
-(** Register a flush hook for another buffering sink (the flight
-    recorder's journal); re-registering a key replaces its hook. *)
-val on_flush : key:string -> (unit -> unit) -> unit
-
-val remove_flush_hook : string -> unit
-
-(** Flush the trace sink and every hook: idempotent, the one call every
-    CLI exit path makes. *)
+(** Flush the trace sink: idempotent, so an exit path may call it
+    again.  A journal in scope drains through
+    {!Feam_flightrec.Recorder.flush}, which every exit path calls beside
+    this one. *)
 val flush : unit -> unit
 
 (** Back to the pristine no-op state: tracing off, registry empty,
-    timers off, no ledger, no hooks. *)
+    timers off, no ledger. *)
 val reset : unit -> unit
 
 (** [with_sim_phase ~name ~metric ~phase sim f] runs [f] under a span

@@ -96,27 +96,34 @@ let with_span ?attrs name f =
       if st.record_alloc then Some (Gc.minor_words (), Gc.quick_stat ())
       else None
     in
-    Fun.protect
-      ~finally:(fun () ->
-        (match st.stack with
-        | s :: rest when s == span -> st.stack <- rest
-        | _ -> ());
-        (match alloc0 with
-        | None -> ()
-        | Some (minor0, g0) ->
-          let g1 = Gc.quick_stat () in
-          (* Prepended while still reversed, so after the rev below
-             these land after the span's declared attributes. *)
-          span.Span.attrs <-
-            ("alloc_major_w",
-             Span.Float (g1.Gc.major_words -. g0.Gc.major_words))
-            :: ("alloc_minor_w", Span.Float (Gc.minor_words () -. minor0))
-            :: span.Span.attrs);
-        span.Span.duration_ns <- Int64.sub (st.clock ()) span.Span.start_ns;
-        span.Span.attrs <- List.rev span.Span.attrs;
-        span.Span.events <- List.rev span.Span.events;
-        st.sink.Sink.on_span span)
-      f
+    (* The sink sees the span after the body; when the body raised, its
+       exception surfaces whatever the sink does. *)
+    let close () =
+      (match st.stack with
+      | s :: rest when s == span -> st.stack <- rest
+      | _ -> ());
+      (match alloc0 with
+      | None -> ()
+      | Some (minor0, g0) ->
+        let g1 = Gc.quick_stat () in
+        (* Prepended while still reversed, so after the rev below
+           these land after the span's declared attributes. *)
+        span.Span.attrs <-
+          ("alloc_major_w",
+           Span.Float (g1.Gc.major_words -. g0.Gc.major_words))
+          :: ("alloc_minor_w", Span.Float (Gc.minor_words () -. minor0))
+          :: span.Span.attrs);
+      span.Span.duration_ns <- Int64.sub (st.clock ()) span.Span.start_ns;
+      span.Span.attrs <- List.rev span.Span.attrs;
+      span.Span.events <- List.rev span.Span.events;
+      st.sink.Sink.on_span span
+    in
+    match f () with
+    | result -> close (); result
+    | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      (try close () with _ -> ());
+      Printexc.raise_with_backtrace e bt
   end
 
 let flush () = st.sink.Sink.flush ()

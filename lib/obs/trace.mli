@@ -22,5 +22,8 @@ val set_attr : string -> Span.value -> unit
 (** Record a point-in-time event on the innermost open span. *)
 val event : ?attrs:(string * Span.value) list -> string -> unit
 
+(** [with_span name f] runs [f] under a span named [name], then hands
+    the span to the sink, also when [f] raises; then [f]'s exception
+    surfaces, with its backtrace, whatever the sink does. *)
 val with_span : ?attrs:(string * Span.value) list -> string -> (unit -> 'a) -> 'a
 val flush : unit -> unit

@@ -3,9 +3,9 @@
 
    Graceful shutdown contract: SIGINT/SIGTERM only set a flag.  The
    request in flight completes and its response is written (the drain),
-   the loop exits before reading another line, and [Feam_obs.flush]
-   runs the idempotent flush hooks — so trace and journal sinks are
-   never truncated mid-record, however the daemon dies. *)
+   the loop exits before reading another line, and the trace sink and
+   the journal in scope drain, each idempotently — so neither is ever
+   truncated mid-record, however the daemon dies. *)
 
 module Recorder = Feam_flightrec.Recorder
 
@@ -80,6 +80,7 @@ let serve_lines ?(on_request = fun (_ : string) -> ()) engine ~next ~write =
   (* The drain: flush every buffered sink exactly once per loop exit —
      idempotent, so the transport wrappers may flush again. *)
   Feam_obs.flush ();
+  Recorder.flush ();
   {
     served = !served;
     parse_errors = !parse_errors;

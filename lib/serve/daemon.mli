@@ -2,9 +2,10 @@
     line source/sink, with stdio, unix-socket and TCP bindings.
 
     SIGINT/SIGTERM drain rather than kill: the in-flight request
-    completes and its response is written, then the loop exits and the
-    idempotent [Feam_obs.flush] hooks run, so trace and journal sinks
-    are never truncated. *)
+    completes and its response is written, then the loop exits and
+    drains the trace sink ([Feam_obs.flush]) and the journal in scope
+    ([Feam_flightrec.Recorder.flush]), both idempotent, so neither is
+    ever truncated. *)
 
 type outcome = {
   served : int;  (** requests answered (including error responses) *)

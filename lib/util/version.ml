@@ -30,7 +30,8 @@ let to_string t =
   | Some tag -> base ^ tag
 
 (* Parse "2.3.4" or "1.7rc1".  The tag is whatever non-digit/dot suffix
-   trails the last numeric component. *)
+   trails the last numeric component.  Total: a component too long for
+   an int makes the whole string no version. *)
 let of_string s =
   let is_digit c = c >= '0' && c <= '9' in
   let n = String.length s in
@@ -40,9 +41,9 @@ let of_string s =
       (* invariant: position [i] starts a numeric component *)
       let rec digits_end j = if j < n && is_digit s.[j] then digits_end (j + 1) else j in
       let j = digits_end i in
-      if j = i then None (* expected a digit *)
-      else
-        let comp = int_of_string (String.sub s i (j - i)) in
+      match int_of_string_opt (String.sub s i (j - i)) with
+      | None -> None (* no digit, or too long for an int *)
+      | Some comp ->
         let acc = comp :: acc in
         if j = n then Some (List.rev acc, None)
         else if s.[j] = '.' && j + 1 < n && is_digit s.[j + 1] then

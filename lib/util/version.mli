@@ -18,7 +18,8 @@ val major : t -> int
 val to_string : t -> string
 
 (** Parse "2.3.4" or "1.7rc1"; [None] if the string does not start with a
-    numeric component. Trailing non-numeric text becomes the tag. *)
+    numeric component, or if a numeric component is too long for an
+    [int].  Trailing non-numeric text becomes the tag.  Never raises. *)
 val of_string : string -> t option
 
 (** @raise Invalid_argument when {!of_string} would return [None]. *)

@@ -277,15 +277,11 @@ let test_fixture_regressions () =
 (* -- journal replay ----------------------------------------------------- *)
 
 let test_journal_replay () =
-  let captured = ref "" in
-  Feam_flightrec.Recorder.configure ~tool:"test"
-    ~emit:(fun body -> captured := body)
-    ();
-  let runs = Harness.run_corpus ~seed:corpus_seed ~count:5 () in
-  Harness.record_report runs;
-  Feam_flightrec.Recorder.flush ();
-  Feam_flightrec.Recorder.disable ();
-  match Feam_flightrec.Journal.parse !captured with
+  let (), captured =
+    Test_flightrec.with_recorder (fun () ->
+        Harness.record_report (Harness.run_corpus ~seed:corpus_seed ~count:5 ()))
+  in
+  match Feam_flightrec.Journal.parse captured with
   | Error e -> Alcotest.fail e
   | Ok journal -> (
     Alcotest.(check bool) "journal carries a corpus" true
@@ -299,14 +295,10 @@ let test_journal_replay () =
         outcome.Replay.matches)
 
 let test_replay_rejects_non_corpus () =
-  let captured = ref "" in
-  Feam_flightrec.Recorder.configure ~tool:"test"
-    ~emit:(fun body -> captured := body)
-    ();
-  Feam_flightrec.Recorder.record "noise";
-  Feam_flightrec.Recorder.flush ();
-  Feam_flightrec.Recorder.disable ();
-  match Feam_flightrec.Journal.parse !captured with
+  let (), captured =
+    Test_flightrec.with_recorder (fun () -> Feam_flightrec.Recorder.record "noise")
+  in
+  match Feam_flightrec.Journal.parse captured with
   | Error e -> Alcotest.fail e
   | Ok journal ->
     Alcotest.(check bool) "no corpus detected" false (Replay.has_corpus journal);

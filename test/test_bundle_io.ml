@@ -198,6 +198,21 @@ let test_damaged section key repl () =
     false (String.equal text damaged);
   expect_malformed ~sub:("[" ^ section ^ "]") (Bundle_io.parse damaged)
 
+(* A [discovery] glibc too long for an int is no version: the parse
+   returns, with no glibc, instead of raising. *)
+let test_overlong_glibc () =
+  let text = Bundle_io.render (make_bundle ()) in
+  let damaged =
+    damage "discovery" "glibc" (Some "glibc: 2.99999999999999999999") text
+  in
+  Alcotest.(check bool) "fixture has a [discovery] glibc" false
+    (String.equal text damaged);
+  match Bundle_io.parse damaged with
+  | Ok b ->
+    Alcotest.(check bool) "no glibc" true
+      (b.Bundle.source_discovery.Discovery.glibc = None)
+  | Error e -> Alcotest.failf "rejected: %s" (Bundle_io.load_error_to_string e)
+
 let test_manifest_magic_named () =
   match Bundle_io.parse_manifest "created-at: x\n" with
   | Error e ->
@@ -280,6 +295,8 @@ let suite =
         (test_damaged "copy" "declared-size" None);
       Alcotest.test_case "missing copy desc field is malformed" `Quick
         (test_damaged "copy" "desc-soname" None);
+      Alcotest.test_case "overlong discovery glibc is no version" `Quick
+        test_overlong_glibc;
       Alcotest.test_case "manifest magic error names FEAM-MANIFEST" `Quick
         test_manifest_magic_named;
       Alcotest.test_case "manifest rejects data payload line" `Quick

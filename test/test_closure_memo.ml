@@ -139,9 +139,7 @@ let rec exec ?closures site seen op =
    repeat of the last resolution must then hit it. *)
 let run ?closures ops =
   let site = world () in
-  let journal = ref "" in
-  Feam_flightrec.Recorder.configure ~tool:"test" ~emit:(fun b -> journal := b) ();
-  Fun.protect ~finally:Feam_flightrec.Recorder.disable @@ fun () ->
+  Test_flightrec.with_recorder @@ fun () ->
   let seen = ref [] in
   List.iter (exec ?closures site seen) (ops @ [ Resolve (0, 0) ]);
   (match closures with
@@ -151,8 +149,7 @@ let run ?closures ops =
     if count "dynlinker.closure_memo.hit" <> hits + 1 then
       failwith "a repeated resolution missed the memo"
   | None -> ignore (resolve site (0, 0)));
-  Feam_flightrec.Recorder.flush ();
-  (List.rev !seen, !journal)
+  List.rev !seen
 
 let prop_memo_equals_walk =
   QCheck.Test.make ~name:"closure memo: results and journal equal plain walks" ~count:300

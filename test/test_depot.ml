@@ -274,31 +274,12 @@ let test_plan_render_deterministic () =
 
 (* -- Plan journal replay ------------------------------------------------ *)
 
-let with_recorder f =
-  let buf = Buffer.create 4096 in
-  Feam_flightrec.Recorder.configure ~tool:"test"
-    ~emit:(fun body ->
-      Buffer.clear buf;
-      Buffer.add_string buf body)
-    ();
-  let result =
-    match f () with
-    | x ->
-      Feam_flightrec.Recorder.flush ();
-      Feam_flightrec.Recorder.disable ();
-      x
-    | exception e ->
-      Feam_flightrec.Recorder.disable ();
-      raise e
-  in
-  (result, Buffer.contents buf)
-
 let test_plan_journal_replays_byte_for_byte () =
   let wants = [ want 1 100; want 2 200; want 1 100; want 3 300 ] in
   let possession = Planner.Possession.create () in
   Planner.Possession.add possession ~site:"s1" (Chash.of_bytes "payload-2");
   let plan, text =
-    with_recorder (fun () ->
+    Test_flightrec.with_recorder (fun () ->
         let plan =
           Planner.compute ~site:"s1"
             ~possessed:(Planner.Possession.mem possession ~site:"s1")

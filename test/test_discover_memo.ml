@@ -44,9 +44,9 @@ let test_key () =
     (missed ctx ~env:(Fixtures.session_env site (List.hd installs)) site);
   check "another env binding misses" true
     (missed ctx ~env:(Env.set (Site.base_env site) "FEAM_TEST" "1") site);
-  Recorder.configure ~tool:"test" ~emit:ignore ();
-  let journaled = missed ctx site in
-  Recorder.disable ();
+  let journaled =
+    Recorder.with_journal ~tool:"test" ~emit:ignore (fun () -> missed ctx site)
+  in
   check "journaling is its own key" true journaled;
   (* Discovery reads no file under the staging directory, so a scoped
      write there leaves every entry serving, even one named like an MPI
@@ -70,18 +70,16 @@ let test_key () =
 (* One discovery under an armed recorder and a fresh clock: its result,
    clock, [edc.discoveries] moves and journal. *)
 let journaled discover =
-  let journal = ref "" in
-  Recorder.configure ~tool:"test" ~emit:(( := ) journal) ();
-  Fun.protect ~finally:Recorder.disable @@ fun () ->
   let clock = Feam_util.Sim_clock.create () in
   let labels = [ ("env", "target") ] in
   let before = counter ~labels "edc.discoveries" in
-  let d = Effects.with_clock clock discover in
-  Recorder.flush ();
+  let d, journal =
+    Test_flightrec.with_recorder (fun () -> Effects.with_clock clock discover)
+  in
   ( render d,
     Feam_util.Sim_clock.elapsed clock,
     counter ~labels "edc.discoveries" - before,
-    !journal )
+    journal )
 
 let test_hit_replays () =
   let site, _ = Fixtures.small_site () in
@@ -157,8 +155,7 @@ let show = function
    capture and a replay inside a capture. *)
 let test_captures_nest () =
   Metrics.reset ();
-  Recorder.configure ~tool:"test" ~emit:ignore ();
-  Fun.protect ~finally:Recorder.disable @@ fun () ->
+  Recorder.with_journal ~tool:"test" ~emit:ignore @@ fun () ->
   let clock = Feam_util.Sim_clock.create () in
   let inner, outer =
     Effects.capture @@ fun () ->
@@ -284,8 +281,8 @@ let test_raising_source_miss_keeps_no_entry () =
     (match second with Error "second" -> true | _ -> false)
 
 (* A describe whose objdump run raises keeps no entry in the describe
-   memo.  Here a trace sink fails as the objdump span closes, which the
-   span's unwinding reports as [Fun.Finally_raised]. *)
+   memo.  Here a trace sink fails as the objdump span closes, and its
+   exception surfaces. *)
 let test_raising_describe_miss_keeps_no_entry () =
   let site, installs = Fixtures.small_site () in
   let path, install = Fixtures.compiled_binary site installs in
@@ -305,8 +302,7 @@ let test_raising_describe_miss_keeps_no_entry () =
     };
   Fun.protect ~finally:Feam_obs.Trace.disable @@ fun () ->
   Metrics.reset ();
-  Alcotest.check_raises "the first describe raises"
-    (Fun.Finally_raised (Failure "sink"))
+  Alcotest.check_raises "the first describe raises" (Failure "sink")
     (fun () -> ignore (describe () : Feam_core.Description.t));
   fail_objdump := false;
   let second = describe () in
@@ -327,8 +323,7 @@ let test_describe_tape_holds_no_record () =
   let path, install = Fixtures.compiled_binary site installs in
   let ctx = Eval_ctx.create () in
   Metrics.reset ();
-  Recorder.configure ~tool:"test" ~emit:ignore ();
-  Fun.protect ~finally:Recorder.disable @@ fun () ->
+  Recorder.with_journal ~tool:"test" ~emit:ignore @@ fun () ->
   ignore
     (Fixtures.run_exn
        (Feam_core.Bdc.describe ~ctx site (Fixtures.session_env site install) ~path)
@@ -358,20 +353,17 @@ let test_describe_tape_holds_no_record () =
    describe memo's hits. *)
 let describe_each ctx ~install ~path sites =
   let describe ctx site =
-    let journal = ref "" in
-    Recorder.configure ~tool:"test" ~emit:(( := ) journal) ();
-    Fun.protect ~finally:Recorder.disable @@ fun () ->
     let clock = Feam_util.Sim_clock.create () in
-    let d =
+    let d, journal =
+      Test_flightrec.with_recorder @@ fun () ->
       Fixtures.run_exn
         ( Effects.with_clock clock @@ fun () ->
           Feam_core.Bdc.describe ~ctx site (Fixtures.session_env site install)
             ~path )
     in
-    Recorder.flush ();
     ( Json.render (Feam_core.Description.to_json d),
       Feam_util.Sim_clock.elapsed clock,
-      !journal )
+      journal )
   in
   let hits = counter "bdc.describe_cache.hit" in
   List.iter

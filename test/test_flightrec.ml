@@ -15,25 +15,11 @@ let contains ~affix s =
   let rec go i = i + n <= m && (String.sub s i n = affix || go (i + 1)) in
   n = 0 || go 0
 
-(* Run [f] with the recorder armed; returns (result, journal text). *)
-let with_recorder ?(tool = "test") f =
-  let buf = Buffer.create 4096 in
-  Recorder.configure ~tool
-    ~emit:(fun body ->
-      Buffer.clear buf;
-      Buffer.add_string buf body)
-    ();
-  let result =
-    match f () with
-    | x ->
-      Recorder.flush ();
-      Recorder.disable ();
-      x
-    | exception e ->
-      Recorder.disable ();
-      raise e
-  in
-  (result, Buffer.contents buf)
+(* Run [f] with a journal in scope; returns (result, journal text). *)
+let with_recorder f =
+  let text = ref "" in
+  let result = Recorder.with_journal ~tool:"test" ~emit:(( := ) text) f in
+  (result, !text)
 
 let parse_exn text =
   match Journal.parse text with
@@ -45,7 +31,8 @@ let parse_exn text =
 let test_recorder_golden () =
   Feam_obs.reset ();
   let emissions = ref [] in
-  Recorder.configure ~tool:"t" ~emit:(fun b -> emissions := b :: !emissions) ();
+  Recorder.with_journal ~tool:"t" ~emit:(fun b -> emissions := b :: !emissions)
+  @@ fun () ->
   Recorder.evidence ~stage:"s" ~kind:"k" (fun () -> [ ("x", Json.Int 1) ]);
   Recorder.decision ~determinant:"d" ~verdict:"pass" (fun () ->
       [ ("y", Json.Str "z") ]);
@@ -71,13 +58,12 @@ let test_recorder_golden () =
     (Feam_obs.Metrics.counter_value
        ~labels:[ ("type", "evidence") ]
        "flightrec.records");
-  (* the obs-level flush drains the journal hook too *)
+  (* a record after a flush makes the next flush emit again *)
   Recorder.record "extra";
-  Feam_obs.flush ();
+  Recorder.flush ();
   Alcotest.(check int)
-    "Feam_obs.flush reaches the recorder" 2
+    "Recorder.flush emits the new record" 2
     (List.length !emissions);
-  Recorder.disable ();
   Feam_obs.reset ()
 
 let test_disabled_recorder_is_silent () =
@@ -90,6 +76,21 @@ let test_disabled_recorder_is_silent () =
   Recorder.payload ~kind:"p" built;
   Recorder.record "r" ~fields:built;
   Recorder.flush ();
+  (* with a tape and a clock open but no journal, the test for one
+     allocates nothing *)
+  let clock = Feam_util.Sim_clock.create () in
+  let (), events =
+    Feam_util.Effects.capture @@ fun () ->
+    Feam_util.Effects.with_clock clock @@ fun () ->
+    let before = Gc.minor_words () in
+    for _ = 1 to 1000 do
+      ignore (Recorder.enabled () : bool)
+    done;
+    Alcotest.(check (float 0.0))
+      "enabled allocates nothing" 0.0 (Gc.minor_words () -. before);
+    Recorder.record "r" ~fields:built
+  in
+  Alcotest.(check int) "no record reaches the tape" 0 (List.length events);
   Alcotest.(check (option int))
     "no metrics recorded while disabled" None
     (Feam_obs.Metrics.counter_value
@@ -475,6 +476,100 @@ let test_matrix_cell_journal_replays () =
       "matrix cell replays byte-for-byte" true
       outcome.Feam_core.Replay.matches
 
+(* -- journals are scopes ---------------------------------------------- *)
+
+(* The journal of [kinds] recorded, in order, in a scope of their own. *)
+let journal_of kinds = snd (with_recorder (fun () -> List.iter Recorder.record kinds))
+
+let gen_kinds = QCheck.Gen.(list_size (int_range 0 12) (oneofl [ "a"; "b"; "c" ]))
+
+(* (a) A body that raises still emits what it recorded, its exception
+   surfaces, and no journal is in scope afterwards. *)
+let prop_raising_body_emits =
+  QCheck.Test.make ~name:"journal scope: a raising body emits what it recorded"
+    ~count:100
+    (QCheck.make ~print:(String.concat " ") gen_kinds)
+    (fun kinds ->
+      let text = ref "" in
+      let raised =
+        match
+          Recorder.with_journal ~tool:"test" ~emit:(( := ) text) (fun () ->
+              List.iter Recorder.record kinds;
+              raise Exit)
+        with
+        | () -> false
+        | exception Exit -> true
+      in
+      raised && (not (Recorder.enabled ())) && String.equal !text (journal_of kinds))
+
+(* (b) Nested scopes: the inner journal holds exactly the records made
+   inside it, and the outer one the rest, numbered as if the inner
+   scope had made none.  A tape open between them sees every record. *)
+let prop_nested_journals_split =
+  QCheck.Test.make ~name:"journal scope: the innermost journal takes each record"
+    ~count:100
+    (QCheck.make
+       ~print:(fun (b, i, a) -> String.concat " | " (List.map (String.concat " ") [ b; i; a ]))
+       QCheck.Gen.(triple gen_kinds gen_kinds gen_kinds))
+    (fun (before, inside, after) ->
+      let inner = ref "" in
+      let ((), taped), outer =
+        with_recorder (fun () ->
+            List.iter Recorder.record before;
+            let r =
+              Feam_util.Effects.capture (fun () ->
+                  Recorder.with_journal ~tool:"test" ~emit:(( := ) inner) (fun () ->
+                      List.iter Recorder.record inside))
+            in
+            List.iter Recorder.record after;
+            r)
+      in
+      String.equal !inner (journal_of inside)
+      && String.equal outer (journal_of (before @ after))
+      && List.length taped = List.length inside)
+
+(* (c) Two journaled passes, each over its own small world and context,
+   run interleaved cell by cell: each pass writes the journals it
+   writes alone. *)
+let test_interleaved_passes_journal_alone () =
+  let open Feam_evalharness in
+  let pass seed =
+    let params = { Params.default with Params.seed } in
+    let sites, binaries =
+      Driftrun.build_world params (Driftrun.small_specs ())
+        (Driftrun.small_benchmarks ()) []
+    in
+    let ctx = Feam_core.Eval_ctx.create () in
+    let written = ref [] in
+    let write ~name body = written := (name, body) :: !written in
+    ( List.map
+        (fun (b, t) () -> ignore (Journals.journal_cell ~ctx ~write b t : string))
+        (Migrate.cells sites binaries),
+      written )
+  in
+  let alone seed =
+    let cells, written = pass seed in
+    List.iter (fun cell -> cell ()) cells;
+    List.rev !written
+  in
+  let rec interleave = function
+    | [], rest | rest, [] -> List.iter (fun cell -> cell ()) rest
+    | a :: r1, b :: r2 -> a (); b (); interleave (r1, r2)
+  in
+  let a, written_a = pass 42 and b, written_b = pass 7 in
+  Alcotest.(check bool) "each pass has several cells" true
+    (List.length a > 1 && List.length b > 1);
+  interleave (a, b);
+  let check seed written =
+    Alcotest.(check (list (pair string string)))
+      (Printf.sprintf "seed %d interleaved journals as alone" seed)
+      (alone seed) (List.rev !written)
+  in
+  check 42 written_a;
+  check 7 written_b;
+  Alcotest.(check bool) "the passes journal differently" false
+    (List.rev !written_a = List.rev !written_b)
+
 let suite =
   ( "flightrec",
     [
@@ -509,4 +604,10 @@ let suite =
         test_diff_of_strings_schema_mismatch;
       Alcotest.test_case "matrix cell journal replays" `Quick
         test_matrix_cell_journal_replays;
+      QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 42 |])
+        prop_raising_body_emits;
+      QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 42 |])
+        prop_nested_journals_split;
+      Alcotest.test_case "interleaved journal_cell passes journal as alone" `Quick
+        test_interleaved_passes_journal_alone;
     ] )

@@ -295,6 +295,37 @@ let prop_soname_parser_total =
       | None, Error _ -> true
       | _ -> false)
 
+(* Version-like strings: dotted digit runs, some far too long for an
+   int, with a tag, and arbitrary bytes. *)
+let gen_version_like =
+  QCheck.Gen.(
+    let component =
+      oneof
+        [
+          map string_of_int nat;
+          map (fun n -> String.make n '9') (int_range 1 40);
+          string_size ~gen:numeral (int_range 0 30);
+        ]
+    in
+    oneof
+      [
+        map Bytes.to_string (bytes_size (int_range 0 24));
+        map2
+          (fun parts tag -> String.concat "." parts ^ tag)
+          (list_size (int_range 1 5) component)
+          (oneofl [ ""; "rc1"; "a2"; "."; "-x" ]);
+      ])
+
+let prop_version_parser_total =
+  QCheck.Test.make ~name:"fuzz: version parser never raises" ~count:800
+    (QCheck.make ~print:String.escaped gen_version_like)
+    (fun s ->
+      ignore (Feam_util.Version.of_string s : Feam_util.Version.t option);
+      ignore
+        (Feam_toolchain.Glibc.version_of_symbol ("GLIBC_" ^ s)
+          : Feam_util.Version.t option);
+      true)
+
 (* The four persisted JSONL formats, each rendered by its own writer
    (Test_jsonl.readers): byte mutations and every truncation must
    leave each reader returning [Ok] or [Error], never raising.  Seeded
@@ -338,6 +369,9 @@ let suite =
       QCheck_alcotest.to_alcotest prop_json_parser_total;
       QCheck_alcotest.to_alcotest prop_objdump_parser_total;
       QCheck_alcotest.to_alcotest prop_soname_parser_total;
+      QCheck_alcotest.to_alcotest
+        ~rand:(Random.State.make [| 42 |])
+        prop_version_parser_total;
       QCheck_alcotest.to_alcotest
         ~rand:(Random.State.make [| 42 |])
         prop_jsonl_readers_total;

@@ -81,6 +81,35 @@ let test_span_exception_safety () =
   Alcotest.(check (option int))
     "stack popped despite the raise" None after.Span.parent
 
+(* A sink that raises on the span named "boom". *)
+let raising_sink () =
+  let spans, sink = capture_sink () in
+  ( spans,
+    {
+      sink with
+      Sink.on_span =
+        (fun s -> if s.Span.name = "boom" then failwith "sink" else sink.Sink.on_span s);
+    } )
+
+(* The sink sees the span after the body: a sink that raises surfaces
+   its own exception when the body returned, and the body's when both
+   raised.  Either way the span stack is popped. *)
+let test_raising_sink () =
+  Feam_obs.reset ();
+  let spans, sink = raising_sink () in
+  Trace.configure sink;
+  Alcotest.check_raises "the sink's exception surfaces" (Failure "sink") (fun () ->
+      Trace.with_span "boom" ignore);
+  Alcotest.check_raises "the body's exception surfaces" Exit (fun () ->
+      Trace.with_span "boom" (fun () -> raise Exit));
+  Trace.with_span "after" (fun () -> ());
+  Feam_obs.reset ();
+  match collected spans with
+  | [ after ] ->
+    Alcotest.(check (option int)) "stack popped despite the raises" None
+      after.Span.parent
+  | spans -> Alcotest.failf "%d spans reached the sink, expected 1" (List.length spans)
+
 let test_disabled_is_free () =
   Feam_obs.reset ();
   Alcotest.(check (option int))
@@ -393,6 +422,8 @@ let suite =
       Alcotest.test_case "span nesting and ordering" `Quick test_span_nesting;
       Alcotest.test_case "span exception safety" `Quick
         test_span_exception_safety;
+      Alcotest.test_case "a raising sink leaves the body's exception" `Quick
+        test_raising_sink;
       Alcotest.test_case "disabled tracing is free" `Quick test_disabled_is_free;
       Alcotest.test_case "histogram bucketing" `Quick test_histogram_bucketing;
       Alcotest.test_case "counter label normalization" `Quick

@@ -130,15 +130,15 @@ let test_journals seed () =
    holds the describe memo and the template table. *)
 let corpus runs =
   side @@ fun () ->
-  let journal = ref "" in
-  Recorder.configure ~tool:"test" ~emit:(( := ) journal) ();
-  Fun.protect ~finally:Recorder.disable @@ fun () ->
-  let runs = runs () in
-  Harness.record_report runs;
-  Recorder.flush ();
+  let runs, journal =
+    Test_flightrec.with_recorder (fun () ->
+        let runs = runs () in
+        Harness.record_report runs;
+        runs)
+  in
   let tallies = List.filter (fun c -> not (String.starts_with ~prefix:"agree." c)) in
   String.concat "\n"
-    ((Harness.render_report runs ^ !journal) :: tallies (work_counters ()))
+    ((Harness.render_report runs ^ journal) :: tallies (work_counters ()))
 
 let test_agree seed () =
   let count = 500 in
@@ -154,15 +154,14 @@ let test_agree seed () =
 let test_clock_scope_is_invisible () =
   let pass clocked =
     Metrics.reset ();
-    let journal = ref "" in
-    Recorder.configure ~tool:"test" ~emit:(( := ) journal) ();
-    Fun.protect ~finally:Recorder.disable @@ fun () ->
     let params, sites, binaries = world 42 in
     let run () = Migrate.run_all params sites binaries in
     let clock = Feam_util.Sim_clock.create () in
-    let cells = if clocked then Feam_util.Effects.with_clock clock run else run () in
-    Recorder.flush ();
-    ( String.concat "\n" (List.map cell_line cells @ (!journal :: work_counters ())),
+    let cells, journal =
+      Test_flightrec.with_recorder (fun () ->
+          if clocked then Feam_util.Effects.with_clock clock run else run ())
+    in
+    ( String.concat "\n" (List.map cell_line cells @ (journal :: work_counters ())),
       Feam_util.Sim_clock.elapsed clock )
   in
   let scoped, charged = pass true in

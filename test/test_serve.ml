@@ -517,10 +517,8 @@ let memo_transcript () =
 let memo_transcript_record () =
   Feam_obs.Metrics.reset ();
   let journal = ref "" in
-  Feam_flightrec.Recorder.configure ~tool:"serve-test"
-    ~emit:(fun body -> journal := body)
-    ();
-  Fun.protect ~finally:Feam_flightrec.Recorder.disable @@ fun () ->
+  Feam_flightrec.Recorder.with_journal ~tool:"serve-test" ~emit:(( := ) journal)
+  @@ fun () ->
   let _, responses = serve_transcript (memo_transcript ()) in
   let counters =
     List.filter_map
@@ -686,10 +684,8 @@ let test_provenance_grows_only_by_registration () =
 
 let test_sigint_drains_and_journal_is_whole () =
   let journal = ref "" in
-  Feam_flightrec.Recorder.configure ~tool:"serve-test"
-    ~emit:(fun body -> journal := body)
-    ();
-  Fun.protect ~finally:Feam_flightrec.Recorder.disable @@ fun () ->
+  Feam_flightrec.Recorder.with_journal ~tool:"serve-test" ~emit:(( := ) journal)
+  @@ fun () ->
   with_engine @@ fun engine ->
   let inputs =
     ref [ {|{"verb":"stats"}|}; {|{"verb":"stats"}|}; {|{"verb":"stats"}|} ]

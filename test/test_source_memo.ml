@@ -45,9 +45,9 @@ let test_key_misses () =
   let ctx = Eval_ctx.create () in
   Alcotest.(check bool) "first lookup misses" true (missed ctx binary);
   Alcotest.(check bool) "the same inputs hit" false (missed ctx binary);
-  Recorder.configure ~tool:"test" ~emit:ignore ();
-  let journaled = missed ctx binary in
-  Recorder.disable ();
+  let journaled =
+    Recorder.with_journal ~tool:"test" ~emit:ignore (fun () -> missed ctx binary)
+  in
   Alcotest.(check bool) "journaling is its own key" true journaled;
   let home = binary.Testset.home in
   let other =

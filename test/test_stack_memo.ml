@@ -57,9 +57,10 @@ let test_key_misses () =
     (missed memo target (Some bundle));
   Alcotest.(check bool) "no bundle is its own key" true
     (missed memo target None);
-  Feam_flightrec.Recorder.configure ~tool:"test" ~emit:ignore ();
-  let journaled = missed memo target (Some bundle) in
-  Feam_flightrec.Recorder.disable ();
+  let journaled =
+    Feam_flightrec.Recorder.with_journal ~tool:"test" ~emit:ignore (fun () ->
+        missed memo target (Some bundle))
+  in
   Alcotest.(check bool) "journaling is its own key" true journaled;
   let changed =
     match bundle.Feam_core.Bundle.copies with
@@ -118,29 +119,28 @@ let test_hit_redoes_effects () =
       ~candidates:[] work
   in
   Metrics.reset ();
-  let journal = ref "" in
-  Feam_flightrec.Recorder.configure ~tool:"test" ~emit:(( := ) journal) ();
   Feam_util.Sim_clock.charge clock 0.3;
-  let first = lookup bundle in
-  (* equal inputs, each probe on a fresh handle *)
-  let again =
-    {
-      bundle with
-      Feam_core.Bundle.probes =
-        List.map
-          (fun (p : Feam_core.Bundle.probe) ->
-            {
-              p with
-              probe_image =
-                Feam_elf.Reader.image
-                  (Feam_elf.Reader.image_bytes p.probe_image ^ "");
-            })
-          bundle.Feam_core.Bundle.probes;
-    }
+  let (first, second), journal =
+    Test_flightrec.with_recorder @@ fun () ->
+    let first = lookup bundle in
+    (* equal inputs, each probe on a fresh handle *)
+    let again =
+      {
+        bundle with
+        Feam_core.Bundle.probes =
+          List.map
+            (fun (p : Feam_core.Bundle.probe) ->
+              {
+                p with
+                probe_image =
+                  Feam_elf.Reader.image
+                    (Feam_elf.Reader.image_bytes p.probe_image ^ "");
+              })
+            bundle.Feam_core.Bundle.probes;
+      }
+    in
+    (first, lookup again)
   in
-  let second = lookup again in
-  Feam_flightrec.Recorder.flush ();
-  Feam_flightrec.Recorder.disable ();
   Alcotest.(check int) "one hit" 1 (counter "tec.stack_memo.hit");
   Alcotest.(check bool) "the selection is the miss's" true (first = second);
   Alcotest.(check (float 0.0)) "charges replayed in order"
@@ -154,7 +154,7 @@ let test_hit_redoes_effects () =
     (List.length
        (List.filter
           (String.starts_with ~prefix:{|{"type":"evidence"|})
-          (String.split_on_char '\n' !journal)))
+          (String.split_on_char '\n' journal)))
 
 (* The determinant's probes and the copies they stage are scratch: a
    miss and a hit through Tec.evaluate leave the target as they found

@@ -16,7 +16,11 @@ let test_parse_invalid () =
   List.iter
     (fun s ->
       Alcotest.(check bool) ("reject " ^ s) true (Version.of_string s = None))
-    [ ""; "abc"; ".5"; "-1" ]
+    [ ""; "abc"; ".5"; "-1"; "99999999999999999999"; "2.99999999999999999999";
+      "2.99999999999999999999rc1" ];
+  Alcotest.(check (option string)) "max_int still parses"
+    (Some (string_of_int max_int))
+    (Option.map Version.to_string (Version.of_string (string_of_int max_int)))
 
 let test_components () =
   Alcotest.(check (list int)) "components" [ 2; 3; 4 ] (Version.components (v "2.3.4"));
